@@ -6,7 +6,7 @@ GO ?= go
 # no dependencies beyond the toolchain.
 STRICT ?=
 
-.PHONY: all build vet hwlint lint lint-report test race race-core check bench bench-frontend bench-store bench-serve bench-cluster experiments clean
+.PHONY: all build vet hwlint lint lint-report test race race-core check bench bench-frontend bench-store bench-serve bench-cluster perf perf-smoke experiments clean
 
 all: check
 
@@ -76,9 +76,9 @@ bench-frontend:
 bench-store:
 	$(GO) run ./cmd/hwbench -scale 1 -store-json BENCH_store.json E24
 
-# bench-serve runs E25 (vectorized compressed serving: speedup over the
-# row-at-a-time path, controller convergence, chaos-mix tail latency) at full
-# scale and regenerates the committed BENCH_serve.json artifact.
+# bench-serve runs E25 (the server's compressed scan pass against the
+# row-at-a-time clock scan, chaos-mix tail latency) at full scale and
+# regenerates the committed BENCH_serve.json artifact.
 bench-serve:
 	$(GO) run ./cmd/hwbench -scale 1 -serve-json BENCH_serve.json E25
 
@@ -87,6 +87,15 @@ bench-serve:
 # at full scale and regenerates the committed BENCH_cluster.json artifact.
 bench-cluster:
 	$(GO) run ./cmd/hwbench -scale 1 -cluster-json BENCH_cluster.json E26
+
+# perf runs hwperf, the repository's benchmark (BENCHMARK.json): four
+# workloads over loopback HTTP, one process each. perf-smoke is its toy-scale
+# test, deterministic asserts only.
+perf:
+	$(GO) run ./cmd/hwperf -seed 1
+
+perf-smoke:
+	$(GO) test ./cmd/hwperf
 
 experiments:
 	$(GO) run ./cmd/hwbench

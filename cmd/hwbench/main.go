@@ -17,9 +17,8 @@
 // time vs data volume, and checkpoint interference on interactive p99 — as
 // JSON, the BENCH_store.json artifact.
 // -serve-json runs E25 (the vectorized compressed serving experiment) and
-// writes its structured result — row vs vectorized cycles per query,
-// controller convergence, chaos-mix tail latency — as JSON, the
-// BENCH_serve.json artifact.
+// writes its structured result — row clock scan vs server cycles per query,
+// chaos-mix tail latency — as JSON, the BENCH_serve.json artifact.
 // -cluster-json runs E26 (the sharded serving tier experiment) and writes
 // its structured result — node-kill/failover cycles with zero lost
 // committed answers, hedged-dispatch tail bounds, typed partial results on
@@ -142,7 +141,7 @@ func writeClusterBench(path string, cfg experiments.Config) error {
 	if err := enc.Encode(b); err != nil {
 		return err
 	}
-	fmt.Printf("    wrote %s (%d kill/failover cycles, %d lost answers; straggler p99 %.2fx no-fault)\n\n",
+	fmt.Printf("    wrote %s (%d kill/failover cycles, %d lost answers; straggler p99 %.2fx no-fault, host time, bar 2x)\n\n",
 		path, b.Failover.Cycles, b.Failover.LostAnswers, b.Hedge.P99Ratio)
 	return nil
 }

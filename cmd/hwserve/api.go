@@ -83,7 +83,7 @@ func serveAPI(ctx context.Context, cfg Config, out io.Writer) error {
 		}()
 	}
 
-	hs := &http.Server{Handler: mux}
+	hs := newHTTPServer(mux)
 	go func() {
 		<-ctx.Done()
 		shutdownCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)

@@ -33,10 +33,6 @@ func buildRouter(ctx context.Context, cfg Config) (*hwstar.Router, *hwstar.Trace
 		RetryBackoff:     time.Duration(cfg.Backoff),
 		BreakerThreshold: cfg.Breaker,
 		BreakerCooldown:  time.Duration(cfg.Cooldown),
-		Vectorized:       cfg.Vectorized,
-		VecMorselRows:    cfg.VecMorselRows,
-		VecBatchWidth:    cfg.VecBatchWidth,
-		VecAdaptive:      cfg.VecAdaptive,
 	}
 	ropts := hwstar.RouterOptions{
 		Shards:   cfg.Shards,
@@ -187,7 +183,7 @@ func serveAPICluster(ctx context.Context, cfg Config, out io.Writer) error {
 		close(chaosKills)
 	}
 
-	hs := &http.Server{Handler: mux}
+	hs := newHTTPServer(mux)
 	go func() {
 		<-ctx.Done()
 		shutdownCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)

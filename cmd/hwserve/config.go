@@ -72,15 +72,6 @@ type Config struct {
 	Shards   int `json:"shards"`
 	Replicas int `json:"replicas"`
 
-	// Vectorized execution: Vectorized routes shared scans through the
-	// batch-at-a-time pass over FOR/RLE-compressed columns; the Vec* knobs
-	// seed its morsel size and query-group width, and VecAdaptive lets the
-	// online controller retune both from runtime feedback.
-	Vectorized    bool `json:"vectorized"`
-	VecMorselRows int  `json:"vec_morsel_rows"`
-	VecBatchWidth int  `json:"vec_batch_width"`
-	VecAdaptive   bool `json:"vec_adaptive"`
-
 	// Memory governance (zero budget disables the governor).
 	MemBudget int64 `json:"mem_budget_bytes"`
 	MemQuery  int64 `json:"mem_query_bytes"`
@@ -155,14 +146,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Clients < 1 || c.Requests < 0 || c.Rows < 1 {
 		return fmt.Errorf("clients/requests/rows out of range: %d/%d/%d", c.Clients, c.Requests, c.Rows)
-	}
-	if !c.Vectorized {
-		if c.VecAdaptive {
-			return fmt.Errorf("-vec-adaptive needs -vectorized")
-		}
-		if c.VecMorselRows > 0 || c.VecBatchWidth > 0 {
-			return fmt.Errorf("-vec-morsel-rows/-vec-batch-width need -vectorized")
-		}
 	}
 	if c.ServeAPI != "" && len(c.Tenants) == 0 {
 		return fmt.Errorf("-serve-api needs at least one tenant (configure tenants in -config)")
@@ -240,10 +223,6 @@ func bindFlags(fs *flag.FlagSet, cfg *Config) map[string]string {
 	fs.DurationVar((*time.Duration)(&cfg.Deadline), "deadline", time.Duration(cfg.Deadline), "per-request deadline (0 = none)")
 	fs.IntVar(&cfg.Shards, "shards", cfg.Shards, "shard count of the replicated serving tier (0 or 1 = single server)")
 	fs.IntVar(&cfg.Replicas, "replicas", cfg.Replicas, "replicas per partition in the sharded tier (0 = default 2; needs -shards > 1)")
-	fs.BoolVar(&cfg.Vectorized, "vectorized", cfg.Vectorized, "execute shared scans batch-at-a-time over compressed columns (zone-map prune, block fast-sums, decode-on-demand)")
-	fs.IntVar(&cfg.VecMorselRows, "vec-morsel-rows", cfg.VecMorselRows, "initial vectorized morsel size in rows, snapped to compressed-block multiples (0 = default; needs -vectorized)")
-	fs.IntVar(&cfg.VecBatchWidth, "vec-batch-width", cfg.VecBatchWidth, "initial query-group width of the vectorized pass (0 = default; needs -vectorized)")
-	fs.BoolVar(&cfg.VecAdaptive, "vec-adaptive", cfg.VecAdaptive, "let the online controller retune morsel size and batch width from pass feedback (needs -vectorized)")
 	fs.Int64Var(&cfg.MemBudget, "mem-budget", cfg.MemBudget, "server-wide memory budget in bytes for joins and grouped aggregations (0 = ungoverned)")
 	fs.Int64Var(&cfg.MemQuery, "mem-query", cfg.MemQuery, "default per-query reservation in bytes (0 = budget/4)")
 	fs.BoolVar(&cfg.OOMKill, "oom-kill", cfg.OOMKill, "naive mode: allocate past the budget, then kill the query (instead of spilling)")

@@ -142,6 +142,16 @@ func TestLoadConfigFileStrict(t *testing.T) {
 	if _, _, err := parseConfig([]string{"-config", filepath.Join(t.TempDir(), "missing.json")}); err == nil {
 		t.Fatal("missing config file accepted")
 	}
+	// The scan-path knobs are gone, not ignored: a stale flag or config key
+	// fails loudly instead of silently selecting nothing.
+	for _, flag := range []string{"-vectorized", "-vec-adaptive", "-vec-morsel-rows=8192", "-vec-batch-width=8"} {
+		if _, _, err := parseConfig([]string{flag}); err == nil {
+			t.Fatalf("removed flag %s accepted", flag)
+		}
+	}
+	if err := loadConfigFile(writeConfig(t, `{"vectorized": true}`), &c); err == nil {
+		t.Fatal("removed config key accepted")
+	}
 }
 
 // TestPrintConfigRoundTrips pins the -print-config contract: the printed
@@ -229,14 +239,6 @@ func TestValidate(t *testing.T) {
 		{"serve_api with tenants", func(c *Config) {
 			c.ServeAPI = ":0"
 			c.Tenants = []hwstar.TenantConfig{{ID: "a", Key: "k"}}
-		}, true},
-		{"vec_adaptive without vectorized", func(c *Config) { c.VecAdaptive = true }, false},
-		{"vec knobs without vectorized", func(c *Config) { c.VecBatchWidth = 8 }, false},
-		{"vectorized with knobs", func(c *Config) {
-			c.Vectorized = true
-			c.VecAdaptive = true
-			c.VecMorselRows = 8192
-			c.VecBatchWidth = 16
 		}, true},
 		{"checkpoint interval without data dir", func(c *Config) {
 			c.CheckpointInterval = Duration(time.Second)

@@ -6,9 +6,26 @@ import (
 	"net/http/pprof"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hwstar/internal/metrics"
 )
+
+// newHTTPServer wraps h in an http.Server with the listener timeouts every
+// address the binary opens shares (-listen, -serve-api in either mode): a
+// peer that stalls mid-header, mid-body or mid-response, or parks an idle
+// keep-alive connection, loses the connection instead of holding a goroutine
+// and a descriptor for good. The write bound sits above pprof's default 30 s
+// CPU profile, which the handler refuses to start under a shorter one.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      90 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
 
 // debugReg holds the registry the debug endpoints read. A process-wide slot
 // (rather than a closure) lets expvar publication happen exactly once even

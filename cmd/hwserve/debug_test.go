@@ -138,3 +138,17 @@ func TestRunListen(t *testing.T) {
 		t.Fatalf("report missing endpoint notice:\n%s", sb.String())
 	}
 }
+
+// TestListenerTimeouts pins the hardening every listener shares: no timeout
+// is left at zero (unbounded), and the write bound leaves room for pprof's
+// default 30 s CPU profile.
+func TestListenerTimeouts(t *testing.T) {
+	hs := newHTTPServer(nil)
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.WriteTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Fatalf("unbounded listener timeout: header %v read %v write %v idle %v",
+			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.WriteTimeout, hs.IdleTimeout)
+	}
+	if hs.WriteTimeout <= 30*time.Second {
+		t.Fatalf("write timeout %v would refuse /debug/pprof/profile's default 30s", hs.WriteTimeout)
+	}
+}

@@ -43,11 +43,9 @@
 // The default workload is all shared-scannable range aggregates; -mix mixed
 // adds joins and grouped aggregations that exercise the worker budget.
 //
-// -vectorized routes shared scans through the batch-at-a-time pass over
-// FOR/RLE-compressed columns (zone-map pruning, precomputed block sums,
-// decode-on-demand); -vec-morsel-rows and -vec-batch-width seed its knobs,
-// and -vec-adaptive arms the online controller that retunes both from pass
-// feedback. The report then includes a per-pass block-outcome line.
+// Shared scans run batch-at-a-time over FOR/RLE-compressed columns (zone-map
+// pruning, precomputed block sums, decode-on-demand); the report's scan
+// passes line breaks the passes down by block outcome.
 //
 // -mem-budget arms the memory governor: joins and grouped aggregations
 // reserve against a server-wide byte budget at admission, charge their hash
@@ -71,7 +69,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -131,10 +128,6 @@ func buildServer(cfg Config) (*hwstar.Server, *hwstar.Tracer, *hwstar.Store, err
 		RetryBackoff:     time.Duration(cfg.Backoff),
 		BreakerThreshold: cfg.Breaker,
 		BreakerCooldown:  time.Duration(cfg.Cooldown),
-		Vectorized:       cfg.Vectorized,
-		VecMorselRows:    cfg.VecMorselRows,
-		VecBatchWidth:    cfg.VecBatchWidth,
-		VecAdaptive:      cfg.VecAdaptive,
 	}
 	if cfg.MemBudget > 0 {
 		opts.Memory = hwstar.MemoryConfig{
@@ -227,7 +220,7 @@ func run(ctx context.Context, cfg Config) (*report, error) {
 			return nil, err
 		}
 		listenAddr = ln.Addr().String()
-		hs := &http.Server{Handler: newDebugMux(eng.Metrics())}
+		hs := newHTTPServer(newDebugMux(eng.Metrics()))
 		go func() { _ = hs.Serve(ln) }()
 		defer hs.Close()
 	}
@@ -378,11 +371,9 @@ func (r *report) print(w io.Writer, cfg Config) {
 		fmt.Fprintf(w, "  memory budget %d KiB  (peak %d KiB, shed at admission %d, spilled %d for %d KiB, oom kills %d)\n",
 			cfg.MemBudget>>10, h.Memory.PeakBytes>>10, r.memShed, h.Spills, h.SpillBytes>>10, r.oomKilled)
 	}
-	if cfg.Vectorized {
-		h := r.health
-		fmt.Fprintf(w, "  vectorized %d passes  (blocks: %d pruned, %d fast-summed, %d scanned; morsel %d rows, width %d, retunes %d, converged %v)\n",
-			h.VecPasses, h.VecBlocksPruned, h.VecFastSums, h.VecBlocksScanned,
-			h.Ctl.MorselRows, h.Ctl.BatchWidth, h.Ctl.Retunes, h.Ctl.Converged)
+	if h := r.health; h.VecPasses > 0 {
+		fmt.Fprintf(w, "  scan passes %d  (blocks: %d pruned, %d fast-summed, %d scanned)\n",
+			h.VecPasses, h.VecBlocksPruned, h.VecFastSums, h.VecBlocksScanned)
 	}
 	if cfg.faulty() {
 		h := r.health

@@ -43,24 +43,28 @@ func TestRunScanMix(t *testing.T) {
 	}
 }
 
+// TestRunVectorized checks the report's scan-pass line: every scan batch is
+// one block-major pass, and each block visit has exactly one outcome.
 func TestRunVectorized(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Vectorized = true
-	cfg.VecAdaptive = true
 	r, err := run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.completed != int64(cfg.Clients*cfg.Requests) {
-		t.Fatalf("vectorized run lost requests: %+v", r)
+		t.Fatalf("run lost requests: %+v", r)
 	}
-	if !r.health.Vectorized || r.health.VecPasses == 0 {
-		t.Fatalf("vectorized path never ran: %+v", r.health)
+	h := r.health
+	if h.VecPasses != int64(r.batches) {
+		t.Fatalf("%d passes for %d scan batches", h.VecPasses, r.batches)
+	}
+	if h.VecBlocksPruned+h.VecFastSums+h.VecBlocksScanned == 0 {
+		t.Fatalf("no block outcomes recorded: %+v", h)
 	}
 	var sb strings.Builder
 	r.print(&sb, cfg)
-	if !strings.Contains(sb.String(), "vectorized") {
-		t.Fatalf("report missing vectorized line:\n%s", sb.String())
+	if !strings.Contains(sb.String(), "scan passes") {
+		t.Fatalf("report missing scan passes line:\n%s", sb.String())
 	}
 }
 

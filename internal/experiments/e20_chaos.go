@@ -160,7 +160,6 @@ func runE20(cfg Config) ([]*Table, error) {
 			MaxBatch:       1,
 			Workers:        8,
 			SchedBlockSize: 8,
-			ScanSegRows:    rows / 64, // ~64 morsels per pass
 			Faults: fault.New(fault.Config{
 				Seed:          9900,
 				PanicProb:     0.005,

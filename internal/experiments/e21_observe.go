@@ -49,7 +49,9 @@ func e21Run(cfg Config) ([]e21Breakdown, serve.Health, error) {
 	m := hw.Server2S()
 	requests := cfg.scaled(400, 60)
 	const clients = 8
-	rows := cfg.scaled(1<<18, 1<<14)
+	// 64 morsels per pass at every scale: faults are drawn per morsel task,
+	// so a shrunk table would draw too few to reach the retry stage.
+	const rows = 1 << 19
 	cols := [][]int64{
 		workload.UniformInts(2101, rows, 100000),
 		workload.UniformInts(2102, rows, 1000),
@@ -62,7 +64,6 @@ func e21Run(cfg Config) ([]e21Breakdown, serve.Health, error) {
 		BatchWindow:    200 * time.Microsecond,
 		Workers:        8,
 		SchedBlockSize: 8,
-		ScanSegRows:    rows / 64,
 		Faults: fault.New(fault.Config{
 			Seed:          9950,
 			TransientProb: 0.02,

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -11,6 +10,7 @@ import (
 	"hwstar/internal/fault"
 	"hwstar/internal/hw"
 	"hwstar/internal/scan"
+	"hwstar/internal/sched"
 	"hwstar/internal/serve"
 	"hwstar/internal/workload"
 )
@@ -18,13 +18,14 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "E25",
-		Title: "Vectorized compressed serving: the fused hot path, its controller, and its tail",
-		Claim: "executing shared scan batches directly on FOR/RLE-compressed columns — zone-map pruning, precomputed block sums, decode-on-demand — answers a scan-heavy serving cohort in at least 1.5x fewer modeled cycles than the row-at-a-time pass with identical results; the online controller converges on morsel size and batch width from runtime feedback alone; and the fused path holds tail latency under the E20 fault mix",
+		Title: "Vectorized compressed serving: the server's scan path against the row clock scan, and its tail",
+		Claim: "executing shared scan batches directly on FOR/RLE-compressed columns — zone-map pruning, precomputed block sums, decode-on-demand — answers a scan-heavy serving cohort in at least 1.5x fewer modeled cycles than the row-at-a-time clock scan (scan.ParallelShared) with identical results, and holds tail latency under the E20 fault mix",
 		Run:   runE25,
 	})
 }
 
-// E25CohortPoint compares one cohort size across the two execution paths.
+// E25CohortPoint compares one cohort size between the row clock scan and
+// the server.
 // Sums are verified equal query-by-query before the point is accepted.
 type E25CohortPoint struct {
 	Clients       int     `json:"clients"`
@@ -36,22 +37,8 @@ type E25CohortPoint struct {
 	BlocksScanned int64   `json:"blocks_scanned"`
 }
 
-// E25ControllerBench summarizes the online controller's run on a steady
-// workload: where it started, where it settled, and what the move bought.
-type E25ControllerBench struct {
-	Passes            int64   `json:"passes"`
-	Retunes           int64   `json:"retunes"`
-	Converged         bool    `json:"converged"`
-	InitialMorselRows int     `json:"initial_morsel_rows"`
-	FinalMorselRows   int     `json:"final_morsel_rows"`
-	InitialBatchWidth int     `json:"initial_batch_width"`
-	FinalBatchWidth   int     `json:"final_batch_width"`
-	FirstCost         float64 `json:"first_cost_per_row_query"`
-	FinalCost         float64 `json:"final_cost_per_row_query"`
-}
-
-// E25ChaosBench compares the two paths under the E20 serve fault mix — same
-// seeds, same resilience policy, only the execution path differs.
+// E25ChaosBench compares the two passes under the E20 serve fault mix — same
+// seeds, same retry/isolation policy, only the scan differs.
 type E25ChaosBench struct {
 	RowCompleted int     `json:"row_completed"`
 	VecCompleted int     `json:"vec_completed"`
@@ -63,13 +50,12 @@ type E25ChaosBench struct {
 // E25Bench is the full E25 outcome — the schema of BENCH_serve.json.
 // Speedup is the headline number: the largest cohort's row/vec cycle ratio.
 type E25Bench struct {
-	Scale            float64            `json:"scale"`
-	Machine          string             `json:"machine"`
-	CompressionRatio float64            `json:"compression_ratio"`
-	Cohorts          []E25CohortPoint   `json:"cohorts"`
-	Speedup          float64            `json:"speedup"`
-	Controller       E25ControllerBench `json:"controller"`
-	Chaos            E25ChaosBench      `json:"chaos"`
+	Scale            float64          `json:"scale"`
+	Machine          string           `json:"machine"`
+	CompressionRatio float64          `json:"compression_ratio"`
+	Cohorts          []E25CohortPoint `json:"cohorts"`
+	Speedup          float64          `json:"speedup"`
+	Chaos            E25ChaosBench    `json:"chaos"`
 }
 
 // e25Cols builds the serving relation: an append-ordered filter column
@@ -101,7 +87,7 @@ func e25Cohort(s *serve.Server, clients int, los []int64) (float64, []int64, err
 			resp, err := s.Submit(context.Background(), serve.Request{
 				Op:    serve.OpScan,
 				Table: "events",
-				Query: scan.Query{FilterCol: 0, Lo: los[i], Hi: los[i] + 5000, AggCol: 1},
+				Query: e25Query(los[i]),
 			})
 			if err != nil {
 				errsOut[i] = err
@@ -122,46 +108,63 @@ func e25Cohort(s *serve.Server, clients int, los []int64) (float64, []int64, err
 	return total / float64(clients) / 1e6, sums, nil
 }
 
-// runE25Cohorts measures row vs vectorized execution of identical cohorts,
-// verifying result equality before accepting any speedup.
+// e25Query is the cohort's query shape: a 5000-wide range over the ordered
+// filter column.
+func e25Query(lo int64) scan.Query {
+	return scan.Query{FilterCol: 0, Lo: lo, Hi: lo + 5000, AggCol: 1}
+}
+
+// runE25Cohorts measures the row clock scan against the server on identical
+// cohorts, verifying result equality before accepting any speedup. The
+// baseline is what a server running the row pass would charge: one
+// scan.ParallelShared over all of m's cores, its makespan split across the
+// cohort.
 func runE25Cohorts(m *hw.Machine, cols [][]int64, cohortSizes []int) ([]E25CohortPoint, float64, error) {
+	rel, err := scan.NewRelation(cols)
+	if err != nil {
+		return nil, 0, err
+	}
 	var points []E25CohortPoint
 	ratio := 0.0
 	for _, clients := range cohortSizes {
 		los := workload.UniformInts(2503, clients, 90000)
-		run := func(vectorized bool) (float64, []int64, serve.Health, error) {
-			s, err := serve.New(m, serve.Options{
-				QueueDepth:  clients,
-				MaxBatch:    clients,
-				BatchWindow: 10 * time.Second, // flush on MaxBatch, deterministically
-				Vectorized:  vectorized,
-			})
-			if err != nil {
-				return 0, nil, serve.Health{}, err
-			}
-			defer s.Close()
-			if err := s.Register("events", cols); err != nil {
-				return 0, nil, serve.Health{}, err
-			}
-			mcyc, sums, err := e25Cohort(s, clients, los)
-			return mcyc, sums, s.Health(), err
+		qs := make([]scan.Query, clients)
+		for i, lo := range los {
+			qs[i] = e25Query(lo)
 		}
-		rowM, rowSums, _, err := run(false)
+		sch, err := sched.New(m, sched.Options{Workers: m.TotalCores(), Stealing: true})
 		if err != nil {
 			return nil, 0, err
 		}
-		vecM, vecSums, h, err := run(true)
+		rowSums, rowRes, err := scan.ParallelShared(context.Background(), rel, qs, scan.SharedOptions{UseQueryIndex: true}, sch, 0)
+		if err != nil {
+			return nil, 0, err
+		}
+		rowM := rowRes.MakespanCycles / float64(clients) / 1e6
+
+		s, err := serve.New(m, serve.Options{
+			QueueDepth:  clients,
+			MaxBatch:    clients,
+			BatchWindow: 10 * time.Second, // flush on MaxBatch, deterministically
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+		if err := s.Register("events", cols); err != nil {
+			s.Close()
+			return nil, 0, err
+		}
+		vecM, vecSums, err := e25Cohort(s, clients, los)
+		h := s.Health()
+		s.Close()
 		if err != nil {
 			return nil, 0, err
 		}
 		for i := range rowSums {
 			if rowSums[i] != vecSums[i] {
-				return nil, 0, fmt.Errorf("e25: cohort %d query %d: vectorized sum %d != row sum %d",
+				return nil, 0, fmt.Errorf("e25: cohort %d query %d: server sum %d != row sum %d",
 					clients, i, vecSums[i], rowSums[i])
 			}
-		}
-		if h.VecPasses == 0 {
-			return nil, 0, fmt.Errorf("e25: cohort %d: vectorized server took the row path", clients)
 		}
 		p := E25CohortPoint{
 			Clients:       clients,
@@ -180,134 +183,95 @@ func runE25Cohorts(m *hw.Machine, cols [][]int64, cohortSizes []int) ([]E25Cohor
 	return points, ratio, nil
 }
 
-// runE25Controller drives a steady workload through an adaptive server and
-// snapshots the controller before and after: the E2b sweep, rediscovered at
-// runtime.
-func runE25Controller(m *hw.Machine, cols [][]int64, passes, clients int) (E25ControllerBench, error) {
+// runE25Chaos reruns E20's serving-level fault mix on both passes: identical
+// seeds, identical retry/isolation policy, sequential queries so the fault
+// draws line up. Latency is cumulative Mcyc across a query's attempts — a
+// failed pass still burned its cycles. The server retries a failed pass 3
+// times and the client resubmits up to 10 times; the row baseline, with no
+// server around it, gets the same 40 attempts in one loop.
+func runE25Chaos(m *hw.Machine, cols [][]int64, queriesN int) (E25ChaosBench, error) {
+	los := workload.UniformInts(2505, queriesN, 90000)
+	faults := func() *fault.Injector {
+		return fault.New(fault.Config{
+			Seed:          2550,
+			PanicProb:     0.005,
+			TransientProb: 0.005,
+			StragglerProb: 0.10,
+			StragglerSkew: 8,
+		})
+	}
+	// run answers every query with attempt, at most limit tries each, and
+	// returns how many completed and the p99 of their cumulative Mcyc.
+	run := func(limit int, attempt func(scan.Query) (float64, error)) (int, float64) {
+		var cycles []float64
+		for _, lo := range los {
+			var spent float64
+			for try := 0; try < limit; try++ {
+				mcyc, err := attempt(e25Query(lo))
+				spent += mcyc
+				if err == nil {
+					cycles = append(cycles, spent)
+					break
+				}
+			}
+		}
+		return len(cycles), quantileOf(cycles, 0.99)
+	}
+	var b E25ChaosBench
+
+	rel, err := scan.NewRelation(cols)
+	if err != nil {
+		return b, err
+	}
+	inj := faults()
+	b.RowCompleted, b.RowP99Mcyc = run(40, func(q scan.Query) (float64, error) {
+		sch, err := sched.New(m, sched.Options{Workers: 8, Stealing: true, Inject: inj,
+			IsolatePanics: true, StragglerThreshold: 3, BlockSize: 8})
+		if err != nil {
+			return 0, err
+		}
+		_, res, err := scan.ParallelShared(context.Background(), rel, []scan.Query{q},
+			scan.SharedOptions{UseQueryIndex: true}, sch, rel.NumRows()/64)
+		return res.MakespanCycles / 1e6, err
+	})
+
 	s, err := serve.New(m, serve.Options{
-		QueueDepth:  clients,
-		MaxBatch:    clients,
-		BatchWindow: 10 * time.Second,
-		Vectorized:  true,
-		VecAdaptive: true,
+		QueueDepth:         4,
+		MaxBatch:           1,
+		Workers:            8,
+		SchedBlockSize:     8,
+		Faults:             faults(),
+		MaxRetries:         3,
+		RetryBackoff:       50 * time.Microsecond,
+		IsolatePanics:      true,
+		StragglerThreshold: 3,
 	})
 	if err != nil {
-		return E25ControllerBench{}, err
+		return b, err
 	}
 	defer s.Close()
 	if err := s.Register("events", cols); err != nil {
-		return E25ControllerBench{}, err
+		return b, err
 	}
-	init := s.Health().Ctl
-	b := E25ControllerBench{InitialMorselRows: init.MorselRows, InitialBatchWidth: init.BatchWidth}
-	los := workload.UniformInts(2504, clients, 90000)
-	for pass := 0; pass < passes; pass++ {
-		if _, _, err := e25Cohort(s, clients, los); err != nil {
-			return b, err
-		}
-		if pass == 0 {
-			b.FirstCost = s.Health().Ctl.CostPerRowQuery
-		}
-	}
-	final := s.Health().Ctl
-	b.Passes = final.Observations
-	b.Retunes = final.Retunes
-	b.Converged = final.Converged
-	b.FinalMorselRows = final.MorselRows
-	b.FinalBatchWidth = final.BatchWidth
-	b.FinalCost = final.CostPerRowQuery
-	return b, nil
-}
-
-// runE25Chaos reruns E20's serving-level fault mix on both paths: identical
-// seeds, identical resilience policy, sequential submissions so the fault
-// draws line up. Latency is cumulative Mcyc across a query's submissions.
-func runE25Chaos(m *hw.Machine, cols [][]int64, queriesN int) (E25ChaosBench, error) {
-	rows := len(cols[0])
-	los := workload.UniformInts(2505, queriesN, 90000)
-	run := func(vectorized bool) (int, float64, error) {
-		s, err := serve.New(m, serve.Options{
-			QueueDepth:     4,
-			MaxBatch:       1,
-			Workers:        8,
-			SchedBlockSize: 8,
-			ScanSegRows:    rows / 64,
-			Vectorized:     vectorized,
-			Faults: fault.New(fault.Config{
-				Seed:          2550,
-				PanicProb:     0.005,
-				TransientProb: 0.005,
-				StragglerProb: 0.10,
-				StragglerSkew: 8,
-			}),
-			MaxRetries:         3,
-			RetryBackoff:       50 * time.Microsecond,
-			IsolatePanics:      true,
-			StragglerThreshold: 3,
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		defer s.Close()
-		if err := s.Register("events", cols); err != nil {
-			return 0, 0, err
-		}
-		completed := 0
-		var cycles []float64
-		for i := 0; i < queriesN; i++ {
-			var spent float64
-			done := false
-			for attempt := 0; attempt < 10 && !done; attempt++ {
-				resp, err := s.Submit(context.Background(), serve.Request{
-					Op:    serve.OpScan,
-					Table: "events",
-					Query: scan.Query{FilterCol: 0, Lo: los[i], Hi: los[i] + 5000, AggCol: 1},
-				})
-				spent += resp.SimCycles / 1e6 // failed passes report burned cycles
-				done = err == nil
-			}
-			if done {
-				completed++
-				cycles = append(cycles, spent)
-			}
-		}
-		p99 := 0.0
-		if len(cycles) > 0 {
-			sort.Float64s(cycles)
-			p99 = cycles[int(0.99*float64(len(cycles)-1))]
-		}
-		return completed, p99, nil
-	}
-	rowDone, rowP99, err := run(false)
-	if err != nil {
-		return E25ChaosBench{}, err
-	}
-	vecDone, vecP99, err := run(true)
-	if err != nil {
-		return E25ChaosBench{}, err
-	}
-	b := E25ChaosBench{
-		RowCompleted: rowDone,
-		VecCompleted: vecDone,
-		RowP99Mcyc:   rowP99,
-		VecP99Mcyc:   vecP99,
-	}
-	if rowP99 > 0 {
-		b.P99Ratio = vecP99 / rowP99
+	b.VecCompleted, b.VecP99Mcyc = run(10, func(q scan.Query) (float64, error) {
+		resp, err := s.Submit(context.Background(), serve.Request{Op: serve.OpScan, Table: "events", Query: q})
+		return resp.SimCycles / 1e6, err
+	})
+	if b.RowP99Mcyc > 0 {
+		b.P99Ratio = b.VecP99Mcyc / b.RowP99Mcyc
 	}
 	return b, nil
 }
 
 // RunE25 executes the vectorized-serving experiment and returns both the
 // rendered tables and the structured artifact (BENCH_serve.json). It fails
-// loudly if the fused path diverges from the row path, if the headline
-// speedup misses 1.5x, or if chaos p99 regresses.
+// loudly if the server's sums diverge from the row clock scan's, if the
+// headline speedup misses 1.5x, or if chaos p99 regresses.
 func RunE25(cfg Config) (*E25Bench, []*Table, error) {
 	m := hw.Server2S()
 	rows := cfg.scaled(1<<19, 1<<14)
 	cols := e25Cols(rows)
 	cohortSizes := []int{8, 32, 128}
-	passes := cfg.scaled(48, 16)
 	chaosQueries := cfg.scaled(200, 40)
 
 	points, speedup, err := runE25Cohorts(m, cols, cohortSizes)
@@ -316,28 +280,24 @@ func RunE25(cfg Config) (*E25Bench, []*Table, error) {
 	}
 	// The headline gate is a full-size claim: on a shrunk smoke table the
 	// fixed per-query zone sweep has too few blocks to amortize over and
-	// the row path's query index legitimately wins the largest cohort.
+	// the row scan's query index legitimately wins the largest cohort.
 	// Sum equivalence and the chaos gate below still hold at every scale.
 	if speedup < 1.5 && rows >= 1<<19 {
 		return nil, nil, fmt.Errorf("e25: headline speedup %.2fx misses the 1.5x target", speedup)
-	}
-	ctl, err := runE25Controller(m, cols, passes, 32)
-	if err != nil {
-		return nil, nil, err
 	}
 	chaos, err := runE25Chaos(m, cols, chaosQueries)
 	if err != nil {
 		return nil, nil, err
 	}
-	// 5% tolerance: on tiny smoke tables both paths' p99 is the same
+	// 5% tolerance: on tiny smoke tables both passes' p99 is the same
 	// straggler-dominated retry, and the ratio wobbles a fraction of a
-	// percent around 1. At full size the vectorized path sits near 0.1x.
+	// percent around 1. At full size the server sits near 0.1x.
 	if chaos.RowP99Mcyc > 0 && chaos.P99Ratio > 1.05 {
-		return nil, nil, fmt.Errorf("e25: vectorized chaos p99 regressed: %.2fx the row path", chaos.P99Ratio)
+		return nil, nil, fmt.Errorf("e25: server chaos p99 regressed: %.2fx the row scan", chaos.P99Ratio)
 	}
 
-	// Table-wide compression ratio, read off a fresh vectorized server.
-	ratioSrv, err := serve.New(m, serve.Options{QueueDepth: 1, Vectorized: true})
+	// Table-wide compression ratio, read off a fresh server.
+	ratioSrv, err := serve.New(m, serve.Options{QueueDepth: 1})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -354,7 +314,6 @@ func RunE25(cfg Config) (*E25Bench, []*Table, error) {
 		CompressionRatio: compRatio,
 		Cohorts:          points,
 		Speedup:          speedup,
-		Controller:       ctl,
 		Chaos:            chaos,
 	}
 
@@ -369,24 +328,15 @@ func RunE25(cfg Config) (*E25Bench, []*Table, error) {
 			bench.F("%d", p.FastSums),
 			bench.F("%d", p.BlocksScanned))
 	}
-	t1.AddNote("identical sums on both paths, verified query-by-query; the vectorized pass touches compressed bytes and skips or fast-sums zone-resolved blocks")
+	t1.AddNote("identical sums, verified query-by-query; the row column is scan.ParallelShared on the same cores, the vec column the server, whose pass touches compressed bytes and skips or fast-sums zone-resolved blocks")
 
-	t2 := bench.NewTable("E25: online controller on a steady "+bench.F("%d", 32)+"-client workload ("+bench.F("%d", passes)+" passes)",
-		"knob", "initial", "final", "passes", "retunes", "converged", "cost/row-q first→final")
-	t2.AddRow("morsel rows", bench.F("%d", ctl.InitialMorselRows), bench.F("%d", ctl.FinalMorselRows),
-		bench.F("%d", ctl.Passes), bench.F("%d", ctl.Retunes), fmt.Sprint(ctl.Converged),
-		bench.F("%.4f→%.4f", ctl.FirstCost, ctl.FinalCost))
-	t2.AddRow("batch width", bench.F("%d", ctl.InitialBatchWidth), bench.F("%d", ctl.FinalBatchWidth),
-		"", "", "", "")
-	t2.AddNote("E2b's offline morsel sweep as a runtime hill-climb: probe a power-of-two neighbor, keep it only if measurably cheaper")
+	t2 := bench.NewTable("E25: E20 fault mix on both passes ("+bench.F("%d", chaosQueries)+" sequential scans, 0.5% panic, 0.5% transient, 10% straggler @8x)",
+		"pass", "completed", "p99 Mcyc", "p99 vs row")
+	t2.AddRow("row", bench.F("%d", chaos.RowCompleted), bench.F("%.2f", chaos.RowP99Mcyc), "1.00x")
+	t2.AddRow("vectorized", bench.F("%d", chaos.VecCompleted), bench.F("%.2f", chaos.VecP99Mcyc), bench.Ratio(chaos.P99Ratio))
+	t2.AddNote("same fault seeds, same retry/isolation policy; only the scan differs")
 
-	t3 := bench.NewTable("E25: E20 fault mix on both paths ("+bench.F("%d", chaosQueries)+" sequential scans, 0.5% panic, 0.5% transient, 10% straggler @8x)",
-		"path", "completed", "p99 Mcyc", "p99 vs row")
-	t3.AddRow("row", bench.F("%d", chaos.RowCompleted), bench.F("%.2f", chaos.RowP99Mcyc), "1.00x")
-	t3.AddRow("vectorized", bench.F("%d", chaos.VecCompleted), bench.F("%.2f", chaos.VecP99Mcyc), bench.Ratio(chaos.P99Ratio))
-	t3.AddNote("same fault seeds, same retry/isolation policy; only the execution path differs")
-
-	return b, []*Table{t1, t2, t3}, nil
+	return b, []*Table{t1, t2}, nil
 }
 
 func runE25(cfg Config) ([]*Table, error) {

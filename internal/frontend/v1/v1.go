@@ -98,8 +98,8 @@ type JoinArgs struct {
 	BuildVals []int64 `json:"build_vals"`
 	ProbeKeys []int64 `json:"probe_keys"`
 	ProbeVals []int64 `json:"probe_vals"`
-	// Algorithm: npo | radix | sort-merge | nested; empty or "auto" lets the
-	// server choose from its modeled cache hierarchy.
+	// Algorithm: npo | radix; empty or "auto" lets the server choose from its
+	// modeled cache hierarchy.
 	Algorithm string `json:"algorithm,omitempty"`
 }
 

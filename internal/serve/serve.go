@@ -9,8 +9,8 @@
 //     without bound (admission control / backpressure);
 //   - scan-shaped requests against the same registered relation are collected
 //     for a batching window (or until MaxBatch) and executed as ONE
-//     cooperative clock scan (scan.ParallelShared), so memory traffic is paid
-//     once per batch rather than once per client;
+//     block-major pass over the compressed columns (vecserve.go), so memory
+//     traffic is paid once per batch rather than once per client;
 //   - join/aggregate/query requests flow through the morsel scheduler under a
 //     per-server simulated-core budget, so concurrent operations cannot
 //     oversubscribe the machine;
@@ -151,7 +151,7 @@ type Request struct {
 
 	// OpScan: one range-filter aggregation against the relation registered
 	// under Table. Scan requests are the batchable shape — concurrent scans
-	// of the same table share one clock-scan pass.
+	// of the same table share one pass.
 	Table string
 	Query scan.Query
 
@@ -242,35 +242,6 @@ type Options struct {
 	// MaxBatch caps the number of scan requests sharing one pass; reaching
 	// it flushes immediately. Default 1024.
 	MaxBatch int
-	// ScanSegRows sets the clock-scan segment (morsel) size in rows for
-	// batched scans; 0 uses the scan package default. Smaller segments mean
-	// finer-grained fault isolation and re-dispatch.
-	ScanSegRows int
-
-	// Vectorized arms the batch-at-a-time, compression-aware scan path:
-	// registered relations are additionally encoded into FOR/RLE-compressed
-	// columns with per-block zone maps and block sums, and scan batches
-	// execute with selection vectors directly on the compressed blocks,
-	// decode-on-demand priced through the hw model. Scans fall back to the
-	// row-at-a-time pass for tables without a current encoding. Off by
-	// default.
-	Vectorized bool
-	// VecMorselRows is the vectorized pass's initial morsel size in rows,
-	// snapped up to whole compression blocks (default 8 blocks = 8192).
-	// When VecAdaptive is set this is only the controller's starting point.
-	VecMorselRows int
-	// VecBatchWidth is the initial number of queries evaluated as one group
-	// against each decoded block (default 8, clamped to [1, 256]). Every
-	// query in a group gathers into its own accumulator while the block is
-	// hot, so the width sets the randomly-addressed working set of the
-	// inner loop: wider groups touch the decoded data less often per
-	// query, narrower groups keep the accumulator set cache-resident.
-	VecBatchWidth int
-	// VecAdaptive arms the online controller: every successful vectorized
-	// pass feeds its modeled cost back, and the controller hill-climbs
-	// morsel size and batch width at runtime (E2b's offline sweep as a
-	// feedback loop). Requires Vectorized.
-	VecAdaptive bool
 
 	// Faults arms a fault injector on every scheduled operation. Nil (the
 	// default) injects nothing.
@@ -394,20 +365,6 @@ func (o Options) withDefaults(m *hw.Machine) (Options, error) {
 	if o.MaxRetries > 0 && o.RetryBackoff <= 0 {
 		o.RetryBackoff = 200 * time.Microsecond
 	}
-	if o.VecAdaptive && !o.Vectorized {
-		return o, fmt.Errorf("serve: adaptive controller without the vectorized path: %w", errs.ErrInvalidInput)
-	}
-	if o.Vectorized {
-		if o.VecMorselRows <= 0 {
-			o.VecMorselRows = vecMorselDefault
-		}
-		switch {
-		case o.VecBatchWidth <= 0:
-			o.VecBatchWidth = vecWidthDefault
-		case o.VecBatchWidth > vecWidthMax:
-			o.VecBatchWidth = vecWidthMax
-		}
-	}
 	if o.CheckpointInterval > 0 && o.Store == nil {
 		return o, fmt.Errorf("serve: checkpoint interval %s without a store: %w", o.CheckpointInterval, errs.ErrInvalidInput)
 	}
@@ -474,16 +431,10 @@ type Server struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	mu      sync.RWMutex // guards closed, tables, vtables, and tenants
+	mu      sync.RWMutex // guards closed, tables, and tenants
 	closed  bool
-	tables  map[string]*scan.Relation
+	tables  map[string]*vecTable
 	tenants map[string]struct{} // tenant ids seen, for the Health breakdown
-
-	// Vectorized-path state (nil when Options.Vectorized is off): vtables
-	// holds the compressed encodings maintained alongside tables, ctl the
-	// online morsel/width controller.
-	vtables map[string]*vecTable
-	ctl     *vecController
 
 	// Durable-tier state (zero when Options.Store is nil). recovering gates
 	// admission while the boot replay registers the store's tables; recovered
@@ -551,16 +502,12 @@ func New(m *hw.Machine, opts Options) (*Server, error) {
 		intake:   make(chan *pending, opts.QueueDepth),
 		intakeLo: make(chan *pending, opts.BatchQueueDepth),
 		cores:    newCoreSem(opts.Workers, opts.Workers-opts.InteractiveReserve),
-		tables:   make(map[string]*scan.Relation),
+		tables:   make(map[string]*vecTable),
 		tenants:  make(map[string]struct{}),
 		rng:      rand.New(rand.NewSource(seed)),
 	}
 	if opts.BreakerThreshold > 0 {
 		s.brk = &breaker{threshold: opts.BreakerThreshold, cooldown: opts.BreakerCooldown}
-	}
-	if opts.Vectorized {
-		s.vtables = make(map[string]*vecTable)
-		s.ctl = newVecController(opts.VecMorselRows, opts.VecBatchWidth, opts.VecAdaptive)
 	}
 	// Arm the memory governor when a budget is set or allocation faults are
 	// requested (an unlimited governor still injects). The server's compute
@@ -620,8 +567,7 @@ func (c lifetimeCtx) Err() error {
 // register for free; cold-tier tables are left to loadCold on first touch,
 // so a cold start under load pays flash bandwidth only for tables the
 // traffic actually asks for. Tables whose columns are not all int64 stay
-// store-only: they are durable and Loadable, but have no scan.Relation
-// shape.
+// store-only: they are durable and Loadable, but not scan-shaped.
 func (s *Server) replayStore() {
 	defer s.wg.Done()
 	defer func() {
@@ -645,20 +591,13 @@ func (s *Server) replayStore() {
 		if !ok {
 			continue
 		}
-		rel, err := scan.NewRelation(cols)
+		vt, err := newVecTable(cols)
 		if err != nil {
 			s.reg.Counter("serve.replay_failures").Inc()
 			continue
 		}
-		var vt *vecTable
-		if s.opts.Vectorized {
-			vt = newVecTable(cols)
-		}
 		s.mu.Lock()
-		s.tables[name] = rel
-		if vt != nil {
-			s.vtables[name] = vt
-		}
+		s.tables[name] = vt
 		s.mu.Unlock()
 		s.reg.Counter("serve.replayed_tables").Inc()
 	}
@@ -771,7 +710,7 @@ func (s *Server) Register(name string, cols [][]int64) error {
 	if s.recovering.Load() {
 		return fmt.Errorf("serve: register %q: %w", name, errs.ErrRecovering)
 	}
-	rel, err := scan.NewRelation(cols)
+	vt, err := newVecTable(cols)
 	if err != nil {
 		return err
 	}
@@ -784,20 +723,13 @@ func (s *Server) Register(name string, cols [][]int64) error {
 			return fmt.Errorf("serve: register %q: %w", name, err)
 		}
 	}
-	var vt *vecTable
-	if s.opts.Vectorized {
-		vt = newVecTable(cols)
-		s.reg.Histogram("serve.vec_compression_ratio").Record(vt.ratio())
-	}
+	s.reg.Histogram("serve.vec_compression_ratio").Record(vt.ratio())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("serve: register %q: %w", name, errs.ErrClosed)
 	}
-	s.tables[name] = rel
-	if vt != nil {
-		s.vtables[name] = vt
-	}
+	s.tables[name] = vt
 	return nil
 }
 
@@ -847,8 +779,6 @@ func (s *Server) SetTenantMemCap(tenant string, bytes int64) {
 	s.gov.SetTenantCap(tenant, bytes)
 }
 
-// lookup returns the relation registered under name, faulting cold-tier
-// tables in from the durable store on a miss.
 // HasTable reports whether name is currently servable: registered in
 // memory, or cold in the durable store and faulted in by the probe. The
 // shard router's recovery uses it to skip stripes a revived node's own
@@ -858,12 +788,14 @@ func (s *Server) HasTable(ctx context.Context, name string) bool {
 	return ok
 }
 
-func (s *Server) lookup(ctx context.Context, name string) (*scan.Relation, bool) {
+// lookup returns the table registered under name, faulting cold-tier
+// tables in from the durable store on a miss.
+func (s *Server) lookup(ctx context.Context, name string) (*vecTable, bool) {
 	s.mu.RLock()
-	rel, ok := s.tables[name]
+	vt, ok := s.tables[name]
 	s.mu.RUnlock()
 	if ok || s.st == nil {
-		return rel, ok
+		return vt, ok
 	}
 	return s.loadCold(ctx, name)
 }
@@ -871,8 +803,8 @@ func (s *Server) lookup(ctx context.Context, name string) (*scan.Relation, bool)
 // loadCold faults one cold-tier table in from the durable store: the load
 // pays the machine's flash-bandwidth price (recorded, not charged to the
 // triggering request — the warmed table serves every later request), and
-// the decoded relation is registered so the next lookup hits memory.
-func (s *Server) loadCold(ctx context.Context, name string) (*scan.Relation, bool) {
+// the encoded table is registered so the next lookup hits memory.
+func (s *Server) loadCold(ctx context.Context, name string) (*vecTable, bool) {
 	if s.st.Tier(name) == "" {
 		return nil, false // not a stored table either
 	}
@@ -884,13 +816,9 @@ func (s *Server) loadCold(ctx context.Context, name string) (*scan.Relation, boo
 	if !ok {
 		return nil, false // durable but not scan-shaped
 	}
-	rel, err := scan.NewRelation(cols)
+	vt, err := newVecTable(cols)
 	if err != nil {
 		return nil, false
-	}
-	var vt *vecTable
-	if s.opts.Vectorized {
-		vt = newVecTable(cols)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -898,17 +826,14 @@ func (s *Server) loadCold(ctx context.Context, name string) (*scan.Relation, boo
 		return nil, false
 	}
 	// A racing loadCold may have won; keep the first registration so
-	// in-flight batches and this lookup agree on one relation.
+	// in-flight batches and this lookup agree on one table.
 	if prior, ok := s.tables[name]; ok {
 		return prior, true
 	}
-	s.tables[name] = rel
-	if vt != nil {
-		s.vtables[name] = vt
-	}
+	s.tables[name] = vt
 	s.reg.Counter("serve.cold_loads").Inc()
 	s.reg.Histogram("serve.cold_load_cycles").Record(cycles)
-	return rel, true
+	return vt, true
 }
 
 // validate rejects malformed requests before they consume queue space.
@@ -920,11 +845,11 @@ func (s *Server) validate(ctx context.Context, req Request) error {
 	}
 	switch req.Op {
 	case OpScan:
-		rel, ok := s.lookup(ctx, req.Table)
+		vt, ok := s.lookup(ctx, req.Table)
 		if !ok {
 			return fmt.Errorf("serve: unknown table %q: %w", req.Table, errs.ErrInvalidInput)
 		}
-		return req.Query.Validate(rel.NumCols())
+		return req.Query.Validate(len(vt.cols))
 	case OpJoin:
 		switch req.Algorithm {
 		case "", "auto", join.AlgNPO, join.AlgRadix:
@@ -1348,15 +1273,14 @@ func (s *Server) recordPhases(phases []sched.Result, opErr error) {
 	}
 }
 
-// batch is the scan batch under collection: requests against one relation
-// that will share a single clock-scan pass. workers is the simulated-core
+// batch is the scan batch under collection: requests against one table
+// that will share a single block-major pass. workers is the simulated-core
 // budget reserved for it — the full budget normally, the degraded budget
 // while the breaker is open, the batch-capped budget when every member is
 // batch-class (lo).
 type batch struct {
 	table   string
-	rel     *scan.Relation
-	vt      *vecTable // compressed encoding, nil = row-at-a-time pass
+	vt      *vecTable
 	reqs    []*pending
 	workers int
 	lo      bool // every member is batch-priority
@@ -1494,12 +1418,12 @@ func (s *Server) dispatch() {
 			flush() // a different relation cannot share the pass
 		}
 		if cur == nil {
-			rel, ok := s.lookup(p.ctx, p.req.Table)
+			vt, ok := s.lookup(p.ctx, p.req.Table)
 			if !ok { // table dropped since validation
 				s.finish(p, Response{}, fmt.Errorf("serve: unknown table %q: %w", p.req.Table, errs.ErrInvalidInput))
 				return
 			}
-			cur = &batch{table: p.req.Table, rel: rel, vt: s.vecFor(p.req.Table, rel), lo: true}
+			cur = &batch{table: p.req.Table, vt: vt, lo: true}
 			window = time.After(s.opts.BatchWindow)
 		}
 		// A single interactive member promotes the whole pass: sharing the
@@ -1573,7 +1497,7 @@ func (s *Server) dispatch() {
 	}
 }
 
-// runBatch executes one shared clock scan for every live request of the
+// runBatch executes one shared block-major pass for every live request of the
 // batch and distributes per-query results. The modeled cost attributed to
 // each request is the batch makespan divided by the batch size.
 func (s *Server) runBatch(b *batch) {
@@ -1609,7 +1533,7 @@ func (s *Server) runBatch(b *batch) {
 	// not just its final successful pass.
 	var burned float64
 	// One member — the first — is the trace leader: its per-attempt "execute"
-	// span hosts the shared pass's full span tree (clock scan, per-worker
+	// span hosts the shared pass's full span tree (vec-scan, per-worker
 	// breakdown) and carries the whole batch makespan. The other members get
 	// one "execute" span bracketing the shared execution (their request IS
 	// waiting on that pass, retries included) with their amortized share of
@@ -1632,13 +1556,7 @@ func (s *Server) runBatch(b *batch) {
 			return err
 		}
 		exec := leader.span.Child("execute")
-		if b.vt != nil {
-			// Vectorized compression-aware pass; the row-at-a-time clock
-			// scan remains the fallback for unencoded tables.
-			sums, schedRes, err = s.vecSharedScan(trace.NewContext(passCtx, exec), b.vt, qs, sch)
-		} else {
-			sums, schedRes, err = scan.ParallelShared(trace.NewContext(passCtx, exec), b.rel, qs, scan.SharedOptions{UseQueryIndex: true}, sch, s.opts.ScanSegRows)
-		}
+		sums, schedRes, err = s.vecSharedScan(trace.NewContext(passCtx, exec), b.vt, qs, sch)
 		exec.AddCycles(schedRes.MakespanCycles)
 		exec.End()
 		s.recordSched(schedRes.FaultStats, err)
@@ -1875,14 +1793,11 @@ type Health struct {
 	CheckpointMemShed, ColdLoads                   int64
 	ReplayedTables, ReplayFailures, RecoveringShed int64
 
-	// Vectorized-path state (all zero when Options.Vectorized is off).
-	// VecPasses counts vectorized shared-scan passes; the block counters
-	// decompose their outcomes (zone-map prunes, O(1) precomputed-sum
-	// folds, payload decodes); Ctl is the online controller's snapshot.
-	Vectorized                                     bool
+	// VecPasses counts shared-scan passes; the block counters decompose
+	// their outcomes (zone-map prunes, O(1) precomputed-sum folds, payload
+	// decodes).
 	VecPasses                                      int64
 	VecBlocksPruned, VecFastSums, VecBlocksScanned int64
-	Ctl                                            VecCtlStats
 
 	// Tenants breaks the admission/outcome counters down by tenant id, for
 	// every tenant that has submitted at least one labelled request. Nil
@@ -1935,6 +1850,10 @@ func (s *Server) Health() Health {
 		Spills:            c["serve.spills"],
 		SpillBytes:        c["serve.spill_bytes"],
 		OOMKilled:         c["serve.oom_killed"],
+		VecPasses:         c["serve.vec_passes"],
+		VecBlocksPruned:   c["serve.vec_blocks_pruned"],
+		VecFastSums:       c["serve.vec_block_fast_sums"],
+		VecBlocksScanned:  c["serve.vec_blocks_scanned"],
 		Memory:            s.gov.Stats(),
 		Faults:            s.opts.Faults.CountsInt64(),
 	}
@@ -1961,14 +1880,6 @@ func (s *Server) Health() Health {
 		if h.Recovering {
 			h.State = "recovering"
 		}
-	}
-	if s.ctl != nil {
-		h.Vectorized = true
-		h.VecPasses = c["serve.vec_passes"]
-		h.VecBlocksPruned = c["serve.vec_blocks_pruned"]
-		h.VecFastSums = c["serve.vec_block_fast_sums"]
-		h.VecBlocksScanned = c["serve.vec_blocks_scanned"]
-		h.Ctl = s.ctl.Stats()
 	}
 	if ids := s.tenantIDs(); len(ids) > 0 {
 		h.Tenants = make(map[string]TenantHealth, len(ids))

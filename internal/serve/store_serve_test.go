@@ -317,15 +317,14 @@ func TestCheckpointIntervalPersistsInBackground(t *testing.T) {
 	if err := s.Register("bg", [][]int64{{1, 2, 3, 4}}); err != nil {
 		t.Fatal(err)
 	}
+	// The store's version advances inside Checkpoint and the server counts
+	// the checkpoint after it returns, so wait for both.
 	deadline := time.Now().Add(5 * time.Second)
-	for st.Version() == 0 {
+	for st.Version() == 0 || s.Health().Checkpoints == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("background checkpointer never committed a version")
+			t.Fatalf("background checkpointer: store version %d, health checkpoints %d", st.Version(), s.Health().Checkpoints)
 		}
 		time.Sleep(time.Millisecond)
-	}
-	if s.Health().Checkpoints == 0 {
-		t.Fatal("health reports zero checkpoints after background commit")
 	}
 }
 

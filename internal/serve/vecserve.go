@@ -1,19 +1,19 @@
-// The vectorized, compression-aware scan path: shared scan batches execute
-// batch-at-a-time over selection vectors directly on FOR/RLE-compressed
-// columns, decode-on-demand priced through the hw model (the E12
+// The server's one scan path: shared scan batches execute batch-at-a-time
+// over selection vectors directly on FOR/RLE-compressed columns,
+// decode-on-demand priced through the hw model (the E12
 // compute-for-bandwidth trade, in the production path). Per block and
 // query the pass consults the stored zone map first — a miss skips the
 // block for the price of its header, a full match folds in a
 // precomputed block sum without touching the payload — and only
 // range-straddling blocks decode into an L1-resident buffer for the
-// vectorized filter + gather. Morsel size and query-group width come from
-// the online controller (controller.go).
+// vectorized filter + gather. The row-at-a-time clock scan lives in
+// internal/scan as the reference that tests and E25 compare against.
 
 package serve
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	"hwstar/internal/compress"
@@ -24,11 +24,17 @@ import (
 	"hwstar/internal/vecexec"
 )
 
-// vecDispatchCycles is the modeled fixed overhead of one vectorized morsel
-// task: dispatch, queue handoff, cache warmup. It is what makes morsel
-// size a real trade-off — many small morsels pay it often, few huge ones
-// imbalance the workers — and thus what the controller tunes against
-// (E2b's dispatchCycles, live).
+// vecMorselRows is the rows one morsel task covers, a whole number of
+// compression blocks so a morsel never splits a block. vecBatchWidth is the
+// number of per-query accumulators the cost model keeps live against a
+// decoded block: the gather's randomly-addressed working set.
+const (
+	vecMorselRows = 8 * compress.BlockValues
+	vecBatchWidth = 8
+)
+
+// vecDispatchCycles is the modeled fixed overhead of one morsel task:
+// dispatch, queue handoff, cache warmup (E2b's dispatchCycles).
 const vecDispatchCycles = 2000
 
 // zoneCheckCycles and fastSumCycles price the per-(block, query) zone-map
@@ -40,21 +46,22 @@ const (
 	decodeTupleCycles = 4.0
 )
 
-// vecTable is a registered relation encoded for the vectorized path: every
-// column FOR/RLE-compressed, plus per-block sums per column so a zone-map
-// full match aggregates a block in O(1) without decoding it.
+// vecTable is a registered relation as the server holds it: every column
+// FOR/RLE-compressed, plus per-block sums per column so a zone-map full
+// match aggregates a block in O(1) without decoding it.
 type vecTable struct {
 	cols []*compress.Compressed
 	sums [][]int64 // [col][block]: whole-block sums
 	rows int
 }
 
-// newVecTable encodes cols into the vectorized representation.
-func newVecTable(cols [][]int64) *vecTable {
-	vt := &vecTable{cols: make([]*compress.Compressed, len(cols)), sums: make([][]int64, len(cols))}
-	if len(cols) > 0 {
-		vt.rows = len(cols[0])
+// newVecTable encodes cols, rejecting shapes scan.NewRelation rejects (no
+// columns, ragged columns).
+func newVecTable(cols [][]int64) (*vecTable, error) {
+	if _, err := scan.NewRelation(cols); err != nil {
+		return nil, err
 	}
+	vt := &vecTable{cols: make([]*compress.Compressed, len(cols)), sums: make([][]int64, len(cols)), rows: len(cols[0])}
 	var buf [compress.BlockValues]int64
 	for ci, col := range cols {
 		c := compress.Encode(col)
@@ -65,7 +72,7 @@ func newVecTable(cols [][]int64) *vecTable {
 		}
 		vt.sums[ci] = sums
 	}
-	return vt
+	return vt, nil
 }
 
 // ratio returns the table-wide compression ratio (raw/compressed bytes).
@@ -94,32 +101,23 @@ type vecPassStats struct {
 // Crescando-style but block-at-a-time on the compressed form: rows are
 // split into block-aligned morsels, and each morsel task streams its blocks
 // once for the WHOLE batch — a straddling block is decoded at most once per
-// pass and every query evaluates it while it is cache-hot. Within a block,
-// queries run in width-sized groups so only width accumulators are live at
-// a time. Results are exact — identical to the row-at-a-time path.
+// pass and every query evaluates it while it is cache-hot. Results are
+// exact — identical to scan.Shared.
 func (s *Server) vecSharedScan(ctx context.Context, vt *vecTable, queries []scan.Query, sch *sched.Scheduler) ([]int64, sched.Result, error) {
 	out := make([]int64, len(queries))
 	if len(queries) == 0 || vt.rows == 0 {
 		return out, sched.Result{}, nil
 	}
-	morsel := snapToBlocks(s.ctl.MorselRows())
-	width := s.ctl.BatchWidth()
-	if width < 1 {
-		width = 1
-	}
-	nSegs := (vt.rows + morsel - 1) / morsel
-	partials := make([][]int64, nSegs)
+	partials := make([][]int64, (vt.rows+vecMorselRows-1)/vecMorselRows)
 	var stats vecPassStats
 
-	tasks := sched.MorselsAligned(vt.rows, morsel, compress.BlockValues, "vec-scan",
+	tasks := sched.MorselsAligned(vt.rows, vecMorselRows, compress.BlockValues, "vec-scan",
 		func(start, end int, w *sched.Worker) {
-			partials[start/morsel] = vecScanMorsel(vt, queries, width, start, end, w, &stats)
+			partials[start/vecMorselRows] = vecScanMorsel(vt, queries, start, end, w, &stats)
 		})
 
 	ps := trace.FromContext(ctx).Child("vec-scan")
-	ps.SetAttr("queries", fmt.Sprintf("%d", len(queries)))
-	ps.SetAttr("morsel_rows", fmt.Sprintf("%d", morsel))
-	ps.SetAttr("batch_width", fmt.Sprintf("%d", width))
+	ps.SetAttr("queries", strconv.Itoa(len(queries)))
 	schedRes, err := sch.RunContext(trace.NewContext(ctx, ps), tasks)
 	ps.AddCycles(schedRes.MakespanCycles)
 	ps.End()
@@ -138,9 +136,6 @@ func (s *Server) vecSharedScan(ctx context.Context, vt *vecTable, queries []scan
 	}
 
 	s.reg.Counter("serve.vec_passes").Inc()
-	s.ctl.Observe(vt.rows, len(queries), schedRes.MakespanCycles)
-	s.reg.Gauge("serve.vec_morsel_rows").Set(int64(s.ctl.MorselRows()))
-	s.reg.Gauge("serve.vec_batch_width").Set(int64(s.ctl.BatchWidth()))
 	return out, schedRes, nil
 }
 
@@ -148,12 +143,11 @@ func (s *Server) vecSharedScan(ctx context.Context, vt *vecTable, queries []scan
 // morsel, returning per-query partial sums. The loop is block-major: each
 // block's zone map is consulted for every query, and a block that any query
 // straddles is decoded at most once per column for the entire batch — every
-// straddling query filters it while it is L1-resident. Queries advance in
-// width-sized groups so at most width accumulators are live at a time. The
-// inner loop is allocation-free: the decode buffers and selection vector
-// live on the stack and are reused across blocks, and all hardware cost is
-// accumulated into one Work charged at morsel end.
-func vecScanMorsel(vt *vecTable, queries []scan.Query, width, start, end int, w *sched.Worker, stats *vecPassStats) []int64 {
+// straddling query filters it while it is L1-resident. The inner loop is
+// allocation-free: the decode buffers and selection vector live on the stack
+// and are reused across blocks, and all hardware cost is accumulated into
+// one Work charged at morsel end.
+func vecScanMorsel(vt *vecTable, queries []scan.Query, start, end int, w *sched.Worker, stats *vecPassStats) []int64 {
 	out := make([]int64, len(queries))
 	var fbuf, abuf [compress.BlockValues]int64
 	sel := make(vecexec.Sel, 0, compress.BlockValues)
@@ -168,50 +162,44 @@ func vecScanMorsel(vt *vecTable, queries []scan.Query, width, start, end int, w 
 		hdrBytes += compress.BlockHeaderBytes
 		fCached, aCached := -1, -1
 		blockScanned := false
-		for g0 := 0; g0 < len(queries); g0 += width {
-			g1 := g0 + width
-			if g1 > len(queries) {
-				g1 = len(queries)
+		for qi := range queries {
+			q := &queries[qi]
+			fcol := vt.cols[q.FilterCol]
+			zoneChecks++
+			bmin, bmax := fcol.BlockRange(blk)
+			if bmin > q.Hi || bmax < q.Lo {
+				pruned++
+				continue
 			}
-			for qi := g0; qi < g1; qi++ {
-				q := &queries[qi]
-				fcol := vt.cols[q.FilterCol]
-				zoneChecks++
-				bmin, bmax := fcol.BlockRange(blk)
-				if bmin > q.Hi || bmax < q.Lo {
-					pruned++
-					continue
-				}
-				if bmin >= q.Lo && bmax <= q.Hi {
-					out[qi] += vt.sums[q.AggCol][blk]
-					fastSums++
-					continue
-				}
-				// Range straddles the block: decode on demand, once per
-				// block per column for the whole batch.
-				n := fcol.BlockLen(blk)
-				if fCached != q.FilterCol {
-					fcol.DecodeBlock(blk, fbuf[:])
-					fCached = q.FilterCol
-					payloadBytes += fcol.BlockBytes(blk)
-					decodedTuples += int64(n)
-				}
-				sel = vecexec.RangeFilterI64(fbuf[:n], q.Lo, q.Hi, nil, sel[:0])
-				evalTuples += int64(n)
-				blockScanned = true
-				if len(sel) == 0 {
-					continue
-				}
-				acol := vt.cols[q.AggCol]
-				if aCached != q.AggCol {
-					acol.DecodeBlock(blk, abuf[:])
-					aCached = q.AggCol
-					payloadBytes += acol.BlockBytes(blk)
-					decodedTuples += int64(n)
-				}
-				out[qi] += vecexec.SumI64(abuf[:n], sel)
-				gatherTuples += int64(len(sel))
+			if bmin >= q.Lo && bmax <= q.Hi {
+				out[qi] += vt.sums[q.AggCol][blk]
+				fastSums++
+				continue
 			}
+			// Range straddles the block: decode on demand, once per
+			// block per column for the whole batch.
+			n := fcol.BlockLen(blk)
+			if fCached != q.FilterCol {
+				fcol.DecodeBlock(blk, fbuf[:])
+				fCached = q.FilterCol
+				payloadBytes += fcol.BlockBytes(blk)
+				decodedTuples += int64(n)
+			}
+			sel = vecexec.RangeFilterI64(fbuf[:n], q.Lo, q.Hi, nil, sel[:0])
+			evalTuples += int64(n)
+			blockScanned = true
+			if len(sel) == 0 {
+				continue
+			}
+			acol := vt.cols[q.AggCol]
+			if aCached != q.AggCol {
+				acol.DecodeBlock(blk, abuf[:])
+				aCached = q.AggCol
+				payloadBytes += acol.BlockBytes(blk)
+				decodedTuples += int64(n)
+			}
+			out[qi] += vecexec.SumI64(abuf[:n], sel)
+			gatherTuples += int64(len(sel))
 		}
 		if blockScanned {
 			scannedBlocks++
@@ -220,8 +208,7 @@ func vecScanMorsel(vt *vecTable, queries []scan.Query, width, start, end int, w 
 
 	// One charge per morsel: the compressed bytes actually streamed, the
 	// decode and primitive compute, and the gather's randomly-addressed
-	// accumulator traffic whose working set grows with the group width —
-	// the cache-residency pressure that bounds useful batch width.
+	// accumulator traffic over vecBatchWidth cache lines.
 	w.Charge(hw.Work{
 		Name:   "vec-scan",
 		Tuples: 1,
@@ -231,7 +218,7 @@ func vecScanMorsel(vt *vecTable, queries []scan.Query, width, start, end int, w 
 			float64(evalTuples+gatherTuples)*vecexec.VecTupleCycles,
 		SeqReadBytes: hdrBytes + payloadBytes,
 		RandomReads:  gatherTuples,
-		RandomWS:     int64(width) * 64,
+		RandomWS:     vecBatchWidth * 64,
 	})
 	w.AdvanceCycles(vecDispatchCycles)
 
@@ -239,20 +226,4 @@ func vecScanMorsel(vt *vecTable, queries []scan.Query, width, start, end int, w 
 	stats.fastSums.Add(fastSums)
 	stats.scanned.Add(scannedBlocks)
 	return out
-}
-
-// vecFor returns the vectorized encoding of table name if it matches the
-// relation the batch was formed against (a concurrent re-registration can
-// briefly leave the two out of step; the row path is the safe fallback).
-func (s *Server) vecFor(name string, rel *scan.Relation) *vecTable {
-	if s.ctl == nil {
-		return nil
-	}
-	s.mu.RLock()
-	vt := s.vtables[name]
-	s.mu.RUnlock()
-	if vt == nil || vt.rows != rel.NumRows() || len(vt.cols) != rel.NumCols() {
-		return nil
-	}
-	return vt
 }

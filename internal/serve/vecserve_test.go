@@ -2,94 +2,152 @@ package serve
 
 import (
 	"context"
-	"errors"
+	"math"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
-	"hwstar/internal/errs"
-	"hwstar/internal/hw"
+	"hwstar/internal/compress"
 	"hwstar/internal/scan"
 	"hwstar/internal/workload"
 )
 
-func TestVecOptionsValidation(t *testing.T) {
-	if _, err := New(nil, Options{VecAdaptive: true}); err == nil {
-		t.Fatal("nil machine accepted")
-	}
-	s, err := New(hw.Server2S(), Options{VecAdaptive: true})
-	if err == nil {
-		s.Close()
-		t.Fatal("VecAdaptive without Vectorized accepted")
-	}
-	if !errors.Is(err, errs.ErrInvalidInput) {
-		t.Fatalf("error: %v", err)
-	}
+// scanShape generates a three-column relation of the given row count.
+type scanShape struct {
+	name string
+	gen  func(rows int) [][]int64
 }
 
-// TestVecScanMatchesRowPath is the tentpole correctness check: the same
-// concurrent scan batch, answered through the vectorized compressed path and
-// through the row-at-a-time path, must produce identical sums — and both
-// must match a serial reference.
-func TestVecScanMatchesRowPath(t *testing.T) {
-	const clients = 48
-	cols, expect := testRelation(30000)
-	los := workload.UniformInts(91, clients, 9000)
+var scanShapes = []scanShape{
+	// Append-ordered filter column: zone maps prune or fast-sum most blocks.
+	{"clustered", func(rows int) [][]int64 {
+		c0 := workload.SequentialInts(rows)
+		for i, j := range workload.UniformInts(81, rows, 3) {
+			c0[i] = c0[i]*3 + j
+		}
+		return [][]int64{c0, workload.UniformInts(82, rows, 500), workload.UniformInts(83, rows, 9)}
+	}},
+	// Uniform filter column: no block prunes, every straddled block decodes.
+	{"uniform", func(rows int) [][]int64 {
+		return [][]int64{workload.UniformInts(84, rows, 10000), workload.UniformInts(85, rows, 500), workload.UniformInts(86, rows, 1<<40)}
+	}},
+	// One value per column: every block is a single RLE run.
+	{"constant", func(rows int) [][]int64 {
+		cols := [][]int64{make([]int64, rows), make([]int64, rows), make([]int64, rows)}
+		for i := 0; i < rows; i++ {
+			cols[0][i], cols[1][i], cols[2][i] = 7, -3, 1<<50
+		}
+		return cols
+	}},
+	// Values on both sides of zero in filter and aggregate columns.
+	{"negative", func(rows int) [][]int64 {
+		cols := [][]int64{workload.UniformInts(87, rows, 10000), workload.UniformInts(88, rows, 500), workload.UniformInts(89, rows, 64)}
+		for i := 0; i < rows; i++ {
+			cols[0][i] -= 5000
+			cols[1][i] -= 250
+			cols[2][i] = -cols[2][i]
+		}
+		return cols
+	}},
+}
 
-	run := func(opts Options) []Response {
-		t.Helper()
-		opts.QueueDepth = clients
-		opts.MaxBatch = clients
-		opts.BatchWindow = 10 * time.Second
-		s := newServer(t, opts)
-		defer s.Close()
-		if err := s.Register("events", cols); err != nil {
-			t.Fatal(err)
+// scanCases builds the query batch for one relation from its filter
+// column's domain: full and empty matches, single values, narrow and wide
+// straddling ranges, filter column = aggregate column, and filters on the
+// other columns.
+func scanCases(cols [][]int64) []scan.Query {
+	min, max := cols[0][0], cols[0][0]
+	for _, v := range cols[0] {
+		if v < min {
+			min = v
 		}
-		resps := make([]Response, clients)
-		var wg sync.WaitGroup
-		for i := 0; i < clients; i++ {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var err error
-				resps[i], err = s.Submit(context.Background(), Request{
-					Op:    OpScan,
-					Table: "events",
-					Query: scan.Query{FilterCol: 0, Lo: los[i], Hi: los[i] + 800, AggCol: 1},
-				})
-				if err != nil {
-					t.Errorf("client %d: %v", i, err)
-				}
-			}()
+		if v > max {
+			max = v
 		}
-		wg.Wait()
-		if h := s.Health(); opts.Vectorized {
-			if !h.Vectorized || h.VecPasses == 0 {
-				t.Fatalf("vectorized health: %+v", h)
-			}
-			if h.VecBlocksPruned+h.VecFastSums+h.VecBlocksScanned == 0 {
-				t.Fatal("no block outcomes recorded")
-			}
-			if h.Ctl.Observations == 0 {
-				t.Fatal("controller saw no passes")
-			}
-		} else if h.Vectorized || h.VecPasses != 0 {
-			t.Fatalf("row-path health claims vectorized: %+v", h)
-		}
-		return resps
 	}
+	mid := cols[0][len(cols[0])/2]
+	span := (max-min)/16 + 1
+	qs := []scan.Query{
+		{FilterCol: 0, Lo: min, Hi: max, AggCol: 1},                     // full match, exact bounds
+		{FilterCol: 0, Lo: math.MinInt64, Hi: math.MaxInt64, AggCol: 2}, // full match, widest range
+		{FilterCol: 0, Lo: max + 1, Hi: max + 100, AggCol: 1},           // empty, above the domain
+		{FilterCol: 0, Lo: min - 100, Hi: min - 1, AggCol: 1},           // empty, below the domain
+		{FilterCol: 0, Lo: mid, Hi: mid, AggCol: 1},                     // one value
+		{FilterCol: 0, Lo: min, Hi: mid, AggCol: 0},                     // filter col = agg col
+		{FilterCol: 0, Lo: mid, Hi: max, AggCol: 2},
+		{FilterCol: 1, Lo: -100, Hi: 100, AggCol: 2}, // other filter columns share the pass
+		{FilterCol: 2, Lo: 0, Hi: 4, AggCol: 0},
+		{FilterCol: 1, Lo: cols[1][0], Hi: cols[1][0], AggCol: 1},
+	}
+	for i := int64(0); i < 16; i += 3 {
+		qs = append(qs, scan.Query{FilterCol: 0, Lo: min + i*span, Hi: min + (i+2)*span, AggCol: 1})
+	}
+	return qs
+}
 
-	rowResps := run(Options{})
-	vecResps := run(Options{Vectorized: true})
-	for i := 0; i < clients; i++ {
-		want := expect(los[i], los[i]+800)
-		if rowResps[i].Sum != want {
-			t.Fatalf("row client %d: sum %d, want %d", i, rowResps[i].Sum, want)
-		}
-		if vecResps[i].Sum != want {
-			t.Fatalf("vec client %d: sum %d, want %d", i, vecResps[i].Sum, want)
+// TestScanMatchesSharedReference is the scan path's correctness check: one
+// concurrent batch per generated relation, answered by the server's
+// block-major compressed pass, must equal scan.Shared — the row-at-a-time
+// reference — query by query. Row counts sit on and around the block
+// (1024) and morsel (8192) boundaries.
+func TestScanMatchesSharedReference(t *testing.T) {
+	rowCounts := []int{1, compress.BlockValues - 1, compress.BlockValues, compress.BlockValues + 1,
+		vecMorselRows + 3*compress.BlockValues + 17, 3 * vecMorselRows}
+	for _, shape := range scanShapes {
+		for _, rows := range rowCounts {
+			shape, rows := shape, rows
+			t.Run(shape.name+"/"+strconv.Itoa(rows), func(t *testing.T) {
+				t.Parallel()
+				cols := shape.gen(rows)
+				qs := scanCases(cols)
+				rel, err := scan.NewRelation(cols)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := scan.Shared(rel, qs, scan.SharedOptions{}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				// MaxBatch == len(qs) and a generous window: the flush happens
+				// exactly when the last query arrives, so all share one pass.
+				s := newServer(t, Options{QueueDepth: len(qs), MaxBatch: len(qs), BatchWindow: 10 * time.Second})
+				defer s.Close()
+				if err := s.Register("t", cols); err != nil {
+					t.Fatal(err)
+				}
+				resps := make([]Response, len(qs))
+				var wg sync.WaitGroup
+				for i := range qs {
+					i := i
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						var err error
+						resps[i], err = s.Submit(context.Background(), Request{Op: OpScan, Table: "t", Query: qs[i]})
+						if err != nil {
+							t.Errorf("query %d %+v: %v", i, qs[i], err)
+						}
+					}()
+				}
+				wg.Wait()
+				for i, r := range resps {
+					if r.Sum != want[i] {
+						t.Errorf("query %d %+v: sum %d, scan.Shared says %d", i, qs[i], r.Sum, want[i])
+					}
+					if r.BatchSize != len(qs) {
+						t.Errorf("query %d: batch size %d, want %d", i, r.BatchSize, len(qs))
+					}
+				}
+				h := s.Health()
+				if h.VecPasses != 1 {
+					t.Errorf("passes %d, want 1", h.VecPasses)
+				}
+				if h.VecBlocksPruned+h.VecFastSums+h.VecBlocksScanned == 0 {
+					t.Error("no block outcomes recorded")
+				}
+			})
 		}
 	}
 }
@@ -99,7 +157,7 @@ func TestVecScanMatchesRowPath(t *testing.T) {
 // leaked from an "all rows" misreading of an empty selection.
 func TestVecScanZeroMatchQueries(t *testing.T) {
 	cols, _ := testRelation(10000)
-	s := newServer(t, Options{Vectorized: true, QueueDepth: 8, MaxBatch: 4, BatchWindow: 10 * time.Second})
+	s := newServer(t, Options{QueueDepth: 8, MaxBatch: 4, BatchWindow: 10 * time.Second})
 	defer s.Close()
 	if err := s.Register("events", cols); err != nil {
 		t.Fatal(err)
@@ -143,10 +201,10 @@ func TestVecScanZeroMatchQueries(t *testing.T) {
 }
 
 // TestVecRegisterReplace re-registers a table with different data while the
-// server is live: the vectorized encoding must follow the relation, never
-// serving sums from the stale encoding.
+// server is live: scans must see the new encoding, never sums from the
+// stale one.
 func TestVecRegisterReplace(t *testing.T) {
-	s := newServer(t, Options{Vectorized: true, QueueDepth: 4, MaxBatch: 1})
+	s := newServer(t, Options{QueueDepth: 4, MaxBatch: 1})
 	defer s.Close()
 	first := [][]int64{{1, 2, 3, 4}, {10, 20, 30, 40}}
 	if err := s.Register("t", first); err != nil {
@@ -165,6 +223,6 @@ func TestVecRegisterReplace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.Sum != 900 {
-		t.Fatalf("sum %d, want 900 (stale vectorized encoding?)", r.Sum)
+		t.Fatalf("sum %d, want 900 (stale encoding?)", r.Sum)
 	}
 }
