@@ -6,7 +6,7 @@ GO ?= go
 # no dependencies beyond the toolchain.
 STRICT ?=
 
-.PHONY: all build vet hwlint lint lint-report test race race-core check bench bench-frontend bench-store bench-serve bench-cluster perf perf-smoke experiments clean
+.PHONY: all build vet hwlint lint lint-report test race race-core check fuzz-smoke bench bench-layers bench-frontend bench-store bench-serve bench-cluster perf perf-smoke experiments clean
 
 all: check
 
@@ -62,8 +62,22 @@ check:
 	$(MAKE) race-core
 	$(GO) test -race ./...
 
+# fuzz-smoke gives each native fuzz target ten seconds of mutation past its
+# seed corpus (plain `go test` only replays the seeds). One target per
+# invocation: -fuzz takes a single match.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeQuery -fuzztime=10s ./internal/frontend/v1
+	$(GO) test -run='^$$' -fuzz=FuzzToServe -fuzztime=10s ./internal/frontend/v1
+
 bench:
 	$(GO) test -bench=BenchmarkE -benchtime=1x .
+
+# bench-layers runs the per-layer benches of the request path's front half
+# (v1 decode; auth + governance + decode + encode against a stub backend;
+# join partitioning; morsel scheduling) with allocations, five times each.
+bench-layers:
+	$(GO) test -run='^$$' -bench='BenchmarkDecodeQuery|BenchmarkHandleQuery|BenchmarkSplitJoin|BenchmarkMorsels' -benchmem -count=5 \
+		./internal/frontend/v1 ./internal/frontend ./internal/shard ./internal/sched
 
 # bench-frontend runs E23 (multi-tenant isolation over the HTTP API) at full
 # scale and regenerates the committed BENCH_frontend.json artifact.

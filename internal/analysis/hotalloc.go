@@ -2,12 +2,13 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
-// HotAlloc polices the morsel-processing packages — scan, join, agg,
-// vecexec — for per-iteration interface boxing. The keynote's discipline is
-// that the inner loop tracks the hardware: a fmt.Sprintf per partition (or
+// HotAlloc polices the morsel-processing packages (hotAllocScope) for
+// per-iteration interface boxing. The keynote's discipline is that the
+// inner loop tracks the hardware: a fmt.Sprintf per partition (or
 // worse, per row) boxes its operands onto the heap, and the allocation +
 // format-parse cost dwarfs the arithmetic the loop exists to do. PR 4's
 // presize work bought 1.6x on exactly this class of waste.
@@ -17,13 +18,15 @@ import (
 // argument (fmt.Sprintf, fmt.Errorf, Span.Annotate, log.Printf, ...).
 //
 // Exempt: calls that terminate the loop — the whole call is an argument to
-// panic, or part of a return statement — because they run at most once.
+// panic, part of a return statement, or in a block that ends by breaking out
+// of the loop (the scheduler's `runErr = fmt.Errorf(...); break` fault
+// paths) — because they run at most once.
 // Function literals *defined* in a loop are analyzed on their own schedule,
 // not the loop's: a task body built per partition runs once per task, and
 // its own loops are checked when the literal is visited.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "no interface-boxing calls (fmt and friends) inside loops in scan/join/agg/vecexec/serve",
+	Doc:  "no interface-boxing calls (fmt and friends) inside loops in scan/join/agg/vecexec/serve/compress/shard/sched",
 	Run:  runHotAlloc,
 }
 
@@ -31,7 +34,9 @@ var HotAlloc = &Analyzer{
 // it: runBatch's result loop and vecScanMorsel's block loop are now as hot
 // as anything in scan. compress and shard joined with the PR 8/9 tiers —
 // the block codecs run per-block inside every vectorized scan, and the
-// router's dispatch/EWMA loops sit on every request path.
+// router's dispatch/EWMA loops sit on every request path. sched joined when
+// hwperf showed Morsels formatting a name per morsel that only the fault
+// paths read: task building and the dispatch loop run per request.
 var hotAllocScope = []string{
 	"hwstar/internal/scan",
 	"hwstar/internal/join",
@@ -40,6 +45,7 @@ var hotAllocScope = []string{
 	"hwstar/internal/serve",
 	"hwstar/internal/compress",
 	"hwstar/internal/shard",
+	"hwstar/internal/sched",
 }
 
 func runHotAlloc(pass *Pass) error {
@@ -56,7 +62,7 @@ func runHotAlloc(pass *Pass) error {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				hotWalk(pass, fd.Body, 0, false)
+				hotWalk(pass, fd.Body, 0, false, false)
 			}
 		}
 	}
@@ -64,9 +70,10 @@ func runHotAlloc(pass *Pass) error {
 }
 
 // hotWalk tracks loop depth and whether the current expression terminates
-// the iteration (return/panic), descending into function literals with a
-// fresh loop depth.
-func hotWalk(pass *Pass, n ast.Node, loopDepth int, terminal bool) {
+// the iteration (return/panic/break), descending into function literals with
+// a fresh loop depth. breaks says an unlabeled break here leaves the
+// innermost loop, not a switch or select inside it.
+func hotWalk(pass *Pass, n ast.Node, loopDepth int, terminal, breaks bool) {
 	if n == nil {
 		return
 	}
@@ -74,26 +81,41 @@ func hotWalk(pass *Pass, n ast.Node, loopDepth int, terminal bool) {
 		switch m := m.(type) {
 		case *ast.ForStmt:
 			// Init runs once; Cond and Post run per iteration.
-			hotWalkParts(pass, loopDepth, []ast.Node{m.Init})
-			hotWalkParts(pass, loopDepth+1, []ast.Node{m.Cond, m.Post})
-			hotWalk(pass, m.Body, loopDepth+1, false)
+			hotWalk(pass, m.Init, loopDepth, false, false)
+			hotWalk(pass, m.Cond, loopDepth+1, false, false)
+			hotWalk(pass, m.Post, loopDepth+1, false, false)
+			hotWalk(pass, m.Body, loopDepth+1, false, true)
 			return false
 		case *ast.RangeStmt:
-			hotWalk(pass, m.X, loopDepth, false)
-			hotWalk(pass, m.Body, loopDepth+1, false)
+			hotWalk(pass, m.X, loopDepth, false, false)
+			hotWalk(pass, m.Body, loopDepth+1, false, true)
 			return false
+		case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+			if breaks { // a break in here leaves the switch, not the loop
+				hotWalk(pass, m, loopDepth, terminal, false)
+				return false
+			}
+			return true
+		case *ast.BlockStmt:
+			if breaks && !terminal && endsInBreak(m) {
+				for _, st := range m.List {
+					hotWalk(pass, st, loopDepth, true, true)
+				}
+				return false
+			}
+			return true
 		case *ast.FuncLit:
-			hotWalk(pass, m.Body, 0, false)
+			hotWalk(pass, m.Body, 0, false, false)
 			return false
 		case *ast.ReturnStmt:
 			for _, r := range m.Results {
-				hotWalk(pass, r, loopDepth, true)
+				hotWalk(pass, r, loopDepth, true, breaks)
 			}
 			return false
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(m.Fun).(*ast.Ident); ok && id.Name == "panic" && pass.ObjectOf(id) == types.Universe.Lookup("panic") {
 				for _, a := range m.Args {
-					hotWalk(pass, a, loopDepth, true)
+					hotWalk(pass, a, loopDepth, true, breaks)
 				}
 				return false
 			}
@@ -106,12 +128,13 @@ func hotWalk(pass *Pass, n ast.Node, loopDepth int, terminal bool) {
 	})
 }
 
-func hotWalkParts(pass *Pass, loopDepth int, parts []ast.Node) {
-	for _, p := range parts {
-		if p != nil {
-			hotWalk(pass, p, loopDepth, false)
-		}
+// endsInBreak reports whether b's last statement is an unlabeled break.
+func endsInBreak(b *ast.BlockStmt) bool {
+	if len(b.List) == 0 {
+		return false
 	}
+	br, ok := b.List[len(b.List)-1].(*ast.BranchStmt)
+	return ok && br.Tok == token.BREAK && br.Label == nil
 }
 
 func checkBoxingCall(pass *Pass, call *ast.CallExpr, depth int) {

@@ -18,6 +18,14 @@ func TestHotAllocServe(t *testing.T) {
 	analysistest.Run(t, "testdata/hotalloc_serve", "hwstar/internal/serve", analysis.HotAlloc)
 }
 
+// TestHotAllocSched: the scheduler joined the scope for the Morsels shape — a
+// Sprintf per task while building a request's tasks. Its dispatch loop's
+// fault paths end in break and are exempt like a return; a break that only
+// leaves a switch is not.
+func TestHotAllocSched(t *testing.T) {
+	analysistest.Run(t, "testdata/hotalloc_sched", "hwstar/internal/sched", analysis.HotAlloc)
+}
+
 // TestHotAllocScope: packages off the query path format error messages and
 // trace attributes at will; the boxing rule binds only the hot packages.
 func TestHotAllocScope(t *testing.T) {

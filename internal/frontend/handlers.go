@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"hwstar/internal/errs"
@@ -54,7 +56,7 @@ func bearer(r *http.Request) string {
 func (f *Frontend) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	f.reg.Counter("frontend.requests").Inc()
 	var req v1.SessionRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(r, func(body []byte) error { return v1.DecodeStrict(body, &req) }); err != nil {
 		f.writeCode(w, v1.CodeInvalidArgument, http.StatusBadRequest, false, 0, "", err.Error())
 		return
 	}
@@ -113,7 +115,7 @@ func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer ts.endQuery()
 
 	var q v1.QueryRequest
-	if err := decodeBody(r, &q); err != nil {
+	if err := decodeBody(r, q.UnmarshalJSON); err != nil {
 		f.tenantGovInc(tenant, "invalid")
 		f.writeCode(w, v1.CodeInvalidArgument, http.StatusBadRequest, false, 0, "", err.Error())
 		return
@@ -250,11 +252,29 @@ func (f *Frontend) tenantGovInc(tenant, metric string) {
 	f.reg.Counter("frontend.tenant." + tenant + "." + metric).Inc()
 }
 
-// decodeBody strictly decodes a JSON body into dst.
-func decodeBody(r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+// bodyPool recycles request-body buffers: a megabyte inline body is read
+// into memory once, at its Content-Length, instead of being re-buffered by
+// doubling on every request.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeBody reads the whole body (at most maxBodyBytes) into a pooled
+// buffer and hands it to decode, which must be strict and must not keep a
+// reference into the bytes: the buffer goes back to the pool on return.
+func decodeBody(r *http.Request, decode func(body []byte) error) error {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		bodyPool.Put(buf)
+	}()
+	// Room for the declared length plus ReadFrom's final, empty read; an
+	// undeclared (chunked) body grows the buffer as it arrives.
+	if n := r.ContentLength; n > 0 {
+		buf.Grow(int(min(n, maxBodyBytes)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(nil, r.Body, maxBodyBytes)); err != nil {
+		return fmt.Errorf("malformed JSON body: %w", err)
+	}
+	if err := decode(buf.Bytes()); err != nil {
 		return fmt.Errorf("malformed JSON body: %w", err)
 	}
 	return nil

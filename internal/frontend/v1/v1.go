@@ -14,6 +14,7 @@ package v1
 
 import (
 	"fmt"
+	"strconv"
 
 	"hwstar/internal/agg"
 	"hwstar/internal/errs"
@@ -280,11 +281,11 @@ func ResponseFrom(q *QueryRequest, tenant, priority string, wallMs float64, resp
 		out.Result.Sum = resp.Sum
 	case OpJoin:
 		out.Result.Matches = resp.Matches
-		out.Result.Checksum = fmt.Sprintf("%016x", resp.Checksum)
+		out.Result.Checksum = hex16(resp.Checksum)
 	case OpGroupSum:
 		out.Result.Groups = make(map[string]int64, len(resp.Groups))
 		for k, v := range resp.Groups {
-			out.Result.Groups[fmt.Sprintf("%d", k)] = v
+			out.Result.Groups[strconv.FormatInt(k, 10)] = v
 		}
 	case OpQ1:
 		out.Result.Q1Rows = make([]Q1Row, len(resp.Q1Rows))
@@ -300,6 +301,13 @@ func ResponseFrom(q *QueryRequest, tenant, priority string, wallMs float64, resp
 		out.Result.Revenue = resp.Revenue
 	}
 	return out
+}
+
+// hex16 is fmt.Sprintf("%016x", v) without the boxing and format parse.
+func hex16(v uint64) string {
+	var buf [16]byte
+	digits := strconv.AppendUint(buf[:0], v, 16)
+	return "0000000000000000"[len(digits):] + string(digits)
 }
 
 // HealthResponse is the body of GET /v1/health.

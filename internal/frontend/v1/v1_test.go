@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -167,4 +169,35 @@ func FuzzToServe(f *testing.F) {
 			t.Fatalf("serve accepted a malformed request (%v)\nbody %s", shape, body)
 		}
 	})
+}
+
+// TestResponseFromWireText: group keys and the join checksum are built with
+// strconv; the text on the wire is what fmt produced before, byte for byte.
+func TestResponseFromWireText(t *testing.T) {
+	for _, sum := range []uint64{0, 1, 0xabc, 0x0123456789abcdef, math.MaxUint64} {
+		got := ResponseFrom(&QueryRequest{Op: OpJoin}, "", "", 0, serve.Response{Checksum: sum}).Result.Checksum
+		if want := fmt.Sprintf("%016x", sum); got != want {
+			t.Errorf("checksum %d: %q, want %q", sum, got, want)
+		}
+	}
+	groups := map[int64]int64{0: 1, -1: 2, 42: -3, math.MinInt64: 4, math.MaxInt64: 5}
+	got := ResponseFrom(&QueryRequest{Op: OpGroupSum}, "", "", 0, serve.Response{Groups: groups}).Result.Groups
+	if len(got) != len(groups) {
+		t.Fatalf("%d groups on the wire, want %d", len(got), len(groups))
+	}
+	for k, v := range groups {
+		if w, ok := got[fmt.Sprintf("%d", k)]; !ok || w != v {
+			t.Errorf("group %d: %d (present %v), want %d", k, w, ok, v)
+		}
+	}
+
+	body, err := json.Marshal(ResponseFrom(&QueryRequest{Op: OpJoin, TraceID: "t1"}, "acme", "interactive", 1.5,
+		serve.Response{Matches: 3, Checksum: 0xbeef, BatchSize: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"op":"join","tenant":"acme","priority":"interactive","trace_id":"t1","cost":{"sim_cycles":0,"wall_ms":1.5,"batch_size":1},"spill":{"spilled":false,"bytes":0},"result":{"sum":0,"matches":3,"checksum":"000000000000beef"}}`
+	if string(body) != want {
+		t.Fatalf("join response on the wire\ngot  %s\nwant %s", body, want)
+	}
 }

@@ -238,18 +238,12 @@ func (m *Machine) Cycles(w Work, ctx ExecContext) float64 {
 	return m.Cost(w, ctx).Total()
 }
 
-// Account accumulates Work and priced cycles over the phases of an operator,
-// so experiments can report both a total and a per-phase breakdown.
+// Account accumulates priced cycles over the phases of an operator, as a
+// total and an itemized breakdown.
 type Account struct {
 	machine *Machine
 	ctx     ExecContext
-	phases  []phaseCost
 	total   CostBreakdown
-}
-
-type phaseCost struct {
-	name string
-	cost CostBreakdown
 }
 
 // NewAccount creates an account that prices work on m under ctx.
@@ -260,7 +254,6 @@ func NewAccount(m *Machine, ctx ExecContext) *Account {
 // Charge prices w and adds it to the account, returning the cycles charged.
 func (a *Account) Charge(w Work) float64 {
 	c := a.machine.Cost(w, a.ctx)
-	a.phases = append(a.phases, phaseCost{name: w.Name, cost: c})
 	a.total.Compute += c.Compute
 	a.total.Streaming += c.Streaming
 	a.total.RandomAccess += c.RandomAccess
@@ -274,15 +267,6 @@ func (a *Account) TotalCycles() float64 { return a.total.Total() }
 
 // Breakdown returns the accumulated itemized cost.
 func (a *Account) Breakdown() CostBreakdown { return a.total }
-
-// Phases returns "name: cycles" lines for each charged phase, in order.
-func (a *Account) Phases() []string {
-	out := make([]string, len(a.phases))
-	for i, p := range a.phases {
-		out[i] = fmt.Sprintf("%s: %.0f", p.name, p.cost.Total())
-	}
-	return out
-}
 
 // Machine returns the machine this account prices against.
 func (a *Account) Machine() *Machine { return a.machine }

@@ -261,9 +261,8 @@ func TestAccountAccumulates(t *testing.T) {
 	if math.Abs(acct.TotalCycles()-(c1+c2)) > 1e-9 {
 		t.Fatalf("total %f != %f + %f", acct.TotalCycles(), c1, c2)
 	}
-	ph := acct.Phases()
-	if len(ph) != 2 {
-		t.Fatalf("phases = %v", ph)
+	if bd := acct.Breakdown(); bd.Compute <= 0 || bd.Streaming <= 0 {
+		t.Fatalf("breakdown lost a phase: %+v", bd)
 	}
 	if acct.Machine() != m {
 		t.Fatal("Machine() mismatch")

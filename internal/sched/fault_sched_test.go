@@ -222,6 +222,20 @@ func TestTransientFaultAbortsRunTyped(t *testing.T) {
 	}
 }
 
+// TestMorselFaultNamesItsRange: a morsel carries its range instead of a
+// formatted name, and the fault path still prints "family[start:end]".
+func TestMorselFaultNamesItsRange(t *testing.T) {
+	inj := fault.New(fault.Config{Seed: 1, TransientProb: 1, MaxFaults: 1})
+	s, err := New(hw.Server2S(), Options{Workers: 1, Inject: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, runErr := s.RunContext(context.Background(), Morsels(10, 3, "scan", func(start, end int, w *Worker) {}))
+	if !errors.Is(runErr, errs.ErrTransient) || !strings.HasPrefix(runErr.Error(), "sched: task scan[0:3] failed: ") {
+		t.Fatalf("err = %v, want a transient fault in task scan[0:3]", runErr)
+	}
+}
+
 func TestRunPropagatesWorkerPanic(t *testing.T) {
 	m := hw.Server2S()
 	inj := fault.New(fault.Config{Seed: 1, PanicProb: 1, MaxFaults: 1})

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
+	"strconv"
 
 	"hwstar/internal/errs"
 	"hwstar/internal/fault"
@@ -117,6 +118,19 @@ type Task struct {
 	Socket int
 	// Run executes the task on the given worker.
 	Run func(w *Worker)
+
+	// lo and hi are a morsel's item range (hi > lo only for tasks built by
+	// Morsels), kept so its name is formatted when printed, not when built.
+	lo, hi int
+}
+
+// label is the task's name in diagnostics: Name, or for a morsel the family
+// and range, "site[lo:hi]". Only the fault and error paths print it.
+func (t Task) label() string {
+	if t.Name == "" && t.hi > t.lo {
+		return fmt.Sprintf("%s[%d:%d]", t.Site, t.lo, t.hi)
+	}
+	return t.Name
 }
 
 // claimedTask is a queued task plus its re-execution count after panics.
@@ -383,21 +397,29 @@ func (s *Scheduler) RunContext(ctx context.Context, tasks []Task) (Result, error
 			liveOnSocket[w.Socket]--
 			alive--
 			res.CoresLost++
-			sp.Annotate("core %d lost at run start", w.ID)
+			sp.Event("core " + strconv.Itoa(w.ID) + " lost at run start")
 		}
 	}
 
-	// Socket-local FIFO queues.
-	queues := make([][]claimedTask, m.Sockets)
-	rr := 0
-	for _, t := range tasks {
-		sock := t.Socket
-		if sock < 0 || sock >= m.Sockets {
-			sock = rr % m.Sockets
-			rr++
+	// Socket-local FIFO queues, each allocated once at its counted size.
+	place := func(visit func(sock int, t Task)) {
+		rr := 0
+		for _, t := range tasks {
+			sock := t.Socket
+			if sock < 0 || sock >= m.Sockets {
+				sock = rr % m.Sockets
+				rr++
+			}
+			visit(sock, t)
 		}
-		queues[sock] = append(queues[sock], claimedTask{t: t})
 	}
+	queued := make([]int, m.Sockets)
+	place(func(sock int, _ Task) { queued[sock]++ })
+	queues := make([][]claimedTask, m.Sockets)
+	for sock, n := range queued {
+		queues[sock] = make([]claimedTask, 0, n)
+	}
+	place(func(sock int, t Task) { queues[sock] = append(queues[sock], claimedTask{t: t}) })
 	heads := make([]int, m.Sockets)
 	remaining := func(sock int) int { return len(queues[sock]) - heads[sock] }
 	totalQueued := func() int {
@@ -545,27 +567,27 @@ func (s *Scheduler) RunContext(ctx context.Context, tasks []Task) (Result, error
 			if left := remaining(sock); n > left {
 				n = left
 			}
-			for i := 0; i < n; i++ {
-				w.claimed = append(w.claimed, queues[sock][heads[sock]])
-				heads[sock]++
-				if sock != w.Socket {
-					res.Steals++
-				}
+			// The claim is a window onto the queue, not a copy: entries
+			// below a queue's head are never written again.
+			w.claimed = queues[sock][heads[sock] : heads[sock]+n : heads[sock]+n]
+			heads[sock] += n
+			if sock != w.Socket {
+				res.Steals += n
 			}
 		}
 		ct := w.claimed[0]
 		w.claimed = w.claimed[1:]
 		site := ct.t.Site
 		if site == "" {
-			site = ct.t.Name
+			site = ct.t.label()
 		}
 
 		// Injected transient failure: the morsel boundary is the failure
 		// point, so nothing partial happened — fail the run and let the
 		// caller's retry policy decide.
 		if err := inj.TaskError(site, w.ID); err != nil {
-			sp.Annotate("transient fault in %s on worker %d", ct.t.Name, w.ID)
-			runErr = fmt.Errorf("sched: task %s failed: %w", ct.t.Name, err)
+			sp.Annotate("transient fault in %s on worker %d", ct.t.label(), w.ID)
+			runErr = fmt.Errorf("sched: task %s failed: %w", ct.t.label(), err)
 			break
 		}
 
@@ -573,19 +595,19 @@ func (s *Scheduler) RunContext(ctx context.Context, tasks []Task) (Result, error
 		if pval, stack := runTask(ct.t, w, inj, site); pval != nil {
 			res.Panics++
 			if !s.opts.IsolatePanics {
-				sp.Annotate("panic on worker %d in %s (run failed)", w.ID, ct.t.Name)
-				runErr = fmt.Errorf("sched: worker %d panicked in task %s: %v: %w\n%s", w.ID, ct.t.Name, pval, errs.ErrWorkerPanic, stack)
+				sp.Annotate("panic on worker %d in %s (run failed)", w.ID, ct.t.label())
+				runErr = fmt.Errorf("sched: worker %d panicked in task %s: %v: %w\n%s", w.ID, ct.t.label(), pval, errs.ErrWorkerPanic, stack)
 				break
 			}
 			ct.attempts++
 			if ct.attempts > maxRetries {
-				sp.Annotate("task %s panicked on %d workers, giving up", ct.t.Name, ct.attempts)
+				sp.Annotate("task %s panicked on %d workers, giving up", ct.t.label(), ct.attempts)
 				runErr = fmt.Errorf("sched: task %s panicked on %d workers, giving up (last: worker %d, %v): %w\n%s",
-					ct.t.Name, ct.attempts, w.ID, pval, errs.ErrWorkerPanic, stack)
+					ct.t.label(), ct.attempts, w.ID, pval, errs.ErrWorkerPanic, stack)
 				break
 			}
 			res.TaskRetries++
-			sp.Annotate("worker %d retired after panic in %s; %d morsels re-dispatched", w.ID, ct.t.Name, 1+len(w.claimed))
+			sp.Event("worker " + strconv.Itoa(w.ID) + " retired after panic in " + ct.t.label() + "; " + strconv.Itoa(1+len(w.claimed)) + " morsels re-dispatched")
 			// The core is poisoned: retire it and move the panicked morsel
 			// plus everything it still held to healthy workers. Cycles spent
 			// before the panic stay on its clock — wasted work is real work.
@@ -606,8 +628,9 @@ func (s *Scheduler) RunContext(ctx context.Context, tasks []Task) (Result, error
 		if t := s.opts.StragglerThreshold; t > 0 && pendingTasks > 0 && alive > 1 {
 			if med := medianPeerCost(w); med > 0 && w.clock/float64(w.tasks) > t*med {
 				res.StragglersRetired++
-				sp.Annotate("worker %d retired as straggler (%.1fx median peer cost); %d morsels re-dispatched",
-					w.ID, w.clock/float64(w.tasks)/med, len(w.claimed))
+				sp.Event("worker " + strconv.Itoa(w.ID) + " retired as straggler (" +
+					strconv.FormatFloat(w.clock/float64(w.tasks)/med, 'f', 1, 64) + "x median peer cost); " +
+					strconv.Itoa(len(w.claimed)) + " morsels re-dispatched")
 				retire(w, w.claimed)
 				continue
 			}
@@ -633,14 +656,14 @@ func (s *Scheduler) RunContext(ctx context.Context, tasks []Task) (Result, error
 			}
 			ws := sp.Child("worker")
 			ws.AddCycles(w.clock)
-			ws.SetAttr("id", fmt.Sprintf("%d", w.ID))
-			ws.SetAttr("morsels", fmt.Sprintf("%d", w.tasks))
+			ws.SetAttr("id", strconv.Itoa(w.ID))
+			ws.SetAttr("morsels", strconv.Itoa(w.tasks))
 			if w.retired {
 				ws.SetAttr("retired", "true")
 			}
 			ws.End()
 		}
-		sp.SetAttr("steals", fmt.Sprintf("%d", res.Steals))
+		sp.SetAttr("steals", strconv.Itoa(res.Steals))
 	}
 	return res, runErr
 }
@@ -670,7 +693,10 @@ func Morsels(n, morselSize int, name string, fn func(start, end int, w *Worker))
 	if morselSize <= 0 {
 		morselSize = 1 << 14
 	}
-	var tasks []Task
+	if n <= 0 {
+		return nil
+	}
+	tasks := make([]Task, 0, (n+morselSize-1)/morselSize)
 	for start := 0; start < n; start += morselSize {
 		end := start + morselSize
 		if end > n {
@@ -678,10 +704,11 @@ func Morsels(n, morselSize int, name string, fn func(start, end int, w *Worker))
 		}
 		s, e := start, end
 		tasks = append(tasks, Task{
-			Name:   fmt.Sprintf("%s[%d:%d]", name, s, e),
 			Site:   name,
 			Socket: -1,
 			Run:    func(w *Worker) { fn(s, e, w) },
+			lo:     s,
+			hi:     e,
 		})
 	}
 	return tasks

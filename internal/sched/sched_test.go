@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -220,6 +221,36 @@ func TestMorsels(t *testing.T) {
 	}
 	if len(covered) != 10 {
 		t.Fatalf("covered %d items, want 10", len(covered))
+	}
+}
+
+// TestMorselsAllocs: building a request's morsels allocates the task slice
+// once and one closure per morsel, and no name.
+func TestMorselsAllocs(t *testing.T) {
+	const morsels = 64
+	got := testing.AllocsPerRun(10, func() {
+		Morsels(morsels<<14, 1<<14, "scan", func(start, end int, w *Worker) {})
+	})
+	if got > morsels+1 {
+		t.Fatalf("Morsels made %.0f allocations for %d morsels, want at most %d", got, morsels, morsels+1)
+	}
+}
+
+// BenchmarkMorsels is one scan request's scheduling: cut 1 Mi rows into 64
+// morsels and run them over the machine's cores.
+func BenchmarkMorsels(b *testing.B) {
+	s, err := New(hw.Server2S(), Options{Stealing: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tasks := Morsels(1<<20, 1<<14, "scan", func(start, end int, w *Worker) {
+			w.AdvanceCycles(float64(end - start))
+		})
+		if _, err := s.RunContext(context.Background(), tasks); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

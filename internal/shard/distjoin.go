@@ -121,17 +121,40 @@ func splitJoin(in join.Input, n int, strat cluster.Strategy) []join.Input {
 		}
 		return subs
 	}
-	for i, k := range in.BuildKeys {
-		d := hashPart(k, n)
-		subs[d].BuildKeys = append(subs[d].BuildKeys, k)
-		subs[d].BuildVals = append(subs[d].BuildVals, in.BuildVals[i])
-	}
-	for i, k := range in.ProbeKeys {
-		d := hashPart(k, n)
-		subs[d].ProbeKeys = append(subs[d].ProbeKeys, k)
-		subs[d].ProbeVals = append(subs[d].ProbeVals, in.ProbeVals[i])
+	bk, bv := hashSplit(in.BuildKeys, in.BuildVals, n)
+	pk, pv := hashSplit(in.ProbeKeys, in.ProbeVals, n)
+	for d := range subs {
+		subs[d] = join.Input{BuildKeys: bk[d], BuildVals: bv[d], ProbeKeys: pk[d], ProbeVals: pv[d]}
 	}
 	return subs
+}
+
+// hashSplit hash-partitions a key column and its value column n ways, in
+// input order. One counting pass sizes every partition, so each column is
+// one exactly-sized backing array carved into capacity-capped pieces rather
+// than n slices grown by append.
+func hashSplit(keys, vals []int64, n int) (pkeys, pvals [][]int64) {
+	next := make([]int, n) // a partition's size, then its write cursor
+	for _, k := range keys {
+		next[hashPart(k, n)]++
+	}
+	allKeys := make([]int64, len(keys))
+	allVals := make([]int64, len(keys))
+	pkeys, pvals = make([][]int64, n), make([][]int64, n)
+	off := 0
+	for d, size := range next {
+		pkeys[d] = allKeys[off : off+size : off+size]
+		pvals[d] = allVals[off : off+size : off+size]
+		next[d] = off
+		off += size
+	}
+	for i, k := range keys {
+		d := hashPart(k, n)
+		allKeys[next[d]] = k
+		allVals[next[d]] = vals[i]
+		next[d]++
+	}
+	return pkeys, pvals
 }
 
 // hashPart assigns a join key to a sub-join, mirroring the cluster
