@@ -6,7 +6,7 @@ GO ?= go
 # no dependencies beyond the toolchain.
 STRICT ?=
 
-.PHONY: all build vet hwlint lint lint-report test race race-core check fuzz-smoke bench bench-layers bench-frontend bench-store bench-serve bench-cluster perf perf-smoke experiments clean
+.PHONY: all build vet hwlint lint lint-report test race race-core check fuzz-smoke bench bench-layers perf perf-smoke experiments clean
 
 all: check
 
@@ -49,9 +49,10 @@ race:
 # where a data race would land first, so they get a fresh pass even when the
 # full race target is cache-warm. store joined when the checkpoint/recovery
 # paths went concurrent (PR 7/8); cluster, concurrent, and metrics are the
-# remaining shared-mutable-state tiers.
+# remaining shared-mutable-state tiers; breaker is the mutex serve and shard
+# now share.
 race-core:
-	$(GO) test -race -count=1 ./internal/serve ./internal/sched ./internal/mem ./internal/frontend ./internal/vecexec ./internal/compress ./internal/shard ./internal/store ./internal/cluster ./internal/concurrent ./internal/metrics
+	$(GO) test -race -count=1 ./internal/serve ./internal/sched ./internal/mem ./internal/frontend ./internal/vecexec ./internal/compress ./internal/shard ./internal/store ./internal/cluster ./internal/concurrent ./internal/metrics ./internal/breaker
 
 # check is the full verification gate: compile everything, run the static
 # analyzers, and run the whole suite under the race detector (core
@@ -78,29 +79,6 @@ bench:
 bench-layers:
 	$(GO) test -run='^$$' -bench='BenchmarkDecodeQuery|BenchmarkHandleQuery|BenchmarkSplitJoin|BenchmarkMorsels' -benchmem -count=5 \
 		./internal/frontend/v1 ./internal/frontend ./internal/shard ./internal/sched
-
-# bench-frontend runs E23 (multi-tenant isolation over the HTTP API) at full
-# scale and regenerates the committed BENCH_frontend.json artifact.
-bench-frontend:
-	$(GO) run ./cmd/hwbench -scale 1 -frontend-json BENCH_frontend.json E23
-
-# bench-store runs E24 (durable tier: kill/recover schedules, recovery time
-# vs data volume, checkpoint interference) at full scale and regenerates the
-# committed BENCH_store.json artifact.
-bench-store:
-	$(GO) run ./cmd/hwbench -scale 1 -store-json BENCH_store.json E24
-
-# bench-serve runs E25 (the server's compressed scan pass against the
-# row-at-a-time clock scan, chaos-mix tail latency) at full scale and
-# regenerates the committed BENCH_serve.json artifact.
-bench-serve:
-	$(GO) run ./cmd/hwbench -scale 1 -serve-json BENCH_serve.json E25
-
-# bench-cluster runs E26 (sharded tier: node-kill/failover cycles, hedged
-# dispatch vs stragglers, typed partial results, distributed join strategy)
-# at full scale and regenerates the committed BENCH_cluster.json artifact.
-bench-cluster:
-	$(GO) run ./cmd/hwbench -scale 1 -cluster-json BENCH_cluster.json E26
 
 # perf runs hwperf, the repository's benchmark (BENCHMARK.json): four
 # workloads over loopback HTTP, one process each. perf-smoke is its toy-scale

@@ -12,35 +12,35 @@ import (
 	"hwstar"
 )
 
-// serveAPI is server mode: one Server fronted by the multi-tenant /v1 API,
-// with the debug endpoints on the same address, serving until ctx is
-// cancelled. The server boots with a registered "facts" relation (for
-// op=scan) and a "lineitem" table (for op=q1/q6) generated at cfg.Rows, so
-// a fresh instance is immediately queryable.
+// serveAPI is server mode: the engine build returns — one Server or a
+// sharded Router, the wire protocol never learns which — fronted by the
+// multi-tenant /v1 API, with the debug endpoints on the same address,
+// serving until ctx is cancelled. The engine boots with a registered "facts"
+// relation (for op=scan) and a "lineitem" table (for op=q1/q6) generated at
+// cfg.Rows, so a fresh instance is immediately queryable. Behind a Router
+// total replica loss surfaces as partial=true responses instead of errors.
 func serveAPI(ctx context.Context, cfg Config, out io.Writer) error {
-	if cfg.Shards > 1 {
-		return serveAPICluster(ctx, cfg, out)
-	}
-	srv, _, st, err := buildServer(cfg)
+	b, err := build(ctx, cfg)
 	if err != nil {
 		return err
 	}
-	if st != nil {
-		defer st.Close()
-	}
+	defer b.closeStores()
 	cols := [][]int64{
 		hwstar.GenUniform(41, cfg.Rows, 100000),
 		hwstar.GenUniform(42, cfg.Rows, 1000),
 	}
-	if st == nil {
-		if err := srv.Register("facts", cols); err != nil {
+	// A durable single Server may still be replaying its store; everything
+	// else admits work already and registers before the listener opens.
+	coldStart := b.server != nil && cfg.DataDir != ""
+	if !coldStart {
+		if err := b.Register("facts", cols); err != nil {
 			return err
 		}
 	}
 	lineitem := hwstar.GenLineItem(46, cfg.Rows)
 
 	fe, err := hwstar.NewFrontend(hwstar.FrontendConfig{
-		Server:       srv,
+		Backend:      b.engine,
 		Tenants:      cfg.Tenants,
 		SessionTTL:   time.Duration(cfg.SessionTTL),
 		QueryTimeout: time.Duration(cfg.QueryTimeout),
@@ -52,7 +52,7 @@ func serveAPI(ctx context.Context, cfg Config, out io.Writer) error {
 
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", fe.Handler())
-	debug := newDebugMux(srv.Metrics())
+	debug := newDebugMux(b.Metrics())
 	mux.Handle("/metrics", debug)
 	mux.Handle("/debug/", debug)
 
@@ -60,28 +60,34 @@ func serveAPI(ctx context.Context, cfg Config, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "hwserve: /v1 API on %s (%d tenants, tables: facts, lineitem; /metrics, /debug/pprof)\n",
-		ln.Addr(), len(cfg.Tenants))
+	if b.router != nil {
+		fmt.Fprintf(out, "hwserve: /v1 API on %s (%d shards x %d replicas, %d tenants, tables: facts, lineitem)\n",
+			ln.Addr(), cfg.Shards, b.router.ClusterHealth().Replicas, len(cfg.Tenants))
+	} else {
+		fmt.Fprintf(out, "hwserve: /v1 API on %s (%d tenants, tables: facts, lineitem; /metrics, /debug/pprof)\n",
+			ln.Addr(), len(cfg.Tenants))
+	}
 
-	if st != nil {
+	if coldStart {
 		// Cold start under load: the listener is already up, so while the
 		// durable hot set replays /v1 answers 503 UNAVAILABLE_RECOVERING
 		// (retryable, with Retry-After) instead of refusing connections.
 		// Once admission opens, "facts" is (re)registered so a fresh data
 		// directory is immediately queryable too.
 		go func() {
-			if err := srv.WaitRecovered(ctx); err != nil {
+			if err := b.server.WaitRecovered(ctx); err != nil {
 				return // shutting down before replay finished
 			}
-			if err := srv.Register("facts", cols); err != nil {
+			if err := b.Register("facts", cols); err != nil {
 				fmt.Fprintf(out, "hwserve: register facts: %v\n", err)
 				return
 			}
-			h := srv.Health()
+			h := b.Health()
 			fmt.Fprintf(out, "hwserve: durable store %s ready (manifest v%d, %d tables replayed, %d hot)\n",
 				cfg.DataDir, h.StoreVersion, h.Recovery.TablesTotal, h.Recovery.TablesHot)
 		}()
 	}
+	stopChaos := startChaos(ctx, cfg, b.router)
 
 	hs := newHTTPServer(mux)
 	go func() {
@@ -90,9 +96,16 @@ func serveAPI(ctx context.Context, cfg Config, out io.Writer) error {
 		defer cancel()
 		_ = hs.Shutdown(shutdownCtx)
 	}()
-	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	err = hs.Serve(ln)
+	kills, chaos := stopChaos()
+	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
+	if chaos {
+		ch := b.router.ClusterHealth()
+		fmt.Fprintf(out, "hwserve: chaos killed %d nodes (failovers %d, hedges %d, partials %d, re-replications %d)\n",
+			kills, ch.Failovers, ch.Hedges, ch.Partials, ch.Rereplications)
+	}
 	fmt.Fprintln(out, "hwserve: draining admitted work")
-	return srv.Close()
+	return b.Close()
 }

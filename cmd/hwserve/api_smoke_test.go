@@ -40,14 +40,21 @@ var (
 	apiReadyRe = regexp.MustCompile(`durable store \S+ ready \(manifest v(\d+)`)
 )
 
-// TestServeAPISmoke is the CI boot smoke: start hwserve in server mode with
-// two tenants — one interactive, one burst-capped batch — then assert over
-// real HTTP that the interactive tenant completes all its work while the
-// noisy tenant is deterministically rate-limited, and that the governance
-// split shows up in /v1/health and /metrics.
+// TestServeAPISmoke is the CI boot smoke, once per topology: start hwserve
+// in server mode with two tenants — one interactive, one burst-capped batch
+// — then assert over real HTTP that the interactive tenant completes all its
+// work while the noisy tenant is deterministically rate-limited, and that
+// the governance split shows up in /v1/health and /metrics.
 func TestServeAPISmoke(t *testing.T) {
+	for _, mode := range engineModes {
+		t.Run(mode.name, func(t *testing.T) { serveAPISmoke(t, mode.shards, mode.replicas) })
+	}
+}
+
+func serveAPISmoke(t *testing.T, shards, replicas int) {
 	cfg := DefaultConfig()
 	cfg.Rows = 1 << 14
+	cfg.Shards, cfg.Replicas = shards, replicas
 	cfg.ServeAPI = "127.0.0.1:0"
 	cfg.Tenants = []hwstar.TenantConfig{
 		{ID: "int-a", Key: "ka"},
@@ -85,6 +92,10 @@ func TestServeAPISmoke(t *testing.T) {
 			t.Fatalf("server never announced its address; output: %q", out.String())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+
+	if shards > 1 && !strings.Contains(out.String(), "3 shards x 2 replicas") {
+		t.Fatalf("cluster banner missing the topology: %q", out.String())
 	}
 
 	openSession := func(tenant, key string) string {
@@ -153,10 +164,18 @@ func TestServeAPISmoke(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil || resp.StatusCode != 200 {
 		t.Fatalf("health: HTTP %d (err %v)", resp.StatusCode, err)
 	}
-	if got := h.Tenants["int-a"]; got.Completed != noisyFlood || got.RateLimited != 0 {
+	// Governance counts are the frontend's and exact in both topologies; a
+	// Router's Completed sums per-stripe sub-requests, so there it is a floor.
+	completedOK := func(got, queries int64) bool {
+		if shards > 1 {
+			return got >= queries
+		}
+		return got == queries
+	}
+	if got := h.Tenants["int-a"]; !completedOK(got.Completed, noisyFlood) || got.RateLimited != 0 {
 		t.Fatalf("interactive tenant health: %+v", got)
 	}
-	if got := h.Tenants["noisy-b"]; got.Completed != 3 || got.RateLimited != int64(noisyFlood-3) {
+	if got := h.Tenants["noisy-b"]; !completedOK(got.Completed, 3) || got.RateLimited != int64(noisyFlood-3) {
 		t.Fatalf("noisy tenant health: %+v", got)
 	}
 

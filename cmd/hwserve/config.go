@@ -206,11 +206,8 @@ func loadConfigFile(path string, c *Config) error {
 	return nil
 }
 
-// bindFlags registers every flag against fields of cfg and returns the
-// alias→canonical flag-name map. Where a flag predates the Config redesign
-// under a different name ("maxbatch", "trace"), both names bind to the same
-// field; the old name is an alias kept for one release.
-func bindFlags(fs *flag.FlagSet, cfg *Config) map[string]string {
+// bindFlags registers every flag against fields of cfg.
+func bindFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.StringVar(&cfg.Machine, "machine", cfg.Machine, "machine profile name")
 	fs.IntVar(&cfg.Clients, "clients", cfg.Clients, "concurrent clients")
 	fs.IntVar(&cfg.Requests, "requests", cfg.Requests, "requests per client")
@@ -218,7 +215,6 @@ func bindFlags(fs *flag.FlagSet, cfg *Config) map[string]string {
 	fs.StringVar(&cfg.Mix, "mix", cfg.Mix, "workload mix: scan or mixed")
 	fs.IntVar(&cfg.Queue, "queue", cfg.Queue, "intake queue depth")
 	fs.IntVar(&cfg.MaxBatch, "max-batch", cfg.MaxBatch, "max queries per shared scan")
-	fs.IntVar(&cfg.MaxBatch, "maxbatch", cfg.MaxBatch, "alias for -max-batch")
 	fs.DurationVar((*time.Duration)(&cfg.Window), "window", time.Duration(cfg.Window), "batching window")
 	fs.DurationVar((*time.Duration)(&cfg.Deadline), "deadline", time.Duration(cfg.Deadline), "per-request deadline (0 = none)")
 	fs.IntVar(&cfg.Shards, "shards", cfg.Shards, "shard count of the replicated serving tier (0 or 1 = single server)")
@@ -242,11 +238,9 @@ func bindFlags(fs *flag.FlagSet, cfg *Config) map[string]string {
 	fs.Int64Var(&cfg.HotBytes, "hot-bytes", cfg.HotBytes, "DRAM budget for the store's hot set in bytes; overflow tiers to flash, loaded on first access (0 = all hot)")
 	fs.StringVar(&cfg.Listen, "listen", cfg.Listen, "serve /metrics, /debug/vars, and /debug/pprof on this address during the run (empty = off)")
 	fs.IntVar(&cfg.TraceEvery, "trace-every", cfg.TraceEvery, "trace every Nth request and dump span trees after the report (0 = off)")
-	fs.IntVar(&cfg.TraceEvery, "trace", cfg.TraceEvery, "alias for -trace-every")
 	fs.StringVar(&cfg.ServeAPI, "serve-api", cfg.ServeAPI, "serve the /v1 multi-tenant HTTP API on this address until interrupted (empty = load-generator mode)")
 	fs.DurationVar((*time.Duration)(&cfg.SessionTTL), "session-ttl", time.Duration(cfg.SessionTTL), "API session token lifetime")
 	fs.DurationVar((*time.Duration)(&cfg.QueryTimeout), "query-timeout", time.Duration(cfg.QueryTimeout), "per-query timeout imposed by the API (0 = none)")
-	return map[string]string{"maxbatch": "max-batch", "trace": "trace-every"}
 }
 
 // parseConfig resolves the effective Config: defaults, then the -config
@@ -259,7 +253,7 @@ func parseConfig(args []string) (cfg Config, printOnly bool, err error) {
 	fs.BoolVar(&printOnly, "print-config", false, "print the effective configuration as JSON and exit")
 
 	flagCfg := DefaultConfig()
-	aliases := bindFlags(fs, &flagCfg)
+	bindFlags(fs, &flagCfg)
 	if err := fs.Parse(args); err != nil {
 		return cfg, false, err
 	}
@@ -277,11 +271,7 @@ func parseConfig(args []string) (cfg Config, printOnly bool, err error) {
 	override := flag.NewFlagSet("hwserve-override", flag.ContinueOnError)
 	bindFlags(override, &cfg)
 	fs.Visit(func(f *flag.Flag) {
-		name := f.Name
-		if canonical, ok := aliases[name]; ok {
-			name = canonical
-		}
-		if g := override.Lookup(name); g != nil {
+		if g := override.Lookup(f.Name); g != nil {
 			_ = g.Value.Set(f.Value.String())
 		}
 	})

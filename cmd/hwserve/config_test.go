@@ -68,10 +68,10 @@ func writeConfig(t *testing.T, body string) string {
 }
 
 // TestParseConfigFlagsOnly pins the no-file path: defaults plus explicit
-// flags, including the legacy alias names.
+// flags.
 func TestParseConfigFlagsOnly(t *testing.T) {
 	cfg, printOnly, err := parseConfig([]string{
-		"-clients", "8", "-maxbatch", "32", "-trace", "5", "-window", "3ms",
+		"-clients", "8", "-max-batch", "32", "-trace-every", "5", "-window", "3ms",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +89,7 @@ func TestParseConfigFlagsOnly(t *testing.T) {
 	}
 }
 
-// TestParseConfigPrecedence pins defaults < file < explicit flags, with
-// aliases overriding the canonical field they share.
+// TestParseConfigPrecedence pins defaults < file < explicit flags.
 func TestParseConfigPrecedence(t *testing.T) {
 	path := writeConfig(t, `{
 		"clients": 16,
@@ -103,7 +102,7 @@ func TestParseConfigPrecedence(t *testing.T) {
 	cfg, _, err := parseConfig([]string{
 		"-config", path,
 		"-clients", "99", // explicit flag beats the file
-		"-maxbatch", "128", // alias beats the file's canonical field
+		"-max-batch", "128",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +111,7 @@ func TestParseConfigPrecedence(t *testing.T) {
 		t.Fatalf("Clients = %d, want flag override 99", cfg.Clients)
 	}
 	if cfg.MaxBatch != 128 {
-		t.Fatalf("MaxBatch = %d, want alias override 128", cfg.MaxBatch)
+		t.Fatalf("MaxBatch = %d, want flag override 128", cfg.MaxBatch)
 	}
 	if cfg.Rows != 4096 {
 		t.Fatalf("Rows = %d, want file value 4096", cfg.Rows)
@@ -142,9 +141,10 @@ func TestLoadConfigFileStrict(t *testing.T) {
 	if _, _, err := parseConfig([]string{"-config", filepath.Join(t.TempDir(), "missing.json")}); err == nil {
 		t.Fatal("missing config file accepted")
 	}
-	// The scan-path knobs are gone, not ignored: a stale flag or config key
-	// fails loudly instead of silently selecting nothing.
-	for _, flag := range []string{"-vectorized", "-vec-adaptive", "-vec-morsel-rows=8192", "-vec-batch-width=8"} {
+	// The scan-path knobs and the pre-Config aliases are gone, not ignored:
+	// a stale flag or config key fails loudly instead of silently selecting
+	// nothing.
+	for _, flag := range []string{"-vectorized", "-vec-adaptive", "-vec-morsel-rows=8192", "-vec-batch-width=8", "-maxbatch=32", "-trace=5"} {
 		if _, _, err := parseConfig([]string{flag}); err == nil {
 			t.Fatalf("removed flag %s accepted", flag)
 		}

@@ -1,7 +1,7 @@
 // Command hwserve drives the hwstar concurrent query service in one of two
 // modes:
 //
-//   - Load-generator mode (the default): start a Server on a machine
+//   - Load-generator mode (the default): start an engine on a machine
 //     profile, fire a cohort of concurrent clients at it, and report what
 //     the serving layer did — throughput, admission decisions, batch-size
 //     distribution, and the modeled cycles each query paid.
@@ -10,6 +10,9 @@
 //     internal/frontend) plus the debug endpoints on addr and serve until
 //     SIGINT/SIGTERM. Server mode needs at least one tenant, so it is
 //     normally started from a config file.
+//
+// Either mode runs against one engine, assembled once by build: a single
+// Server, or with -shards > 1 that many Servers behind a replicated Router.
 //
 // Configuration is one Config struct. Every field can be set from a JSON
 // file (-config server.json) or from flags; flags set explicitly on the
@@ -30,9 +33,6 @@
 //	     "rate_per_sec": 50, "burst": 10, "max_concurrent": 4}
 //	  ]
 //	}
-//
-// The pre-Config flag names (-maxbatch, -trace) remain as aliases for one
-// release; prefer -max-batch and -trace-every.
 //
 // -listen mounts the observability endpoints for a load-generator run:
 // Prometheus-text metrics on /metrics, expvar JSON on /debug/vars, and the
@@ -71,6 +71,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,17 +80,30 @@ import (
 
 	"hwstar"
 	"hwstar/internal/hw"
-	"hwstar/internal/metrics"
 )
 
-// engine is the surface the load loop drives — a single *hwstar.Server or,
-// with -shards > 1, a replicated *hwstar.Router. Both speak it verbatim.
+// engine is what both modes drive: the surface the /v1 frontend fronts plus
+// registration and shutdown. *hwstar.Server and *hwstar.Router satisfy it.
 type engine interface {
+	hwstar.FrontendBackend
 	Register(name string, cols [][]int64) error
-	Submit(ctx context.Context, req hwstar.Request) (hwstar.Response, error)
-	Metrics() *metrics.Registry
-	Health() hwstar.ServerHealth
 	Close() error
+}
+
+// backend is what build assembles: the engine, and beside it the handles
+// only one topology has.
+type backend struct {
+	engine
+	server *hwstar.Server  // the engine when single-node, else nil (boot-replay barrier)
+	router *hwstar.Router  // the engine when sharded, else nil (chaos loop, cluster report)
+	tracer *hwstar.Tracer  // nil unless -trace-every
+	stores []*hwstar.Store // one per node; the caller closes them after the engine
+}
+
+func (b *backend) closeStores() {
+	for _, st := range b.stores {
+		st.Close()
+	}
 }
 
 type report struct {
@@ -108,17 +122,20 @@ type report struct {
 	tracesStarted, tracesDropped   uint64
 	listenAddr                     string
 	cluster                        *hwstar.ClusterHealth
-	chaosKills                     int
 }
 
-// buildServer assembles the Server (and optional Tracer and durable Store)
-// both modes share. When cfg.DataDir is set the store is opened — replaying
-// any committed state — before the server boots on top of it; the caller
-// owns the returned store and must close it after Server.Close.
-func buildServer(cfg Config) (*hwstar.Server, *hwstar.Tracer, *hwstar.Store, error) {
+// build assembles the engine both modes run against. The per-server options,
+// memory governor, fault injector, tracer and durable stores are derived from
+// cfg once; cfg.Shards only decides what wraps them — one Server over
+// cfg.DataDir, or cfg.Shards of them behind a replicated consistent-hash
+// Router, each over its own node-N subdirectory so a recovered node can
+// re-replicate lost stripes from the surviving replicas' stores. Opening a
+// store replays its committed state; a Router has finished replaying by the
+// time it is returned, a single Server may still be (see serveAPI).
+func build(ctx context.Context, cfg Config) (*backend, error) {
 	m, ok := hw.Profiles()[cfg.Machine]
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("unknown machine %q", cfg.Machine)
+		return nil, fmt.Errorf("unknown machine %q", cfg.Machine)
 	}
 	opts := hwstar.ServerOptions{
 		QueueDepth:       cfg.Queue,
@@ -136,82 +153,91 @@ func buildServer(cfg Config) (*hwstar.Server, *hwstar.Tracer, *hwstar.Store, err
 			KillOnOverage: cfg.OOMKill,
 		}
 	}
-	if cfg.faulty() {
-		opts.Faults = hwstar.NewFaultInjector(hwstar.FaultConfig{
+	var inj *hwstar.FaultInjector
+	if cfg.faulty() || cfg.NodeLossProb > 0 {
+		inj = hwstar.NewFaultInjector(hwstar.FaultConfig{
 			Seed:          cfg.FaultSeed,
 			PanicProb:     cfg.PanicProb,
 			TransientProb: cfg.TransientProb,
 			StragglerProb: cfg.StragglerProb,
 			StragglerSkew: cfg.StragglerSkew,
 			AllocFailProb: cfg.AllocFailProb,
+			NodeLossProb:  cfg.NodeLossProb,
 		})
+	}
+	if cfg.faulty() {
+		opts.Faults = inj
 		// Injected panics and stragglers are survivable only with isolation
 		// and re-dispatch armed.
 		opts.IsolatePanics = true
 		opts.StragglerThreshold = 3
 	}
-	var tracer *hwstar.Tracer
-	if cfg.TraceEvery > 0 {
-		tracer = hwstar.NewTracer(hwstar.TraceConfig{Capacity: 16, SampleEvery: cfg.TraceEvery})
-		opts.Trace = tracer
-	}
-	var st *hwstar.Store
 	if cfg.DataDir != "" {
-		var err error
-		st, err = hwstar.OpenStore(hwstar.StoreOptions{
-			Dir:      cfg.DataDir,
-			Machine:  m,
-			HotBytes: cfg.HotBytes,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		opts.Store = st
 		opts.CheckpointInterval = time.Duration(cfg.CheckpointInterval)
 	}
-	srv, err := hwstar.NewServer(m, opts)
-	if err != nil {
-		if st != nil {
-			st.Close()
-		}
-		return nil, nil, nil, err
+	b := &backend{}
+	if cfg.TraceEvery > 0 {
+		b.tracer = hwstar.NewTracer(hwstar.TraceConfig{Capacity: 16, SampleEvery: cfg.TraceEvery})
+		opts.Trace = b.tracer
 	}
-	return srv, tracer, st, nil
+	openStore := func(dir string) (*hwstar.Store, error) {
+		st, err := hwstar.OpenStore(hwstar.StoreOptions{Dir: dir, Machine: m, HotBytes: cfg.HotBytes})
+		if err == nil {
+			b.stores = append(b.stores, st)
+		}
+		return st, err
+	}
+	fail := func(err error) (*backend, error) {
+		b.closeStores()
+		return nil, err
+	}
+	var err error
+	if cfg.Shards <= 1 {
+		if cfg.DataDir != "" {
+			if opts.Store, err = openStore(cfg.DataDir); err != nil {
+				return fail(err)
+			}
+		}
+		if b.server, err = hwstar.NewServer(m, opts); err != nil {
+			return fail(err)
+		}
+		b.engine = b.server
+		return b, nil
+	}
+	ropts := hwstar.RouterOptions{Shards: cfg.Shards, Replicas: cfg.Replicas, Faults: inj}
+	if cfg.MemBudget > 0 {
+		// Federated budgets: the router admits against the cluster-wide
+		// budget while each shard governs its even share.
+		ropts.Memory = hwstar.MemoryConfig{BudgetBytes: cfg.MemBudget, PerQueryBytes: cfg.MemQuery}
+		opts.Memory.BudgetBytes /= int64(cfg.Shards)
+	}
+	if cfg.DataDir != "" {
+		for i := 0; i < cfg.Shards; i++ {
+			if _, err := openStore(filepath.Join(cfg.DataDir, fmt.Sprintf("node-%d", i))); err != nil {
+				return fail(err)
+			}
+		}
+	}
+	ropts.Stores, ropts.Shard = b.stores, opts
+	if b.router, err = hwstar.NewRouter(ctx, m, ropts); err != nil {
+		return fail(err)
+	}
+	b.engine = b.router
+	return b, nil
 }
 
 func run(ctx context.Context, cfg Config) (*report, error) {
-	var (
-		eng    engine
-		router *hwstar.Router
-		tracer *hwstar.Tracer
-		st     *hwstar.Store
-	)
-	if cfg.Shards > 1 {
-		rt, tr, stores, err := buildRouter(ctx, cfg)
-		if err != nil {
+	b, err := build(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer b.closeStores()
+	if b.server != nil {
+		// Load generation starts against a fully replayed hot set; the
+		// cold-start-under-load path is server mode's (see serveAPI).
+		if err := b.server.WaitRecovered(ctx); err != nil {
 			return nil, err
 		}
-		defer func() {
-			for _, s := range stores {
-				s.Close()
-			}
-		}()
-		eng, router, tracer = rt, rt, tr
-	} else {
-		srv, tr, store, err := buildServer(cfg)
-		if err != nil {
-			return nil, err
-		}
-		st = store
-		if st != nil {
-			defer st.Close()
-			// Load generation starts against a fully replayed hot set; the
-			// cold-start-under-load path is server mode's (see serveAPI).
-			if err := srv.WaitRecovered(ctx); err != nil {
-				return nil, err
-			}
-		}
-		eng, tracer = srv, tr
 	}
 	var listenAddr string
 	if cfg.Listen != "" {
@@ -220,7 +246,7 @@ func run(ctx context.Context, cfg Config) (*report, error) {
 			return nil, err
 		}
 		listenAddr = ln.Addr().String()
-		hs := newHTTPServer(newDebugMux(eng.Metrics()))
+		hs := newHTTPServer(newDebugMux(b.Metrics()))
 		go func() { _ = hs.Serve(ln) }()
 		defer hs.Close()
 	}
@@ -228,7 +254,7 @@ func run(ctx context.Context, cfg Config) (*report, error) {
 		hwstar.GenUniform(41, cfg.Rows, 100000),
 		hwstar.GenUniform(42, cfg.Rows, 1000),
 	}
-	if err := eng.Register("facts", cols); err != nil {
+	if err := b.Register("facts", cols); err != nil {
 		return nil, err
 	}
 	g := hwstar.GenJoin(43, 4096, 16384, 0)
@@ -240,16 +266,11 @@ func run(ctx context.Context, cfg Config) (*report, error) {
 	aggKeys := hwstar.GenUniform(44, 65536, 1024)
 	aggVals := hwstar.GenUniform(45, 65536, 100)
 
-	var chaosStop chan struct{}
-	chaosKills := make(chan int, 1)
-	if router != nil && cfg.NodeLossProb > 0 {
-		chaosStop = make(chan struct{})
-		go func() { chaosKills <- runChaos(ctx, router, chaosStop) }()
-	}
+	stopChaos := startChaos(ctx, cfg, b.router)
 
 	var completed, rejected, deadlined, shed, failed atomic.Int64
 	var partials, memShed, oomKilled atomic.Int64
-	var cycles atomicFloat
+	cycles := make([]float64, cfg.Clients) // each client sums into its own slot
 	start := time.Now()
 	var wg sync.WaitGroup
 	for c := 0; c < cfg.Clients; c++ {
@@ -281,12 +302,12 @@ func run(ctx context.Context, cfg Config) (*report, error) {
 				if cfg.Deadline > 0 {
 					reqCtx, cancel = context.WithTimeout(reqCtx, time.Duration(cfg.Deadline))
 				}
-				resp, err := eng.Submit(reqCtx, req)
+				resp, err := b.Submit(reqCtx, req)
 				cancel()
 				switch {
 				case err == nil:
 					completed.Add(1)
-					cycles.add(resp.SimCycles)
+					cycles[c] += resp.SimCycles
 				case errors.Is(err, hwstar.ErrPartialResult):
 					// The flagged answer is usable and exact over the
 					// covered fraction; count it apart from failures.
@@ -309,7 +330,7 @@ func run(ctx context.Context, cfg Config) (*report, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	bs := eng.Metrics().Histogram("serve.batch_size")
+	bs := b.Metrics().Histogram("serve.batch_size")
 	r := &report{
 		completed: completed.Load(), rejected: rejected.Load(), deadlined: deadlined.Load(),
 		shed: shed.Load(), failed: failed.Load(), partials: partials.Load(),
@@ -321,29 +342,30 @@ func run(ctx context.Context, cfg Config) (*report, error) {
 		interrupted: ctx.Err() != nil,
 	}
 	if r.completed > 0 {
-		r.meanMcyc = cycles.load() / float64(r.completed) / 1e6
+		var total float64
+		for _, v := range cycles {
+			total += v
+		}
+		r.meanMcyc = total / float64(r.completed) / 1e6
 	}
-	if chaosStop != nil {
-		close(chaosStop)
-		r.chaosKills = <-chaosKills
-	}
-	r.health = eng.Health()
+	stopChaos()
+	r.health = b.Health()
 	r.listenAddr = listenAddr
-	if router != nil {
-		ch := router.ClusterHealth()
+	if b.router != nil {
+		ch := b.router.ClusterHealth()
 		r.cluster = &ch
 	}
-	if tracer != nil {
-		r.traces = tracer.Snapshot()
-		r.tracesStarted, r.tracesDropped = tracer.Started()
+	if b.tracer != nil {
+		r.traces = b.tracer.Snapshot()
+		r.tracesStarted, r.tracesDropped = b.tracer.Started()
 	}
-	if err := eng.Close(); err != nil {
+	if err := b.Close(); err != nil {
 		return nil, err
 	}
-	if st != nil {
+	if b.server != nil && cfg.DataDir != "" {
 		// Close flushed a final checkpoint; re-read health so the report
 		// shows the manifest version the run actually left on disk.
-		r.health = eng.Health()
+		r.health = b.Health()
 	}
 	return r, nil
 }
@@ -406,15 +428,6 @@ func (r *report) print(w io.Writer, cfg Config) {
 		}
 	}
 }
-
-// atomicFloat accumulates float64 samples without a mutex on the hot path.
-type atomicFloat struct {
-	mu  sync.Mutex
-	sum float64
-}
-
-func (a *atomicFloat) add(v float64) { a.mu.Lock(); a.sum += v; a.mu.Unlock() }
-func (a *atomicFloat) load() float64 { a.mu.Lock(); defer a.mu.Unlock(); return a.sum }
 
 func main() {
 	cfg, printOnly, err := parseConfig(os.Args[1:])

@@ -18,8 +18,25 @@ func smallConfig() Config {
 	return cfg
 }
 
+// engineModes are the two topologies build assembles; the mode-agnostic
+// smokes run once per row.
+var engineModes = []struct {
+	name             string
+	shards, replicas int
+}{
+	{"single", 0, 0},
+	{"shards=3 replicas=2", 3, 2},
+}
+
 func TestRunScanMix(t *testing.T) {
+	for _, mode := range engineModes {
+		t.Run(mode.name, func(t *testing.T) { runScanMix(t, mode.shards, mode.replicas) })
+	}
+}
+
+func runScanMix(t *testing.T, shards, replicas int) {
 	cfg := smallConfig()
+	cfg.Shards, cfg.Replicas = shards, replicas
 	r, err := run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -28,17 +45,25 @@ func TestRunScanMix(t *testing.T) {
 	if r.completed != total || r.rejected != 0 || r.deadlined != 0 {
 		t.Fatalf("completed %d of %d (rejected %d, deadlined %d)", r.completed, total, r.rejected, r.deadlined)
 	}
-	if r.batches == 0 || r.batchMax < 1 {
-		t.Fatalf("no batches recorded: %+v", r)
-	}
 	if r.meanMcyc <= 0 {
 		t.Fatalf("no modeled cost: %+v", r)
 	}
+	want := []string{"completed", "Mcycles/query"}
+	if shards > 1 {
+		// The batch histogram is a serve.* series, and a Router's registry
+		// carries only its own until shard registries are aggregated.
+		want = append(want, "cluster 3 shards x 2 replicas")
+	} else {
+		if r.batches == 0 || r.batchMax < 1 {
+			t.Fatalf("no batches recorded: %+v", r)
+		}
+		want = append(want, "scan batches")
+	}
 	var sb strings.Builder
 	r.print(&sb, cfg)
-	for _, want := range []string{"completed", "scan batches", "Mcycles/query"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Fatalf("report missing %q:\n%s", want, sb.String())
+	for _, w := range want {
+		if !strings.Contains(sb.String(), w) {
+			t.Fatalf("report missing %q:\n%s", w, sb.String())
 		}
 	}
 }
@@ -141,5 +166,34 @@ func TestRunInterrupted(t *testing.T) {
 	r.print(&sb, cfg)
 	if !strings.Contains(sb.String(), "interrupted") {
 		t.Fatalf("report missing interruption notice:\n%s", sb.String())
+	}
+}
+
+// TestClusterCheckpointInterval pins -checkpoint-interval behind a Router:
+// every shard is built from the same options as the single server, so the
+// background checkpointer runs on each node. Checkpoints must be counted
+// while the engine is still open — Close flushes one regardless.
+func TestClusterCheckpointInterval(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Shards, cfg.Replicas = 3, 2
+	cfg.DataDir = t.TempDir()
+	cfg.CheckpointInterval = Duration(5 * time.Millisecond)
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := build(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.closeStores()
+	defer b.Close()
+	if err := b.Register("facts", [][]int64{{1, 2, 3}, {4, 5, 6}}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); b.Health().Checkpoints == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no background checkpoint on any shard: -checkpoint-interval ignored in cluster mode")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -31,7 +31,7 @@ import (
 // (two breakers, two shards) are ordered by the caller.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "the per-package lock-acquisition graph (serve/shard/mem/store/frontend) is cycle-free",
+	Doc:  "the per-package lock-acquisition graph (serve/shard/mem/store/frontend/breaker) is cycle-free",
 	Run:  runLockOrder,
 }
 
@@ -41,6 +41,7 @@ var lockOrderScope = []string{
 	"hwstar/internal/mem",
 	"hwstar/internal/store",
 	"hwstar/internal/frontend",
+	"hwstar/internal/breaker",
 }
 
 // lockEvent is one mutex operation or same-package call, in lexical order.

@@ -28,7 +28,7 @@ func init() {
 	})
 }
 
-// E23TenantBench is one tenant's outcome, JSON-stable for BENCH_frontend.json.
+// E23TenantBench is one tenant's outcome.
 type E23TenantBench struct {
 	Tenant        string  `json:"tenant"`
 	Priority      string  `json:"priority"`
@@ -43,8 +43,8 @@ type E23TenantBench struct {
 	ThroughputRPS float64 `json:"throughput_rps"`
 }
 
-// E23Bench is the full E23 outcome — the schema of BENCH_frontend.json, the
-// perf-trajectory artifact CI and future PRs diff against.
+// E23Bench is the full E23 outcome: what the gates in the tests read and
+// the tables render.
 type E23Bench struct {
 	Scale       float64        `json:"scale"`
 	Machine     string         `json:"machine"`
@@ -245,7 +245,7 @@ func RunE23(cfg Config) (*E23Bench, []*Table, error) {
 	}
 
 	fe, err := frontend.New(frontend.Config{
-		Server: srv,
+		Backend: srv,
 		Tenants: []frontend.TenantConfig{
 			{ID: "int-a", Key: "int-a-key", Priority: "interactive"},
 			{ID: "noisy-b", Key: "noisy-b-key", Priority: "batch", Burst: noisyBurst, MaxConcurrent: 1},

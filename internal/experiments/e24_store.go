@@ -60,7 +60,7 @@ type E24InterferenceBench struct {
 	SegmentBytes    int64   `json:"checkpoint_bytes"`
 }
 
-// E24Bench is the full E24 outcome — the schema of BENCH_store.json.
+// E24Bench is the full E24 outcome.
 type E24Bench struct {
 	Scale        float64              `json:"scale"`
 	Machine      string               `json:"machine"`
@@ -399,7 +399,7 @@ func runE24Interference(m *hw.Machine, clients, requests, factRows, churnRows in
 }
 
 // RunE24 executes the durability experiment and returns both the rendered
-// tables and the structured bench artifact (BENCH_store.json).
+// tables and the structured result the tests gate on.
 func RunE24(cfg Config) (*E24Bench, []*Table, error) {
 	m := hw.Server2S()
 	schedules := cfg.scaled(16, 4)

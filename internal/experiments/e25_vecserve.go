@@ -47,7 +47,7 @@ type E25ChaosBench struct {
 	P99Ratio     float64 `json:"p99_vec_vs_row"`
 }
 
-// E25Bench is the full E25 outcome — the schema of BENCH_serve.json.
+// E25Bench is the full E25 outcome.
 // Speedup is the headline number: the largest cohort's row/vec cycle ratio.
 type E25Bench struct {
 	Scale            float64          `json:"scale"`
@@ -264,7 +264,7 @@ func runE25Chaos(m *hw.Machine, cols [][]int64, queriesN int) (E25ChaosBench, er
 }
 
 // RunE25 executes the vectorized-serving experiment and returns both the
-// rendered tables and the structured artifact (BENCH_serve.json). It fails
+// rendered tables and the structured result the tests gate on. It fails
 // loudly if the server's sums diverge from the row clock scan's, if the
 // headline speedup misses 1.5x, or if chaos p99 regresses.
 func RunE25(cfg Config) (*E25Bench, []*Table, error) {

@@ -78,12 +78,9 @@ type TenantConfig struct {
 
 // Config assembles a Frontend.
 type Config struct {
-	// Server is the engine the frontend fronts. Either Server or Backend is
-	// required; Backend wins when both are set.
-	Server *serve.Server
-	// Backend fronts any engine implementing the Backend surface — in
-	// particular a shard.Router, which presents a replicated cluster behind
-	// the same six methods a single server exposes.
+	// Backend is the engine the frontend fronts (required): a
+	// *serve.Server, or a shard.Router presenting a replicated cluster
+	// behind the same six methods.
 	Backend Backend
 	// Tenants declares the tenant set. At least one tenant is required —
 	// an API with no one authorized to call it is a misconfiguration.
@@ -157,11 +154,8 @@ type Frontend struct {
 // with each tenant's memory cap.
 func New(cfg Config) (*Frontend, error) {
 	backend := cfg.Backend
-	if backend == nil && cfg.Server != nil {
-		backend = cfg.Server
-	}
 	if backend == nil {
-		return nil, fmt.Errorf("frontend: nil backend (set Server or Backend): %w", errs.ErrInvalidInput)
+		return nil, fmt.Errorf("frontend: nil backend: %w", errs.ErrInvalidInput)
 	}
 	if len(cfg.Tenants) == 0 {
 		return nil, fmt.Errorf("frontend: no tenants configured: %w", errs.ErrInvalidInput)

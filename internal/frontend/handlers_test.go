@@ -76,7 +76,7 @@ func newTestEnv(t *testing.T, opts serve.Options, tenants []TenantConfig, fcfg C
 		t.Fatal(err)
 	}
 	clock := &fakeClock{t: time.Unix(1700000000, 0)}
-	fcfg.Server = srv
+	fcfg.Backend = srv
 	fcfg.Tenants = tenants
 	fcfg.Now = clock.now
 	if fcfg.Lineitems == nil {

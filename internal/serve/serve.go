@@ -74,6 +74,7 @@ import (
 	"time"
 
 	"hwstar/internal/agg"
+	"hwstar/internal/breaker"
 	"hwstar/internal/errs"
 	"hwstar/internal/fault"
 	"hwstar/internal/hw"
@@ -427,7 +428,7 @@ type Server struct {
 
 	// brk is the circuit breaker (nil when disabled); rng feeds backoff
 	// jitter deterministically.
-	brk   *breaker
+	brk   *breaker.Breaker
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
@@ -507,7 +508,7 @@ func New(m *hw.Machine, opts Options) (*Server, error) {
 		rng:      rand.New(rand.NewSource(seed)),
 	}
 	if opts.BreakerThreshold > 0 {
-		s.brk = &breaker{threshold: opts.BreakerThreshold, cooldown: opts.BreakerCooldown}
+		s.brk = breaker.New(opts.BreakerThreshold, opts.BreakerCooldown)
 	}
 	// Arm the memory governor when a budget is set or allocation faults are
 	// requested (an unlimited governor still injects). The server's compute
@@ -900,7 +901,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 	}
 	// Degraded mode: shed everything but scans while the breaker is open.
 	// Scans stay admitted — they run on the reduced worker budget.
-	if s.brk != nil && req.Op != OpScan && !s.brk.allow(time.Now()) {
+	if s.brk != nil && req.Op != OpScan && !s.brk.Allow(time.Now()) {
 		s.reg.Counter("serve.shed").Inc()
 		s.tenantInc(req.Tenant, "shed")
 		return Response{}, fmt.Errorf("serve: circuit open, %s shed: %w", req.Op, errs.ErrDegraded)
@@ -1108,66 +1109,6 @@ func (c *coreSem) release(n int, batchClass bool) {
 	}
 }
 
-// breaker is a consecutive-failure circuit breaker. Open means the server is
-// in degraded mode; after cooldown, requests pass half-open until one
-// succeeds (closing it) or fails (re-arming the cooldown).
-type breaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-
-	consec   int
-	open     bool
-	openedAt time.Time
-	trips    int64
-}
-
-// allow reports whether a sheddable request may proceed: always when
-// closed, and as a half-open probe once the cooldown has elapsed.
-func (b *breaker) allow(now time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return !b.open || now.Sub(b.openedAt) >= b.cooldown
-}
-
-// degraded reports whether the server is in degraded mode (breaker open,
-// cooled down or not).
-func (b *breaker) degraded() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.open
-}
-
-func (b *breaker) onSuccess() {
-	b.mu.Lock()
-	b.consec = 0
-	b.open = false
-	b.mu.Unlock()
-}
-
-func (b *breaker) onFailure(now time.Time) (tripped bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.consec++
-	if b.open {
-		b.openedAt = now // a failed half-open probe re-arms the cooldown
-		return false
-	}
-	if b.consec >= b.threshold {
-		b.open = true
-		b.openedAt = now
-		b.trips++
-		return true
-	}
-	return false
-}
-
-func (b *breaker) snapshot() (consec int, open bool, trips int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.consec, b.open, b.trips
-}
-
 // newSched builds one scheduler for one operation, carrying the server's
 // fault injector, resilience policy, and the request's memory reservation.
 func (s *Server) newSched(workers int, resv *mem.Reservation) (*sched.Scheduler, error) {
@@ -1352,7 +1293,7 @@ func (s *Server) dispatch() {
 		b := cur
 		cur, window = nil, nil
 		b.workers = s.opts.Workers // a shared pass owns the whole budget...
-		if s.brk != nil && s.brk.degraded() {
+		if s.brk != nil && s.brk.Degraded() {
 			b.workers = s.opts.DegradedWorkers // ...unless the server is degraded
 			s.reg.Counter("serve.degraded_scans").Inc()
 		}
@@ -1696,7 +1637,7 @@ func (s *Server) finish(p *pending, resp Response, err error) {
 		}
 		p.span.SetAttr("status", "ok")
 		if s.brk != nil {
-			s.brk.onSuccess()
+			s.brk.OnSuccess()
 		}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		s.reg.Counter("serve.deadline_exceeded").Inc()
@@ -1713,7 +1654,7 @@ func (s *Server) finish(p *pending, resp Response, err error) {
 		// does not feed the breaker. Tripping into degraded mode over a full
 		// budget would shed the very load whose completion frees it.
 		if s.brk != nil && retryable(err) && !errors.Is(err, errs.ErrMemoryPressure) {
-			if s.brk.onFailure(time.Now()) {
+			if s.brk.OnFailure(time.Now()) {
 				s.reg.Counter("serve.breaker_trips").Inc()
 			}
 		}
@@ -1858,7 +1799,7 @@ func (s *Server) Health() Health {
 		Faults:            s.opts.Faults.CountsInt64(),
 	}
 	if s.brk != nil {
-		consec, open, _ := s.brk.snapshot()
+		consec, open, _ := s.brk.Snapshot()
 		h.ConsecutiveFailures = consec
 		if open {
 			h.State = "degraded"

@@ -77,7 +77,7 @@ func (r *Router) RecoverNode(ctx context.Context, id int) error {
 		srv.Close()
 		return fmt.Errorf("shard: recover node %d: %w", id, err)
 	}
-	n.brk.reset()
+	n.brk.Reset()
 	n.alive.Store(true)
 	return nil
 }

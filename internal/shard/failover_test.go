@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"hwstar/internal/errs"
 	"hwstar/internal/fault"
@@ -193,5 +194,33 @@ func TestKillAndRecoverIdempotent(t *testing.T) {
 	}
 	if err := r.KillNode(9); !errors.Is(err, errs.ErrInvalidInput) {
 		t.Fatalf("out-of-range kill: %v, want ErrInvalidInput", err)
+	}
+}
+
+// TestFailingNodeSortsAfterHealthyReplica pins the router's breaker policy
+// across cooldowns: a live node whose route tripped and whose half-open
+// probe has failed at every cooldown since stays ordered behind its healthy
+// replica (the failed probe re-arms the cooldown), yet is never dropped —
+// it is still the candidate when it is the last replica standing. The
+// failure times are explicit and the cooldown an hour, so no sleep decides
+// the outcome.
+func TestFailingNodeSortsAfterHealthyReplica(t *testing.T) {
+	r := newRouter(t, Options{Shards: 2, Replicas: 2, BreakerThreshold: 1, BreakerCooldown: time.Hour})
+	bad := r.nodes[1]
+	now := time.Now()
+	bad.brk.OnFailure(now.Add(-150 * time.Minute)) // trips
+	bad.brk.OnFailure(now.Add(-90 * time.Minute))  // probe after the first cooldown fails
+	bad.brk.OnFailure(now.Add(-30 * time.Minute))  // probe after the second fails
+	for i := 0; i < 4; i++ {                       // every rotor position
+		c := r.candidates([]int{0, 1})
+		if len(c) != 2 || c[0].id != 0 || c[1] != bad {
+			t.Fatalf("rotation %d: node failing every probe not ordered last: %v then %v", i, c[0].id, c[1].id)
+		}
+	}
+	if err := r.KillNode(0); err != nil {
+		t.Fatal(err)
+	}
+	if c := r.candidates([]int{0, 1}); len(c) != 1 || c[0] != bad {
+		t.Fatalf("last replica standing dropped from candidates: %v", c)
 	}
 }

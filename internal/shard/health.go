@@ -90,7 +90,7 @@ func (r *Router) ClusterHealth() ClusterHealth {
 	}
 	for _, n := range nodes {
 		nh := NodeHealth{ID: n.id, Alive: n.alive.Load()}
-		nh.BreakerOpen, nh.BreakerTrips = n.brk.snapshot()
+		_, nh.BreakerOpen, nh.BreakerTrips = n.brk.Snapshot()
 		if srv := n.server(); srv != nil && nh.Alive {
 			nh.Serve = srv.Health()
 		}

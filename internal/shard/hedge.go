@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"hwstar/internal/errs"
@@ -148,7 +147,7 @@ func (r *Router) dispatch(ctx context.Context, replicas []int, req serve.Request
 		case res := <-results:
 			pending--
 			if res.err == nil {
-				res.node.brk.onSuccess()
+				res.node.brk.OnSuccess()
 				if res.hedged {
 					r.hedgeWins.Add(1)
 					r.reg.Counter("shard.hedge_wins").Inc()
@@ -159,7 +158,7 @@ func (r *Router) dispatch(ctx context.Context, replicas []int, req serve.Request
 				// Lost the hedge race — not a node failure.
 				continue
 			}
-			res.node.brk.onFailure()
+			res.node.brk.OnFailure(time.Now())
 			lastErr = res.err
 			if launched < len(cands) {
 				out.failovers++
@@ -174,57 +173,4 @@ func (r *Router) dispatch(ctx context.Context, replicas []int, req serve.Request
 		lastErr = fmt.Errorf("shard: all replicas lost: %w", errs.ErrDegraded)
 	}
 	return serve.Response{}, out, lastErr
-}
-
-// breaker is the router-side circuit breaker guarding the route to one
-// node. It mirrors serve's internal breaker in miniature: consecutive
-// route failures open it, a cooldown later one request probes half-open,
-// success closes it. Unlike serve's, it never sheds — candidates with
-// open breakers merely sort last, because a breaker must not turn "slow
-// node" into "lost range".
-type breaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-
-	consec   int
-	open     bool
-	openedAt time.Time
-	trips    int64
-}
-
-func (b *breaker) allow(now time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return !b.open || now.Sub(b.openedAt) >= b.cooldown
-}
-
-func (b *breaker) onSuccess() {
-	b.mu.Lock()
-	b.consec = 0
-	b.open = false
-	b.mu.Unlock()
-}
-
-func (b *breaker) onFailure() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.consec++
-	if !b.open && b.consec >= b.threshold {
-		b.open = true
-		b.openedAt = time.Now()
-		b.trips++
-	}
-}
-
-func (b *breaker) snapshot() (open bool, trips int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.open, b.trips
-}
-
-func (b *breaker) reset() {
-	b.mu.Lock()
-	b.consec, b.open, b.openedAt = 0, false, time.Time{}
-	b.mu.Unlock()
 }

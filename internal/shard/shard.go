@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hwstar/internal/breaker"
 	"hwstar/internal/cluster"
 	"hwstar/internal/errs"
 	"hwstar/internal/fault"
@@ -157,7 +158,7 @@ type Response struct {
 type node struct {
 	id    int
 	st    *store.Store
-	brk   breaker
+	brk   *breaker.Breaker
 	alive atomic.Bool
 
 	mu  sync.RWMutex
@@ -261,7 +262,7 @@ func New(ctx context.Context, m *hw.Machine, opts Options) (*Router, error) {
 		r.gov = mem.NewGovernor(opts.Memory)
 	}
 	for i := 0; i < opts.Shards; i++ {
-		n := &node{id: i, brk: breaker{threshold: opts.BreakerThreshold, cooldown: opts.BreakerCooldown}}
+		n := &node{id: i, brk: breaker.New(opts.BreakerThreshold, opts.BreakerCooldown)}
 		if opts.Stores != nil {
 			n.st = opts.Stores[i]
 		}
@@ -443,7 +444,7 @@ func (r *Router) candidates(replicas []int) []*node {
 		if !n.alive.Load() {
 			continue
 		}
-		if n.brk.allow(now) {
+		if n.brk.Allow(now) {
 			healthy = append(healthy, n)
 		} else {
 			degraded = append(degraded, n)
