@@ -6,7 +6,7 @@ GO ?= go
 # no dependencies beyond the toolchain.
 STRICT ?=
 
-.PHONY: all build vet hwlint lint lint-report test race race-core check fuzz-smoke bench bench-layers perf perf-smoke experiments clean
+.PHONY: all build vet hwlint lint lint-report loc test race race-core check fuzz-smoke bench bench-layers perf perf-smoke experiments clean
 
 all: check
 
@@ -37,6 +37,12 @@ lint: vet hwlint
 # jumpable) and always exits 0: the editor-loop companion to the hard gate.
 lint-report:
 	@$(GO) run ./cmd/hwlint || true
+
+# loc prints the figure a [simplicity] PR is judged by: non-test Go lines
+# outside cmd/hwperf (the frozen benchmark). CI prints it in the lint step, so
+# "net negative" is read off two logs, not asserted in prose.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './cmd/hwperf/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 test:
 	$(GO) test ./...

@@ -172,10 +172,12 @@ func serveAPISmoke(t *testing.T, shards, replicas int) {
 		}
 		return got == queries
 	}
-	if got := h.Tenants["int-a"]; !completedOK(got.Completed, noisyFlood) || got.RateLimited != 0 {
+	// Latency is what the tenant waited for, whole-request, in both
+	// topologies (a Router records it itself: shard.tenant.<id>.latency_ms).
+	if got := h.Tenants["int-a"]; !completedOK(got.Completed, noisyFlood) || got.RateLimited != 0 || got.LatencyP50Ms <= 0 {
 		t.Fatalf("interactive tenant health: %+v", got)
 	}
-	if got := h.Tenants["noisy-b"]; !completedOK(got.Completed, 3) || got.RateLimited != int64(noisyFlood-3) {
+	if got := h.Tenants["noisy-b"]; !completedOK(got.Completed, 3) || got.RateLimited != int64(noisyFlood-3) || got.LatencyP50Ms <= 0 {
 		t.Fatalf("noisy tenant health: %+v", got)
 	}
 

@@ -362,7 +362,7 @@ func run(ctx context.Context, cfg Config) (*report, error) {
 	if err := b.Close(); err != nil {
 		return nil, err
 	}
-	if b.server != nil && cfg.DataDir != "" {
+	if cfg.DataDir != "" {
 		// Close flushed a final checkpoint; re-read health so the report
 		// shows the manifest version the run actually left on disk.
 		r.health = b.Health()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -37,6 +38,7 @@ func TestRunScanMix(t *testing.T) {
 func runScanMix(t *testing.T, shards, replicas int) {
 	cfg := smallConfig()
 	cfg.Shards, cfg.Replicas = shards, replicas
+	cfg.DataDir = t.TempDir()
 	r, err := run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -48,10 +50,15 @@ func runScanMix(t *testing.T, shards, replicas int) {
 	if r.meanMcyc <= 0 {
 		t.Fatalf("no modeled cost: %+v", r)
 	}
-	want := []string{"completed", "Mcycles/query"}
+	// Health is the same view in both topologies, so the lines built from it
+	// are too: scan passes, and the manifest version Close left on disk.
+	if r.health.VecPasses == 0 || r.health.StoreVersion == 0 {
+		t.Fatalf("health: %d scan passes, manifest v%d", r.health.VecPasses, r.health.StoreVersion)
+	}
+	want := []string{"completed", "Mcycles/query", "scan passes", fmt.Sprintf("manifest v%d", r.health.StoreVersion)}
 	if shards > 1 {
-		// The batch histogram is a serve.* series, and a Router's registry
-		// carries only its own until shard registries are aggregated.
+		// The batch histogram is a serve.* series, not a Health field: a
+		// Router's registry carries only its own series (ROADMAP item 6).
 		want = append(want, "cluster 3 shards x 2 replicas")
 	} else {
 		if r.batches == 0 || r.batchMax < 1 {

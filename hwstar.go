@@ -22,7 +22,7 @@
 // modeled hardware costs, and a Server that multiplexes concurrent clients
 // onto the engine with shared-scan batching, admission control, and
 // memory-budget governance with graceful spill, and a durable storage tier
-// (checkpointed segments, crash recovery) via OpenStore. The E1–E24
+// (checkpointed segments, crash recovery) via OpenStore. The E1–E26
 // experiment suite (internal/experiments, cmd/hwbench) reproduces the
 // behaviour the hardware-conscious database literature reports, on any host,
 // deterministically.
@@ -245,12 +245,7 @@ func (e *Engine) HashJoin(ctx context.Context, buildKeys, buildVals, probeKeys, 
 		return JoinResult{}, err
 	}
 	if algo == JoinAuto || algo == "" {
-		htBytes := int64(len(buildKeys)) * 34
-		if htBytes > e.machine.LLC().SizeBytes {
-			algo = JoinRadix
-		} else {
-			algo = JoinNPO
-		}
+		algo = JoinAlgorithm(join.AutoAlgorithm(e.machine, len(buildKeys)))
 	}
 	s, err := e.scheduler()
 	if err != nil {
@@ -699,7 +694,7 @@ type (
 // returning the stable code, HTTP status, and retryability.
 var V1CodeFor = v1.CodeFor
 
-// RunExperiment executes one experiment of the E1–E24 suite at the given
+// RunExperiment executes one experiment of the E1–E26 suite at the given
 // scale (1 = full size) and returns its result tables.
 func RunExperiment(id string, scale float64) ([]*ResultTable, error) {
 	exp, err := experiments.ByID(id)

@@ -22,6 +22,34 @@ func init() {
 	})
 }
 
+// cohortQuery is the serving cohorts' query shape: a 5000-wide range over
+// the filter column.
+func cohortQuery(lo int64) scan.Query {
+	return scan.Query{FilterCol: 0, Lo: lo, Hi: lo + 5000, AggCol: 1}
+}
+
+// scanCohort fires one cohortQuery per element of los at table,
+// all concurrently, and returns the mean modeled Mcyc per query plus each
+// client's sum, in client order. Any failed scan fails the cohort.
+func scanCohort(s *serve.Server, table string, los []int64) (meanMcyc float64, sums []int64, err error) {
+	sums = make([]int64, len(los))
+	cycles := make([]float64, len(los))
+	errsOut := make([]error, len(los))
+	closedLoop(len(los), 1, func(c, _ int) error {
+		resp, err := s.Submit(context.Background(), serve.Request{Op: serve.OpScan, Table: table, Query: cohortQuery(los[c])})
+		sums[c], cycles[c], errsOut[c] = resp.Sum, resp.SimCycles, err
+		return err
+	})
+	var total float64
+	for c := range los {
+		if errsOut[c] != nil {
+			return 0, nil, errsOut[c]
+		}
+		total += cycles[c]
+	}
+	return total / float64(len(los)) / 1e6, sums, nil
+}
+
 func runE19(cfg Config) ([]*Table, error) {
 	m := hw.Server2S()
 	rows := cfg.scaled(1<<19, 1<<13)
@@ -51,38 +79,13 @@ func runE19(cfg Config) ([]*Table, error) {
 		if err := s.Register("facts", cols); err != nil {
 			return 0, 0, 0, 0, 0, err
 		}
-		los := workload.UniformInts(1903, clients, 90000)
-		cycles := make([]float64, clients)
-		errsOut := make([]error, clients)
-		var wg sync.WaitGroup
-		for i := 0; i < clients; i++ {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				resp, err := s.Submit(context.Background(), serve.Request{
-					Op:    serve.OpScan,
-					Table: "facts",
-					Query: scan.Query{FilterCol: 0, Lo: los[i], Hi: los[i] + 5000, AggCol: 1},
-				})
-				if err != nil {
-					errsOut[i] = err
-					return
-				}
-				cycles[i] = resp.SimCycles
-			}()
-		}
-		wg.Wait()
-		var total float64
-		for i := 0; i < clients; i++ {
-			if errsOut[i] != nil {
-				return 0, 0, 0, 0, 0, errsOut[i]
-			}
-			total += cycles[i]
+		meanMcyc, _, err = scanCohort(s, "facts", workload.UniformInts(1903, clients, 90000))
+		if err != nil {
+			return 0, 0, 0, 0, 0, err
 		}
 		bs := s.Metrics().Histogram("serve.batch_size")
 		ctrs := s.Metrics().Counters()
-		return total / float64(clients) / 1e6, bs.Count(), bs.Quantile(0.5),
+		return meanMcyc, bs.Count(), bs.Quantile(0.5),
 			ctrs["serve.admitted"], ctrs["serve.rejected"], nil
 	}
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"sort"
 	"time"
 
 	"hwstar/internal/bench"
@@ -29,15 +28,6 @@ type e20TrialStats struct {
 	attempts  int
 	makespans []float64 // cumulative Mcyc to success, completed trials only
 	faults    sched.FaultStats
-}
-
-func (s *e20TrialStats) quantile(q float64) float64 {
-	if len(s.makespans) == 0 {
-		return 0
-	}
-	sort.Float64s(s.makespans)
-	i := int(q * float64(len(s.makespans)-1))
-	return s.makespans[i]
 }
 
 // e20SchedTrials runs `trials` independent chaos trials of the same morsel
@@ -124,8 +114,8 @@ func runE20(cfg Config) ([]*Table, error) {
 		t1.AddRow(row.name,
 			bench.F("%d/%d", row.s.completed, trials),
 			bench.F("%d", row.s.attempts),
-			bench.F("%.2f", row.s.quantile(0.50)),
-			bench.F("%.2f", row.s.quantile(0.99)),
+			bench.F("%.2f", quantileOf(row.s.makespans, 0.50)),
+			bench.F("%.2f", quantileOf(row.s.makespans, 0.99)),
 			bench.F("%d", row.s.faults.Panics),
 			bench.F("%d", row.s.faults.TaskRetries),
 			bench.F("%d", row.s.faults.Redispatched),
@@ -203,10 +193,7 @@ func runE20(cfg Config) ([]*Table, error) {
 				st.gaveUp++
 			}
 		}
-		if len(cycles) > 0 {
-			sort.Float64s(cycles)
-			st.p99 = cycles[int(0.99*float64(len(cycles)-1))]
-		}
+		st.p99 = quantileOf(cycles, 0.99)
 		st.h = s.Health()
 		return st, nil
 	}

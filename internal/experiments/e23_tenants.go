@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"sync"
 	"time"
 
@@ -26,35 +25,6 @@ func init() {
 		Claim: "per-tenant governance at the network frontend — token-bucket rate limits, priority lanes, and an interactive core reserve — keeps an interactive tenant's p99 within a small factor of its solo latency while a noisy batch tenant is rate-limited deterministically, instead of the noisy tenant starving everyone through a shared queue",
 		Run:   runE23,
 	})
-}
-
-// E23TenantBench is one tenant's outcome.
-type E23TenantBench struct {
-	Tenant        string  `json:"tenant"`
-	Priority      string  `json:"priority"`
-	Sent          int64   `json:"sent"`
-	Completed     int64   `json:"completed"`
-	RateLimited   int64   `json:"rate_limited"`
-	QuotaRejected int64   `json:"quota_rejected"`
-	Shed          int64   `json:"shed"`
-	Failed        int64   `json:"failed"`
-	P50Ms         float64 `json:"p50_ms"`
-	P99Ms         float64 `json:"p99_ms"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-}
-
-// E23Bench is the full E23 outcome: what the gates in the tests read and
-// the tables render.
-type E23Bench struct {
-	Scale       float64        `json:"scale"`
-	Machine     string         `json:"machine"`
-	SoloP50Ms   float64        `json:"interactive_solo_p50_ms"`
-	SoloP99Ms   float64        `json:"interactive_solo_p99_ms"`
-	DuoP50Ms    float64        `json:"interactive_duo_p50_ms"`
-	DuoP99Ms    float64        `json:"interactive_duo_p99_ms"`
-	P99Ratio    float64        `json:"interactive_p99_duo_vs_solo"`
-	Interactive E23TenantBench `json:"interactive"`
-	Noisy       E23TenantBench `json:"noisy"`
 }
 
 // e23Client is one tenant's HTTP session against the frontend under test.
@@ -140,35 +110,15 @@ func (c *e23Counts) note(status int, code string, latency time.Duration) {
 	}
 }
 
-func (c *e23Counts) quantile(q float64) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return quantileOf(c.latenciesMs, q)
-}
-
-func quantileOf(samples []float64, q float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	return s[int(q*float64(len(s)-1))]
-}
-
-func (c *e23Counts) bench(tenant, priority string) E23TenantBench {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b := E23TenantBench{
-		Tenant: tenant, Priority: priority,
-		Sent: c.sent, Completed: c.completed,
-		RateLimited: c.rateLimited, QuotaRejected: c.quota,
-		Shed: c.shed, Failed: c.failed,
-		P50Ms: quantileOf(c.latenciesMs, 0.5), P99Ms: quantileOf(c.latenciesMs, 0.99),
-	}
+// row renders the cohort as one line of the governance table.
+func (c *e23Counts) row(tenant, priority string) []string {
+	rps := 0.0
 	if c.elapsed > 0 {
-		b.ThroughputRPS = float64(c.completed) / c.elapsed.Seconds()
+		rps = float64(c.completed) / c.elapsed.Seconds()
 	}
-	return b
+	return []string{tenant, priority, bench.F("%d", c.sent), bench.F("%d", c.completed),
+		bench.F("%d", c.rateLimited), bench.F("%d", c.quota), bench.F("%d", c.shed),
+		bench.F("%d", c.failed), bench.F("%.0f", rps)}
 }
 
 // e23Cohort fires clients×requests queries from a tenant's session, one
@@ -180,7 +130,6 @@ func e23Cohort(c *e23Client, clients, requests int, think time.Duration, mkQuery
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -206,15 +155,14 @@ func e23Cohort(c *e23Client, clients, requests int, think time.Duration, mkQuery
 	counts.mu.Unlock()
 }
 
-// RunE23 executes the two-tenant isolation experiment and returns both the
-// rendered tables and the structured bench artifact.
+// runE23 executes the two-tenant isolation experiment.
 //
 // Phase 1 (solo): the interactive tenant runs its scan workload alone.
 // Phase 2 (duo): the same workload runs while a noisy batch tenant floods
 // expensive grouped aggregations; the noisy tenant's token bucket is
 // burst-only (rate 0), so its admission count — and therefore its rejection
 // count — is exact, not probabilistic.
-func RunE23(cfg Config) (*E23Bench, []*Table, error) {
+func runE23(cfg Config) ([]*Table, error) {
 	m := hw.Server2S()
 	intClients := cfg.scaled(8, 2)
 	intRequests := cfg.scaled(80, 5)
@@ -233,7 +181,7 @@ func RunE23(cfg Config) (*E23Bench, []*Table, error) {
 		InteractiveReserve: 6,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer srv.Close()
 	cols := [][]int64{
@@ -241,7 +189,7 @@ func RunE23(cfg Config) (*E23Bench, []*Table, error) {
 		workload.UniformInts(2312, rows, 1000),
 	}
 	if err := srv.Register("facts", cols); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	fe, err := frontend.New(frontend.Config{
@@ -252,18 +200,18 @@ func RunE23(cfg Config) (*E23Bench, []*Table, error) {
 		},
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	hs := httptest.NewServer(fe.Handler())
 	defer hs.Close()
 
 	intClient, err := newE23Client(hs.URL, "int-a", "int-a-key")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	noisyClient, err := newE23Client(hs.URL, "noisy-b", "noisy-b-key")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	mkScan := func(rng *rand.Rand) []byte {
@@ -300,31 +248,22 @@ func RunE23(cfg Config) (*E23Bench, []*Table, error) {
 	}()
 	wg.Wait()
 
-	b := &E23Bench{
-		Scale:     cfg.Scale,
-		Machine:   "server-2s8c",
-		SoloP50Ms: solo.quantile(0.5), SoloP99Ms: solo.quantile(0.99),
-		DuoP50Ms: duo.quantile(0.5), DuoP99Ms: duo.quantile(0.99),
+	// Everyone has joined: the counts are read without their mutex from here.
+	soloP50, soloP99 := quantileOf(solo.latenciesMs, 0.5), quantileOf(solo.latenciesMs, 0.99)
+	duoP50, duoP99 := quantileOf(duo.latenciesMs, 0.5), quantileOf(duo.latenciesMs, 0.99)
+	p99Ratio := 0.0
+	if soloP99 > 0 {
+		p99Ratio = duoP99 / soloP99
 	}
-	if b.SoloP99Ms > 0 {
-		b.P99Ratio = b.DuoP99Ms / b.SoloP99Ms
-	}
-	// The duo-phase interactive counters plus the solo phase both ran on the
-	// int-a session; report the duo phase (the contended one).
-	b.Interactive = duo.bench("int-a", "interactive")
-	b.Noisy = noisy.bench("noisy-b", "batch")
 
 	// The noisy tenant's bucket is burst-only: admitted exactly
 	// min(sent, burst), rejected exactly sent-burst. Anything else is a
 	// frontend bug, not noise.
 	wantSent := int64(noisyClients * noisyRequests)
-	wantLimited := wantSent - int64(noisyBurst)
-	if wantLimited < 0 {
-		wantLimited = 0
-	}
-	if b.Noisy.RateLimited != wantLimited {
-		return nil, nil, fmt.Errorf("e23: noisy tenant rate-limited %d times, want exactly %d (burst %d of %d sent)",
-			b.Noisy.RateLimited, wantLimited, noisyBurst, wantSent)
+	wantLimited := max(wantSent-int64(noisyBurst), 0)
+	if noisy.rateLimited != wantLimited {
+		return nil, fmt.Errorf("e23: noisy tenant rate-limited %d times, want exactly %d (burst %d of %d sent)",
+			noisy.rateLimited, wantLimited, noisyBurst, wantSent)
 	}
 
 	t1 := bench.NewTable(
@@ -332,21 +271,15 @@ func RunE23(cfg Config) (*E23Bench, []*Table, error) {
 			intClients, intRequests, noisyClients, noisyRequests, noisyBurst),
 		"phase", "sent", "completed", "p50 ms", "p99 ms", "p99 vs solo")
 	t1.AddRow("solo", bench.F("%d", solo.sent), bench.F("%d", solo.completed),
-		bench.F("%.2f", b.SoloP50Ms), bench.F("%.2f", b.SoloP99Ms), "1.00x")
+		bench.F("%.2f", soloP50), bench.F("%.2f", soloP99), "1.00x")
 	t1.AddRow("vs noisy batch", bench.F("%d", duo.sent), bench.F("%d", duo.completed),
-		bench.F("%.2f", b.DuoP50Ms), bench.F("%.2f", b.DuoP99Ms), bench.F("%.2fx", b.P99Ratio))
+		bench.F("%.2f", duoP50), bench.F("%.2f", duoP99), bench.F("%.2fx", p99Ratio))
 
+	// The solo and duo phases both ran on the int-a session; the governance
+	// table reports the duo phase (the contended one).
 	t2 := bench.NewTable("E23: per-tenant governance (noisy tenant burst-only bucket: rejections are exact)",
 		"tenant", "priority", "sent", "completed", "rate-limited", "quota-rejected", "shed", "failed", "throughput rps")
-	for _, tb := range []E23TenantBench{b.Interactive, b.Noisy} {
-		t2.AddRow(tb.Tenant, tb.Priority, bench.F("%d", tb.Sent), bench.F("%d", tb.Completed),
-			bench.F("%d", tb.RateLimited), bench.F("%d", tb.QuotaRejected), bench.F("%d", tb.Shed),
-			bench.F("%d", tb.Failed), bench.F("%.0f", tb.ThroughputRPS))
-	}
-	return b, []*Table{t1, t2}, nil
-}
-
-func runE23(cfg Config) ([]*Table, error) {
-	_, tables, err := RunE23(cfg)
-	return tables, err
+	t2.AddRow(duo.row("int-a", "interactive")...)
+	t2.AddRow(noisy.row("noisy-b", "batch")...)
+	return []*Table{t1, t2}, nil
 }

@@ -11,7 +11,6 @@ import (
 	"hwstar/internal/bench"
 	"hwstar/internal/fault"
 	"hwstar/internal/hw"
-	"hwstar/internal/scan"
 	"hwstar/internal/serve"
 	"hwstar/internal/store"
 	"hwstar/internal/workload"
@@ -26,47 +25,28 @@ func init() {
 	})
 }
 
-// E24CrashBench summarizes the kill/recover schedules — the durability
+// e24CrashBench summarizes the kill/recover schedules — the durability
 // contract, counted exactly. LostVersions and ContentMismatches must be
 // zero; the experiment fails loudly otherwise.
-type E24CrashBench struct {
-	Schedules         int `json:"schedules"`
-	Lives             int `json:"lives_per_schedule"`
-	InjectedCrashes   int `json:"injected_crashes"`
-	Checkpoints       int `json:"committed_checkpoints"`
-	Recoveries        int `json:"recoveries"`
-	Fallbacks         int `json:"recovery_fallbacks"`
-	LostVersions      int `json:"lost_committed_versions"`
-	ContentMismatches int `json:"content_mismatches"`
+type e24CrashBench struct {
+	Schedules, Lives, InjectedCrashes, Checkpoints         int
+	Recoveries, Fallbacks, LostVersions, ContentMismatches int
 }
 
-// E24RecoveryPoint is one point of the recovery-time-vs-volume sweep.
-type E24RecoveryPoint struct {
-	Tables         int     `json:"tables"`
-	BytesValidated int64   `json:"bytes_validated"`
-	SimMcycles     float64 `json:"sim_mcycles"`
-	WallMs         float64 `json:"wall_ms"`
+// e24RecoveryPoint is one point of the recovery-time-vs-volume sweep.
+type e24RecoveryPoint struct {
+	Tables             int
+	BytesValidated     int64
+	SimMcycles, WallMs float64
 }
 
-// E24InterferenceBench compares interactive scan p99 with and without
+// e24InterferenceBench compares interactive scan p99 with and without
 // background checkpoints running against the same durable server.
-type E24InterferenceBench struct {
-	BaselineP50Ms   float64 `json:"baseline_p50_ms"`
-	BaselineP99Ms   float64 `json:"baseline_p99_ms"`
-	CheckpointP50Ms float64 `json:"checkpoint_p50_ms"`
-	CheckpointP99Ms float64 `json:"checkpoint_p99_ms"`
-	P99Ratio        float64 `json:"p99_checkpoint_vs_baseline"`
-	Checkpoints     int64   `json:"checkpoints_committed"`
-	SegmentBytes    int64   `json:"checkpoint_bytes"`
-}
-
-// E24Bench is the full E24 outcome.
-type E24Bench struct {
-	Scale        float64              `json:"scale"`
-	Machine      string               `json:"machine"`
-	Crash        E24CrashBench        `json:"crash_recovery"`
-	Recovery     []E24RecoveryPoint   `json:"recovery_vs_volume"`
-	Interference E24InterferenceBench `json:"checkpoint_interference"`
+type e24InterferenceBench struct {
+	BaselineP50Ms, BaselineP99Ms     float64
+	CheckpointP50Ms, CheckpointP99Ms float64
+	P99Ratio                         float64
+	Checkpoints, SegmentBytes        int64
 }
 
 // e24Cols derives the columns staged for one attempt version of one
@@ -127,9 +107,9 @@ func e24Verify(ctx context.Context, st *store.Store, want map[string][][]int64) 
 // next life must recover either the previous version or the attempted one —
 // never anything older than the last acked commit, and always with the
 // exact contents recorded for whatever version it landed on.
-func runE24Crash(m *hw.Machine, schedules, lives, rows int) (E24CrashBench, error) {
+func runE24Crash(m *hw.Machine, schedules, lives, rows int) (e24CrashBench, error) {
 	ctx := context.Background()
-	b := E24CrashBench{Schedules: schedules, Lives: lives}
+	b := e24CrashBench{Schedules: schedules, Lives: lives}
 	for sched := 0; sched < schedules; sched++ {
 		dir, err := os.MkdirTemp("", "hwstar-e24-crash-*")
 		if err != nil {
@@ -210,9 +190,9 @@ func runE24Crash(m *hw.Machine, schedules, lives, rows int) (E24CrashBench, erro
 // runE24Recovery measures recovery against data volume: checkpoint k tables
 // of fixed size, reopen, and record what replay validated and what it cost
 // through the modeled flash tier.
-func runE24Recovery(m *hw.Machine, tableCounts []int, rows int) ([]E24RecoveryPoint, error) {
+func runE24Recovery(m *hw.Machine, tableCounts []int, rows int) ([]e24RecoveryPoint, error) {
 	ctx := context.Background()
-	var points []E24RecoveryPoint
+	var points []e24RecoveryPoint
 	for _, k := range tableCounts {
 		dir, err := os.MkdirTemp("", "hwstar-e24-recover-*")
 		if err != nil {
@@ -250,7 +230,7 @@ func runE24Recovery(m *hw.Machine, tableCounts []int, rows int) ([]E24RecoveryPo
 			return nil, err
 		}
 		r := st2.Recovery()
-		points = append(points, E24RecoveryPoint{
+		points = append(points, e24RecoveryPoint{
 			Tables:         r.TablesTotal,
 			BytesValidated: r.BytesValidated,
 			SimMcycles:     r.SimCycles / 1e6,
@@ -267,35 +247,11 @@ func runE24Recovery(m *hw.Machine, tableCounts []int, rows int) ([]E24RecoveryPo
 // domain deterministically — no RNG, so both phases submit the identical
 // query stream.
 func e24Workload(srv *serve.Server, clients, requests int) []float64 {
-	var mu sync.Mutex
-	var latencies []float64
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < requests; i++ {
-				lo := int64((c*7919 + i*104729) % 90000)
-				req := serve.Request{
-					Op:    serve.OpScan,
-					Table: "facts",
-					Query: scan.Query{FilterCol: 0, Lo: lo, Hi: lo + 5000, AggCol: 1},
-				}
-				start := time.Now()
-				_, err := srv.Submit(context.Background(), req)
-				if err != nil {
-					continue
-				}
-				ms := float64(time.Since(start).Microseconds()) / 1000
-				mu.Lock()
-				latencies = append(latencies, ms)
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return latencies
+	return closedLoop(clients, requests, func(c, i int) error {
+		lo := int64((c*7919 + i*104729) % 90000)
+		_, err := srv.Submit(context.Background(), serve.Request{Op: serve.OpScan, Table: "facts", Query: cohortQuery(lo)})
+		return err
+	})
 }
 
 // runE24Interference measures interactive p99 on a durable server twice:
@@ -303,7 +259,7 @@ func e24Workload(srv *serve.Server, clients, requests int) []float64 {
 // the same workload while a churn writer keeps marking tables dirty (clean
 // tables checkpoint for free; the interference under test is segment
 // encoding and flash writes on the serving path's machine).
-func runE24Interference(m *hw.Machine, clients, requests, factRows, churnRows int) (E24InterferenceBench, error) {
+func runE24Interference(m *hw.Machine, clients, requests, factRows, churnRows int) (e24InterferenceBench, error) {
 	run := func(interval time.Duration) ([]float64, int64, int64, error) {
 		dir, err := os.MkdirTemp("", "hwstar-e24-cp-*")
 		if err != nil {
@@ -378,13 +334,13 @@ func runE24Interference(m *hw.Machine, clients, requests, factRows, churnRows in
 
 	baseLat, _, _, err := run(0)
 	if err != nil {
-		return E24InterferenceBench{}, err
+		return e24InterferenceBench{}, err
 	}
 	cpLat, cpCount, cpBytes, err := run(10 * time.Millisecond)
 	if err != nil {
-		return E24InterferenceBench{}, err
+		return e24InterferenceBench{}, err
 	}
-	b := E24InterferenceBench{
+	b := e24InterferenceBench{
 		BaselineP50Ms:   quantileOf(baseLat, 0.5),
 		BaselineP99Ms:   quantileOf(baseLat, 0.99),
 		CheckpointP50Ms: quantileOf(cpLat, 0.5),
@@ -398,9 +354,9 @@ func runE24Interference(m *hw.Machine, clients, requests, factRows, churnRows in
 	return b, nil
 }
 
-// RunE24 executes the durability experiment and returns both the rendered
-// tables and the structured result the tests gate on.
-func RunE24(cfg Config) (*E24Bench, []*Table, error) {
+// runE24 executes the durability experiment: the crash schedules fail it
+// loudly when the durability contract breaks; the rest is reported.
+func runE24(cfg Config) ([]*Table, error) {
 	m := hw.Server2S()
 	schedules := cfg.scaled(16, 4)
 	lives := cfg.scaled(8, 4)
@@ -413,23 +369,15 @@ func RunE24(cfg Config) (*E24Bench, []*Table, error) {
 
 	crash, err := runE24Crash(m, schedules, lives, crashRows)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	recovery, err := runE24Recovery(m, []int{1, 2, 4, 8}, recoveryRows)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	interference, err := runE24Interference(m, clients, requests, factRows, churnRows)
 	if err != nil {
-		return nil, nil, err
-	}
-
-	b := &E24Bench{
-		Scale:        cfg.Scale,
-		Machine:      "server-2s8c",
-		Crash:        crash,
-		Recovery:     recovery,
-		Interference: interference,
+		return nil, err
 	}
 
 	t1 := bench.NewTable(
@@ -455,10 +403,5 @@ func RunE24(cfg Config) (*E24Bench, []*Table, error) {
 		bench.F("%.3f", interference.CheckpointP99Ms), bench.F("%.2fx", interference.P99Ratio),
 		bench.F("%d", interference.Checkpoints), bench.F("%d", interference.SegmentBytes))
 
-	return b, []*Table{t1, t2, t3}, nil
-}
-
-func runE24(cfg Config) ([]*Table, error) {
-	_, tables, err := RunE24(cfg)
-	return tables, err
+	return []*Table{t1, t2, t3}, nil
 }

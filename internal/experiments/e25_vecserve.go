@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"hwstar/internal/bench"
@@ -24,38 +23,20 @@ func init() {
 	})
 }
 
-// E25CohortPoint compares one cohort size between the row clock scan and
+// e25CohortPoint compares one cohort size between the row clock scan and
 // the server.
 // Sums are verified equal query-by-query before the point is accepted.
-type E25CohortPoint struct {
-	Clients       int     `json:"clients"`
-	RowMcycPerQ   float64 `json:"row_mcyc_per_query"`
-	VecMcycPerQ   float64 `json:"vec_mcyc_per_query"`
-	Speedup       float64 `json:"speedup"`
-	BlocksPruned  int64   `json:"blocks_pruned"`
-	FastSums      int64   `json:"block_fast_sums"`
-	BlocksScanned int64   `json:"blocks_scanned"`
+type e25CohortPoint struct {
+	Clients                               int
+	RowMcycPerQ, VecMcycPerQ, Speedup     float64
+	BlocksPruned, FastSums, BlocksScanned int64
 }
 
-// E25ChaosBench compares the two passes under the E20 serve fault mix — same
+// e25ChaosBench compares the two passes under the E20 serve fault mix — same
 // seeds, same retry/isolation policy, only the scan differs.
-type E25ChaosBench struct {
-	RowCompleted int     `json:"row_completed"`
-	VecCompleted int     `json:"vec_completed"`
-	RowP99Mcyc   float64 `json:"row_p99_mcyc"`
-	VecP99Mcyc   float64 `json:"vec_p99_mcyc"`
-	P99Ratio     float64 `json:"p99_vec_vs_row"`
-}
-
-// E25Bench is the full E25 outcome.
-// Speedup is the headline number: the largest cohort's row/vec cycle ratio.
-type E25Bench struct {
-	Scale            float64          `json:"scale"`
-	Machine          string           `json:"machine"`
-	CompressionRatio float64          `json:"compression_ratio"`
-	Cohorts          []E25CohortPoint `json:"cohorts"`
-	Speedup          float64          `json:"speedup"`
-	Chaos            E25ChaosBench    `json:"chaos"`
+type e25ChaosBench struct {
+	RowCompleted, VecCompleted       int
+	RowP99Mcyc, VecP99Mcyc, P99Ratio float64
 }
 
 // e25Cols builds the serving relation: an append-ordered filter column
@@ -72,65 +53,23 @@ func e25Cols(rows int) [][]int64 {
 	return [][]int64{filter, workload.UniformInts(2502, rows, 1000)}
 }
 
-// e25Cohort fires `clients` concurrent range scans at one server and returns
-// mean modeled Mcyc per query plus each client's sum, in client order.
-func e25Cohort(s *serve.Server, clients int, los []int64) (float64, []int64, error) {
-	sums := make([]int64, clients)
-	cycles := make([]float64, clients)
-	errsOut := make([]error, clients)
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := s.Submit(context.Background(), serve.Request{
-				Op:    serve.OpScan,
-				Table: "events",
-				Query: e25Query(los[i]),
-			})
-			if err != nil {
-				errsOut[i] = err
-				return
-			}
-			sums[i] = resp.Sum
-			cycles[i] = resp.SimCycles
-		}()
-	}
-	wg.Wait()
-	var total float64
-	for i := 0; i < clients; i++ {
-		if errsOut[i] != nil {
-			return 0, nil, errsOut[i]
-		}
-		total += cycles[i]
-	}
-	return total / float64(clients) / 1e6, sums, nil
-}
-
-// e25Query is the cohort's query shape: a 5000-wide range over the ordered
-// filter column.
-func e25Query(lo int64) scan.Query {
-	return scan.Query{FilterCol: 0, Lo: lo, Hi: lo + 5000, AggCol: 1}
-}
-
 // runE25Cohorts measures the row clock scan against the server on identical
 // cohorts, verifying result equality before accepting any speedup. The
 // baseline is what a server running the row pass would charge: one
 // scan.ParallelShared over all of m's cores, its makespan split across the
 // cohort.
-func runE25Cohorts(m *hw.Machine, cols [][]int64, cohortSizes []int) ([]E25CohortPoint, float64, error) {
+func runE25Cohorts(m *hw.Machine, cols [][]int64, cohortSizes []int) ([]e25CohortPoint, float64, error) {
 	rel, err := scan.NewRelation(cols)
 	if err != nil {
 		return nil, 0, err
 	}
-	var points []E25CohortPoint
+	var points []e25CohortPoint
 	ratio := 0.0
 	for _, clients := range cohortSizes {
 		los := workload.UniformInts(2503, clients, 90000)
 		qs := make([]scan.Query, clients)
 		for i, lo := range los {
-			qs[i] = e25Query(lo)
+			qs[i] = cohortQuery(lo)
 		}
 		sch, err := sched.New(m, sched.Options{Workers: m.TotalCores(), Stealing: true})
 		if err != nil {
@@ -154,7 +93,7 @@ func runE25Cohorts(m *hw.Machine, cols [][]int64, cohortSizes []int) ([]E25Cohor
 			s.Close()
 			return nil, 0, err
 		}
-		vecM, vecSums, err := e25Cohort(s, clients, los)
+		vecM, vecSums, err := scanCohort(s, "events", los)
 		h := s.Health()
 		s.Close()
 		if err != nil {
@@ -166,7 +105,7 @@ func runE25Cohorts(m *hw.Machine, cols [][]int64, cohortSizes []int) ([]E25Cohor
 					clients, i, vecSums[i], rowSums[i])
 			}
 		}
-		p := E25CohortPoint{
+		p := e25CohortPoint{
 			Clients:       clients,
 			RowMcycPerQ:   rowM,
 			VecMcycPerQ:   vecM,
@@ -189,7 +128,7 @@ func runE25Cohorts(m *hw.Machine, cols [][]int64, cohortSizes []int) ([]E25Cohor
 // failed pass still burned its cycles. The server retries a failed pass 3
 // times and the client resubmits up to 10 times; the row baseline, with no
 // server around it, gets the same 40 attempts in one loop.
-func runE25Chaos(m *hw.Machine, cols [][]int64, queriesN int) (E25ChaosBench, error) {
+func runE25Chaos(m *hw.Machine, cols [][]int64, queriesN int) (e25ChaosBench, error) {
 	los := workload.UniformInts(2505, queriesN, 90000)
 	faults := func() *fault.Injector {
 		return fault.New(fault.Config{
@@ -207,7 +146,7 @@ func runE25Chaos(m *hw.Machine, cols [][]int64, queriesN int) (E25ChaosBench, er
 		for _, lo := range los {
 			var spent float64
 			for try := 0; try < limit; try++ {
-				mcyc, err := attempt(e25Query(lo))
+				mcyc, err := attempt(cohortQuery(lo))
 				spent += mcyc
 				if err == nil {
 					cycles = append(cycles, spent)
@@ -217,7 +156,7 @@ func runE25Chaos(m *hw.Machine, cols [][]int64, queriesN int) (E25ChaosBench, er
 		}
 		return len(cycles), quantileOf(cycles, 0.99)
 	}
-	var b E25ChaosBench
+	var b e25ChaosBench
 
 	rel, err := scan.NewRelation(cols)
 	if err != nil {
@@ -263,11 +202,11 @@ func runE25Chaos(m *hw.Machine, cols [][]int64, queriesN int) (E25ChaosBench, er
 	return b, nil
 }
 
-// RunE25 executes the vectorized-serving experiment and returns both the
-// rendered tables and the structured result the tests gate on. It fails
-// loudly if the server's sums diverge from the row clock scan's, if the
-// headline speedup misses 1.5x, or if chaos p99 regresses.
-func RunE25(cfg Config) (*E25Bench, []*Table, error) {
+// runE25 executes the vectorized-serving experiment. It fails loudly if the
+// server's sums diverge from the row clock scan's, if the headline speedup
+// (the largest cohort's row/vec cycle ratio) misses 1.5x, or if chaos p99
+// regresses.
+func runE25(cfg Config) ([]*Table, error) {
 	m := hw.Server2S()
 	rows := cfg.scaled(1<<19, 1<<14)
 	cols := e25Cols(rows)
@@ -276,45 +215,24 @@ func RunE25(cfg Config) (*E25Bench, []*Table, error) {
 
 	points, speedup, err := runE25Cohorts(m, cols, cohortSizes)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// The headline gate is a full-size claim: on a shrunk smoke table the
 	// fixed per-query zone sweep has too few blocks to amortize over and
 	// the row scan's query index legitimately wins the largest cohort.
 	// Sum equivalence and the chaos gate below still hold at every scale.
 	if speedup < 1.5 && rows >= 1<<19 {
-		return nil, nil, fmt.Errorf("e25: headline speedup %.2fx misses the 1.5x target", speedup)
+		return nil, fmt.Errorf("e25: headline speedup %.2fx misses the 1.5x target", speedup)
 	}
 	chaos, err := runE25Chaos(m, cols, chaosQueries)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// 5% tolerance: on tiny smoke tables both passes' p99 is the same
 	// straggler-dominated retry, and the ratio wobbles a fraction of a
 	// percent around 1. At full size the server sits near 0.1x.
 	if chaos.RowP99Mcyc > 0 && chaos.P99Ratio > 1.05 {
-		return nil, nil, fmt.Errorf("e25: server chaos p99 regressed: %.2fx the row scan", chaos.P99Ratio)
-	}
-
-	// Table-wide compression ratio, read off a fresh server.
-	ratioSrv, err := serve.New(m, serve.Options{QueueDepth: 1})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := ratioSrv.Register("events", cols); err != nil {
-		ratioSrv.Close()
-		return nil, nil, err
-	}
-	compRatio := ratioSrv.Metrics().Histogram("serve.vec_compression_ratio").Max()
-	ratioSrv.Close()
-
-	b := &E25Bench{
-		Scale:            cfg.Scale,
-		Machine:          "server-2s8c",
-		CompressionRatio: compRatio,
-		Cohorts:          points,
-		Speedup:          speedup,
-		Chaos:            chaos,
+		return nil, fmt.Errorf("e25: server chaos p99 regressed: %.2fx the row scan", chaos.P99Ratio)
 	}
 
 	t1 := bench.NewTable("E25: vectorized compressed pass vs row-at-a-time clock scan over "+bench.F("%d", rows)+" ordered rows",
@@ -336,10 +254,5 @@ func RunE25(cfg Config) (*E25Bench, []*Table, error) {
 	t2.AddRow("vectorized", bench.F("%d", chaos.VecCompleted), bench.F("%.2f", chaos.VecP99Mcyc), bench.Ratio(chaos.P99Ratio))
 	t2.AddNote("same fault seeds, same retry/isolation policy; only the scan differs")
 
-	return b, []*Table{t1, t2}, nil
-}
-
-func runE25(cfg Config) ([]*Table, error) {
-	_, tables, err := RunE25(cfg)
-	return tables, err
+	return []*Table{t1, t2}, nil
 }

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
-	"time"
 
 	"hwstar/internal/bench"
 	"hwstar/internal/cluster"
@@ -31,62 +29,46 @@ func init() {
 	})
 }
 
-// E26FailoverBench counts the kill/failover cycles — the replication
+// e26FailoverBench counts the kill/failover cycles — the replication
 // contract, verified exactly. LostAnswers must be zero.
-type E26FailoverBench struct {
-	Cycles         int   `json:"kill_failover_cycles"`
-	NodeKills      int   `json:"node_kills"`
-	ScansVerified  int   `json:"scans_verified"`
-	LostAnswers    int   `json:"lost_committed_answers"`
-	Rereplications int64 `json:"rereplications"`
+type e26FailoverBench struct {
+	Cycles, NodeKills, ScansVerified, LostAnswers int
+	Rereplications                                int64
 }
 
-// E26HedgeBench compares scan latency on a healthy cluster against one with
+// e26HedgeBench compares scan latency on a healthy cluster against one with
 // injected per-shard stragglers and hedged dispatch absorbing them.
-type E26HedgeBench struct {
-	NoFaultP50Ms   float64 `json:"no_fault_p50_ms"`
-	NoFaultP99Ms   float64 `json:"no_fault_p99_ms"`
-	StragglerP50Ms float64 `json:"straggler_p50_ms"`
-	StragglerP99Ms float64 `json:"straggler_p99_ms"`
-	P99Ratio       float64 `json:"p99_straggler_vs_no_fault"`
-	Hedges         int64   `json:"hedged_dispatches"`
-	HedgeWins      int64   `json:"hedge_wins"`
+type e26HedgeBench struct {
+	NoFaultP50Ms, NoFaultP99Ms     float64
+	StragglerP50Ms, StragglerP99Ms float64
+	P99Ratio                       float64
+	Hedges, HedgeWins              int64
 }
 
-// E26PartialBench counts the total-replica-loss trials. Every trial must
+// e26PartialBench counts the total-replica-loss trials. Every trial must
 // produce a typed partial result with the exact covered sum; a single
 // silent wrong total fails the experiment.
-type E26PartialBench struct {
-	Trials           int     `json:"trials"`
-	TypedPartials    int     `json:"typed_partial_results"`
-	ExactCoveredSums int     `json:"exact_covered_sums"`
-	SilentWrongSums  int     `json:"silent_wrong_sums"`
-	MinCoveredFrac   float64 `json:"min_covered_fraction"`
+type e26PartialBench struct {
+	Trials, TypedPartials, ExactCoveredSums, SilentWrongSums int
+	MinCoveredFrac                                           float64
 }
 
-// E26StrategyPoint is one row of the shuffle-vs-broadcast table.
-type E26StrategyPoint struct {
-	BuildRows        int     `json:"build_rows"`
-	ProbeRows        int     `json:"probe_rows"`
-	Chosen           string  `json:"chosen_strategy"`
-	ShuffleMcycles   float64 `json:"shuffle_predicted_mcycles"`
-	BroadcastMcycles float64 `json:"broadcast_predicted_mcycles"`
-	BytesMoved       int64   `json:"bytes_moved"`
-	NetworkMcycles   float64 `json:"network_mcycles"`
-	Matches          int64   `json:"matches"`
-	Exact            bool    `json:"matches_single_node"`
+// e26StrategyPoint is one row of the shuffle-vs-broadcast table.
+type e26StrategyPoint struct {
+	BuildRows, ProbeRows             int
+	Chosen                           string
+	ShuffleMcycles, BroadcastMcycles float64
+	NetworkMcycles                   float64
+	BytesMoved, Matches              int64
+	Exact                            bool
 }
 
-// E26Bench is the full E26 outcome.
-type E26Bench struct {
-	Scale      float64            `json:"scale"`
-	Machine    string             `json:"machine"`
-	Shards     int                `json:"shards"`
-	Replicas   int                `json:"replicas"`
-	Failover   E26FailoverBench   `json:"failover"`
-	Hedge      E26HedgeBench      `json:"hedged_dispatch"`
-	Partial    E26PartialBench    `json:"partial_results"`
-	Strategies []E26StrategyPoint `json:"distributed_joins"`
+// e26Bench is the structured E26 outcome the gate test reads.
+type e26Bench struct {
+	Failover   e26FailoverBench
+	Hedge      e26HedgeBench
+	Partial    e26PartialBench
+	Strategies []e26StrategyPoint
 }
 
 // e26Relation builds an n-row relation (sequential keys, deterministic
@@ -147,9 +129,9 @@ func e26Stores(m *hw.Machine, n int) ([]*store.Store, func(), error) {
 // each followed by scans verified against the oracle (R=2 must absorb one
 // node loss exactly) and a recovery that re-replicates the revived node's
 // stripes from the surviving replicas' durable stores.
-func runE26Failover(m *hw.Machine, shards, cycles, rows int) (E26FailoverBench, error) {
+func runE26Failover(m *hw.Machine, shards, cycles, rows int) (e26FailoverBench, error) {
 	ctx := context.Background()
-	b := E26FailoverBench{Cycles: cycles}
+	b := e26FailoverBench{Cycles: cycles}
 
 	stores, cleanup, err := e26Stores(m, shards)
 	if err != nil {
@@ -234,30 +216,11 @@ func runE26Failover(m *hw.Machine, shards, cycles, rows int) (E26FailoverBench, 
 // e26Latencies fires clients×requests deterministic scans at the router
 // and returns per-request wall milliseconds.
 func e26Latencies(r *shard.Router, clients, requests, rows int) []float64 {
-	var mu sync.Mutex
-	var out []float64
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < requests; i++ {
-				lo := int64((c*7919 + i*104729) % (rows / 2))
-				start := time.Now()
-				_, err := r.Submit(context.Background(), e26ScanReq("facts", lo, lo+int64(rows/4)))
-				if err != nil {
-					continue
-				}
-				ms := float64(time.Since(start).Microseconds()) / 1000
-				mu.Lock()
-				out = append(out, ms)
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return out
+	return closedLoop(clients, requests, func(c, i int) error {
+		lo := int64((c*7919 + i*104729) % (rows / 2))
+		_, err := r.Submit(context.Background(), e26ScanReq("facts", lo, lo+int64(rows/4)))
+		return err
+	})
 }
 
 // runE26Hedge compares the same scan workload on a healthy cluster and on
@@ -266,7 +229,7 @@ func e26Latencies(r *shard.Router, clients, requests, rows int) []float64 {
 // acceptance bar is read off P99Ratio in the second table (hwbench E26
 // prints it) and is not an error here: on a busy host the ratio says more about
 // the neighbours than about hedging.
-func runE26Hedge(m *hw.Machine, shards, clients, requests, rows int) (E26HedgeBench, error) {
+func runE26Hedge(m *hw.Machine, shards, clients, requests, rows int) (e26HedgeBench, error) {
 	run := func(stragglers bool) ([]float64, int64, int64, error) {
 		opts := shard.Options{
 			Shards:   shards,
@@ -297,13 +260,13 @@ func runE26Hedge(m *hw.Machine, shards, clients, requests, rows int) (E26HedgeBe
 
 	base, _, _, err := run(false)
 	if err != nil {
-		return E26HedgeBench{}, err
+		return e26HedgeBench{}, err
 	}
 	straggly, hedges, wins, err := run(true)
 	if err != nil {
-		return E26HedgeBench{}, err
+		return e26HedgeBench{}, err
 	}
-	b := E26HedgeBench{
+	b := e26HedgeBench{
 		NoFaultP50Ms:   quantileOf(base, 0.5),
 		NoFaultP99Ms:   quantileOf(base, 0.99),
 		StragglerP50Ms: quantileOf(straggly, 0.5),
@@ -321,9 +284,9 @@ func runE26Hedge(m *hw.Machine, shards, clients, requests, rows int) (E26HedgeBe
 // of a table's first partition (collateral partitions whose replica pair is
 // the same dead set are tracked too) and demands a typed partial result
 // whose sum is exactly the covered stripes' total.
-func runE26Partial(m *hw.Machine, shards, trials, rows int) (E26PartialBench, error) {
+func runE26Partial(m *hw.Machine, shards, trials, rows int) (e26PartialBench, error) {
 	ctx := context.Background()
-	b := E26PartialBench{Trials: trials, MinCoveredFrac: 1}
+	b := e26PartialBench{Trials: trials, MinCoveredFrac: 1}
 	for trial := 0; trial < trials; trial++ {
 		r, err := shard.New(ctx, m, shard.Options{
 			Shards:   shards,
@@ -398,7 +361,7 @@ func runE26Partial(m *hw.Machine, shards, trials, rows int) (E26PartialBench, er
 // runE26Strategy prices the two classic distributed-join regimes through
 // the planner and runs both on the cluster, verifying exactness against a
 // single-node execution.
-func runE26Strategy(m *hw.Machine, shards, probeRows int) ([]E26StrategyPoint, error) {
+func runE26Strategy(m *hw.Machine, shards, probeRows int) ([]e26StrategyPoint, error) {
 	ctx := context.Background()
 	solo, err := shard.New(ctx, m, shard.Options{Shards: 1, Replicas: 1, Shard: serve.Options{Workers: 4}})
 	if err != nil {
@@ -412,7 +375,7 @@ func runE26Strategy(m *hw.Machine, shards, probeRows int) ([]E26StrategyPoint, e
 	defer clu.Close()
 
 	fabric := cluster.Rack10GbE(shards)
-	var points []E26StrategyPoint
+	var points []e26StrategyPoint
 	for i, buildRows := range []int{probeRows / 64, probeRows / 2} {
 		g := workload.GenerateJoin(workload.JoinConfig{Seed: int64(2620 + i), BuildRows: buildRows, ProbeRows: probeRows})
 		var req serve.Request
@@ -431,7 +394,7 @@ func runE26Strategy(m *hw.Machine, shards, probeRows int) ([]E26StrategyPoint, e
 		plan := planner.ChooseDistStrategy(fabric, join.Stats{
 			BuildRows: int64(buildRows), ProbeRows: int64(probeRows),
 		}, hw.DefaultContext())
-		points = append(points, E26StrategyPoint{
+		points = append(points, e26StrategyPoint{
 			BuildRows:        buildRows,
 			ProbeRows:        probeRows,
 			Chosen:           string(got.Strategy),
@@ -449,9 +412,9 @@ func runE26Strategy(m *hw.Machine, shards, probeRows int) ([]E26StrategyPoint, e
 	return points, nil
 }
 
-// RunE26 executes the sharded-tier experiment and returns both the rendered
-// tables and the structured result the tests gate on.
-func RunE26(cfg Config) (*E26Bench, []*Table, error) {
+// runE26Bench executes the sharded-tier experiment and returns both the
+// rendered tables and the structured result the tests gate on.
+func runE26Bench(cfg Config) (*e26Bench, []*Table, error) {
 	m := hw.Server2S()
 	const shards = 4
 	cycles := cfg.scaled(128, 16)
@@ -478,16 +441,7 @@ func RunE26(cfg Config) (*E26Bench, []*Table, error) {
 		return nil, nil, err
 	}
 
-	b := &E26Bench{
-		Scale:      cfg.Scale,
-		Machine:    "server-2s8c",
-		Shards:     shards,
-		Replicas:   2,
-		Failover:   failover,
-		Hedge:      hedge,
-		Partial:    partial,
-		Strategies: strategies,
-	}
+	b := &e26Bench{Failover: failover, Hedge: hedge, Partial: partial, Strategies: strategies}
 
 	t1 := bench.NewTable(
 		fmt.Sprintf("E26: seeded node-kill/failover cycles on %d shards x 2 replicas (durable re-replication on recovery)", shards),
@@ -522,6 +476,6 @@ func RunE26(cfg Config) (*E26Bench, []*Table, error) {
 }
 
 func runE26(cfg Config) ([]*Table, error) {
-	_, tables, err := RunE26(cfg)
+	_, tables, err := runE26Bench(cfg)
 	return tables, err
 }

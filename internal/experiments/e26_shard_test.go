@@ -6,11 +6,11 @@ import "testing"
 // checks the acceptance gates the full run enforces: zero lost committed
 // answers across the kill/failover cycles, every total-replica-loss trial
 // a typed exact partial (no silent wrong sums), and distributed joins
-// exact against single-node truth. RunE26 itself errors when one of these
+// exact against single-node truth. runE26Bench itself errors when one of these
 // fails, so the main assertion is err == nil. The hedge p99 ratio is host
 // wall time: reported in the result, asserted nowhere in tier-1.
 func TestE26GatesHold(t *testing.T) {
-	b, tables, err := RunE26(Config{Scale: 0.125})
+	b, tables, err := runE26Bench(Config{Scale: 0.125})
 	if err != nil {
 		t.Fatal(err)
 	}

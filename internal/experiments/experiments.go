@@ -1,4 +1,4 @@
-// Package experiments implements the E1–E24 experiment suite defined in
+// Package experiments implements the E1–E26 experiment suite defined in
 // DESIGN.md: each experiment operationalizes one claim of the keynote
 // "Hardware killed the software star" as a parameter sweep over the hwstar
 // engine and its hardware-oblivious baselines, and renders the results as
@@ -9,6 +9,8 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"time"
 
 	"hwstar/internal/bench"
 )
@@ -41,6 +43,44 @@ func (c Config) scaled(n int, min int) int {
 		v = min
 	}
 	return v
+}
+
+// closedLoop is the suite's one closed-loop driver: clients goroutines each
+// call submit(c, i) for i in [0, requests), back to back. It returns the wall
+// milliseconds of every call that returned nil, in completion order.
+func closedLoop(clients, requests int, submit func(c, i int) error) []float64 {
+	var mu sync.Mutex
+	var latencies []float64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < requests; i++ {
+				start := time.Now()
+				if submit(c, i) != nil {
+					continue
+				}
+				ms := float64(time.Since(start).Microseconds()) / 1000
+				mu.Lock()
+				latencies = append(latencies, ms)
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	return latencies
+}
+
+// quantileOf is the suite's one quantile rule: element int(q*(n-1)) of the
+// sorted samples (0 for none). The input is not reordered.
+func quantileOf(samples []float64, q float64) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), samples...)
+	sort.Float64s(s)
+	return s[int(q*float64(len(s)-1))]
 }
 
 // Experiment is one entry of the suite.

@@ -130,10 +130,6 @@ type tenantState struct {
 	last     time.Time // last refill
 	inFlight int64     // queries between quota begin/end
 	sessions int64     // live (unexpired, unclosed) sessions
-
-	// Monotonic governance counters, mirrored into the metrics registry.
-	rateLimited   int64
-	quotaRejected int64
 }
 
 // Frontend is the HTTP API server state. Create with New, mount Handler on
@@ -316,7 +312,6 @@ func (t *tenantState) takeToken(now time.Time) (ok bool, retryAfter time.Duratio
 		t.tokens--
 		return true, 0
 	}
-	t.rateLimited++
 	if t.cfg.RatePerSec <= 0 {
 		return false, time.Second
 	}
@@ -349,7 +344,6 @@ func (t *tenantState) beginQuery() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.cfg.MaxConcurrent > 0 && t.inFlight >= int64(t.cfg.MaxConcurrent) {
-		t.quotaRejected++
 		return false
 	}
 	t.inFlight++
@@ -362,9 +356,10 @@ func (t *tenantState) endQuery() {
 	t.mu.Unlock()
 }
 
-// govSnapshot reads the tenant's frontend-side counters.
-func (t *tenantState) govSnapshot() (rateLimited, quotaRejected, inFlight, sessions int64) {
+// govSnapshot reads the tenant's frontend-side levels. Refusals are not
+// state: they are counted once, in the registry, by tenantGovInc.
+func (t *tenantState) govSnapshot() (inFlight, sessions int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.rateLimited, t.quotaRejected, t.inFlight, t.sessions
+	return t.inFlight, t.sessions
 }

@@ -194,9 +194,10 @@ func (f *Frontend) handleHealth(w http.ResponseWriter, r *http.Request) {
 		out.ColdLoads = h.ColdLoads
 	}
 	if len(h.Tenants) > 0 {
+		c := f.reg.Counters()
 		out.Tenants = make(map[string]v1.TenantStats, len(h.Tenants))
 		for id, th := range h.Tenants {
-			out.Tenants[id] = f.wireTenantStats(id, th)
+			out.Tenants[id] = f.wireTenantStats(id, th, c)
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -217,12 +218,13 @@ func (f *Frontend) handleTenantStats(w http.ResponseWriter, r *http.Request) {
 		f.writeCode(w, v1.CodeNotFound, http.StatusNotFound, false, 0, "", fmt.Sprintf("no tenant %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, f.wireTenantStats(id, f.srv.TenantHealth(id)))
+	writeJSON(w, http.StatusOK, f.wireTenantStats(id, f.srv.TenantHealth(id), f.reg.Counters()))
 }
 
 // wireTenantStats merges the engine's per-tenant health with the frontend's
-// governance counters onto the wire DTO.
-func (f *Frontend) wireTenantStats(id string, th serve.TenantHealth) v1.TenantStats {
+// governance counters (read from the registry snapshot c, where tenantGovInc
+// counts them) onto the wire DTO.
+func (f *Frontend) wireTenantStats(id string, th serve.TenantHealth, c map[string]int64) v1.TenantStats {
 	out := v1.TenantStats{
 		Tenant:           id,
 		Admitted:         th.Admitted,
@@ -238,15 +240,17 @@ func (f *Frontend) wireTenantStats(id string, th serve.TenantHealth) v1.TenantSt
 		LatencyP99Ms:     th.LatencyMs.P99,
 		MemInUseBytes:    th.MemInUseBytes,
 		MemCapBytes:      th.MemCapBytes,
+		RateLimited:      c["frontend.tenant."+id+".rate_limited"],
+		QuotaRejected:    c["frontend.tenant."+id+".quota_rejected"],
 	}
 	if ts, ok := f.tenant(id); ok {
-		out.RateLimited, out.QuotaRejected, out.InFlight, out.Sessions = ts.govSnapshot()
+		out.InFlight, out.Sessions = ts.govSnapshot()
 	}
 	return out
 }
 
-// tenantGovInc mirrors a frontend governance event into the metrics
-// registry under the tenant's dimension.
+// tenantGovInc counts a frontend governance event, in total and under the
+// tenant's dimension. These registry counters are the only count kept.
 func (f *Frontend) tenantGovInc(tenant, metric string) {
 	f.reg.Counter("frontend." + metric).Inc()
 	f.reg.Counter("frontend.tenant." + tenant + "." + metric).Inc()

@@ -351,6 +351,11 @@ func TestRateLimitBurstOnly(t *testing.T) {
 	if ts.RateLimited != 2 || ts.Completed != 2 {
 		t.Fatalf("stats: %+v", ts)
 	}
+	// ...and it is the registry's count, the only one kept: every refusal
+	// incremented exactly one tenant counter.
+	if c := e.fe.reg.Counters(); c["frontend.tenant.capped.rate_limited"] != ts.RateLimited || c["frontend.rate_limited"] != ts.RateLimited {
+		t.Fatalf("registry refusal counters %v, stats say %d", c, ts.RateLimited)
+	}
 }
 
 // TestRateLimitRefills pins bucket refill against the injected clock.
@@ -473,6 +478,10 @@ func TestQuotaExhaustion(t *testing.T) {
 	ts.endQuery()
 	if status, _, raw := e.do("POST", "/v1/query", tok, q); status != 200 {
 		t.Fatalf("after slot freed: HTTP %d: %s", status, raw)
+	}
+	var stats v1.TenantStats
+	if _, _, raw := e.do("GET", "/v1/tenants/narrow/stats", tok, nil); json.Unmarshal(raw, &stats) != nil || stats.QuotaRejected != 1 || stats.InFlight != 0 {
+		t.Fatalf("stats after one quota refusal: %s", raw)
 	}
 }
 

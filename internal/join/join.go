@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"hwstar/internal/errs"
+	"hwstar/internal/hw"
 )
 
 // Input is an equi-join input: build relation (keys+payload) and probe
@@ -67,6 +68,16 @@ const (
 	AlgSortMerge Algorithm = "sort-merge" // sort-merge join
 	AlgNested    Algorithm = "nested"     // nested-loop reference
 )
+
+// AutoAlgorithm resolves the "auto" join choice for a build side of buildRows
+// on machine m: radix once the build hash table (about 34 bytes a row) no
+// longer fits the last-level cache, NPO while it does.
+func AutoAlgorithm(m *hw.Machine, buildRows int) Algorithm {
+	if int64(buildRows)*34 > m.LLC().SizeBytes {
+		return AlgRadix
+	}
+	return AlgNPO
+}
 
 // hashKey is the multiplicative hash shared by all hash-based algorithms.
 func hashKey(k int64) uint64 {

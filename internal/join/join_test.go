@@ -488,3 +488,25 @@ func TestNPOBloomPaysOffAtHighMissRate(t *testing.T) {
 		t.Fatalf("95%% misses: bloom %f should beat plain %f", bloomed, plain)
 	}
 }
+
+// TestAutoAlgorithmLLCBoundary pins the one "auto" rule at its edge on every
+// machine profile: the last build size whose 34-byte-a-row hash table fits
+// the LLC runs NPO, one row more runs radix.
+func TestAutoAlgorithmLLCBoundary(t *testing.T) {
+	for name, m := range hw.Profiles() {
+		fits := int(m.LLC().SizeBytes / 34)
+		for _, tc := range []struct {
+			rows int
+			want Algorithm
+		}{
+			{0, AlgNPO},
+			{fits, AlgNPO},
+			{fits + 1, AlgRadix},
+			{fits * 4, AlgRadix},
+		} {
+			if got := AutoAlgorithm(m, tc.rows); got != tc.want {
+				t.Errorf("%s (LLC %d B): AutoAlgorithm(%d rows) = %s, want %s", name, m.LLC().SizeBytes, tc.rows, got, tc.want)
+			}
+		}
+	}
+}

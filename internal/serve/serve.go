@@ -69,6 +69,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -432,10 +433,9 @@ type Server struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	mu      sync.RWMutex // guards closed, tables, and tenants
-	closed  bool
-	tables  map[string]*vecTable
-	tenants map[string]struct{} // tenant ids seen, for the Health breakdown
+	mu     sync.RWMutex // guards closed and tables
+	closed bool
+	tables map[string]*vecTable
 
 	// Durable-tier state (zero when Options.Store is nil). recovering gates
 	// admission while the boot replay registers the store's tables; recovered
@@ -504,7 +504,6 @@ func New(m *hw.Machine, opts Options) (*Server, error) {
 		intakeLo: make(chan *pending, opts.BatchQueueDepth),
 		cores:    newCoreSem(opts.Workers, opts.Workers-opts.InteractiveReserve),
 		tables:   make(map[string]*vecTable),
-		tenants:  make(map[string]struct{}),
 		rng:      rand.New(rand.NewSource(seed)),
 	}
 	if opts.BreakerThreshold > 0 {
@@ -583,18 +582,12 @@ func (s *Server) replayStore() {
 		if s.st.Tier(name) != store.TierHot {
 			continue
 		}
-		t, _, err := s.st.Load(ctx, name)
+		vt, _, err := s.loadStored(ctx, name)
 		if err != nil {
 			s.reg.Counter("serve.replay_failures").Inc()
 			continue
 		}
-		cols, ok := store.ColsFromTable(t)
-		if !ok {
-			continue
-		}
-		vt, err := newVecTable(cols)
-		if err != nil {
-			s.reg.Counter("serve.replay_failures").Inc()
+		if vt == nil {
 			continue
 		}
 		s.mu.Lock()
@@ -602,6 +595,21 @@ func (s *Server) replayStore() {
 		s.mu.Unlock()
 		s.reg.Counter("serve.replayed_tables").Inc()
 	}
+}
+
+// loadStored reads one table from the durable store and encodes it for
+// serving, returning the modeled load cycles. A nil table with a nil error is
+// a table that is durable but not scan-shaped.
+func (s *Server) loadStored(ctx context.Context, name string) (*vecTable, float64, error) {
+	t, cycles, err := s.st.Load(ctx, name)
+	if err != nil {
+		return nil, 0, err
+	}
+	if cols, ok := store.ColsFromTable(t); ok {
+		vt, err := newVecTable(cols)
+		return vt, cycles, err
+	}
+	return nil, 0, nil
 }
 
 // checkpointLoop persists the store every CheckpointInterval until Close.
@@ -734,40 +742,13 @@ func (s *Server) Register(name string, cols [][]int64) error {
 	return nil
 }
 
-// tenantInc bumps one tenant-dimension counter (serve.tenant.<id>.<metric>)
-// and remembers the tenant id for the Health breakdown. No-op for the empty
-// (unattributed) tenant.
+// tenantInc bumps one tenant-dimension counter (serve.tenant.<id>.<metric>);
+// Health finds the tenant by that key. No-op for the empty (unattributed)
+// tenant.
 func (s *Server) tenantInc(tenant, metric string) {
-	if tenant == "" {
-		return
+	if tenant != "" {
+		s.reg.Counter(tenantPrefix + tenant + "." + metric).Inc()
 	}
-	s.noteTenant(tenant)
-	s.reg.Counter("serve.tenant." + tenant + "." + metric).Inc()
-}
-
-// noteTenant records a tenant id in the seen set (read-mostly: the common
-// case is a hit under the read lock).
-func (s *Server) noteTenant(tenant string) {
-	s.mu.RLock()
-	_, ok := s.tenants[tenant]
-	s.mu.RUnlock()
-	if ok {
-		return
-	}
-	s.mu.Lock()
-	s.tenants[tenant] = struct{}{}
-	s.mu.Unlock()
-}
-
-// tenantIDs snapshots the seen-tenant set.
-func (s *Server) tenantIDs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := make([]string, 0, len(s.tenants))
-	for id := range s.tenants {
-		ids = append(ids, id)
-	}
-	return ids
 }
 
 // SetTenantMemCap caps the named tenant's share of the server's memory
@@ -809,16 +790,8 @@ func (s *Server) loadCold(ctx context.Context, name string) (*vecTable, bool) {
 	if s.st.Tier(name) == "" {
 		return nil, false // not a stored table either
 	}
-	t, cycles, err := s.st.Load(ctx, name)
-	if err != nil {
-		return nil, false
-	}
-	cols, ok := store.ColsFromTable(t)
-	if !ok {
-		return nil, false // durable but not scan-shaped
-	}
-	vt, err := newVecTable(cols)
-	if err != nil {
+	vt, cycles, err := s.loadStored(ctx, name)
+	if err != nil || vt == nil {
 		return nil, false
 	}
 	s.mu.Lock()
@@ -1268,21 +1241,30 @@ func (s *Server) dispatch() {
 	var parked []parkedWork
 	hiCh, loCh := s.intake, s.intakeLo
 
+	// start launches one unit of batch-class work whose cores are reserved.
+	start := func(w parkedWork) {
+		s.wg.Add(1)
+		if w.b != nil {
+			go s.runBatch(w.b)
+		} else {
+			go s.runOne(w.p, w.workers, true)
+		}
+	}
 	// tryParked re-dispatches parked batch work, oldest first, stopping at
 	// the first item the core pool still cannot take.
 	tryParked := func() {
-		for len(parked) > 0 {
-			w := parked[0]
-			if !s.cores.tryAcquireBatch(w.workers) {
-				return
-			}
+		for len(parked) > 0 && s.cores.tryAcquireBatch(parked[0].workers) {
+			start(parked[0])
 			parked = parked[1:]
-			s.wg.Add(1)
-			if w.b != nil {
-				go s.runBatch(w.b)
-			} else {
-				go s.runOne(w.p, w.workers, true)
-			}
+		}
+	}
+	// placeBatch starts batch-class work when the batch core cap has room
+	// and parks it otherwise: it never blocks the dispatcher.
+	placeBatch := func(w parkedWork) {
+		if s.cores.tryAcquireBatch(w.workers) {
+			start(w)
+		} else {
+			parked = append(parked, w)
 		}
 	}
 
@@ -1298,17 +1280,9 @@ func (s *Server) dispatch() {
 			s.reg.Counter("serve.degraded_scans").Inc()
 		}
 		if b.lo {
-			// An all-batch pass runs core-capped and never blocks the
-			// dispatcher: park it when the tokens are not there.
-			if cap := s.opts.Workers - s.opts.InteractiveReserve; b.workers > cap {
-				b.workers = cap
-			}
-			if s.cores.tryAcquireBatch(b.workers) {
-				s.wg.Add(1)
-				go s.runBatch(b)
-			} else {
-				parked = append(parked, parkedWork{b: b, workers: b.workers})
-			}
+			// An all-batch pass runs capped at the batch core budget.
+			b.workers = min(b.workers, s.cores.batchCap)
+			placeBatch(parkedWork{b: b, workers: b.workers})
 			return
 		}
 		// An interactive pass starts as soon as the reserved cores are free
@@ -1337,17 +1311,9 @@ func (s *Server) dispatch() {
 				workers = 1 // single-threaded query engines
 			}
 			if p.req.Priority.batchClass() {
-				// Cap batch-class operations at the batch core budget, or
-				// they could never be placed at all.
-				if cap := s.opts.Workers - s.opts.InteractiveReserve; workers > cap {
-					workers = cap
-				}
-				if s.cores.tryAcquireBatch(workers) {
-					s.wg.Add(1)
-					go s.runOne(p, workers, true)
-				} else {
-					parked = append(parked, parkedWork{p: p, workers: workers})
-				}
+				// Capped at the batch core budget, or it could never be
+				// placed at all.
+				placeBatch(parkedWork{p: p, workers: min(workers, s.cores.batchCap)})
 				return
 			}
 			workers = s.cores.acquireUpTo(s.interactiveFloor(workers), workers)
@@ -1399,12 +1365,7 @@ func (s *Server) dispatch() {
 			flush()
 			for _, w := range parked {
 				s.cores.acquireBatch(w.workers)
-				s.wg.Add(1)
-				if w.b != nil {
-					go s.runBatch(w.b)
-				} else {
-					go s.runOne(w.p, w.workers, true)
-				}
+				start(w)
 			}
 			return
 		}
@@ -1570,11 +1531,7 @@ func (s *Server) execute(ctx context.Context, req Request, workers int, resv *me
 		}
 		algo := req.Algorithm
 		if algo == "" || algo == "auto" {
-			if int64(len(req.Join.BuildKeys))*34 > s.machine.LLC().SizeBytes {
-				algo = join.AlgRadix
-			} else {
-				algo = join.AlgNPO
-			}
+			algo = join.AutoAlgorithm(s.machine, len(req.Join.BuildKeys))
 		}
 		var res join.ParallelResult
 		if algo == join.AlgRadix {
@@ -1632,8 +1589,8 @@ func (s *Server) finish(p *pending, resp Response, err error) {
 		s.reg.Histogram("serve.latency_ms").Record(lat)
 		if tenant != "" {
 			s.tenantInc(tenant, "completed")
-			s.reg.Histogram("serve.tenant." + tenant + ".latency_ms").Record(lat)
-			s.reg.Histogram("serve.tenant." + tenant + ".cycles_per_query").Record(resp.SimCycles)
+			s.reg.Histogram(tenantPrefix + tenant + ".latency_ms").Record(lat)
+			s.reg.Histogram(tenantPrefix + tenant + ".cycles_per_query").Record(resp.SimCycles)
 		}
 		p.span.SetAttr("status", "ok")
 		if s.brk != nil {
@@ -1664,9 +1621,8 @@ func (s *Server) finish(p *pending, resp Response, err error) {
 			s.reg.Counter("serve.spills").Add(spills)
 			s.reg.Counter("serve.spill_bytes").Add(spillB)
 			if tenant != "" {
-				s.noteTenant(tenant)
-				s.reg.Counter("serve.tenant." + tenant + ".spills").Add(spills)
-				s.reg.Counter("serve.tenant." + tenant + ".spill_bytes").Add(spillB)
+				s.reg.Counter(tenantPrefix + tenant + ".spills").Add(spills)
+				s.reg.Counter(tenantPrefix + tenant + ".spill_bytes").Add(spillB)
 			}
 			p.span.SetAttr("spilled", "true")
 		}
@@ -1766,38 +1722,93 @@ type TenantHealth struct {
 	MemInUseBytes, MemCapBytes int64
 }
 
-// Health snapshots the server's resilience state: breaker position, failure
-// streak, retry/re-dispatch counters, and the fault injector's log counts.
-func (s *Server) Health() Health {
-	c := s.reg.Counters()
+// HealthFromCounters is the counter half of Health: every field that is a
+// monotonic count, read from a counter snapshot of one server's registry — or
+// of several summed key by key, which is how the shard tier builds its view.
+// The registry is the only counter store, so this mapping is the only place a
+// Health counter field is tied to its series. Tenants is rebuilt from the
+// serve.tenant.<id>.<metric> keys (metric names carry no dot, so the id is
+// everything up to the last one).
+func HealthFromCounters(c map[string]int64) Health {
 	h := Health{
-		State:             "ok",
-		QueueDepth:        len(s.intake),
-		Admitted:          c["serve.admitted"],
-		Completed:         c["serve.completed"],
-		Failed:            c["serve.failed"],
-		Rejected:          c["serve.rejected"],
-		Shed:              c["serve.shed"],
-		DeadlineExceeded:  c["serve.deadline_exceeded"],
-		Retries:           c["serve.retries"],
-		RetryExhausted:    c["serve.retry_exhausted"],
-		BreakerTrips:      c["serve.breaker_trips"],
-		Redispatched:      c["serve.redispatched"],
-		PanicsRecovered:   c["serve.panics_recovered"],
-		StragglersRetired: c["serve.stragglers_retired"],
-		CoresLost:         c["serve.cores_lost"],
-		DegradedScans:     c["serve.degraded_scans"],
-		MemShed:           c["serve.mem_shed"],
-		Spills:            c["serve.spills"],
-		SpillBytes:        c["serve.spill_bytes"],
-		OOMKilled:         c["serve.oom_killed"],
-		VecPasses:         c["serve.vec_passes"],
-		VecBlocksPruned:   c["serve.vec_blocks_pruned"],
-		VecFastSums:       c["serve.vec_block_fast_sums"],
-		VecBlocksScanned:  c["serve.vec_blocks_scanned"],
-		Memory:            s.gov.Stats(),
-		Faults:            s.opts.Faults.CountsInt64(),
+		Admitted:           c["serve.admitted"],
+		Completed:          c["serve.completed"],
+		Failed:             c["serve.failed"],
+		Rejected:           c["serve.rejected"],
+		Shed:               c["serve.shed"],
+		DeadlineExceeded:   c["serve.deadline_exceeded"],
+		Retries:            c["serve.retries"],
+		RetryExhausted:     c["serve.retry_exhausted"],
+		BreakerTrips:       c["serve.breaker_trips"],
+		Redispatched:       c["serve.redispatched"],
+		PanicsRecovered:    c["serve.panics_recovered"],
+		StragglersRetired:  c["serve.stragglers_retired"],
+		CoresLost:          c["serve.cores_lost"],
+		DegradedScans:      c["serve.degraded_scans"],
+		MemShed:            c["serve.mem_shed"],
+		Spills:             c["serve.spills"],
+		SpillBytes:         c["serve.spill_bytes"],
+		OOMKilled:          c["serve.oom_killed"],
+		Checkpoints:        c["serve.checkpoints"],
+		CheckpointFailures: c["serve.checkpoint_failures"],
+		CheckpointMemShed:  c["serve.checkpoint_mem_shed"],
+		ColdLoads:          c["serve.cold_loads"],
+		ReplayedTables:     c["serve.replayed_tables"],
+		ReplayFailures:     c["serve.replay_failures"],
+		RecoveringShed:     c["serve.recovering_shed"],
+		VecPasses:          c["serve.vec_passes"],
+		VecBlocksPruned:    c["serve.vec_blocks_pruned"],
+		VecFastSums:        c["serve.vec_block_fast_sums"],
+		VecBlocksScanned:   c["serve.vec_blocks_scanned"],
 	}
+	for k := range c {
+		rest, ok := strings.CutPrefix(k, tenantPrefix)
+		dot := strings.LastIndexByte(rest, '.')
+		if !ok || dot <= 0 {
+			continue
+		}
+		if _, seen := h.Tenants[rest[:dot]]; seen {
+			continue
+		}
+		if h.Tenants == nil {
+			h.Tenants = make(map[string]TenantHealth)
+		}
+		h.Tenants[rest[:dot]] = TenantHealthFromCounters(c, rest[:dot])
+	}
+	return h
+}
+
+// tenantPrefix starts every per-tenant series: serve.tenant.<id>.<metric>.
+const tenantPrefix = "serve.tenant."
+
+// TenantHealthFromCounters is the counter half of one tenant's breakdown,
+// over the same snapshot HealthFromCounters reads.
+func TenantHealthFromCounters(c map[string]int64, tenant string) TenantHealth {
+	p := tenantPrefix + tenant + "."
+	return TenantHealth{
+		Admitted:         c[p+"admitted"],
+		Completed:        c[p+"completed"],
+		Failed:           c[p+"failed"],
+		Rejected:         c[p+"rejected"],
+		Shed:             c[p+"shed"],
+		MemShed:          c[p+"mem_shed"],
+		DeadlineExceeded: c[p+"deadline_exceeded"],
+		Invalid:          c[p+"invalid"],
+		Spills:           c[p+"spills"],
+		SpillBytes:       c[p+"spill_bytes"],
+	}
+}
+
+// Health snapshots the server's resilience state: the counter view plus what
+// no counter holds — breaker position and failure streak, queue depth, the
+// governor, the fault injector's log, the store, and each tenant's latency
+// distribution and memory position.
+func (s *Server) Health() Health {
+	h := HealthFromCounters(s.reg.Counters())
+	h.State = "ok"
+	h.QueueDepth = len(s.intake)
+	h.Memory = s.gov.Stats()
+	h.Faults = s.opts.Faults.CountsInt64()
 	if s.brk != nil {
 		consec, open, _ := s.brk.Snapshot()
 		h.ConsecutiveFailures = consec
@@ -1811,22 +1822,12 @@ func (s *Server) Health() Health {
 		h.Recovery = s.st.Recovery()
 		h.LastCheckpoint = s.st.LastCheckpoint()
 		h.StoreVersion = s.st.Version()
-		h.Checkpoints = c["serve.checkpoints"]
-		h.CheckpointFailures = c["serve.checkpoint_failures"]
-		h.CheckpointMemShed = c["serve.checkpoint_mem_shed"]
-		h.ColdLoads = c["serve.cold_loads"]
-		h.ReplayedTables = c["serve.replayed_tables"]
-		h.ReplayFailures = c["serve.replay_failures"]
-		h.RecoveringShed = c["serve.recovering_shed"]
 		if h.Recovering {
 			h.State = "recovering"
 		}
 	}
-	if ids := s.tenantIDs(); len(ids) > 0 {
-		h.Tenants = make(map[string]TenantHealth, len(ids))
-		for _, id := range ids {
-			h.Tenants[id] = s.tenantHealth(id, c)
-		}
+	for id, th := range h.Tenants {
+		h.Tenants[id] = s.tenantLive(id, th, h.Memory)
 	}
 	return h
 }
@@ -1834,28 +1835,16 @@ func (s *Server) Health() Health {
 // TenantHealth returns one tenant's Health slice (zero for a tenant the
 // server has never seen).
 func (s *Server) TenantHealth(tenant string) TenantHealth {
-	return s.tenantHealth(tenant, s.reg.Counters())
+	return s.tenantLive(tenant, TenantHealthFromCounters(s.reg.Counters(), tenant), s.gov.Stats())
 }
 
-// tenantHealth assembles one tenant's breakdown from the counter snapshot c
-// and the per-tenant histograms.
-func (s *Server) tenantHealth(tenant string, c map[string]int64) TenantHealth {
-	p := "serve.tenant." + tenant + "."
-	th := TenantHealth{
-		Admitted:         c[p+"admitted"],
-		Completed:        c[p+"completed"],
-		Failed:           c[p+"failed"],
-		Rejected:         c[p+"rejected"],
-		Shed:             c[p+"shed"],
-		MemShed:          c[p+"mem_shed"],
-		DeadlineExceeded: c[p+"deadline_exceeded"],
-		Invalid:          c[p+"invalid"],
-		Spills:           c[p+"spills"],
-		SpillBytes:       c[p+"spill_bytes"],
-		LatencyMs:        s.reg.Histogram(p + "latency_ms").Stats(),
-		CyclesPerQuery:   s.reg.Histogram(p + "cycles_per_query").Stats(),
-	}
-	if gs := s.gov.Stats(); gs.TenantInUse != nil {
+// tenantLive fills the non-counter half of one tenant's breakdown: the
+// per-tenant histograms and the tenant's position against its memory cap.
+func (s *Server) tenantLive(tenant string, th TenantHealth, gs mem.Stats) TenantHealth {
+	p := tenantPrefix + tenant + "."
+	th.LatencyMs = s.reg.Histogram(p + "latency_ms").Stats()
+	th.CyclesPerQuery = s.reg.Histogram(p + "cycles_per_query").Stats()
+	if gs.TenantInUse != nil {
 		th.MemInUseBytes = gs.TenantInUse[tenant]
 		th.MemCapBytes = gs.TenantCaps[tenant]
 	}

@@ -22,7 +22,6 @@ func (r *Router) KillNode(id int) error {
 	if !n.alive.CompareAndSwap(true, false) {
 		return nil
 	}
-	r.nodeLosses.Add(1)
 	r.reg.Counter("shard.node_losses").Inc()
 
 	n.mu.Lock()
@@ -113,7 +112,6 @@ func (r *Router) rereplicate(ctx context.Context, n *node) error {
 			}); err != nil {
 				return fmt.Errorf("re-replicate %s: %w", part.derived, err)
 			}
-			r.rereplications.Add(1)
 			r.reg.Counter("shard.rereplications").Inc()
 		}
 	}

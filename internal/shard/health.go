@@ -68,22 +68,24 @@ type ClusterHealth struct {
 	Nodes []NodeHealth
 }
 
-// ClusterHealth snapshots the shard tier.
+// ClusterHealth snapshots the shard tier. The routing counters are read
+// from the router's registry — the only place they are counted.
 func (r *Router) ClusterHealth() ClusterHealth {
 	r.mu.RLock()
 	nodes := r.nodes
 	r.mu.RUnlock()
 
+	c := r.reg.Counters()
 	ch := ClusterHealth{
 		Shards:         r.opts.Shards,
 		Replicas:       r.opts.Replicas,
 		Partitions:     r.opts.Partitions,
-		Failovers:      r.failovers.Load(),
-		Hedges:         r.hedges.Load(),
-		HedgeWins:      r.hedgeWins.Load(),
-		Partials:       r.partials.Load(),
-		NodeLosses:     r.nodeLosses.Load(),
-		Rereplications: r.rereplications.Load(),
+		Failovers:      c["shard.failovers"],
+		Hedges:         c["shard.hedges"],
+		HedgeWins:      c["shard.hedge_wins"],
+		Partials:       c["shard.partials"],
+		NodeLosses:     c["shard.node_losses"],
+		Rereplications: c["shard.rereplications"],
 	}
 	if r.gov != nil {
 		ch.Memory = r.gov.Stats()
@@ -93,127 +95,122 @@ func (r *Router) ClusterHealth() ClusterHealth {
 		_, nh.BreakerOpen, nh.BreakerTrips = n.brk.Snapshot()
 		if srv := n.server(); srv != nil && nh.Alive {
 			nh.Serve = srv.Health()
-		}
-		ch.Nodes = append(ch.Nodes, nh)
-	}
-	ch.LiveNodes = 0
-	for _, nh := range ch.Nodes {
-		if nh.Alive {
 			ch.LiveNodes++
 		}
+		ch.Nodes = append(ch.Nodes, nh)
 	}
 	return ch
 }
 
-// Health merges the live shards' health into one serve.Health — the
-// single-node surface the frontend already speaks, summed across the
-// cluster. State degrades when any live node is degraded; the cluster-
-// wide governor's snapshot replaces the per-shard one when armed.
-// Cluster-only detail (failovers, hedges, partials) lives in
-// ClusterHealth.
-func (r *Router) Health() serve.Health {
-	ch := r.ClusterHealth()
-	var out serve.Health
-	out.State = "ok"
-	for _, nh := range ch.Nodes {
-		if !nh.Alive {
+// liveView is what both health views are built from: the live shards'
+// counter snapshots added key by key, and their Health snapshots for the
+// fields no counter holds.
+func (r *Router) liveView() (map[string]int64, []serve.Health) {
+	r.mu.RLock()
+	nodes := r.nodes
+	r.mu.RUnlock()
+
+	sum := make(map[string]int64)
+	var live []serve.Health
+	for _, n := range nodes {
+		srv := n.server()
+		if srv == nil || !n.alive.Load() {
 			continue
 		}
-		h := nh.Serve
+		for k, v := range srv.Metrics().Counters() {
+			sum[k] += v
+		}
+		live = append(live, srv.Health())
+	}
+	return sum, live
+}
+
+// Health is the single-node surface the frontend already speaks, for the
+// cluster: serve's counter mapping applied once to the live shards' summed
+// counters, so a counter field added to serve.Health is summed here without
+// this file naming it. A dead node's server and its counts are gone, so after
+// a node loss the totals are a floor. What no counter holds has one rule each:
+//
+//   - State degrades (or reads "recovering") when any live node does;
+//     Durable and Recovering are true when any live node's is.
+//   - QueueDepth, ConsecutiveFailures, Faults and the Recovery counts are
+//     summed; Faults also carries the router's own "node-loss" count.
+//   - StoreVersion and Recovery.ManifestVersion are the lowest across live
+//     durable nodes: the version every node has committed.
+//   - LastCheckpoint is the furthest-along node's (highest manifest version:
+//     nodes checkpoint independently and share no clock).
+//   - Memory is the cluster-wide governor's snapshot, zero when it is off.
+//
+// Cluster-only detail (failovers, hedges, partials) lives in ClusterHealth.
+func (r *Router) Health() serve.Health {
+	sum, live := r.liveView()
+	out := serve.HealthFromCounters(sum)
+	out.State = "ok"
+	for _, h := range live {
 		if h.State == "degraded" || h.State == "recovering" {
 			out.State = h.State
 		}
 		out.QueueDepth += h.QueueDepth
 		out.ConsecutiveFailures += h.ConsecutiveFailures
-		out.Admitted += h.Admitted
-		out.Completed += h.Completed
-		out.Failed += h.Failed
-		out.Rejected += h.Rejected
-		out.Shed += h.Shed
-		out.DeadlineExceeded += h.DeadlineExceeded
-		out.Retries += h.Retries
-		out.RetryExhausted += h.RetryExhausted
-		out.BreakerTrips += h.BreakerTrips
-		out.Redispatched += h.Redispatched
-		out.PanicsRecovered += h.PanicsRecovered
-		out.StragglersRetired += h.StragglersRetired
-		out.CoresLost += h.CoresLost
-		out.DegradedScans += h.DegradedScans
-		out.MemShed += h.MemShed
-		out.Spills += h.Spills
-		out.SpillBytes += h.SpillBytes
-		out.OOMKilled += h.OOMKilled
-		out.Checkpoints += h.Checkpoints
-		out.CheckpointFailures += h.CheckpointFailures
-		out.ColdLoads += h.ColdLoads
-		out.ReplayedTables += h.ReplayedTables
-		out.RecoveringShed += h.RecoveringShed
-		out.Durable = out.Durable || h.Durable
 		if h.Faults != nil && out.Faults == nil {
 			out.Faults = make(map[string]int64)
 		}
 		for k, v := range h.Faults {
 			out.Faults[k] += v
 		}
-		for id, th := range h.Tenants {
-			if out.Tenants == nil {
-				out.Tenants = make(map[string]serve.TenantHealth)
-			}
-			agg := out.Tenants[id]
-			agg.Admitted += th.Admitted
-			agg.Completed += th.Completed
-			agg.Failed += th.Failed
-			agg.Rejected += th.Rejected
-			agg.Shed += th.Shed
-			agg.MemShed += th.MemShed
-			agg.DeadlineExceeded += th.DeadlineExceeded
-			agg.Invalid += th.Invalid
-			agg.Spills += th.Spills
-			agg.SpillBytes += th.SpillBytes
-			out.Tenants[id] = agg
+		if !h.Durable {
+			continue
+		}
+		if !out.Durable {
+			out.Durable, out.StoreVersion, out.Recovery.ManifestVersion = true, h.StoreVersion, h.Recovery.ManifestVersion
+		}
+		out.StoreVersion = min(out.StoreVersion, h.StoreVersion)
+		out.Recovery.ManifestVersion = min(out.Recovery.ManifestVersion, h.Recovery.ManifestVersion)
+		out.Recovering = out.Recovering || h.Recovering
+		out.Recovery.Fallbacks += h.Recovery.Fallbacks
+		out.Recovery.CorruptSegments += h.Recovery.CorruptSegments
+		out.Recovery.TablesTotal += h.Recovery.TablesTotal
+		out.Recovery.TablesHot += h.Recovery.TablesHot
+		out.Recovery.BytesValidated += h.Recovery.BytesValidated
+		out.Recovery.SimCycles += h.Recovery.SimCycles
+		out.Recovery.WallNanos += h.Recovery.WallNanos
+		if h.LastCheckpoint.Version > out.LastCheckpoint.Version {
+			out.LastCheckpoint = h.LastCheckpoint
 		}
 	}
 	if r.gov != nil {
-		out.Memory = ch.Memory
+		out.Memory = r.gov.Stats()
 	}
-	if out.Faults == nil && ch.NodeLosses > 0 {
+	losses := r.reg.Counters()["shard.node_losses"]
+	if out.Faults == nil && losses > 0 {
 		out.Faults = make(map[string]int64)
 	}
 	if out.Faults != nil {
-		out.Faults["node-loss"] += ch.NodeLosses
+		out.Faults["node-loss"] += losses
+	}
+	for id, th := range out.Tenants {
+		out.Tenants[id] = r.tenantView(id, th, live)
 	}
 	return out
 }
 
-// TenantHealth merges one tenant's counters across the live shards.
+// TenantHealth is one tenant's slice of Health, built the same way.
 func (r *Router) TenantHealth(tenant string) serve.TenantHealth {
-	r.mu.RLock()
-	nodes := r.nodes
-	r.mu.RUnlock()
+	sum, live := r.liveView()
+	return r.tenantView(tenant, serve.TenantHealthFromCounters(sum, tenant), live)
+}
 
-	var out serve.TenantHealth
-	for _, n := range nodes {
-		srv := n.server()
-		if srv == nil || !n.alive.Load() {
-			continue
-		}
-		th := srv.TenantHealth(tenant)
-		out.Admitted += th.Admitted
-		out.Completed += th.Completed
-		out.Failed += th.Failed
-		out.Rejected += th.Rejected
-		out.Shed += th.Shed
-		out.MemShed += th.MemShed
-		out.DeadlineExceeded += th.DeadlineExceeded
-		out.Invalid += th.Invalid
-		out.Spills += th.Spills
-		out.SpillBytes += th.SpillBytes
-		if th.MemInUseBytes > 0 {
-			out.MemInUseBytes += th.MemInUseBytes
-		}
-		if th.MemCapBytes > out.MemCapBytes {
-			out.MemCapBytes = th.MemCapBytes
-		}
+// tenantView fills what the summed counters cannot say about a tenant.
+// Latency and modeled cost are what the tenant waited for at the router
+// (SubmitDist records them per request): the shards' histograms time
+// per-stripe sub-requests and cannot be merged. Memory in use is summed over
+// the live shards; the cap is the largest any of them carries.
+func (r *Router) tenantView(tenant string, th serve.TenantHealth, live []serve.Health) serve.TenantHealth {
+	th.LatencyMs = r.reg.Histogram("shard.tenant." + tenant + ".latency_ms").Stats()
+	th.CyclesPerQuery = r.reg.Histogram("shard.tenant." + tenant + ".cycles_per_query").Stats()
+	for _, h := range live {
+		th.MemInUseBytes += h.Memory.TenantInUse[tenant]
+		th.MemCapBytes = max(th.MemCapBytes, h.Memory.TenantCaps[tenant])
 	}
-	return out
+	return th
 }

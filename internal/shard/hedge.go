@@ -139,7 +139,6 @@ func (r *Router) dispatch(ctx context.Context, replicas []int, req serve.Request
 			// next unused candidate, if any.
 			if launched < len(cands) {
 				out.hedged = true
-				r.hedges.Add(1)
 				r.reg.Counter("shard.hedges").Inc()
 				launch(cands[launched], true)
 				pending++
@@ -149,7 +148,6 @@ func (r *Router) dispatch(ctx context.Context, replicas []int, req serve.Request
 			if res.err == nil {
 				res.node.brk.OnSuccess()
 				if res.hedged {
-					r.hedgeWins.Add(1)
 					r.reg.Counter("shard.hedge_wins").Inc()
 				}
 				return res.resp, out, nil
@@ -162,7 +160,6 @@ func (r *Router) dispatch(ctx context.Context, replicas []int, req serve.Request
 			lastErr = res.err
 			if launched < len(cands) {
 				out.failovers++
-				r.failovers.Add(1)
 				r.reg.Counter("shard.failovers").Inc()
 				launch(cands[launched], false)
 				pending++

@@ -216,13 +216,6 @@ type Router struct {
 	// cycle, stored as math.Float64bits; it calibrates the cost-model-
 	// derived hedge deadline.
 	nsPerCycle atomic.Uint64
-
-	failovers      atomic.Int64
-	hedges         atomic.Int64
-	hedgeWins      atomic.Int64
-	partials       atomic.Int64
-	nodeLosses     atomic.Int64
-	rereplications atomic.Int64
 }
 
 // New builds the shard tier: opts.Shards serve.Servers on machine m behind
@@ -420,8 +413,16 @@ func (r *Router) SubmitDist(ctx context.Context, req serve.Request) (Response, e
 		resp, err = r.routeAny(ctx, req)
 	}
 	if err == nil || resp.Partial {
-		r.observeWall(time.Since(start), resp.SimCycles)
-		r.reg.Histogram("shard.latency_ms").Record(float64(time.Since(start).Microseconds()) / 1e3)
+		wall := time.Since(start)
+		ms := float64(wall.Microseconds()) / 1e3
+		r.observeWall(wall, resp.SimCycles)
+		r.reg.Histogram("shard.latency_ms").Record(ms)
+		if req.Tenant != "" {
+			// What the tenant waited for, whole-request: the shards' own
+			// tenant histograms time per-stripe sub-requests.
+			r.reg.Histogram("shard.tenant." + req.Tenant + ".latency_ms").Record(ms)
+			r.reg.Histogram("shard.tenant." + req.Tenant + ".cycles_per_query").Record(resp.SimCycles)
+		}
 	}
 	return resp, err
 }
@@ -529,7 +530,6 @@ func (r *Router) scatterScan(ctx context.Context, req serve.Request) (Response, 
 	if coveredRows < meta.totalRows {
 		out.Partial = true
 		out.CoveredFraction = float64(coveredRows) / float64(meta.totalRows)
-		r.partials.Add(1)
 		r.reg.Counter("shard.partials").Inc()
 		return out, fmt.Errorf("shard: scan %q covered %.0f%% of rows (lost replicas): %w",
 			req.Table, out.CoveredFraction*100, errs.ErrPartialResult)
