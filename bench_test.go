@@ -19,7 +19,6 @@ import (
 	"hwstar/internal/hw"
 	"hwstar/internal/index"
 	"hwstar/internal/join"
-	"hwstar/internal/layout"
 	"hwstar/internal/queries"
 	"hwstar/internal/scan"
 	hwsort "hwstar/internal/sort"
@@ -180,32 +179,6 @@ func BenchmarkRealQ1Fused(b *testing.B) {
 		if _, err := queries.Q1(queries.EngineFused, li, queries.DefaultQ1(), nil); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func benchLayout(kind layout.Kind) *layout.Relation {
-	cols := make([][]int64, 16)
-	for c := range cols {
-		cols[c] = workload.UniformInts(int64(9100+c), 1<<18, 1<<30)
-	}
-	return layout.MustBuild(kind, cols)
-}
-
-func BenchmarkRealScanNSMOneCol(b *testing.B) {
-	r := benchLayout(layout.NSM)
-	b.SetBytes(r.Bytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.SumColumn(3)
-	}
-}
-
-func BenchmarkRealScanDSMOneCol(b *testing.B) {
-	r := benchLayout(layout.DSM)
-	b.SetBytes(int64(r.NumRows()) * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.SumColumn(3)
 	}
 }
 

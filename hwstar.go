@@ -605,10 +605,10 @@ func GenJoin(seed int64, buildRows, probeRows int, zipfS float64) JoinData {
 // stores on node recovery. See internal/shard.
 type Router = shard.Router
 
-// RouterOptions configures a Router: shard/replica/partition counts, the
-// per-shard ServerOptions, per-node durable stores, cluster fabric, fault
-// injector, cluster-wide admission and memory budgets, and the hedging and
-// breaker policy.
+// RouterOptions configures a Router: shard and replica counts, the
+// per-shard ServerOptions, per-node durable stores, fault injector, and the
+// cluster-wide memory budget. Partition count, fabric, admission bound,
+// hedging and breaker policy are fixed (see DESIGN.md).
 type RouterOptions = shard.Options
 
 // RouterResponse is a Router's distributed answer: the serve.Response plus

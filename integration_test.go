@@ -119,7 +119,7 @@ func TestCompressedDistributedPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	rack := cluster.Rack10GbE(4)
-	got, err := rack.Join(t.Context(), in, cluster.StrategyAuto)
+	got, err := rack.Join(context.Background(), in, cluster.StrategyAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,20 +101,6 @@ func (t *Table) CSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// Cycles formats a cycle count with engineering suffixes (K/M/G).
-func Cycles(c float64) string {
-	switch {
-	case c >= 1e9:
-		return fmt.Sprintf("%.2fG", c/1e9)
-	case c >= 1e6:
-		return fmt.Sprintf("%.2fM", c/1e6)
-	case c >= 1e3:
-		return fmt.Sprintf("%.1fK", c/1e3)
-	default:
-		return fmt.Sprintf("%.0f", c)
-	}
-}
-
 // Bytes formats a byte count with binary suffixes.
 func Bytes(b int64) string {
 	switch {

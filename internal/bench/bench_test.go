@@ -50,17 +50,6 @@ func TestCSV(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
-	cases := map[float64]string{
-		12:     "12",
-		1500:   "1.5K",
-		2.5e6:  "2.50M",
-		3.25e9: "3.25G",
-	}
-	for in, want := range cases {
-		if got := Cycles(in); got != want {
-			t.Errorf("Cycles(%f) = %q, want %q", in, got, want)
-		}
-	}
 	byteCases := map[int64]string{
 		12:      "12B",
 		2048:    "2.0KiB",

@@ -89,9 +89,6 @@ func (f *Filter) Contains(key int64) bool {
 // Bytes returns the filter footprint.
 func (f *Filter) Bytes() int64 { return int64(len(f.blocks)) * 8 }
 
-// Len returns the number of added keys.
-func (f *Filter) Len() int64 { return f.n }
-
 // ExpectedFPR estimates the false-positive rate for the current fill,
 // using the standard Bloom approximation over the per-block bit budget.
 func (f *Filter) ExpectedFPR() float64 {

@@ -19,8 +19,8 @@ func TestNoFalseNegatives(t *testing.T) {
 			t.Fatalf("false negative for %d", k)
 		}
 	}
-	if f.Len() != 10000 {
-		t.Fatalf("Len = %d", f.Len())
+	if f.n != 10000 {
+		t.Fatalf("n = %d", f.n)
 	}
 }
 

@@ -100,9 +100,6 @@ func New(cfg Config) *Cache {
 	return &Cache{cfg: cfg, sets: sets, numSets: numSets, lineShift: shift, stats: Stats{Name: cfg.Name}}
 }
 
-// Config returns the level's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Access touches addr. It returns true on a hit. On a miss the line is
 // installed, evicting the LRU line of its set when the set is full.
 func (c *Cache) Access(addr uint64) bool {

@@ -163,6 +163,17 @@ func (c Cluster) PredictBytes(buildRows, probeRows int64) (shuffleBytes, broadca
 	return shuffleBytes, broadcastBytes
 }
 
+// TransferCycles prices moving bytes across the fabric when senders NICs
+// transfer concurrently: the per-transfer latency floor plus the busiest
+// NIC's share — approximated as an even share — at NIC bandwidth. Moving
+// nothing costs nothing. Every tier that charges the fabric prices it here.
+func (c Cluster) TransferCycles(bytes int64, senders int) float64 {
+	if bytes <= 0 {
+		return 0
+	}
+	return c.NetLatencyCycles + float64(bytes)/float64(senders)/c.NetBytesPerCycle
+}
+
 // Join executes the distributed equi-join over the cluster. Input data is
 // initially distributed round-robin (node i holds every i-th tuple); the
 // strategy decides what moves. All node-local joins are real radix joins;
@@ -221,11 +232,7 @@ func (c Cluster) Join(ctx context.Context, in join.Input, strat Strategy) (Resul
 	var maxNet float64
 	for i := range sent {
 		res.BytesMoved += sent[i]
-		net := 0.0
-		if sent[i] > 0 {
-			net = c.NetLatencyCycles + float64(sent[i])/c.NetBytesPerCycle
-		}
-		if net > maxNet {
+		if net := c.TransferCycles(sent[i], 1); net > maxNet {
 			maxNet = net
 		}
 	}

@@ -42,11 +42,11 @@ func TestValidateZeroLatencyFabric(t *testing.T) {
 		t.Fatalf("zero-latency fabric must validate: %v", err)
 	}
 	in := testInput(2000, 8000)
-	ideal, err := c.Join(t.Context(), in, StrategyShuffle)
+	ideal, err := c.Join(context.Background(), in, StrategyShuffle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	real, err := Rack10GbE(4).Join(t.Context(), in, StrategyShuffle)
+	real, err := Rack10GbE(4).Join(context.Background(), in, StrategyShuffle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestValidateZeroLatencyFabric(t *testing.T) {
 }
 
 func TestJoinContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(t.Context())
+	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := Rack10GbE(4).Join(ctx, testInput(100, 100), StrategyShuffle)
 	if !errors.Is(err, context.Canceled) {
@@ -89,7 +89,7 @@ func TestDistributedJoinMatchesLocal(t *testing.T) {
 	for _, nodes := range []int{1, 2, 4, 8} {
 		c := Rack10GbE(nodes)
 		for _, strat := range []Strategy{StrategyShuffle, StrategyBroadcast, StrategyAuto} {
-			res, err := c.Join(t.Context(), in, strat)
+			res, err := c.Join(context.Background(), in, strat)
 			if err != nil {
 				t.Fatalf("%d nodes / %s: %v", nodes, strat, err)
 			}
@@ -110,7 +110,7 @@ func TestDuplicateKeysAcrossNodes(t *testing.T) {
 	want, _ := join.NestedLoop(in, nil)
 	c := Rack10GbE(3)
 	for _, strat := range []Strategy{StrategyShuffle, StrategyBroadcast} {
-		res, err := c.Join(t.Context(), in, strat)
+		res, err := c.Join(context.Background(), in, strat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestDuplicateKeysAcrossNodes(t *testing.T) {
 func TestSingleNodeMovesNothing(t *testing.T) {
 	in := testInput(1000, 4000)
 	c := Rack10GbE(1)
-	res, err := c.Join(t.Context(), in, StrategyShuffle)
+	res, err := c.Join(context.Background(), in, StrategyShuffle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestPredictBytesShapes(t *testing.T) {
 func TestAutoPicksCheaperStrategy(t *testing.T) {
 	c := Rack10GbE(8)
 	smallBuild := testInput(500, 40000)
-	res, err := c.Join(t.Context(), smallBuild, StrategyAuto)
+	res, err := c.Join(context.Background(), smallBuild, StrategyAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestAutoPicksCheaperStrategy(t *testing.T) {
 		t.Fatalf("small build should broadcast, picked %s", res.Strategy)
 	}
 	bigBuild := testInput(40000, 40000)
-	res, err = c.Join(t.Context(), bigBuild, StrategyAuto)
+	res, err = c.Join(context.Background(), bigBuild, StrategyAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestAutoPicksCheaperStrategy(t *testing.T) {
 func TestActualTrafficMatchesPrediction(t *testing.T) {
 	c := Rack10GbE(4)
 	in := testInput(8000, 32000)
-	res, err := c.Join(t.Context(), in, StrategyShuffle)
+	res, err := c.Join(context.Background(), in, StrategyShuffle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestActualTrafficMatchesPrediction(t *testing.T) {
 		t.Fatalf("shuffle traffic %d vs predicted %d (ratio %.3f)", res.BytesMoved, predicted, ratio)
 	}
 
-	resB, err := c.Join(t.Context(), in, StrategyBroadcast)
+	resB, err := c.Join(context.Background(), in, StrategyBroadcast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +198,11 @@ func TestActualTrafficMatchesPrediction(t *testing.T) {
 
 func TestFasterFabricShrinksNetworkTime(t *testing.T) {
 	in := testInput(20000, 80000)
-	slow, err := Rack10GbE(4).Join(t.Context(), in, StrategyShuffle)
+	slow, err := Rack10GbE(4).Join(context.Background(), in, StrategyShuffle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Rack40GbE(4).Join(t.Context(), in, StrategyShuffle)
+	fast, err := Rack40GbE(4).Join(context.Background(), in, StrategyShuffle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,14 +216,14 @@ func TestFasterFabricShrinksNetworkTime(t *testing.T) {
 
 func TestJoinErrors(t *testing.T) {
 	c := Rack10GbE(2)
-	if _, err := c.Join(t.Context(), join.Input{BuildKeys: []int64{1}}, StrategyShuffle); err == nil {
+	if _, err := c.Join(context.Background(), join.Input{BuildKeys: []int64{1}}, StrategyShuffle); err == nil {
 		t.Fatal("invalid input should fail")
 	}
-	if _, err := c.Join(t.Context(), testInput(10, 10), Strategy("bogus")); err == nil {
+	if _, err := c.Join(context.Background(), testInput(10, 10), Strategy("bogus")); err == nil {
 		t.Fatal("unknown strategy should fail")
 	}
 	bad := Cluster{Nodes: 0}
-	if _, err := bad.Join(t.Context(), testInput(10, 10), StrategyShuffle); err == nil {
+	if _, err := bad.Join(context.Background(), testInput(10, 10), StrategyShuffle); err == nil {
 		t.Fatal("invalid cluster should fail")
 	}
 }
@@ -253,7 +253,7 @@ func TestDistributedEquivalenceProperty(t *testing.T) {
 		}
 		c := Rack10GbE(nodes)
 		for _, strat := range []Strategy{StrategyShuffle, StrategyBroadcast} {
-			got, err := c.Join(t.Context(), in, strat)
+			got, err := c.Join(context.Background(), in, strat)
 			if err != nil || got.Matches != want.Matches || got.Checksum != want.Checksum {
 				return false
 			}

@@ -37,13 +37,6 @@ func (t *LockedTree) Get(key int64) (int64, bool) {
 	return t.bt.Get(key)
 }
 
-// Scan visits keys in [lo, hi] under the read latch.
-func (t *LockedTree) Scan(lo, hi int64, fn func(key, val int64) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	t.bt.Scan(lo, hi, fn)
-}
-
 // Len returns the number of stored keys.
 func (t *LockedTree) Len() int {
 	t.mu.RLock()

@@ -175,7 +175,6 @@ func runE23(cfg Config) ([]*Table, error) {
 	srv, err := serve.New(m, serve.Options{
 		Workers:            8,
 		QueueDepth:         1024,
-		BatchQueueDepth:    1024,
 		MaxBatch:           256,
 		BatchWindow:        500 * time.Microsecond,
 		InteractiveReserve: 6,

@@ -25,9 +25,6 @@ type Config struct {
 	Scale float64
 }
 
-// DefaultConfig runs experiments at full size.
-func DefaultConfig() Config { return Config{Scale: 1} }
-
 // TestConfig runs experiments at a fraction of full size, for unit tests and
 // smoke runs.
 func TestConfig() Config { return Config{Scale: 0.05} }

@@ -376,16 +376,3 @@ func (in *Injector) CountsInt64() map[string]int64 {
 	}
 	return out
 }
-
-// Reset clears the log and re-seeds the source, so the same injector can
-// replay its sequence.
-func (in *Injector) Reset() {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.log = nil
-	in.counts = make(map[Class]int)
-	in.rng = rand.New(rand.NewSource(in.cfg.Seed))
-}

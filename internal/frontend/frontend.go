@@ -16,10 +16,11 @@
 //     tenant-capped memory reservations, and the priority lane the tenant
 //     is configured for.
 //
-// Tenant and session state is sharded (hash of id/token → shard, each with
-// its own RWMutex) so the per-request lookup path never funnels through one
-// hot registry lock — McKenney's rule applied at the frontend, matching the
-// partitioned design the execution layers already follow.
+// The tenant registry is fixed at New and read without a lock. Session state
+// is sharded (hash of token → shard, each with its own RWMutex) so the
+// per-request lookup path never funnels through one hot registry lock —
+// McKenney's rule applied at the frontend, matching the partitioned design
+// the execution layers already follow.
 package frontend
 
 import (
@@ -96,16 +97,9 @@ type Config struct {
 	Now func() time.Time
 }
 
-// nShards is the tenant/session map shard count. 16 is far above the
-// expected tenant cardinality; the point is that two tenants hashing apart
-// never contend on a lookup lock.
+// nShards is the session map shard count: two tokens hashing apart never
+// contend on a lookup lock.
 const nShards = 16
-
-// tenantShard is one slice of the tenant registry.
-type tenantShard struct {
-	mu sync.RWMutex
-	m  map[string]*tenantState
-}
 
 // sessionShard is one slice of the session table.
 type sessionShard struct {
@@ -142,7 +136,8 @@ type Frontend struct {
 	now       func() time.Time
 	lineitems map[string]*table.Table
 
-	tenants  [nShards]tenantShard
+	// tenants is written only inside New and read without a lock after.
+	tenants  map[string]*tenantState
 	sessions [nShards]sessionShard
 }
 
@@ -169,9 +164,7 @@ func New(cfg Config) (*Frontend, error) {
 		timeout:   cfg.QueryTimeout,
 		now:       cfg.Now,
 		lineitems: cfg.Lineitems,
-	}
-	for i := range f.tenants {
-		f.tenants[i].m = make(map[string]*tenantState)
+		tenants:   make(map[string]*tenantState, len(cfg.Tenants)),
 	}
 	for i := range f.sessions {
 		f.sessions[i].m = make(map[string]*session)
@@ -187,16 +180,10 @@ func New(cfg Config) (*Frontend, error) {
 		default:
 			return nil, fmt.Errorf("frontend: tenant %q: unknown priority %q: %w", tc.ID, tc.Priority, errs.ErrInvalidInput)
 		}
-		sh := f.tenantShard(tc.ID)
-		sh.mu.Lock()
-		_, dup := sh.m[tc.ID]
-		if !dup {
-			sh.m[tc.ID] = &tenantState{cfg: tc, tokens: float64(tc.Burst), last: cfg.Now()}
-		}
-		sh.mu.Unlock()
-		if dup {
+		if _, dup := f.tenants[tc.ID]; dup {
 			return nil, fmt.Errorf("frontend: duplicate tenant %q: %w", tc.ID, errs.ErrInvalidInput)
 		}
+		f.tenants[tc.ID] = &tenantState{cfg: tc, tokens: float64(tc.Burst), last: cfg.Now()}
 		if tc.MemCapBytes > 0 {
 			backend.SetTenantMemCap(tc.ID, tc.MemCapBytes)
 		}
@@ -211,22 +198,11 @@ func shardIdx(key string) int {
 	return int(h.Sum32() % nShards)
 }
 
-func (f *Frontend) tenantShard(id string) *tenantShard { return &f.tenants[shardIdx(id)] }
-
 func (f *Frontend) sessionShard(tok string) *sessionShard { return &f.sessions[shardIdx(tok)] }
-
-// tenant looks a tenant up; the read path takes only the shard's RLock.
-func (f *Frontend) tenant(id string) (*tenantState, bool) {
-	sh := f.tenantShard(id)
-	sh.mu.RLock()
-	ts, ok := sh.m[id]
-	sh.mu.RUnlock()
-	return ts, ok
-}
 
 // openSession authenticates a tenant/key pair and mints a bearer token.
 func (f *Frontend) openSession(tenant, key string) (token string, expires time.Time, err error) {
-	ts, ok := f.tenant(tenant)
+	ts, ok := f.tenants[tenant]
 	// Compare even on unknown tenants so the two failure modes are
 	// indistinguishable on the wire.
 	probe := ""
@@ -265,7 +241,7 @@ func (f *Frontend) closeSession(token string) bool {
 	if !ok {
 		return false
 	}
-	if ts, found := f.tenant(s.tenant); found {
+	if ts, found := f.tenants[s.tenant]; found {
 		ts.mu.Lock()
 		ts.sessions--
 		ts.mu.Unlock()
@@ -290,7 +266,8 @@ func (f *Frontend) resolveSession(token string) (*tenantState, bool) {
 		f.closeSession(token)
 		return nil, false
 	}
-	return f.tenant(s.tenant)
+	ts, ok := f.tenants[s.tenant]
+	return ts, ok
 }
 
 // takeToken draws one token from the tenant's bucket. On refusal it returns

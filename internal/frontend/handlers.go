@@ -66,7 +66,7 @@ func (f *Frontend) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		f.writeCode(w, v1.CodeUnauthenticated, http.StatusUnauthorized, false, 0, "", "bad tenant or key")
 		return
 	}
-	ts, _ := f.tenant(req.Tenant)
+	ts := f.tenants[req.Tenant]
 	writeJSON(w, http.StatusOK, v1.SessionResponse{
 		Token:         token,
 		Tenant:        req.Tenant,
@@ -243,7 +243,7 @@ func (f *Frontend) wireTenantStats(id string, th serve.TenantHealth, c map[strin
 		RateLimited:      c["frontend.tenant."+id+".rate_limited"],
 		QuotaRejected:    c["frontend.tenant."+id+".quota_rejected"],
 	}
-	if ts, ok := f.tenant(id); ok {
+	if ts, ok := f.tenants[id]; ok {
 		out.InFlight, out.Sessions = ts.govSnapshot()
 	}
 	return out

@@ -422,7 +422,7 @@ func TestRetryHint(t *testing.T) {
 	}, Config{})
 	now := e.clock.now()
 
-	steady, _ := e.fe.tenant("steady")
+	steady := e.fe.tenants["steady"]
 	if hint := steady.retryHint(now); hint != 0 {
 		t.Fatalf("full bucket hinted %v, want 0", hint)
 	}
@@ -438,7 +438,7 @@ func TestRetryHint(t *testing.T) {
 		t.Fatalf("hint %v disagrees with takeToken's %v", hint, retryAfter)
 	}
 
-	bursty, _ := e.fe.tenant("bursty")
+	bursty := e.fe.tenants["bursty"]
 	bursty.takeToken(now)
 	bursty.takeToken(now)
 	if ok, _ := bursty.takeToken(now); ok {
@@ -458,7 +458,7 @@ func TestQuotaExhaustion(t *testing.T) {
 	tok := e.open("narrow", "k")
 	q := v1.QueryRequest{Op: v1.OpScan, Table: "facts", Scan: &v1.ScanArgs{Hi: 1000, AggCol: 1}}
 
-	ts, ok := e.fe.tenant("narrow")
+	ts, ok := e.fe.tenants["narrow"]
 	if !ok {
 		t.Fatal("tenant state missing")
 	}

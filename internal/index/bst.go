@@ -91,31 +91,6 @@ func (t *BST) TracedGet(h *cache.Hierarchy, key int64) (int64, bool, float64) {
 	return 0, false, cycles
 }
 
-// Scan visits keys in [lo, hi] in ascending order.
-func (t *BST) Scan(lo, hi int64, fn func(key, val int64) bool) {
-	scanNode(t.root, lo, hi, fn)
-}
-
-func scanNode(n *bstNode, lo, hi int64, fn func(key, val int64) bool) bool {
-	if n == nil {
-		return true
-	}
-	if n.key > lo {
-		if !scanNode(n.left, lo, hi, fn) {
-			return false
-		}
-	}
-	if n.key >= lo && n.key <= hi {
-		if !fn(n.key, n.val) {
-			return false
-		}
-	}
-	if n.key < hi {
-		return scanNode(n.right, lo, hi, fn)
-	}
-	return true
-}
-
 // Depth returns the depth of key's node (root = 1), or 0 when absent —
 // diagnostic for the traced experiments.
 func (t *BST) Depth(key int64) int {

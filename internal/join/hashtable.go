@@ -52,9 +52,6 @@ func (t *hashTable) ProbeEach(key int64, fn func(val int64)) {
 	}
 }
 
-// Len returns the number of stored entries.
-func (t *hashTable) Len() int { return t.size }
-
 // Bytes returns the table's memory footprint (the working set a probe walks
 // through): key + value + used flag per slot.
 func (t *hashTable) Bytes() int64 { return int64(len(t.keys)) * (8 + 8 + 1) }

@@ -63,10 +63,8 @@ type Algorithm string
 
 // Algorithm identifiers.
 const (
-	AlgNPO       Algorithm = "npo"        // no-partitioning hash join (hardware-oblivious)
-	AlgRadix     Algorithm = "radix"      // parallel radix-partitioned hash join (hardware-conscious)
-	AlgSortMerge Algorithm = "sort-merge" // sort-merge join
-	AlgNested    Algorithm = "nested"     // nested-loop reference
+	AlgNPO   Algorithm = "npo"   // no-partitioning hash join (hardware-oblivious)
+	AlgRadix Algorithm = "radix" // parallel radix-partitioned hash join (hardware-conscious)
 )
 
 // AutoAlgorithm resolves the "auto" join choice for a build side of buildRows

@@ -38,8 +38,8 @@ func TestHashTableBasics(t *testing.T) {
 	ht.Insert(7, 70)
 	ht.Insert(7, 71) // duplicate key
 	ht.Insert(8, 80)
-	if ht.Len() != 3 {
-		t.Fatalf("len = %d", ht.Len())
+	if ht.size != 3 {
+		t.Fatalf("size = %d", ht.size)
 	}
 	var got []int64
 	ht.ProbeEach(7, func(v int64) { got = append(got, v) })

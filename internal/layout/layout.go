@@ -4,11 +4,10 @@
 //
 // The keynote argues that data layout is a hardware decision: which layout
 // wins depends on cache-line utilization under the actual access pattern,
-// not on the logical schema. This package makes that measurable three ways:
-// real Go implementations whose memory behaviour differs (Get/SumColumn walk
-// memory in layout order), an analytic cost description (ScanWork/PointWork
-// feed the hw machine model), and a traced mode that pushes the exact
-// address stream through the cache simulator.
+// not on the logical schema. This package makes that measurable two ways:
+// an analytic cost description (ScanWork/PointWork feed the hw machine
+// model), and a traced mode that pushes the exact address stream of a point
+// lookup through the cache simulator.
 package layout
 
 import (
@@ -78,9 +77,6 @@ func newRelation(kind Kind, rows, cols int) *Relation {
 	return &Relation{kind: kind, rows: rows, cols: cols, paxRows: paxRows}
 }
 
-// PAXRowsPerPage returns the number of rows stored per PAX page.
-func (r *Relation) PAXRowsPerPage() int { return r.paxRows }
-
 // Build materializes columns (all of equal length) into the given layout.
 func Build(kind Kind, columns [][]int64) (*Relation, error) {
 	if len(columns) == 0 {
@@ -132,9 +128,6 @@ func (r *Relation) index(row, col int) int {
 	}
 }
 
-// Kind returns the layout kind.
-func (r *Relation) Kind() Kind { return r.kind }
-
 // NumRows returns the row count.
 func (r *Relation) NumRows() int { return r.rows }
 
@@ -158,41 +151,6 @@ func (r *Relation) Set(row, col int, v int64) { r.data[r.index(row, col)] = v }
 // Addr returns the simulated address of field (row, col).
 func (r *Relation) Addr(row, col int) uint64 {
 	return r.base + uint64(r.index(row, col))*fieldBytes
-}
-
-// SumColumn computes the sum of one column by walking memory in layout
-// order — the real-time counterpart of the modeled scan. On NSM this strides
-// by the row width; on DSM it streams contiguously; on PAX it streams
-// mini-pages.
-func (r *Relation) SumColumn(col int) int64 {
-	var sum int64
-	switch r.kind {
-	case NSM:
-		idx := col
-		for row := 0; row < r.rows; row++ {
-			sum += r.data[idx]
-			idx += r.cols
-		}
-	case DSM:
-		start := col * r.rows
-		for _, v := range r.data[start : start+r.rows] {
-			sum += v
-		}
-	case PAX:
-		for page := 0; page*r.paxRows < r.rows; page++ {
-			pageRows := r.paxRows
-			if (page+1)*r.paxRows > r.rows {
-				pageRows = r.rows - page*r.paxRows
-			}
-			start := page*r.paxRows*r.cols + col*pageRows
-			for _, v := range r.data[start : start+pageRows] {
-				sum += v
-			}
-		}
-	default:
-		panic(fmt.Sprintf("layout: unknown kind %d", int(r.kind)))
-	}
-	return sum
 }
 
 // ReadRow copies row into out (len >= cols), walking memory in layout order.
@@ -258,30 +216,6 @@ func (r *Relation) PointWork(cols []int, lineBytes int64) []hw.Work {
 	default:
 		panic(fmt.Sprintf("layout: unknown kind %d", int(r.kind)))
 	}
-}
-
-// TraceScan pushes the address stream of scanning cols through the cache
-// hierarchy, in layout order, returning simulated cycles.
-func (r *Relation) TraceScan(h *cache.Hierarchy, cols []int) float64 {
-	total := 0.0
-	switch r.kind {
-	case NSM, PAX:
-		// Row-major page order: visit rows, touching only requested fields
-		// (the cache simulator turns co-located fields into line hits).
-		for row := 0; row < r.rows; row++ {
-			for _, c := range cols {
-				total += h.Access(r.Addr(row, c))
-			}
-		}
-	case DSM:
-		// Column-major: stream each requested column fully.
-		for _, c := range cols {
-			for row := 0; row < r.rows; row++ {
-				total += h.Access(r.Addr(row, c))
-			}
-		}
-	}
-	return total
 }
 
 // TracePoint pushes the address stream of one point lookup through the cache

@@ -76,20 +76,6 @@ func TestSetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSumColumnMatchesReference(t *testing.T) {
-	cols := makeCols(1537, 5) // deliberately not a multiple of the PAX page size
-	var want int64
-	for _, v := range cols[3] {
-		want += v
-	}
-	for _, k := range []Kind{NSM, DSM, PAX} {
-		r := MustBuild(k, cols)
-		if got := r.SumColumn(3); got != want {
-			t.Fatalf("%s: SumColumn = %d, want %d", k, got, want)
-		}
-	}
-}
-
 func TestReadRow(t *testing.T) {
 	cols := makeCols(100, 3)
 	for _, k := range []Kind{NSM, DSM, PAX} {
@@ -177,26 +163,6 @@ func TestPointWorkShapes(t *testing.T) {
 	// Single-column point on PAX has no follow-up item.
 	if got := pax.PointWork([]int{0}, line); len(got) != 1 {
 		t.Fatalf("PAX single-column point = %+v", got)
-	}
-}
-
-func TestTraceScanLineUtilization(t *testing.T) {
-	// 8 columns of 8 bytes = 64-byte rows: one line per row under NSM.
-	const rows = 4096
-	colsData := makeCols(rows, 8)
-	m := hw.Laptop()
-
-	// Low projectivity (1 column): DSM touches 8× fewer lines than NSM.
-	nsm := MustBuild(NSM, colsData)
-	dsm := MustBuild(DSM, colsData)
-	hn := cache.FromMachine(m)
-	hd := cache.FromMachine(m)
-	nsm.TraceScan(hn, []int{0})
-	dsm.TraceScan(hd, []int{0})
-	nsmMisses := hn.Levels()[0].Misses
-	dsmMisses := hd.Levels()[0].Misses
-	if dsmMisses*6 > nsmMisses {
-		t.Fatalf("DSM misses %d should be ~8× below NSM %d at projectivity 1/8", dsmMisses, nsmMisses)
 	}
 }
 

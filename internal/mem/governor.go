@@ -127,22 +127,6 @@ func (g *Governor) SetTenantCap(tenant string, bytes int64) {
 	g.tenantCaps[tenant] = bytes
 }
 
-// Budget returns the configured budget (0 = unlimited).
-func (g *Governor) Budget() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.cfg.BudgetBytes
-}
-
-// PerQuery returns the default per-query reservation size.
-func (g *Governor) PerQuery() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.cfg.PerQueryBytes
-}
-
 // Reserve grants a reservation of n bytes (n <= 0 means the configured
 // per-query default). Under KillOnOverage the grant always succeeds — the
 // naive engine admits everything and dies later. Otherwise a grant that
@@ -423,16 +407,6 @@ func (r *Reservation) NoteSpill(bytes int64) {
 	r.spills++
 	r.spillB += bytes
 	r.mu.Unlock()
-}
-
-// UsedBytes returns the bytes currently charged.
-func (r *Reservation) UsedBytes() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.used
 }
 
 // PeakBytes returns the reservation's high-water mark of charged bytes —

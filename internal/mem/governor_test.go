@@ -31,9 +31,7 @@ func TestNilGovernorGrantsEverything(t *testing.T) {
 
 func TestReserveDefaultsAndAdmissionDenial(t *testing.T) {
 	g := NewGovernor(Config{BudgetBytes: 1000})
-	if pq := g.PerQuery(); pq != 250 {
-		t.Fatalf("PerQuery = %d, want BudgetBytes/4 = 250", pq)
-	}
+	// The default reservation is BudgetBytes/4 = 250: exactly four fit.
 	var resvs []*Reservation
 	for i := 0; i < 4; i++ {
 		r, err := g.Reserve(0)
@@ -76,16 +74,16 @@ func TestChargeGrowsGrantAndDenies(t *testing.T) {
 	if err := r.Charge("site", 0, 600); !errors.Is(err, errs.ErrMemoryPressure) {
 		t.Fatalf("over-budget charge err = %v, want ErrMemoryPressure", err)
 	}
-	if r.UsedBytes() != 500 || g.Stats().InUseBytes != 500 {
-		t.Fatalf("denial mutated accounting: used=%d inUse=%d", r.UsedBytes(), g.Stats().InUseBytes)
+	if r.used != 500 || g.Stats().InUseBytes != 500 {
+		t.Fatalf("denial mutated accounting: used=%d inUse=%d", r.used, g.Stats().InUseBytes)
 	}
 	if g.Stats().Denied != 1 {
 		t.Fatalf("Denied = %d, want 1", g.Stats().Denied)
 	}
 	// Uncharge frees reservation headroom but keeps the grant.
 	r.Uncharge(500)
-	if r.UsedBytes() != 0 || g.Stats().InUseBytes != 500 {
-		t.Fatalf("after uncharge: used=%d inUse=%d", r.UsedBytes(), g.Stats().InUseBytes)
+	if r.used != 0 || g.Stats().InUseBytes != 500 {
+		t.Fatalf("after uncharge: used=%d inUse=%d", r.used, g.Stats().InUseBytes)
 	}
 	if r.PeakBytes() != 500 {
 		t.Fatalf("peak = %d, want 500", r.PeakBytes())
@@ -161,8 +159,8 @@ func TestAllocFaultInjectionDeniesWithoutAccounting(t *testing.T) {
 	if err := r.Charge("join-build", 3, 100); !errors.Is(err, errs.ErrMemoryPressure) {
 		t.Fatalf("injected charge err = %v, want ErrMemoryPressure", err)
 	}
-	if r.UsedBytes() != 0 {
-		t.Fatalf("injected denial accounted bytes: %d", r.UsedBytes())
+	if r.used != 0 {
+		t.Fatalf("injected denial accounted bytes: %d", r.used)
 	}
 	// The shielded site is untouched.
 	if err := r.Charge("agg-table", 3, 100); err != nil {

@@ -210,21 +210,17 @@ func TestOccupancyAndImbalance(t *testing.T) {
 	local := NewNUMAAllocator(m, PolicyLocal)
 	local.Place(100, 0)
 	local.Place(100, 0)
-	if imb := local.Imbalance(); imb != 1 {
-		t.Fatalf("all-on-one-node imbalance = %f, want 1", imb)
+	if occ := local.NodeOccupancy(); occ[0] != 200 || occ[1] != 0 {
+		t.Fatalf("all-on-one-node occupancy = %v, want [200 0]", occ)
 	}
 	inter := NewNUMAAllocator(m, PolicyInterleave)
 	inter.Place(100, 0)
-	if imb := inter.Imbalance(); imb != 0 {
-		t.Fatalf("interleave imbalance = %f, want 0", imb)
-	}
-	occ := inter.NodeOccupancy()
-	if occ[0] != 50 || occ[1] != 50 {
-		t.Fatalf("occupancy = %v", occ)
+	if occ := inter.NodeOccupancy(); occ[0] != 50 || occ[1] != 50 {
+		t.Fatalf("interleave occupancy = %v, want [50 50]", occ)
 	}
 	empty := NewNUMAAllocator(m, PolicyLocal)
-	if empty.Imbalance() != 0 {
-		t.Fatal("empty allocator imbalance should be 0")
+	if occ := empty.NodeOccupancy(); occ[0] != 0 || occ[1] != 0 {
+		t.Fatalf("empty allocator occupancy = %v", occ)
 	}
 }
 

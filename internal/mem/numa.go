@@ -95,9 +95,6 @@ func NewNUMAAllocator(m *hw.Machine, p Policy) *NUMAAllocator {
 	return &NUMAAllocator{machine: m, policy: p, perNode: make([]int64, m.Sockets)}
 }
 
-// Policy returns the allocator's policy.
-func (na *NUMAAllocator) Policy() Policy { return na.policy }
-
 // Place assigns bytes for a region allocated by code running on
 // allocatingNode and returns the resulting placement. allocatingNode is
 // clamped into range.
@@ -145,26 +142,6 @@ func (na *NUMAAllocator) NodeOccupancy() []int64 {
 	out := make([]int64, len(na.perNode))
 	copy(out, na.perNode)
 	return out
-}
-
-// Imbalance returns (max-min)/total occupancy across nodes, or 0 when nothing
-// has been placed. Perfectly balanced placement yields 0.
-func (na *NUMAAllocator) Imbalance() float64 {
-	var total, minB, maxB int64
-	minB = -1
-	for _, b := range na.perNode {
-		total += b
-		if minB < 0 || b < minB {
-			minB = b
-		}
-		if b > maxB {
-			maxB = b
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(maxB-minB) / float64(total)
 }
 
 // ReadWork converts reading a placed region sequentially from readerNode into

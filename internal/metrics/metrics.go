@@ -32,9 +32,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current value.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Reset sets the counter back to zero.
-func (c *Counter) Reset() { c.v.Store(0) }
-
 // Gauge is a settable 64-bit value safe for concurrent use.
 type Gauge struct {
 	v atomic.Int64
@@ -49,24 +46,21 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // DefaultReservoir is the default sample bound of a Histogram: below it every
 // sample is kept and order statistics are exact; above it the histogram keeps
 // a uniform reservoir of this size, so memory stays bounded under sustained
-// serving load while count, sum, mean, min, max, and stddev remain exact.
+// serving load while count, sum, mean, min, and max remain exact.
 const DefaultReservoir = 8192
 
 // Histogram records float64 samples and reports order statistics. It is
-// bounded: up to its reservoir size (DefaultReservoir unless set with
-// NewHistogramReservoir) all samples are retained and quantiles are exact;
-// beyond it, reservoir sampling (Vitter's Algorithm R, deterministic seed)
-// keeps a uniform subset for quantile estimation. Count, Sum, Mean, Min,
-// Max, and Stddev are always computed over every recorded sample. Record is
+// bounded: up to DefaultReservoir samples are all retained and quantiles are
+// exact; beyond it, reservoir sampling (Vitter's Algorithm R, deterministic
+// seed) keeps a uniform subset for quantile estimation. Count, Sum, Mean,
+// Min, and Max are always computed over every recorded sample. Record is
 // O(1); quantile queries sort the reservoir lazily.
 type Histogram struct {
 	mu       sync.Mutex
-	vals     []float64 // the reservoir (all samples while count <= maxKeep)
-	maxKeep  int
+	vals     []float64 // the reservoir (all samples while count <= DefaultReservoir)
 	sorted   bool
 	count    int64
 	sum      float64
-	sumSq    float64
 	minV     float64
 	maxV     float64
 	rngState uint64
@@ -78,16 +72,7 @@ func NewHistogram(n int) *Histogram {
 	if n > DefaultReservoir {
 		n = DefaultReservoir
 	}
-	return &Histogram{vals: make([]float64, 0, n), maxKeep: DefaultReservoir, rngState: 0x9E3779B97F4A7C15}
-}
-
-// NewHistogramReservoir returns an empty histogram that retains at most
-// reservoir samples (minimum 16) for quantile estimation.
-func NewHistogramReservoir(reservoir int) *Histogram {
-	if reservoir < 16 {
-		reservoir = 16
-	}
-	return &Histogram{maxKeep: reservoir, rngState: 0x9E3779B97F4A7C15}
+	return &Histogram{vals: make([]float64, 0, n), rngState: 0x9E3779B97F4A7C15}
 }
 
 // nextRand is a splitmix64 step — a tiny deterministic generator so reservoir
@@ -111,14 +96,13 @@ func (h *Histogram) Record(v float64) {
 	}
 	h.count++
 	h.sum += v
-	h.sumSq += v * v
-	if len(h.vals) < h.maxKeep {
+	if len(h.vals) < DefaultReservoir {
 		h.vals = append(h.vals, v)
 		h.sorted = false
-	} else if j := h.nextRand() % uint64(h.count); j < uint64(h.maxKeep) {
-		// Algorithm R: sample i (>= maxKeep) replaces a random slot with
-		// probability maxKeep/i, keeping the reservoir uniform over all
-		// samples seen.
+	} else if j := h.nextRand() % uint64(h.count); j < DefaultReservoir {
+		// Algorithm R: sample i (>= DefaultReservoir) replaces a random slot
+		// with probability DefaultReservoir/i, keeping the reservoir uniform
+		// over all samples seen.
 		h.vals[j] = v
 		h.sorted = false
 	}
@@ -201,41 +185,16 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.vals[lo]*(1-frac) + h.vals[hi]*frac
 }
 
-// Stddev returns the population standard deviation over all recorded
-// samples (exact, via running sums).
-func (h *Histogram) Stddev() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	mean := h.sum / float64(h.count)
-	varr := h.sumSq/float64(h.count) - mean*mean
-	if varr < 0 {
-		varr = 0 // floating-point cancellation guard
-	}
-	return math.Sqrt(varr)
-}
-
 // Reset discards all samples.
 func (h *Histogram) Reset() {
 	h.mu.Lock()
 	h.vals = h.vals[:0]
 	h.count = 0
 	h.sum = 0
-	h.sumSq = 0
 	h.minV = 0
 	h.maxV = 0
 	h.sorted = false
 	h.mu.Unlock()
-}
-
-// SampleLen returns the number of retained samples — bounded by the
-// reservoir size no matter how many were recorded.
-func (h *Histogram) SampleLen() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.vals)
 }
 
 // Summary returns a compact single-line description with count, mean, and
@@ -351,24 +310,6 @@ func (r *Registry) Counters() map[string]int64 {
 	return out
 }
 
-// Names returns the sorted names of all registered counters and histograms.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.ctrs)+len(r.hists)+len(r.gauges))
-	for k := range r.ctrs {
-		names = append(names, k)
-	}
-	for k := range r.hists {
-		names = append(names, k)
-	}
-	for k := range r.gauges {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Snapshot is a point-in-time copy of everything a registry recorded.
 type Snapshot struct {
 	Counters   map[string]int64
@@ -399,19 +340,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[names[i]] = h.Stats()
 	}
 	return s
-}
-
-// Reset resets every counter and histogram in the registry.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.ctrs {
-		c.Reset()
-	}
-	for _, h := range r.hists {
-		h.Reset()
-	}
-	for _, g := range r.gauges {
-		g.Set(0)
-	}
 }

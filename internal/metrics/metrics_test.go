@@ -21,10 +21,6 @@ func TestCounterBasic(t *testing.T) {
 	if got := c.Value(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	c.Reset()
-	if got := c.Value(); got != 0 {
-		t.Fatalf("after reset = %d, want 0", got)
-	}
 }
 
 func TestCounterConcurrent(t *testing.T) {
@@ -90,10 +86,6 @@ func TestHistogramBasicStats(t *testing.T) {
 	}
 	if got := h.Quantile(1); got != 5 {
 		t.Fatalf("q1 = %f, want 5", got)
-	}
-	want := math.Sqrt(2) // population stddev of 1..5
-	if got := h.Stddev(); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("stddev = %f, want %f", got, want)
 	}
 }
 
@@ -188,13 +180,8 @@ func TestRegistry(t *testing.T) {
 	if snap["a"] != 7 || snap["b"] != 1 {
 		t.Fatalf("snapshot = %v", snap)
 	}
-	names := r.Names()
-	if len(names) != 3 || names[0] != "a" || names[1] != "b" || names[2] != "h" {
-		t.Fatalf("names = %v", names)
-	}
-	r.Reset()
-	if r.Counter("a").Value() != 0 || r.Histogram("h").Count() != 0 {
-		t.Fatalf("registry reset failed")
+	if got := r.Histogram("h").Count(); got != 1 {
+		t.Fatalf("histogram h count = %d, want 1", got)
 	}
 }
 
@@ -265,8 +252,8 @@ func TestHistogramBoundedUnderSustainedLoad(t *testing.T) {
 	if h.Count() != n {
 		t.Fatalf("count = %d, want %d", h.Count(), n)
 	}
-	if h.SampleLen() > DefaultReservoir {
-		t.Fatalf("reservoir holds %d samples, bound is %d", h.SampleLen(), DefaultReservoir)
+	if len(h.vals) > DefaultReservoir {
+		t.Fatalf("reservoir holds %d samples, bound is %d", len(h.vals), DefaultReservoir)
 	}
 	if h.Min() != 0 || h.Max() != 999 {
 		t.Fatalf("min/max = %f/%f, want 0/999", h.Min(), h.Max())
@@ -285,14 +272,14 @@ func TestHistogramBoundedUnderSustainedLoad(t *testing.T) {
 // Past the reservoir bound, quantiles are estimates over a uniform
 // subsample; for a uniform input the median must land near the middle.
 func TestHistogramReservoirQuantileEstimate(t *testing.T) {
-	h := NewHistogramReservoir(1024)
+	h := NewHistogram(0)
 	rng := rand.New(rand.NewSource(7))
 	const n = 200_000
 	for i := 0; i < n; i++ {
 		h.Record(rng.Float64() * 100)
 	}
-	if h.Count() != n || h.SampleLen() != 1024 {
-		t.Fatalf("count/reservoir = %d/%d, want %d/1024", h.Count(), h.SampleLen(), n)
+	if h.Count() != n || len(h.vals) != DefaultReservoir {
+		t.Fatalf("count/reservoir = %d/%d, want %d/%d", h.Count(), len(h.vals), n, DefaultReservoir)
 	}
 	if p50 := h.Quantile(0.5); p50 < 40 || p50 > 60 {
 		t.Fatalf("reservoir p50 = %f, want ~50", p50)

@@ -14,10 +14,14 @@ type DistPlan struct {
 	// strategy's predicted makespan (network + slowest local join).
 	Predicted float64
 	All       map[cluster.Strategy]float64
+	// BytesMoved and NetworkCycles are the winning strategy's fabric
+	// traffic and its price — the part of Predicted the executor charges.
+	BytesMoved    int64
+	NetworkCycles float64
 }
 
 // ChooseDistStrategy prices shuffle vs broadcast for a distributed
-// equi-join on cluster c: the fabric phase via c's NIC parameters (bytes
+// equi-join on cluster c: the fabric phase via c.TransferCycles (bytes
 // from cluster.PredictBytes spread across the nodes' concurrent
 // transfers) plus the slowest node's local radix join via the same
 // estimator ChooseJoin uses. This is the keynote's planner obligation
@@ -37,14 +41,6 @@ func ChooseDistStrategy(c cluster.Cluster, s join.Stats, ctx hw.ExecContext) Dis
 		}
 		return n
 	}
-	netCycles := func(bytes int64) float64 {
-		if bytes <= 0 || nodes <= 1 {
-			return 0
-		}
-		// Transfers run concurrently; the makespan is the busiest NIC,
-		// approximated as an even share of the traffic.
-		return c.NetLatencyCycles + float64(bytes)/float64(nodes)/c.NetBytesPerCycle
-	}
 
 	shufLocal := join.EstimateRadix(c.Machine, join.Stats{
 		BuildRows: perNode(s.BuildRows), ProbeRows: perNode(s.ProbeRows), MissFrac: s.MissFrac,
@@ -53,13 +49,15 @@ func ChooseDistStrategy(c cluster.Cluster, s join.Stats, ctx hw.ExecContext) Dis
 		BuildRows: s.BuildRows, ProbeRows: perNode(s.ProbeRows), MissFrac: s.MissFrac,
 	}, ctx)
 
+	shufNet, bcastNet := c.TransferCycles(shufBytes, nodes), c.TransferCycles(bcastBytes, nodes)
 	all := map[cluster.Strategy]float64{
-		cluster.StrategyShuffle:   netCycles(shufBytes) + shufLocal,
-		cluster.StrategyBroadcast: netCycles(bcastBytes) + bcastLocal,
+		cluster.StrategyShuffle:   shufNet + shufLocal,
+		cluster.StrategyBroadcast: bcastNet + bcastLocal,
 	}
-	best := cluster.StrategyShuffle
+	plan := DistPlan{Strategy: cluster.StrategyShuffle, All: all, BytesMoved: shufBytes, NetworkCycles: shufNet}
 	if all[cluster.StrategyBroadcast] < all[cluster.StrategyShuffle] {
-		best = cluster.StrategyBroadcast
+		plan.Strategy, plan.BytesMoved, plan.NetworkCycles = cluster.StrategyBroadcast, bcastBytes, bcastNet
 	}
-	return DistPlan{Strategy: best, Predicted: all[best], All: all}
+	plan.Predicted = all[plan.Strategy]
+	return plan
 }

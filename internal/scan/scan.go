@@ -317,79 +317,3 @@ func segmentOf(r *Relation, start, end int) *Relation {
 	}
 	return &Relation{cols: cols, rows: end - start}
 }
-
-// Update is a predicate-scoped modification processed by the same clock
-// scan that answers queries — Crescando's defining trick: reads and writes
-// ride one cooperative pass, so update cost is also amortized across the
-// batch. Rows whose FilterCol value lies in [Lo, Hi] get Delta added to
-// their SetCol.
-type Update struct {
-	FilterCol int
-	Lo, Hi    int64
-	SetCol    int
-	Delta     int64
-}
-
-// Validate checks the update against a relation of ncols columns.
-func (u Update) Validate(ncols int) error {
-	if u.FilterCol < 0 || u.FilterCol >= ncols {
-		return fmt.Errorf("scan: update filter column %d out of range: %w", u.FilterCol, errs.ErrInvalidInput)
-	}
-	if u.SetCol < 0 || u.SetCol >= ncols {
-		return fmt.Errorf("scan: update set column %d out of range: %w", u.SetCol, errs.ErrInvalidInput)
-	}
-	if u.Lo > u.Hi {
-		return fmt.Errorf("scan: empty update range [%d, %d]: %w", u.Lo, u.Hi, errs.ErrInvalidInput)
-	}
-	return nil
-}
-
-// SharedWithUpdates executes one clock-scan pass that first applies every
-// update to each tuple (in batch order), then evaluates every query against
-// the updated tuple. The semantics are deterministic: queries in the batch
-// observe all of the batch's updates, exactly as if the updates had run to
-// completion first — but the data is only streamed once.
-func SharedWithUpdates(r *Relation, updates []Update, queries []Query, opts SharedOptions, acct *hw.Account) ([]int64, error) {
-	for _, u := range updates {
-		if err := u.Validate(r.NumCols()); err != nil {
-			return nil, err
-		}
-	}
-	for _, q := range queries {
-		if err := q.Validate(r.NumCols()); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]int64, len(queries))
-	for i := 0; i < r.rows; i++ {
-		for _, u := range updates {
-			if v := r.cols[u.FilterCol][i]; v >= u.Lo && v <= u.Hi {
-				r.cols[u.SetCol][i] += u.Delta
-			}
-		}
-		for qid, q := range queries {
-			if v := r.cols[q.FilterCol][i]; v >= q.Lo && v <= q.Hi {
-				out[qid] += r.cols[q.AggCol][i]
-			}
-		}
-	}
-	if acct != nil {
-		touched := map[int]bool{}
-		for _, q := range queries {
-			touched[q.FilterCol] = true
-			touched[q.AggCol] = true
-		}
-		for _, u := range updates {
-			touched[u.FilterCol] = true
-			touched[u.SetCol] = true
-		}
-		acct.Charge(hw.Work{
-			Name:            "clock-scan-rw",
-			Tuples:          int64(r.rows),
-			ComputePerTuple: 2 + 3*float64(len(updates)+len(queries)),
-			SeqReadBytes:    int64(len(touched)) * int64(r.rows) * colBytes,
-			SeqWriteBytes:   int64(r.rows) * colBytes, // updated column writes back
-		})
-	}
-	return out, nil
-}

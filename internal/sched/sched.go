@@ -231,15 +231,6 @@ func (s *FaultStats) Add(other FaultStats) {
 	s.CoresLost += other.CoresLost
 }
 
-// Speedup returns TotalCycles / MakespanCycles — the effective parallelism
-// achieved.
-func (r Result) Speedup() float64 {
-	if r.MakespanCycles == 0 {
-		return 0
-	}
-	return r.TotalCycles / r.MakespanCycles
-}
-
 // Imbalance returns (max-mean)/mean of per-worker busy cycles, 0 for a
 // perfectly balanced run.
 func (r Result) Imbalance() float64 {
@@ -272,9 +263,6 @@ func (s *Scheduler) Workers() int { return s.opts.Workers }
 // Mem returns the memory reservation scheduled queries charge against (nil =
 // ungoverned).
 func (s *Scheduler) Mem() *mem.Reservation { return s.opts.Mem }
-
-// Machine returns the machine the scheduler simulates.
-func (s *Scheduler) Machine() *hw.Machine { return s.machine }
 
 // New returns a scheduler for machine m with the given options.
 func New(m *hw.Machine, opts Options) (*Scheduler, error) {

@@ -112,8 +112,8 @@ func TestPanicIsolationInServer(t *testing.T) {
 
 // TestBreakerTripsShedsAndRecovers walks the full breaker cycle: two
 // injected failures trip it, a non-scan request is shed with ErrDegraded, a
-// scan still runs on the degraded worker budget, and its success closes the
-// breaker again.
+// scan still runs on the degraded worker budget (Workers/4), and its success
+// closes the breaker again.
 func TestBreakerTripsShedsAndRecovers(t *testing.T) {
 	cols, expect := testRelation(5000)
 	s := newServer(t, Options{
@@ -121,7 +121,6 @@ func TestBreakerTripsShedsAndRecovers(t *testing.T) {
 		Faults:           fault.New(fault.Config{Seed: 3, TransientProb: 1, MaxFaults: 2}),
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Hour, // recovery must come from the degraded scan, not time
-		DegradedWorkers:  2,
 	})
 	if err := s.Register("events", cols); err != nil {
 		t.Fatal(err)
@@ -146,8 +145,34 @@ func TestBreakerTripsShedsAndRecovers(t *testing.T) {
 		t.Fatalf("open breaker did not shed: %v", err)
 	}
 	// ...but a scan still runs, on the reduced budget (the fault budget is
-	// spent, so it succeeds) — and its success closes the breaker.
-	resp, err := s.Submit(context.Background(), Request{Op: OpScan, Table: "events", Query: scanQuery(0, 5000)})
+	// spent, so it succeeds) — and its success closes the breaker. The pass
+	// is held after it has taken its core tokens to read the budget off the
+	// pool: Workers/4 = 2 of 8.
+	freeCores := func() int {
+		s.cores.mu.Lock()
+		defer s.cores.mu.Unlock()
+		return s.cores.free
+	}
+	// The failed group-sums answer before their executors hand cores back.
+	waitFor(t, func() bool { return freeCores() == 8 }, "failed operations never released their cores")
+	hold := make(chan struct{})
+	s.testHold = hold
+	type scanOut struct {
+		resp Response
+		err  error
+	}
+	scanned := make(chan scanOut, 1)
+	go func() {
+		resp, err := s.Submit(context.Background(), Request{Op: OpScan, Table: "events", Query: scanQuery(0, 5000)})
+		scanned <- scanOut{resp, err}
+	}()
+	waitFor(t, func() bool { return freeCores() < 8 }, "degraded scan never took its cores")
+	if free := freeCores(); free != 6 {
+		t.Fatalf("degraded scan holds %d of 8 cores, want Workers/4 = 2", 8-free)
+	}
+	close(hold)
+	out := <-scanned
+	resp, err := out.resp, out.err
 	if err != nil {
 		t.Fatalf("degraded scan failed: %v", err)
 	}
@@ -206,17 +231,17 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	}
 }
 
-// TestRequestDeadline bounds clients that set no deadline of their own.
+// TestRequestDeadline: a request bounded by its caller's context returns the
+// deadline error while the pipeline is pinned, and is counted.
 func TestRequestDeadline(t *testing.T) {
-	s := newServer(t, Options{
-		Workers: 4, OpWorkers: 4, QueueDepth: 8,
-		RequestDeadline: 10 * time.Millisecond,
-	})
+	s := newServer(t, Options{Workers: 4, OpWorkers: 4, QueueDepth: 8})
 	hold := make(chan struct{})
 	s.testHold = hold
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.Submit(context.Background(), Request{
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		defer cancel()
+		_, err := s.Submit(ctx, Request{
 			Op: OpGroupSum, Keys: []int64{1, 2}, Vals: []int64{3, 4}, Strategy: agg.StrategyGlobal,
 		})
 		done <- err
@@ -227,11 +252,14 @@ func TestRequestDeadline(t *testing.T) {
 			t.Fatalf("err = %v, want DeadlineExceeded", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("server deadline never fired")
+		t.Fatal("deadline never fired")
 	}
 	close(hold)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if h := s.Health(); h.DeadlineExceeded != 1 {
+		t.Fatalf("deadline_exceeded = %d, want 1", h.DeadlineExceeded)
 	}
 }
 
@@ -361,7 +389,6 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			Faults:           fault.New(fault.Config{Seed: int64(round), TransientProb: 0.2}),
 			MaxRetries:       2,
 			RetryBackoff:     10 * time.Microsecond,
-			RequestDeadline:  50 * time.Millisecond,
 			BreakerThreshold: 2,
 			BreakerCooldown:  time.Millisecond,
 			IsolatePanics:    true,
@@ -375,10 +402,12 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+				defer cancel()
 				if c%2 == 0 {
-					s.Submit(context.Background(), Request{Op: OpScan, Table: "events", Query: scanQuery(0, 2000)})
+					s.Submit(ctx, Request{Op: OpScan, Table: "events", Query: scanQuery(0, 2000)})
 				} else {
-					s.Submit(context.Background(), Request{
+					s.Submit(ctx, Request{
 						Op: OpGroupSum, Keys: []int64{1, 2, 3}, Vals: []int64{4, 5, 6}, Strategy: agg.StrategyRadix,
 					})
 				}

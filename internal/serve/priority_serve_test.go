@@ -81,7 +81,6 @@ func TestInteractiveNotBlockedByBatchHold(t *testing.T) {
 	s := newServer(t, Options{
 		Workers:            8,
 		QueueDepth:         16,
-		BatchQueueDepth:    16,
 		MaxBatch:           4,
 		BatchWindow:        100 * time.Microsecond,
 		InteractiveReserve: 6,

@@ -16,8 +16,7 @@
 //     oversubscribe the machine;
 //   - every request carries a context.Context honoured end to end: expired
 //     deadlines are rejected before execution, and in-flight work stops at
-//     the next morsel boundary; a server-wide RequestDeadline bounds
-//     requests whose clients set none;
+//     the next morsel boundary;
 //   - Close drains: queued requests finish, new ones get ErrClosed.
 //
 // The server is also the resilience layer over a partially failing machine
@@ -28,8 +27,8 @@
 //     RetryBackoff);
 //   - a circuit breaker trips after BreakerThreshold consecutive failures:
 //     while open, join/aggregate/query requests are shed with ErrDegraded,
-//     and scan requests still run — from a reduced DegradedWorkers budget —
-//     so the serving layer degrades instead of collapsing. After
+//     and scan requests still run — on a quarter of the worker budget — so
+//     the serving layer degrades instead of collapsing. After
 //     BreakerCooldown one probe request half-opens the breaker; a success
 //     closes it;
 //   - Health() snapshots the breaker, retry, re-dispatch, and fault-log
@@ -224,13 +223,11 @@ type Options struct {
 	// operations can overlap. Shared-scan batches always use the full
 	// budget: one cooperative pass should own the machine.
 	OpWorkers int
-	// QueueDepth bounds the interactive intake queue; submissions beyond it
-	// are rejected with ErrOverloaded. Default 256.
+	// QueueDepth bounds each intake lane, interactive and batch-priority
+	// alike; submissions beyond it are rejected with ErrOverloaded. Batch
+	// traffic overflowing its lane does not touch the interactive lane's
+	// headroom. Default 256.
 	QueueDepth int
-	// BatchQueueDepth bounds the batch-priority intake lane. Default
-	// QueueDepth. Batch traffic overflowing its lane is rejected with
-	// ErrOverloaded without touching the interactive lane's headroom.
-	BatchQueueDepth int
 	// InteractiveReserve is the number of simulated-core tokens batch-class
 	// work may never occupy: batch operations (and scan passes whose every
 	// member is batch-class) hold at most Workers-InteractiveReserve tokens
@@ -260,10 +257,6 @@ type Options struct {
 	// chaos together.
 	Memory mem.Config
 
-	// RequestDeadline bounds requests whose context carries no deadline of
-	// its own; 0 leaves them unbounded.
-	RequestDeadline time.Duration
-
 	// MaxRetries is how many times a failed operation (transient fault or
 	// unabsorbed worker panic) is re-executed before the error reaches the
 	// client; 0 disables retries. RetryBackoff is the base of the
@@ -288,13 +281,11 @@ type Options struct {
 
 	// BreakerThreshold arms the circuit breaker: after that many
 	// consecutive operation failures the breaker opens, shedding non-scan
-	// requests with ErrDegraded and running scans on the DegradedWorkers
-	// budget (default Workers/4, min 1). After BreakerCooldown (default
-	// 10ms) one request probes half-open; success closes the breaker. 0
-	// disables the breaker.
+	// requests with ErrDegraded and running scans on Workers/4 (min 1)
+	// simulated cores. After BreakerCooldown (default 10ms) one request
+	// probes half-open; success closes the breaker. 0 disables the breaker.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	DegradedWorkers  int
 
 	// IsolatePanics, StragglerThreshold, and SchedBlockSize configure the
 	// scheduler's own resilience for every operation this server runs (see
@@ -339,9 +330,6 @@ func (o Options) withDefaults(m *hw.Machine) (Options, error) {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 256
 	}
-	if o.BatchQueueDepth <= 0 {
-		o.BatchQueueDepth = o.QueueDepth
-	}
 	switch {
 	case o.InteractiveReserve < 0:
 		o.InteractiveReserve = 0 // negative = explicitly no reserve
@@ -370,19 +358,8 @@ func (o Options) withDefaults(m *hw.Machine) (Options, error) {
 	if o.CheckpointInterval > 0 && o.Store == nil {
 		return o, fmt.Errorf("serve: checkpoint interval %s without a store: %w", o.CheckpointInterval, errs.ErrInvalidInput)
 	}
-	if o.BreakerThreshold > 0 {
-		if o.BreakerCooldown <= 0 {
-			o.BreakerCooldown = 10 * time.Millisecond
-		}
-		if o.DegradedWorkers <= 0 {
-			o.DegradedWorkers = o.Workers / 4
-			if o.DegradedWorkers < 1 {
-				o.DegradedWorkers = 1
-			}
-		}
-		if o.DegradedWorkers > o.Workers {
-			return o, fmt.Errorf("serve: degraded workers %d out of range 1..%d: %w", o.DegradedWorkers, o.Workers, errs.ErrWorkersOutOfRange)
-		}
+	if o.BreakerThreshold > 0 && o.BreakerCooldown <= 0 {
+		o.BreakerCooldown = 10 * time.Millisecond
 	}
 	return o, nil
 }
@@ -501,7 +478,7 @@ func New(m *hw.Machine, opts Options) (*Server, error) {
 		opts:     opts,
 		reg:      metrics.NewRegistry(),
 		intake:   make(chan *pending, opts.QueueDepth),
-		intakeLo: make(chan *pending, opts.BatchQueueDepth),
+		intakeLo: make(chan *pending, opts.QueueDepth),
 		cores:    newCoreSem(opts.Workers, opts.Workers-opts.InteractiveReserve),
 		tables:   make(map[string]*vecTable),
 		rng:      rand.New(rand.NewSource(seed)),
@@ -653,10 +630,6 @@ func (s *Server) WaitRecovered(ctx context.Context) error {
 	}
 }
 
-// Recovering reports whether the server is still replaying its durable
-// state; while true, Submit and Register fail with ErrRecovering.
-func (s *Server) Recovering() bool { return s.recovering.Load() }
-
 // Checkpoint persists every table staged in the durable store as one new
 // atomically-committed manifest version, concurrent with serving: the store
 // snapshots under its own lock and in-flight queries keep running against
@@ -695,9 +668,6 @@ func (s *Server) Checkpoint(ctx context.Context) (store.CheckpointStats, error) 
 	s.reg.Histogram("serve.checkpoint_cycles").Record(st.SimCycles)
 	return st, nil
 }
-
-// Machine returns the server's hardware profile.
-func (s *Server) Machine() *hw.Machine { return s.machine }
 
 // Metrics returns the server's metrics registry. Counters:
 // serve.admitted, serve.rejected, serve.invalid, serve.completed,
@@ -759,15 +729,6 @@ func (s *Server) tenantInc(tenant, metric string) {
 // governance is off.
 func (s *Server) SetTenantMemCap(tenant string, bytes int64) {
 	s.gov.SetTenantCap(tenant, bytes)
-}
-
-// HasTable reports whether name is currently servable: registered in
-// memory, or cold in the durable store and faulted in by the probe. The
-// shard router's recovery uses it to skip stripes a revived node's own
-// replay already restored.
-func (s *Server) HasTable(ctx context.Context, name string) bool {
-	_, ok := s.lookup(ctx, name)
-	return ok
 }
 
 // lookup returns the table registered under name, faulting cold-tier
@@ -897,13 +858,6 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 			return Response{}, fmt.Errorf("serve: %s shed at admission: %w", req.Op, err)
 		}
 	}
-	if d := s.opts.RequestDeadline; d > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, d)
-			defer cancel()
-		}
-	}
 	p := &pending{ctx: ctx, req: req, enq: time.Now(), done: make(chan outcome, 1), resv: resv}
 	// The trace (if this request is sampled) must be rooted before the
 	// request enters the intake queue: the dispatcher reads the spans
@@ -922,9 +876,9 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 
 	// Batch-priority requests queue in their own bounded lane; a full lane
 	// rejects without consuming interactive headroom.
-	lane, depth := s.intake, s.opts.QueueDepth
+	lane := s.intake
 	if req.Priority.batchClass() {
-		lane, depth = s.intakeLo, s.opts.BatchQueueDepth
+		lane = s.intakeLo
 	}
 	s.mu.RLock()
 	if s.closed {
@@ -949,7 +903,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 		p.span.SetAttr("status", "rejected")
 		p.queueSpan.End()
 		p.span.End()
-		return Response{}, fmt.Errorf("serve: %s intake queue full (%d deep): %w", req.Priority.Lane(), depth, errs.ErrOverloaded)
+		return Response{}, fmt.Errorf("serve: %s intake queue full (%d deep): %w", req.Priority.Lane(), s.opts.QueueDepth, errs.ErrOverloaded)
 	}
 
 	select {
@@ -1276,7 +1230,7 @@ func (s *Server) dispatch() {
 		cur, window = nil, nil
 		b.workers = s.opts.Workers // a shared pass owns the whole budget...
 		if s.brk != nil && s.brk.Degraded() {
-			b.workers = s.opts.DegradedWorkers // ...unless the server is degraded
+			b.workers = max(1, s.opts.Workers/4) // ...unless the server is degraded
 			s.reg.Counter("serve.degraded_scans").Inc()
 		}
 		if b.lo {

@@ -46,11 +46,6 @@ func (r *Router) distJoin(ctx context.Context, req serve.Request) (Response, err
 	}
 
 	subs := splitJoin(in, len(live), plan.Strategy)
-	shufBytes, bcastBytes := clu.PredictBytes(int64(len(in.BuildKeys)), int64(len(in.ProbeKeys)))
-	bytesMoved := shufBytes
-	if plan.Strategy == cluster.StrategyBroadcast {
-		bytesMoved = bcastBytes
-	}
 
 	type subOut struct {
 		resp serve.Response
@@ -80,8 +75,8 @@ func (r *Router) distJoin(ctx context.Context, req serve.Request) (Response, err
 
 	var out Response
 	out.Strategy = plan.Strategy
-	out.BytesMoved = bytesMoved
-	out.NetworkCycles = r.clu.NetLatencyCycles + float64(bytesMoved)/float64(len(live))/r.clu.NetBytesPerCycle
+	out.BytesMoved = plan.BytesMoved
+	out.NetworkCycles = plan.NetworkCycles
 	var maxLocal float64
 	for _, o := range outs {
 		out.Failovers += o.hov.failovers

@@ -82,9 +82,12 @@ func (r *Router) RecoverNode(ctx context.Context, id int) error {
 }
 
 // rereplicate restores every partition assigned to n from a surviving
-// replica's durable store. Stripes the revived node's own replay already
-// restored are skipped; stripes nobody holds durably stay lost (their
-// table remains partial until re-registered).
+// replica's durable store. The revived node's own replay is not trusted:
+// it restores whatever the node's disk held when it died, under the same
+// derived name a later re-registration used, so a stripe is always taken
+// from another replica when one can supply it. The node keeps its replayed
+// copy only when nobody else holds the stripe; stripes nobody holds durably
+// stay lost (their table remains partial until re-registered).
 func (r *Router) rereplicate(ctx context.Context, n *node) error {
 	r.mu.RLock()
 	tables := make([]*tableMeta, 0, len(r.tables))
@@ -98,9 +101,6 @@ func (r *Router) rereplicate(ctx context.Context, n *node) error {
 	for _, meta := range tables {
 		for _, part := range meta.parts {
 			if !contains(part.replicas, n.id) {
-				continue
-			}
-			if srv.HasTable(ctx, part.derived) {
 				continue
 			}
 			cols, ok := r.fetchStripe(ctx, nodes, part, n.id)

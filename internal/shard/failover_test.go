@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hwstar/internal/breaker"
 	"hwstar/internal/errs"
 	"hwstar/internal/fault"
 	"hwstar/internal/hw"
@@ -133,7 +134,7 @@ func TestRecoveryRereplicatesFromSurvivingStore(t *testing.T) {
 	r.mu.RUnlock()
 	for _, part := range meta.parts {
 		if contains(part.replicas, 1) {
-			if !nodes[1].server().HasTable(context.Background(), part.derived) {
+			if !holdsStripe(nodes[1], part.derived) {
 				t.Fatalf("revived node 1 missing stripe %s after re-replication", part.derived)
 			}
 		}
@@ -205,8 +206,9 @@ func TestKillAndRecoverIdempotent(t *testing.T) {
 // failure times are explicit and the cooldown an hour, so no sleep decides
 // the outcome.
 func TestFailingNodeSortsAfterHealthyReplica(t *testing.T) {
-	r := newRouter(t, Options{Shards: 2, Replicas: 2, BreakerThreshold: 1, BreakerCooldown: time.Hour})
+	r := newRouter(t, Options{Shards: 2, Replicas: 2})
 	bad := r.nodes[1]
+	bad.brk = breaker.New(1, time.Hour)
 	now := time.Now()
 	bad.brk.OnFailure(now.Add(-150 * time.Minute)) // trips
 	bad.brk.OnFailure(now.Add(-90 * time.Minute))  // probe after the first cooldown fails
@@ -222,5 +224,51 @@ func TestFailingNodeSortsAfterHealthyReplica(t *testing.T) {
 	}
 	if c := r.candidates([]int{0, 1}); len(c) != 1 || c[0] != bad {
 		t.Fatalf("last replica standing dropped from candidates: %v", c)
+	}
+}
+
+// TestRecoveryReplacesStaleReplayedStripes is the silent-wrong-sum
+// reproducer: a node that was down while its table was re-registered comes
+// back with the OLD stripes on its own disk, under the same derived names.
+// Recovery must take the stripes from the surviving replicas, not trust the
+// replay — otherwise losing the other replica next serves v1 rows inside a
+// v2 total, non-partial and with a nil error.
+func TestRecoveryReplacesStaleReplayedStripes(t *testing.T) {
+	for _, second := range []int{0, 2} {
+		v1, _ := testRelation(6000)
+		v2, expect := testRelation(6000)
+		for i := range v2[1] {
+			v2[1][i] *= 3
+		}
+		want := expect(0, 5999)
+
+		r := newRouter(t, Options{Shards: 3, Replicas: 2, Stores: openStores(t, 3)})
+		if err := r.Register("ev", v1); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range r.nodes {
+			if _, err := n.server().Checkpoint(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.KillNode(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Register("ev", v2); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.RecoverNode(context.Background(), 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.KillNode(second); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := r.Submit(context.Background(), scanReq("ev", 0, 5999))
+		if err != nil || resp.Partial {
+			t.Fatalf("after losing node %d: partial=%v err=%v, want a full answer", second, resp.Partial, err)
+		}
+		if resp.Sum != want {
+			t.Fatalf("after losing node %d: sum = %d, want %d — revived node served a stale stripe", second, resp.Sum, want)
+		}
 	}
 }

@@ -79,7 +79,7 @@ func (r *Router) ClusterHealth() ClusterHealth {
 	ch := ClusterHealth{
 		Shards:         r.opts.Shards,
 		Replicas:       r.opts.Replicas,
-		Partitions:     r.opts.Partitions,
+		Partitions:     r.opts.Shards,
 		Failovers:      c["shard.failovers"],
 		Hedges:         c["shard.hedges"],
 		HedgeWins:      c["shard.hedge_wins"],

@@ -33,7 +33,7 @@ func TestRouterHealthIsSumOfNodes(t *testing.T) {
 	cols, _ := testRelation(30_000)
 	// No hedging: a cancelled hedge loser settles its counters after Submit
 	// returns, which would race the two snapshots compared below.
-	r := newRouter(t, Options{Shards: 3, Replicas: 2, Stores: openStores(t, 3), HedgeDelay: time.Hour})
+	r := newRouter(t, Options{Shards: 3, Replicas: 2, Stores: openStores(t, 3), hedgeDelay: time.Hour})
 	if err := r.Register("ev", cols); err != nil {
 		t.Fatal(err)
 	}

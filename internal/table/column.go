@@ -79,8 +79,8 @@ func (d *StringData) Append(s string) {
 
 // StringDataFromParts reconstructs a dictionary-encoded column from its
 // persisted parts — the path the segment store uses when loading a
-// checkpoint — rebuilding the intern index so Code lookups and further
-// Appends behave exactly as on the original column.
+// checkpoint — rebuilding the intern index so further Appends behave
+// exactly as on the original column.
 func StringDataFromParts(dict []string, codes []int32) (*StringData, error) {
 	d := &StringData{Dict: dict, Codes: codes, index: make(map[string]int32, len(dict))}
 	for i, s := range dict {
@@ -95,15 +95,6 @@ func StringDataFromParts(dict []string, codes []int32) (*StringData, error) {
 		}
 	}
 	return d, nil
-}
-
-// Code returns the dictionary code for s, or -1 when s does not occur in the
-// column. Predicates use this to compare codes instead of strings.
-func (d *StringData) Code(s string) int32 {
-	if code, ok := d.index[s]; ok {
-		return code
-	}
-	return -1
 }
 
 // Type implements ColumnData.

@@ -71,7 +71,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	for r := 0; r < tbl.NumRows(); r++ {
 		a, b := tbl.Row(r), back.Row(r)
 		for c := range a {
-			if !a[c].Equal(b[c]) {
+			if a[c] != b[c] {
 				t.Fatalf("row %d col %d: %v vs %v", r, c, a[c], b[c])
 			}
 		}
@@ -108,7 +108,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 		for r := 0; r < n; r++ {
 			a, bb := tbl.Row(r), back.Row(r)
 			for c := range a {
-				if !a[c].Equal(bb[c]) {
+				if a[c] != bb[c] {
 					return false
 				}
 			}

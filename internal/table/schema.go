@@ -45,9 +45,6 @@ func (s *Schema) NumColumns() int { return len(s.cols) }
 // Column returns the i-th column definition.
 func (s *Schema) Column(i int) ColumnDef { return s.cols[i] }
 
-// Columns returns a copy of the definitions.
-func (s *Schema) Columns() []ColumnDef { return append([]ColumnDef(nil), s.cols...) }
-
 // ColumnIndex returns the position of the named column, or -1.
 func (s *Schema) ColumnIndex(name string) int {
 	if i, ok := s.index[name]; ok {

@@ -64,24 +64,6 @@ func FloatValue(v float64) Value { return Value{Kind: Float64, F: v} }
 // StringValue wraps a string.
 func StringValue(v string) Value { return Value{Kind: String, S: v} }
 
-// Equal compares two values of the same kind; values of different kinds are
-// never equal.
-func (v Value) Equal(o Value) bool {
-	if v.Kind != o.Kind {
-		return false
-	}
-	switch v.Kind {
-	case Int64:
-		return v.I == o.I
-	case Float64:
-		return v.F == o.F
-	case String:
-		return v.S == o.S
-	default:
-		return false
-	}
-}
-
 // String renders the value.
 func (v Value) String() string {
 	switch v.Kind {

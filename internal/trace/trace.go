@@ -170,18 +170,6 @@ func (s *Span) Child(name string) *Span {
 	return c
 }
 
-// Emit records an already-completed child span carrying only simulated
-// cycles — the shape operators use for per-phase cycle attribution, where
-// wall time is an artifact of the virtual-time simulation.
-func (s *Span) Emit(name string, cycles float64) {
-	c := s.Child(name)
-	if c == nil {
-		return
-	}
-	c.AddCycles(cycles)
-	c.End()
-}
-
 // AddCycles attributes simulated cycles to the span.
 func (s *Span) AddCycles(c float64) {
 	if s == nil {

@@ -19,7 +19,6 @@ func TestNilSafety(t *testing.T) {
 	c.AddCycles(10)
 	c.SetAttr("k", "v")
 	c.Annotate("event %d", 1)
-	c.Emit("phase", 5)
 	c.End()
 	sp.End()
 	if got := tr.Snapshot(); got != nil {
@@ -35,7 +34,9 @@ func TestSpanTreeRecorded(t *testing.T) {
 	q.End()
 	ex := root.Child("execute")
 	ex.AddCycles(2e6)
-	ex.Emit("clock-scan", 1.5e6)
+	cs := ex.Child("clock-scan")
+	cs.AddCycles(1.5e6)
+	cs.End()
 	ex.SetAttr("batch", "4")
 	ex.End()
 	root.Annotate("retry %d", 1)

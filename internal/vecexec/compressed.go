@@ -26,18 +26,3 @@ func RangeFilterCompressed(col *compress.Compressed, blk int, lo, hi int64, buf 
 func SumCompressed(col *compress.Compressed, blk int, sel Sel, buf []int64) (sum int64, scanned bool) {
 	return col.SumBlockSel(blk, sel, buf)
 }
-
-// BlocksOf calls fn(blk, start, n) for each block of a compressed column
-// overlapping rows [lo, hi) — the block-aligned analogue of Chunks for
-// morsel bodies. Morsel boundaries produced by the scheduler are aligned
-// to compress.BlockValues, so [lo, hi) always covers whole blocks except
-// possibly a short final block.
-func BlocksOf(col *compress.Compressed, lo, hi int, fn func(blk, start, n int)) {
-	for blk := lo / compress.BlockValues; ; blk++ {
-		start := col.BlockStart(blk)
-		if start >= hi || blk >= col.NumBlocks() {
-			return
-		}
-		fn(blk, start, col.BlockLen(blk))
-	}
-}

@@ -13,15 +13,11 @@ import (
 func TestFilterNeverNil(t *testing.T) {
 	f64 := []float64{1, 2, 3}
 	i64 := []int64{1, 2, 3}
-	i32 := []int32{1, 2, 3}
 	if got := RangeFilterF64(f64, 100, 200, nil, nil); got == nil {
 		t.Fatal("RangeFilterF64 returned nil for zero matches")
 	}
 	if got := RangeFilterI64(i64, 100, 200, nil, nil); got == nil {
 		t.Fatal("RangeFilterI64 returned nil for zero matches")
-	}
-	if got := EqFilterI32(i32, 99, nil, nil); got == nil {
-		t.Fatal("EqFilterI32 returned nil for zero matches")
 	}
 	// With a non-nil incoming sel and zero matches the result must also be
 	// non-nil.
@@ -81,16 +77,16 @@ func TestCompressedEntryPointsMatchDecoded(t *testing.T) {
 			}
 		}
 		sel := make(Sel, 0, compress.BlockValues)
-		BlocksOf(col, 0, col.Len(), func(blk, start, n int) {
+		for blk := 0; blk < col.NumBlocks(); blk++ {
 			s, all, _ := RangeFilterCompressed(col, blk, lo, hi, buf[:], sel[:0])
 			if all {
 				s = nil
 			} else if len(s) == 0 {
-				return
+				continue
 			}
 			sum, _ := SumCompressed(col, blk, s, buf[:])
 			got += sum
-		})
+		}
 		if got != want {
 			t.Fatalf("[%d,%d]: compressed sum %d != reference %d", lo, hi, got, want)
 		}

@@ -74,24 +74,6 @@ func RangeFilterI64(col []int64, lo, hi int64, sel Sel, out Sel) Sel {
 	return notNil(out)
 }
 
-// EqFilterI32 filters a dictionary-code column for equality with code.
-func EqFilterI32(col []int32, code int32, sel Sel, out Sel) Sel {
-	if sel == nil {
-		for i, v := range col {
-			if v == code {
-				out = append(out, int32(i))
-			}
-		}
-		return notNil(out)
-	}
-	for _, i := range sel {
-		if col[i] == code {
-			out = append(out, i)
-		}
-	}
-	return notNil(out)
-}
-
 // notNil converts a nil Sel into an empty non-nil one without allocating.
 // A filter that matched nothing must not hand "all rows" to the next
 // primitive in the chain.
@@ -100,21 +82,6 @@ func notNil(out Sel) Sel {
 		return Sel{}
 	}
 	return out
-}
-
-// SumF64 sums col over sel (or all of col when sel is nil).
-func SumF64(col []float64, sel Sel) float64 {
-	var s float64
-	if sel == nil {
-		for _, v := range col {
-			s += v
-		}
-		return s
-	}
-	for _, i := range sel {
-		s += col[i]
-	}
-	return s
 }
 
 // SumI64 sums col over sel (or all of col when sel is nil).

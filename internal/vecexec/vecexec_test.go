@@ -43,27 +43,9 @@ func TestRangeFilterI64(t *testing.T) {
 	}
 }
 
-func TestEqFilterI32(t *testing.T) {
-	col := []int32{0, 1, 0, 2, 0}
-	sel := EqFilterI32(col, 0, nil, nil)
-	if len(sel) != 3 {
-		t.Fatalf("sel = %v", sel)
-	}
-	sel = EqFilterI32(col, 0, Sel{1, 2, 3}, nil)
-	if len(sel) != 1 || sel[0] != 2 {
-		t.Fatalf("sel = %v", sel)
-	}
-}
-
 func TestSums(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	b := []float64{10, 20, 30, 40}
-	if got := SumF64(a, nil); got != 10 {
-		t.Fatalf("SumF64 = %f", got)
-	}
-	if got := SumF64(a, Sel{0, 3}); got != 5 {
-		t.Fatalf("SumF64 sel = %f", got)
-	}
 	if got := SumProductF64(a, b, nil); got != 10+40+90+160 {
 		t.Fatalf("SumProductF64 = %f", got)
 	}
