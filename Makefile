@@ -75,16 +75,21 @@ check:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeQuery -fuzztime=10s ./internal/frontend/v1
 	$(GO) test -run='^$$' -fuzz=FuzzToServe -fuzztime=10s ./internal/frontend/v1
+	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalColumn -fuzztime=10s ./internal/compress
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeSegment -fuzztime=10s ./internal/store
 
 bench:
 	$(GO) test -bench=BenchmarkE -benchtime=1x .
 
 # bench-layers runs the per-layer benches of the request path's front half
 # (v1 decode; auth + governance + decode + encode against a stub backend;
-# join partitioning; morsel scheduling) with allocations, five times each.
+# join partitioning; morsel scheduling) and of the write path (block encode
+# per column shape; one Register + Checkpoint cycle and one restart-to-first-
+# answer of the benchmark's 1 M x 2 table, MB/s over user bytes) with
+# allocations, five times each.
 bench-layers:
-	$(GO) test -run='^$$' -bench='BenchmarkDecodeQuery|BenchmarkHandleQuery|BenchmarkSplitJoin|BenchmarkMorsels' -benchmem -count=5 \
-		./internal/frontend/v1 ./internal/frontend ./internal/shard ./internal/sched
+	$(GO) test -run='^$$' -bench='BenchmarkDecodeQuery|BenchmarkHandleQuery|BenchmarkSplitJoin|BenchmarkMorsels|BenchmarkEncode|BenchmarkCheckpoint|BenchmarkRecover' -benchmem -count=5 \
+		./internal/frontend/v1 ./internal/frontend ./internal/shard ./internal/sched ./internal/compress ./internal/serve
 
 # perf runs hwperf, the repository's benchmark (BENCHMARK.json): four
 # workloads over loopback HTTP, one process each. perf-smoke is its toy-scale

@@ -13,11 +13,13 @@ func (c *Compressed) BlockStart(i int) int { return i * BlockValues }
 
 // BlockLen returns the number of values in block i (BlockValues except for
 // a short final block).
-func (c *Compressed) BlockLen(i int) int { return c.blocks[i].n }
+func (c *Compressed) BlockLen(i int) int { return int(c.blocks[i].n) }
 
 // BlockBytes returns the encoded footprint of block i, header included —
 // the memory traffic a scan of the block costs under the hw model.
-func (c *Compressed) BlockBytes(i int) int64 { return blockBytes(c.blocks[i]) }
+func (c *Compressed) BlockBytes(i int) int64 {
+	return BlockHeaderBytes + int64(c.blocks[i].words)*8
+}
 
 // BlockRange returns the exact min and max value in block i — the zone map
 // stored at encode time.
@@ -26,10 +28,14 @@ func (c *Compressed) BlockRange(i int) (minV, maxV int64) {
 	return b.minV, b.maxV
 }
 
+// BlockSum returns the wrapping sum of block i's values, stored at encode
+// time: a zone-map full match aggregates the block without its payload.
+func (c *Compressed) BlockSum(i int) int64 { return c.blocks[i].sum }
+
 // DecodeBlock expands block i into buf (len(buf) >= BlockLen(i)) and
 // returns the decoded values.
 func (c *Compressed) DecodeBlock(i int, buf []int64) []int64 {
-	return decodeBlock(c.blocks[i], buf)
+	return c.decodeBlock(&c.blocks[i], buf)
 }
 
 // RangeSelectBlock appends to out the in-block row indices of block i whose
@@ -56,8 +62,9 @@ func (c *Compressed) RangeSelectBlock(i int, lo, hi int64, buf []int64, out []in
 	}
 	if b.kind == kindRLE {
 		pos := int32(0)
-		for r := 0; r < len(b.runs); r += 2 {
-			v, runLen := b.runs[r], int32(b.runs[r+1])
+		runs := c.words(b)
+		for r := 0; r < len(runs); r += 2 {
+			v, runLen := int64(runs[r]), int32(runs[r+1])
 			if v >= lo && v <= hi {
 				for k := int32(0); k < runLen; k++ {
 					out = append(out, pos+k)
@@ -67,7 +74,7 @@ func (c *Compressed) RangeSelectBlock(i int, lo, hi int64, buf []int64, out []in
 		}
 		return notNil(out), false, true
 	}
-	for j, v := range decodeBlock(*b, buf) {
+	for j, v := range c.decodeBlock(b, buf) {
 		if v >= lo && v <= hi {
 			out = append(out, int32(j))
 		}
@@ -94,15 +101,16 @@ func (c *Compressed) SumBlockSel(i int, sel []int32, buf []int64) (sum int64, sc
 	b := &c.blocks[i]
 	if sel == nil {
 		if b.kind == kindRLE {
-			for r := 0; r < len(b.runs); r += 2 {
-				sum += b.runs[r] * b.runs[r+1]
+			runs := c.words(b)
+			for r := 0; r < len(runs); r += 2 {
+				sum += int64(runs[r]) * int64(runs[r+1])
 			}
 			return sum, true
 		}
 		if b.width == 0 {
-			return b.ref * int64(b.n), false
+			return b.minV * int64(b.n), false
 		}
-		for _, v := range decodeBlock(*b, buf) {
+		for _, v := range c.decodeBlock(b, buf) {
 			sum += v
 		}
 		return sum, true
@@ -111,9 +119,9 @@ func (c *Compressed) SumBlockSel(i int, sel []int32, buf []int64) (sum int64, sc
 		return 0, false
 	}
 	if b.kind == kindFOR && b.width == 0 {
-		return b.ref * int64(len(sel)), false
+		return b.minV * int64(len(sel)), false
 	}
-	vals := decodeBlock(*b, buf)
+	vals := c.decodeBlock(b, buf)
 	for _, j := range sel {
 		sum += vals[j]
 	}

@@ -6,10 +6,10 @@
 package compress
 
 import (
-	"fmt"
 	"math/bits"
 
 	"hwstar/internal/hw"
+	"hwstar/internal/table"
 )
 
 // BlockValues is the number of values per compression block. Blocks decode
@@ -29,44 +29,80 @@ const (
 // block costs only this many bytes of memory traffic.
 const BlockHeaderBytes = 16
 
-// block is one encoded block of up to BlockValues values.
+// block is the header of one encoded block of up to BlockValues values; its
+// payload is Compressed.payload[off : off+words].
 type block struct {
-	kind blockKind
-	n    int // values in the block
 	// Zone map: the exact min/max of the block's values, stored at encode
 	// time so range predicates can prune (or accept) whole blocks without
-	// decoding and without overflow-prone width arithmetic.
+	// decoding and without overflow-prone width arithmetic. minV is also
+	// the FOR reference value.
 	minV, maxV int64
-	// FOR: reference value, bit width, packed payload.
-	ref   int64
-	width uint8
-	words []uint64
-	// RLE: alternating value/run pairs.
-	runs []int64
+	// sum is the wrapping sum of the block's values: a zone-map full match
+	// aggregates the block from its header.
+	sum int64
+	off int
+	// words is the payload length: packed words for FOR (none when width is
+	// 0, a constant block), alternating value/run-length pairs for RLE.
+	words uint32
+	n     uint16 // values in the block
+	kind  blockKind
+	width uint8 // FOR bit width; 0 for RLE
 }
 
-// Compressed is an encoded int64 column.
+// Compressed is an encoded int64 column: one header per block and one
+// payload slab they all index into. It is immutable once built, so any
+// number of tables, replicas and in-flight scans may share it.
 type Compressed struct {
-	blocks []block
-	n      int
+	blocks  []block
+	payload []uint64
+	n       int
 }
 
 // Encode compresses values, choosing FOR or RLE per block, whichever is
-// smaller.
+// smaller. The choice needs only the block's value span and run count, so a
+// first pass sizes every block and a second packs each block's winning
+// encoding straight into a payload slab allocated once at its final size.
 func Encode(values []int64) *Compressed {
-	c := &Compressed{n: len(values)}
-	for start := 0; start < len(values); start += BlockValues {
-		end := start + BlockValues
-		if end > len(values) {
-			end = len(values)
+	c := &Compressed{n: len(values), blocks: make([]block, (len(values)+BlockValues-1)/BlockValues)}
+	total := 0
+	for i := range c.blocks {
+		b := &c.blocks[i]
+		*b = measureBlock(blockOf(values, i))
+		b.off = total
+		total += int(b.words)
+	}
+	c.payload = make([]uint64, total)
+	for i := range c.blocks {
+		b := &c.blocks[i]
+		switch {
+		case b.kind == kindRLE:
+			packRLE(c.words(b), blockOf(values, i))
+		case b.width > 0:
+			packFOR(c.words(b), blockOf(values, i), b.minV, uint(b.width))
 		}
-		c.blocks = append(c.blocks, encodeBlock(values[start:end]))
 	}
 	return c
 }
 
-func encodeBlock(vals []int64) block {
-	minV, maxV := vals[0], vals[0]
+// blockOf returns the values of block i.
+func blockOf(values []int64, i int) []int64 {
+	end := (i + 1) * BlockValues
+	if end > len(values) {
+		end = len(values)
+	}
+	return values[i*BlockValues : end]
+}
+
+// forWords returns the packed payload length of n values at the given width.
+func forWords(n int, width uint8) int { return (n*int(width) + 63) / 64 }
+
+// measureBlock takes the zone map, sum and run count of vals in one pass and
+// picks the smaller encoding: RLE stores two words per run, FOR
+// forWords(n, width), and the headers are the same size.
+func measureBlock(vals []int64) block {
+	minV, maxV, prev := vals[0], vals[0], vals[0]
+	var sum int64
+	runs := 1
 	for _, v := range vals {
 		if v < minV {
 			minV = v
@@ -74,87 +110,65 @@ func encodeBlock(vals []int64) block {
 		if v > maxV {
 			maxV = v
 		}
-	}
-	forB := encodeFOR(vals)
-	b := forB
-	rleB, ok := encodeRLE(vals)
-	if ok && blockBytes(rleB) < blockBytes(forB) {
-		b = rleB
-	}
-	b.minV, b.maxV = minV, maxV
-	return b
-}
-
-func encodeFOR(vals []int64) block {
-	minV := vals[0]
-	maxV := vals[0]
-	for _, v := range vals {
-		if v < minV {
-			minV = v
+		if v != prev {
+			runs++
+			prev = v
 		}
-		if v > maxV {
-			maxV = v
-		}
+		sum += v
 	}
-	span := uint64(maxV - minV)
-	width := uint8(bits.Len64(span))
-	b := block{kind: kindFOR, n: len(vals), ref: minV, width: width}
-	if width == 0 {
-		return b // constant block: no payload at all
-	}
-	words := (len(vals)*int(width) + 63) / 64
-	b.words = make([]uint64, words)
-	bitPos := 0
-	for _, v := range vals {
-		delta := uint64(v - minV)
-		word, off := bitPos/64, uint(bitPos%64)
-		b.words[word] |= delta << off
-		if off+uint(width) > 64 {
-			b.words[word+1] |= delta >> (64 - off)
-		}
-		bitPos += int(width)
+	b := block{minV: minV, maxV: maxV, sum: sum, n: uint16(len(vals))}
+	b.width = uint8(bits.Len64(uint64(maxV - minV)))
+	if fw := forWords(len(vals), b.width); 2*runs < fw {
+		b.kind, b.width, b.words = kindRLE, 0, uint32(2*runs)
+	} else {
+		b.words = uint32(fw)
 	}
 	return b
 }
 
-// encodeRLE returns an RLE block and whether it is well-formed (it always
-// is; the bool mirrors future codecs that can decline).
-func encodeRLE(vals []int64) (block, bool) {
-	b := block{kind: kindRLE, n: len(vals)}
-	i := 0
-	for i < len(vals) {
-		j := i
+// packFOR bit-packs vals-ref at the given width into dst, little-endian
+// within and across words.
+func packFOR(dst []uint64, vals []int64, ref int64, width uint) {
+	var acc uint64
+	var fill uint // bits of acc in use
+	w := 0
+	for _, v := range vals {
+		delta := uint64(v - ref)
+		acc |= delta << fill
+		fill += width
+		if fill >= 64 {
+			dst[w] = acc
+			w++
+			fill -= 64
+			acc = delta >> (width - fill) // the bits that did not fit; 0 when fill is 0
+		}
+	}
+	if fill > 0 {
+		dst[w] = acc
+	}
+}
+
+// packRLE writes vals as alternating value/run-length words.
+func packRLE(dst []uint64, vals []int64) {
+	w := 0
+	for i := 0; i < len(vals); {
+		j := i + 1
 		for j < len(vals) && vals[j] == vals[i] {
 			j++
 		}
-		b.runs = append(b.runs, vals[i], int64(j-i))
+		dst[w], dst[w+1] = uint64(vals[i]), uint64(j-i)
+		w += 2
 		i = j
-	}
-	return b, true
-}
-
-// blockBytes returns the encoded footprint of a block.
-func blockBytes(b block) int64 {
-	switch b.kind {
-	case kindFOR:
-		return BlockHeaderBytes + int64(len(b.words))*8
-	case kindRLE:
-		return BlockHeaderBytes + int64(len(b.runs))*8
-	default:
-		panic(fmt.Sprintf("compress: unknown block kind %d", b.kind))
 	}
 }
 
 // Len returns the number of encoded values.
 func (c *Compressed) Len() int { return c.n }
 
-// Bytes returns the compressed footprint.
+// Bytes returns the compressed footprint: a modelled header per block plus
+// the payload.
 func (c *Compressed) Bytes() int64 {
-	var t int64
-	for _, b := range c.blocks {
-		t += blockBytes(b)
-	}
-	return t
+	return int64(len(c.blocks))*BlockHeaderBytes + int64(len(c.payload))*8
 }
 
 // RawBytes returns the uncompressed footprint.
@@ -170,14 +184,30 @@ func (c *Compressed) Ratio() float64 {
 	return float64(c.RawBytes()) / float64(cb)
 }
 
-// decodeBlock expands a block into buf (len >= b.n) and returns the values.
-func decodeBlock(b block, buf []int64) []int64 {
+// Type implements table.ColumnData: a Compressed is an int64 column.
+func (c *Compressed) Type() table.Type { return table.Int64 }
+
+// ValueAt implements table.ColumnData by decoding the row's block (baseline
+// path; scans go block-at-a-time).
+func (c *Compressed) ValueAt(i int) table.Value {
+	var buf [BlockValues]int64
+	return table.IntValue(c.DecodeBlock(i/BlockValues, buf[:])[i%BlockValues])
+}
+
+// words returns the payload of block b.
+func (c *Compressed) words(b *block) []uint64 {
+	return c.payload[b.off : b.off+int(b.words)]
+}
+
+// decodeBlock expands block b into buf (len >= b.n) and returns the values.
+func (c *Compressed) decodeBlock(b *block, buf []int64) []int64 {
 	out := buf[:b.n]
+	words := c.words(b)
 	switch b.kind {
 	case kindFOR:
 		if b.width == 0 {
 			for i := range out {
-				out[i] = b.ref
+				out[i] = b.minV
 			}
 			return out
 		}
@@ -187,19 +217,19 @@ func decodeBlock(b block, buf []int64) []int64 {
 			mask = ^uint64(0)
 		}
 		bitPos := 0
-		for i := 0; i < b.n; i++ {
+		for i := range out {
 			word, off := bitPos/64, uint(bitPos%64)
-			v := b.words[word] >> off
+			v := words[word] >> off
 			if off+width > 64 {
-				v |= b.words[word+1] << (64 - off)
+				v |= words[word+1] << (64 - off)
 			}
-			out[i] = b.ref + int64(v&mask)
+			out[i] = b.minV + int64(v&mask)
 			bitPos += int(width)
 		}
 	case kindRLE:
 		pos := 0
-		for r := 0; r < len(b.runs); r += 2 {
-			v, runLen := b.runs[r], int(b.runs[r+1])
+		for r := 0; r < len(words); r += 2 {
+			v, runLen := int64(words[r]), int(words[r+1])
 			for k := 0; k < runLen; k++ {
 				out[pos] = v
 				pos++
@@ -211,10 +241,9 @@ func decodeBlock(b block, buf []int64) []int64 {
 
 // Decode materializes the full column.
 func (c *Compressed) Decode() []int64 {
-	out := make([]int64, 0, c.n)
-	var buf [BlockValues]int64
-	for _, b := range c.blocks {
-		out = append(out, decodeBlock(b, buf[:])...)
+	out := make([]int64, c.n)
+	for i := range c.blocks {
+		c.decodeBlock(&c.blocks[i], out[i*BlockValues:])
 	}
 	return out
 }
@@ -223,17 +252,9 @@ func (c *Compressed) Decode() []int64 {
 func (c *Compressed) Sum() int64 {
 	var sum int64
 	var buf [BlockValues]int64
-	for _, b := range c.blocks {
-		if b.kind == kindRLE {
-			// RLE blocks aggregate without expansion: value × run length.
-			for r := 0; r < len(b.runs); r += 2 {
-				sum += b.runs[r] * b.runs[r+1]
-			}
-			continue
-		}
-		for _, v := range decodeBlock(b, buf[:]) {
-			sum += v
-		}
+	for i := range c.blocks {
+		part, _ := c.SumBlockSel(i, nil, buf[:])
+		sum += part
 	}
 	return sum
 }
@@ -247,7 +268,8 @@ func (c *Compressed) Sum() int64 {
 func (c *Compressed) RangeCount(lo, hi int64) int64 {
 	var count int64
 	var buf [BlockValues]int64
-	for _, b := range c.blocks {
+	for i := range c.blocks {
+		b := &c.blocks[i]
 		if b.minV > hi || b.maxV < lo {
 			continue
 		}
@@ -256,14 +278,15 @@ func (c *Compressed) RangeCount(lo, hi int64) int64 {
 			continue
 		}
 		if b.kind == kindRLE {
-			for r := 0; r < len(b.runs); r += 2 {
-				if b.runs[r] >= lo && b.runs[r] <= hi {
-					count += b.runs[r+1]
+			runs := c.words(b)
+			for r := 0; r < len(runs); r += 2 {
+				if v := int64(runs[r]); v >= lo && v <= hi {
+					count += int64(runs[r+1])
 				}
 			}
 			continue
 		}
-		for _, v := range decodeBlock(b, buf[:]) {
+		for _, v := range c.decodeBlock(b, buf[:]) {
 			if v >= lo && v <= hi {
 				count++
 			}

@@ -51,7 +51,7 @@
 // until the hot set is registered. Cold-tier tables are validated at
 // recovery but loaded lazily, priced through the machine's flash-bandwidth
 // tier, on their first request. CheckpointInterval arms a background
-// checkpointer whose encode buffers are charged against the memory governor,
+// checkpointer whose segment images are charged against the memory governor,
 // so durability work competes with queries under the same byte budget
 // instead of around it.
 //
@@ -574,17 +574,17 @@ func (s *Server) replayStore() {
 	}
 }
 
-// loadStored reads one table from the durable store and encodes it for
-// serving, returning the modeled load cycles. A nil table with a nil error is
-// a table that is durable but not scan-shaped.
+// loadStored reads one table from the durable store, returning the modeled
+// load cycles. The store hands back the block streams it persisted, so the
+// table is served as loaded — nothing is re-encoded. A nil table with a nil
+// error is a table that is durable but not scan-shaped.
 func (s *Server) loadStored(ctx context.Context, name string) (*vecTable, float64, error) {
 	t, cycles, err := s.st.Load(ctx, name)
 	if err != nil {
 		return nil, 0, err
 	}
-	if cols, ok := store.ColsFromTable(t); ok {
-		vt, err := newVecTable(cols)
-		return vt, cycles, err
+	if vt, ok := newVecTable(t); ok {
+		return vt, cycles, nil
 	}
 	return nil, 0, nil
 }
@@ -634,7 +634,7 @@ func (s *Server) WaitRecovered(ctx context.Context) error {
 // atomically-committed manifest version, concurrent with serving: the store
 // snapshots under its own lock and in-flight queries keep running against
 // the resident tables. When the memory governor is armed, the checkpoint's
-// encode buffers are charged against the server's byte budget under the
+// segment images are charged against the server's byte budget under the
 // "_checkpoint" tenant — a budget too full to grant them fails the
 // checkpoint with ErrMemoryPressure rather than blowing the budget, and the
 // interval loop simply tries again next tick. Checkpoints are single-flight;
@@ -679,25 +679,41 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 func (s *Server) Workers() int { return s.opts.Workers }
 
 // Register makes a columnar relation available to scan requests under the
-// given name. Registering an existing name replaces the relation (new
-// batches see the new data; a batch in flight finishes on the old). On a
-// durable server the columns are also staged into the segment store —
-// zero-copy, so the next Checkpoint persists exactly the arrays being
-// served — and registration is refused with ErrRecovering until the boot
-// replay finishes (a replace racing the replay could silently lose to it).
+// given name: it encodes cols into FOR/RLE block streams and registers
+// those (see RegisterEncoded). cols is not retained.
 func (s *Server) Register(name string, cols [][]int64) error {
 	if s.recovering.Load() {
 		return fmt.Errorf("serve: register %q: %w", name, errs.ErrRecovering)
 	}
-	vt, err := newVecTable(cols)
-	if err != nil {
+	if _, err := scan.NewRelation(cols); err != nil {
 		return err
 	}
+	t, err := store.TableFromCols(name, cols)
+	if err != nil {
+		return fmt.Errorf("serve: register %q: %w", name, err)
+	}
+	return s.RegisterEncoded(t)
+}
+
+// RegisterEncoded makes an already-encoded relation (store.TableFromCols,
+// or a table loaded from a store) available to scan requests under its own
+// name. Registering an existing name replaces the relation (new batches see
+// the new data; a batch in flight finishes on the old). The table's blocks
+// are immutable and shared, not copied: the shard tier registers one encoded
+// stripe on every replica. On a durable server the same table is staged into
+// the segment store, so the next Checkpoint persists exactly the blocks
+// being served; registration is refused with ErrRecovering until the boot
+// replay finishes (a replace racing the replay could silently lose to it).
+func (s *Server) RegisterEncoded(t *table.Table) error {
+	name := t.Name()
+	if s.recovering.Load() {
+		return fmt.Errorf("serve: register %q: %w", name, errs.ErrRecovering)
+	}
+	vt, ok := newVecTable(t)
+	if !ok {
+		return fmt.Errorf("serve: register %q: not an encoded int64 relation: %w", name, errs.ErrInvalidInput)
+	}
 	if s.st != nil {
-		t, err := store.TableFromCols(name, cols)
-		if err != nil {
-			return fmt.Errorf("serve: register %q: %w", name, err)
-		}
 		if err := s.st.Put(t); err != nil {
 			return fmt.Errorf("serve: register %q: %w", name, err)
 		}

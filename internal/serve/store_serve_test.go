@@ -266,9 +266,17 @@ func TestColdTableFaultsInOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A hot budget that fits big (4000 rows × 2 cols × 8B = 64000 bytes) but
-	// not big+small leaves the colder one out.
-	st2 := openStore(t, dir, store.Options{HotBytes: 64024})
+	// A hot budget that fits big at its resident (encoded) size — about
+	// 11.6 KB, not the 64000 raw bytes of 4000 rows × 2 cols × 8B — but not
+	// big+small (small is 48 bytes encoded) leaves the colder one out.
+	bigEnc, err := store.TableFromCols("big", cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bigEnc.Bytes() >= 16<<10 {
+		t.Fatalf("big is %d bytes resident, want it block-encoded (raw 64000)", bigEnc.Bytes())
+	}
+	st2 := openStore(t, dir, store.Options{HotBytes: bigEnc.Bytes() + 24})
 	defer st2.Close()
 	s2 := newServer(t, Options{Store: st2})
 	defer s2.Close()
@@ -342,7 +350,7 @@ func TestCheckpointRequiresStore(t *testing.T) {
 }
 
 // TestCheckpointMemShedUnderTightBudget arms a governor whose budget cannot
-// grant the checkpoint's encode buffers: the checkpoint sheds with
+// grant the checkpoint's segment image: the checkpoint sheds with
 // ErrMemoryPressure instead of blowing the budget, and the counter records
 // it.
 func TestCheckpointMemShedUnderTightBudget(t *testing.T) {

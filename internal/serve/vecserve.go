@@ -20,6 +20,7 @@ import (
 	"hwstar/internal/hw"
 	"hwstar/internal/scan"
 	"hwstar/internal/sched"
+	"hwstar/internal/table"
 	"hwstar/internal/trace"
 	"hwstar/internal/vecexec"
 )
@@ -46,33 +47,26 @@ const (
 	decodeTupleCycles = 4.0
 )
 
-// vecTable is a registered relation as the server holds it: every column
-// FOR/RLE-compressed, plus per-block sums per column so a zone-map full
-// match aggregates a block in O(1) without decoding it.
+// vecTable is a registered relation as the server holds it: every column a
+// FOR/RLE block stream whose headers carry the zone map and the block sum,
+// so a zone-map full match aggregates a block in O(1) without decoding it.
 type vecTable struct {
 	cols []*compress.Compressed
-	sums [][]int64 // [col][block]: whole-block sums
 	rows int
 }
 
-// newVecTable encodes cols, rejecting shapes scan.NewRelation rejects (no
-// columns, ragged columns).
-func newVecTable(cols [][]int64) (*vecTable, error) {
-	if _, err := scan.NewRelation(cols); err != nil {
-		return nil, err
-	}
-	vt := &vecTable{cols: make([]*compress.Compressed, len(cols)), sums: make([][]int64, len(cols)), rows: len(cols[0])}
-	var buf [compress.BlockValues]int64
-	for ci, col := range cols {
-		c := compress.Encode(col)
-		vt.cols[ci] = c
-		sums := make([]int64, c.NumBlocks())
-		for b := range sums {
-			sums[b], _ = c.SumBlockSel(b, nil, buf[:])
+// newVecTable views t as a scan relation. It reports false when t is not
+// scan-shaped: no columns, or a column that is not an int64 block stream.
+func newVecTable(t *table.Table) (*vecTable, bool) {
+	vt := &vecTable{cols: make([]*compress.Compressed, t.Schema().NumColumns()), rows: t.NumRows()}
+	for i := range vt.cols {
+		c, ok := t.Column(i).(*compress.Compressed)
+		if !ok {
+			return nil, false
 		}
-		vt.sums[ci] = sums
+		vt.cols[i] = c
 	}
-	return vt, nil
+	return vt, len(vt.cols) > 0
 }
 
 // ratio returns the table-wide compression ratio (raw/compressed bytes).
@@ -172,7 +166,7 @@ func vecScanMorsel(vt *vecTable, queries []scan.Query, start, end int, w *sched.
 				continue
 			}
 			if bmin >= q.Lo && bmax <= q.Hi {
-				out[qi] += vt.sums[q.AggCol][blk]
+				out[qi] += vt.cols[q.AggCol].BlockSum(blk)
 				fastSums++
 				continue
 			}

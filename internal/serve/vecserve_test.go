@@ -10,6 +10,7 @@ import (
 
 	"hwstar/internal/compress"
 	"hwstar/internal/scan"
+	"hwstar/internal/store"
 	"hwstar/internal/workload"
 )
 
@@ -90,7 +91,9 @@ func scanCases(cols [][]int64) []scan.Query {
 // concurrent batch per generated relation, answered by the server's
 // block-major compressed pass, must equal scan.Shared — the row-at-a-time
 // reference — query by query. Row counts sit on and around the block
-// (1024) and morsel (8192) boundaries.
+// (1024) and morsel (8192) boundaries. The batch runs twice: on the server
+// that encoded the relation, and on a server restarted from its store, which
+// serves the blocks it read from the segment without re-encoding them.
 func TestScanMatchesSharedReference(t *testing.T) {
 	rowCounts := []int{1, compress.BlockValues - 1, compress.BlockValues, compress.BlockValues + 1,
 		vecMorselRows + 3*compress.BlockValues + 17, 3 * vecMorselRows}
@@ -112,43 +115,72 @@ func TestScanMatchesSharedReference(t *testing.T) {
 
 				// MaxBatch == len(qs) and a generous window: the flush happens
 				// exactly when the last query arrives, so all share one pass.
-				s := newServer(t, Options{QueueDepth: len(qs), MaxBatch: len(qs), BatchWindow: 10 * time.Second})
-				defer s.Close()
+				opts := Options{QueueDepth: len(qs), MaxBatch: len(qs), BatchWindow: 10 * time.Second}
+				dir := t.TempDir()
+				opts.Store = openStore(t, dir, store.Options{})
+				s := newServer(t, opts)
+				if err := s.WaitRecovered(context.Background()); err != nil {
+					t.Fatal(err)
+				}
 				if err := s.Register("t", cols); err != nil {
 					t.Fatal(err)
 				}
-				resps := make([]Response, len(qs))
-				var wg sync.WaitGroup
-				for i := range qs {
-					i := i
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						var err error
-						resps[i], err = s.Submit(context.Background(), Request{Op: OpScan, Table: "t", Query: qs[i]})
-						if err != nil {
-							t.Errorf("query %d %+v: %v", i, qs[i], err)
-						}
-					}()
+				checkSharedBatch(t, s, qs, want)
+				if _, err := s.Checkpoint(context.Background()); err != nil {
+					t.Fatal(err)
 				}
-				wg.Wait()
-				for i, r := range resps {
-					if r.Sum != want[i] {
-						t.Errorf("query %d %+v: sum %d, scan.Shared says %d", i, qs[i], r.Sum, want[i])
-					}
-					if r.BatchSize != len(qs) {
-						t.Errorf("query %d: batch size %d, want %d", i, r.BatchSize, len(qs))
-					}
+				s.Close()
+				opts.Store.Close()
+
+				opts.Store = openStore(t, dir, store.Options{})
+				defer opts.Store.Close()
+				s = newServer(t, opts)
+				defer s.Close()
+				if err := s.WaitRecovered(context.Background()); err != nil {
+					t.Fatal(err)
 				}
-				h := s.Health()
-				if h.VecPasses != 1 {
-					t.Errorf("passes %d, want 1", h.VecPasses)
+				if got := s.Health().ReplayedTables; got != 1 {
+					t.Fatalf("restart replayed %d tables, want 1", got)
 				}
-				if h.VecBlocksPruned+h.VecFastSums+h.VecBlocksScanned == 0 {
-					t.Error("no block outcomes recorded")
-				}
+				checkSharedBatch(t, s, qs, want)
 			})
 		}
+	}
+}
+
+// checkSharedBatch submits qs concurrently against table "t" of s — one
+// shared pass — and compares each sum with want.
+func checkSharedBatch(t *testing.T, s *Server, qs []scan.Query, want []int64) {
+	t.Helper()
+	resps := make([]Response, len(qs))
+	var wg sync.WaitGroup
+	for i := range qs {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			resps[i], err = s.Submit(context.Background(), Request{Op: OpScan, Table: "t", Query: qs[i]})
+			if err != nil {
+				t.Errorf("query %d %+v: %v", i, qs[i], err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, r := range resps {
+		if r.Sum != want[i] {
+			t.Errorf("query %d %+v: sum %d, scan.Shared says %d", i, qs[i], r.Sum, want[i])
+		}
+		if r.BatchSize != len(qs) {
+			t.Errorf("query %d: batch size %d, want %d", i, r.BatchSize, len(qs))
+		}
+	}
+	h := s.Health()
+	if h.VecPasses != 1 {
+		t.Errorf("passes %d, want 1", h.VecPasses)
+	}
+	if h.VecBlocksPruned+h.VecFastSums+h.VecBlocksScanned == 0 {
+		t.Error("no block outcomes recorded")
 	}
 }
 

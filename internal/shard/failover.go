@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"hwstar/internal/errs"
-	"hwstar/internal/store"
+	"hwstar/internal/table"
 )
 
 // KillNode simulates whole-node loss (fault.ClassNodeLoss made manual):
@@ -103,12 +103,12 @@ func (r *Router) rereplicate(ctx context.Context, n *node) error {
 			if !contains(part.replicas, n.id) {
 				continue
 			}
-			cols, ok := r.fetchStripe(ctx, nodes, part, n.id)
+			stripe, ok := r.fetchStripe(ctx, nodes, part, n.id)
 			if !ok {
 				continue
 			}
-			if err := r.governedCopy(part, cols, func() error {
-				return srv.Register(part.derived, cols)
+			if err := r.governedCopy(stripe, func() error {
+				return srv.RegisterEncoded(stripe)
 			}); err != nil {
 				return fmt.Errorf("re-replicate %s: %w", part.derived, err)
 			}
@@ -119,9 +119,10 @@ func (r *Router) rereplicate(ctx context.Context, n *node) error {
 }
 
 // governedCopy runs one stripe copy under the "_rereplicate" tenant's
-// slice of the cluster-wide budget, charging the stripe's byte size for
-// the duration of the copy.
-func (r *Router) governedCopy(part *partition, cols [][]int64, copyFn func() error) error {
+// slice of the cluster-wide budget, charging the stripe's encoded bytes —
+// what crosses the fabric and what the revived node then holds — for the
+// duration of the copy.
+func (r *Router) governedCopy(stripe *table.Table, copyFn func() error) error {
 	if r.gov == nil {
 		return copyFn()
 	}
@@ -130,17 +131,16 @@ func (r *Router) governedCopy(part *partition, cols [][]int64, copyFn func() err
 		return err
 	}
 	defer resv.Release()
-	bytes := int64(len(cols)) * int64(part.rows) * 8
-	if err := resv.Charge("rereplicate-stripe", -1, bytes); err != nil {
+	if err := resv.Charge("rereplicate-stripe", -1, stripe.Bytes()); err != nil {
 		return err
 	}
 	return copyFn()
 }
 
-// fetchStripe reads one partition's columns from a surviving replica's
-// durable store, preferring live replicas (their store reflects the
-// latest registration flush).
-func (r *Router) fetchStripe(ctx context.Context, nodes []*node, part *partition, excludeID int) ([][]int64, bool) {
+// fetchStripe reads one partition's encoded stripe from a surviving
+// replica's durable store, preferring live replicas (their store reflects
+// the latest registration flush). Blocks move as stored; no row is decoded.
+func (r *Router) fetchStripe(ctx context.Context, nodes []*node, part *partition, excludeID int) (*table.Table, bool) {
 	ordered := make([]*node, 0, len(part.replicas))
 	for _, nid := range part.replicas {
 		if nid == excludeID {
@@ -163,12 +163,8 @@ func (r *Router) fetchStripe(ctx context.Context, nodes []*node, part *partition
 		if src.st == nil {
 			continue
 		}
-		t, _, err := src.st.Load(ctx, part.derived)
-		if err != nil {
-			continue
-		}
-		if cols, ok := store.ColsFromTable(t); ok {
-			return cols, true
+		if t, _, err := src.st.Load(ctx, part.derived); err == nil {
+			return t, true
 		}
 	}
 	return nil, false

@@ -11,6 +11,7 @@ import (
 	"hwstar/internal/errs"
 	"hwstar/internal/fault"
 	"hwstar/internal/hw"
+	"hwstar/internal/mem"
 	"hwstar/internal/store"
 )
 
@@ -145,6 +146,41 @@ func TestRecoveryRereplicatesFromSurvivingStore(t *testing.T) {
 	}
 	if ch := r.ClusterHealth(); ch.Rereplications == 0 {
 		t.Fatal("recovery performed no re-replications")
+	}
+}
+
+// TestRereplicationChargesEncodedBytes pins what a stripe copy costs the
+// cluster budget: the encoded blocks that cross the fabric and stay resident,
+// not rows × columns × 8. A 2000-row × 2 stripe is 32000 raw bytes and about
+// 4.6 KB encoded; under a 16 KiB budget the copy must be granted (it was
+// denied when the charge assumed raw columns) and must still be accounted.
+func TestRereplicationChargesEncodedBytes(t *testing.T) {
+	cols, expect := testRelation(6000)
+	stores := openStores(t, 3)
+	r := newRouter(t, Options{Shards: 3, Replicas: 2, Stores: stores,
+		Memory: mem.Config{BudgetBytes: 16 << 10, PerQueryBytes: 1 << 10}})
+	if err := r.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Register("ev", cols); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RecoverNode(context.Background(), 1); err != nil {
+		t.Fatalf("re-replication under a budget above the encoded stripe: %v", err)
+	}
+	stripe, err := store.TableFromCols("s", [][]int64{cols[0][:2000], cols[1][:2000]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := r.gov.Stats().PeakBytes
+	if raw := int64(2 * 2000 * 8); peak < stripe.Bytes() || peak >= raw {
+		t.Fatalf("budget peak %d, want at least the encoded stripe (%d) and under the raw one (%d)", peak, stripe.Bytes(), raw)
+	}
+	if ch := r.ClusterHealth(); ch.Rereplications == 0 {
+		t.Fatal("recovery performed no re-replications")
+	}
+	if resp, err := r.Submit(context.Background(), scanReq("ev", 0, 5999)); err != nil || resp.Sum != expect(0, 5999) {
+		t.Fatalf("scan after recovery: sum=%d err=%v, want %d", resp.Sum, err, expect(0, 5999))
 	}
 }
 

@@ -284,8 +284,9 @@ func (r *Router) Close() error {
 	return first
 }
 
-// Register splits the relation into Shards contiguous row stripes and
-// registers each stripe on its ring-assigned Replicas nodes. Placement is
+// Register splits the relation into Shards contiguous row stripes, encodes
+// each stripe once, and registers its blocks — immutable, so shared rather
+// than copied — on the stripe's ring-assigned Replicas nodes. Placement is
 // stable across restarts (it hashes names, not load), so a re-registered
 // table lands on the same shards its durable stripes live on.
 func (r *Router) Register(name string, cols [][]int64) error {
@@ -312,10 +313,10 @@ func (r *Router) Register(name string, cols [][]int64) error {
 		nparts = rows
 	}
 	meta := &tableMeta{name: name, totalRows: rows}
+	stripe := make([][]int64, len(cols))
 	for p := 0; p < nparts; p++ {
 		lo := rows * p / nparts
 		hi := rows * (p + 1) / nparts
-		stripe := make([][]int64, len(cols))
 		for c := range cols {
 			stripe[c] = cols[c][lo:hi]
 		}
@@ -325,6 +326,10 @@ func (r *Router) Register(name string, cols [][]int64) error {
 			rows:     hi - lo,
 			replicas: r.ring.lookup(name+"/"+strconv.Itoa(p), r.opts.Replicas),
 		}
+		enc, err := store.TableFromCols(part.derived, stripe)
+		if err != nil {
+			return fmt.Errorf("shard: register %q partition %d: %w", name, p, err)
+		}
 		for _, nid := range part.replicas {
 			n := nodes[nid]
 			if !n.alive.Load() {
@@ -332,7 +337,7 @@ func (r *Router) Register(name string, cols [][]int64) error {
 				// restores it when the node revives.
 				continue
 			}
-			if err := n.server().Register(part.derived, stripe); err != nil {
+			if err := n.server().RegisterEncoded(enc); err != nil {
 				return fmt.Errorf("shard: register %q partition %d on node %d: %w", name, p, nid, err)
 			}
 		}

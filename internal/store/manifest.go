@@ -50,8 +50,9 @@ type Manifest struct {
 type TableEntry struct {
 	// Segment is the segment file name (relative to the store directory).
 	Segment string `json:"segment"`
-	// Rows and Bytes describe the table (Bytes is the in-memory columnar
-	// footprint, which is what the tiering budget governs).
+	// Rows and Bytes describe the table. Bytes is the resident footprint —
+	// int64 columns at their compressed size — which is what the tiering
+	// budget governs.
 	Rows  int   `json:"rows"`
 	Bytes int64 `json:"bytes"`
 	// Tier is the placement the policy chose: TierHot (DRAM-resident,

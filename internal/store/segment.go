@@ -11,21 +11,28 @@ import (
 	"os"
 	"path/filepath"
 
+	"hwstar/internal/compress"
 	"hwstar/internal/errs"
 	"hwstar/internal/fault"
 	"hwstar/internal/table"
 )
 
-// Segment file format. A segment is one table checkpointed columnar:
+// Segment file format, version 2. A segment is one table checkpointed
+// columnar:
 //
 //	magic (8 bytes) | header length (u32 LE) | header JSON | column payloads | crc32c (u32 LE)
 //
 // The CRC covers every byte before it (magic, length, header, payloads), so
 // a torn write, a truncated file, or a flipped byte anywhere is caught by
-// one validation pass at read time. Column payloads are little-endian:
-// int64/float64 columns as 8×rows bytes, string columns as the dictionary
-// (u32 count, then u32 length + bytes per entry) followed by 4×rows codes.
-var segMagic = [8]byte{'H', 'W', 'S', 'E', 'G', '1', 0, 1}
+// one validation pass at read time. The header gives each column's payload
+// length, so the image is sized exactly before a byte of it is written. An
+// int64 column's payload is the FOR/RLE block stream the server scans
+// (compress.AppendBinary): what is served is what is written, and a restart
+// serves what it reads without re-encoding. float64 columns are 8×rows
+// little-endian bytes; string columns the dictionary (u32 count, then u32
+// length + bytes per entry) followed by 4×rows codes. The last magic byte is
+// the version; version 1 (raw int64 payloads) has no reader.
+var segMagic = [8]byte{'H', 'W', 'S', 'E', 'G', '1', 0, 2}
 
 // crcTable is the Castagnoli polynomial — hardware-accelerated on every
 // server CPU since SSE4.2, the checksum real storage engines use.
@@ -39,75 +46,104 @@ type segHeader struct {
 }
 
 type segCol struct {
-	Name string `json:"name"`
-	Type string `json:"type"`
+	Name  string `json:"name"`
+	Type  string `json:"type"`
+	Bytes int    `json:"bytes"` // payload length
 }
 
-// encodeSegment serializes t into the segment format, checksum included.
-func encodeSegment(t *table.Table) ([]byte, error) {
-	hdr := segHeader{Table: t.Name(), Rows: t.NumRows()}
-	for i := 0; i < t.Schema().NumColumns(); i++ {
+// segEnvelope is the bytes of a segment around its header and payloads:
+// magic, header length, trailing crc.
+const segEnvelope = 8 + 4 + 4
+
+// segmentHeader returns t's encoded header and the exact size of its
+// segment image.
+func segmentHeader(t *table.Table) (hdrJSON []byte, size int, err error) {
+	hdr := segHeader{Table: t.Name(), Rows: t.NumRows(), Cols: make([]segCol, t.Schema().NumColumns())}
+	for i := range hdr.Cols {
 		def := t.Schema().Column(i)
-		hdr.Cols = append(hdr.Cols, segCol{Name: def.Name, Type: def.Type.String()})
-	}
-	hdrJSON, err := json.Marshal(hdr)
-	if err != nil {
-		return nil, fmt.Errorf("store: encode header for %q: %w", t.Name(), err)
-	}
-	var buf bytes.Buffer
-	buf.Write(segMagic[:])
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(hdrJSON)))
-	buf.Write(u32[:])
-	buf.Write(hdrJSON)
-	for i := 0; i < t.Schema().NumColumns(); i++ {
-		if err := encodeColumn(&buf, t.Column(i)); err != nil {
-			return nil, fmt.Errorf("store: table %q column %q: %w", t.Name(), t.Schema().Column(i).Name, err)
+		n, err := columnSize(t.Column(i))
+		if err != nil {
+			return nil, 0, fmt.Errorf("store: table %q column %q: %w", t.Name(), def.Name, err)
 		}
+		hdr.Cols[i] = segCol{Name: def.Name, Type: def.Type.String(), Bytes: n}
+		size += n
 	}
-	binary.LittleEndian.PutUint32(u32[:], crc32.Checksum(buf.Bytes(), crcTable))
-	buf.Write(u32[:])
-	return buf.Bytes(), nil
+	hdrJSON, err = json.Marshal(hdr)
+	if err != nil {
+		return nil, 0, fmt.Errorf("store: encode header for %q: %w", t.Name(), err)
+	}
+	return hdrJSON, segEnvelope + len(hdrJSON) + size, nil
 }
 
-func encodeColumn(buf *bytes.Buffer, c table.ColumnData) error {
-	var u32 [4]byte
-	var u64 [8]byte
+// appendSegment appends t's segment image, checksum included, to dst;
+// hdrJSON is segmentHeader's.
+func appendSegment(dst, hdrJSON []byte, t *table.Table) []byte {
+	start := len(dst)
+	dst = append(dst, segMagic[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(hdrJSON)))
+	dst = append(dst, hdrJSON...)
+	for i := 0; i < t.Schema().NumColumns(); i++ {
+		dst = appendColumn(dst, t.Column(i))
+	}
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
+}
+
+// encodeSegment serializes t into the segment format in one allocation of
+// the image's exact size.
+func encodeSegment(t *table.Table) ([]byte, error) {
+	hdrJSON, size, err := segmentHeader(t)
+	if err != nil {
+		return nil, err
+	}
+	return appendSegment(make([]byte, 0, size), hdrJSON, t), nil
+}
+
+// columnSize returns the payload length appendColumn will write for c.
+func columnSize(c table.ColumnData) (int, error) {
 	switch d := c.(type) {
-	case *table.Int64Data:
-		for _, v := range d.Values {
-			binary.LittleEndian.PutUint64(u64[:], uint64(v))
-			buf.Write(u64[:])
+	case *compress.Compressed:
+		return d.BinarySize(), nil
+	case *table.Float64Data:
+		return 8 * len(d.Values), nil
+	case *table.StringData:
+		n := 4 + 4*len(d.Codes)
+		for _, s := range d.Dict {
+			n += 4 + len(s)
 		}
+		return n, nil
+	default:
+		return 0, fmt.Errorf("unsupported column storage %T: %w", c, errs.ErrInvalidInput)
+	}
+}
+
+// appendColumn appends c's payload; columnSize has vetted its storage.
+func appendColumn(dst []byte, c table.ColumnData) []byte {
+	le := binary.LittleEndian
+	switch d := c.(type) {
+	case *compress.Compressed:
+		dst = d.AppendBinary(dst)
 	case *table.Float64Data:
 		for _, v := range d.Values {
-			binary.LittleEndian.PutUint64(u64[:], math.Float64bits(v))
-			buf.Write(u64[:])
+			dst = le.AppendUint64(dst, math.Float64bits(v))
 		}
 	case *table.StringData:
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(d.Dict)))
-		buf.Write(u32[:])
+		dst = le.AppendUint32(dst, uint32(len(d.Dict)))
 		for _, s := range d.Dict {
-			binary.LittleEndian.PutUint32(u32[:], uint32(len(s)))
-			buf.Write(u32[:])
-			buf.WriteString(s)
+			dst = le.AppendUint32(dst, uint32(len(s)))
+			dst = append(dst, s...)
 		}
 		for _, code := range d.Codes {
-			binary.LittleEndian.PutUint32(u32[:], uint32(code))
-			buf.Write(u32[:])
+			dst = le.AppendUint32(dst, uint32(code))
 		}
-	default:
-		return fmt.Errorf("unsupported column storage %T: %w", c, errs.ErrInvalidInput)
 	}
-	return nil
+	return dst
 }
 
 // decodeSegment validates the checksum and envelope of raw and rebuilds the
 // table. Any mismatch — bad magic, truncation, CRC failure, inconsistent
 // header — wraps errs.ErrCorrupted.
 func decodeSegment(raw []byte) (*table.Table, error) {
-	const envelope = 8 + 4 + 4 // magic + header length + trailing crc
-	if len(raw) < envelope {
+	if len(raw) < segEnvelope {
 		return nil, fmt.Errorf("store: segment truncated at %d bytes: %w", len(raw), errs.ErrCorrupted)
 	}
 	if !bytes.Equal(raw[:8], segMagic[:]) {
@@ -141,12 +177,16 @@ func decodeSegment(raw []byte) (*table.Table, error) {
 	payload := body[12+hdrLen:]
 	cols := make([]table.ColumnData, len(defs))
 	for i, def := range defs {
-		var c table.ColumnData
-		c, payload, err = decodeColumn(payload, def.Type, hdr.Rows)
+		n := hdr.Cols[i].Bytes
+		if n < 0 || n > len(payload) {
+			return nil, fmt.Errorf("store: table %q column %q: payload truncated (need %d of %d bytes): %w",
+				hdr.Table, def.Name, n, len(payload), errs.ErrCorrupted)
+		}
+		cols[i], err = decodeColumn(payload[:n], def.Type, hdr.Rows)
 		if err != nil {
 			return nil, fmt.Errorf("store: table %q column %q: %w", hdr.Table, def.Name, err)
 		}
-		cols[i] = c
+		payload = payload[n:]
 	}
 	if len(payload) != 0 {
 		return nil, fmt.Errorf("store: %d trailing payload bytes: %w", len(payload), errs.ErrCorrupted)
@@ -155,56 +195,61 @@ func decodeSegment(raw []byte) (*table.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: rebuild table: %w: %w", err, errs.ErrCorrupted)
 	}
+	if t.NumRows() != hdr.Rows {
+		return nil, fmt.Errorf("store: table %q has %d rows, header says %d: %w", hdr.Table, t.NumRows(), hdr.Rows, errs.ErrCorrupted)
+	}
 	return t, nil
 }
 
-func decodeColumn(payload []byte, typ table.Type, rows int) (table.ColumnData, []byte, error) {
-	need := func(n int) error {
-		if n < 0 || n > len(payload) {
-			return fmt.Errorf("payload truncated (need %d of %d bytes): %w", n, len(payload), errs.ErrCorrupted)
-		}
-		return nil
+// decodeColumn rebuilds one column of the given type and row count from
+// exactly its payload bytes.
+func decodeColumn(payload []byte, typ table.Type, rows int) (table.ColumnData, error) {
+	short := func(n int) error {
+		return fmt.Errorf("payload is %d bytes, need %d: %w", len(payload), n, errs.ErrCorrupted)
 	}
 	switch typ {
 	case table.Int64:
-		if err := need(rows * 8); err != nil {
-			return nil, nil, err
+		c, err := compress.UnmarshalColumn(payload)
+		if err != nil {
+			return nil, err
 		}
-		vals := make([]int64, rows)
-		for i := range vals {
-			vals[i] = int64(binary.LittleEndian.Uint64(payload[i*8:]))
+		if c.Len() != rows {
+			return nil, fmt.Errorf("block stream holds %d values, header says %d rows: %w", c.Len(), rows, errs.ErrCorrupted)
 		}
-		return &table.Int64Data{Values: vals}, payload[rows*8:], nil
+		return c, nil
 	case table.Float64:
-		if err := need(rows * 8); err != nil {
-			return nil, nil, err
+		if len(payload)%8 != 0 || len(payload)/8 != rows {
+			return nil, short(rows * 8)
 		}
 		vals := make([]float64, rows)
 		for i := range vals {
 			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
 		}
-		return &table.Float64Data{Values: vals}, payload[rows*8:], nil
+		return &table.Float64Data{Values: vals}, nil
 	case table.String:
-		if err := need(4); err != nil {
-			return nil, nil, err
+		if len(payload) < 4 {
+			return nil, short(4)
 		}
 		dictN := int(binary.LittleEndian.Uint32(payload))
 		payload = payload[4:]
+		if dictN > len(payload)/4 {
+			return nil, short(dictN * 4)
+		}
 		dict := make([]string, 0, dictN)
 		for i := 0; i < dictN; i++ {
-			if err := need(4); err != nil {
-				return nil, nil, err
+			if len(payload) < 4 {
+				return nil, short(4)
 			}
 			sl := int(binary.LittleEndian.Uint32(payload))
 			payload = payload[4:]
-			if err := need(sl); err != nil {
-				return nil, nil, err
+			if sl > len(payload) {
+				return nil, short(sl)
 			}
 			dict = append(dict, string(payload[:sl]))
 			payload = payload[sl:]
 		}
-		if err := need(rows * 4); err != nil {
-			return nil, nil, err
+		if len(payload)%4 != 0 || len(payload)/4 != rows {
+			return nil, short(rows * 4)
 		}
 		codes := make([]int32, rows)
 		for i := range codes {
@@ -212,11 +257,11 @@ func decodeColumn(payload []byte, typ table.Type, rows int) (table.ColumnData, [
 		}
 		d, err := table.StringDataFromParts(dict, codes)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %w", err, errs.ErrCorrupted)
+			return nil, fmt.Errorf("%w: %w", err, errs.ErrCorrupted)
 		}
-		return d, payload[rows*4:], nil
+		return d, nil
 	default:
-		return nil, nil, fmt.Errorf("unknown column type %v: %w", typ, errs.ErrCorrupted)
+		return nil, fmt.Errorf("unknown column type %v: %w", typ, errs.ErrCorrupted)
 	}
 }
 
@@ -250,7 +295,8 @@ type SegmentWriter struct {
 	closed    bool
 }
 
-// WriteTable encodes t and writes it through the handle. The injector's
+// WriteTable encodes t and writes it through the handle; int64 columns must
+// already be block-encoded, as Put leaves them. The injector's
 // durability faults apply here: a torn write persists only a prefix of the
 // payload (and still reports success), a checksum flip silently corrupts one
 // payload byte after the CRC was computed, and a crash aborts with
@@ -332,6 +378,7 @@ func (w *SegmentWriter) Close() error {
 type SegmentReader struct {
 	f      *os.File
 	path   string
+	read   int64 // bytes ReadTable read and validated
 	closed bool
 }
 
@@ -344,17 +391,23 @@ func OpenSegment(path string) (*SegmentReader, error) {
 	return &SegmentReader{f: f, path: path}, nil
 }
 
-// ReadTable reads the whole segment, validates its checksum, and rebuilds
-// the table. Corruption of any kind wraps errs.ErrCorrupted.
+// ReadTable reads the whole segment in one read of the file's size,
+// validates its checksum, and rebuilds the table. Corruption of any kind
+// wraps errs.ErrCorrupted.
 func (r *SegmentReader) ReadTable() (*table.Table, error) {
-	raw, err := io.ReadAll(r.f)
+	fi, err := r.f.Stat()
 	if err != nil {
+		return nil, fmt.Errorf("store: stat segment %s: %w", filepath.Base(r.path), err)
+	}
+	raw := make([]byte, fi.Size())
+	if _, err := io.ReadFull(r.f, raw); err != nil {
 		return nil, fmt.Errorf("store: read segment %s: %w", filepath.Base(r.path), err)
 	}
 	t, err := decodeSegment(raw)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", filepath.Base(r.path), err)
 	}
+	r.read = int64(len(raw))
 	return t, nil
 }
 

@@ -26,10 +26,12 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"hwstar/internal/compress"
 	"hwstar/internal/errs"
 	"hwstar/internal/fault"
 	"hwstar/internal/hotcold"
@@ -60,9 +62,11 @@ type Options struct {
 	// nothing.
 	Faults *fault.Injector
 	// HotBytes is the DRAM budget of the placement policy: the hottest
-	// tables whose summed footprint fits are TierHot (resident, loaded
-	// eagerly at recovery); the rest are TierCold (flash-resident, loaded
-	// and priced on first access). Zero or negative pins everything hot.
+	// tables whose summed resident footprint — int64 columns at their
+	// compressed size, which is how the store holds them — fits are TierHot
+	// (resident, loaded eagerly at recovery); the rest are TierCold
+	// (flash-resident, loaded and priced on first access). Zero or negative
+	// pins everything hot.
 	HotBytes int64
 }
 
@@ -298,7 +302,7 @@ func (s *Store) installManifest(m *Manifest) {
 }
 
 // readSegment opens, validates and decodes one segment file, returning the
-// table and the file size.
+// table and the bytes validated.
 func readSegment(path string) (*table.Table, int64, error) {
 	r, err := OpenSegment(path)
 	if err != nil {
@@ -306,14 +310,7 @@ func readSegment(path string) (*table.Table, int64, error) {
 	}
 	defer r.Close()
 	t, err := r.ReadTable()
-	if err != nil {
-		return nil, 0, err
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: stat %s: %w", filepath.Base(path), err)
-	}
-	return t, fi.Size(), nil
+	return t, r.read, err
 }
 
 // removeOrphanTemps clears temp files a killed checkpoint left behind.
@@ -343,13 +340,20 @@ func (s *Store) idFor(name string) int64 {
 
 // Put stages a table: it becomes visible to Load immediately and is written
 // out by the next checkpoint. Tables are immutable; putting the same name
-// again replaces it (and re-dirties it).
+// again replaces it (and re-dirties it). The store holds int64 columns only
+// as FOR/RLE block streams — the form segments persist and the server scans
+// — so a raw *table.Int64Data column is encoded here and not retained; a
+// column that is already a *compress.Compressed is shared as is.
 func (s *Store) Put(t *table.Table) error {
 	if t == nil {
 		return fmt.Errorf("store: nil table: %w", errs.ErrInvalidInput)
 	}
 	if t.Name() == "" {
 		return fmt.Errorf("store: table with empty name: %w", errs.ErrInvalidInput)
+	}
+	t, err := encodeInt64Columns(t)
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -360,6 +364,27 @@ func (s *Store) Put(t *table.Table) error {
 	s.tables[t.Name()] = &entry{t: t, rows: t.NumRows(), bytes: t.Bytes(), tier: TierHot, dirty: true, id: id}
 	s.noteAccess(id)
 	return nil
+}
+
+// encodeInt64Columns returns t with every raw int64 column block-encoded;
+// t itself when there is none.
+func encodeInt64Columns(t *table.Table) (*table.Table, error) {
+	cols := make([]table.ColumnData, t.Schema().NumColumns())
+	raw := false
+	for i := range cols {
+		cols[i] = t.Column(i)
+		if d, ok := cols[i].(*table.Int64Data); ok {
+			cols[i], raw = compress.Encode(d.Values), true
+		}
+	}
+	if !raw {
+		return t, nil
+	}
+	enc, err := table.FromColumns(t.Name(), t.Schema(), cols)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return enc, nil
 }
 
 // Load returns the named table, reading it from flash when it is cold. The
@@ -449,7 +474,7 @@ func (s *Store) CreateSegment(tbl string, version uint64) (*SegmentWriter, error
 }
 
 // Checkpoint writes every dirty table as a fresh segment, commits a new
-// manifest version, and applies the placement policy. Encode buffers are
+// manifest version, and applies the placement policy. Segment images are
 // charged against res (nil skips governance): a checkpoint on a loaded
 // server degrades to ErrMemoryPressure instead of OOMing it. Injected
 // durability faults surface as ErrInjectedCrash (partial on-disk state
@@ -556,31 +581,31 @@ func (s *Store) Checkpoint(ctx context.Context, res *mem.Reservation) (Checkpoin
 }
 
 // writeSegment encodes and durably writes one table's segment, charging the
-// encode buffer against res for the duration.
+// segment image — the only bytes a checkpoint holds beyond the resident
+// table — against res for the duration.
 func (s *Store) writeSegment(name string, t *table.Table, version uint64, res *mem.Reservation) (int64, error) {
-	charge := t.Bytes() + 4096 // encode buffer ≈ columnar footprint + envelope
+	hdrJSON, size, err := segmentHeader(t)
+	if err != nil {
+		return 0, err
+	}
 	if res != nil {
-		if err := res.Charge("checkpoint-encode", -1, charge); err != nil {
+		if err := res.Charge("checkpoint-encode", -1, int64(size)); err != nil {
 			return 0, fmt.Errorf("store: checkpoint %q: %w", name, err)
 		}
-		defer res.Uncharge(charge)
+		defer res.Uncharge(int64(size))
 	}
 	w, err := s.CreateSegment(name, version)
 	if err != nil {
 		return 0, err
 	}
 	defer w.Close()
-	raw, err := encodeSegment(t)
-	if err != nil {
-		return 0, err
-	}
-	if err := w.writeRaw(raw); err != nil {
+	if err := w.writeRaw(appendSegment(make([]byte, 0, size), hdrJSON, t)); err != nil {
 		return 0, err
 	}
 	if err := w.Commit(); err != nil {
 		return 0, err
 	}
-	return int64(len(raw)), nil
+	return int64(size), nil
 }
 
 // placements runs the tiering policy: smooth the access log, rank tables by
@@ -660,14 +685,15 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// TableFromCols wraps a server relation ([][]int64 columns) as a Table with
-// columns c0..cN, sharing the backing arrays (zero copy).
+// TableFromCols encodes a server relation ([][]int64 columns) as a Table
+// with block-stream columns c0..cN: the one representation Register, the
+// replicas of a stripe and the segment file all share.
 func TableFromCols(name string, cols [][]int64) (*table.Table, error) {
 	defs := make([]table.ColumnDef, len(cols))
 	data := make([]table.ColumnData, len(cols))
 	for i, c := range cols {
-		defs[i] = table.ColumnDef{Name: fmt.Sprintf("c%d", i), Type: table.Int64}
-		data[i] = &table.Int64Data{Values: c}
+		defs[i] = table.ColumnDef{Name: "c" + strconv.Itoa(i), Type: table.Int64}
+		data[i] = compress.Encode(c)
 	}
 	schema, err := table.NewSchema(defs...)
 	if err != nil {
@@ -676,17 +702,16 @@ func TableFromCols(name string, cols [][]int64) (*table.Table, error) {
 	return table.FromColumns(name, schema, data)
 }
 
-// ColsFromTable unwraps an all-int64 table back into [][]int64 columns,
-// sharing the backing arrays (zero copy). Returns false when any column is
-// not int64.
+// ColsFromTable decodes a table of block-stream columns back into [][]int64
+// — for verification, not serving. Returns false when any column is not one.
 func ColsFromTable(t *table.Table) ([][]int64, bool) {
 	cols := make([][]int64, t.Schema().NumColumns())
 	for i := range cols {
-		d, ok := t.Column(i).(*table.Int64Data)
+		d, ok := t.Column(i).(*compress.Compressed)
 		if !ok {
 			return nil, false
 		}
-		cols[i] = d.Values
+		cols[i] = d.Decode()
 	}
 	return cols, true
 }

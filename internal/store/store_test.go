@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"hwstar/internal/compress"
 	"hwstar/internal/errs"
 	"hwstar/internal/fault"
 	"hwstar/internal/hw"
@@ -31,6 +33,17 @@ func testTable(name string, rows int, salt int64) *table.Table {
 		)
 	}
 	return b.Build()
+}
+
+// residentBytes is the footprint the store holds t at (and budgets it by):
+// int64 columns block-encoded.
+func residentBytes(t *testing.T, tbl *table.Table) int64 {
+	t.Helper()
+	enc, err := encodeInt64Columns(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc.Bytes()
 }
 
 // sameContents compares two tables cell by cell.
@@ -253,7 +266,7 @@ func TestTieringEvictsColdAndPricesLoads(t *testing.T) {
 	s := mustOpen(t, Options{
 		Dir:      t.TempDir(),
 		Machine:  hw.Laptop(),
-		HotBytes: hot.Bytes() + 1, // room for exactly one table
+		HotBytes: residentBytes(t, hot) + 1, // room for exactly one table
 	})
 	s.Put(hot)
 	s.Put(cold)
@@ -287,7 +300,8 @@ func TestTieringEvictsColdAndPricesLoads(t *testing.T) {
 func TestRecoveryLoadsHotEagerlyColdLazily(t *testing.T) {
 	dir := t.TempDir()
 	hot, cold := testTable("hot", 400, 1), testTable("cold", 400, 2)
-	s := mustOpen(t, Options{Dir: dir, Machine: hw.Laptop(), HotBytes: hot.Bytes() + 1})
+	budget := residentBytes(t, hot) + 1 // room for exactly one table
+	s := mustOpen(t, Options{Dir: dir, Machine: hw.Laptop(), HotBytes: budget})
 	s.Put(hot)
 	s.Put(cold)
 	for i := 0; i < 10; i++ {
@@ -295,7 +309,7 @@ func TestRecoveryLoadsHotEagerlyColdLazily(t *testing.T) {
 	}
 	mustCheckpoint(t, s)
 
-	r := mustOpen(t, Options{Dir: dir, Machine: hw.Laptop(), HotBytes: hot.Bytes() + 1})
+	r := mustOpen(t, Options{Dir: dir, Machine: hw.Laptop(), HotBytes: budget})
 	rec := r.Recovery()
 	if rec.TablesTotal != 2 || rec.TablesHot != 1 {
 		t.Fatalf("recovery = %+v, want 2 tables with 1 hot", rec)
@@ -312,7 +326,7 @@ func TestRecoveryLoadsHotEagerlyColdLazily(t *testing.T) {
 }
 
 func TestCheckpointGovernedByReservation(t *testing.T) {
-	// A governor whose whole budget is smaller than the encode buffer: the
+	// A governor whose whole budget is smaller than the segment image: the
 	// charge is denied, the checkpoint degrades instead of OOMing.
 	tight := mem.NewGovernor(mem.Config{BudgetBytes: 16 << 10, PerQueryBytes: 512})
 	res, err := tight.Reserve(512)
@@ -338,6 +352,37 @@ func TestCheckpointGovernedByReservation(t *testing.T) {
 	defer res2.Release()
 	if _, err := s.Checkpoint(context.Background(), res2); err != nil {
 		t.Fatalf("Checkpoint with budget: %v", err)
+	}
+}
+
+// TestCheckpointChargesSegmentImage pins the checkpoint's governor charge to
+// the bytes it actually holds: the segment image, which for int64 columns is
+// the block stream (about 9 KB here), not the raw columnar footprint (80000
+// bytes). A 32 KiB budget must grant it, and the reservation must have seen
+// exactly the bytes the checkpoint reports writing.
+func TestCheckpointChargesSegmentImage(t *testing.T) {
+	cols := [][]int64{make([]int64, 5000), make([]int64, 5000)}
+	for i := range cols[0] {
+		cols[0][i], cols[1][i] = int64(i), int64(i%97)
+	}
+	tbl, err := TableFromCols("rel", cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gov := mem.NewGovernor(mem.Config{BudgetBytes: 32 << 10, PerQueryBytes: 512})
+	res, err := gov.Reserve(512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Release()
+	s := mustOpen(t, Options{Dir: t.TempDir()})
+	s.Put(tbl)
+	st, err := s.Checkpoint(context.Background(), res)
+	if err != nil {
+		t.Fatalf("checkpoint under a budget above the segment image: %v", err)
+	}
+	if res.PeakBytes() != st.Bytes || st.Bytes >= 80000/4 {
+		t.Fatalf("reservation peaked at %d bytes for a %d-byte segment (raw 80000)", res.PeakBytes(), st.Bytes)
 	}
 }
 
@@ -398,18 +443,32 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestColsRoundTrip pins the relation <-> table bridge: TableFromCols
+// encodes every column into a block stream (retaining none of the input
+// arrays), and ColsFromTable decodes exactly the values back.
 func TestColsRoundTrip(t *testing.T) {
-	cols := [][]int64{{1, 2, 3}, {4, 5, 6}}
+	cols := [][]int64{make([]int64, 100), make([]int64, 100)}
+	for i := range cols[0] {
+		cols[0][i], cols[1][i] = int64(i%7), int64(1000+i)
+	}
 	tbl, err := TableFromCols("rel", cols)
 	if err != nil {
 		t.Fatalf("TableFromCols: %v", err)
 	}
+	for i := range cols {
+		if _, ok := tbl.Column(i).(*compress.Compressed); !ok {
+			t.Fatalf("column %d is %T, want a block stream", i, tbl.Column(i))
+		}
+	}
+	if want := tbl.Column(0).Bytes() + tbl.Column(1).Bytes(); tbl.Bytes() != want || want >= 2*100*8/4 {
+		t.Fatalf("table bytes = %d, want the %d encoded bytes, under a quarter of the raw %d", tbl.Bytes(), want, 2*100*8)
+	}
 	back, ok := ColsFromTable(tbl)
 	if !ok {
-		t.Fatal("ColsFromTable reported non-int64 columns")
+		t.Fatal("ColsFromTable rejected an encoded table")
 	}
-	if &back[0][0] != &cols[0][0] {
-		t.Fatal("round trip copied the backing arrays")
+	if !reflect.DeepEqual(back, cols) {
+		t.Fatalf("round trip = %v, want %v", back, cols)
 	}
 	if _, ok := ColsFromTable(testTable("x", 3, 1)); ok {
 		t.Fatal("ColsFromTable accepted a non-int64 table")
