@@ -56,9 +56,10 @@ race:
 # full race target is cache-warm. store joined when the checkpoint/recovery
 # paths went concurrent (PR 7/8); cluster, concurrent, and metrics are the
 # remaining shared-mutable-state tiers; breaker is the mutex serve and shard
-# now share.
+# now share; hashtab is the table pool every concurrent join and group-sum
+# draws from (serve's TestPooledTablesAreNotShared is its eight-client test).
 race-core:
-	$(GO) test -race -count=1 ./internal/serve ./internal/sched ./internal/mem ./internal/frontend ./internal/vecexec ./internal/compress ./internal/shard ./internal/store ./internal/cluster ./internal/concurrent ./internal/metrics ./internal/breaker
+	$(GO) test -race -count=1 ./internal/serve ./internal/sched ./internal/mem ./internal/frontend ./internal/vecexec ./internal/compress ./internal/shard ./internal/store ./internal/cluster ./internal/concurrent ./internal/metrics ./internal/breaker ./internal/hashtab
 
 # check is the full verification gate: compile everything, run the static
 # analyzers, and run the whole suite under the race detector (core
@@ -75,6 +76,7 @@ check:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeQuery -fuzztime=10s ./internal/frontend/v1
 	$(GO) test -run='^$$' -fuzz=FuzzToServe -fuzztime=10s ./internal/frontend/v1
+	$(GO) test -run='^$$' -fuzz=FuzzAppendResponse -fuzztime=10s ./internal/frontend/v1
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalColumn -fuzztime=10s ./internal/compress
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSegment -fuzztime=10s ./internal/store
 
@@ -82,14 +84,18 @@ bench:
 	$(GO) test -bench=BenchmarkE -benchtime=1x .
 
 # bench-layers runs the per-layer benches of the request path's front half
-# (v1 decode; auth + governance + decode + encode against a stub backend;
-# join partitioning; morsel scheduling) and of the write path (block encode
-# per column shape; one Register + Checkpoint cycle and one restart-to-first-
-# answer of the benchmark's 1 M x 2 table, MB/s over user bytes) with
-# allocations, five times each.
+# (v1 decode and response encode; auth + governance + decode + encode against
+# a stub backend; join partitioning; morsel scheduling), of the inline
+# operators (group-sum per strategy, one stripe's NPO join) and of the write
+# path (block encode per column shape; one Register + Checkpoint cycle and one
+# restart-to-first-answer of the benchmark's 1 M x 2 table, MB/s over user
+# bytes) with allocations, five times each. CI runs it once per bench
+# (BENCHFLAGS='-benchtime=1x -count=1') to catch one that stops compiling or
+# starts failing; host times are read by people, not gated.
+BENCHFLAGS ?= -count=5
 bench-layers:
-	$(GO) test -run='^$$' -bench='BenchmarkDecodeQuery|BenchmarkHandleQuery|BenchmarkSplitJoin|BenchmarkMorsels|BenchmarkEncode|BenchmarkCheckpoint|BenchmarkRecover' -benchmem -count=5 \
-		./internal/frontend/v1 ./internal/frontend ./internal/shard ./internal/sched ./internal/compress ./internal/serve
+	$(GO) test -run='^$$' -bench='BenchmarkDecodeQuery|BenchmarkAppendResponse|BenchmarkHandleQuery|BenchmarkSplitJoin|BenchmarkMorsels|BenchmarkGroupSum|BenchmarkNPO|BenchmarkEncode|BenchmarkCheckpoint|BenchmarkRecover' -benchmem $(BENCHFLAGS) \
+		./internal/frontend/v1 ./internal/frontend ./internal/shard ./internal/sched ./internal/agg ./internal/join ./internal/compress ./internal/serve
 
 # perf runs hwperf, the repository's benchmark (BENCHMARK.json): four
 # workloads over loopback HTTP, one process each. perf-smoke is its toy-scale

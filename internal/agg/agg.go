@@ -14,6 +14,10 @@
 //
 // All strategies execute real Go code producing identical results; the
 // hardware cost of each design is charged to the simulated scheduler.
+//
+// Every group table is a hashtab.Table taken from its pool and returned when
+// the aggregation ends, however it ends; the only Go map a query builds is
+// Result.Groups, once, at its final size.
 package agg
 
 import (
@@ -23,6 +27,7 @@ import (
 	"strconv"
 
 	"hwstar/internal/errs"
+	"hwstar/internal/hashtab"
 	"hwstar/internal/hw"
 	"hwstar/internal/sched"
 	"hwstar/internal/trace"
@@ -81,8 +86,8 @@ func serialHint(keys []int64) int {
 	return capHint(int64(2*d), n)
 }
 
-// capHint bounds a map capacity hint: the expected group count g, capped by
-// the rows that will actually be inserted.
+// capHint bounds a table capacity: the group count g, capped by the rows that
+// will actually be inserted.
 func capHint(g int64, rows int) int {
 	if g > int64(rows) {
 		g = int64(rows)
@@ -175,13 +180,57 @@ func morselOrDefault(m int) int {
 	return m
 }
 
-// distinct counts group cardinality (modelling aid, not charged).
+// distinct counts group cardinality (modelling aid, not charged). The set
+// cannot be sized before its answer is known, so it starts small and moves to
+// the next capacity class each time it fills; both tables come from the pool.
 func distinct(keys []int64) int64 {
-	seen := make(map[int64]struct{}, 1024)
+	n := 1024
+	set := hashtab.Get(n)
+	defer func() { hashtab.Put(set) }()
 	for _, k := range keys {
-		seen[k] = struct{}{}
+		set.Add(k, 0)
+		if set.Len() > n {
+			n *= 2
+			next := hashtab.Get(n)
+			set.Range(func(k, _ int64) { next.Add(k, 0) })
+			hashtab.Put(set)
+			set = next
+		}
 	}
-	return int64(len(seen))
+	return int64(set.Len())
+}
+
+// tableAt empties tables[i] and returns it, taking it from the pool sized for
+// n groups on first use. A task that is dispatched again after a panic gets
+// the table of its first attempt back, emptied, so nothing is counted twice.
+func tableAt(tables []*hashtab.Table, i, n int) *hashtab.Table {
+	if tables[i] == nil {
+		tables[i] = hashtab.Get(n)
+	} else {
+		tables[i].Reset()
+	}
+	return tables[i]
+}
+
+// putAll returns the tables a phase took (nil where a task never ran).
+func putAll(tables []*hashtab.Table) {
+	for _, t := range tables {
+		if t != nil {
+			hashtab.Put(t)
+		}
+	}
+}
+
+// groupsOf builds the result map, once and at its final size g, from tables
+// whose key sets are disjoint.
+func groupsOf(g int64, tables ...*hashtab.Table) map[int64]int64 {
+	groups := make(map[int64]int64, g)
+	for _, t := range tables {
+		if t != nil {
+			t.Range(func(k, v int64) { groups[k] = v })
+		}
+	}
+	return groups
 }
 
 // globalAtomic: one shared table, every update an atomic read-modify-write.
@@ -191,14 +240,15 @@ func distinct(keys []int64) int64 {
 // with P/G, and each conflict costs a cache-line transfer.
 func globalAtomic(ctx context.Context, keys, vals []int64, g int64, s *sched.Scheduler, morsel int) (Result, error) {
 	var res Result
-	groups := make(map[int64]int64, capHint(g, len(keys)))
+	groups := hashtab.Get(capHint(g, len(keys)))
+	defer hashtab.Put(groups)
 	tableBytes := g * groupEntryBytes
 	// A conflicting atomic update pays a cross-core line transfer plus
 	// serialization on the hot line.
 	const lineTransferCycles = 120
 	tasks := sched.Morsels(len(keys), morsel, "agg-global", func(start, end int, w *sched.Worker) {
 		for i := start; i < end; i++ {
-			groups[keys[i]] += vals[i]
+			groups.Add(keys[i], vals[i])
 		}
 		n := int64(end - start)
 		p := float64(w.TotalWorkers())
@@ -221,24 +271,27 @@ func globalAtomic(ctx context.Context, keys, vals []int64, g int64, s *sched.Sch
 	if err := res.runPhase(ctx, "agg-global", s, tasks); err != nil {
 		return res, err
 	}
-	res.Groups = groups
+	res.Groups = groupsOf(g, groups)
 	return res, nil
 }
 
 // localMerge: per-morsel private tables, then a serial-per-partition merge.
+// One table per morsel, not per worker, is the design the strategy models
+// (the merge costs chunks x groups), and it is what lets a morsel that is
+// dispatched twice overwrite its first attempt instead of adding to it.
 func localMerge(ctx context.Context, keys, vals []int64, g int64, s *sched.Scheduler, morsel int) (Result, error) {
 	var res Result
 	msz := morselOrDefault(morsel)
 	nChunks := (len(keys) + msz - 1) / msz
-	locals := make([]map[int64]int64, nChunks)
+	locals := make([]*hashtab.Table, nChunks)
+	defer putAll(locals)
 	localBytes := g * groupEntryBytes // worst case: every group in every local table
 
 	tasks := sched.Morsels(len(keys), msz, "agg-local", func(start, end int, w *sched.Worker) {
-		local := make(map[int64]int64, capHint(g, end-start))
+		local := tableAt(locals, start/msz, capHint(g, end-start))
 		for i := start; i < end; i++ {
-			local[keys[i]] += vals[i]
+			local.Add(keys[i], vals[i])
 		}
-		locals[start/msz] = local
 		n := int64(end - start)
 		w.Charge(hw.Work{
 			Name:            "agg-local",
@@ -256,13 +309,12 @@ func localMerge(ctx context.Context, keys, vals []int64, g int64, s *sched.Sched
 	// Merge phase: a single worker folds all local tables (the simple merge
 	// used by many engines; its cost ∝ chunks × groups is exactly the
 	// scalability trap this strategy carries).
-	groups := make(map[int64]int64, g)
+	groups := hashtab.Get(int(g))
+	defer hashtab.Put(groups)
 	var merged int64
 	for _, local := range locals {
-		for k, v := range local {
-			groups[k] += v
-			merged++
-		}
+		local.Range(groups.Add)
+		merged += int64(local.Len())
 	}
 	mergeTask := []sched.Task{{Name: "agg-merge", Socket: -1, Run: func(w *sched.Worker) {
 		w.Charge(hw.Work{
@@ -276,7 +328,7 @@ func localMerge(ctx context.Context, keys, vals []int64, g int64, s *sched.Sched
 	if err := res.runPhase(ctx, "agg-merge", s, mergeTask); err != nil {
 		return res, err
 	}
-	res.Groups = groups
+	res.Groups = groupsOf(g, groups)
 	return res, nil
 }
 
@@ -309,7 +361,7 @@ func radixPartitioned(ctx context.Context, keys, vals []int64, g int64, s *sched
 	tasks := sched.Morsels(len(keys), msz, "agg-part", func(start, end int, w *sched.Worker) {
 		ps := make([]part, fanout)
 		for i := start; i < end; i++ {
-			h := hash64(keys[i]) & mask
+			h := hashtab.Hash(keys[i]) & mask
 			ps[h].keys = append(ps[h].keys, keys[i])
 			ps[h].vals = append(ps[h].vals, vals[i])
 		}
@@ -334,30 +386,31 @@ func radixPartitioned(ctx context.Context, keys, vals []int64, g int64, s *sched
 	}
 
 	// Phase 2: aggregate each partition.
-	partGroups := make([]map[int64]int64, fanout)
+	partGroups := make([]*hashtab.Table, fanout)
+	defer putAll(partGroups)
 	aggTasks := make([]sched.Task, fanout)
 	for p := 0; p < fanout; p++ {
 		p := p
 		aggTasks[p] = sched.Task{Name: "agg-p" + strconv.Itoa(p), Site: "agg-reduce", Socket: -1, Run: func(w *sched.Worker) {
-			local := make(map[int64]int64, capHint(g/int64(fanout)+16, len(keys)))
 			var n int64
 			for _, cp := range chunkParts {
-				if p >= len(cp) {
-					continue
-				}
-				for i, k := range cp[p].keys {
-					local[k] += cp[p].vals[i]
-				}
 				n += int64(len(cp[p].keys))
 			}
-			partGroups[p] = local
+			// A partition holds g/fanout groups on average but the table
+			// cannot grow, so it is sized for the most it could hold.
+			local := tableAt(partGroups, p, capHint(g, int(n)))
+			for _, cp := range chunkParts {
+				for i, k := range cp[p].keys {
+					local.Add(k, cp[p].vals[i])
+				}
+			}
 			w.Charge(hw.Work{
 				Name:            "agg-reduce",
 				Tuples:          n,
 				ComputePerTuple: 8,
 				SeqReadBytes:    n * tupleBytes,
 				RandomReads:     n,
-				RandomWS:        int64(len(local)) * groupEntryBytes,
+				RandomWS:        int64(local.Len()) * groupEntryBytes,
 			})
 		}}
 	}
@@ -365,18 +418,6 @@ func radixPartitioned(ctx context.Context, keys, vals []int64, g int64, s *sched
 		return res, err
 	}
 
-	groups := make(map[int64]int64, g)
-	for _, pg := range partGroups {
-		for k, v := range pg {
-			groups[k] = v
-		}
-	}
-	res.Groups = groups
+	res.Groups = groupsOf(g, partGroups...)
 	return res, nil
-}
-
-func hash64(k int64) uint64 {
-	h := uint64(k) * 0x9E3779B97F4A7C15
-	h ^= h >> 29
-	return h
 }

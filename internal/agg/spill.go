@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"hwstar/internal/hashtab"
 	"hwstar/internal/hw"
 	"hwstar/internal/mem"
 	"hwstar/internal/sched"
@@ -38,7 +39,7 @@ func spilledAgg(ctx context.Context, keys, vals []int64, g int64, s *sched.Sched
 	parts := make([]part, K)
 	tasks := sched.Morsels(len(keys), morsel, "agg-spill-part", func(start, end int, w *sched.Worker) {
 		for i := start; i < end; i++ {
-			p := &parts[hash64(keys[i])&mask]
+			p := &parts[hashtab.Hash(keys[i])&mask]
 			p.keys = append(p.keys, keys[i])
 			p.vals = append(p.vals, vals[i])
 		}
@@ -60,7 +61,8 @@ func spilledAgg(ctx context.Context, keys, vals []int64, g int64, s *sched.Sched
 	// into a budget-charged table. Charge failures (budget exhausted
 	// mid-run, injected allocation faults) cannot surface through a
 	// sched.Task, so they are collected and raised after the phase.
-	partGroups := make([]map[int64]int64, K)
+	partGroups := make([]*hashtab.Table, K)
+	defer putAll(partGroups)
 	chargeErrs := make([]error, K)
 	aggTasks := make([]sched.Task, K)
 	for p := 0; p < K; p++ {
@@ -76,17 +78,16 @@ func spilledAgg(ctx context.Context, keys, vals []int64, g int64, s *sched.Sched
 				return
 			}
 			defer w.Mem().Uncharge(pBytes)
-			local := make(map[int64]int64, capHint(g/int64(K)+16, len(pt.keys)))
+			local := tableAt(partGroups, p, capHint(g, len(pt.keys)))
 			for i, k := range pt.keys {
-				local[k] += pt.vals[i]
+				local.Add(k, pt.vals[i])
 			}
-			partGroups[p] = local
 			n := int64(len(pt.keys))
 			w.Charge(hw.Work{
 				Name: "agg-spill-reduce", Tuples: n, ComputePerTuple: 8,
 				SpillReadBytes: n * tupleBytes,
 				RandomReads:    n,
-				RandomWS:       int64(len(local)) * groupEntryBytes,
+				RandomWS:       int64(local.Len()) * groupEntryBytes,
 			})
 		}}
 	}
@@ -99,12 +100,6 @@ func spilledAgg(ctx context.Context, keys, vals []int64, g int64, s *sched.Sched
 		}
 	}
 
-	groups := make(map[int64]int64, capHint(g, len(keys)))
-	for _, pg := range partGroups {
-		for k, v := range pg {
-			groups[k] = v
-		}
-	}
-	res.Groups = groups
+	res.Groups = groupsOf(g, partGroups...)
 	return res, nil
 }

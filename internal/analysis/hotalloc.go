@@ -26,7 +26,7 @@ import (
 // its own loops are checked when the literal is visited.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "no interface-boxing calls (fmt and friends) inside loops in scan/join/agg/vecexec/serve/compress/shard/sched",
+	Doc:  "no interface-boxing calls (fmt and friends) inside loops in scan/join/agg/hashtab/vecexec/serve/compress/shard/sched/frontend/v1",
 	Run:  runHotAlloc,
 }
 
@@ -36,7 +36,11 @@ var HotAlloc = &Analyzer{
 // the block codecs run per-block inside every vectorized scan, and the
 // router's dispatch/EWMA loops sit on every request path. sched joined when
 // hwperf showed Morsels formatting a name per morsel that only the fault
-// paths read: task building and the dispatch loop run per request.
+// paths read: task building and the dispatch loop run per request. hashtab
+// and frontend/v1 joined with the pooled table and the append encoder: the
+// table's loops are join's and agg's inner loops moved, and the encoder's
+// group loop runs once per group of every group-sum answer (v1's decoder
+// loops ride along — they run once per element of every inline column).
 var hotAllocScope = []string{
 	"hwstar/internal/scan",
 	"hwstar/internal/join",
@@ -46,6 +50,8 @@ var hotAllocScope = []string{
 	"hwstar/internal/compress",
 	"hwstar/internal/shard",
 	"hwstar/internal/sched",
+	"hwstar/internal/hashtab",
+	"hwstar/internal/frontend/v1",
 }
 
 func runHotAlloc(pass *Pass) error {

@@ -26,6 +26,13 @@ func TestHotAllocSched(t *testing.T) {
 	analysistest.Run(t, "testdata/hotalloc_sched", "hwstar/internal/sched", analysis.HotAlloc)
 }
 
+// TestHotAllocV1: the wire encoder joined the scope with AppendResponse — a
+// Sprintf per group is what it replaced. The rest of the frontend stays out
+// (TestHotAllocScope).
+func TestHotAllocV1(t *testing.T) {
+	analysistest.Run(t, "testdata/hotalloc_v1", "hwstar/internal/frontend/v1", analysis.HotAlloc)
+}
+
 // TestHotAllocScope: packages off the query path format error messages and
 // trace attributes at will; the boxing rule binds only the hot packages.
 func TestHotAllocScope(t *testing.T) {

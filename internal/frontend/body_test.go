@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -16,15 +17,33 @@ import (
 	v1 "hwstar/internal/frontend/v1"
 	"hwstar/internal/metrics"
 	"hwstar/internal/serve"
+	"hwstar/internal/table"
 )
 
 // stubBackend answers every join with the sum of its probe values and the
 // trace id it was handed, after yielding so that other requests run (and
-// reuse pooled body buffers) while it still holds the decoded request.
+// reuse pooled body buffers) while it still holds the decoded request. Every
+// group-sum gets the same 4096 groups, built once, so whatever a group-sum
+// request allocates the frontend allocated; every q6 gets a revenue JSON
+// cannot carry.
 type stubBackend struct{ reg *metrics.Registry }
+
+var stubGroups = func() map[int64]int64 {
+	groups := make(map[int64]int64, 4096)
+	for k := int64(0); k < 4096; k++ {
+		groups[k-100] = k * 1000003
+	}
+	return groups
+}()
 
 func (b stubBackend) Submit(_ context.Context, req serve.Request) (serve.Response, error) {
 	runtime.Gosched()
+	switch req.Op {
+	case serve.OpGroupSum:
+		return serve.Response{Groups: stubGroups, BatchSize: 1}, nil
+	case serve.OpQ6:
+		return serve.Response{Revenue: math.NaN(), BatchSize: 1}, nil
+	}
 	var sum int64
 	for _, v := range req.Join.ProbeVals {
 		sum += v
@@ -39,10 +58,17 @@ func (b stubBackend) SetTenantMemCap(tenant string, cap int64) {}
 
 // newStubHandler mounts a frontend over stubBackend and opens one session.
 func newStubHandler(tb testing.TB) (h http.Handler, auth string) {
+	h, auth, _ = newStubFrontend(tb)
+	return h, auth
+}
+
+func newStubFrontend(tb testing.TB) (h http.Handler, auth string, reg *metrics.Registry) {
 	tb.Helper()
+	reg = metrics.NewRegistry()
 	fe, err := New(Config{
-		Backend: stubBackend{reg: metrics.NewRegistry()},
-		Tenants: []TenantConfig{{ID: "acme", Key: "k1"}},
+		Backend:   stubBackend{reg: reg},
+		Tenants:   []TenantConfig{{ID: "acme", Key: "k1"}},
+		Lineitems: map[string]*table.Table{"lineitem": nil}, // the stub never opens it
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -54,7 +80,7 @@ func newStubHandler(tb testing.TB) (h http.Handler, auth string) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &sess); err != nil || rec.Code != http.StatusOK {
 		tb.Fatalf("session open: HTTP %d, %v", rec.Code, err)
 	}
-	return h, "Bearer " + sess.Token
+	return h, "Bearer " + sess.Token, reg
 }
 
 // joinBody is an op=join body of n probe rows whose values sum to want.
@@ -144,9 +170,75 @@ func TestBodySizeLimit(t *testing.T) {
 	}
 }
 
+// groupSumBody is an op=group-sum body of n rows over 4096 keys, hwperf's
+// shape at n = 65536.
+func groupSumBody(tb testing.TB, n int) []byte {
+	tb.Helper()
+	args := &v1.GroupSumArgs{Keys: make([]int64, n), Vals: make([]int64, n)}
+	for i := range args.Keys {
+		args.Keys[i] = int64(i*2654435761) % 4096
+		args.Vals[i] = int64(i % 1000)
+	}
+	body, err := json.Marshal(v1.QueryRequest{Op: v1.OpGroupSum, GroupSum: args})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// TestQueryEncodeFailureIs500: an answer encoding/json refuses used to reach
+// the client as a 200 whose body stopped at the offending field, because the
+// status line went out before the encoder ran. It is a counted 500 INTERNAL.
+func TestQueryEncodeFailureIs500(t *testing.T) {
+	h, auth, reg := newStubFrontend(t)
+	rec := post(h, auth, []byte(`{"op":"q6","table":"lineitem","trace_id":"nan-1"}`), false)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("NaN revenue: HTTP %d, want 500: %s", rec.Code, rec.Body.Bytes())
+	}
+	if info := errCode(t, rec.Body.Bytes()); info.Code != v1.CodeInternal || info.Retryable || info.TraceID != "nan-1" {
+		t.Fatalf("NaN revenue: error body %+v", info)
+	}
+	if c := reg.Counters(); c["frontend.queries_failed"] != 1 || c["frontend.queries_ok"] != 0 {
+		t.Fatalf("queries_failed = %d, queries_ok = %d, want 1 and 0", c["frontend.queries_failed"], c["frontend.queries_ok"])
+	}
+}
+
+// TestHandleQueryGroupSumAllocs: the response side of a group-sum builds no
+// object per group. The request side pays for its two decoded columns (8
+// bytes an element, one allocation each) whatever the answer holds, so a
+// request of 16 rows isolates the response: 4096 groups come back on a few
+// dozen allocations, where a string and a map entry per group took 12,000.
+func TestHandleQueryGroupSumAllocs(t *testing.T) {
+	h, auth := newStubHandler(t)
+	body := groupSumBody(t, 16)
+	var resp v1.QueryResponse
+	rec := post(h, auth, body, false)
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK || len(resp.Result.Groups) != len(stubGroups) {
+		t.Fatalf("group-sum: HTTP %d, %v, %d groups", rec.Code, err, len(resp.Result.Groups))
+	}
+	for k, v := range stubGroups {
+		if got, ok := resp.Result.Groups[strconv.FormatInt(k, 10)]; !ok || got != v {
+			t.Fatalf("group %d = %d (present %v), want %d", k, got, ok, v)
+		}
+	}
+	var m0, m1 runtime.MemStats
+	const rounds = 20
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < rounds; i++ {
+		post(h, auth, body, false)
+	}
+	runtime.ReadMemStats(&m1)
+	perOp := (m1.Mallocs - m0.Mallocs) / rounds
+	// The recorder's own copy of the ~70 KB answer is the test's, not the
+	// frontend's; it costs a handful of buffer doublings.
+	if perOp > 100 {
+		t.Fatalf("%d allocations per group-sum request of 16 rows and %d groups", perOp, len(stubGroups))
+	}
+}
+
 // BenchmarkHandleQuery is the frontend layer alone — auth, governance, body
-// read, v1 decode, ToServe, ResponseFrom, encode — against a backend that
-// costs nothing, on a scan body and on hwperf's join shape.
+// read, v1 decode, ToServe, AppendResponse — against a backend that costs
+// nothing, on a scan body and on hwperf's join and group-sum shapes.
 func BenchmarkHandleQuery(b *testing.B) {
 	h, auth := newStubHandler(b)
 	scan, err := json.Marshal(v1.QueryRequest{Op: v1.OpScan, Table: "events", Scan: &v1.ScanArgs{Lo: 41000, Hi: 46000, AggCol: 1}})
@@ -157,7 +249,7 @@ func BenchmarkHandleQuery(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		body []byte
-	}{{"scan", scan}, {"join", join}} {
+	}{{"scan", scan}, {"join", join}, {"group-sum", groupSumBody(b, 65536)}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(int64(len(c.body)))
 			b.ReportAllocs()

@@ -161,11 +161,29 @@ func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// is a flagged success on the wire, not an error: the client gets the
 	// truth about what survived instead of a retryable 5xx hiding an exact
 	// partial sum.
+	partial := err != nil
+
+	// The body is built before the status line is written, straight into a
+	// pooled buffer (the one the request body was read into, more often than
+	// not): an answer JSON cannot carry — a NaN revenue — is a 500, not a 200
+	// that stops halfway.
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer putBody(buf)
+	body, err := v1.AppendResponse(buf.AvailableBuffer(), &q, tenant, string(sreq.Priority.Lane()), wallMs, resp)
 	if err != nil {
+		f.reg.Counter("frontend.queries_failed").Inc()
+		f.writeCode(w, v1.CodeInternal, http.StatusInternalServerError, false, 0, q.TraceID, err.Error())
+		return
+	}
+	buf.Write(body) // in place when it fit; otherwise the pooled buffer grows to what this answer took
+	if partial {
 		f.reg.Counter("frontend.queries_partial").Inc()
 	}
 	f.reg.Counter("frontend.queries_ok").Inc()
-	writeJSON(w, http.StatusOK, v1.ResponseFrom(&q, tenant, string(sreq.Priority.Lane()), wallMs, resp))
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf.Bytes()) // a client that hung up is not the server's error
 }
 
 func (f *Frontend) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -256,20 +274,23 @@ func (f *Frontend) tenantGovInc(tenant, metric string) {
 	f.reg.Counter("frontend.tenant." + tenant + "." + metric).Inc()
 }
 
-// bodyPool recycles request-body buffers: a megabyte inline body is read
-// into memory once, at its Content-Length, instead of being re-buffered by
-// doubling on every request.
+// bodyPool recycles body buffers, request and response alike: a megabyte
+// inline body is read into memory once, at its Content-Length, instead of
+// being re-buffered by doubling on every request, and the answer is encoded
+// into whatever capacity the last body left.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func putBody(buf *bytes.Buffer) {
+	buf.Reset()
+	bodyPool.Put(buf)
+}
 
 // decodeBody reads the whole body (at most maxBodyBytes) into a pooled
 // buffer and hands it to decode, which must be strict and must not keep a
 // reference into the bytes: the buffer goes back to the pool on return.
 func decodeBody(r *http.Request, decode func(body []byte) error) error {
 	buf := bodyPool.Get().(*bytes.Buffer)
-	defer func() {
-		buf.Reset()
-		bodyPool.Put(buf)
-	}()
+	defer putBody(buf)
 	// Room for the declared length plus ReadFrom's final, empty read; an
 	// undeclared (chunked) body grows the buffer as it arrives.
 	if n := r.ContentLength; n > 0 {

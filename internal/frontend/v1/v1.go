@@ -304,10 +304,14 @@ func ResponseFrom(q *QueryRequest, tenant, priority string, wallMs float64, resp
 }
 
 // hex16 is fmt.Sprintf("%016x", v) without the boxing and format parse.
-func hex16(v uint64) string {
+func hex16(v uint64) string { return string(appendHex16(make([]byte, 0, 16), v)) }
+
+// appendHex16 appends v as sixteen lower-case hex digits.
+func appendHex16(dst []byte, v uint64) []byte {
 	var buf [16]byte
 	digits := strconv.AppendUint(buf[:0], v, 16)
-	return "0000000000000000"[len(digits):] + string(digits)
+	dst = append(dst, "0000000000000000"[len(digits):]...)
+	return append(dst, digits...)
 }
 
 // HealthResponse is the body of GET /v1/health.

@@ -2,6 +2,7 @@ package join
 
 import (
 	"hwstar/internal/bloom"
+	"hwstar/internal/hashtab"
 	"hwstar/internal/hw"
 )
 
@@ -18,7 +19,8 @@ func NPOBloom(in Input, acct *hw.Account) (Result, error) {
 	}
 	var res Result
 
-	ht := newHashTable(len(in.BuildKeys))
+	ht := hashtab.Get(len(in.BuildKeys))
+	defer hashtab.Put(ht)
 	filter := bloom.New(len(in.BuildKeys), 0)
 	for i, k := range in.BuildKeys {
 		ht.Insert(k, in.BuildVals[i])
@@ -51,7 +53,7 @@ func NPOBloom(in Input, acct *hw.Account) (Result, error) {
 		ln := 0
 		for i := start; i < end; i++ {
 			if filter.Contains(in.ProbeKeys[i]) {
-				slots[ln] = hashKey(in.ProbeKeys[i]) & ht.mask
+				slots[ln] = ht.Slot(in.ProbeKeys[i])
 				live[ln] = int32(i)
 				ln++
 			}
@@ -59,15 +61,8 @@ func NPOBloom(in Input, acct *hw.Account) (Result, error) {
 		passed += int64(ln)
 		for g := 0; g < ln; g++ {
 			i := live[g]
-			slot := slots[g]
-			key := in.ProbeKeys[i]
 			pv := in.ProbeVals[i]
-			for ht.used[slot] {
-				if ht.keys[slot] == key {
-					res.add(ht.vals[slot], pv)
-				}
-				slot = (slot + 1) & ht.mask
-			}
+			ht.ProbeFrom(slots[g], in.ProbeKeys[i], func(bv int64) { res.add(bv, pv) })
 		}
 	}
 	if acct != nil {

@@ -1,6 +1,9 @@
 package join
 
-import "hwstar/internal/hw"
+import (
+	"hwstar/internal/hashtab"
+	"hwstar/internal/hw"
+)
 
 // Analytic cost estimation: the same Work descriptions the algorithms charge
 // when they run, built from statistics alone. This is what a
@@ -15,19 +18,9 @@ type Stats struct {
 	MissFrac float64
 }
 
-// htBytesFor returns the hash-table footprint for n build tuples (power-of-
-// two capacity at 50% fill, 17 bytes per slot), mirroring newHashTable.
-func htBytesFor(n int64) int64 {
-	cap := int64(16)
-	for cap < 2*n {
-		cap <<= 1
-	}
-	return cap * (8 + 8 + 1)
-}
-
 // EstimateNPO predicts the serial cycles of the no-partitioning join.
 func EstimateNPO(m *hw.Machine, s Stats, ctx hw.ExecContext) float64 {
-	ht := htBytesFor(s.BuildRows)
+	ht := hashtab.BytesFor(int(s.BuildRows))
 	build := hw.Work{Tuples: s.BuildRows, ComputePerTuple: 6,
 		SeqReadBytes: s.BuildRows * tupleBytes,
 		RandomReads:  s.BuildRows, RandomWS: ht}
@@ -39,7 +32,7 @@ func EstimateNPO(m *hw.Machine, s Stats, ctx hw.ExecContext) float64 {
 
 // EstimateNPOPrefetch predicts the group-prefetched NPO.
 func EstimateNPOPrefetch(m *hw.Machine, s Stats, ctx hw.ExecContext) float64 {
-	ht := htBytesFor(s.BuildRows)
+	ht := hashtab.BytesFor(int(s.BuildRows))
 	build := hw.Work{Tuples: s.BuildRows, ComputePerTuple: 6,
 		SeqReadBytes: s.BuildRows * tupleBytes,
 		RandomReads:  s.BuildRows, RandomWS: ht, MLPBoost: gpMLPBoost}
@@ -52,7 +45,7 @@ func EstimateNPOPrefetch(m *hw.Machine, s Stats, ctx hw.ExecContext) float64 {
 // EstimateNPOBloom predicts the Bloom-filtered NPO given the expected probe
 // miss fraction.
 func EstimateNPOBloom(m *hw.Machine, s Stats, ctx hw.ExecContext) float64 {
-	ht := htBytesFor(s.BuildRows)
+	ht := hashtab.BytesFor(int(s.BuildRows))
 	filterBytes := filterBytesFor(s.BuildRows)
 	passed := int64(float64(s.ProbeRows) * (1 - s.MissFrac))
 	total := 0.0
@@ -97,7 +90,7 @@ func EstimateRadix(m *hw.Machine, s Stats, ctx hw.ExecContext) float64 {
 			partTuples = 1
 		}
 	}
-	partHT := htBytesFor(partTuples)
+	partHT := hashtab.BytesFor(int(partTuples))
 	total += m.Cycles(hw.Work{Tuples: s.BuildRows, ComputePerTuple: 6,
 		SeqReadBytes: s.BuildRows * tupleBytes,
 		RandomReads:  s.BuildRows, RandomWS: partHT}, ctx)

@@ -76,10 +76,3 @@ func AutoAlgorithm(m *hw.Machine, buildRows int) Algorithm {
 	}
 	return AlgNPO
 }
-
-// hashKey is the multiplicative hash shared by all hash-based algorithms.
-func hashKey(k int64) uint64 {
-	h := uint64(k) * 0x9E3779B97F4A7C15
-	h ^= h >> 29
-	return h
-}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hwstar/internal/hashtab"
 	"hwstar/internal/hw"
 	"hwstar/internal/sched"
 	"hwstar/internal/workload"
@@ -30,46 +31,6 @@ func TestInputValidate(t *testing.T) {
 	}
 	if err := smallInput().Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHashTableBasics(t *testing.T) {
-	ht := newHashTable(4)
-	ht.Insert(7, 70)
-	ht.Insert(7, 71) // duplicate key
-	ht.Insert(8, 80)
-	if ht.size != 3 {
-		t.Fatalf("size = %d", ht.size)
-	}
-	var got []int64
-	ht.ProbeEach(7, func(v int64) { got = append(got, v) })
-	if len(got) != 2 {
-		t.Fatalf("duplicate probe found %v", got)
-	}
-	got = got[:0]
-	ht.ProbeEach(99, func(v int64) { got = append(got, v) })
-	if len(got) != 0 {
-		t.Fatal("missing key should match nothing")
-	}
-	if ht.Bytes() <= 0 {
-		t.Fatal("Bytes should be positive")
-	}
-}
-
-func TestHashTableManyCollisions(t *testing.T) {
-	// Insert far more keys than initial sizing would like; table was sized
-	// for them so fill stays at 50%.
-	const n = 10000
-	ht := newHashTable(n)
-	for i := int64(0); i < n; i++ {
-		ht.Insert(i, i*2)
-	}
-	for i := int64(0); i < n; i++ {
-		found := false
-		ht.ProbeEach(i, func(v int64) { found = v == i*2 })
-		if !found {
-			t.Fatalf("key %d lost", i)
-		}
 	}
 }
 
@@ -221,7 +182,7 @@ func TestRadixPartitionIsPermutation(t *testing.T) {
 			if orig[k] != pv[i] {
 				t.Fatalf("pairing broken for key %d", k)
 			}
-			if int((hashKey(k))&15) != part {
+			if int((hashtab.Hash(k))&15) != part {
 				t.Fatalf("key %d in wrong partition %d", k, part)
 			}
 		}

@@ -1,6 +1,9 @@
 package join
 
-import "hwstar/internal/hw"
+import (
+	"hwstar/internal/hashtab"
+	"hwstar/internal/hw"
+)
 
 // NPO executes the no-partitioning hash join: build one table over the whole
 // build relation, stream the probe relation against it. This is the
@@ -18,7 +21,8 @@ func NPO(in Input, acct *hw.Account) (Result, error) {
 
 	// Build phase: one insert per build tuple, each a random access into
 	// the table.
-	ht := newHashTable(len(in.BuildKeys))
+	ht := hashtab.Get(len(in.BuildKeys))
+	defer hashtab.Put(ht)
 	for i, k := range in.BuildKeys {
 		ht.Insert(k, in.BuildVals[i])
 	}

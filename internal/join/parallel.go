@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"hwstar/internal/errs"
+	"hwstar/internal/hashtab"
 	"hwstar/internal/hw"
 	"hwstar/internal/sched"
 	"hwstar/internal/trace"
@@ -63,7 +64,7 @@ func ParallelNPO(ctx context.Context, in Input, s *sched.Scheduler, morsel int) 
 	}
 	var out ParallelResult
 	resv := s.Mem()
-	tableBytes := hashTableBytes(len(in.BuildKeys))
+	tableBytes := hashtab.BytesFor(len(in.BuildKeys))
 	if err := resv.Charge("join-build", -1, tableBytes); err != nil {
 		if errors.Is(err, errs.ErrMemoryPressure) {
 			return graceHashJoin(ctx, in, s, morsel, tableBytes, err)
@@ -71,7 +72,8 @@ func ParallelNPO(ctx context.Context, in Input, s *sched.Scheduler, morsel int) 
 		return out, fmt.Errorf("join: build table: %w", err)
 	}
 	defer resv.Uncharge(tableBytes)
-	ht := newHashTable(len(in.BuildKeys))
+	ht := hashtab.Get(len(in.BuildKeys))
+	defer hashtab.Put(ht)
 
 	buildTasks := sched.Morsels(len(in.BuildKeys), morsel, "npo-build", func(start, end int, w *sched.Worker) {
 		for i := start; i < end; i++ {
@@ -197,13 +199,14 @@ func ParallelRadix(ctx context.Context, in Input, opts RadixOptions, s *sched.Sc
 				if buildRows == 0 {
 					return
 				}
-				htBytes := hashTableBytes(int(buildRows))
+				htBytes := hashtab.BytesFor(int(buildRows))
 				if err := w.Mem().Charge("radix-join", w.ID, htBytes); err != nil {
 					chargeErrs[p] = err
 					return
 				}
 				defer w.Mem().Uncharge(htBytes)
-				ht := newHashTable(int(buildRows))
+				ht := hashtab.Get(int(buildRows))
+				defer hashtab.Put(ht)
 				for _, c := range buildChunks {
 					bk, bv := c.partition(p)
 					for i, k := range bk {

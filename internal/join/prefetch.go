@@ -1,6 +1,9 @@
 package join
 
-import "hwstar/internal/hw"
+import (
+	"hwstar/internal/hashtab"
+	"hwstar/internal/hw"
+)
 
 // prefetchGroup is the batch size of the group-prefetching probe loop: big
 // enough to expose independent misses, small enough for its state to stay
@@ -25,7 +28,8 @@ func NPOPrefetch(in Input, acct *hw.Account) (Result, error) {
 	}
 	var res Result
 
-	ht := newHashTable(len(in.BuildKeys))
+	ht := hashtab.Get(len(in.BuildKeys))
+	defer hashtab.Put(ht)
 	for i, k := range in.BuildKeys {
 		ht.Insert(k, in.BuildVals[i])
 	}
@@ -51,18 +55,11 @@ func NPOPrefetch(in Input, acct *hw.Account) (Result, error) {
 			end = n
 		}
 		for i := start; i < end; i++ {
-			slots[i-start] = hashKey(in.ProbeKeys[i]) & ht.mask
+			slots[i-start] = ht.Slot(in.ProbeKeys[i])
 		}
 		for i := start; i < end; i++ {
-			slot := slots[i-start]
-			key := in.ProbeKeys[i]
 			pv := in.ProbeVals[i]
-			for ht.used[slot] {
-				if ht.keys[slot] == key {
-					res.add(ht.vals[slot], pv)
-				}
-				slot = (slot + 1) & ht.mask
-			}
+			ht.ProbeFrom(slots[i-start], in.ProbeKeys[i], func(bv int64) { res.add(bv, pv) })
 		}
 	}
 	if acct != nil {

@@ -3,6 +3,7 @@ package join
 import (
 	"strconv"
 
+	"hwstar/internal/hashtab"
 	"hwstar/internal/hw"
 )
 
@@ -86,7 +87,7 @@ func radixPartition(keys, vals []int64, bits, shift int) partitioned {
 	mask := uint64(fanout - 1)
 	hist := make([]int, fanout)
 	for _, k := range keys {
-		hist[(hashKey(k)>>shift)&mask]++
+		hist[(hashtab.Hash(k)>>shift)&mask]++
 	}
 	offsets := make([]int, fanout+1)
 	for i := 0; i < fanout; i++ {
@@ -100,7 +101,7 @@ func radixPartition(keys, vals []int64, bits, shift int) partitioned {
 	cursor := make([]int, fanout)
 	copy(cursor, offsets[:fanout])
 	for i, k := range keys {
-		p := (hashKey(k) >> shift) & mask
+		p := (hashtab.Hash(k) >> shift) & mask
 		out.keys[cursor[p]] = k
 		out.vals[cursor[p]] = vals[i]
 		cursor[p]++
@@ -134,6 +135,21 @@ func partitionPassWork(name string, n int64, fanout int, m *hw.Machine, sw bool)
 		w.RandomWS = n * tupleBytes
 	}
 	return w
+}
+
+// joinPartition joins one partition pair through a table of the build
+// side's size, folding matches into res, and returns the table's footprint.
+func joinPartition(bk, bv, pk, pv []int64, res *Result) int64 {
+	ht := hashtab.Get(len(bk))
+	defer hashtab.Put(ht)
+	for i, k := range bk {
+		ht.Insert(k, bv[i])
+	}
+	for i, k := range pk {
+		val := pv[i]
+		ht.ProbeEach(k, func(bval int64) { res.add(bval, val) })
+	}
+	return ht.Bytes()
 }
 
 // Radix executes the radix-partitioned hash join: both relations are
@@ -184,16 +200,8 @@ func Radix(in Input, opts RadixOptions, machine *hw.Machine, acct *hw.Account) (
 		if len(bk) == 0 || len(pk) == 0 {
 			continue
 		}
-		ht := newHashTable(len(bk))
-		for i, k := range bk {
-			ht.Insert(k, bv[i])
-		}
-		for i, k := range pk {
-			val := pv[i]
-			ht.ProbeEach(k, func(bval int64) { res.add(bval, val) })
-		}
-		if ht.Bytes() > maxPartBytes {
-			maxPartBytes = ht.Bytes()
+		if b := joinPartition(bk, bv, pk, pv, &res); b > maxPartBytes {
+			maxPartBytes = b
 		}
 	}
 	if acct != nil {
@@ -260,7 +268,7 @@ func repartition(p partitioned, bits, shift int) partitioned {
 		keys, _ := p.partition(old)
 		baseNew := old << bits
 		for _, k := range keys {
-			hist[baseNew+int((hashKey(k)>>shift)&mask)]++
+			hist[baseNew+int((hashtab.Hash(k)>>shift)&mask)]++
 		}
 	}
 	for i := 0; i < fanoutNew; i++ {
@@ -272,7 +280,7 @@ func repartition(p partitioned, bits, shift int) partitioned {
 		keys, vals := p.partition(old)
 		baseNew := old << bits
 		for i, k := range keys {
-			dst := baseNew + int((hashKey(k)>>shift)&mask)
+			dst := baseNew + int((hashtab.Hash(k)>>shift)&mask)
 			out.keys[cursor[dst]] = k
 			out.vals[cursor[dst]] = vals[i]
 			cursor[dst]++

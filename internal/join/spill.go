@@ -5,23 +5,12 @@ import (
 	"fmt"
 	"strconv"
 
+	"hwstar/internal/hashtab"
 	"hwstar/internal/hw"
 	"hwstar/internal/mem"
 	"hwstar/internal/sched"
 	"hwstar/internal/trace"
 )
-
-// hashTableBytes returns the footprint newHashTable(n) will allocate: a
-// power-of-two capacity at 50% max load, 17 bytes per slot. Operators charge
-// this against their memory reservation BEFORE building, so a denial arrives
-// while degrading (spilling) is still possible.
-func hashTableBytes(n int) int64 {
-	c := 16
-	for c < 2*n {
-		c <<= 1
-	}
-	return int64(c) * (8 + 8 + 1)
-}
 
 // graceHashJoin is the degraded execution ParallelNPO falls back to when its
 // hash table does not fit the query's memory reservation: both relations are
@@ -52,7 +41,7 @@ func graceHashJoin(ctx context.Context, in Input, s *sched.Scheduler, morsel int
 	partTasks := func(keys, vals []int64, build bool, label string) []sched.Task {
 		return sched.Morsels(len(keys), morsel, label, func(start, end int, w *sched.Worker) {
 			for i := start; i < end; i++ {
-				p := &parts[hashKey(keys[i])&mask]
+				p := &parts[hashtab.Hash(keys[i])&mask]
 				if build {
 					p.bk = append(p.bk, keys[i])
 					p.bv = append(p.bv, vals[i])
@@ -102,13 +91,14 @@ func graceHashJoin(ctx context.Context, in Input, s *sched.Scheduler, morsel int
 				if len(pt.bk) == 0 {
 					return
 				}
-				htBytes := hashTableBytes(len(pt.bk))
+				htBytes := hashtab.BytesFor(len(pt.bk))
 				if err := w.Mem().Charge("grace-join", w.ID, htBytes); err != nil {
 					chargeErrs[p] = err
 					return
 				}
 				defer w.Mem().Uncharge(htBytes)
-				ht := newHashTable(len(pt.bk))
+				ht := hashtab.Get(len(pt.bk))
+				defer hashtab.Put(ht)
 				for i, k := range pt.bk {
 					ht.Insert(k, pt.bv[i])
 				}
