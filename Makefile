@@ -63,12 +63,15 @@ race-core:
 
 # check is the full verification gate: compile everything, run the static
 # analyzers, and run the whole suite under the race detector (core
-# concurrency packages uncached).
+# concurrency packages uncached). The modeled-cycle golden runs ten times
+# more: what can move its digits is the host's scheduling (a pass placed on
+# cores a finished request has not returned yet), which one run rarely shows.
 check:
 	$(GO) build ./...
 	$(MAKE) lint
 	$(MAKE) race-core
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run TestSimCyclesGolden ./internal/shard
 
 # fuzz-smoke gives each native fuzz target ten seconds of mutation past its
 # seed corpus (plain `go test` only replays the seeds). One target per
@@ -86,15 +89,17 @@ bench:
 # bench-layers runs the per-layer benches of the request path's front half
 # (v1 decode and response encode; auth + governance + decode + encode against
 # a stub backend; join partitioning; morsel scheduling), of the inline
-# operators (group-sum per strategy, one stripe's NPO join) and of the write
-# path (block encode per column shape; one Register + Checkpoint cycle and one
-# restart-to-first-answer of the benchmark's 1 M x 2 table, MB/s over user
-# bytes) with allocations, five times each. CI runs it once per bench
+# operators (group-sum per strategy, one stripe's NPO join), of serve's
+# admission + batching (Submit to answer over a 64 K-row table, one client and
+# a cohort of eight) and of the write path (block encode per column shape; one
+# Register + Checkpoint cycle and one restart-to-first-answer of the
+# benchmark's 1 M x 2 table, MB/s over user bytes) with allocations, five
+# times each. CI runs it once per bench
 # (BENCHFLAGS='-benchtime=1x -count=1') to catch one that stops compiling or
 # starts failing; host times are read by people, not gated.
 BENCHFLAGS ?= -count=5
 bench-layers:
-	$(GO) test -run='^$$' -bench='BenchmarkDecodeQuery|BenchmarkAppendResponse|BenchmarkHandleQuery|BenchmarkSplitJoin|BenchmarkMorsels|BenchmarkGroupSum|BenchmarkNPO|BenchmarkEncode|BenchmarkCheckpoint|BenchmarkRecover' -benchmem $(BENCHFLAGS) \
+	$(GO) test -run='^$$' -bench='BenchmarkDecodeQuery|BenchmarkAppendResponse|BenchmarkHandleQuery|BenchmarkSplitJoin|BenchmarkMorsels|BenchmarkGroupSum|BenchmarkNPO|BenchmarkEncode|BenchmarkSubmit|BenchmarkCheckpoint|BenchmarkRecover' -benchmem $(BENCHFLAGS) \
 		./internal/frontend/v1 ./internal/frontend ./internal/shard ./internal/sched ./internal/agg ./internal/join ./internal/compress ./internal/serve
 
 # perf runs hwperf, the repository's benchmark (BENCHMARK.json): four

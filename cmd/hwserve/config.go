@@ -60,7 +60,6 @@ type Config struct {
 	// Serving policy.
 	Queue    int      `json:"queue"`
 	MaxBatch int      `json:"max_batch"`
-	Window   Duration `json:"window"`
 	Deadline Duration `json:"deadline"`
 
 	// Sharded serving tier: Shards > 1 runs that many serve.Server shards
@@ -126,7 +125,6 @@ func DefaultConfig() Config {
 		Mix:           "scan",
 		Queue:         256,
 		MaxBatch:      1024,
-		Window:        Duration(2 * time.Millisecond),
 		FaultSeed:     1,
 		StragglerSkew: 8,
 		Backoff:       Duration(200 * time.Microsecond),
@@ -215,7 +213,6 @@ func bindFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.StringVar(&cfg.Mix, "mix", cfg.Mix, "workload mix: scan or mixed")
 	fs.IntVar(&cfg.Queue, "queue", cfg.Queue, "intake queue depth")
 	fs.IntVar(&cfg.MaxBatch, "max-batch", cfg.MaxBatch, "max queries per shared scan")
-	fs.DurationVar((*time.Duration)(&cfg.Window), "window", time.Duration(cfg.Window), "batching window")
 	fs.DurationVar((*time.Duration)(&cfg.Deadline), "deadline", time.Duration(cfg.Deadline), "per-request deadline (0 = none)")
 	fs.IntVar(&cfg.Shards, "shards", cfg.Shards, "shard count of the replicated serving tier (0 or 1 = single server)")
 	fs.IntVar(&cfg.Replicas, "replicas", cfg.Replicas, "replicas per partition in the sharded tier (0 = default 2; needs -shards > 1)")
@@ -263,6 +260,7 @@ func parseConfig(args []string) (cfg Config, printOnly bool, err error) {
 	}
 	cfg = DefaultConfig()
 	if err := loadConfigFile(configPath, &cfg); err != nil {
+		fmt.Fprintln(fs.Output(), err) // as loud as the flag errors Parse reports itself
 		return cfg, false, err
 	}
 	// Re-apply every flag the command line set explicitly on top of the

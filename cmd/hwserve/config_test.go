@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,7 +72,7 @@ func writeConfig(t *testing.T, body string) string {
 // flags.
 func TestParseConfigFlagsOnly(t *testing.T) {
 	cfg, printOnly, err := parseConfig([]string{
-		"-clients", "8", "-max-batch", "32", "-trace-every", "5", "-window", "3ms",
+		"-clients", "8", "-max-batch", "32", "-trace-every", "5", "-backoff", "3ms",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +84,7 @@ func TestParseConfigFlagsOnly(t *testing.T) {
 	want.Clients = 8
 	want.MaxBatch = 32
 	want.TraceEvery = 5
-	want.Window = Duration(3 * time.Millisecond)
+	want.Backoff = Duration(3 * time.Millisecond)
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("cfg = %+v\nwant %+v", cfg, want)
 	}
@@ -95,7 +96,7 @@ func TestParseConfigPrecedence(t *testing.T) {
 		"clients": 16,
 		"rows": 4096,
 		"max_batch": 64,
-		"window": "4ms",
+		"backoff": "4ms",
 		"deadline": 2000000,
 		"tenants": [{"id": "a", "key": "ka"}]
 	}`)
@@ -116,8 +117,8 @@ func TestParseConfigPrecedence(t *testing.T) {
 	if cfg.Rows != 4096 {
 		t.Fatalf("Rows = %d, want file value 4096", cfg.Rows)
 	}
-	if cfg.Window != Duration(4*time.Millisecond) {
-		t.Fatalf("Window = %v, want file value 4ms", time.Duration(cfg.Window))
+	if cfg.Backoff != Duration(4*time.Millisecond) {
+		t.Fatalf("Backoff = %v, want file value 4ms", time.Duration(cfg.Backoff))
 	}
 	if cfg.Deadline != Duration(2*time.Millisecond) {
 		t.Fatalf("Deadline = %v, want numeric-ns file value 2ms", time.Duration(cfg.Deadline))
@@ -154,6 +155,27 @@ func TestLoadConfigFileStrict(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsRemovedWindowKey pins the batching window's removal: a
+// deployment file (or command line) that still sets it fails loudly, naming
+// the key, instead of running with a setting that no longer exists.
+func TestConfigRejectsRemovedWindowKey(t *testing.T) {
+	c := DefaultConfig()
+	err := loadConfigFile(writeConfig(t, `{"clients": 8, "window": "2ms"}`), &c)
+	if err == nil || !strings.Contains(err.Error(), `"window"`) {
+		t.Fatalf(`config with "window": err = %v, want one naming the key`, err)
+	}
+	if _, _, err := parseConfig([]string{"-window", "2ms"}); err == nil {
+		t.Fatal("removed flag -window accepted")
+	}
+	var buf bytes.Buffer
+	if err := c.Print(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "window") {
+		t.Fatalf("-print-config still prints a window:\n%s", buf.String())
+	}
+}
+
 // TestPrintConfigRoundTrips pins the -print-config contract: the printed
 // JSON is exactly the format -config accepts, and re-loading it reproduces
 // the same effective Config.
@@ -161,7 +183,7 @@ func TestPrintConfigRoundTrips(t *testing.T) {
 	cfg, printOnly, err := parseConfig([]string{
 		"-print-config",
 		"-clients", "3",
-		"-window", "7ms",
+		"-backoff", "7ms",
 		"-serve-api", "127.0.0.1:0",
 		"-data-dir", "/tmp/hwserve-data",
 		"-checkpoint-interval", "250ms",

@@ -19,7 +19,7 @@ import (
 // /debug/pprof serves the profile index.
 func TestDebugEndpoints(t *testing.T) {
 	srv, err := hwstar.NewServer(hw.Server2S(), hwstar.ServerOptions{
-		QueueDepth: 64, MaxBatch: 8, BatchWindow: time.Millisecond,
+		QueueDepth: 64, MaxBatch: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -140,7 +140,6 @@ func build(ctx context.Context, cfg Config) (*backend, error) {
 	opts := hwstar.ServerOptions{
 		QueueDepth:       cfg.Queue,
 		MaxBatch:         cfg.MaxBatch,
-		BatchWindow:      time.Duration(cfg.Window),
 		MaxRetries:       cfg.Retries,
 		RetryBackoff:     time.Duration(cfg.Backoff),
 		BreakerThreshold: cfg.Breaker,

@@ -15,7 +15,6 @@ func smallConfig() Config {
 	cfg.Rows = 1 << 14
 	cfg.Queue = 64
 	cfg.MaxBatch = 64
-	cfg.Window = Duration(time.Millisecond)
 	return cfg
 }
 

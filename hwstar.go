@@ -460,8 +460,8 @@ func (e *Engine) RunQ1(ctx context.Context, eng QueryEngine, lineitem *Table) (Q
 // package for the full semantics; NewServer is the entry point.
 type Server = serve.Server
 
-// ServerOptions configures a Server (worker budget, queue depth, batching
-// window, batch size cap). The zero value uses sensible defaults.
+// ServerOptions configures a Server (worker budget, queue depth, batch size
+// cap). The zero value uses sensible defaults.
 type ServerOptions = serve.Options
 
 // Request is one operation submitted to a Server.

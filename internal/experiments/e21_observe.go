@@ -61,7 +61,6 @@ func e21Run(cfg Config) ([]e21Breakdown, serve.Health, error) {
 	s, err := serve.New(m, serve.Options{
 		QueueDepth:     requests,
 		MaxBatch:       16,
-		BatchWindow:    200 * time.Microsecond,
 		Workers:        8,
 		SchedBlockSize: 8,
 		Faults: fault.New(fault.Config{

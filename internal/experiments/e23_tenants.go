@@ -176,7 +176,6 @@ func runE23(cfg Config) ([]*Table, error) {
 		Workers:            8,
 		QueueDepth:         1024,
 		MaxBatch:           256,
-		BatchWindow:        500 * time.Microsecond,
 		InteractiveReserve: 6,
 	})
 	if err != nil {

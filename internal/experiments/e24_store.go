@@ -275,7 +275,6 @@ func runE24Interference(m *hw.Machine, clients, requests, factRows, churnRows in
 			Workers:            8,
 			QueueDepth:         1024,
 			MaxBatch:           256,
-			BatchWindow:        500 * time.Microsecond,
 			Store:              st,
 			CheckpointInterval: interval,
 		})

@@ -81,24 +81,11 @@ func runE25Cohorts(m *hw.Machine, cols [][]int64, cohortSizes []int) ([]e25Cohor
 		}
 		rowM := rowRes.MakespanCycles / float64(clients) / 1e6
 
-		s, err := serve.New(m, serve.Options{
-			QueueDepth:  clients,
-			MaxBatch:    clients,
-			BatchWindow: 10 * time.Second, // flush on MaxBatch, deterministically
-		})
+		vecM, vecSums, own, err := scanCohort(m, cols, los, clients)
 		if err != nil {
 			return nil, 0, err
 		}
-		if err := s.Register("events", cols); err != nil {
-			s.Close()
-			return nil, 0, err
-		}
-		vecM, vecSums, err := scanCohort(s, "events", los)
-		h := s.Health()
-		s.Close()
-		if err != nil {
-			return nil, 0, err
-		}
+		h := serve.HealthFromCounters(own)
 		for i := range rowSums {
 			if rowSums[i] != vecSums[i] {
 				return nil, 0, fmt.Errorf("e25: cohort %d query %d: server sum %d != row sum %d",

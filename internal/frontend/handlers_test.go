@@ -60,9 +60,6 @@ func newTestEnv(t *testing.T, opts serve.Options, tenants []TenantConfig, fcfg C
 	if opts.MaxBatch == 0 {
 		opts.MaxBatch = 16
 	}
-	if opts.BatchWindow == 0 {
-		opts.BatchWindow = 200 * time.Microsecond
-	}
 	srv, err := serve.New(hw.Server2S(), opts)
 	if err != nil {
 		t.Fatal(err)

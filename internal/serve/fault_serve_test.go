@@ -285,7 +285,6 @@ func TestChaosMix(t *testing.T) {
 	})
 	s := newServer(t, Options{
 		Workers: 8, OpWorkers: 4, QueueDepth: clients, MaxBatch: 4,
-		BatchWindow:        time.Millisecond,
 		Faults:             inj,
 		MaxRetries:         4,
 		RetryBackoff:       10 * time.Microsecond,
@@ -385,7 +384,6 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		cols, _ := testRelation(2000)
 		s := newServer(t, Options{
 			Workers: 4, OpWorkers: 4, QueueDepth: 4, MaxBatch: 2,
-			BatchWindow:      time.Millisecond,
 			Faults:           fault.New(fault.Config{Seed: int64(round), TransientProb: 0.2}),
 			MaxRetries:       2,
 			RetryBackoff:     10 * time.Microsecond,

@@ -195,7 +195,6 @@ func TestMemoryChaos(t *testing.T) {
 	inj := fault.New(fault.Config{Seed: 17, AllocFailProb: 0.05})
 	s := newServer(t, Options{
 		Workers: 8, OpWorkers: 4, QueueDepth: clients, MaxBatch: 4,
-		BatchWindow:  time.Millisecond,
 		Faults:       inj,
 		Memory:       mem.Config{BudgetBytes: 48 << 10}, // each heavy table ≈ 68 KiB: spills guaranteed
 		MaxRetries:   3,

@@ -38,43 +38,47 @@ func TestPriorityLanes(t *testing.T) {
 func TestCoreSemBatchCap(t *testing.T) {
 	c := newCoreSem(8, 2)
 
-	if !c.tryAcquireBatch(2) {
+	if c.acquire(2, 2, true, false) != 2 {
 		t.Fatal("batch acquire within cap refused")
 	}
-	if c.tryAcquireBatch(1) {
+	if c.acquire(1, 1, true, false) != 0 {
 		t.Fatal("batch acquire past cap granted")
 	}
 
-	// Interactive wants all 8 but batch holds 2: acquireUpTo must take the 6
+	// Interactive wants all 8 but batch holds 2: acquire must take the 6
 	// free tokens immediately rather than blocking for a full drain.
-	if got := c.acquireUpTo(6, 8); got != 6 {
-		t.Fatalf("acquireUpTo(6,8) with 2 held = %d, want 6", got)
+	if got := c.acquire(6, 8, false, true); got != 6 {
+		t.Fatalf("acquire(6,8) with 2 held = %d, want 6", got)
 	}
-	// Pool empty: a lo=1 acquisition must block until a release.
+	// Pool empty: a lo=1 try takes nothing, and a lo=1 acquisition must block
+	// until a release.
+	if got := c.acquire(1, 4, false, false); got != 0 {
+		t.Fatalf("try on an empty pool took %d", got)
+	}
 	done := make(chan int)
-	go func() { done <- c.acquireUpTo(1, 4) }()
+	go func() { done <- c.acquire(1, 4, false, true) }()
 	select {
 	case n := <-done:
-		t.Fatalf("acquireUpTo returned %d from an empty pool", n)
+		t.Fatalf("acquire returned %d from an empty pool", n)
 	case <-time.After(20 * time.Millisecond):
 	}
 	c.release(2, true) // batch done: frees 2, batchHeld back to 0
 	if n := <-done; n != 2 {
-		t.Fatalf("acquireUpTo after release = %d, want 2 (everything free, capped at hi=4 but only 2 exist)", n)
+		t.Fatalf("acquire after release = %d, want 2 (everything free, capped at hi=4 but only 2 exist)", n)
 	}
 
 	// hi caps the take even when more is free.
 	c.release(6, false)
 	c.release(2, false)
-	if got := c.acquireUpTo(1, 3); got != 3 {
-		t.Fatalf("acquireUpTo(1,3) with 8 free = %d, want 3", got)
+	if got := c.acquire(1, 3, false, false); got != 3 {
+		t.Fatalf("acquire(1,3) with 8 free = %d, want 3", got)
 	}
 }
 
 // TestInteractiveNotBlockedByBatchHold stages the starvation scenario the
 // priority lanes exist to prevent: a batch operation holds its cores
 // mid-execution, and an interactive scan must still reach execution on the
-// reserved cores. Before acquireUpTo, the interactive pass demanded the full
+// reserved cores. Before the [reserve, want] acquire, the interactive pass demanded the full
 // worker budget and would sit behind the batch hold for its entire runtime.
 func TestInteractiveNotBlockedByBatchHold(t *testing.T) {
 	cols, expect := testRelation(10000)
@@ -82,7 +86,6 @@ func TestInteractiveNotBlockedByBatchHold(t *testing.T) {
 		Workers:            8,
 		QueueDepth:         16,
 		MaxBatch:           4,
-		BatchWindow:        100 * time.Microsecond,
 		InteractiveReserve: 6,
 	})
 	defer s.Close()

@@ -7,10 +7,10 @@
 //   - clients submit Requests through a bounded intake queue; when the queue
 //     is full the server rejects with ErrOverloaded instead of buffering
 //     without bound (admission control / backpressure);
-//   - scan-shaped requests against the same registered relation are collected
-//     for a batching window (or until MaxBatch) and executed as ONE
-//     block-major pass over the compressed columns (vecserve.go), so memory
-//     traffic is paid once per batch rather than once per client;
+//   - scan-shaped requests against the same registered relation that arrive
+//     while the cores are busy (up to MaxBatch) run as ONE block-major pass
+//     over the compressed columns (vecserve.go): memory traffic is paid once
+//     per batch, not per client; a scan that finds the cores idle starts at once;
 //   - join/aggregate/query requests flow through the morsel scheduler under a
 //     per-server simulated-core budget, so concurrent operations cannot
 //     oversubscribe the machine;
@@ -38,7 +38,7 @@
 // internal/mem): join/aggregate requests win a reservation at admission or
 // are shed with ErrMemoryPressure, operators charge hash-table state against
 // the reservation and degrade to a grace-hash spill plan when a charge is
-// denied, and finish() settles spill and peak-footprint accounting before
+// denied, and settle() accounts spill and peak-footprint accounting before
 // releasing the reservation. Memory pressure deliberately does NOT feed the
 // circuit breaker: a full budget is relieved by completions, not by shedding
 // into degraded mode.
@@ -235,11 +235,8 @@ type Options struct {
 	// the batch backlog to drain. Default Workers/4 (min 1); must leave at
 	// least one token for batch work (InteractiveReserve < Workers).
 	InteractiveReserve int
-	// BatchWindow is how long the batcher waits, after the first scan
-	// request arrives, for more scans to share the pass. Default 500µs.
-	BatchWindow time.Duration
 	// MaxBatch caps the number of scan requests sharing one pass; reaching
-	// it flushes immediately. Default 1024.
+	// it closes the batch. Default 1024.
 	MaxBatch int
 
 	// Faults arms a fault injector on every scheduled operation. Nil (the
@@ -346,9 +343,6 @@ func (o Options) withDefaults(m *hw.Machine) (Options, error) {
 	case o.InteractiveReserve >= o.Workers:
 		return o, fmt.Errorf("serve: interactive reserve %d out of range 0..%d: %w", o.InteractiveReserve, o.Workers-1, errs.ErrWorkersOutOfRange)
 	}
-	if o.BatchWindow <= 0 {
-		o.BatchWindow = 500 * time.Microsecond
-	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 1024
 	}
@@ -367,15 +361,17 @@ func (o Options) withDefaults(m *hw.Machine) (Options, error) {
 // pending is one admitted request waiting for its outcome. The spans are
 // nil (no-op) when tracing is off or the request fell outside the sampling
 // rate: span is the request's root, queueSpan covers enqueue → dispatch,
-// batchSpan covers a scan's wait while its batch assembles.
+// batchSpan covers a scan's wait while its batch assembles, from joined on.
 type pending struct {
-	ctx  context.Context
-	req  Request
-	enq  time.Time
-	done chan outcome
+	ctx    context.Context
+	req    Request
+	enq    time.Time
+	joined time.Time
+	out    outcome // what settle left for done
+	done   chan outcome
 
 	// resv is the request's memory reservation (nil when ungoverned or for
-	// scans, which carry no operator table state). Released in finish — the
+	// scans, which carry no operator table state). Released in settle — the
 	// single point every admitted request converges on.
 	resv *mem.Reservation
 
@@ -672,7 +668,8 @@ func (s *Server) Checkpoint(ctx context.Context) (store.CheckpointStats, error) 
 // Metrics returns the server's metrics registry. Counters:
 // serve.admitted, serve.rejected, serve.invalid, serve.completed,
 // serve.deadline_exceeded. Histograms: serve.batch_size, serve.latency_ms,
-// serve.queue_wait_ms, serve.cycles_per_query. Gauge: serve.queue_depth.
+// serve.queue_wait_ms, serve.batch_wait_ms (a scan's wait in its open batch),
+// serve.cycles_per_query. Gauge: serve.queue_depth.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // Workers returns the server's simulated-core budget.
@@ -989,50 +986,31 @@ func newCoreSem(total, batchCap int) *coreSem {
 	return c
 }
 
-// acquireUpTo blocks until at least lo tokens are free, then takes every
-// free token up to hi and returns the count taken (interactive class).
-// Interactive work uses it to start on the reserved cores immediately and
-// widen opportunistically, instead of waiting for in-flight batch holds to
-// drain: with lo = InteractiveReserve, the wait is bounded by interactive
-// work ahead of it, never by the batch backlog.
-func (c *coreSem) acquireUpTo(lo, hi int) int {
+// acquire takes every free token up to hi once at least lo can be had, and
+// returns the count. Interactive work asks for [reserve, want]: it starts on
+// the reserved cores at once and widens opportunistically rather than wait for
+// batch holds to drain, so only interactive work ahead of it delays it. Batch
+// work (lo == hi) also stays within batchCap. block false: 0 if lo is not free.
+func (c *coreSem) acquire(lo, hi int, batchClass, block bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.free < lo {
+	for {
+		n := min(c.free, hi)
+		if batchClass {
+			n = min(n, c.batchCap-c.batchHeld)
+		}
+		if n >= lo {
+			c.free -= n
+			if batchClass {
+				c.batchHeld += n
+			}
+			return n
+		}
+		if !block {
+			return 0
+		}
 		c.cond.Wait()
 	}
-	n := c.free
-	if n > hi {
-		n = hi
-	}
-	c.free -= n
-	return n
-}
-
-// tryAcquireBatch takes n tokens for batch-class work if they are free and
-// batch work stays within its cap. It never blocks: the dispatcher parks
-// batch work it cannot place instead of stalling the interactive lane.
-func (c *coreSem) tryAcquireBatch(n int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.free < n || c.batchHeld+n > c.batchCap {
-		return false
-	}
-	c.free -= n
-	c.batchHeld += n
-	return true
-}
-
-// acquireBatch is the blocking form of tryAcquireBatch, used only while
-// draining at close, when no interactive work can arrive anymore.
-func (c *coreSem) acquireBatch(n int) {
-	c.mu.Lock()
-	for c.free < n || c.batchHeld+n > c.batchCap {
-		c.cond.Wait()
-	}
-	c.free -= n
-	c.batchHeld += n
-	c.mu.Unlock()
 }
 
 // release returns n tokens, shrinking the batch hold when the releaser ran
@@ -1182,20 +1160,6 @@ type parkedWork struct {
 	workers int
 }
 
-// interactiveFloor is the minimum core count an interactive placement asking
-// for want cores may start with: the InteractiveReserve tokens (which batch
-// work can never hold), clamped to [1, want].
-func (s *Server) interactiveFloor(want int) int {
-	lo := s.opts.InteractiveReserve
-	if lo < 1 {
-		lo = 1
-	}
-	if lo > want {
-		lo = want
-	}
-	return lo
-}
-
 // dispatch is the server's single intake consumer: it collects scan requests
 // into batches and hands every unit of execution to a goroutine only after
 // reserving its simulated cores. Interactive work is dispatched with a
@@ -1204,12 +1168,18 @@ func (s *Server) interactiveFloor(want int) int {
 // placed with a try-acquire against the batch core cap and parked when the
 // tokens are not there, so a batch backlog cannot add head-of-line latency
 // to the interactive lane.
+//
+// The pass is the batching window (DESIGN.md, Batching): a scan joins the open
+// batch for its table; once everything queued is taken the dispatcher tries,
+// without waiting, to reserve its cores and, refused, leaves it open until the
+// next release. Only a closing batch (MaxBatch, another table, Close) blocks.
 func (s *Server) dispatch() {
 	defer s.wg.Done()
-	var cur *batch
-	var window <-chan time.Time // nil when no batch is open
+	var cur *batch // the open scan batch; nil when there is none
 	var parked []parkedWork
 	hiCh, loCh := s.intake, s.intakeLo
+	// floor: an interactive placement starts on the reserve batch work cannot hold.
+	floor := max(s.opts.InteractiveReserve, 1)
 
 	// start launches one unit of batch-class work whose cores are reserved.
 	start := func(w parkedWork) {
@@ -1223,50 +1193,61 @@ func (s *Server) dispatch() {
 	// tryParked re-dispatches parked batch work, oldest first, stopping at
 	// the first item the core pool still cannot take.
 	tryParked := func() {
-		for len(parked) > 0 && s.cores.tryAcquireBatch(parked[0].workers) {
+		for len(parked) > 0 && s.cores.acquire(parked[0].workers, parked[0].workers, true, false) > 0 {
 			start(parked[0])
 			parked = parked[1:]
 		}
 	}
-	// placeBatch starts batch-class work when the batch core cap has room
-	// and parks it otherwise: it never blocks the dispatcher.
-	placeBatch := func(w parkedWork) {
-		if s.cores.tryAcquireBatch(w.workers) {
+	// placeBatch starts batch-class work when nothing is parked ahead of it and
+	// the batch core cap has room, else parks or (park false) refuses it.
+	placeBatch := func(w parkedWork, park bool) bool {
+		switch {
+		case len(parked) == 0 && s.cores.acquire(w.workers, w.workers, true, false) > 0:
 			start(w)
-		} else {
+		case park:
 			parked = append(parked, w)
+		default:
+			return false
 		}
+		return true
 	}
 
-	flush := func() {
-		if cur == nil {
-			return
-		}
+	// place starts the open batch's pass on reserved cores. A closing batch
+	// waits for its floor or (all-batch) parks; otherwise refused, cur stays.
+	place := func(closing bool) bool {
 		b := cur
-		cur, window = nil, nil
 		b.workers = s.opts.Workers // a shared pass owns the whole budget...
-		if s.brk != nil && s.brk.Degraded() {
+		degraded := s.brk != nil && s.brk.Degraded()
+		if degraded {
 			b.workers = max(1, s.opts.Workers/4) // ...unless the server is degraded
-			s.reg.Counter("serve.degraded_scans").Inc()
 		}
 		if b.lo {
 			// An all-batch pass runs capped at the batch core budget.
 			b.workers = min(b.workers, s.cores.batchCap)
-			placeBatch(parkedWork{b: b, workers: b.workers})
-			return
+			if !placeBatch(parkedWork{b: b, workers: b.workers}, closing) {
+				return false
+			}
+		} else {
+			// An interactive pass starts as soon as the reserved cores are free
+			// and widens to whatever else is idle: waiting for the full budget
+			// would add in-flight batch holds' whole runtime to its latency.
+			b.workers = s.cores.acquire(min(floor, b.workers), b.workers, false, closing)
+			if b.workers == 0 {
+				return false
+			}
+			s.wg.Add(1)
+			go s.runBatch(b)
 		}
-		// An interactive pass starts as soon as the reserved cores are free
-		// and widens to whatever else is idle — waiting for the full budget
-		// would let in-flight batch holds add their entire runtime to
-		// interactive latency.
-		b.workers = s.cores.acquireUpTo(s.interactiveFloor(b.workers), b.workers)
-		s.wg.Add(1)
-		go s.runBatch(b)
+		cur = nil
+		if degraded {
+			s.reg.Counter("serve.degraded_scans").Inc()
+		}
+		return true
 	}
 
 	// admit routes one dequeued request: non-scan operations to their own
 	// goroutine (interactive blocking, batch try-or-park), scans into the
-	// current shared batch.
+	// open batch.
 	admit := func(p *pending) {
 		s.reg.Gauge("serve.queue_depth").Set(int64(len(s.intake) + len(s.intakeLo)))
 		p.queueSpan.End()
@@ -1283,16 +1264,16 @@ func (s *Server) dispatch() {
 			if p.req.Priority.batchClass() {
 				// Capped at the batch core budget, or it could never be
 				// placed at all.
-				placeBatch(parkedWork{p: p, workers: min(workers, s.cores.batchCap)})
+				placeBatch(parkedWork{p: p, workers: min(workers, s.cores.batchCap)}, true)
 				return
 			}
-			workers = s.cores.acquireUpTo(s.interactiveFloor(workers), workers)
+			workers = s.cores.acquire(min(floor, workers), workers, false, true)
 			s.wg.Add(1)
 			go s.runOne(p, workers, false)
 			return
 		}
 		if cur != nil && cur.table != p.req.Table {
-			flush() // a different relation cannot share the pass
+			place(true) // a different relation cannot share the pass
 		}
 		if cur == nil {
 			vt, ok := s.lookup(p.ctx, p.req.Table)
@@ -1301,40 +1282,37 @@ func (s *Server) dispatch() {
 				return
 			}
 			cur = &batch{table: p.req.Table, vt: vt, lo: true}
-			window = time.After(s.opts.BatchWindow)
 		}
 		// A single interactive member promotes the whole pass: sharing the
 		// scan with batch tenants is free, delaying an interactive member
 		// behind the batch core cap is not.
 		cur.lo = cur.lo && p.req.Priority.batchClass()
-		// The batch-assembly span covers the wait from joining the batch
-		// until the shared pass starts (window + core reservation).
+		// batch-assembly and serve.batch_wait_ms: joining → pass has its cores.
 		p.batchSpan = p.span.Child("batch-assembly")
+		p.joined = time.Now()
 		cur.reqs = append(cur.reqs, p)
 		if len(cur.reqs) >= s.opts.MaxBatch {
-			flush()
+			place(true)
+		}
+	}
+	// take handles one lane receive: a closed lane leaves the select.
+	take := func(lane *chan *pending, p *pending, ok bool) {
+		if ok {
+			admit(p)
+		} else {
+			*lane = nil
 		}
 	}
 
 	for {
-		// Biased drain: take everything the interactive lane has before
-		// touching the batch lane, so interactive dispatch order never
-		// depends on batch arrival order.
-		select {
-		case p, ok := <-hiCh:
-			if ok {
-				admit(p)
-				continue
-			}
-			hiCh = nil
-		default:
-		}
 		if hiCh == nil && loCh == nil {
-			// Both lanes closed: drain. Parked batch work still runs — with
-			// a blocking reservation now, since nothing else can arrive.
-			flush()
+			// Both lanes closed: drain. The open batch closes and parked work
+			// still runs, blocking for its cores now that nothing can arrive.
+			if cur != nil {
+				place(true)
+			}
 			for _, w := range parked {
-				s.cores.acquireBatch(w.workers)
+				s.cores.acquire(w.workers, w.workers, true, true)
 				start(w)
 			}
 			return
@@ -1348,42 +1326,59 @@ func (s *Server) dispatch() {
 			lo = nil
 			freed = s.cores.freed
 		}
+		// Biased drain: take everything the interactive lane has before
+		// touching the batch lane, so interactive dispatch order never
+		// depends on batch arrival order.
 		select {
 		case p, ok := <-hiCh:
-			if !ok {
-				hiCh = nil
-				continue
-			}
-			admit(p)
+			take(&hiCh, p, ok)
+			continue
+		default:
+		}
+		select {
 		case p, ok := <-lo:
-			if !ok {
-				loCh = nil
-				continue
-			}
-			admit(p)
+			take(&loCh, p, ok)
+			continue
+		default:
+		}
+		// Everything queued is taken: the open batch starts or awaits a release.
+		if cur != nil && !place(false) {
+			freed = s.cores.freed
+		}
+		select {
+		case p, ok := <-hiCh:
+			take(&hiCh, p, ok)
+		case p, ok := <-lo:
+			take(&loCh, p, ok)
 		case <-freed:
 			tryParked()
-		case <-window:
-			flush()
 		}
 	}
 }
 
 // runBatch executes one shared block-major pass for every live request of the
 // batch and distributes per-query results. The modeled cost attributed to
-// each request is the batch makespan divided by the batch size.
+// each request is the batch makespan divided by the batch size. The cores go
+// back before any reply, or a client's next request is modeled on leftovers.
 func (s *Server) runBatch(b *batch) {
 	defer s.wg.Done()
-	defer s.cores.release(b.workers, b.lo)
+	defer func() {
+		s.cores.release(b.workers, b.lo)
+		for _, p := range b.reqs {
+			p.done <- p.out
+		}
+	}()
 	if c := s.testHold; c != nil {
 		<-c
 	}
 
 	live := make([]*pending, 0, len(b.reqs))
+	batchWait := s.reg.Histogram("serve.batch_wait_ms")
 	for _, p := range b.reqs {
 		p.batchSpan.End() // assembly is over: the pass has its cores
+		batchWait.Record(float64(time.Since(p.joined).Microseconds()) / 1000)
 		if err := p.ctx.Err(); err != nil {
-			s.finish(p, Response{}, fmt.Errorf("serve: dropped from batch: %w", err))
+			s.settle(p, Response{}, fmt.Errorf("serve: dropped from batch: %w", err))
 			continue
 		}
 		live = append(live, p)
@@ -1412,10 +1407,8 @@ func (s *Server) runBatch(b *batch) {
 	// the cycles — every trace decomposes, without N copies of the subtree.
 	leader := live[0]
 	execs := make([]*trace.Span, len(live))
-	for i, p := range live {
-		if p != leader {
-			execs[i] = p.span.Child("execute")
-		}
+	for i, p := range live[1:] {
+		execs[i+1] = p.span.Child("execute")
 	}
 	// The shared pass serves every member of the batch, so it must not die
 	// with any single member's context — but severing it from the leader
@@ -1437,40 +1430,41 @@ func (s *Server) runBatch(b *batch) {
 		}
 		return err
 	})
-	if err == nil {
-		per := (schedRes.MakespanCycles + burned) / float64(len(live))
-		s.reg.Histogram("serve.batch_size").Record(float64(len(live)))
-		s.reg.Histogram("serve.cycles_per_query").Record(per)
-		batchSize := strconv.Itoa(len(live))
-		for i, p := range live {
-			p.span.SetAttr("batch_size", batchSize)
-			execs[i].AddCycles(per)
-			execs[i].End()
-			s.finish(p, Response{Cost: hw.Cost{SimCycles: per}, BatchSize: len(live), Sum: sums[i]}, nil)
-		}
-		return
-	}
 	// Even a failed batch reports the cycles it burned, so clients (and the
 	// chaos experiment) can account the cost of failure.
-	per := burned / float64(len(live))
+	resp := Response{Cost: hw.Cost{SimCycles: burned / float64(len(live))}}
+	var batchSize string
+	if err == nil {
+		resp.SimCycles = (schedRes.MakespanCycles + burned) / float64(len(live))
+		resp.BatchSize, batchSize = len(live), strconv.Itoa(len(live))
+		s.reg.Histogram("serve.batch_size").Record(float64(len(live)))
+		s.reg.Histogram("serve.cycles_per_query").Record(resp.SimCycles)
+	}
 	for i, p := range live {
-		execs[i].AddCycles(per)
+		execs[i].AddCycles(resp.SimCycles)
 		execs[i].End()
-		s.finish(p, Response{Cost: hw.Cost{SimCycles: per}}, err)
+		if err == nil {
+			p.span.SetAttr("batch_size", batchSize)
+			resp.Sum = sums[i]
+		}
+		s.settle(p, resp, err)
 	}
 }
 
-// runOne executes one non-batchable request on its reserved cores.
-// batchClass records which class the cores were acquired under, so the
-// release keeps the batch hold accounting straight.
+// runOne executes one non-batchable request on its reserved cores, returned
+// (like runBatch's) before it answers. batchClass records which class the cores
+// were acquired under, so the release keeps the batch hold accounting straight.
 func (s *Server) runOne(p *pending, workers int, batchClass bool) {
 	defer s.wg.Done()
-	defer s.cores.release(workers, batchClass)
+	defer func() {
+		s.cores.release(workers, batchClass)
+		p.done <- p.out
+	}()
 	if c := s.testHold; c != nil {
 		<-c
 	}
 	if err := p.ctx.Err(); err != nil {
-		s.finish(p, Response{}, fmt.Errorf("serve: dropped before execution: %w", err))
+		s.settle(p, Response{}, fmt.Errorf("serve: dropped before execution: %w", err))
 		return
 	}
 	var resp Response
@@ -1485,7 +1479,7 @@ func (s *Server) runOne(p *pending, workers int, batchClass bool) {
 	if err == nil {
 		s.reg.Histogram("serve.cycles_per_query").Record(resp.SimCycles)
 	}
-	s.finish(p, resp, err)
+	s.settle(p, resp, err)
 }
 
 // execute runs one join/aggregate/query request under the client's context.
@@ -1544,13 +1538,18 @@ func (s *Server) execute(ctx context.Context, req Request, workers int, resv *me
 	}
 }
 
-// finish delivers the outcome and accounts it: context-terminated requests
-// count as deadline-exceeded, successful ones record completion latency and
-// close the breaker's failure streak, machine-level failures feed the
-// breaker. It is the single convergence point for admitted requests, so it
-// also settles the memory reservation: spill and peak-footprint accounting,
-// then release back to the governor.
+// finish settles a request that holds no cores and answers it.
 func (s *Server) finish(p *pending, resp Response, err error) {
+	s.settle(p, resp, err)
+	p.done <- p.out
+}
+
+// settle accounts the outcome and leaves it in p.out, for its executor to send
+// once the cores are back: context-terminated requests count as deadline-
+// exceeded, successful ones record latency and close the breaker's failure
+// streak, machine-level failures feed the breaker. Every admitted request ends
+// here, so it also settles the memory reservation: spill and peak, then release.
+func (s *Server) settle(p *pending, resp Response, err error) {
 	tenant := p.req.Tenant
 	switch {
 	case err == nil:
@@ -1608,7 +1607,7 @@ func (s *Server) finish(p *pending, resp Response, err error) {
 	p.queueSpan.End()
 	p.batchSpan.End()
 	p.span.End()
-	p.done <- outcome{resp: resp, err: err}
+	p.out = outcome{resp: resp, err: err}
 }
 
 // Health is a point-in-time snapshot of the server's resilience state.

@@ -43,6 +43,36 @@ func newServer(t *testing.T, opts Options) *Server {
 	return s
 }
 
+// cohort submits reqs (scans of one table, on a server whose MaxBatch is at
+// least len(reqs)) concurrently and returns their responses in order, having
+// made them share one pass by the server's own rule: it holds every core, as
+// a running pass would, until the dispatcher has taken the whole cohort, then
+// lets go. Any failed request fails the test.
+func cohort(t *testing.T, s *Server, reqs []Request) []Response {
+	t.Helper()
+	held := s.cores.acquire(s.opts.Workers, s.opts.Workers, false, true)
+	dequeued := s.reg.Histogram("serve.queue_wait_ms")
+	want := dequeued.Count() + len(reqs)
+	sub := newSubmitter(s, len(reqs))
+	for _, req := range reqs {
+		sub.submit(req)
+	}
+	waitFor(t, func() bool { return dequeued.Count() == want }, "the dispatcher never took the whole cohort")
+	s.cores.release(held, false)
+	sub.wg.Wait()
+	for i, err := range sub.errs {
+		if err != nil {
+			t.Errorf("cohort member %d %+v: %v", i, reqs[i].Query, err)
+		}
+	}
+	return sub.resps
+}
+
+// scanOf is one range-filter scan request against table.
+func scanOf(table string, lo, hi int64) Request {
+	return Request{Op: OpScan, Table: table, Query: scanQuery(lo, hi)}
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, Options{}); !errors.Is(err, errs.ErrNilMachine) {
 		t.Fatalf("nil machine: %v", err)
@@ -61,36 +91,20 @@ func TestNewValidation(t *testing.T) {
 func TestScanBatching(t *testing.T) {
 	const clients = 64
 	cols, expect := testRelation(20000)
-	// MaxBatch == clients and a generous window: the flush happens exactly
-	// when the last client arrives, deterministically.
-	s := newServer(t, Options{QueueDepth: clients, MaxBatch: clients, BatchWindow: 10 * time.Second})
+	s := newServer(t, Options{QueueDepth: clients, MaxBatch: clients})
 	defer s.Close()
 	if err := s.Register("events", cols); err != nil {
 		t.Fatal(err)
 	}
 
 	los := workload.UniformInts(73, clients, 9000)
-	var wg sync.WaitGroup
-	resps := make([]Response, clients)
-	errsOut := make([]error, clients)
-	for i := 0; i < clients; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resps[i], errsOut[i] = s.Submit(context.Background(), Request{
-				Op:    OpScan,
-				Table: "events",
-				Query: scan.Query{FilterCol: 0, Lo: los[i], Hi: los[i] + 800, AggCol: 1},
-			})
-		}()
+	reqs := make([]Request, clients)
+	for i := range reqs {
+		reqs[i] = scanOf("events", los[i], los[i]+800)
 	}
-	wg.Wait()
+	resps := cohort(t, s, reqs)
 
 	for i := 0; i < clients; i++ {
-		if errsOut[i] != nil {
-			t.Fatalf("client %d: %v", i, errsOut[i])
-		}
 		if want := expect(los[i], los[i]+800); resps[i].Sum != want {
 			t.Fatalf("client %d: sum %d, want %d", i, resps[i].Sum, want)
 		}
@@ -108,6 +122,9 @@ func TestScanBatching(t *testing.T) {
 	if bs := s.Metrics().Histogram("serve.batch_size"); bs.Count() != 1 || bs.Max() != clients {
 		t.Fatalf("batch size histogram: %s", bs.Summary())
 	}
+	if bw := s.Metrics().Histogram("serve.batch_wait_ms"); bw.Count() != clients {
+		t.Fatalf("batch_wait_ms recorded %d waits, want one per member (%d)", bw.Count(), clients)
+	}
 }
 
 // TestBatchingAmortizesCycles is the acceptance check: with 64 concurrent
@@ -118,35 +135,31 @@ func TestBatchingAmortizesCycles(t *testing.T) {
 	cols, _ := testRelation(50000)
 	los := workload.UniformInts(74, clients, 9000)
 
+	reqs := make([]Request, clients)
+	for i := range reqs {
+		reqs[i] = scanOf("events", los[i], los[i]+800)
+	}
 	run := func(maxBatch int) float64 {
-		s := newServer(t, Options{QueueDepth: clients, MaxBatch: maxBatch, BatchWindow: 10 * time.Second})
+		s := newServer(t, Options{QueueDepth: clients, MaxBatch: maxBatch})
 		defer s.Close()
 		if err := s.Register("events", cols); err != nil {
 			t.Fatal(err)
 		}
-		var wg sync.WaitGroup
-		cycles := make([]float64, clients)
-		for i := 0; i < clients; i++ {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				resp, err := s.Submit(context.Background(), Request{
-					Op:    OpScan,
-					Table: "events",
-					Query: scan.Query{FilterCol: 0, Lo: los[i], Hi: los[i] + 800, AggCol: 1},
-				})
+		var resps []Response
+		if maxBatch >= clients {
+			resps = cohort(t, s, reqs)
+		} else {
+			for _, req := range reqs { // every arrival fills its batch
+				resp, err := s.Submit(context.Background(), req)
 				if err != nil {
-					t.Error(err)
-					return
+					t.Fatal(err)
 				}
-				cycles[i] = resp.SimCycles
-			}()
+				resps = append(resps, resp)
+			}
 		}
-		wg.Wait()
 		var total float64
-		for _, c := range cycles {
-			total += c
+		for _, r := range resps {
+			total += r.SimCycles
 		}
 		return total / clients
 	}
@@ -276,13 +289,14 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestDrainOnClose closes the server while a full batch is pinned in
-// execution: Close must wait for the batch, every client must get its
-// answer, and post-close submissions must fail with ErrClosed.
+// TestDrainOnClose closes the server while a pass is pinned in execution and
+// the rest of the clients wait in the open batch behind it: Close must wait
+// for both, every client must get its answer, and post-close submissions
+// must fail with ErrClosed.
 func TestDrainOnClose(t *testing.T) {
 	const clients = 5
 	cols, _ := testRelation(5000)
-	s := newServer(t, Options{QueueDepth: clients, MaxBatch: clients, BatchWindow: 10 * time.Second})
+	s := newServer(t, Options{QueueDepth: clients, MaxBatch: clients})
 	hold := make(chan struct{})
 	s.testHold = hold
 	if err := s.Register("events", cols); err != nil {

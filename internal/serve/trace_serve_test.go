@@ -22,7 +22,7 @@ func TestRequestTracing(t *testing.T) {
 	const clients = 8
 	cols, _ := testRelation(20000)
 	tr := trace.New(trace.Config{Capacity: 64, SampleEvery: 1})
-	s := newServer(t, Options{QueueDepth: clients, MaxBatch: clients, BatchWindow: 10 * time.Second, Trace: tr})
+	s := newServer(t, Options{QueueDepth: clients, MaxBatch: clients, Trace: tr})
 	defer s.Close()
 	if err := s.Register("events", cols); err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestTracingRecordsRetries(t *testing.T) {
 	tr := trace.New(trace.Config{Capacity: 16, SampleEvery: 1})
 	inj := fault.New(fault.Config{Seed: 5, TransientProb: 0.3})
 	s := newServer(t, Options{
-		QueueDepth: 4, MaxBatch: 1, BatchWindow: time.Millisecond,
+		QueueDepth: 4, MaxBatch: 1,
 		Faults: inj, MaxRetries: 8, RetryBackoff: 50 * time.Microsecond,
 		JitterSeed: 11, Trace: tr,
 	})

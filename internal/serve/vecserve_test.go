@@ -4,9 +4,7 @@ import (
 	"context"
 	"math"
 	"strconv"
-	"sync"
 	"testing"
-	"time"
 
 	"hwstar/internal/compress"
 	"hwstar/internal/scan"
@@ -113,9 +111,7 @@ func TestScanMatchesSharedReference(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				// MaxBatch == len(qs) and a generous window: the flush happens
-				// exactly when the last query arrives, so all share one pass.
-				opts := Options{QueueDepth: len(qs), MaxBatch: len(qs), BatchWindow: 10 * time.Second}
+				opts := Options{QueueDepth: len(qs), MaxBatch: len(qs)}
 				dir := t.TempDir()
 				opts.Store = openStore(t, dir, store.Options{})
 				s := newServer(t, opts)
@@ -148,26 +144,15 @@ func TestScanMatchesSharedReference(t *testing.T) {
 	}
 }
 
-// checkSharedBatch submits qs concurrently against table "t" of s — one
+// checkSharedBatch submits qs against table "t" of s as one cohort — one
 // shared pass — and compares each sum with want.
 func checkSharedBatch(t *testing.T, s *Server, qs []scan.Query, want []int64) {
 	t.Helper()
-	resps := make([]Response, len(qs))
-	var wg sync.WaitGroup
-	for i := range qs {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var err error
-			resps[i], err = s.Submit(context.Background(), Request{Op: OpScan, Table: "t", Query: qs[i]})
-			if err != nil {
-				t.Errorf("query %d %+v: %v", i, qs[i], err)
-			}
-		}()
+	reqs := make([]Request, len(qs))
+	for i, q := range qs {
+		reqs[i] = Request{Op: OpScan, Table: "t", Query: q}
 	}
-	wg.Wait()
-	for i, r := range resps {
+	for i, r := range cohort(t, s, reqs) {
 		if r.Sum != want[i] {
 			t.Errorf("query %d %+v: sum %d, scan.Shared says %d", i, qs[i], r.Sum, want[i])
 		}
@@ -189,34 +174,19 @@ func checkSharedBatch(t *testing.T, s *Server, qs []scan.Query, want []int64) {
 // leaked from an "all rows" misreading of an empty selection.
 func TestVecScanZeroMatchQueries(t *testing.T) {
 	cols, _ := testRelation(10000)
-	s := newServer(t, Options{QueueDepth: 8, MaxBatch: 4, BatchWindow: 10 * time.Second})
+	s := newServer(t, Options{QueueDepth: 8, MaxBatch: 4})
 	defer s.Close()
 	if err := s.Register("events", cols); err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	resps := make([]Response, 4)
-	for i := 0; i < 4; i++ {
-		i := i
-		lo, hi := int64(50000), int64(60000) // above the value domain: no rows
+	reqs := make([]Request, 4)
+	for i := range reqs {
+		reqs[i] = scanOf("events", 50000, 60000) // above the value domain: no rows
 		if i%2 == 0 {
-			lo, hi = 0, 20000 // all rows
+			reqs[i] = scanOf("events", 0, 20000) // all rows
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var err error
-			resps[i], err = s.Submit(context.Background(), Request{
-				Op:    OpScan,
-				Table: "events",
-				Query: scan.Query{FilterCol: 0, Lo: lo, Hi: hi, AggCol: 1},
-			})
-			if err != nil {
-				t.Errorf("client %d: %v", i, err)
-			}
-		}()
 	}
-	wg.Wait()
+	resps := cohort(t, s, reqs)
 	var all int64
 	for _, v := range cols[1] {
 		all += v
