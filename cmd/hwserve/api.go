@@ -29,13 +29,8 @@ func serveAPI(ctx context.Context, cfg Config, out io.Writer) error {
 		hwstar.GenUniform(41, cfg.Rows, 100000),
 		hwstar.GenUniform(42, cfg.Rows, 1000),
 	}
-	// A durable single Server may still be replaying its store; everything
-	// else admits work already and registers before the listener opens.
-	coldStart := b.server != nil && cfg.DataDir != ""
-	if !coldStart {
-		if err := b.Register("facts", cols); err != nil {
-			return err
-		}
+	if err := b.Register("facts", cols); err != nil {
+		return err
 	}
 	lineitem := hwstar.GenLineItem(46, cfg.Rows)
 
@@ -68,24 +63,10 @@ func serveAPI(ctx context.Context, cfg Config, out io.Writer) error {
 			ln.Addr(), len(cfg.Tenants))
 	}
 
-	if coldStart {
-		// Cold start under load: the listener is already up, so while the
-		// durable hot set replays /v1 answers 503 UNAVAILABLE_RECOVERING
-		// (retryable, with Retry-After) instead of refusing connections.
-		// Once admission opens, "facts" is (re)registered so a fresh data
-		// directory is immediately queryable too.
-		go func() {
-			if err := b.server.WaitRecovered(ctx); err != nil {
-				return // shutting down before replay finished
-			}
-			if err := b.Register("facts", cols); err != nil {
-				fmt.Fprintf(out, "hwserve: register facts: %v\n", err)
-				return
-			}
-			h := b.Health()
-			fmt.Fprintf(out, "hwserve: durable store %s ready (manifest v%d, %d tables replayed, %d hot)\n",
-				cfg.DataDir, h.StoreVersion, h.Recovery.TablesTotal, h.Recovery.TablesHot)
-		}()
+	if cfg.DataDir != "" {
+		h := b.Health()
+		fmt.Fprintf(out, "hwserve: durable store %s ready (manifest v%d, %d tables replayed, %d hot)\n",
+			cfg.DataDir, h.StoreVersion, h.Recovery.TablesTotal, h.Recovery.TablesHot)
 	}
 	stopChaos := startChaos(ctx, cfg, b.router)
 

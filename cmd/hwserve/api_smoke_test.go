@@ -299,8 +299,8 @@ func TestServeAPIDurableRestart(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil || resp.StatusCode != 200 {
 		t.Fatalf("health: HTTP %d (err %v)", resp.StatusCode, err)
 	}
-	if !h.Durable || h.Recovering {
-		t.Fatalf("health durability flags: durable=%v recovering=%v", h.Durable, h.Recovering)
+	if !h.Durable || h.Status != "ok" {
+		t.Fatalf("health: durable=%v status=%q, want durable and ok", h.Durable, h.Status)
 	}
 	if h.StoreVersion < 1 || h.RecoveredTables < 1 {
 		t.Fatalf("health recovery: store_version=%d recovered_tables=%d, want >=1 each", h.StoreVersion, h.RecoveredTables)

@@ -94,7 +94,6 @@ type engine interface {
 // only one topology has.
 type backend struct {
 	engine
-	server *hwstar.Server  // the engine when single-node, else nil (boot-replay barrier)
 	router *hwstar.Router  // the engine when sharded, else nil (chaos loop, cluster report)
 	tracer *hwstar.Tracer  // nil unless -trace-every
 	stores []*hwstar.Store // one per node; the caller closes them after the engine
@@ -130,8 +129,7 @@ type report struct {
 // cfg.DataDir, or cfg.Shards of them behind a replicated consistent-hash
 // Router, each over its own node-N subdirectory so a recovered node can
 // re-replicate lost stripes from the surviving replicas' stores. Opening a
-// store replays its committed state; a Router has finished replaying by the
-// time it is returned, a single Server may still be (see serveAPI).
+// store replays its committed state, so the engine returned serves it.
 func build(ctx context.Context, cfg Config) (*backend, error) {
 	m, ok := hw.Profiles()[cfg.Machine]
 	if !ok {
@@ -197,10 +195,11 @@ func build(ctx context.Context, cfg Config) (*backend, error) {
 				return fail(err)
 			}
 		}
-		if b.server, err = hwstar.NewServer(m, opts); err != nil {
+		srv, err := hwstar.NewServer(m, opts)
+		if err != nil {
 			return fail(err)
 		}
-		b.engine = b.server
+		b.engine = srv
 		return b, nil
 	}
 	ropts := hwstar.RouterOptions{Shards: cfg.Shards, Replicas: cfg.Replicas, Faults: inj}
@@ -231,13 +230,6 @@ func run(ctx context.Context, cfg Config) (*report, error) {
 		return nil, err
 	}
 	defer b.closeStores()
-	if b.server != nil {
-		// Load generation starts against a fully replayed hot set; the
-		// cold-start-under-load path is server mode's (see serveAPI).
-		if err := b.server.WaitRecovered(ctx); err != nil {
-			return nil, err
-		}
-	}
 	var listenAddr string
 	if cfg.Listen != "" {
 		ln, err := net.Listen("tcp", cfg.Listen)

@@ -43,7 +43,6 @@ import (
 	"hwstar/internal/experiments"
 	"hwstar/internal/fault"
 	"hwstar/internal/frontend"
-	v1 "hwstar/internal/frontend/v1"
 	"hwstar/internal/hw"
 	"hwstar/internal/join"
 	"hwstar/internal/layout"
@@ -98,10 +97,6 @@ var (
 	// or manifest whose checksum does not match its payload. Not retryable;
 	// recovery falls back to the last manifest version that validates.
 	ErrCorrupted = errs.ErrCorrupted
-	// ErrRecovering reports a request that arrived while a Server was still
-	// replaying durable state after a restart. Retryable — admission opens
-	// as soon as the hot set is loaded.
-	ErrRecovering = errs.ErrRecovering
 	// ErrPartialResult reports a sharded query that could not reach every
 	// replica of some range: the returned Response is exact over
 	// CoveredFraction of the rows and flagged Partial, never a silent wrong
@@ -373,10 +368,8 @@ const (
 	TypeString  = table.String
 )
 
-// NewSchema builds a schema from column definitions.
-var NewSchema = table.NewSchema
-
-// MustSchema is NewSchema that panics on error, for statically known schemas.
+// MustSchema builds a schema from column definitions and panics on error,
+// for statically known schemas.
 var MustSchema = table.MustSchema
 
 // LoadCSV reads a header-carrying CSV stream into a Table using the given
@@ -580,8 +573,6 @@ var (
 	GenUniform = workload.UniformInts
 	// GenZipf returns n keys in [0, max) with Zipf skew s.
 	GenZipf = workload.ZipfInts
-	// GenShuffled returns a permutation of 0..n-1.
-	GenShuffled = workload.ShuffledInts
 	// GenLineItem generates a TPC-H-flavoured lineitem table.
 	GenLineItem = workload.LineItem
 )
@@ -669,30 +660,6 @@ const (
 // TenantHealth is one tenant's slice of a Server's counters and latency
 // distribution, inside ServerHealth.Tenants.
 type TenantHealth = serve.TenantHealth
-
-// V1 wire protocol DTOs: the stable JSON contract of the Frontend's
-// /v1/* endpoints, decoupled from the internal Request/Response types.
-type (
-	// V1QueryRequest is the body of POST /v1/query.
-	V1QueryRequest = v1.QueryRequest
-	// V1QueryResponse is its success body (cost, spill, result).
-	V1QueryResponse = v1.QueryResponse
-	// V1SessionRequest and V1SessionResponse open sessions.
-	V1SessionRequest  = v1.SessionRequest
-	V1SessionResponse = v1.SessionResponse
-	// V1HealthResponse is the body of GET /v1/health.
-	V1HealthResponse = v1.HealthResponse
-	// V1TenantStats is the body of GET /v1/tenants/{id}/stats.
-	V1TenantStats = v1.TenantStats
-	// V1ErrorBody is the structured envelope of every non-2xx response;
-	// V1ErrorInfo its payload (stable code, retryability, retry-after).
-	V1ErrorBody = v1.ErrorBody
-	V1ErrorInfo = v1.ErrorInfo
-)
-
-// V1CodeFor classifies an error against the v1 wire error-code table,
-// returning the stable code, HTTP status, and retryability.
-var V1CodeFor = v1.CodeFor
 
 // RunExperiment executes one experiment of the E1–E26 suite at the given
 // scale (1 = full size) and returns its result tables.

@@ -36,18 +36,6 @@ func (j Job) Validate() error {
 	return nil
 }
 
-// JobFromWork converts a priced hw.Work into a Job: streaming and random
-// stalls form the memory part, compute and branches the scalable part.
-func JobFromWork(m *hw.Machine, w hw.Work, ctx hw.ExecContext, cores int) Job {
-	c := m.Cost(w, ctx)
-	return Job{
-		Name:          w.Name,
-		ComputeCycles: c.Compute + c.Branches,
-		MemCycles:     c.Streaming + c.RandomAccess,
-		Cores:         cores,
-	}
-}
-
 // Model prices power on a machine across its DVFS range.
 type Model struct {
 	Machine *hw.Machine

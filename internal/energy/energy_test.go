@@ -187,21 +187,6 @@ func TestAtFrequencyErrors(t *testing.T) {
 	}
 }
 
-func TestJobFromWork(t *testing.T) {
-	m := hw.Server2S()
-	w := hw.Work{Name: "scan", Tuples: 1000, ComputePerTuple: 5, SeqReadBytes: 1 << 20}
-	j := JobFromWork(m, w, hw.DefaultContext(), 2)
-	if j.ComputeCycles != 5000 {
-		t.Fatalf("compute = %f", j.ComputeCycles)
-	}
-	if j.MemCycles <= 0 {
-		t.Fatal("streaming should appear as memory cycles")
-	}
-	if j.Cores != 2 || j.Name != "scan" {
-		t.Fatalf("job = %+v", j)
-	}
-}
-
 // Property: energy and runtime are consistent — runtime decreases
 // monotonically with frequency, busy power increases monotonically.
 func TestMonotonicityProperty(t *testing.T) {

@@ -55,10 +55,6 @@ var (
 	// stay wrong; recovery falls back to the last manifest version that
 	// validates end to end.
 	ErrCorrupted = errors.New("corrupted data")
-	// ErrRecovering reports a request that arrived while the server was still
-	// replaying its durable state after a restart. Retryable — admission
-	// opens as soon as the hot set is loaded and validated.
-	ErrRecovering = errors.New("server recovering")
 	// ErrPartialResult reports that a distributed query could not reach every
 	// replica of every key range — typically because a range lost all its
 	// replicas at once — and the response carries an exact answer over the

@@ -32,7 +32,7 @@ func runE17(cfg Config) ([]*Table, error) {
 		}
 		t1.AddRow(row...)
 	}
-	t1.AddNote("cache-resident builds keep the naive join; big builds switch to MLP-recovering variants;")
+	t1.AddNote("cache-resident builds keep the naive join; big builds switch to MLP-restoring variants;")
 	t1.AddNote("high miss rates bring in the semi-join filter — all read off the machine model, no heuristics")
 
 	// Table 2: plan quality — execute the plan and every alternative on

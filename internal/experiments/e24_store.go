@@ -281,10 +281,6 @@ func runE24Interference(m *hw.Machine, clients, requests, factRows, churnRows in
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		if err := srv.WaitRecovered(context.Background()); err != nil {
-			srv.Close()
-			return nil, 0, 0, err
-		}
 		facts := [][]int64{
 			workload.UniformInts(2471, factRows, 100000),
 			workload.UniformInts(2472, factRows, 1000),

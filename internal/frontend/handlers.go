@@ -202,7 +202,6 @@ func (f *Frontend) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	if h.Durable {
 		out.Durable = true
-		out.Recovering = h.Recovering
 		out.StoreVersion = h.StoreVersion
 		out.RecoveredTables = h.Recovery.TablesTotal
 		out.RecoveredHot = h.Recovery.TablesHot
@@ -312,17 +311,15 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 }
 
 // writeError maps an engine error through the v1 code table. 429s carry a
-// Retry-After so well-behaved clients back off, and so does the 503 a
-// recovering server sheds with — replay finishes on its own schedule, so
-// the right client move is wait-and-retry, not fail over. For 429s the
-// tenant's token bucket is consulted: if the tenant is also out of tokens,
-// the hint is the actual time to the next token, not a flat second.
+// Retry-After so well-behaved clients back off: the tenant's token bucket is
+// consulted, and if the tenant is also out of tokens the hint is the actual
+// time to the next token, not a flat second.
 func (f *Frontend) writeError(w http.ResponseWriter, ts *tenantState, traceID string, err error) {
 	code, status, retryable := v1.CodeFor(err)
 	retryAfter := time.Duration(0)
-	if status == http.StatusTooManyRequests || code == v1.CodeUnavailableRecovering {
+	if status == http.StatusTooManyRequests {
 		retryAfter = time.Second
-		if status == http.StatusTooManyRequests && ts != nil {
+		if ts != nil {
 			if hint := ts.retryHint(f.now()); hint > 0 {
 				retryAfter = hint
 			}

@@ -52,10 +52,6 @@ const (
 	// checksum mismatch, torn write, or truncated file (errs.ErrCorrupted).
 	// HTTP 500. Not retryable: the bytes on disk stay wrong.
 	CodeDataLoss = "DATA_LOSS"
-	// CodeUnavailableRecovering — the server is still replaying durable
-	// state after a restart (errs.ErrRecovering). HTTP 503 with Retry-After.
-	// Retryable: admission opens once the hot set is loaded.
-	CodeUnavailableRecovering = "UNAVAILABLE_RECOVERING"
 )
 
 // CodeFor classifies err against the sentinel taxonomy, returning the wire
@@ -73,8 +69,6 @@ func CodeFor(err error) (code string, status int, retryable bool) {
 		return CodeMemoryPressure, http.StatusTooManyRequests, true
 	case errors.Is(err, errs.ErrDegraded):
 		return CodeDegraded, http.StatusServiceUnavailable, true
-	case errors.Is(err, errs.ErrRecovering):
-		return CodeUnavailableRecovering, http.StatusServiceUnavailable, true
 	case errors.Is(err, errs.ErrClosed):
 		return CodeUnavailable, http.StatusServiceUnavailable, true
 	case errors.Is(err, errs.ErrCorrupted):

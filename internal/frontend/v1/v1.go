@@ -316,8 +316,7 @@ func appendHex16(dst []byte, v uint64) []byte {
 
 // HealthResponse is the body of GET /v1/health.
 type HealthResponse struct {
-	// Status is "ok", "degraded" (circuit breaker open/half-open),
-	// "recovering" (durable replay in progress, admission closed), or
+	// Status is "ok", "degraded" (circuit breaker open/half-open), or
 	// "closed" (server shutting down).
 	Status string `json:"status"`
 	// Queue and workers.
@@ -332,15 +331,13 @@ type HealthResponse struct {
 	MemInUseBytes  int64 `json:"mem_in_use_bytes"`
 	MemBudgetBytes int64 `json:"mem_budget_bytes"`
 	// Durability (all zero/absent when the server runs memory-only).
-	// Durable reports a durable store is armed; Recovering that boot replay
-	// is still in progress. StoreVersion is the last committed manifest
-	// version; RecoveredTables/RecoveredHot what boot replay found and how
-	// much of it is DRAM-resident; RecoveryFallbacks how many corrupt
-	// manifest versions recovery skipped past. Checkpoints and
+	// Durable reports a durable store is armed. StoreVersion is the last
+	// committed manifest version; RecoveredTables/RecoveredHot what recovery
+	// found and how much of it is DRAM-resident; RecoveryFallbacks how many
+	// corrupt manifest versions recovery skipped past. Checkpoints and
 	// CheckpointFailures count background/shutdown flushes; ColdLoads counts
 	// flash-resident tables faulted in on first access.
 	Durable            bool   `json:"durable,omitempty"`
-	Recovering         bool   `json:"recovering,omitempty"`
 	StoreVersion       uint64 `json:"store_version,omitempty"`
 	RecoveredTables    int    `json:"recovered_tables,omitempty"`
 	RecoveredHot       int    `json:"recovered_hot,omitempty"`
@@ -394,11 +391,10 @@ type ErrorInfo struct {
 	// Retryable hints whether the same request may succeed later.
 	Retryable bool `json:"retryable"`
 	// RetryAfterMs is the suggested wait before retrying, in milliseconds.
-	// It is set whenever the response carries a Retry-After header — on
-	// 429s and on the 503 a recovering server sheds with — and is the
-	// precise value: the header is this duration rounded up to whole
-	// seconds (headers cannot carry fractions), so ceil(RetryAfterMs/1000)
-	// always equals the header.
+	// It is set whenever the response carries a Retry-After header (429s)
+	// and is the precise value: the header is this duration rounded up to
+	// whole seconds (headers cannot carry fractions), so
+	// ceil(RetryAfterMs/1000) always equals the header.
 	RetryAfterMs int64 `json:"retry_after_ms,omitempty"`
 	// TraceID echoes the request's trace id when one was supplied.
 	TraceID string `json:"trace_id,omitempty"`

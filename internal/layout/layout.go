@@ -153,13 +153,6 @@ func (r *Relation) Addr(row, col int) uint64 {
 	return r.base + uint64(r.index(row, col))*fieldBytes
 }
 
-// ReadRow copies row into out (len >= cols), walking memory in layout order.
-func (r *Relation) ReadRow(row int, out []int64) {
-	for c := 0; c < r.cols; c++ {
-		out[c] = r.Get(row, c)
-	}
-}
-
 // ScanWork returns the analytic cost description of scanning the given
 // columns of the whole relation, for the machine model with line size
 // lineBytes. Cache-line granularity is what separates the layouts: NSM pulls

@@ -76,20 +76,6 @@ func TestSetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadRow(t *testing.T) {
-	cols := makeCols(100, 3)
-	for _, k := range []Kind{NSM, DSM, PAX} {
-		r := MustBuild(k, cols)
-		out := make([]int64, 3)
-		r.ReadRow(42, out)
-		for c := range out {
-			if out[c] != cols[c][42] {
-				t.Fatalf("%s: ReadRow mismatch at col %d", k, c)
-			}
-		}
-	}
-}
-
 func TestAddrDistinctAndAligned(t *testing.T) {
 	for _, k := range []Kind{NSM, DSM, PAX} {
 		r := MustBuild(k, makeCols(700, 3))

@@ -30,7 +30,7 @@ func benchTable(seed int64) [][]int64 {
 
 func userBytes(cols [][]int64) int64 { return int64(len(cols)) * int64(len(cols[0])) * 8 }
 
-// durableServer opens a store on dir and a server on it, recovered.
+// durableServer opens a store on dir and a server on it.
 func durableServer(tb testing.TB, dir string) (*Server, *store.Store) {
 	tb.Helper()
 	st, err := store.Open(store.Options{Dir: dir})
@@ -39,9 +39,6 @@ func durableServer(tb testing.TB, dir string) (*Server, *store.Store) {
 	}
 	s, err := New(hw.Server2S(), Options{Store: st})
 	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := s.WaitRecovered(context.Background()); err != nil {
 		tb.Fatal(err)
 	}
 	return s, st

@@ -45,15 +45,14 @@
 //
 // With Options.Store armed the server is durable (see internal/store):
 // registered tables are staged into the segment store, Checkpoint writes an
-// atomically-committed manifest version while serving continues, and a
-// restarted server replays the store before admitting traffic — requests
-// arriving during the replay are rejected with ErrRecovering (retryable)
-// until the hot set is registered. Cold-tier tables are validated at
-// recovery but loaded lazily, priced through the machine's flash-bandwidth
-// tier, on their first request. CheckpointInterval arms a background
-// checkpointer whose segment images are charged against the memory governor,
-// so durability work competes with queries under the same byte budget
-// instead of around it.
+// atomically-committed manifest version while serving continues, and New
+// registers the hot tables the opened store already holds, so a restarted
+// server answers from the moment New returns (recovery is store.Open's work).
+// Cold-tier tables are validated at recovery but loaded lazily, priced
+// through the machine's flash-bandwidth tier, on their first request.
+// CheckpointInterval arms a background checkpointer whose segment images are
+// charged against the memory governor, so durability work competes with
+// queries under the same byte budget instead of around it.
 //
 // Per-server metrics (queue depth, batch sizes, latencies, modeled cycles
 // per query, admission and resilience counters) are recorded in a
@@ -294,11 +293,9 @@ type Options struct {
 	// Store arms the durable storage tier: an opened (and therefore already
 	// crash-recovered) segment store. Tables registered on the server are
 	// staged into it, Checkpoint persists them as an atomically-committed
-	// manifest version, and New replays the store's tables back into the
-	// serving layer before admitting traffic — Submit and Register return
-	// ErrRecovering until the hot set is registered. The server does not
-	// close the store; its opener does, after Server.Close. Nil (the
-	// default) keeps the server memory-only.
+	// manifest version, and New registers the store's hot tables before it
+	// returns. The server does not close the store; its opener does, after
+	// Server.Close. Nil (the default) keeps the server memory-only.
 	Store *store.Store
 
 	// CheckpointInterval arms a background checkpointer that persists the
@@ -410,14 +407,10 @@ type Server struct {
 	closed bool
 	tables map[string]*vecTable
 
-	// Durable-tier state (zero when Options.Store is nil). recovering gates
-	// admission while the boot replay registers the store's tables; recovered
-	// closes when it finishes. stopc ends the background checkpointer and an
-	// in-flight replay at Close.
-	st         *store.Store
-	recovering atomic.Bool
-	recovered  chan struct{}
-	stopc      chan struct{}
+	// Durable-tier state (nil when Options.Store is nil). stopc ends the
+	// background checkpointer at Close.
+	st    *store.Store
+	stopc chan struct{}
 
 	wg sync.WaitGroup // dispatcher + in-flight executors
 
@@ -493,18 +486,12 @@ func New(m *hw.Machine, opts Options) (*Server, error) {
 	if mc.BudgetBytes > 0 || mc.Faults != nil {
 		s.gov = mem.NewGovernor(mc)
 	}
-	// A durable server replays its store before admitting traffic. The
-	// replay runs concurrently with New returning — a restarted server binds
-	// its listener immediately and sheds with ErrRecovering (retryable)
-	// until the hot set is registered — so recovery time never multiplies
-	// into connection-refused storms.
 	if opts.Store != nil {
 		s.st = opts.Store
-		s.recovered = make(chan struct{})
 		s.stopc = make(chan struct{})
-		s.recovering.Store(true)
-		s.wg.Add(1)
-		go s.replayStore()
+		if err := s.registerStored(); err != nil {
+			return nil, err
+		}
 		if opts.CheckpointInterval > 0 {
 			s.wg.Add(1)
 			go s.checkpointLoop()
@@ -515,11 +502,11 @@ func New(m *hw.Machine, opts Options) (*Server, error) {
 	return s, nil
 }
 
-// lifetimeCtx is the context of server-owned background work (the boot
-// replay, the interval checkpointer): done when the server closes, never
-// before. It is hand-rolled rather than derived from context.Background()
-// because these goroutines have no caller to inherit cancellation from —
-// their lifecycle IS the server's, and ctxfirst bans fresh root contexts in
+// lifetimeCtx is the context of server-owned background work (the interval
+// checkpointer): done when the server closes, never before. It is
+// hand-rolled rather than derived from context.Background() because that
+// goroutine has no caller to inherit cancellation from — its lifecycle IS
+// the server's, and ctxfirst bans fresh root contexts in
 // library code for exactly the caller-inheriting paths this is not.
 type lifetimeCtx struct{ done chan struct{} }
 
@@ -535,67 +522,44 @@ func (c lifetimeCtx) Err() error {
 	}
 }
 
-// replayStore registers the store's recovered tables into the serving layer
-// and then opens admission. Hot-tier tables are resident after recovery and
-// register for free; cold-tier tables are left to loadCold on first touch,
-// so a cold start under load pays flash bandwidth only for tables the
-// traffic actually asks for. Tables whose columns are not all int64 stay
-// store-only: they are durable and Loadable, but not scan-shaped.
-func (s *Server) replayStore() {
-	defer s.wg.Done()
-	defer func() {
-		s.recovering.Store(false)
-		close(s.recovered)
-	}()
-	ctx := lifetimeCtx{done: s.stopc}
+// registerStored registers the opened store's hot tables — resident after
+// store.Open, so each Load is a map lookup. Cold-tier tables are left to
+// loadCold on first touch, so a cold start under load pays flash bandwidth
+// only for tables the traffic actually asks for.
+func (s *Server) registerStored() error {
 	for _, name := range s.st.Tables() {
-		if ctx.Err() != nil {
-			return
-		}
 		if s.st.Tier(name) != store.TierHot {
 			continue
 		}
-		vt, _, err := s.loadStored(ctx, name)
+		vt, _, err := s.loadStored(lifetimeCtx{}, name)
 		if err != nil {
-			s.reg.Counter("serve.replay_failures").Inc()
-			continue
+			return err
 		}
-		if vt == nil {
-			continue
-		}
-		s.mu.Lock()
 		s.tables[name] = vt
-		s.mu.Unlock()
 		s.reg.Counter("serve.replayed_tables").Inc()
 	}
+	return nil
 }
 
 // loadStored reads one table from the durable store, returning the modeled
 // load cycles. The store hands back the block streams it persisted, so the
-// table is served as loaded — nothing is re-encoded. A nil table with a nil
-// error is a table that is durable but not scan-shaped.
+// table is served as loaded — nothing is re-encoded.
 func (s *Server) loadStored(ctx context.Context, name string) (*vecTable, float64, error) {
 	t, cycles, err := s.st.Load(ctx, name)
 	if err != nil {
 		return nil, 0, err
 	}
-	if vt, ok := newVecTable(t); ok {
-		return vt, cycles, nil
+	vt, ok := newVecTable(t)
+	if !ok {
+		return nil, 0, fmt.Errorf("serve: stored table %q is not an encoded int64 relation: %w", name, errs.ErrCorrupted)
 	}
-	return nil, 0, nil
+	return vt, cycles, nil
 }
 
 // checkpointLoop persists the store every CheckpointInterval until Close.
-// It waits out the boot replay first: checkpointing mid-replay would write a
-// manifest from a half-registered world for no benefit.
 func (s *Server) checkpointLoop() {
 	defer s.wg.Done()
 	ctx := lifetimeCtx{done: s.stopc}
-	select {
-	case <-s.recovered:
-	case <-s.stopc:
-		return
-	}
 	tick := time.NewTicker(s.opts.CheckpointInterval)
 	defer tick.Stop()
 	for {
@@ -610,21 +574,9 @@ func (s *Server) checkpointLoop() {
 	}
 }
 
-// WaitRecovered blocks until the server's boot replay has finished and
-// admission is open, or ctx ends. It returns immediately on a memory-only
-// server. Callers that must observe the full recovered table set (rather
-// than retrying ErrRecovering) use it as a barrier.
-func (s *Server) WaitRecovered(ctx context.Context) error {
-	if s.recovered == nil {
-		return nil
-	}
-	select {
-	case <-s.recovered:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
+// WaitRecovered returns nil: a server is recovered when New returns. It
+// stays because the frozen benchmark (cmd/hwperf) calls it.
+func (s *Server) WaitRecovered(context.Context) error { return nil }
 
 // Checkpoint persists every table staged in the durable store as one new
 // atomically-committed manifest version, concurrent with serving: the store
@@ -679,9 +631,6 @@ func (s *Server) Workers() int { return s.opts.Workers }
 // given name: it encodes cols into FOR/RLE block streams and registers
 // those (see RegisterEncoded). cols is not retained.
 func (s *Server) Register(name string, cols [][]int64) error {
-	if s.recovering.Load() {
-		return fmt.Errorf("serve: register %q: %w", name, errs.ErrRecovering)
-	}
 	if _, err := scan.NewRelation(cols); err != nil {
 		return err
 	}
@@ -699,27 +648,25 @@ func (s *Server) Register(name string, cols [][]int64) error {
 // are immutable and shared, not copied: the shard tier registers one encoded
 // stripe on every replica. On a durable server the same table is staged into
 // the segment store, so the next Checkpoint persists exactly the blocks
-// being served; registration is refused with ErrRecovering until the boot
-// replay finishes (a replace racing the replay could silently lose to it).
+// being served. The closed check, the staging and the registration are one
+// critical section: a registration that reports failure has staged nothing
+// for Close's final checkpoint to persist.
 func (s *Server) RegisterEncoded(t *table.Table) error {
 	name := t.Name()
-	if s.recovering.Load() {
-		return fmt.Errorf("serve: register %q: %w", name, errs.ErrRecovering)
-	}
 	vt, ok := newVecTable(t)
 	if !ok {
 		return fmt.Errorf("serve: register %q: not an encoded int64 relation: %w", name, errs.ErrInvalidInput)
-	}
-	if s.st != nil {
-		if err := s.st.Put(t); err != nil {
-			return fmt.Errorf("serve: register %q: %w", name, err)
-		}
 	}
 	s.reg.Histogram("serve.vec_compression_ratio").Record(vt.ratio())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("serve: register %q: %w", name, errs.ErrClosed)
+	}
+	if s.st != nil {
+		if err := s.st.Put(t); err != nil {
+			return fmt.Errorf("serve: register %q: %w", name, err)
+		}
 	}
 	s.tables[name] = vt
 	return nil
@@ -765,7 +712,7 @@ func (s *Server) loadCold(ctx context.Context, name string) (*vecTable, bool) {
 		return nil, false // not a stored table either
 	}
 	vt, cycles, err := s.loadStored(ctx, name)
-	if err != nil || vt == nil {
+	if err != nil {
 		return nil, false
 	}
 	s.mu.Lock()
@@ -832,15 +779,6 @@ func (s *Server) validate(ctx context.Context, req Request) error {
 // stops at the next morsel boundary. In both cases Submit returns the
 // context's error.
 func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
-	// Recovery gate: a durable server replaying its store after restart has
-	// an incomplete table set; admitting now would misclassify valid scans
-	// as unknown-table. Shed retryably — admission opens the moment the hot
-	// set is registered.
-	if s.recovering.Load() {
-		s.reg.Counter("serve.recovering_shed").Inc()
-		s.tenantInc(req.Tenant, "shed")
-		return Response{}, fmt.Errorf("serve: submit during recovery: %w", errs.ErrRecovering)
-	}
 	if err := s.validate(ctx, req); err != nil {
 		s.reg.Counter("serve.invalid").Inc()
 		s.tenantInc(req.Tenant, "invalid")
@@ -1641,23 +1579,20 @@ type Health struct {
 	// (nil when no injector is armed).
 	Faults map[string]int64
 
-	// Durability state (all zero on a memory-only server). Recovering means
-	// the boot replay is still running and admission is closed; Recovery is
-	// the store's crash-recovery report (manifest version restored, fallback
-	// and corruption counts, bytes validated); LastCheckpoint the most recent
+	// Durability state (all zero on a memory-only server). Recovery is the
+	// store's crash-recovery report (manifest version restored, fallback and
+	// corruption counts, bytes validated); LastCheckpoint the most recent
 	// checkpoint's shape. Checkpoints/CheckpointFailures/CheckpointMemShed
 	// count background and explicit checkpoint outcomes; ColdLoads and
 	// ReplayedTables count tables faulted in from the flash tier and tables
-	// re-registered at boot; RecoveringShed counts requests rejected at the
-	// recovery gate.
-	Durable                                        bool
-	Recovering                                     bool
-	Recovery                                       store.RecoveryStats
-	LastCheckpoint                                 store.CheckpointStats
-	StoreVersion                                   uint64
-	Checkpoints, CheckpointFailures                int64
-	CheckpointMemShed, ColdLoads                   int64
-	ReplayedTables, ReplayFailures, RecoveringShed int64
+	// registered from the store at boot.
+	Durable                         bool
+	Recovery                        store.RecoveryStats
+	LastCheckpoint                  store.CheckpointStats
+	StoreVersion                    uint64
+	Checkpoints, CheckpointFailures int64
+	CheckpointMemShed, ColdLoads    int64
+	ReplayedTables                  int64
 
 	// VecPasses counts shared-scan passes; the block counters decompose
 	// their outcomes (zone-map prunes, O(1) precomputed-sum folds, payload
@@ -1723,8 +1658,6 @@ func HealthFromCounters(c map[string]int64) Health {
 		CheckpointMemShed:  c["serve.checkpoint_mem_shed"],
 		ColdLoads:          c["serve.cold_loads"],
 		ReplayedTables:     c["serve.replayed_tables"],
-		ReplayFailures:     c["serve.replay_failures"],
-		RecoveringShed:     c["serve.recovering_shed"],
 		VecPasses:          c["serve.vec_passes"],
 		VecBlocksPruned:    c["serve.vec_blocks_pruned"],
 		VecFastSums:        c["serve.vec_block_fast_sums"],
@@ -1787,13 +1720,9 @@ func (s *Server) Health() Health {
 	}
 	if s.st != nil {
 		h.Durable = true
-		h.Recovering = s.recovering.Load()
 		h.Recovery = s.st.Recovery()
 		h.LastCheckpoint = s.st.LastCheckpoint()
 		h.StoreVersion = s.st.Version()
-		if h.Recovering {
-			h.State = "recovering"
-		}
 	}
 	for id, th := range h.Tenants {
 		h.Tenants[id] = s.tenantLive(id, th, h.Memory)

@@ -7,7 +7,6 @@ import (
 	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,9 +41,6 @@ func TestDurableRestartServesCommittedData(t *testing.T) {
 
 	st := openStore(t, dir, store.Options{})
 	s := newServer(t, Options{Store: st})
-	if err := s.WaitRecovered(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Register("events", cols); err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +62,6 @@ func TestDurableRestartServesCommittedData(t *testing.T) {
 	defer st2.Close()
 	s2 := newServer(t, Options{Store: st2})
 	defer s2.Close()
-	if err := s2.WaitRecovered(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	resp, err := s2.Submit(context.Background(), Request{Op: OpScan, Table: "events", Query: scan.Query{FilterCol: 0, Lo: 100, Hi: 5000, AggCol: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +70,8 @@ func TestDurableRestartServesCommittedData(t *testing.T) {
 		t.Fatalf("recovered scan sum = %d, want %d", resp.Sum, want)
 	}
 	h := s2.Health()
-	if !h.Durable || h.Recovering {
-		t.Fatalf("health durable=%v recovering=%v, want durable and not recovering", h.Durable, h.Recovering)
+	if !h.Durable || h.State != "ok" {
+		t.Fatalf("health durable=%v state=%q, want durable and ok", h.Durable, h.State)
 	}
 	if h.Recovery.TablesTotal != 1 {
 		t.Fatalf("recovery saw %d tables, want 1", h.Recovery.TablesTotal)
@@ -98,9 +91,6 @@ func TestCloseFlushesStagedTables(t *testing.T) {
 
 	st := openStore(t, dir, store.Options{})
 	s := newServer(t, Options{Store: st})
-	if err := s.WaitRecovered(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Register("flushed", cols); err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +105,6 @@ func TestCloseFlushesStagedTables(t *testing.T) {
 	defer st2.Close()
 	s2 := newServer(t, Options{Store: st2})
 	defer s2.Close()
-	if err := s2.WaitRecovered(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	resp, err := s2.Submit(context.Background(), Request{Op: OpScan, Table: "flushed", Query: scan.Query{FilterCol: 0, Lo: 0, Hi: 10000, AggCol: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -127,58 +114,72 @@ func TestCloseFlushesStagedTables(t *testing.T) {
 	}
 }
 
-// TestRecoveringGate pins the admission gate: while the replay flag is up,
-// Submit and Register shed with ErrRecovering and Health reports the
-// recovering state; once it drops, both succeed.
-func TestRecoveringGate(t *testing.T) {
+// TestDurableServerAnswersOnReturn pins the lifecycle contract: a server
+// built over an opened store serves that store's tables when New returns —
+// there is no replay window to wait out or be shed in. One P, so nothing
+// but New itself can have run between New and the Submit on the next line.
+func TestDurableServerAnswersOnReturn(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	dir := t.TempDir()
+	cols, expect := testRelation(4000)
+	want := expect(100, 5000)
+
+	st := openStore(t, dir, store.Options{})
+	s := newServer(t, Options{Store: st})
+	if err := s.Register("events", cols); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil { // the shutdown flush checkpoints
+		t.Fatal(err)
+	}
+	st.Close()
+
+	for restart := 0; restart < 50; restart++ {
+		st := openStore(t, dir, store.Options{})
+		s := newServer(t, Options{Store: st})
+		resp, err := s.Submit(context.Background(), Request{Op: OpScan, Table: "events", Query: scan.Query{FilterCol: 0, Lo: 100, Hi: 5000, AggCol: 1}})
+		if err != nil || resp.Sum != want {
+			t.Fatalf("restart %d: first submit: sum %d, err %v; want %d", restart, resp.Sum, err, want)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+	}
+}
+
+// TestRegisterOnClosedServerLeavesStoreUntouched: a registration the server
+// refuses must not take effect anywhere. Staging the table before the closed
+// check left it in the store, where a later checkpoint (behind a router:
+// the reaper's Close racing a Register) would persist a stripe of a
+// registration that reported failure.
+func TestRegisterOnClosedServerLeavesStoreUntouched(t *testing.T) {
 	st := openStore(t, t.TempDir(), store.Options{})
 	defer st.Close()
 	s := newServer(t, Options{Store: st})
-	defer s.Close()
-	if err := s.WaitRecovered(context.Background()); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Raise the gate by hand: the real replay window on an empty store is
-	// too short to race against deterministically.
-	s.recovering.Store(true)
-	if _, err := s.Submit(context.Background(), Request{Op: OpScan, Table: "x"}); !errors.Is(err, errs.ErrRecovering) {
-		t.Fatalf("submit during recovery: %v, want ErrRecovering", err)
+	if err := s.Register("late", [][]int64{{1, 2}, {3, 4}}); !errors.Is(err, errs.ErrClosed) {
+		t.Fatalf("register on a closed server: %v, want ErrClosed", err)
 	}
-	if err := s.Register("x", [][]int64{{1}}); !errors.Is(err, errs.ErrRecovering) {
-		t.Fatalf("register during recovery: %v, want ErrRecovering", err)
-	}
-	h := s.Health()
-	if h.State != "recovering" || !h.Recovering || h.RecoveringShed != 1 {
-		t.Fatalf("health = %q recovering=%v shed=%d, want recovering state and 1 shed", h.State, h.Recovering, h.RecoveringShed)
-	}
-	s.recovering.Store(false)
-	if err := s.Register("x", [][]int64{{1, 2}, {3, 4}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Submit(context.Background(), Request{Op: OpScan, Table: "x", Query: scan.Query{FilterCol: 0, Lo: 0, Hi: 10, AggCol: 1}}); err != nil {
-		t.Fatal(err)
+	if got := st.Tables(); len(got) != 0 {
+		t.Fatalf("refused registration staged %v in the store", got)
 	}
 }
 
 // TestConcurrentRegisterRacesRecovery hammers Register from many goroutines
-// while the recovery gate flips: every call must either land fully (table
-// scannable with the right sum) or shed cleanly with ErrRecovering — never
-// a partial registration, a wrong error class, or a data race (this test is
-// in the race-core set).
+// on a durable server the moment New has returned: every call must land
+// fully (table scannable with the right sum) — never a shed, a partial
+// registration or a data race (this test is in the race-core set).
 func TestConcurrentRegisterRacesRecovery(t *testing.T) {
 	st := openStore(t, t.TempDir(), store.Options{})
 	defer st.Close()
 	s := newServer(t, Options{Store: st})
 	defer s.Close()
-	if err := s.WaitRecovered(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 
 	const registrars = 8
-	const flips = 50
-	var accepted [registrars][]string
-	var shed atomic.Int64
+	const rounds = 50
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for g := 0; g < registrars; g++ {
@@ -186,50 +187,32 @@ func TestConcurrentRegisterRacesRecovery(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			for i := 0; i < flips; i++ {
+			for i := 0; i < rounds; i++ {
 				name := fmt.Sprintf("t%d-%d", g, i)
-				err := s.Register(name, [][]int64{{int64(i), int64(i + 1)}, {10, 20}})
-				switch {
-				case err == nil:
-					accepted[g] = append(accepted[g], name)
-				case errors.Is(err, errs.ErrRecovering):
-					shed.Add(1)
-				default:
-					t.Errorf("register %s: unexpected error %v", name, err)
+				if err := s.Register(name, [][]int64{{int64(i), int64(i + 1)}, {10, 20}}); err != nil {
+					t.Errorf("register %s: %v", name, err)
 					return
 				}
 			}
 		}(g)
 	}
-	// Flip the recovery gate underneath the registrars, mimicking a replay
-	// that finishes (and a test-staged re-entry) while registrations arrive.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		<-start
-		for i := 0; i < flips; i++ {
-			s.recovering.Store(i%2 == 1)
-			runtime.Gosched()
-		}
-		s.recovering.Store(false)
-	}()
 	close(start)
 	wg.Wait()
 
-	if shed.Load() == 0 {
-		t.Log("no register call observed the recovering gate (timing-dependent); accepted registrations still verified")
-	}
-	// Every accepted registration is fully visible and scannable.
-	for g := range accepted {
-		for _, name := range accepted[g] {
+	for g := 0; g < registrars; g++ {
+		for i := 0; i < rounds; i++ {
+			name := fmt.Sprintf("t%d-%d", g, i)
 			resp, err := s.Submit(context.Background(), Request{Op: OpScan, Table: name, Query: scan.Query{FilterCol: 0, Lo: -1 << 40, Hi: 1 << 40, AggCol: 1}})
 			if err != nil {
-				t.Fatalf("accepted table %s not servable: %v", name, err)
+				t.Fatalf("table %s not servable: %v", name, err)
 			}
 			if resp.Sum != 30 {
-				t.Fatalf("accepted table %s sum = %d, want 30", name, resp.Sum)
+				t.Fatalf("table %s sum = %d, want 30", name, resp.Sum)
 			}
 		}
+	}
+	if got := len(st.Tables()); got != registrars*rounds {
+		t.Fatalf("store staged %d tables, want %d", got, registrars*rounds)
 	}
 }
 
@@ -244,9 +227,6 @@ func TestColdTableFaultsInOnDemand(t *testing.T) {
 
 	st := openStore(t, dir, store.Options{})
 	s := newServer(t, Options{Store: st})
-	if err := s.WaitRecovered(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Register("big", cols); err != nil {
 		t.Fatal(err)
 	}
@@ -280,9 +260,6 @@ func TestColdTableFaultsInOnDemand(t *testing.T) {
 	defer st2.Close()
 	s2 := newServer(t, Options{Store: st2})
 	defer s2.Close()
-	if err := s2.WaitRecovered(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	if got := s2.Health().ReplayedTables; got != 1 {
 		t.Fatalf("replayed %d tables, want only the hot one", got)
 	}
@@ -319,9 +296,6 @@ func TestCheckpointIntervalPersistsInBackground(t *testing.T) {
 	defer st.Close()
 	s := newServer(t, Options{Store: st, CheckpointInterval: 2 * time.Millisecond})
 	defer s.Close()
-	if err := s.WaitRecovered(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Register("bg", [][]int64{{1, 2, 3, 4}}); err != nil {
 		t.Fatal(err)
 	}
@@ -358,9 +332,6 @@ func TestCheckpointMemShedUnderTightBudget(t *testing.T) {
 	defer st.Close()
 	s := newServer(t, Options{Store: st, Memory: mem.Config{BudgetBytes: 8 << 10}})
 	defer s.Close()
-	if err := s.WaitRecovered(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	cols, _ := testRelation(8000)
 	if err := s.Register("wide", cols); err != nil {
 		t.Fatal(err)
@@ -376,8 +347,7 @@ func TestCheckpointMemShedUnderTightBudget(t *testing.T) {
 // TestNoGoroutineLeaksAcrossKillRecoverCycles runs several server lifetimes
 // against one directory with crash and torn-write injection armed on the
 // store, closing and recovering each time, and checks the goroutine count
-// settles back: neither the replay goroutine, the checkpointer, nor any
-// recovery path may leak.
+// settles back: neither the checkpointer nor any recovery path may leak.
 func TestNoGoroutineLeaksAcrossKillRecoverCycles(t *testing.T) {
 	before := runtime.NumGoroutine()
 	dir := t.TempDir()
@@ -408,9 +378,6 @@ func TestNoGoroutineLeaksAcrossKillRecoverCycles(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := newServer(t, Options{Store: st, CheckpointInterval: time.Millisecond})
-		if err := s.WaitRecovered(context.Background()); err != nil {
-			t.Fatal(err)
-		}
 		if err := s.Register("t", cols); err != nil {
 			t.Fatal(err)
 		}

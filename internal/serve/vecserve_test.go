@@ -115,9 +115,6 @@ func TestScanMatchesSharedReference(t *testing.T) {
 				dir := t.TempDir()
 				opts.Store = openStore(t, dir, store.Options{})
 				s := newServer(t, opts)
-				if err := s.WaitRecovered(context.Background()); err != nil {
-					t.Fatal(err)
-				}
 				if err := s.Register("t", cols); err != nil {
 					t.Fatal(err)
 				}
@@ -132,9 +129,6 @@ func TestScanMatchesSharedReference(t *testing.T) {
 				defer opts.Store.Close()
 				s = newServer(t, opts)
 				defer s.Close()
-				if err := s.WaitRecovered(context.Background()); err != nil {
-					t.Fatal(err)
-				}
 				if got := s.Health().ReplayedTables; got != 1 {
 					t.Fatalf("restart replayed %d tables, want 1", got)
 				}

@@ -60,11 +60,6 @@ func (r *Router) RecoverNode(ctx context.Context, id int) error {
 	if err != nil {
 		return fmt.Errorf("shard: recover node %d: %w", id, err)
 	}
-	if err := srv.WaitRecovered(ctx); err != nil {
-		srv.Close()
-		return fmt.Errorf("shard: recover node %d: %w", id, err)
-	}
-
 	n.mu.Lock()
 	n.srv = srv
 	n.mu.Unlock()

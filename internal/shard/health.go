@@ -131,8 +131,8 @@ func (r *Router) liveView() (map[string]int64, []serve.Health) {
 // this file naming it. A dead node's server and its counts are gone, so after
 // a node loss the totals are a floor. What no counter holds has one rule each:
 //
-//   - State degrades (or reads "recovering") when any live node does;
-//     Durable and Recovering are true when any live node's is.
+//   - State degrades when any live node does; Durable is true when any
+//     live node's is.
 //   - QueueDepth, ConsecutiveFailures, Faults and the Recovery counts are
 //     summed; Faults also carries the router's own "node-loss" count.
 //   - StoreVersion and Recovery.ManifestVersion are the lowest across live
@@ -147,7 +147,7 @@ func (r *Router) Health() serve.Health {
 	out := serve.HealthFromCounters(sum)
 	out.State = "ok"
 	for _, h := range live {
-		if h.State == "degraded" || h.State == "recovering" {
+		if h.State == "degraded" {
 			out.State = h.State
 		}
 		out.QueueDepth += h.QueueDepth
@@ -166,7 +166,6 @@ func (r *Router) Health() serve.Health {
 		}
 		out.StoreVersion = min(out.StoreVersion, h.StoreVersion)
 		out.Recovery.ManifestVersion = min(out.Recovery.ManifestVersion, h.Recovery.ManifestVersion)
-		out.Recovering = out.Recovering || h.Recovering
 		out.Recovery.Fallbacks += h.Recovery.Fallbacks
 		out.Recovery.CorruptSegments += h.Recovery.CorruptSegments
 		out.Recovery.TablesTotal += h.Recovery.TablesTotal

@@ -197,11 +197,11 @@ type Router struct {
 
 // New builds the shard tier: opts.Shards serve.Servers on machine m behind
 // a consistent-hash router. Every shard is constructed from the
-// opts.Shard template (with its own store when opts.Stores is set), has
-// replayed its durable state, and accepts registrations by the time New
-// returns — or the whole constructor fails and tears down. ctx bounds the
-// recovery replays.
-func New(ctx context.Context, m *hw.Machine, opts Options) (*Router, error) {
+// opts.Shard template (with its own store when opts.Stores is set) and
+// serves that store's tables by the time New returns — or the whole
+// constructor fails and tears down. The context is unused; the parameter
+// stays because the frozen benchmark (cmd/hwperf) passes one.
+func New(_ context.Context, m *hw.Machine, opts Options) (*Router, error) {
 	if m == nil {
 		return nil, fmt.Errorf("shard: %w", errs.ErrNilMachine)
 	}
@@ -234,13 +234,7 @@ func New(ctx context.Context, m *hw.Machine, opts Options) (*Router, error) {
 			n.st = opts.Stores[i]
 		}
 		srv, err := r.buildServer(n)
-		if err == nil {
-			err = srv.WaitRecovered(ctx)
-		}
 		if err != nil {
-			if srv != nil {
-				srv.Close()
-			}
 			for _, prev := range r.nodes {
 				prev.server().Close()
 			}

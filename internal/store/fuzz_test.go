@@ -14,7 +14,7 @@ import (
 	"hwstar/internal/table"
 )
 
-// fuzzTables are the seed tables of FuzzDecodeSegment: the three-typed test
+// fuzzTables are the seed tables of FuzzDecodeSegment: the store tests'
 // table, and int64 relations in the block shapes compress's property test
 // draws (empty, short last block, constant, run-heavy, full-width, the ends
 // of the domain).
@@ -110,11 +110,7 @@ func TestDecodeSegmentRejectsLyingHeaders(t *testing.T) {
 // wrap errs.ErrCorrupted — recovery's fallback keys on it.
 func FuzzDecodeSegment(f *testing.F) {
 	for _, tbl := range fuzzTables(f) {
-		enc, err := encodeInt64Columns(tbl)
-		if err != nil {
-			f.Fatal(err)
-		}
-		raw, err := encodeSegment(enc)
+		raw, err := encodeSegment(tbl)
 		if err != nil {
 			f.Fatal(err)
 		}

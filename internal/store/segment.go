@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -25,13 +24,11 @@ import (
 // The CRC covers every byte before it (magic, length, header, payloads), so
 // a torn write, a truncated file, or a flipped byte anywhere is caught by
 // one validation pass at read time. The header gives each column's payload
-// length, so the image is sized exactly before a byte of it is written. An
-// int64 column's payload is the FOR/RLE block stream the server scans
-// (compress.AppendBinary): what is served is what is written, and a restart
-// serves what it reads without re-encoding. float64 columns are 8×rows
-// little-endian bytes; string columns the dictionary (u32 count, then u32
-// length + bytes per entry) followed by 4×rows codes. The last magic byte is
-// the version; version 1 (raw int64 payloads) has no reader.
+// length, so the image is sized exactly before a byte of it is written.
+// Every column is int64 and its payload is the FOR/RLE block stream the
+// server scans (compress.AppendBinary): what is served is what is written,
+// and a restart serves what it reads without re-encoding. The last magic
+// byte is the version; version 1 (raw int64 payloads) has no reader.
 var segMagic = [8]byte{'H', 'W', 'S', 'E', 'G', '1', 0, 2}
 
 // crcTable is the Castagnoli polynomial — hardware-accelerated on every
@@ -55,18 +52,28 @@ type segCol struct {
 // magic, header length, trailing crc.
 const segEnvelope = 8 + 4 + 4
 
+// blockStream returns column i of t, which must be a FOR/RLE block stream:
+// the one column form the store holds, persists and hands back.
+func blockStream(t *table.Table, i int) (*compress.Compressed, error) {
+	c, ok := t.Column(i).(*compress.Compressed)
+	if !ok {
+		return nil, fmt.Errorf("store: table %q column %q is %T, not a block stream: %w",
+			t.Name(), t.Schema().Column(i).Name, t.Column(i), errs.ErrInvalidInput)
+	}
+	return c, nil
+}
+
 // segmentHeader returns t's encoded header and the exact size of its
 // segment image.
 func segmentHeader(t *table.Table) (hdrJSON []byte, size int, err error) {
 	hdr := segHeader{Table: t.Name(), Rows: t.NumRows(), Cols: make([]segCol, t.Schema().NumColumns())}
 	for i := range hdr.Cols {
-		def := t.Schema().Column(i)
-		n, err := columnSize(t.Column(i))
+		c, err := blockStream(t, i)
 		if err != nil {
-			return nil, 0, fmt.Errorf("store: table %q column %q: %w", t.Name(), def.Name, err)
+			return nil, 0, err
 		}
-		hdr.Cols[i] = segCol{Name: def.Name, Type: def.Type.String(), Bytes: n}
-		size += n
+		hdr.Cols[i] = segCol{Name: t.Schema().Column(i).Name, Type: table.Int64.String(), Bytes: c.BinarySize()}
+		size += hdr.Cols[i].Bytes
 	}
 	hdrJSON, err = json.Marshal(hdr)
 	if err != nil {
@@ -83,7 +90,7 @@ func appendSegment(dst, hdrJSON []byte, t *table.Table) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(hdrJSON)))
 	dst = append(dst, hdrJSON...)
 	for i := 0; i < t.Schema().NumColumns(); i++ {
-		dst = appendColumn(dst, t.Column(i))
+		dst = t.Column(i).(*compress.Compressed).AppendBinary(dst) // segmentHeader vetted it
 	}
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
 }
@@ -96,47 +103,6 @@ func encodeSegment(t *table.Table) ([]byte, error) {
 		return nil, err
 	}
 	return appendSegment(make([]byte, 0, size), hdrJSON, t), nil
-}
-
-// columnSize returns the payload length appendColumn will write for c.
-func columnSize(c table.ColumnData) (int, error) {
-	switch d := c.(type) {
-	case *compress.Compressed:
-		return d.BinarySize(), nil
-	case *table.Float64Data:
-		return 8 * len(d.Values), nil
-	case *table.StringData:
-		n := 4 + 4*len(d.Codes)
-		for _, s := range d.Dict {
-			n += 4 + len(s)
-		}
-		return n, nil
-	default:
-		return 0, fmt.Errorf("unsupported column storage %T: %w", c, errs.ErrInvalidInput)
-	}
-}
-
-// appendColumn appends c's payload; columnSize has vetted its storage.
-func appendColumn(dst []byte, c table.ColumnData) []byte {
-	le := binary.LittleEndian
-	switch d := c.(type) {
-	case *compress.Compressed:
-		dst = d.AppendBinary(dst)
-	case *table.Float64Data:
-		for _, v := range d.Values {
-			dst = le.AppendUint64(dst, math.Float64bits(v))
-		}
-	case *table.StringData:
-		dst = le.AppendUint32(dst, uint32(len(d.Dict)))
-		for _, s := range d.Dict {
-			dst = le.AppendUint32(dst, uint32(len(s)))
-			dst = append(dst, s...)
-		}
-		for _, code := range d.Codes {
-			dst = le.AppendUint32(dst, uint32(code))
-		}
-	}
-	return dst
 }
 
 // decodeSegment validates the checksum and envelope of raw and rebuilds the
@@ -164,11 +130,10 @@ func decodeSegment(raw []byte) (*table.Table, error) {
 	}
 	defs := make([]table.ColumnDef, len(hdr.Cols))
 	for i, c := range hdr.Cols {
-		t, err := typeFromName(c.Type)
-		if err != nil {
-			return nil, err
+		if c.Type != table.Int64.String() {
+			return nil, fmt.Errorf("store: table %q column %q: unknown column type %q: %w", hdr.Table, c.Name, c.Type, errs.ErrCorrupted)
 		}
-		defs[i] = table.ColumnDef{Name: c.Name, Type: t}
+		defs[i] = table.ColumnDef{Name: c.Name, Type: table.Int64}
 	}
 	schema, err := table.NewSchema(defs...)
 	if err != nil {
@@ -182,11 +147,15 @@ func decodeSegment(raw []byte) (*table.Table, error) {
 			return nil, fmt.Errorf("store: table %q column %q: payload truncated (need %d of %d bytes): %w",
 				hdr.Table, def.Name, n, len(payload), errs.ErrCorrupted)
 		}
-		cols[i], err = decodeColumn(payload[:n], def.Type, hdr.Rows)
+		c, err := compress.UnmarshalColumn(payload[:n])
 		if err != nil {
 			return nil, fmt.Errorf("store: table %q column %q: %w", hdr.Table, def.Name, err)
 		}
-		payload = payload[n:]
+		if c.Len() != hdr.Rows {
+			return nil, fmt.Errorf("store: table %q column %q: block stream holds %d values, header says %d rows: %w",
+				hdr.Table, def.Name, c.Len(), hdr.Rows, errs.ErrCorrupted)
+		}
+		cols[i], payload = c, payload[n:]
 	}
 	if len(payload) != 0 {
 		return nil, fmt.Errorf("store: %d trailing payload bytes: %w", len(payload), errs.ErrCorrupted)
@@ -199,83 +168,6 @@ func decodeSegment(raw []byte) (*table.Table, error) {
 		return nil, fmt.Errorf("store: table %q has %d rows, header says %d: %w", hdr.Table, t.NumRows(), hdr.Rows, errs.ErrCorrupted)
 	}
 	return t, nil
-}
-
-// decodeColumn rebuilds one column of the given type and row count from
-// exactly its payload bytes.
-func decodeColumn(payload []byte, typ table.Type, rows int) (table.ColumnData, error) {
-	short := func(n int) error {
-		return fmt.Errorf("payload is %d bytes, need %d: %w", len(payload), n, errs.ErrCorrupted)
-	}
-	switch typ {
-	case table.Int64:
-		c, err := compress.UnmarshalColumn(payload)
-		if err != nil {
-			return nil, err
-		}
-		if c.Len() != rows {
-			return nil, fmt.Errorf("block stream holds %d values, header says %d rows: %w", c.Len(), rows, errs.ErrCorrupted)
-		}
-		return c, nil
-	case table.Float64:
-		if len(payload)%8 != 0 || len(payload)/8 != rows {
-			return nil, short(rows * 8)
-		}
-		vals := make([]float64, rows)
-		for i := range vals {
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
-		}
-		return &table.Float64Data{Values: vals}, nil
-	case table.String:
-		if len(payload) < 4 {
-			return nil, short(4)
-		}
-		dictN := int(binary.LittleEndian.Uint32(payload))
-		payload = payload[4:]
-		if dictN > len(payload)/4 {
-			return nil, short(dictN * 4)
-		}
-		dict := make([]string, 0, dictN)
-		for i := 0; i < dictN; i++ {
-			if len(payload) < 4 {
-				return nil, short(4)
-			}
-			sl := int(binary.LittleEndian.Uint32(payload))
-			payload = payload[4:]
-			if sl > len(payload) {
-				return nil, short(sl)
-			}
-			dict = append(dict, string(payload[:sl]))
-			payload = payload[sl:]
-		}
-		if len(payload)%4 != 0 || len(payload)/4 != rows {
-			return nil, short(rows * 4)
-		}
-		codes := make([]int32, rows)
-		for i := range codes {
-			codes[i] = int32(binary.LittleEndian.Uint32(payload[i*4:]))
-		}
-		d, err := table.StringDataFromParts(dict, codes)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", err, errs.ErrCorrupted)
-		}
-		return d, nil
-	default:
-		return nil, fmt.Errorf("unknown column type %v: %w", typ, errs.ErrCorrupted)
-	}
-}
-
-func typeFromName(name string) (table.Type, error) {
-	switch name {
-	case "int64":
-		return table.Int64, nil
-	case "float64":
-		return table.Float64, nil
-	case "string":
-		return table.String, nil
-	default:
-		return 0, fmt.Errorf("store: unknown column type %q: %w", name, errs.ErrCorrupted)
-	}
 }
 
 // SegmentWriter is the handle for writing one segment file. Create one with
@@ -295,8 +187,8 @@ type SegmentWriter struct {
 	closed    bool
 }
 
-// WriteTable encodes t and writes it through the handle; int64 columns must
-// already be block-encoded, as Put leaves them. The injector's
+// WriteTable encodes t and writes it through the handle; every column must
+// be a block stream, as Put requires. The injector's
 // durability faults apply here: a torn write persists only a prefix of the
 // payload (and still reports success), a checksum flip silently corrupts one
 // payload byte after the CRC was computed, and a crash aborts with

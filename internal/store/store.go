@@ -62,8 +62,8 @@ type Options struct {
 	// nothing.
 	Faults *fault.Injector
 	// HotBytes is the DRAM budget of the placement policy: the hottest
-	// tables whose summed resident footprint — int64 columns at their
-	// compressed size, which is how the store holds them — fits are TierHot
+	// tables whose summed resident footprint — columns at their compressed
+	// size, which is how the store holds them — fits are TierHot
 	// (resident, loaded eagerly at recovery); the rest are TierCold
 	// (flash-resident, loaded and priced on first access). Zero or negative
 	// pins everything hot.
@@ -340,10 +340,10 @@ func (s *Store) idFor(name string) int64 {
 
 // Put stages a table: it becomes visible to Load immediately and is written
 // out by the next checkpoint. Tables are immutable; putting the same name
-// again replaces it (and re-dirties it). The store holds int64 columns only
-// as FOR/RLE block streams — the form segments persist and the server scans
-// — so a raw *table.Int64Data column is encoded here and not retained; a
-// column that is already a *compress.Compressed is shared as is.
+// again replaces it (and re-dirties it). The store holds FOR/RLE block
+// streams — the form segments persist and the server scans — and nothing
+// else: a table with any other column (TableFromCols builds the right kind)
+// is refused with errs.ErrInvalidInput. The columns are shared, not copied.
 func (s *Store) Put(t *table.Table) error {
 	if t == nil {
 		return fmt.Errorf("store: nil table: %w", errs.ErrInvalidInput)
@@ -351,9 +351,10 @@ func (s *Store) Put(t *table.Table) error {
 	if t.Name() == "" {
 		return fmt.Errorf("store: table with empty name: %w", errs.ErrInvalidInput)
 	}
-	t, err := encodeInt64Columns(t)
-	if err != nil {
-		return err
+	for i := 0; i < t.Schema().NumColumns(); i++ {
+		if _, err := blockStream(t, i); err != nil {
+			return err
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -364,27 +365,6 @@ func (s *Store) Put(t *table.Table) error {
 	s.tables[t.Name()] = &entry{t: t, rows: t.NumRows(), bytes: t.Bytes(), tier: TierHot, dirty: true, id: id}
 	s.noteAccess(id)
 	return nil
-}
-
-// encodeInt64Columns returns t with every raw int64 column block-encoded;
-// t itself when there is none.
-func encodeInt64Columns(t *table.Table) (*table.Table, error) {
-	cols := make([]table.ColumnData, t.Schema().NumColumns())
-	raw := false
-	for i := range cols {
-		cols[i] = t.Column(i)
-		if d, ok := cols[i].(*table.Int64Data); ok {
-			cols[i], raw = compress.Encode(d.Values), true
-		}
-	}
-	if !raw {
-		return t, nil
-	}
-	enc, err := table.FromColumns(t.Name(), t.Schema(), cols)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return enc, nil
 }
 
 // Load returns the named table, reading it from flash when it is cold. The

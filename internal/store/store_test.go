@@ -1,9 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,33 +17,30 @@ import (
 	"hwstar/internal/table"
 )
 
-// testTable builds a three-typed table with deterministic contents.
+// testTable builds a three-column relation with deterministic contents, in
+// the form the store holds: a ramp, runs, and a small cycling domain.
 func testTable(name string, rows int, salt int64) *table.Table {
-	schema := table.MustSchema(
-		table.ColumnDef{Name: "k", Type: table.Int64},
-		table.ColumnDef{Name: "v", Type: table.Float64},
-		table.ColumnDef{Name: "tag", Type: table.String},
-	)
-	b := table.NewBuilder(name, schema, rows)
+	cols := [][]int64{make([]int64, rows), make([]int64, rows), make([]int64, rows)}
 	for i := 0; i < rows; i++ {
-		b.MustAppendRow(
-			table.IntValue(int64(i)*7+salt),
-			table.FloatValue(float64(i)*0.5+float64(salt)),
-			table.StringValue(fmt.Sprintf("tag-%d", (int64(i)+salt)%5)),
-		)
+		cols[0][i] = int64(i)*7 + salt
+		cols[1][i] = int64(i/50) + salt
+		cols[2][i] = (int64(i) + salt) % 5
 	}
-	return b.Build()
+	tbl, err := TableFromCols(name, cols)
+	if err != nil {
+		panic(err)
+	}
+	return tbl
 }
 
-// residentBytes is the footprint the store holds t at (and budgets it by):
-// int64 columns block-encoded.
-func residentBytes(t *testing.T, tbl *table.Table) int64 {
-	t.Helper()
-	enc, err := encodeInt64Columns(tbl)
-	if err != nil {
-		t.Fatal(err)
+// rawTable builds a one-column, row-built table of the given type: raw
+// storage, not a block stream.
+func rawTable(v table.Value) *table.Table {
+	b := table.NewBuilder("raw-"+v.Kind.String(), table.MustSchema(table.ColumnDef{Name: "v", Type: v.Kind}), 3)
+	for i := 0; i < 3; i++ {
+		b.MustAppendRow(v)
 	}
-	return enc.Bytes()
+	return b.Build()
 }
 
 // sameContents compares two tables cell by cell.
@@ -266,7 +263,7 @@ func TestTieringEvictsColdAndPricesLoads(t *testing.T) {
 	s := mustOpen(t, Options{
 		Dir:      t.TempDir(),
 		Machine:  hw.Laptop(),
-		HotBytes: residentBytes(t, hot) + 1, // room for exactly one table
+		HotBytes: hot.Bytes() + 1, // room for exactly one table
 	})
 	s.Put(hot)
 	s.Put(cold)
@@ -300,7 +297,7 @@ func TestTieringEvictsColdAndPricesLoads(t *testing.T) {
 func TestRecoveryLoadsHotEagerlyColdLazily(t *testing.T) {
 	dir := t.TempDir()
 	hot, cold := testTable("hot", 400, 1), testTable("cold", 400, 2)
-	budget := residentBytes(t, hot) + 1 // room for exactly one table
+	budget := hot.Bytes() + 1 // room for exactly one table
 	s := mustOpen(t, Options{Dir: dir, Machine: hw.Laptop(), HotBytes: budget})
 	s.Put(hot)
 	s.Put(cold)
@@ -335,7 +332,7 @@ func TestCheckpointGovernedByReservation(t *testing.T) {
 	}
 	defer res.Release()
 	s := mustOpen(t, Options{Dir: t.TempDir()})
-	s.Put(testTable("big", 5000, 1))
+	s.Put(testTable("big", 50000, 1))
 	_, err = s.Checkpoint(context.Background(), res)
 	if !errors.Is(err, errs.ErrMemoryPressure) {
 		t.Fatalf("governed checkpoint err = %v, want ErrMemoryPressure", err)
@@ -470,7 +467,70 @@ func TestColsRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back, cols) {
 		t.Fatalf("round trip = %v, want %v", back, cols)
 	}
-	if _, ok := ColsFromTable(testTable("x", 3, 1)); ok {
+	if _, ok := ColsFromTable(rawTable(table.FloatValue(0.5))); ok {
 		t.Fatal("ColsFromTable accepted a non-int64 table")
+	}
+}
+
+// TestPutRefusesNonBlockStreamTable pins what the store holds: block streams
+// and nothing else. A float64 table and a raw (unencoded) int64 table are
+// both refused up front and leave nothing staged; the segment writer refuses
+// them too.
+func TestPutRefusesNonBlockStreamTable(t *testing.T) {
+	s := mustOpen(t, Options{Dir: t.TempDir()})
+	for _, tbl := range []*table.Table{rawTable(table.FloatValue(0.5)), rawTable(table.IntValue(7))} {
+		if err := s.Put(tbl); !errors.Is(err, errs.ErrInvalidInput) {
+			t.Fatalf("Put(%s) err = %v, want ErrInvalidInput", tbl.Name(), err)
+		}
+		if _, err := encodeSegment(tbl); !errors.Is(err, errs.ErrInvalidInput) {
+			t.Fatalf("encodeSegment(%s) err = %v, want ErrInvalidInput", tbl.Name(), err)
+		}
+	}
+	if got := s.Tables(); len(got) != 0 {
+		t.Fatalf("refused tables were staged: %v", got)
+	}
+}
+
+// goldenCols is the fixed relation behind testdata/segment_v2.golden: one
+// full block and a short one of a narrow FOR column, an RLE column and a
+// wide FOR column with negatives.
+func goldenCols() [][]int64 {
+	const n = 1100
+	cols := [][]int64{make([]int64, n), make([]int64, n), make([]int64, n)}
+	for i := 0; i < n; i++ {
+		cols[0][i] = int64(i)
+		cols[1][i] = int64(i/300) << 40
+		cols[2][i] = int64(i)*2654435761%1000003 - 500000
+	}
+	return cols
+}
+
+// TestSegmentGolden pins segment format v2 across the deletion of the
+// float64/string payloads: the golden was written by PR 23's encodeSegment
+// from TableFromCols("golden", goldenCols()), and this tree must produce
+// those bytes and read them back. There is no -update: a diff here is a
+// format change, which needs a new version byte and a reader for this one.
+func TestSegmentGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "segment_v2.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := TableFromCols("golden", goldenCols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := encodeSegment(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, golden) {
+		t.Fatalf("encodeSegment wrote %d bytes that differ from the %d-byte golden", len(raw), len(golden))
+	}
+	back, err := decodeSegment(golden)
+	if err != nil {
+		t.Fatalf("decodeSegment(golden): %v", err)
+	}
+	if cols, ok := ColsFromTable(back); !ok || back.Name() != "golden" || !reflect.DeepEqual(cols, goldenCols()) {
+		t.Fatalf("golden decoded to table %q (block streams: %v) with other contents", back.Name(), ok)
 	}
 }

@@ -77,26 +77,6 @@ func (d *StringData) Append(s string) {
 	d.Codes = append(d.Codes, code)
 }
 
-// StringDataFromParts reconstructs a dictionary-encoded column from its
-// persisted parts — the path the segment store uses when loading a
-// checkpoint — rebuilding the intern index so further Appends behave
-// exactly as on the original column.
-func StringDataFromParts(dict []string, codes []int32) (*StringData, error) {
-	d := &StringData{Dict: dict, Codes: codes, index: make(map[string]int32, len(dict))}
-	for i, s := range dict {
-		if _, dup := d.index[s]; dup {
-			return nil, fmt.Errorf("table: duplicate dictionary entry %q", s)
-		}
-		d.index[s] = int32(i)
-	}
-	for _, c := range codes {
-		if c < 0 || int(c) >= len(dict) {
-			return nil, fmt.Errorf("table: dictionary code %d out of range [0,%d)", c, len(dict))
-		}
-	}
-	return d, nil
-}
-
 // Type implements ColumnData.
 func (d *StringData) Type() Type { return String }
 

@@ -114,14 +114,6 @@ func SumProductF64(a, b []float64, sel Sel) float64 {
 	return s
 }
 
-// CountSel returns the number of selected rows (len(sel), or n when nil).
-func CountSel(sel Sel, n int) int {
-	if sel == nil {
-		return n
-	}
-	return len(sel)
-}
-
 // Chunks calls fn(start, end) for consecutive chunks of n rows.
 func Chunks(n int, fn func(start, end int)) {
 	for start := 0; start < n; start += ChunkSize {

@@ -54,12 +54,6 @@ func TestSums(t *testing.T) {
 	}
 }
 
-func TestCountSel(t *testing.T) {
-	if CountSel(nil, 7) != 7 || CountSel(Sel{1, 2}, 7) != 2 {
-		t.Fatal("CountSel wrong")
-	}
-}
-
 func TestChunksCoverage(t *testing.T) {
 	var total int
 	var calls int

@@ -7,7 +7,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"hwstar/internal/table"
@@ -61,16 +60,6 @@ func ZipfInts(seed int64, n int, max int64, s float64) []int64 {
 	for i := range out {
 		rank := z.Uint64()
 		out[i] = int64((rank * 0x9E3779B97F4A7C15) % uint64(max))
-	}
-	return out
-}
-
-// Floats returns n floats uniform in [lo, hi).
-func Floats(seed int64, n int, lo, hi float64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = lo + rng.Float64()*(hi-lo)
 	}
 	return out
 }
@@ -280,35 +269,6 @@ func GenerateOps(seed int64, n int, keyspace int64, mix Mix) []Op {
 			out[i] = Op{Kind: OpScan, Key: pick(), ScanLen: 1 + rng.Intn(100)}
 		default:
 			out[i] = Op{Kind: OpRead, Key: pick()}
-		}
-	}
-	return out
-}
-
-// SelfSimilar returns n keys in [0, max) from the self-similar (80-20
-// fractal) distribution with skew h in (0.5, 1): a fraction h of accesses
-// falls in the first (1-h) fraction of the domain, recursively. It is the
-// other standard skew model of the benchmarking literature (Gray et al.),
-// heavier-headed than Zipf at the same nominal skew.
-func SelfSimilar(seed int64, n int, max int64, h float64) []int64 {
-	if max <= 0 {
-		panic(fmt.Sprintf("workload: SelfSimilar max=%d", max))
-	}
-	if h <= 0.5 {
-		h = 0.501
-	}
-	if h >= 1 {
-		h = 0.999
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]int64, n)
-	exp := math.Log(1-h) / math.Log(h)
-	for i := range out {
-		u := rng.Float64()
-		// Inverse transform of the self-similar CDF.
-		out[i] = int64(float64(max) * math.Pow(u, exp))
-		if out[i] >= max {
-			out[i] = max - 1
 		}
 	}
 	return out

@@ -87,15 +87,6 @@ func TestZipfClampsS(t *testing.T) {
 	}
 }
 
-func TestFloatsRange(t *testing.T) {
-	fs := Floats(2, 1000, -1, 3)
-	for _, f := range fs {
-		if f < -1 || f >= 3 {
-			t.Fatalf("out of range: %f", f)
-		}
-	}
-}
-
 func TestGenerateJoinShapes(t *testing.T) {
 	in := GenerateJoin(JoinConfig{Seed: 1, BuildRows: 1000, ProbeRows: 5000})
 	if len(in.BuildKeys) != 1000 || len(in.ProbeKeys) != 5000 {
@@ -290,39 +281,4 @@ func TestGeneratorDeterminismProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestSelfSimilarSkewAndRange(t *testing.T) {
-	const n, max = 100000, 10000
-	keys := SelfSimilar(1, n, max, 0.8)
-	inHead := 0
-	for _, k := range keys {
-		if k < 0 || k >= max {
-			t.Fatalf("key out of range: %d", k)
-		}
-		if k < max/5 { // first 20% of the domain
-			inHead++
-		}
-	}
-	frac := float64(inHead) / float64(n)
-	// 80-20 rule: ~80% of accesses in the first 20% of the domain.
-	if frac < 0.75 || frac > 0.85 {
-		t.Fatalf("head fraction = %f, want ~0.8", frac)
-	}
-	// Clamped parameters must not panic.
-	if got := SelfSimilar(2, 100, 1000, 0.3); len(got) != 100 {
-		t.Fatal("clamped h should still generate")
-	}
-	if got := SelfSimilar(2, 100, 1000, 1.5); len(got) != 100 {
-		t.Fatal("clamped h should still generate")
-	}
-}
-
-func TestSelfSimilarPanicsOnBadMax(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("should panic on max<=0")
-		}
-	}()
-	SelfSimilar(1, 10, 0, 0.8)
 }
