@@ -62,13 +62,16 @@ race-core:
 	$(GO) test -race -count=1 ./internal/serve ./internal/sched ./internal/mem ./internal/frontend ./internal/vecexec ./internal/compress ./internal/shard ./internal/store ./internal/cluster ./internal/concurrent ./internal/metrics ./internal/breaker ./internal/hashtab
 
 # check is the full verification gate: compile everything, run the static
-# analyzers, and run the whole suite under the race detector (core
-# concurrency packages uncached). The modeled-cycle golden runs ten times
-# more: what can move its digits is the host's scheduling (a pass placed on
-# cores a finished request has not returned yet), which one run rarely shows.
+# analyzers, run the whole suite once without the race detector (the pooled
+# allocation pins — agg, join, sched, serve — skip under -race, where
+# sync.Pool drops Puts on purpose) and once under it (core concurrency
+# packages uncached). The modeled-cycle golden runs ten times more: what can
+# move its digits is the host's scheduling (a pass placed on cores a finished
+# request has not returned yet), which one run rarely shows.
 check:
 	$(GO) build ./...
 	$(MAKE) lint
+	$(GO) test ./...
 	$(MAKE) race-core
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run TestSimCyclesGolden ./internal/shard
@@ -91,7 +94,9 @@ bench:
 # a stub backend; join partitioning; morsel scheduling), of the inline
 # operators (group-sum per strategy, one stripe's NPO join), of serve's
 # admission + batching (Submit to answer over a 64 K-row table, one client and
-# a cohort of eight) and of the write path (block encode per column shape; one
+# a cohort of eight), of the block decode/filter layer (one shared scan pass
+# over a 350 K-row stripe, clustered and uniform filter column, a batch of one
+# and of eight) and of the write path (block encode per column shape; one
 # Register + Checkpoint cycle and one restart-to-first-answer of the
 # benchmark's 1 M x 2 table, MB/s over user bytes) with allocations, five
 # times each. CI runs it once per bench
@@ -99,7 +104,7 @@ bench:
 # starts failing; host times are read by people, not gated.
 BENCHFLAGS ?= -count=5
 bench-layers:
-	$(GO) test -run='^$$' -bench='BenchmarkDecodeQuery|BenchmarkAppendResponse|BenchmarkHandleQuery|BenchmarkSplitJoin|BenchmarkMorsels|BenchmarkGroupSum|BenchmarkNPO|BenchmarkEncode|BenchmarkSubmit|BenchmarkCheckpoint|BenchmarkRecover' -benchmem $(BENCHFLAGS) \
+	$(GO) test -run='^$$' -bench='BenchmarkDecodeQuery|BenchmarkAppendResponse|BenchmarkHandleQuery|BenchmarkSplitJoin|BenchmarkMorsels|BenchmarkGroupSum|BenchmarkNPO|BenchmarkEncode|BenchmarkSubmit|BenchmarkScanPass|BenchmarkCheckpoint|BenchmarkRecover' -benchmem $(BENCHFLAGS) \
 		./internal/frontend/v1 ./internal/frontend ./internal/shard ./internal/sched ./internal/agg ./internal/join ./internal/compress ./internal/serve
 
 # perf runs hwperf, the repository's benchmark (BENCHMARK.json): four

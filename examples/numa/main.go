@@ -45,6 +45,6 @@ func main() {
 			pc.name, float64(region)/scanSec/1e9, probeNs)
 	}
 
-	fmt.Println("\nthe scheduler's task pinning (sched.PinRoundRobin) plus local placement keeps")
+	fmt.Println("\nthe scheduler's socket-local queues (sched.Task.Socket) plus local placement keep")
 	fmt.Println("both numbers at the top row; everything else is silent performance loss.")
 }

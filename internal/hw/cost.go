@@ -248,7 +248,16 @@ type Account struct {
 
 // NewAccount creates an account that prices work on m under ctx.
 func NewAccount(m *Machine, ctx ExecContext) *Account {
-	return &Account{machine: m, ctx: ctx.normalized()}
+	a := &Account{}
+	a.Reset(m, ctx)
+	return a
+}
+
+// Reset empties the account and re-targets it to price work on m under ctx,
+// so an Account held by value (the scheduler's pooled workers) is reused
+// without allocating.
+func (a *Account) Reset(m *Machine, ctx ExecContext) {
+	*a = Account{machine: m, ctx: ctx.normalized()}
 }
 
 // Charge prices w and adds it to the account, returning the cycles charged.
@@ -267,9 +276,3 @@ func (a *Account) TotalCycles() float64 { return a.total.Total() }
 
 // Breakdown returns the accumulated itemized cost.
 func (a *Account) Breakdown() CostBreakdown { return a.total }
-
-// Machine returns the machine this account prices against.
-func (a *Account) Machine() *Machine { return a.machine }
-
-// Context returns the execution context of this account.
-func (a *Account) Context() ExecContext { return a.ctx }

@@ -264,9 +264,6 @@ func TestAccountAccumulates(t *testing.T) {
 	if bd := acct.Breakdown(); bd.Compute <= 0 || bd.Streaming <= 0 {
 		t.Fatalf("breakdown lost a phase: %+v", bd)
 	}
-	if acct.Machine() != m {
-		t.Fatal("Machine() mismatch")
-	}
 	if acct.Breakdown().Total() != acct.TotalCycles() {
 		t.Fatal("breakdown total mismatch")
 	}

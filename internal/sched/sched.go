@@ -10,7 +10,15 @@
 // advancing the core with the lowest clock), which makes runs exactly
 // reproducible regardless of host parallelism while still modelling a
 // parallel machine faithfully: the makespan is that of the same greedy
-// schedule on real hardware with the modelled per-task costs.
+// schedule on real hardware with the modelled per-task costs. This is a
+// contract, not an implementation detail: task bodies run one at a time, on
+// the goroutine that called RunContext or RunMorsels, so the tasks of one run
+// may share state without synchronisation (serve's scan pass folds every
+// morsel into one accumulator this way).
+//
+// A run's own state — workers with their accounts, socket queues, the
+// dispatch heap — comes from a pool and is reset in full when the run
+// starts, so a warm run allocates only the Result it returns.
 //
 // The scheduler is also the layer that survives partial hardware failure.
 // Task panics are always recovered and converted to a typed error wrapping
@@ -31,6 +39,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strconv"
+	"sync"
 
 	"hwstar/internal/errs"
 	"hwstar/internal/fault"
@@ -48,9 +57,8 @@ type Worker struct {
 	Socket int
 
 	clock        float64
-	acct         *hw.Account
+	acct         hw.Account
 	tasks        int
-	machine      *hw.Machine
 	totalWorkers int
 
 	// skew multiplies every cycle charge (1 for a healthy core, >1 for an
@@ -58,7 +66,7 @@ type Worker struct {
 	// a queue but not yet run; retired marks a worker removed from the run
 	// after a panic, straggler detection, or core loss.
 	skew    float64
-	claimed []claimedTask
+	claimed []queued
 	retired bool
 
 	// resv is the query's memory reservation (nil = ungoverned).
@@ -95,15 +103,6 @@ func (w *Worker) AdvanceCycles(c float64) {
 	w.clock += c
 }
 
-// Clock returns the worker's current virtual time in cycles.
-func (w *Worker) Clock() float64 { return w.clock }
-
-// Machine returns the machine the worker runs on.
-func (w *Worker) Machine() *hw.Machine { return w.machine }
-
-// Context returns the worker's execution context.
-func (w *Worker) Context() hw.ExecContext { return w.acct.Context() }
-
 // Task is one unit of schedulable work. Run executes real code; any hardware
 // cost it wants modelled must be charged to the worker.
 type Task struct {
@@ -119,24 +118,27 @@ type Task struct {
 	// Run executes the task on the given worker.
 	Run func(w *Worker)
 
-	// lo and hi are a morsel's item range (hi > lo only for tasks built by
-	// Morsels), kept so its name is formatted when printed, not when built.
+	// lo and hi are a morsel's item range and morsel the body its whole
+	// family shares (set only by Morsels and RunMorsels): the task runs
+	// morsel(lo, hi, w), so building a morsel allocates no closure, and its
+	// name is formatted when printed, not when built.
 	lo, hi int
+	morsel func(start, end int, w *Worker)
 }
 
 // label is the task's name in diagnostics: Name, or for a morsel the family
 // and range, "site[lo:hi]". Only the fault and error paths print it.
-func (t Task) label() string {
+func (t *Task) label() string {
 	if t.Name == "" && t.hi > t.lo {
 		return fmt.Sprintf("%s[%d:%d]", t.Site, t.lo, t.hi)
 	}
 	return t.Name
 }
 
-// claimedTask is a queued task plus its re-execution count after panics.
-type claimedTask struct {
-	t        Task
-	attempts int
+// queued is a socket-queue entry: the index of a task in the run's task
+// list and its re-execution count after panics.
+type queued struct {
+	task, attempts int
 }
 
 // Options configures a scheduler run.
@@ -304,6 +306,253 @@ func (h *workerHeap) Pop() any {
 	return w
 }
 
+// runState is one run's scratch: everything RunContext needs beyond the
+// caller's tasks. It lives in runPool between runs; reset rebuilds every
+// field from the scheduler's options, so nothing a previous run left —
+// retired workers, skew, clocks, queue heads — reaches the next one.
+type runState struct {
+	s     *Scheduler
+	tasks []Task
+
+	workers      []Worker
+	liveOnSocket []int
+	alive        int
+	// queues are the socket-local FIFOs; heads[sock] is the next unclaimed
+	// entry of queues[sock]. Entries below a head are never written again.
+	queues [][]queued
+	heads  []int
+	h      workerHeap
+	parked []*Worker
+	// redisRR is the round-robin cursor redispatch resumes from.
+	redisRR int
+	res     Result
+
+	// rescued, costs and morsels are scratch reused across runs: a panicked
+	// morsel plus its worker's claims, medianPeerCost's sample, and the task
+	// list RunMorsels builds.
+	rescued []queued
+	costs   []float64
+	morsels []Task
+}
+
+var runPool = sync.Pool{New: func() any { return new(runState) }}
+
+// resize returns s with length n and every element zeroed, reusing its
+// array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// reset prepares st for one run of tasks on s: workers placed on sockets
+// with fresh accounts, injected worker faults armed (core loss reported to
+// sp), every task queued on its socket and the live workers heaped.
+func (st *runState) reset(s *Scheduler, tasks []Task, sp *trace.Span) {
+	m := s.machine
+	nw := s.opts.Workers
+	st.s, st.tasks = s, tasks
+	st.res = Result{Workers: nw}
+	st.redisRR = 0
+
+	// Place workers on sockets: fill sockets in order, as a pinned engine
+	// would.
+	st.workers = resize(st.workers, nw)
+	st.liveOnSocket = resize(st.liveOnSocket, m.Sockets)
+	for i := range st.workers {
+		socket := i / m.CoresPerSocket
+		if socket >= m.Sockets {
+			socket = m.Sockets - 1
+		}
+		st.liveOnSocket[socket]++
+		st.workers[i] = Worker{ID: i, Socket: socket, totalWorkers: nw, skew: 1, resv: s.opts.Mem}
+	}
+	for i := range st.workers {
+		w := &st.workers[i]
+		w.acct.Reset(m, hw.ExecContext{
+			ActiveCoresOnSocket: st.liveOnSocket[w.Socket],
+			InterferenceFactor:  s.opts.Interference,
+		})
+	}
+
+	// Arm injected worker-level faults: straggler skew, then core loss. The
+	// run never loses its last surviving worker.
+	inj := s.opts.Inject
+	st.alive = nw
+	for i := range st.workers {
+		if k := inj.WorkerSkew(i); k > 1 {
+			st.workers[i].skew = k
+		}
+	}
+	for i := range st.workers {
+		w := &st.workers[i]
+		if st.alive > 1 && inj.LoseCore(w.ID) {
+			w.retired = true
+			st.liveOnSocket[w.Socket]--
+			st.alive--
+			st.res.CoresLost++
+			sp.Event("core " + strconv.Itoa(w.ID) + " lost at run start")
+		}
+	}
+
+	// Socket-local FIFO queues, each grown at most once, to its counted
+	// size. heads doubles as the per-socket count until the tasks are queued.
+	if cap(st.queues) < m.Sockets {
+		st.queues = make([][]queued, m.Sockets)
+	}
+	st.queues = st.queues[:m.Sockets]
+	st.heads = resize(st.heads, m.Sockets)
+	rr := 0
+	for i := range tasks {
+		st.heads[homeSocket(&tasks[i], m.Sockets, &rr)]++
+	}
+	for sock, n := range st.heads {
+		if cap(st.queues[sock]) < n {
+			st.queues[sock] = make([]queued, 0, n)
+		}
+		st.queues[sock] = st.queues[sock][:0]
+		st.heads[sock] = 0
+	}
+	rr = 0
+	for i := range tasks {
+		sock := homeSocket(&tasks[i], m.Sockets, &rr)
+		st.queues[sock] = append(st.queues[sock], queued{task: i})
+	}
+
+	st.parked = st.parked[:0]
+	st.rescued = st.rescued[:0]
+	st.costs = st.costs[:0]
+	st.rebalance()
+
+	st.h = st.h[:0]
+	for i := range st.workers {
+		if w := &st.workers[i]; !w.retired {
+			st.h = append(st.h, w)
+		}
+	}
+	heap.Init(&st.h)
+}
+
+// homeSocket is the queue task t starts in: its preferred socket, or for an
+// unpinned task socket *rr (advancing *rr), spreading those round-robin.
+func homeSocket(t *Task, sockets int, rr *int) int {
+	if t.Socket >= 0 && t.Socket < sockets {
+		return t.Socket
+	}
+	sock := *rr % sockets
+	*rr++
+	return sock
+}
+
+// release drops the run's references to caller data and returns st to the
+// pool.
+func (st *runState) release() {
+	clear(st.morsels)
+	clear(st.workers)
+	st.s, st.tasks = nil, nil
+	runPool.Put(st)
+}
+
+func (st *runState) remaining(sock int) int { return len(st.queues[sock]) - st.heads[sock] }
+
+func (st *runState) totalQueued() int {
+	n := 0
+	for sock := range st.queues {
+		n += st.remaining(sock)
+	}
+	return n
+}
+
+// redispatch returns morsels to the queues of sockets that still have live
+// workers, round-robin, so a retired worker's claims are never stranded.
+func (st *runState) redispatch(cts []queued) {
+	sockets := st.s.machine.Sockets
+	for _, ct := range cts {
+		sock := -1
+		for probe := 0; probe < sockets; probe++ {
+			cand := (st.redisRR + probe) % sockets
+			if st.liveOnSocket[cand] > 0 {
+				sock = cand
+				st.redisRR = cand + 1
+				break
+			}
+		}
+		if sock < 0 {
+			sock = st.tasks[ct.task].Socket // no live workers anywhere; the loop will abort
+			if sock < 0 || sock >= sockets {
+				sock = 0
+			}
+		}
+		st.queues[sock] = append(st.queues[sock], ct)
+		st.res.Redispatched++
+	}
+}
+
+// rebalance moves tasks queued on sockets that lost all their workers to
+// live sockets. Only needed without stealing — a stealing worker reaches
+// every queue anyway.
+func (st *runState) rebalance() {
+	if st.s.opts.Stealing {
+		return
+	}
+	for sock := range st.queues {
+		if st.liveOnSocket[sock] > 0 || st.remaining(sock) == 0 {
+			continue
+		}
+		stranded := st.queues[sock][st.heads[sock]:]
+		st.queues[sock] = st.queues[sock][:st.heads[sock]]
+		st.redispatch(stranded)
+	}
+}
+
+// unpark returns idle workers to the heap once re-dispatched work exists for
+// them.
+func (st *runState) unpark() {
+	keep := st.parked[:0]
+	for _, w := range st.parked {
+		if st.remaining(w.Socket) > 0 || (st.s.opts.Stealing && st.totalQueued() > 0) {
+			heap.Push(&st.h, w)
+		} else {
+			keep = append(keep, w)
+		}
+	}
+	st.parked = keep
+}
+
+// retire removes a worker mid-run and rescues its unfinished morsels.
+func (st *runState) retire(w *Worker, rescued []queued) {
+	w.retired = true
+	w.claimed = nil
+	st.liveOnSocket[w.Socket]--
+	st.alive--
+	st.redispatch(rescued)
+	st.rebalance()
+	st.unpark()
+}
+
+// medianPeerCost is the median per-morsel cost of the other live workers
+// that have completed at least one morsel — the reference a straggler is
+// measured against.
+func (st *runState) medianPeerCost(self *Worker) float64 {
+	costs := st.costs[:0]
+	for i := range st.workers {
+		w := &st.workers[i]
+		if w == self || w.retired || w.tasks == 0 {
+			continue
+		}
+		costs = append(costs, w.clock/float64(w.tasks))
+	}
+	st.costs = costs
+	if len(costs) == 0 {
+		return 0
+	}
+	sort.Float64s(costs)
+	return costs[len(costs)/2]
+}
+
 // Run executes all tasks and returns the schedule's result. Tasks with a
 // preferred socket go to that socket's queue; unpinned tasks are spread
 // round-robin. Execution order is deterministic. A task panic that the run
@@ -330,14 +579,35 @@ func (s *Scheduler) Run(tasks []Task) Result {
 // and captured stack; with it the panicking worker retires and its morsels
 // re-dispatch (see Options). Injected transient failures fail the run with
 // an errs.ErrTransient-wrapping error — retrying is the caller's policy.
+//
+// Task bodies run one at a time on the calling goroutine (see the package
+// documentation).
 func (s *Scheduler) RunContext(ctx context.Context, tasks []Task) (Result, error) {
-	m := s.machine
-	nw := s.opts.Workers
-	inj := s.opts.Inject
+	st := runPool.Get().(*runState)
+	defer st.release()
+	return st.run(ctx, s, tasks)
+}
+
+// RunMorsels runs Morsels(n, morselSize, site, fn) with the morsel size
+// snapped up to a multiple of align (at least one align unit) — the
+// vectorized scan hands out whole compression blocks, so no block is ever
+// split across workers; a non-positive align leaves the size as given. The
+// morsel list is built in the run's pooled state, so a warm run allocates
+// only its Result whatever the morsel count.
+func (s *Scheduler) RunMorsels(ctx context.Context, n, morselSize, align int, site string, fn func(start, end int, w *Worker)) (Result, error) {
+	st := runPool.Get().(*runState)
+	defer st.release()
+	st.morsels = appendMorsels(st.morsels[:0], n, morselRows(morselSize, align), site, fn)
+	return st.run(ctx, s, st.morsels)
+}
+
+// run executes one schedule of tasks on s.
+func (st *runState) run(ctx context.Context, s *Scheduler, tasks []Task) (Result, error) {
 	// sp is the trace span this schedule reports into (nil — a no-op — when
 	// the context carries none): fault events are annotated as they happen,
 	// and per-worker busy cycles are emitted as child spans at the end.
 	sp := trace.FromContext(ctx)
+	inj := s.opts.Inject
 	blockSize := s.opts.BlockSize
 	if blockSize <= 0 {
 		blockSize = 1
@@ -347,170 +617,8 @@ func (s *Scheduler) RunContext(ctx context.Context, tasks []Task) (Result, error
 		maxRetries = 2
 	}
 
-	// Place workers on sockets: fill sockets in order, as a pinned engine
-	// would.
-	workers := make([]*Worker, nw)
-	perSocket := make([]int, m.Sockets)
-	for i := 0; i < nw; i++ {
-		socket := i / m.CoresPerSocket
-		if socket >= m.Sockets {
-			socket = m.Sockets - 1
-		}
-		perSocket[socket]++
-		workers[i] = &Worker{ID: i, Socket: socket, machine: m, totalWorkers: nw, skew: 1, resv: s.opts.Mem}
-	}
-	for _, w := range workers {
-		ctx := hw.ExecContext{
-			ActiveCoresOnSocket: perSocket[w.Socket],
-			InterferenceFactor:  s.opts.Interference,
-		}
-		w.acct = hw.NewAccount(m, ctx)
-	}
-
-	res := Result{Workers: nw}
-
-	// Arm injected worker-level faults: straggler skew, then core loss. The
-	// run never loses its last surviving worker.
-	liveOnSocket := make([]int, m.Sockets)
-	alive := nw
-	for _, w := range workers {
-		liveOnSocket[w.Socket]++
-		if k := inj.WorkerSkew(w.ID); k > 1 {
-			w.skew = k
-		}
-	}
-	for _, w := range workers {
-		if alive > 1 && inj.LoseCore(w.ID) {
-			w.retired = true
-			liveOnSocket[w.Socket]--
-			alive--
-			res.CoresLost++
-			sp.Event("core " + strconv.Itoa(w.ID) + " lost at run start")
-		}
-	}
-
-	// Socket-local FIFO queues, each allocated once at its counted size.
-	place := func(visit func(sock int, t Task)) {
-		rr := 0
-		for _, t := range tasks {
-			sock := t.Socket
-			if sock < 0 || sock >= m.Sockets {
-				sock = rr % m.Sockets
-				rr++
-			}
-			visit(sock, t)
-		}
-	}
-	queued := make([]int, m.Sockets)
-	place(func(sock int, _ Task) { queued[sock]++ })
-	queues := make([][]claimedTask, m.Sockets)
-	for sock, n := range queued {
-		queues[sock] = make([]claimedTask, 0, n)
-	}
-	place(func(sock int, t Task) { queues[sock] = append(queues[sock], claimedTask{t: t}) })
-	heads := make([]int, m.Sockets)
-	remaining := func(sock int) int { return len(queues[sock]) - heads[sock] }
-	totalQueued := func() int {
-		n := 0
-		for sock := range queues {
-			n += remaining(sock)
-		}
-		return n
-	}
-
-	// redispatch returns morsels to the queues of sockets that still have
-	// live workers, round-robin, so a retired worker's claims are never
-	// stranded.
-	redisRR := 0
-	redispatch := func(cts []claimedTask) {
-		for _, ct := range cts {
-			sock := -1
-			for probe := 0; probe < m.Sockets; probe++ {
-				cand := (redisRR + probe) % m.Sockets
-				if liveOnSocket[cand] > 0 {
-					sock = cand
-					redisRR = cand + 1
-					break
-				}
-			}
-			if sock < 0 {
-				sock = ct.t.Socket // no live workers anywhere; the loop will abort
-				if sock < 0 || sock >= m.Sockets {
-					sock = 0
-				}
-			}
-			queues[sock] = append(queues[sock], ct)
-			res.Redispatched++
-		}
-	}
-	// rebalance moves tasks queued on sockets that lost all their workers to
-	// live sockets. Only needed without stealing — a stealing worker reaches
-	// every queue anyway.
-	rebalance := func() {
-		if s.opts.Stealing {
-			return
-		}
-		for sock := range queues {
-			if liveOnSocket[sock] > 0 || remaining(sock) == 0 {
-				continue
-			}
-			stranded := queues[sock][heads[sock]:]
-			queues[sock] = queues[sock][:heads[sock]]
-			redispatch(stranded)
-		}
-	}
-	rebalance()
-
-	h := workerHeap{}
-	for _, w := range workers {
-		if !w.retired {
-			h = append(h, w)
-		}
-	}
-	heap.Init(&h)
-	var parked []*Worker
-
-	// unpark returns idle workers to the heap once re-dispatched work exists
-	// for them.
-	unpark := func() {
-		keep := parked[:0]
-		for _, w := range parked {
-			if remaining(w.Socket) > 0 || (s.opts.Stealing && totalQueued() > 0) {
-				heap.Push(&h, w)
-			} else {
-				keep = append(keep, w)
-			}
-		}
-		parked = keep
-	}
-	// retire removes a worker mid-run and rescues its unfinished morsels.
-	retire := func(w *Worker, rescued []claimedTask) {
-		w.retired = true
-		w.claimed = nil
-		liveOnSocket[w.Socket]--
-		alive--
-		redispatch(rescued)
-		rebalance()
-		unpark()
-	}
-	// medianPeerCost is the median per-morsel cost of the other live workers
-	// that have completed at least one morsel — the reference a straggler is
-	// measured against.
-	medianPeerCost := func(self *Worker) float64 {
-		var costs []float64
-		for _, w := range workers {
-			if w == self || w.retired || w.tasks == 0 {
-				continue
-			}
-			costs = append(costs, w.clock/float64(w.tasks))
-		}
-		if len(costs) == 0 {
-			return 0
-		}
-		sort.Float64s(costs)
-		return costs[len(costs)/2]
-	}
-
+	st.reset(s, tasks, sp)
+	res := &st.res
 	pendingTasks := len(tasks)
 	var runErr error
 
@@ -519,87 +627,90 @@ func (s *Scheduler) RunContext(ctx context.Context, tasks []Task) (Result, error
 			runErr = fmt.Errorf("sched: run aborted after %d of %d tasks: %w", res.TasksRun, len(tasks), err)
 			break
 		}
-		if h.Len() == 0 {
+		if st.h.Len() == 0 {
 			// Everyone is parked or retired. Parked workers wake only when
 			// work reappears; if none can, the tasks are unreachable.
-			unpark()
-			if h.Len() == 0 {
+			st.unpark()
+			if st.h.Len() == 0 {
 				runErr = fmt.Errorf("sched: %d morsels stranded with no live worker: %w", pendingTasks, errs.ErrWorkerPanic)
 				break
 			}
 			continue
 		}
-		w := heap.Pop(&h).(*Worker)
+		w := heap.Pop(&st.h).(*Worker)
 		if len(w.claimed) == 0 {
 			// Claim a block from the local queue; otherwise steal from the
 			// fullest queue.
 			sock := w.Socket
-			if remaining(sock) == 0 {
+			if st.remaining(sock) == 0 {
 				if !s.opts.Stealing {
-					parked = append(parked, w)
+					st.parked = append(st.parked, w)
 					continue
 				}
 				best, bestLeft := -1, 0
-				for qs := range queues {
-					if left := remaining(qs); left > bestLeft {
+				for qs := range st.queues {
+					if left := st.remaining(qs); left > bestLeft {
 						best, bestLeft = qs, left
 					}
 				}
 				if best == -1 {
-					parked = append(parked, w)
+					st.parked = append(st.parked, w)
 					continue
 				}
 				sock = best
 			}
 			n := blockSize
-			if left := remaining(sock); n > left {
+			if left := st.remaining(sock); n > left {
 				n = left
 			}
 			// The claim is a window onto the queue, not a copy: entries
 			// below a queue's head are never written again.
-			w.claimed = queues[sock][heads[sock] : heads[sock]+n : heads[sock]+n]
-			heads[sock] += n
+			head := st.heads[sock]
+			w.claimed = st.queues[sock][head : head+n : head+n]
+			st.heads[sock] += n
 			if sock != w.Socket {
 				res.Steals += n
 			}
 		}
 		ct := w.claimed[0]
 		w.claimed = w.claimed[1:]
-		site := ct.t.Site
+		t := &tasks[ct.task]
+		site := t.Site
 		if site == "" {
-			site = ct.t.label()
+			site = t.label()
 		}
 
 		// Injected transient failure: the morsel boundary is the failure
 		// point, so nothing partial happened — fail the run and let the
 		// caller's retry policy decide.
 		if err := inj.TaskError(site, w.ID); err != nil {
-			sp.Annotate("transient fault in %s on worker %d", ct.t.label(), w.ID)
-			runErr = fmt.Errorf("sched: task %s failed: %w", ct.t.label(), err)
+			sp.Annotate("transient fault in %s on worker %d", t.label(), w.ID)
+			runErr = fmt.Errorf("sched: task %s failed: %w", t.label(), err)
 			break
 		}
 
 		before := w.clock
-		if pval, stack := runTask(ct.t, w, inj, site); pval != nil {
+		if pval, stack := runTask(t, w, inj, site); pval != nil {
 			res.Panics++
 			if !s.opts.IsolatePanics {
-				sp.Annotate("panic on worker %d in %s (run failed)", w.ID, ct.t.label())
-				runErr = fmt.Errorf("sched: worker %d panicked in task %s: %v: %w\n%s", w.ID, ct.t.label(), pval, errs.ErrWorkerPanic, stack)
+				sp.Annotate("panic on worker %d in %s (run failed)", w.ID, t.label())
+				runErr = fmt.Errorf("sched: worker %d panicked in task %s: %v: %w\n%s", w.ID, t.label(), pval, errs.ErrWorkerPanic, stack)
 				break
 			}
 			ct.attempts++
 			if ct.attempts > maxRetries {
-				sp.Annotate("task %s panicked on %d workers, giving up", ct.t.label(), ct.attempts)
+				sp.Annotate("task %s panicked on %d workers, giving up", t.label(), ct.attempts)
 				runErr = fmt.Errorf("sched: task %s panicked on %d workers, giving up (last: worker %d, %v): %w\n%s",
-					ct.t.label(), ct.attempts, w.ID, pval, errs.ErrWorkerPanic, stack)
+					t.label(), ct.attempts, w.ID, pval, errs.ErrWorkerPanic, stack)
 				break
 			}
 			res.TaskRetries++
-			sp.Event("worker " + strconv.Itoa(w.ID) + " retired after panic in " + ct.t.label() + "; " + strconv.Itoa(1+len(w.claimed)) + " morsels re-dispatched")
+			sp.Event("worker " + strconv.Itoa(w.ID) + " retired after panic in " + t.label() + "; " + strconv.Itoa(1+len(w.claimed)) + " morsels re-dispatched")
 			// The core is poisoned: retire it and move the panicked morsel
 			// plus everything it still held to healthy workers. Cycles spent
 			// before the panic stay on its clock — wasted work is real work.
-			retire(w, append([]claimedTask{ct}, w.claimed...))
+			st.rescued = append(append(st.rescued[:0], ct), w.claimed...)
+			st.retire(w, st.rescued)
 			continue
 		}
 		if w.clock < before {
@@ -613,32 +724,35 @@ func (s *Scheduler) RunContext(ctx context.Context, tasks []Task) (Result, error
 		// Straggler detection: a worker paying far more per morsel than its
 		// peers is retired while there is still work to protect, and its
 		// claimed block re-dispatches.
-		if t := s.opts.StragglerThreshold; t > 0 && pendingTasks > 0 && alive > 1 {
-			if med := medianPeerCost(w); med > 0 && w.clock/float64(w.tasks) > t*med {
+		if thr := s.opts.StragglerThreshold; thr > 0 && pendingTasks > 0 && st.alive > 1 {
+			if med := st.medianPeerCost(w); med > 0 && w.clock/float64(w.tasks) > thr*med {
 				res.StragglersRetired++
 				sp.Event("worker " + strconv.Itoa(w.ID) + " retired as straggler (" +
 					strconv.FormatFloat(w.clock/float64(w.tasks)/med, 'f', 1, 64) + "x median peer cost); " +
 					strconv.Itoa(len(w.claimed)) + " morsels re-dispatched")
-				retire(w, w.claimed)
+				st.retire(w, w.claimed)
 				continue
 			}
 		}
-		heap.Push(&h, w)
+		heap.Push(&st.h, w)
 	}
 
-	res.PerWorker = make([]float64, nw)
-	for i, w := range workers {
-		res.PerWorker[i] = w.clock
-		res.TotalCycles += w.clock
-		if w.clock > res.MakespanCycles {
-			res.MakespanCycles = w.clock
+	out := *res
+	out.PerWorker = make([]float64, len(st.workers))
+	for i := range st.workers {
+		w := &st.workers[i]
+		out.PerWorker[i] = w.clock
+		out.TotalCycles += w.clock
+		if w.clock > out.MakespanCycles {
+			out.MakespanCycles = w.clock
 		}
 	}
 	if sp != nil {
 		// Per-worker morsel spans: each worker's busy cycles and morsel
 		// count, with retirement visible, so a span tree attributes the
 		// schedule's cost core by core.
-		for _, w := range workers {
+		for i := range st.workers {
+			w := &st.workers[i]
 			if w.tasks == 0 && w.clock == 0 {
 				continue
 			}
@@ -651,16 +765,16 @@ func (s *Scheduler) RunContext(ctx context.Context, tasks []Task) (Result, error
 			}
 			ws.End()
 		}
-		sp.SetAttr("steals", strconv.Itoa(res.Steals))
+		sp.SetAttr("steals", strconv.Itoa(out.Steals))
 	}
-	return res, runErr
+	return out, runErr
 }
 
 // runTask executes one task with panic isolation: a panic (injected or real)
 // is recovered and returned with the captured stack instead of unwinding
 // into the scheduler. Injected panics fire before the body, so a re-executed
 // morsel never double-applies effects.
-func runTask(t Task, w *Worker, inj *fault.Injector, site string) (pval any, stack []byte) {
+func runTask(t *Task, w *Worker, inj *fault.Injector, site string) (pval any, stack []byte) {
 	defer func() {
 		if r := recover(); r != nil {
 			pval = r
@@ -670,58 +784,46 @@ func runTask(t Task, w *Worker, inj *fault.Injector, site string) (pval any, sta
 	if inj.ShouldPanic(site, w.ID) {
 		panic(fmt.Sprintf("fault: injected panic at %s", site))
 	}
-	t.Run(w)
+	if t.morsel != nil {
+		t.morsel(t.lo, t.hi, w)
+	} else {
+		t.Run(w)
+	}
 	return nil, nil
 }
 
-// Morsels splits n items into tasks of at most morselSize items each,
-// calling fn(start, end, worker) for each morsel. Morsels are unpinned;
-// pass them through PinRoundRobin to spread them over sockets explicitly.
+// Morsels splits n items into tasks of at most morselSize items each
+// (default 1<<14), calling fn(start, end, worker) for each morsel. Morsels
+// are unpinned: the scheduler spreads them over sockets round-robin. Every
+// morsel shares fn, so the task slice is the only allocation.
 func Morsels(n, morselSize int, name string, fn func(start, end int, w *Worker)) []Task {
-	if morselSize <= 0 {
-		morselSize = 1 << 14
-	}
 	if n <= 0 {
 		return nil
 	}
-	tasks := make([]Task, 0, (n+morselSize-1)/morselSize)
-	for start := 0; start < n; start += morselSize {
-		end := start + morselSize
-		if end > n {
-			end = n
-		}
-		s, e := start, end
-		tasks = append(tasks, Task{
-			Site:   name,
-			Socket: -1,
-			Run:    func(w *Worker) { fn(s, e, w) },
-			lo:     s,
-			hi:     e,
-		})
-	}
-	return tasks
+	size := morselRows(morselSize, 0)
+	return appendMorsels(make([]Task, 0, (n+size-1)/size), n, size, name, fn)
 }
 
-// MorselsAligned is Morsels with the morsel size snapped to a multiple of
-// align (at least one align unit): the vectorized scan path hands out
-// morsels in whole compression blocks so no block is ever split across
-// workers. A non-positive align degenerates to Morsels.
-func MorselsAligned(n, morselSize, align int, name string, fn func(start, end int, w *Worker)) []Task {
+// morselRows is the morsel size Morsels and RunMorsels cut with: size
+// (default 1<<14), snapped up to a multiple of align when align is positive.
+func morselRows(size, align int) int {
+	if size <= 0 {
+		size = 1 << 14
+	}
 	if align > 0 {
-		if morselSize < align {
-			morselSize = align
-		} else if rem := morselSize % align; rem != 0 {
-			morselSize += align - rem
+		if size < align {
+			size = align
+		} else if rem := size % align; rem != 0 {
+			size += align - rem
 		}
 	}
-	return Morsels(n, morselSize, name, fn)
+	return size
 }
 
-// PinRoundRobin assigns preferred sockets to tasks round-robin over the
-// machine's sockets, modelling NUMA-partitioned input.
-func PinRoundRobin(tasks []Task, m *hw.Machine) []Task {
-	for i := range tasks {
-		tasks[i].Socket = i % m.Sockets
+// appendMorsels appends the morsels of n items of size items each to dst.
+func appendMorsels(dst []Task, n, size int, site string, fn func(start, end int, w *Worker)) []Task {
+	for start := 0; start < n; start += size {
+		dst = append(dst, Task{Site: site, Socket: -1, lo: start, hi: min(start+size, n), morsel: fn})
 	}
-	return tasks
+	return dst
 }

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"hwstar/internal/hw"
+	"hwstar/internal/mem"
 )
 
 func fixedTask(cycles float64) Task {
@@ -167,18 +168,21 @@ func TestInterferenceSlowsRun(t *testing.T) {
 
 func TestWorkerAccessors(t *testing.T) {
 	m := hw.Laptop()
-	s, _ := New(m, Options{Workers: 2})
-	var sawMachine, sawCtx bool
+	resv, err := mem.NewGovernor(mem.Config{BudgetBytes: 1 << 20}).Reserve(1 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := New(m, Options{Workers: 2, Mem: resv})
+	var sawTotal, sawMem bool
 	tasks := []Task{{Socket: -1, Run: func(w *Worker) {
-		sawMachine = w.Machine() == m
-		sawCtx = w.Context().ActiveCoresOnSocket == 2
+		sawTotal = w.TotalWorkers() == 2
+		sawMem = w.Mem() == resv
 		w.AdvanceCycles(1)
-		if w.Clock() != 1 {
-			t.Errorf("clock = %f", w.Clock())
-		}
 	}}}
-	s.Run(tasks)
-	if !sawMachine || !sawCtx {
+	if res := s.Run(tasks); res.MakespanCycles != 1 {
+		t.Fatalf("makespan = %f, want the 1 cycle advanced", res.MakespanCycles)
+	}
+	if !sawTotal || !sawMem {
 		t.Fatal("worker accessors wrong")
 	}
 }
@@ -222,14 +226,15 @@ func TestMorsels(t *testing.T) {
 }
 
 // TestMorselsAllocs: building a request's morsels allocates the task slice
-// once and one closure per morsel, and no name.
+// and nothing else — every morsel shares fn, so there is no closure per
+// morsel, and no name.
 func TestMorselsAllocs(t *testing.T) {
 	const morsels = 64
 	got := testing.AllocsPerRun(10, func() {
 		Morsels(morsels<<14, 1<<14, "scan", func(start, end int, w *Worker) {})
 	})
-	if got > morsels+1 {
-		t.Fatalf("Morsels made %.0f allocations for %d morsels, want at most %d", got, morsels, morsels+1)
+	if got > 1 {
+		t.Fatalf("Morsels made %.0f allocations for %d morsels, want 1", got, morsels)
 	}
 }
 
@@ -251,18 +256,28 @@ func BenchmarkMorsels(b *testing.B) {
 	}
 }
 
-func TestMorselsAligned(t *testing.T) {
+func TestRunMorselsAligned(t *testing.T) {
+	m := hw.Laptop()
+	s, _ := New(m, Options{Workers: 1})
+	count := func(n, size, align int) int {
+		res, err := s.RunMorsels(context.Background(), n, size, align, "vec", func(start, end int, w *Worker) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.TasksRun
+	}
 	// Size 1000 with align 1024 snaps up to one block per morsel.
-	tasks := MorselsAligned(4096, 1000, 1024, "vec", func(s, e int, w *Worker) {})
-	if len(tasks) != 4 {
-		t.Fatalf("snapped-up tasks = %d, want 4", len(tasks))
+	if n := count(4096, 1000, 1024); n != 4 {
+		t.Fatalf("snapped-up morsels = %d, want 4", n)
+	}
+	// Zero align leaves the size as given.
+	if n := count(10, 3, 0); n != 4 {
+		t.Fatalf("align 0 morsels = %d, want 4", n)
 	}
 	// Size 1500 snaps to 2048; boundaries must all be multiples of 1024
 	// except the final end.
-	m := hw.Laptop()
-	s, _ := New(m, Options{Workers: 1})
 	got := 0
-	run := MorselsAligned(5000, 1500, 1024, "vec2", func(start, end int, w *Worker) {
+	_, err := s.RunMorsels(context.Background(), 5000, 1500, 1024, "vec2", func(start, end int, w *Worker) {
 		if start%1024 != 0 {
 			t.Errorf("morsel start %d not block-aligned", start)
 		}
@@ -271,13 +286,11 @@ func TestMorselsAligned(t *testing.T) {
 		}
 		got += end - start
 	})
-	s.Run(run)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got != 5000 {
 		t.Fatalf("covered %d rows, want 5000", got)
-	}
-	// Zero align degenerates to plain Morsels.
-	if n := len(MorselsAligned(10, 3, 0, "x", func(s, e int, w *Worker) {})); n != 4 {
-		t.Fatalf("align 0 tasks = %d, want 4", n)
 	}
 }
 
@@ -285,20 +298,6 @@ func TestMorselsDefaultSize(t *testing.T) {
 	tasks := Morsels(100, 0, "x", func(s, e int, w *Worker) {})
 	if len(tasks) != 1 {
 		t.Fatalf("default morsel size should cover 100 items in one task, got %d", len(tasks))
-	}
-}
-
-func TestPinRoundRobin(t *testing.T) {
-	m := hw.NUMA4S()
-	tasks := make([]Task, 10)
-	for i := range tasks {
-		tasks[i] = fixedTask(1)
-	}
-	PinRoundRobin(tasks, m)
-	for i, task := range tasks {
-		if task.Socket != i%4 {
-			t.Fatalf("task %d pinned to %d", i, task.Socket)
-		}
 	}
 }
 

@@ -14,7 +14,6 @@ package serve
 import (
 	"context"
 	"strconv"
-	"sync/atomic"
 
 	"hwstar/internal/compress"
 	"hwstar/internal/hw"
@@ -82,13 +81,35 @@ func (vt *vecTable) ratio() float64 {
 	return float64(raw) / float64(comp)
 }
 
-// vecPassStats aggregates one pass's block outcomes across tasks. Tasks
-// fold their local counts in once at morsel end — no atomics in the block
-// loop.
-type vecPassStats struct {
-	pruned   atomic.Int64 // zone map missed the predicate: header-only
-	fastSums atomic.Int64 // zone map proved a full match: O(1) fold
-	scanned  atomic.Int64 // payload decoded and filtered
+// vecPass is one shared pass's state: the batch, one accumulator row of
+// per-query sums, one scratch row the running morsel fills, and the block
+// outcome counts. Task bodies run one at a time on the goroutine that called
+// RunMorsels (the sched package contract), so morsels update it without
+// synchronisation.
+type vecPass struct {
+	vt      *vecTable
+	queries []scan.Query
+	acc     []int64
+	row     []int64
+
+	pruned   int64 // zone map missed the predicate: header-only
+	fastSums int64 // zone map proved a full match: O(1) fold
+	scanned  int64 // payload decoded and filtered
+}
+
+// morsel is the pass's task body. It clears the scratch row on entry and
+// folds it into the pass as its last statement, so a morsel that panics
+// part-way and re-runs under IsolatePanics has folded nothing: each morsel
+// counts exactly once.
+func (p *vecPass) morsel(start, end int, w *sched.Worker) {
+	clear(p.row)
+	pruned, fastSums, scanned := vecScanMorsel(p.vt, p.queries, start, end, w, p.row)
+	p.pruned += pruned
+	p.fastSums += fastSums
+	p.scanned += scanned
+	for i, v := range p.row {
+		p.acc[i] += v
+	}
 }
 
 // vecSharedScan runs the query batch against vt, sharing the pass
@@ -96,57 +117,45 @@ type vecPassStats struct {
 // split into block-aligned morsels, and each morsel task streams its blocks
 // once for the WHOLE batch — a straddling block is decoded at most once per
 // pass and every query evaluates it while it is cache-hot. Results are
-// exact — identical to scan.Shared.
+// exact — identical to scan.Shared. The pass allocates its accumulator and
+// scratch row once, whatever the number of morsels.
 func (s *Server) vecSharedScan(ctx context.Context, vt *vecTable, queries []scan.Query, sch *sched.Scheduler) ([]int64, sched.Result, error) {
-	out := make([]int64, len(queries))
-	if len(queries) == 0 || vt.rows == 0 {
-		return out, sched.Result{}, nil
+	n := len(queries)
+	if n == 0 || vt.rows == 0 {
+		return make([]int64, n), sched.Result{}, nil
 	}
-	partials := make([][]int64, (vt.rows+vecMorselRows-1)/vecMorselRows)
-	var stats vecPassStats
-
-	tasks := sched.MorselsAligned(vt.rows, vecMorselRows, compress.BlockValues, "vec-scan",
-		func(start, end int, w *sched.Worker) {
-			partials[start/vecMorselRows] = vecScanMorsel(vt, queries, start, end, w, &stats)
-		})
+	sums := make([]int64, 2*n)
+	p := &vecPass{vt: vt, queries: queries, acc: sums[:n:n], row: sums[n:]}
 
 	ps := trace.FromContext(ctx).Child("vec-scan")
-	ps.SetAttr("queries", strconv.Itoa(len(queries)))
-	schedRes, err := sch.RunContext(trace.NewContext(ctx, ps), tasks)
+	ps.SetAttr("queries", strconv.Itoa(n))
+	schedRes, err := sch.RunMorsels(trace.NewContext(ctx, ps), vt.rows, vecMorselRows, compress.BlockValues, "vec-scan", p.morsel)
 	ps.AddCycles(schedRes.MakespanCycles)
 	ps.End()
 
-	s.reg.Counter("serve.vec_blocks_pruned").Add(stats.pruned.Load())
-	s.reg.Counter("serve.vec_block_fast_sums").Add(stats.fastSums.Load())
-	s.reg.Counter("serve.vec_blocks_scanned").Add(stats.scanned.Load())
+	s.reg.Counter("serve.vec_blocks_pruned").Add(p.pruned)
+	s.reg.Counter("serve.vec_block_fast_sums").Add(p.fastSums)
+	s.reg.Counter("serve.vec_blocks_scanned").Add(p.scanned)
 	if err != nil {
 		return nil, schedRes, err
 	}
-
-	for _, p := range partials {
-		for i, v := range p {
-			out[i] += v
-		}
-	}
-
 	s.reg.Counter("serve.vec_passes").Inc()
-	return out, schedRes, nil
+	return p.acc, schedRes, nil
 }
 
 // vecScanMorsel evaluates the whole query batch over one block-aligned
-// morsel, returning per-query partial sums. The loop is block-major: each
-// block's zone map is consulted for every query, and a block that any query
-// straddles is decoded at most once per column for the entire batch — every
-// straddling query filters it while it is L1-resident. The inner loop is
+// morsel, adding per-query partial sums into out and returning the block
+// outcome counts. The loop is block-major: each block's zone map is
+// consulted for every query, and a block that any query straddles is decoded
+// at most once per column for the entire batch — every straddling query
+// filters it while it is L1-resident. The inner loop is
 // allocation-free: the decode buffers and selection vector live on the stack
 // and are reused across blocks, and all hardware cost is accumulated into
 // one Work charged at morsel end.
-func vecScanMorsel(vt *vecTable, queries []scan.Query, start, end int, w *sched.Worker, stats *vecPassStats) []int64 {
-	out := make([]int64, len(queries))
+func vecScanMorsel(vt *vecTable, queries []scan.Query, start, end int, w *sched.Worker, out []int64) (pruned, fastSums, scannedBlocks int64) {
 	var fbuf, abuf [compress.BlockValues]int64
 	sel := make(vecexec.Sel, 0, compress.BlockValues)
 
-	var pruned, fastSums, scannedBlocks int64
 	var zoneChecks, decodedTuples, evalTuples, gatherTuples int64
 	var hdrBytes, payloadBytes int64
 
@@ -215,9 +224,5 @@ func vecScanMorsel(vt *vecTable, queries []scan.Query, start, end int, w *sched.
 		RandomWS:     vecBatchWidth * 64,
 	})
 	w.AdvanceCycles(vecDispatchCycles)
-
-	stats.pruned.Add(pruned)
-	stats.fastSums.Add(fastSums)
-	stats.scanned.Add(scannedBlocks)
-	return out
+	return pruned, fastSums, scannedBlocks
 }

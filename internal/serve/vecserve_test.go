@@ -4,9 +4,12 @@ import (
 	"context"
 	"math"
 	"strconv"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hwstar/internal/compress"
+	"hwstar/internal/fault"
 	"hwstar/internal/scan"
 	"hwstar/internal/store"
 	"hwstar/internal/workload"
@@ -89,12 +92,22 @@ func scanCases(cols [][]int64) []scan.Query {
 // concurrent batch per generated relation, answered by the server's
 // block-major compressed pass, must equal scan.Shared — the row-at-a-time
 // reference — query by query. Row counts sit on and around the block
-// (1024) and morsel (8192) boundaries. The batch runs twice: on the server
-// that encoded the relation, and on a server restarted from its store, which
-// serves the blocks it read from the segment without re-encoding them.
+// (1024) and morsel (8192) boundaries. The batch runs three times: on the
+// server that encoded the relation, on a server restarted from its store,
+// which serves the blocks it read from the segment without re-encoding them,
+// and on a server under E20's fault mix, where morsels re-run after panics
+// and passes re-run after transients and must still fold each row once.
 func TestScanMatchesSharedReference(t *testing.T) {
 	rowCounts := []int{1, compress.BlockValues - 1, compress.BlockValues, compress.BlockValues + 1,
 		vecMorselRows + 3*compress.BlockValues + 17, 3 * vecMorselRows}
+	// The fault phase must not pass vacuously: across all relations the mix
+	// has to have fired both an isolated panic and a retried transient.
+	var panics, transients atomic.Int64
+	t.Cleanup(func() {
+		if panics.Load() == 0 || transients.Load() == 0 {
+			t.Errorf("the fault mix injected %d panics and %d transients, want some of each", panics.Load(), transients.Load())
+		}
+	})
 	for _, shape := range scanShapes {
 		for _, rows := range rowCounts {
 			shape, rows := shape, rows
@@ -133,8 +146,43 @@ func TestScanMatchesSharedReference(t *testing.T) {
 					t.Fatalf("restart replayed %d tables, want 1", got)
 				}
 				checkSharedBatch(t, s, qs, want)
+
+				fs := newServer(t, e20Resilient(int64(rows), len(qs)))
+				defer fs.Close()
+				if err := fs.Register("t", cols); err != nil {
+					t.Fatal(err)
+				}
+				checkSharedBatch(t, fs, qs, want)
+				h := fs.Health()
+				panics.Add(h.Faults["panic"])
+				transients.Add(h.Faults["transient"])
 			})
 		}
+	}
+}
+
+// e20Resilient is E20's resilient server (panic isolation, straggler
+// retirement, three retries, block claiming over eight workers) sized for a
+// batch of batch scans, with E20's fault classes — its straggler rate, but
+// forty and ten times its panic and transient rates, so that a pass of one
+// to three morsels meets them.
+func e20Resilient(seed int64, batch int) Options {
+	return Options{
+		QueueDepth:         batch,
+		MaxBatch:           batch,
+		Workers:            8,
+		SchedBlockSize:     8,
+		MaxRetries:         3,
+		RetryBackoff:       50 * time.Microsecond,
+		IsolatePanics:      true,
+		StragglerThreshold: 3,
+		Faults: fault.New(fault.Config{
+			Seed:          seed,
+			PanicProb:     0.2,
+			TransientProb: 0.05,
+			StragglerProb: 0.10,
+			StragglerSkew: 8,
+		}),
 	}
 }
 
