@@ -65,9 +65,11 @@ race-core:
 # analyzers, run the whole suite once without the race detector (the pooled
 # allocation pins — agg, join, sched, serve — skip under -race, where
 # sync.Pool drops Puts on purpose) and once under it (core concurrency
-# packages uncached). The modeled-cycle golden runs ten times more: what can
-# move its digits is the host's scheduling (a pass placed on cores a finished
-# request has not returned yet), which one run rarely shows.
+# packages uncached). The modeled-cycle golden runs ten times more: it guards
+# serve's drain-releases-first rule (the dispatch loop steps every release an
+# executor sent before it steps the next arrival or idle, so a pass never
+# starts short of cores a finished request already returned), which one run
+# rarely tests.
 check:
 	$(GO) build ./...
 	$(MAKE) lint
@@ -85,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAppendResponse -fuzztime=10s ./internal/frontend/v1
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalColumn -fuzztime=10s ./internal/compress
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSegment -fuzztime=10s ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzDispatch -fuzztime=10s ./internal/serve
 
 bench:
 	$(GO) test -bench=BenchmarkE -benchtime=1x .

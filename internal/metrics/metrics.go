@@ -185,18 +185,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.vals[lo]*(1-frac) + h.vals[hi]*frac
 }
 
-// Reset discards all samples.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	h.vals = h.vals[:0]
-	h.count = 0
-	h.sum = 0
-	h.minV = 0
-	h.maxV = 0
-	h.sorted = false
-	h.mu.Unlock()
-}
-
 // Summary returns a compact single-line description with count, mean, and
 // common tail percentiles, suitable for experiment logs.
 func (h *Histogram) Summary() string {

@@ -109,15 +109,6 @@ func TestHistogramRecordAfterQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram(4)
-	h.Record(9)
-	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("reset did not clear histogram")
-	}
-}
-
 // Property: quantiles are monotone in q and bounded by [min, max].
 func TestHistogramQuantileMonotoneProperty(t *testing.T) {
 	f := func(raw []float64, qa, qb float64) bool {

@@ -28,11 +28,7 @@ func pinnedPass(t *testing.T, s *Server, table string) (release func()) {
 		_, err := s.Submit(context.Background(), scanOf(table, 0, 100))
 		done <- err
 	}()
-	waitFor(t, func() bool {
-		s.cores.mu.Lock()
-		defer s.cores.mu.Unlock()
-		return s.cores.free == 0
-	}, "the pinned pass never took the cores")
+	waitFor(t, func() bool { return s.coresFree.Value() == 0 }, "the pinned pass never took the cores")
 	return func() {
 		unpin()
 		if err := <-done; err != nil {

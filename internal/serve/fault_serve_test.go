@@ -148,12 +148,8 @@ func TestBreakerTripsShedsAndRecovers(t *testing.T) {
 	// spent, so it succeeds) — and its success closes the breaker. The pass
 	// is held after it has taken its core tokens to read the budget off the
 	// pool: Workers/4 = 2 of 8.
-	freeCores := func() int {
-		s.cores.mu.Lock()
-		defer s.cores.mu.Unlock()
-		return s.cores.free
-	}
-	// The failed group-sums answer before their executors hand cores back.
+	freeCores := s.coresFree.Value
+	// The dispatcher steps the failed group-sums' releases after they answer.
 	waitFor(t, func() bool { return freeCores() == 8 }, "failed operations never released their cores")
 	hold := make(chan struct{})
 	s.testHold = hold

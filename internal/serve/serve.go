@@ -14,6 +14,12 @@
 //   - join/aggregate/query requests flow through the morsel scheduler under a
 //     per-server simulated-core budget, so concurrent operations cannot
 //     oversubscribe the machine;
+//   - what starts, and on how many cores, is decided by one dispatcher
+//     (dispatch.go): a pure step function over plain core counts, with the
+//     batching, batch-cap and interactive-reserve rules as its table rows.
+//     The loop around it (Server.dispatch) is the only code that touches the
+//     lanes and starts executors, and it steps every core release already
+//     sent before the next arrival or idle step;
 //   - every request carries a context.Context honoured end to end: expired
 //     deadlines are rejected before execution, and in-flight work stops at
 //     the next morsel boundary;
@@ -395,7 +401,10 @@ type Server struct {
 	// head-of-line latency on interactive requests.
 	intake   chan *pending
 	intakeLo chan *pending
-	cores    *coreSem // priority-aware simulated-core token pool
+	// released carries executors' core releases to the dispatcher. Buffered
+	// to Workers: every running unit holds a core, so a send never blocks.
+	released  chan event
+	coresFree *metrics.Gauge // serve.cores_free, set after every step
 
 	// brk is the circuit breaker (nil when disabled); rng feeds backoff
 	// jitter deterministically.
@@ -468,10 +477,12 @@ func New(m *hw.Machine, opts Options) (*Server, error) {
 		reg:      metrics.NewRegistry(),
 		intake:   make(chan *pending, opts.QueueDepth),
 		intakeLo: make(chan *pending, opts.QueueDepth),
-		cores:    newCoreSem(opts.Workers, opts.Workers-opts.InteractiveReserve),
+		released: make(chan event, opts.Workers),
 		tables:   make(map[string]*vecTable),
 		rng:      rand.New(rand.NewSource(seed)),
 	}
+	s.coresFree = s.reg.Gauge("serve.cores_free")
+	s.coresFree.Set(int64(opts.Workers))
 	if opts.BreakerThreshold > 0 {
 		s.brk = breaker.New(opts.BreakerThreshold, opts.BreakerCooldown)
 	}
@@ -898,76 +909,6 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// coreSem is the server's simulated-core token pool. Unlike the plain
-// channel semaphore it replaced, it is priority-aware: interactive
-// acquisitions may take every token, while batch-class work is capped so it
-// never holds more than batchCap tokens in total — the InteractiveReserve
-// tokens always stay reachable for interactive requests. Acquisition is
-// atomic (all tokens or none, under one lock), so concurrent acquirers
-// cannot deadlock on partial holds.
-type coreSem struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	free      int
-	batchCap  int // max tokens batch-class work may hold in total
-	batchHeld int
-
-	// freed is a capacity-1 wakeup the dispatcher selects on while batch
-	// work is parked waiting for tokens: every release pokes it, so parked
-	// work is re-tried as soon as cores come back.
-	freed chan struct{}
-}
-
-func newCoreSem(total, batchCap int) *coreSem {
-	c := &coreSem{free: total, batchCap: batchCap, freed: make(chan struct{}, 1)}
-	c.cond = sync.NewCond(&c.mu)
-	return c
-}
-
-// acquire takes every free token up to hi once at least lo can be had, and
-// returns the count. Interactive work asks for [reserve, want]: it starts on
-// the reserved cores at once and widens opportunistically rather than wait for
-// batch holds to drain, so only interactive work ahead of it delays it. Batch
-// work (lo == hi) also stays within batchCap. block false: 0 if lo is not free.
-func (c *coreSem) acquire(lo, hi int, batchClass, block bool) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		n := min(c.free, hi)
-		if batchClass {
-			n = min(n, c.batchCap-c.batchHeld)
-		}
-		if n >= lo {
-			c.free -= n
-			if batchClass {
-				c.batchHeld += n
-			}
-			return n
-		}
-		if !block {
-			return 0
-		}
-		c.cond.Wait()
-	}
-}
-
-// release returns n tokens, shrinking the batch hold when the releaser ran
-// as batch class, and wakes both blocking waiters and the dispatcher's
-// parked-work loop.
-func (c *coreSem) release(n int, batchClass bool) {
-	c.mu.Lock()
-	c.free += n
-	if batchClass {
-		c.batchHeld -= n
-	}
-	c.mu.Unlock()
-	c.cond.Broadcast()
-	select {
-	case c.freed <- struct{}{}:
-	default:
-	}
-}
-
 // newSched builds one scheduler for one operation, carrying the server's
 // fault injector, resilience policy, and the request's memory reservation.
 func (s *Server) newSched(workers int, resv *mem.Reservation) (*sched.Scheduler, error) {
@@ -1075,224 +1016,142 @@ func (s *Server) recordPhases(phases []sched.Result, opErr error) {
 
 // batch is the scan batch under collection: requests against one table
 // that will share a single block-major pass. workers is the simulated-core
-// budget reserved for it — the full budget normally, the degraded budget
-// while the breaker is open, the batch-capped budget when every member is
-// batch-class (lo).
+// budget the dispatcher counted out for it; degraded records that the
+// breaker was open when it was placed; lo that every member is batch-class.
 type batch struct {
-	table   string
-	vt      *vecTable
-	reqs    []*pending
-	workers int
-	lo      bool // every member is batch-priority
+	table    string
+	vt       *vecTable
+	reqs     []*pending
+	workers  int
+	lo       bool
+	degraded bool
 }
 
-// parkedWork is batch-class work the dispatcher could not place immediately:
-// one non-scan operation (p) or one all-batch scan pass (b). Parked work
-// waits, FIFO, for the core pool's freed signal. While anything is parked
-// the batch lane is not consumed, so its bounded channel stays the only
-// buffer and ErrOverloaded keeps meaning "the machine is behind" for batch
-// traffic too.
-type parkedWork struct {
-	p       *pending
-	b       *batch
-	workers int
-}
-
-// dispatch is the server's single intake consumer: it collects scan requests
-// into batches and hands every unit of execution to a goroutine only after
-// reserving its simulated cores. Interactive work is dispatched with a
-// blocking reservation — while the dispatcher waits, the interactive lane is
-// the only buffer. Batch-class work never blocks the dispatcher: it is
-// placed with a try-acquire against the batch core cap and parked when the
-// tokens are not there, so a batch backlog cannot add head-of-line latency
-// to the interactive lane.
-//
-// The pass is the batching window (DESIGN.md, Batching): a scan joins the open
-// batch for its table; once everything queued is taken the dispatcher tries,
-// without waiting, to reserve its cores and, refused, leaves it open until the
-// next release. Only a closing batch (MaxBatch, another table, Close) blocks.
+// dispatch is the loop around the dispatcher (dispatch.go) and the only code
+// that touches the lanes, the released channel and executor goroutines: it
+// turns receives into events and starts into goroutines, and blocks nowhere
+// but its own select. It reads the interactive lane before the batch lane,
+// reads neither while a unit waits for its floor and not the batch lane while
+// batch work is parked, and steps every release already sent before it steps
+// an arrival or idle.
 func (s *Server) dispatch() {
 	defer s.wg.Done()
-	var cur *batch // the open scan batch; nil when there is none
-	var parked []parkedWork
-	hiCh, loCh := s.intake, s.intakeLo
-	// floor: an interactive placement starts on the reserve batch work cannot hold.
-	floor := max(s.opts.InteractiveReserve, 1)
-
-	// start launches one unit of batch-class work whose cores are reserved.
-	start := func(w parkedWork) {
-		s.wg.Add(1)
-		if w.b != nil {
-			go s.runBatch(w.b)
-		} else {
-			go s.runOne(w.p, w.workers, true)
-		}
-	}
-	// tryParked re-dispatches parked batch work, oldest first, stopping at
-	// the first item the core pool still cannot take.
-	tryParked := func() {
-		for len(parked) > 0 && s.cores.acquire(parked[0].workers, parked[0].workers, true, false) > 0 {
-			start(parked[0])
-			parked = parked[1:]
-		}
-	}
-	// placeBatch starts batch-class work when nothing is parked ahead of it and
-	// the batch core cap has room, else parks or (park false) refuses it.
-	placeBatch := func(w parkedWork, park bool) bool {
-		switch {
-		case len(parked) == 0 && s.cores.acquire(w.workers, w.workers, true, false) > 0:
-			start(w)
-		case park:
-			parked = append(parked, w)
+	d := newDispatcher(s.opts)
+	hi, lo := s.intake, s.intakeLo
+	for hi != nil || lo != nil || !d.drained() {
+		hiR, loR := s.lanes(d, hi, lo)
+		var p *pending
+		var ok, fromLo bool
+		select {
+		case p, ok = <-hiR:
 		default:
-			return false
-		}
-		return true
-	}
-
-	// place starts the open batch's pass on reserved cores. A closing batch
-	// waits for its floor or (all-batch) parks; otherwise refused, cur stays.
-	place := func(closing bool) bool {
-		b := cur
-		b.workers = s.opts.Workers // a shared pass owns the whole budget...
-		degraded := s.brk != nil && s.brk.Degraded()
-		if degraded {
-			b.workers = max(1, s.opts.Workers/4) // ...unless the server is degraded
-		}
-		if b.lo {
-			// An all-batch pass runs capped at the batch core budget.
-			b.workers = min(b.workers, s.cores.batchCap)
-			if !placeBatch(parkedWork{b: b, workers: b.workers}, closing) {
-				return false
+			select {
+			case p, ok = <-loR:
+				fromLo = true
+			default:
+				s.drain(d) // an open batch widens to every core already returned
+				s.step(d, event{kind: evIdle, degraded: s.degraded()})
+				hiR, loR = s.lanes(d, hi, lo)
+				select {
+				case ev := <-s.released:
+					s.step(d, ev)
+					continue
+				case p, ok = <-hiR:
+				case p, ok = <-loR:
+					fromLo = true
+				}
 			}
-		} else {
-			// An interactive pass starts as soon as the reserved cores are free
-			// and widens to whatever else is idle: waiting for the full budget
-			// would add in-flight batch holds' whole runtime to its latency.
-			b.workers = s.cores.acquire(min(floor, b.workers), b.workers, false, closing)
-			if b.workers == 0 {
-				return false
-			}
-			s.wg.Add(1)
-			go s.runBatch(b)
 		}
-		cur = nil
-		if degraded {
-			s.reg.Counter("serve.degraded_scans").Inc()
+		// Releases first: an executor sends its release before it replies, so
+		// every release behind this arrival is already queued. Stepping them
+		// first is what lets a client's next request see the cores its last one
+		// returned. A release never closes a lane reads() had opened.
+		s.drain(d)
+		switch {
+		case ok:
+			s.admit(d, p)
+		case fromLo:
+			lo = nil
+		default:
+			hi = nil
 		}
-		return true
+		if !ok && hi == nil && lo == nil {
+			s.step(d, event{kind: evClose, degraded: s.degraded()})
+		}
 	}
+}
 
-	// admit routes one dequeued request: non-scan operations to their own
-	// goroutine (interactive blocking, batch try-or-park), scans into the
-	// open batch.
-	admit := func(p *pending) {
-		s.reg.Gauge("serve.queue_depth").Set(int64(len(s.intake) + len(s.intakeLo)))
-		p.queueSpan.End()
-		s.reg.Histogram("serve.queue_wait_ms").Record(float64(time.Since(p.enq).Microseconds()) / 1000)
-		if err := p.ctx.Err(); err != nil {
-			s.finish(p, Response{}, fmt.Errorf("serve: dropped before dispatch: %w", err))
+// drain steps every release already sent.
+func (s *Server) drain(d *dispatcher) {
+	for {
+		select {
+		case ev := <-s.released:
+			s.step(d, ev)
+		default:
 			return
 		}
-		if p.req.Op != OpScan {
-			workers := s.opts.OpWorkers
-			if p.req.Op == OpQ1 || p.req.Op == OpQ6 {
-				workers = 1 // single-threaded query engines
-			}
-			if p.req.Priority.batchClass() {
-				// Capped at the batch core budget, or it could never be
-				// placed at all.
-				placeBatch(parkedWork{p: p, workers: min(workers, s.cores.batchCap)}, true)
-				return
-			}
-			workers = s.cores.acquire(min(floor, workers), workers, false, true)
-			s.wg.Add(1)
-			go s.runOne(p, workers, false)
-			return
-		}
-		if cur != nil && cur.table != p.req.Table {
-			place(true) // a different relation cannot share the pass
-		}
-		if cur == nil {
+	}
+}
+
+// lanes returns the lanes d lets the loop read; nil never receives.
+func (s *Server) lanes(d *dispatcher, hi, lo chan *pending) (chan *pending, chan *pending) {
+	rhi, rlo := d.reads()
+	if !rhi {
+		hi = nil
+	}
+	if !rlo {
+		lo = nil
+	}
+	return hi, lo
+}
+
+// admit is the loop's half of an arrival: the queue metrics, the
+// dropped-before-dispatch check and, for a scan that opens a batch, the table
+// lookup. Then the dispatcher steps it.
+func (s *Server) admit(d *dispatcher, p *pending) {
+	s.reg.Gauge("serve.queue_depth").Set(int64(len(s.intake) + len(s.intakeLo)))
+	p.queueSpan.End()
+	s.reg.Histogram("serve.queue_wait_ms").Record(float64(time.Since(p.enq).Microseconds()) / 1000)
+	if err := p.ctx.Err(); err != nil {
+		s.finish(p, Response{}, fmt.Errorf("serve: dropped before dispatch: %w", err))
+		return
+	}
+	ev := event{kind: evArrive, p: p, degraded: s.degraded()}
+	if p.req.Op == OpScan {
+		if d.open == nil || d.open.table != p.req.Table {
 			vt, ok := s.lookup(p.ctx, p.req.Table)
 			if !ok { // table dropped since validation
 				s.finish(p, Response{}, fmt.Errorf("serve: unknown table %q: %w", p.req.Table, errs.ErrInvalidInput))
 				return
 			}
-			cur = &batch{table: p.req.Table, vt: vt, lo: true}
+			ev.vt = vt
 		}
-		// A single interactive member promotes the whole pass: sharing the
-		// scan with batch tenants is free, delaying an interactive member
-		// behind the batch core cap is not.
-		cur.lo = cur.lo && p.req.Priority.batchClass()
 		// batch-assembly and serve.batch_wait_ms: joining → pass has its cores.
 		p.batchSpan = p.span.Child("batch-assembly")
 		p.joined = time.Now()
-		cur.reqs = append(cur.reqs, p)
-		if len(cur.reqs) >= s.opts.MaxBatch {
-			place(true)
-		}
 	}
-	// take handles one lane receive: a closed lane leaves the select.
-	take := func(lane *chan *pending, p *pending, ok bool) {
-		if ok {
-			admit(p)
-		} else {
-			*lane = nil
-		}
-	}
+	s.step(d, ev)
+}
 
-	for {
-		if hiCh == nil && loCh == nil {
-			// Both lanes closed: drain. The open batch closes and parked work
-			// still runs, blocking for its cores now that nothing can arrive.
-			if cur != nil {
-				place(true)
-			}
-			for _, w := range parked {
-				s.cores.acquire(w.workers, w.workers, true, true)
-				start(w)
-			}
-			return
-		}
-		// While batch work is parked the batch lane is left untouched and
-		// the freed channel joins the select, so parked work resumes the
-		// moment cores free up.
-		lo := loCh
-		var freed chan struct{}
-		if len(parked) > 0 {
-			lo = nil
-			freed = s.cores.freed
-		}
-		// Biased drain: take everything the interactive lane has before
-		// touching the batch lane, so interactive dispatch order never
-		// depends on batch arrival order.
-		select {
-		case p, ok := <-hiCh:
-			take(&hiCh, p, ok)
+// step applies ev, publishes serve.cores_free and hands each start to an
+// executor goroutine on the cores the step counted out.
+func (s *Server) step(d *dispatcher, ev event) {
+	starts := d.step(ev)
+	s.coresFree.Set(int64(d.free))
+	for _, st := range starts {
+		s.wg.Add(1)
+		if st.b == nil {
+			go s.runOne(st.p, st.workers, st.lo)
 			continue
-		default:
 		}
-		select {
-		case p, ok := <-lo:
-			take(&loCh, p, ok)
-			continue
-		default:
+		if st.b.degraded {
+			s.reg.Counter("serve.degraded_scans").Inc()
 		}
-		// Everything queued is taken: the open batch starts or awaits a release.
-		if cur != nil && !place(false) {
-			freed = s.cores.freed
-		}
-		select {
-		case p, ok := <-hiCh:
-			take(&hiCh, p, ok)
-		case p, ok := <-lo:
-			take(&loCh, p, ok)
-		case <-freed:
-			tryParked()
-		}
+		go s.runBatch(st.b)
 	}
 }
+
+func (s *Server) degraded() bool { return s.brk != nil && s.brk.Degraded() }
 
 // runBatch executes one shared block-major pass for every live request of the
 // batch and distributes per-query results. The modeled cost attributed to
@@ -1301,7 +1160,7 @@ func (s *Server) dispatch() {
 func (s *Server) runBatch(b *batch) {
 	defer s.wg.Done()
 	defer func() {
-		s.cores.release(b.workers, b.lo)
+		s.released <- event{kind: evRelease, n: b.workers, batchClass: b.lo}
 		for _, p := range b.reqs {
 			p.done <- p.out
 		}
@@ -1395,7 +1254,7 @@ func (s *Server) runBatch(b *batch) {
 func (s *Server) runOne(p *pending, workers int, batchClass bool) {
 	defer s.wg.Done()
 	defer func() {
-		s.cores.release(workers, batchClass)
+		s.released <- event{kind: evRelease, n: workers, batchClass: batchClass}
 		p.done <- p.out
 	}()
 	if c := s.testHold; c != nil {

@@ -47,10 +47,12 @@ func newServer(t *testing.T, opts Options) *Server {
 // least len(reqs)) concurrently and returns their responses in order, having
 // made them share one pass by the server's own rule: it holds every core, as
 // a running pass would, until the dispatcher has taken the whole cohort, then
-// lets go. Any failed request fails the test.
+// lets go. The hold goes through the dispatcher's own event path: a release of
+// -Workers, stepped before any arrival, and later one of +Workers. Any failed
+// request fails the test.
 func cohort(t *testing.T, s *Server, reqs []Request) []Response {
 	t.Helper()
-	held := s.cores.acquire(s.opts.Workers, s.opts.Workers, false, true)
+	s.released <- event{kind: evRelease, n: -s.opts.Workers}
 	dequeued := s.reg.Histogram("serve.queue_wait_ms")
 	want := dequeued.Count() + len(reqs)
 	sub := newSubmitter(s, len(reqs))
@@ -58,7 +60,7 @@ func cohort(t *testing.T, s *Server, reqs []Request) []Response {
 		sub.submit(req)
 	}
 	waitFor(t, func() bool { return dequeued.Count() == want }, "the dispatcher never took the whole cohort")
-	s.cores.release(held, false)
+	s.released <- event{kind: evRelease, n: s.opts.Workers}
 	sub.wg.Wait()
 	for i, err := range sub.errs {
 		if err != nil {

@@ -49,7 +49,7 @@ func sameContents(t *testing.T, a, b *table.Table) {
 	if a.Name() != b.Name() {
 		t.Fatalf("names differ: %q vs %q", a.Name(), b.Name())
 	}
-	if !a.Schema().Equal(b.Schema()) {
+	if a.Schema().String() != b.Schema().String() {
 		t.Fatalf("schemas differ: %s vs %s", a.Schema(), b.Schema())
 	}
 	if a.NumRows() != b.NumRows() {

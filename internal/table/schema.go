@@ -63,20 +63,6 @@ func (s *Schema) RowBytes() int64 {
 	return w
 }
 
-// Equal reports whether two schemas have identical column names and types in
-// the same order.
-func (s *Schema) Equal(o *Schema) bool {
-	if len(s.cols) != len(o.cols) {
-		return false
-	}
-	for i := range s.cols {
-		if s.cols[i] != o.cols[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the schema as "(name type, ...)".
 func (s *Schema) String() string {
 	out := "("

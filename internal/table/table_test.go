@@ -73,16 +73,6 @@ func TestSchemaErrors(t *testing.T) {
 	MustSchema(ColumnDef{"", Int64})
 }
 
-func TestSchemaEqual(t *testing.T) {
-	a := MustSchema(ColumnDef{"x", Int64})
-	b := MustSchema(ColumnDef{"x", Int64})
-	c := MustSchema(ColumnDef{"x", Float64})
-	d := MustSchema(ColumnDef{"x", Int64}, ColumnDef{"y", Int64})
-	if !a.Equal(b) || a.Equal(c) || a.Equal(d) {
-		t.Fatal("schema equality broken")
-	}
-}
-
 func TestStringDataDictionary(t *testing.T) {
 	d := NewStringData()
 	for _, s := range []string{"red", "green", "red", "blue", "green", "red"} {
