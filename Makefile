@@ -97,9 +97,11 @@ bench:
 # a stub backend; join partitioning; morsel scheduling), of the inline
 # operators (group-sum per strategy, one stripe's NPO join), of serve's
 # admission + batching (Submit to answer over a 64 K-row table, one client and
-# a cohort of eight), of the block decode/filter layer (one shared scan pass
-# over a 350 K-row stripe, clustered and uniform filter column, a batch of one
-# and of eight) and of the write path (block encode per column shape; one
+# a cohort of eight), of the router (one scan scattered over a 3x2 router's
+# stripes and merged, clustered and uniform filter column, one client), of the
+# block decode/filter layer (one shared scan pass over a 350 K-row stripe,
+# clustered and uniform filter column, a batch of one and of eight) and of the
+# write path (block encode per column shape; one
 # Register + Checkpoint cycle and one restart-to-first-answer of the
 # benchmark's 1 M x 2 table, MB/s over user bytes) with allocations, five
 # times each. CI runs it once per bench
@@ -107,7 +109,7 @@ bench:
 # starts failing; host times are read by people, not gated.
 BENCHFLAGS ?= -count=5
 bench-layers:
-	$(GO) test -run='^$$' -bench='BenchmarkDecodeQuery|BenchmarkAppendResponse|BenchmarkHandleQuery|BenchmarkSplitJoin|BenchmarkMorsels|BenchmarkGroupSum|BenchmarkNPO|BenchmarkEncode|BenchmarkSubmit|BenchmarkScanPass|BenchmarkCheckpoint|BenchmarkRecover' -benchmem $(BENCHFLAGS) \
+	$(GO) test -run='^$$' -bench='BenchmarkDecodeQuery|BenchmarkAppendResponse|BenchmarkHandleQuery|BenchmarkSplitJoin|BenchmarkMorsels|BenchmarkGroupSum|BenchmarkNPO|BenchmarkEncode|BenchmarkSubmit|BenchmarkScatter|BenchmarkScanPass|BenchmarkCheckpoint|BenchmarkRecover' -benchmem $(BENCHFLAGS) \
 		./internal/frontend/v1 ./internal/frontend ./internal/shard ./internal/sched ./internal/agg ./internal/join ./internal/compress ./internal/serve
 
 # perf runs hwperf, the repository's benchmark (BENCHMARK.json): four

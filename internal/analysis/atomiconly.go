@@ -13,7 +13,7 @@ import (
 // atomic write is not "slightly racy": the compiler and the hardware are
 // both free to tear, cache, or reorder the plain access, and the race
 // detector only catches the interleavings a test happens to schedule. The
-// mixed-access bug is silent by construction — the shard EWMAs and the vec
+// mixed-access bug is silent by construction — the shard latency buckets and the vec
 // controller's hot-path knobs are exactly the fields where a torn read
 // becomes a wrong routing or tuning decision with no crash to point at it.
 //

@@ -34,7 +34,7 @@ var HotAlloc = &Analyzer{
 // it: runBatch's result loop and vecScanMorsel's block loop are now as hot
 // as anything in scan. compress and shard joined with the PR 8/9 tiers —
 // the block codecs run per-block inside every vectorized scan, and the
-// router's dispatch/EWMA loops sit on every request path. sched joined when
+// router's dispatch loop sits on every request path. sched joined when
 // hwperf showed Morsels formatting a name per morsel that only the fault
 // paths read: task building and the dispatch loop run per request. hashtab
 // and frontend/v1 joined with the pooled table and the append encoder: the

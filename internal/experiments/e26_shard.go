@@ -450,7 +450,7 @@ func runE26Bench(cfg Config) (*e26Bench, []*Table, error) {
 		bench.F("%d", failover.ScansVerified), bench.F("%d", failover.LostAnswers),
 		bench.F("%d", failover.Rereplications))
 
-	t2 := bench.NewTable("E26: hedged dispatch vs per-shard stragglers (cost-model-derived hedge deadline)",
+	t2 := bench.NewTable("E26: hedged dispatch vs per-shard modeled stragglers (hedge deadline: measured per-op-class p95)",
 		"phase", "p50 ms", "p99 ms", "p99 vs no-fault", "hedges", "hedge wins")
 	t2.AddRow("no faults", bench.F("%.3f", hedge.NoFaultP50Ms), bench.F("%.3f", hedge.NoFaultP99Ms), "1.00x", "-", "-")
 	t2.AddRow("stragglers+hedging", bench.F("%.3f", hedge.StragglerP50Ms), bench.F("%.3f", hedge.StragglerP99Ms),

@@ -74,37 +74,6 @@ type Work struct {
 	HugePages bool
 }
 
-// Add returns the component-wise sum of two Work descriptions. The working
-// set of the result is the larger of the two (a conservative choice used when
-// merging per-phase accounts).
-func (w Work) Add(o Work) Work {
-	sum := Work{
-		Name:              w.Name,
-		Tuples:            w.Tuples + o.Tuples,
-		SeqReadBytes:      w.SeqReadBytes + o.SeqReadBytes,
-		SeqWriteBytes:     w.SeqWriteBytes + o.SeqWriteBytes,
-		RemoteSeqBytes:    w.RemoteSeqBytes + o.RemoteSeqBytes,
-		SpillWriteBytes:   w.SpillWriteBytes + o.SpillWriteBytes,
-		SpillReadBytes:    w.SpillReadBytes + o.SpillReadBytes,
-		RandomReads:       w.RandomReads + o.RandomReads,
-		RemoteRandomReads: w.RemoteRandomReads + o.RemoteRandomReads,
-		BranchMisses:      w.BranchMisses + o.BranchMisses,
-		RandomWS:          max64(w.RandomWS, o.RandomWS),
-	}
-	// Preserve a meaningful average compute cost per tuple.
-	if sum.Tuples > 0 {
-		sum.ComputePerTuple = (float64(w.Tuples)*w.ComputePerTuple + float64(o.Tuples)*o.ComputePerTuple) / float64(sum.Tuples)
-	}
-	return sum
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // CostBreakdown itemizes where simulated cycles went.
 type CostBreakdown struct {
 	Compute      float64

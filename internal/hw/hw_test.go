@@ -235,24 +235,6 @@ func TestCostMoreActiveCoresMoreCyclesPerCore(t *testing.T) {
 	}
 }
 
-func TestWorkAdd(t *testing.T) {
-	a := Work{Name: "a", Tuples: 10, ComputePerTuple: 2, SeqReadBytes: 100, RandomReads: 5, RandomWS: 1000}
-	b := Work{Name: "b", Tuples: 30, ComputePerTuple: 4, SeqWriteBytes: 50, RemoteRandomReads: 7, RandomWS: 2000, BranchMisses: 3}
-	s := a.Add(b)
-	if s.Tuples != 40 || s.SeqReadBytes != 100 || s.SeqWriteBytes != 50 {
-		t.Fatalf("bad sums: %+v", s)
-	}
-	if s.RandomWS != 2000 {
-		t.Fatalf("working set should take max, got %d", s.RandomWS)
-	}
-	if want := (10.0*2 + 30.0*4) / 40.0; math.Abs(s.ComputePerTuple-want) > 1e-12 {
-		t.Fatalf("weighted compute = %f, want %f", s.ComputePerTuple, want)
-	}
-	if s.RandomReads != 5 || s.RemoteRandomReads != 7 || s.BranchMisses != 3 {
-		t.Fatalf("bad sums: %+v", s)
-	}
-}
-
 func TestAccountAccumulates(t *testing.T) {
 	m := Laptop()
 	acct := NewAccount(m, DefaultContext())
@@ -279,7 +261,9 @@ func TestCostAdditivityProperty(t *testing.T) {
 		ws := int64(512 * MiB)
 		wa := Work{Tuples: int64(t1), ComputePerTuple: 2, SeqReadBytes: int64(b1), RandomReads: int64(r1), RandomWS: ws}
 		wb := Work{Tuples: int64(t2), ComputePerTuple: 2, SeqReadBytes: int64(b2), RandomReads: int64(r2), RandomWS: ws}
-		lhs := m.Cycles(wa.Add(wb), ctx)
+		sum := Work{Tuples: wa.Tuples + wb.Tuples, ComputePerTuple: 2, SeqReadBytes: wa.SeqReadBytes + wb.SeqReadBytes,
+			RandomReads: wa.RandomReads + wb.RandomReads, RandomWS: ws}
+		lhs := m.Cycles(sum, ctx)
 		rhs := m.Cycles(wa, ctx) + m.Cycles(wb, ctx)
 		return math.Abs(lhs-rhs) < 1e-6*(1+math.Abs(rhs))
 	}
@@ -385,18 +369,6 @@ func TestCostRemoteSeqAndRemoteRandom(t *testing.T) {
 	lr := m.Cycles(Work{RandomReads: 1000, RandomWS: 1 << 30}, ctx)
 	if rr <= lr {
 		t.Fatalf("remote random %f should exceed local %f", rr, lr)
-	}
-}
-
-func TestWorkAddMaxAndEmpty(t *testing.T) {
-	a := Work{RandomWS: 5}
-	b := Work{RandomWS: 3}
-	if a.Add(b).RandomWS != 5 || b.Add(a).RandomWS != 5 {
-		t.Fatal("Add should take max working set both ways")
-	}
-	empty := Work{}
-	if s := empty.Add(empty); s.Tuples != 0 || s.ComputePerTuple != 0 {
-		t.Fatalf("empty Add = %+v", s)
 	}
 }
 

@@ -91,25 +91,6 @@ func (t *BST) TracedGet(h *cache.Hierarchy, key int64) (int64, bool, float64) {
 	return 0, false, cycles
 }
 
-// Depth returns the depth of key's node (root = 1), or 0 when absent —
-// diagnostic for the traced experiments.
-func (t *BST) Depth(key int64) int {
-	d := 0
-	n := t.root
-	for n != nil {
-		d++
-		switch {
-		case key == n.key:
-			return d
-		case key < n.key:
-			n = n.left
-		default:
-			n = n.right
-		}
-	}
-	return 0
-}
-
 // ProbeWork returns the analytic cost of `probes` random lookups against an
 // index holding n entries with the given per-level bytes and branching: the
 // BST walks log2(n) dependent lines, the B+-tree height-many node reads

@@ -74,22 +74,6 @@ func TestBTreeHeightLogarithmic(t *testing.T) {
 	}
 }
 
-func TestBSTDepth(t *testing.T) {
-	bst := NewBST(0)
-	for _, k := range workload.ShuffledInts(4, 4095) {
-		bst.Insert(k, k)
-	}
-	if d := bst.Depth(workload.ShuffledInts(4, 4095)[0]); d < 1 {
-		t.Fatal("depth of present key should be >= 1")
-	}
-	if d := bst.Depth(99999); d != 0 {
-		t.Fatalf("depth of absent key = %d", d)
-	}
-	if bst.Bytes() != 4095*bstNodeBytes {
-		t.Fatalf("Bytes = %d", bst.Bytes())
-	}
-}
-
 func TestTracedGetMatchesGet(t *testing.T) {
 	m := hw.Laptop()
 	keys := workload.ShuffledInts(5, 20000)
@@ -97,6 +81,9 @@ func TestTracedGetMatchesGet(t *testing.T) {
 	for _, k := range keys {
 		bt.Insert(k, k*2)
 		bst.Insert(k, k*2)
+	}
+	if bst.Bytes() != int64(len(keys))*bstNodeBytes {
+		t.Fatalf("BST Bytes = %d", bst.Bytes())
 	}
 	hb, hs := cache.FromMachine(m), cache.FromMachine(m)
 	for _, k := range keys[:500] {

@@ -41,7 +41,7 @@ func (r *Router) distJoin(ctx context.Context, req serve.Request) (Response, err
 	plan := planner.ChooseDistStrategy(clu, planner.StatsOf(in, 0), hw.DefaultContext())
 	if len(live) == 1 {
 		// One node left: no movement, run the whole join there.
-		resp, hov, err := r.dispatch(ctx, live, req, plan.Predicted)
+		resp, hov, err := r.dispatch(ctx, live, req)
 		return Response{Response: resp, Strategy: plan.Strategy, Hedged: hov.hedged, Failovers: hov.failovers}, err
 	}
 
@@ -53,7 +53,6 @@ func (r *Router) distJoin(ctx context.Context, req serve.Request) (Response, err
 		hov  hedgeOutcome
 	}
 	outs := make([]subOut, len(subs))
-	est := plan.Predicted
 	var wg sync.WaitGroup
 	for i := range subs {
 		if len(subs[i].BuildKeys) == 0 && len(subs[i].ProbeKeys) == 0 {
@@ -67,7 +66,7 @@ func (r *Router) distJoin(ctx context.Context, req serve.Request) (Response, err
 			// Preferred node first, every other live node as failover —
 			// the sub-join's data is inline, so anyone can run it.
 			order := rotated(live, i)
-			resp, hov, err := r.dispatch(ctx, order, sreq, est)
+			resp, hov, err := r.dispatch(ctx, order, sreq)
 			outs[i] = subOut{resp: resp, err: err, hov: hov}
 		}(i)
 	}

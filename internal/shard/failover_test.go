@@ -250,7 +250,7 @@ func TestFailingNodeSortsAfterHealthyReplica(t *testing.T) {
 	bad.brk.OnFailure(now.Add(-90 * time.Minute))  // probe after the first cooldown fails
 	bad.brk.OnFailure(now.Add(-30 * time.Minute))  // probe after the second fails
 	for i := 0; i < 4; i++ {                       // every rotor position
-		c := r.candidates([]int{0, 1})
+		c := r.candidates([]int{0, 1}, now)
 		if len(c) != 2 || c[0].id != 0 || c[1] != bad {
 			t.Fatalf("rotation %d: node failing every probe not ordered last: %v then %v", i, c[0].id, c[1].id)
 		}
@@ -258,7 +258,7 @@ func TestFailingNodeSortsAfterHealthyReplica(t *testing.T) {
 	if err := r.KillNode(0); err != nil {
 		t.Fatal(err)
 	}
-	if c := r.candidates([]int{0, 1}); len(c) != 1 || c[0] != bad {
+	if c := r.candidates([]int{0, 1}, now); len(c) != 1 || c[0] != bad {
 		t.Fatalf("last replica standing dropped from candidates: %v", c)
 	}
 }

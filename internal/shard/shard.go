@@ -6,8 +6,8 @@
 // rack scale means the router prices the network like any other bandwidth
 // tier: distributed joins choose shuffle-vs-broadcast through the planner
 // with the fabric costed via cluster.Cluster, scatter-gather scans charge
-// the aggregation hop, and the hedged-dispatch deadline is derived from
-// the cost model rather than a hard-coded timeout.
+// the aggregation hop. The hedged-dispatch deadline is measured, not
+// modeled: the p95 of the router's own recent dispatch times per op class.
 //
 // Robustness mechanisms mirror the single-node ones, one level up:
 //
@@ -80,7 +80,7 @@ type Options struct {
 	Memory mem.Config
 
 	// hedgeDelay and maxInflight are test seams. hedgeDelay, when positive,
-	// replaces the cost-model-derived hedge deadline with a fixed one, so
+	// replaces the measured per-op-class hedge deadline with a fixed one, so
 	// tests force (time.Nanosecond) or forbid (time.Hour) hedging
 	// deterministically. maxInflight, when positive, replaces the Shards ×
 	// 256 cluster-wide admission bound, so a test can fill it with one
@@ -189,10 +189,8 @@ type Router struct {
 	// rotor spreads primary picks across replicas.
 	rotor atomic.Uint64
 
-	// nsPerCycle is the EWMA of observed wall-nanoseconds per modeled
-	// cycle, stored as math.Float64bits; it calibrates the cost-model-
-	// derived hedge deadline.
-	nsPerCycle atomic.Uint64
+	// lat is each op class's recent dispatch times, for the hedge deadline.
+	lat [opClasses]latencyClass
 }
 
 // New builds the shard tier: opts.Shards serve.Servers on machine m behind
@@ -386,9 +384,7 @@ func (r *Router) SubmitDist(ctx context.Context, req serve.Request) (Response, e
 		resp, err = r.routeAny(ctx, req)
 	}
 	if err == nil || resp.Partial {
-		wall := time.Since(start)
-		ms := float64(wall.Microseconds()) / 1e3
-		r.observeWall(wall, resp.SimCycles)
+		ms := float64(time.Since(start).Microseconds()) / 1e3
 		r.reg.Histogram("shard.latency_ms").Record(ms)
 		if req.Tenant != "" {
 			// What the tenant waited for, whole-request: the shards' own
@@ -404,14 +400,13 @@ func (r *Router) SubmitDist(ctx context.Context, req serve.Request) (Response, e
 // set, rotated by the request rotor so load spreads across replicas.
 // Nodes with open breakers sort after healthy ones but are never dropped:
 // the last replica standing gets tried, breaker or not. Dead nodes are
-// excluded entirely.
-func (r *Router) candidates(replicas []int) []*node {
+// excluded entirely. now is the dispatch's start, for the breaker check.
+func (r *Router) candidates(replicas []int, now time.Time) []*node {
 	r.mu.RLock()
 	nodes := r.nodes
 	r.mu.RUnlock()
 
 	rot := int(r.rotor.Add(1))
-	now := time.Now()
 	var healthy, degraded []*node
 	for i := range replicas {
 		n := nodes[replicas[(i+rot)%len(replicas)]]
@@ -454,8 +449,7 @@ func (r *Router) scatterScan(ctx context.Context, req serve.Request) (Response, 
 			defer wg.Done()
 			preq := req
 			preq.Table = part.derived
-			est := r.estimateScanCycles(part.rows)
-			resp, hov, err := r.dispatch(ctx, part.replicas, preq, est)
+			resp, hov, err := r.dispatch(ctx, part.replicas, preq)
 			outs[i] = partOut{resp: resp, err: err, part: part, hov: hov}
 		}(i, part)
 	}
@@ -512,7 +506,7 @@ func (r *Router) scatterScan(ctx context.Context, req serve.Request) (Response, 
 }
 
 // routeAny runs an inline-data request (group-sum, Q1, Q6, unregistered-
-// table ops) on one live node, failing over across all nodes: the data
+// table ops) on one live node, failing over across all live nodes: the data
 // travels with the request, so any node computes the exact answer. The
 // cluster-wide memory budget is reserved first — the federated governor's
 // admission in front of the chosen shard's own.
@@ -523,15 +517,7 @@ func (r *Router) routeAny(ctx context.Context, req serve.Request) (Response, err
 		defer resv.Release()
 	}
 
-	r.mu.RLock()
-	all := make([]int, len(r.nodes))
-	for i := range all {
-		all[i] = i
-	}
-	r.mu.RUnlock()
-
-	est := r.estimateInlineCycles(req)
-	resp, hov, err := r.dispatch(ctx, all, req, est)
+	resp, hov, err := r.dispatch(ctx, r.LiveNodes(), req)
 	return Response{Response: resp, Hedged: hov.hedged, Failovers: hov.failovers}, err
 }
 
@@ -546,38 +532,6 @@ func (r *Router) reserve(tenant string) (*mem.Reservation, error) {
 		return nil, fmt.Errorf("shard: cluster memory budget: %w", err)
 	}
 	return resv, nil
-}
-
-// estimateScanCycles prices a full scan of rows through the machine model
-// — the per-partition cost estimate the hedge deadline derives from.
-func (r *Router) estimateScanCycles(rows int) float64 {
-	acct := hw.NewAccount(r.machine, hw.DefaultContext())
-	acct.Charge(hw.Work{
-		Name:            "shard-scan-estimate",
-		Tuples:          int64(rows),
-		ComputePerTuple: 2,
-		SeqReadBytes:    int64(rows) * 16,
-	})
-	return acct.TotalCycles()
-}
-
-// estimateInlineCycles prices an inline-data operation (group-sum and the
-// analytic queries) as one streaming pass over its payload.
-func (r *Router) estimateInlineCycles(req serve.Request) float64 {
-	rows := int64(len(req.Keys))
-	if rows == 0 {
-		rows = 4096
-	}
-	acct := hw.NewAccount(r.machine, hw.DefaultContext())
-	acct.Charge(hw.Work{
-		Name:            "shard-inline-estimate",
-		Tuples:          rows,
-		ComputePerTuple: 4,
-		SeqReadBytes:    rows * 16,
-		RandomReads:     rows,
-		RandomWS:        rows * 17,
-	})
-	return acct.TotalCycles()
 }
 
 // Metrics returns the router's own registry (per-shard registries hang off

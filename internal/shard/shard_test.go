@@ -34,7 +34,7 @@ func testRelation(n int) (cols [][]int64, expect func(lo, hi int64) int64) {
 	}
 }
 
-func newRouter(t *testing.T, opts Options) *Router {
+func newRouter(t testing.TB, opts Options) *Router {
 	t.Helper()
 	if opts.Shard.Workers == 0 {
 		opts.Shard.Workers = 4
@@ -193,5 +193,39 @@ func TestClusterHealthSurfacesRoutingCounters(t *testing.T) {
 	h := r.Health()
 	if h.Completed == 0 {
 		t.Fatalf("aggregated health shows no completions: %+v", h)
+	}
+}
+
+// BenchmarkScatter is the router layer: one scan scattered over a 3x2
+// router's three stripes, each dispatched (and hedged when slow) to a
+// replica, then merged; one client, one scan at a time. The 300 K-row table
+// has a clustered filter column (zone maps prune or fast-sum most blocks, so
+// the hop is most of the time) or a uniform one (every block decodes).
+func BenchmarkScatter(b *testing.B) {
+	const rows = 300_000
+	shapes := []struct {
+		name   string
+		filter []int64
+		lo, hi int64
+	}{
+		{"clustered", workload.SequentialInts(rows), rows / 3, rows / 2},
+		{"uniform", workload.UniformInts(91, rows, 10_000), 2_000, 4_000},
+	}
+	for _, shape := range shapes {
+		b.Run(shape.name, func(b *testing.B) {
+			r := newRouter(b, Options{Shards: 3, Replicas: 2})
+			if err := r.Register("facts", [][]int64{shape.filter, workload.UniformInts(92, rows, 500)}); err != nil {
+				b.Fatal(err)
+			}
+			req := scanReq("facts", shape.lo, shape.hi)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Submit(context.Background(), req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(r.ClusterHealth().Hedges)/float64(b.N), "hedges/op")
+		})
 	}
 }
