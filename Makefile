@@ -17,9 +17,9 @@ vet:
 	$(GO) vet ./...
 
 # hwlint is the house-rule gate: the internal/analysis suite (ctxfirst,
-# seededrand, senterr, pairedresource, nolockcopy, hotalloc, goroleak,
-# lockorder, atomiconly, commitproto) over every package. Non-zero on any
-# violation.
+# seededrand, senterr, pairedresource, hotalloc, goroleak, lockorder,
+# atomiconly, commitproto) over every package. Non-zero on any violation.
+# Lock copies are go vet's copylocks check, in the same lint gate.
 hwlint:
 	$(GO) run ./cmd/hwlint
 
@@ -55,8 +55,8 @@ race:
 # where a data race would land first, so they get a fresh pass even when the
 # full race target is cache-warm. store joined when the checkpoint/recovery
 # paths went concurrent (PR 7/8); cluster, concurrent, and metrics are the
-# remaining shared-mutable-state tiers; breaker is the mutex serve and shard
-# now share; hashtab is the table pool every concurrent join and group-sum
+# remaining shared-mutable-state tiers; breaker is the mutex behind the
+# router's per-node breakers; hashtab is the table pool every concurrent join and group-sum
 # draws from (serve's TestPooledTablesAreNotShared is its eight-client test).
 race-core:
 	$(GO) test -race -count=1 ./internal/serve ./internal/sched ./internal/mem ./internal/frontend ./internal/vecexec ./internal/compress ./internal/shard ./internal/store ./internal/cluster ./internal/concurrent ./internal/metrics ./internal/breaker ./internal/hashtab

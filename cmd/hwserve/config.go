@@ -89,10 +89,8 @@ type Config struct {
 	NodeLossProb float64 `json:"node_loss_prob"`
 
 	// Resilience policy.
-	Retries  int      `json:"retries"`
-	Backoff  Duration `json:"backoff"`
-	Breaker  int      `json:"breaker"`
-	Cooldown Duration `json:"cooldown"`
+	Retries int      `json:"retries"`
+	Backoff Duration `json:"backoff"`
 
 	// Durable storage (both modes): DataDir arms the checkpointed store —
 	// the server replays committed state at boot and flushes on shutdown.
@@ -128,7 +126,6 @@ func DefaultConfig() Config {
 		FaultSeed:     1,
 		StragglerSkew: 8,
 		Backoff:       Duration(200 * time.Microsecond),
-		Cooldown:      Duration(10 * time.Millisecond),
 		SessionTTL:    Duration(time.Hour),
 	}
 }
@@ -228,8 +225,6 @@ func bindFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.Float64Var(&cfg.NodeLossProb, "node-loss-prob", cfg.NodeLossProb, "per-tick node-kill probability of the router's chaos loop (needs -shards > 1)")
 	fs.IntVar(&cfg.Retries, "retries", cfg.Retries, "morsel-level retries per request (0 = retry-free)")
 	fs.DurationVar((*time.Duration)(&cfg.Backoff), "backoff", time.Duration(cfg.Backoff), "base retry backoff (doubles per attempt, jittered)")
-	fs.IntVar(&cfg.Breaker, "breaker", cfg.Breaker, "consecutive failures tripping the circuit breaker (0 = no breaker)")
-	fs.DurationVar((*time.Duration)(&cfg.Cooldown), "cooldown", time.Duration(cfg.Cooldown), "breaker cooldown before a half-open probe")
 	fs.StringVar(&cfg.DataDir, "data-dir", cfg.DataDir, "durable store directory: replay committed state at boot, flush on shutdown (empty = memory-only)")
 	fs.DurationVar((*time.Duration)(&cfg.CheckpointInterval), "checkpoint-interval", time.Duration(cfg.CheckpointInterval), "background checkpoint period (0 = flush only on shutdown; needs -data-dir)")
 	fs.Int64Var(&cfg.HotBytes, "hot-bytes", cfg.HotBytes, "DRAM budget for the store's hot set in bytes; overflow tiers to flash, loaded on first access (0 = all hot)")

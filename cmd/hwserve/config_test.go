@@ -142,16 +142,18 @@ func TestLoadConfigFileStrict(t *testing.T) {
 	if _, _, err := parseConfig([]string{"-config", filepath.Join(t.TempDir(), "missing.json")}); err == nil {
 		t.Fatal("missing config file accepted")
 	}
-	// The scan-path knobs and the pre-Config aliases are gone, not ignored:
-	// a stale flag or config key fails loudly instead of silently selecting
-	// nothing.
-	for _, flag := range []string{"-vectorized", "-vec-adaptive", "-vec-morsel-rows=8192", "-vec-batch-width=8", "-maxbatch=32", "-trace=5"} {
+	// The scan-path knobs, the pre-Config aliases and the serve breaker's
+	// knobs are gone, not ignored: a stale flag or config key fails loudly
+	// instead of silently selecting nothing.
+	for _, flag := range []string{"-vectorized", "-vec-adaptive", "-vec-morsel-rows=8192", "-vec-batch-width=8", "-maxbatch=32", "-trace=5", "-breaker=3", "-cooldown=10ms"} {
 		if _, _, err := parseConfig([]string{flag}); err == nil {
 			t.Fatalf("removed flag %s accepted", flag)
 		}
 	}
-	if err := loadConfigFile(writeConfig(t, `{"vectorized": true}`), &c); err == nil {
-		t.Fatal("removed config key accepted")
+	for _, key := range []string{`{"vectorized": true}`, `{"breaker": 3}`, `{"cooldown": "10ms"}`} {
+		if err := loadConfigFile(writeConfig(t, key), &c); err == nil {
+			t.Fatalf("removed config key %s accepted", key)
+		}
 	}
 }
 

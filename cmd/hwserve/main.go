@@ -56,10 +56,11 @@
 //
 // The fault flags arm a seeded injector on the server (panics, transient
 // failures, stragglers), and the resilience flags configure how the server
-// absorbs them: morsel retry with exponential backoff, panic isolation with
-// straggler re-dispatch, and a circuit breaker that sheds load after
-// consecutive failures. SIGINT/SIGTERM stops the clients and drains admitted
-// work through Server.Close before the final report prints.
+// absorbs them: morsel retry with exponential backoff, and panic isolation
+// with straggler re-dispatch. A sharded run's router also routes around a
+// failing node with its per-node breaker. SIGINT/SIGTERM stops the clients
+// and drains admitted work through Server.Close before the final report
+// prints.
 package main
 
 import (
@@ -136,12 +137,10 @@ func build(ctx context.Context, cfg Config) (*backend, error) {
 		return nil, fmt.Errorf("unknown machine %q", cfg.Machine)
 	}
 	opts := hwstar.ServerOptions{
-		QueueDepth:       cfg.Queue,
-		MaxBatch:         cfg.MaxBatch,
-		MaxRetries:       cfg.Retries,
-		RetryBackoff:     time.Duration(cfg.Backoff),
-		BreakerThreshold: cfg.Breaker,
-		BreakerCooldown:  time.Duration(cfg.Cooldown),
+		QueueDepth:   cfg.Queue,
+		MaxBatch:     cfg.MaxBatch,
+		MaxRetries:   cfg.Retries,
+		RetryBackoff: time.Duration(cfg.Backoff),
 	}
 	if cfg.MemBudget > 0 {
 		opts.Memory = hwstar.MemoryConfig{
@@ -390,8 +389,8 @@ func (r *report) print(w io.Writer, cfg Config) {
 	}
 	if cfg.faulty() {
 		h := r.health
-		fmt.Fprintf(w, "  health %s  (retries %d, exhausted %d, panics recovered %d, re-dispatched %d, stragglers retired %d, breaker trips %d)\n",
-			h.State, h.Retries, h.RetryExhausted, h.PanicsRecovered, h.Redispatched, h.StragglersRetired, h.BreakerTrips)
+		fmt.Fprintf(w, "  health %s  (retries %d, exhausted %d, panics recovered %d, re-dispatched %d, stragglers retired %d)\n",
+			h.State, h.Retries, h.RetryExhausted, h.PanicsRecovered, h.Redispatched, h.StragglersRetired)
 		classes := make([]string, 0, len(h.Faults))
 		for c := range h.Faults {
 			classes = append(classes, c)

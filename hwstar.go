@@ -81,8 +81,7 @@ var (
 	// ErrTransient reports a retryable morsel-level failure that survived
 	// the server's retry budget.
 	ErrTransient = errs.ErrTransient
-	// ErrDegraded reports a request shed because the Server's circuit
-	// breaker is open.
+	// ErrDegraded reports a Router request that found no live replica.
 	ErrDegraded = errs.ErrDegraded
 	// ErrMemoryPressure reports a request shed at admission or an
 	// allocation denied because the Server's memory budget is exhausted.
@@ -499,9 +498,9 @@ type FaultEvent = fault.Event
 // NewFaultInjector builds an injector from a FaultConfig.
 var NewFaultInjector = fault.New
 
-// ServerHealth is the resilience snapshot returned by Server.Health():
-// breaker state, failure streak, retry/re-dispatch counters, memory-governor
-// position, and injected fault counts.
+// ServerHealth is the resilience snapshot returned by Server.Health() and
+// Router.Health(): state, queue depth, retry/re-dispatch counters,
+// memory-governor position, and injected fault counts.
 type ServerHealth = serve.Health
 
 // MemoryConfig arms a Server's memory governor via ServerOptions.Memory: a

@@ -40,8 +40,8 @@ func TestSentinelFacade(t *testing.T) {
 
 // TestFaultErrorsReachClients produces each resilience sentinel through the
 // public API: a server without isolation surfaces ErrWorkerPanic, one
-// without retries surfaces ErrTransient, and a tripped breaker sheds with
-// ErrDegraded.
+// without retries surfaces ErrTransient, and a router with no live node left
+// answers ErrDegraded.
 func TestFaultErrorsReachClients(t *testing.T) {
 	cols := [][]int64{GenUniform(51, 4096, 1000), GenUniform(52, 4096, 100)}
 	scanReq := Request{Op: OpScan, Table: "facts", Query: ScanQuery{FilterCol: 0, Lo: 0, Hi: 1000, AggCol: 1}}
@@ -81,17 +81,20 @@ func TestFaultErrorsReachClients(t *testing.T) {
 	})
 
 	t.Run("degraded", func(t *testing.T) {
-		srv := newSrv(t, ServerOptions{
-			Faults:           NewFaultInjector(FaultConfig{Seed: 1, TransientProb: 1, MaxFaults: 1}),
-			BreakerThreshold: 1,
-		})
-		if _, err := srv.Submit(context.Background(), groupReq); !errors.Is(err, ErrTransient) {
-			t.Fatalf("tripping failure: %v", err)
+		r, err := NewRouter(context.Background(), Server2S(), RouterOptions{Shards: 2, Replicas: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := srv.Submit(context.Background(), groupReq); !errors.Is(err, ErrDegraded) {
+		t.Cleanup(func() { r.Close() })
+		for id := 0; id < 2; id++ {
+			if err := r.KillNode(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := r.Submit(context.Background(), groupReq); !errors.Is(err, ErrDegraded) {
 			t.Fatalf("err = %v, want ErrDegraded", err)
 		}
-		if h := srv.Health(); h.State != "degraded" {
+		if h := r.Health(); h.State != "degraded" {
 			t.Fatalf("health state = %q, want degraded", h.State)
 		}
 	})

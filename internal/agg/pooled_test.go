@@ -123,7 +123,7 @@ func TestRedispatchedMorselsCountOnce(t *testing.T) {
 			for _, run := range pooledRuns {
 				s := pooledSched(t, m, run.spilled, sched.Options{
 					Inject:        fault.New(fault.Config{Seed: seed, PanicProb: 0.05}),
-					IsolatePanics: true, MaxTaskRetries: 16,
+					IsolatePanics: true,
 				})
 				res, err := Parallel(context.Background(), in[0], in[1], run.strat, s, m, 256)
 				for _, ph := range res.Phases {

@@ -19,8 +19,6 @@
 //     (never ==) and wrapped with %w (never %v).
 //   - pairedresource: a trace.Span that is started reaches End, and a
 //     mem.Reservation that is granted reaches Release, on every path.
-//   - nolockcopy: values of mutex-bearing types (metrics registry, governor)
-//     are never copied.
 //   - hotalloc: no interface-boxing calls (fmt and friends) inside loops in
 //     the morsel-processing packages (scan, join, agg, vecexec).
 //

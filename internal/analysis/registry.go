@@ -8,7 +8,6 @@ func All() []*Analyzer {
 		SeededRand,
 		SentErr,
 		PairedResource,
-		NoLockCopy,
 		HotAlloc,
 		GoroLeak,
 		LockOrder,

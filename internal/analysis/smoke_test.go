@@ -20,7 +20,6 @@ func TestEachAnalyzerFiresOnItsTestdata(t *testing.T) {
 		"seededrand":     {"testdata/seededrand", "hwstar/internal/sched"},
 		"senterr":        {"testdata/senterr", "hwstar/internal/serve"},
 		"pairedresource": {"testdata/pairedresource", "hwstar/internal/serve"},
-		"nolockcopy":     {"testdata/nolockcopy", "hwstar/internal/metrics"},
 		"hotalloc":       {"testdata/hotalloc", "hwstar/internal/join"},
 		"goroleak":       {"testdata/goroleak", "hwstar/internal/shard"},
 		"lockorder":      {"testdata/lockorder", "hwstar/internal/serve"},

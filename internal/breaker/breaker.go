@@ -1,11 +1,10 @@
-// Package breaker is the consecutive-failure circuit breaker both serving
-// tiers share. It holds the mechanism only: threshold consecutive failures
-// open it, a cooldown later requests pass half-open until one succeeds
-// (closing it) or fails (re-arming the cooldown). What an open breaker
-// means is the caller's policy: serve sheds non-scan work while Allow is
-// false; shard's candidates only sorts such a node after its healthy
-// replicas and never drops it, because a breaker must not turn "slow node"
-// into "lost range".
+// Package breaker is the consecutive-failure circuit breaker the shard
+// router keeps per node. It holds the mechanism only: threshold consecutive
+// failures open it, a cooldown later requests pass half-open until one
+// succeeds (closing it) or fails (re-arming the cooldown). What an open
+// breaker means is the router's policy: its candidates only sorts such a node
+// after its healthy replicas and never drops it, because a breaker must not
+// turn "slow node" into "lost range".
 package breaker
 
 import (
@@ -40,13 +39,6 @@ func (b *Breaker) Allow(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return !b.open || now.Sub(b.openedAt) >= b.cooldown
-}
-
-// Degraded reports whether the breaker is open, cooled down or not.
-func (b *Breaker) Degraded() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.open
 }
 
 // OnSuccess ends the failure streak and closes the breaker.

@@ -14,13 +14,13 @@ func TestTripProbeClose(t *testing.T) {
 	if b.OnFailure(t0) {
 		t.Fatal("tripped below threshold")
 	}
-	if !b.Allow(t0) || b.Degraded() {
-		t.Fatal("closed breaker refused or reported degraded")
+	if _, open, _ := b.Snapshot(); !b.Allow(t0) || open {
+		t.Fatal("closed breaker refused or reported open")
 	}
 	if !b.OnFailure(t0) {
 		t.Fatal("threshold failure did not trip")
 	}
-	if b.Allow(t0.Add(999*time.Millisecond)) || !b.Degraded() {
+	if _, open, _ := b.Snapshot(); b.Allow(t0.Add(999*time.Millisecond)) || !open {
 		t.Fatal("open breaker allowed inside the cooldown")
 	}
 	if !b.Allow(t0.Add(time.Second)) {

@@ -34,10 +34,9 @@ var (
 	// is safe to retry: the morsel had no partial effect. The serving layer
 	// retries these with bounded exponential backoff.
 	ErrTransient = errors.New("transient failure")
-	// ErrDegraded reports that a server's circuit breaker is open and the
-	// request was shed. Unlike ErrOverloaded (queue full), ErrDegraded means
-	// the server is failing, not merely busy; scan requests are still served
-	// from a reduced worker budget instead of being shed.
+	// ErrDegraded reports that the shard router had no live replica left to
+	// send the request to. Unlike ErrOverloaded (queue full), ErrDegraded
+	// means the cluster has lost nodes, not that it is merely busy.
 	ErrDegraded = errors.New("server degraded")
 	// ErrMemoryPressure reports that a memory request could not be granted
 	// under the engine's byte budget: admission shed the query, an operator's

@@ -114,7 +114,7 @@ type session struct {
 }
 
 // tenantState is one tenant's frontend-side governance state. The struct is
-// always handled by pointer (nolockcopy) and its mutex scopes only this
+// always handled by pointer (go vet's copylocks) and its mutex scopes only this
 // tenant — cross-tenant contention is impossible by construction.
 type tenantState struct {
 	cfg TenantConfig

@@ -196,7 +196,7 @@ func (f *Frontend) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Admitted:       h.Admitted,
 		Completed:      h.Completed,
 		Failed:         h.Failed,
-		Shed:           h.Shed + h.MemShed,
+		Shed:           h.MemShed,
 		MemInUseBytes:  h.Memory.InUseBytes,
 		MemBudgetBytes: h.Memory.BudgetBytes,
 	}

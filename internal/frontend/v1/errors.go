@@ -36,8 +36,8 @@ const (
 	// global or tenant-cap (errs.ErrMemoryPressure). HTTP 429 with
 	// Retry-After. Retryable.
 	CodeMemoryPressure = "MEMORY_PRESSURE"
-	// CodeDegraded — the circuit breaker is open (errs.ErrDegraded).
-	// HTTP 503. Retryable.
+	// CodeDegraded — no live replica was left to serve the request
+	// (errs.ErrDegraded). HTTP 503. Retryable.
 	CodeDegraded = "DEGRADED"
 	// CodeUnavailable — the server is shutting down (errs.ErrClosed).
 	// HTTP 503. Retryable against a replacement instance.

@@ -316,13 +316,14 @@ func appendHex16(dst []byte, v uint64) []byte {
 
 // HealthResponse is the body of GET /v1/health.
 type HealthResponse struct {
-	// Status is "ok", "degraded" (circuit breaker open/half-open), or
-	// "closed" (server shutting down).
+	// Status is "ok", "degraded" (a cluster node is dead), or "closed"
+	// (server shutting down).
 	Status string `json:"status"`
 	// Queue and workers.
 	QueueDepth int `json:"queue_depth"`
 	Workers    int `json:"workers"`
-	// Admission totals.
+	// Admission totals. Shed counts memory-pressure sheds (the server
+	// sheds for no other reason).
 	Admitted  int64 `json:"admitted"`
 	Completed int64 `json:"completed"`
 	Failed    int64 `json:"failed"`
@@ -353,7 +354,8 @@ type HealthResponse struct {
 // GET /v1/tenants/{id}/stats and embedded in HealthResponse.
 type TenantStats struct {
 	Tenant string `json:"tenant"`
-	// Engine-side admission and completion counters.
+	// Engine-side admission and completion counters. Shed is always 0; it
+	// stays because the v1 wire is frozen (memory-pressure sheds are MemShed).
 	Admitted         int64 `json:"admitted"`
 	Completed        int64 `json:"completed"`
 	Failed           int64 `json:"failed"`

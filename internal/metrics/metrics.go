@@ -9,7 +9,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -183,13 +182,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return h.vals[lo]*(1-frac) + h.vals[hi]*frac
-}
-
-// Summary returns a compact single-line description with count, mean, and
-// common tail percentiles, suitable for experiment logs.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%.2f p50=%.2f p95=%.2f p99=%.2f max=%.2f",
-		h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Max())
 }
 
 func (h *Histogram) ensureSortedLocked() {

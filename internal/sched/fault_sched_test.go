@@ -94,7 +94,7 @@ func TestRetriesExhaustedGivesUp(t *testing.T) {
 	m := hw.Server2S()
 	// Unlimited panic budget: the morsel panics on every worker it lands on.
 	inj := fault.New(fault.Config{Seed: 1, PanicProb: 1})
-	s, err := New(m, Options{Workers: 8, Stealing: true, Inject: inj, IsolatePanics: true, MaxTaskRetries: 2})
+	s, err := New(m, Options{Workers: 8, Stealing: true, Inject: inj, IsolatePanics: true})
 	if err != nil {
 		t.Fatal(err)
 	}

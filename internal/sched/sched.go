@@ -141,6 +141,11 @@ type queued struct {
 	task, attempts int
 }
 
+// maxTaskRetries bounds how many times one morsel may be re-executed after
+// panics before the run fails. It keeps a deterministically-poisoned morsel
+// from retiring every worker in turn.
+const maxTaskRetries = 2
+
 // Options configures a scheduler run.
 type Options struct {
 	// Workers is the number of simulated cores to use; 0 means all cores of
@@ -172,10 +177,6 @@ type Options struct {
 	// errs.ErrWorkerPanic error (stack attached) — it never crashes the
 	// process either way.
 	IsolatePanics bool
-	// MaxTaskRetries bounds how many times one morsel may be re-executed
-	// after panics before the run fails (default 2). It keeps a
-	// deterministically-poisoned morsel from retiring every worker in turn.
-	MaxTaskRetries int
 
 	// StragglerThreshold enables straggler detection when > 0: after each
 	// completed morsel, a worker whose mean per-morsel cost exceeds
@@ -612,10 +613,6 @@ func (st *runState) run(ctx context.Context, s *Scheduler, tasks []Task) (Result
 	if blockSize <= 0 {
 		blockSize = 1
 	}
-	maxRetries := s.opts.MaxTaskRetries
-	if maxRetries <= 0 {
-		maxRetries = 2
-	}
 
 	st.reset(s, tasks, sp)
 	res := &st.res
@@ -698,7 +695,7 @@ func (st *runState) run(ctx context.Context, s *Scheduler, tasks []Task) (Result
 				break
 			}
 			ct.attempts++
-			if ct.attempts > maxRetries {
+			if ct.attempts > maxTaskRetries {
 				sp.Annotate("task %s panicked on %d workers, giving up", t.label(), ct.attempts)
 				runErr = fmt.Errorf("sched: task %s panicked on %d workers, giving up (last: worker %d, %v): %w\n%s",
 					t.label(), ct.attempts, w.ID, pval, errs.ErrWorkerPanic, stack)

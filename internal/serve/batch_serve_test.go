@@ -95,7 +95,7 @@ func TestArrivalsDuringAPassShareTheNext(t *testing.T) {
 		}
 	}
 	if bs := s.Metrics().Histogram("serve.batch_size"); bs.Count() != 2 {
-		t.Errorf("%d passes, want 2 (the pinned one and the shared one): %s", bs.Count(), bs.Summary())
+		t.Errorf("%d passes, want 2 (the pinned one and the shared one): %+v", bs.Count(), bs.Stats())
 	}
 }
 
@@ -138,7 +138,7 @@ func TestOtherTableClosesTheOpenBatch(t *testing.T) {
 		}
 	}
 	if bs := s.Metrics().Histogram("serve.batch_size"); bs.Count() != arrivals+1 {
-		t.Errorf("%d passes, want %d: %s", bs.Count(), arrivals+1, bs.Summary())
+		t.Errorf("%d passes, want %d: %+v", bs.Count(), arrivals+1, bs.Stats())
 	}
 }
 

@@ -16,13 +16,11 @@ const (
 	evClose                    // both lanes are closed: drain
 )
 
-// event is one dispatcher input. vt is the table of a scan that opens a batch;
-// degraded is the breaker's state, read by the loop for arrive, idle and close.
+// event is one dispatcher input. vt is the table of a scan that opens a batch.
 type event struct {
 	kind       eventKind
 	p          *pending
 	vt         *vecTable
-	degraded   bool
 	n          int
 	batchClass bool
 }
@@ -49,7 +47,6 @@ type dispatcher struct {
 	parked          []start
 	wait            start // workers == 0: nothing waits
 	closing         bool
-	degraded        bool // the last event's, for a close that a waiting unit deferred
 	out             []start
 }
 
@@ -69,10 +66,8 @@ func (d *dispatcher) step(ev event) []start {
 	d.out = d.out[:0]
 	switch ev.kind {
 	case evArrive:
-		d.degraded = ev.degraded
 		d.arrive(ev.p, ev.vt)
 	case evIdle:
-		d.degraded = ev.degraded
 		if !d.waiting() {
 			if d.open != nil && !d.open.lo {
 				d.place(false)
@@ -93,7 +88,6 @@ func (d *dispatcher) step(ev event) []start {
 			d.admit(u, true)
 		}
 	case evClose:
-		d.degraded = ev.degraded
 		d.closing = true
 	}
 	// A full batch, or any batch once closing, closes; closing, parked work
@@ -148,16 +142,11 @@ func (d *dispatcher) arrive(p *pending, vt *vecTable) {
 	d.open.reqs = append(d.open.reqs, p)
 }
 
-// place moves the open batch into a start, on every core (a quarter while
-// degraded, at most batchCap when all-batch). Refused and not closing, it
-// stays open.
+// place moves the open batch into a start, on every core (at most batchCap
+// when all-batch). Refused and not closing, it stays open.
 func (d *dispatcher) place(closing bool) {
 	b := d.open
-	b.degraded = d.degraded
 	b.workers = d.workers
-	if b.degraded {
-		b.workers = max(1, d.workers/4)
-	}
 	if b.lo {
 		b.workers = min(b.workers, d.batchCap)
 	}

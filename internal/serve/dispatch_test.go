@@ -26,7 +26,6 @@ func release(n int, batch bool) event { return event{kind: evRelease, n: n, batc
 
 var (
 	idle    = event{kind: evIdle}
-	idleDeg = event{kind: evIdle, degraded: true}
 	closing = event{kind: evClose}
 )
 
@@ -86,12 +85,9 @@ var dispatchRules = []struct {
 		[]event{opB("g1", OpGroupSum), opB("q1", OpQ1), opB("q2", OpQ1), release(1, true), scanA("s1", "a"), idle},
 		[]string{"g1@4 batch", "q1@1 batch", "q2@1 batch", "", "", "s1@3"}},
 	{"an all-batch placement does not jump parked work", Options{},
-		[]event{opB("g1", OpGroupSum), scanB("t1", "a"), opB("g2", OpGroupSum), idleDeg, release(4, true), idle,
-			release(4, true), idle},
-		[]string{"g1@4 batch", "", "", "", "", "g2@4 batch", "", "t1@6 batch"}},
-	{"a degraded pass gets a quarter of the cores", Options{},
-		[]event{scanA("s1", "a"), idleDeg},
-		[]string{"", "s1@2"}},
+		[]event{opB("g1", OpGroupSum), scanB("t1", "a"), opB("g2", OpGroupSum), release(4, true), scanA("s1", "b"),
+			idle, release(8, false), idle, release(4, true), idle},
+		[]string{"g1@4 batch", "", "", "", "", "s1@8", "", "g2@4 batch", "", "t1@6 batch"}},
 	{"a closing interactive batch waits for its floor, and nothing else starts meanwhile", Options{},
 		[]event{opA("g1", OpGroupSum), opA("g2", OpGroupSum), opB("q1", OpQ1), scanA("a1", "a"), scanA("b1", "b"),
 			release(1, false), idle, release(4, false), idle},
@@ -235,9 +231,9 @@ func checkHistory(t *testing.T, data []byte) {
 			}
 			p := &pending{req: Request{Op: ops[arg>>1%4], Table: "ab"[arg>>3%2:][:1], Priority: prio, TraceID: strconv.Itoa(i)}}
 			arrivals = append(arrivals, p)
-			ev = event{kind: evArrive, p: p, degraded: arg&16 != 0}
+			ev = event{kind: evArrive, p: p}
 		case 1:
-			ev = event{kind: evIdle, degraded: arg&1 == 1}
+			ev = event{kind: evIdle}
 		case 2:
 			if len(running) == 0 {
 				continue
@@ -251,7 +247,7 @@ func checkHistory(t *testing.T, data []byte) {
 				continue
 			}
 			closed = true
-			ev = event{kind: evClose, degraded: arg&16 != 0}
+			ev = closing
 		}
 		stepAndCheck(i, ev)
 	}

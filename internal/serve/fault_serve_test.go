@@ -110,123 +110,6 @@ func TestPanicIsolationInServer(t *testing.T) {
 	}
 }
 
-// TestBreakerTripsShedsAndRecovers walks the full breaker cycle: two
-// injected failures trip it, a non-scan request is shed with ErrDegraded, a
-// scan still runs on the degraded worker budget (Workers/4), and its success
-// closes the breaker again.
-func TestBreakerTripsShedsAndRecovers(t *testing.T) {
-	cols, expect := testRelation(5000)
-	s := newServer(t, Options{
-		Workers: 8, OpWorkers: 4, QueueDepth: 8, MaxBatch: 1,
-		Faults:           fault.New(fault.Config{Seed: 3, TransientProb: 1, MaxFaults: 2}),
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour, // recovery must come from the degraded scan, not time
-	})
-	if err := s.Register("events", cols); err != nil {
-		t.Fatal(err)
-	}
-	keys := workload.UniformInts(81, 4096, 64)
-	vals := workload.UniformInts(82, 4096, 100)
-	group := Request{Op: OpGroupSum, Keys: keys, Vals: vals, Strategy: agg.StrategyRadix}
-
-	// Two consecutive failures (MaxRetries=0: nothing absorbs them).
-	for i := 0; i < 2; i++ {
-		if _, err := s.Submit(context.Background(), group); !errors.Is(err, errs.ErrTransient) {
-			t.Fatalf("failure %d: %v", i, err)
-		}
-	}
-	h := s.Health()
-	if h.State != "degraded" || h.BreakerTrips != 1 || h.ConsecutiveFailures != 2 {
-		t.Fatalf("breaker did not trip: %+v", h)
-	}
-
-	// Open breaker: non-scan work sheds...
-	if _, err := s.Submit(context.Background(), group); !errors.Is(err, errs.ErrDegraded) {
-		t.Fatalf("open breaker did not shed: %v", err)
-	}
-	// ...but a scan still runs, on the reduced budget (the fault budget is
-	// spent, so it succeeds) — and its success closes the breaker. The pass
-	// is held after it has taken its core tokens to read the budget off the
-	// pool: Workers/4 = 2 of 8.
-	freeCores := s.coresFree.Value
-	// The dispatcher steps the failed group-sums' releases after they answer.
-	waitFor(t, func() bool { return freeCores() == 8 }, "failed operations never released their cores")
-	hold := make(chan struct{})
-	s.testHold = hold
-	type scanOut struct {
-		resp Response
-		err  error
-	}
-	scanned := make(chan scanOut, 1)
-	go func() {
-		resp, err := s.Submit(context.Background(), Request{Op: OpScan, Table: "events", Query: scanQuery(0, 5000)})
-		scanned <- scanOut{resp, err}
-	}()
-	waitFor(t, func() bool { return freeCores() < 8 }, "degraded scan never took its cores")
-	if free := freeCores(); free != 6 {
-		t.Fatalf("degraded scan holds %d of 8 cores, want Workers/4 = 2", 8-free)
-	}
-	close(hold)
-	out := <-scanned
-	resp, err := out.resp, out.err
-	if err != nil {
-		t.Fatalf("degraded scan failed: %v", err)
-	}
-	if want := expect(0, 5000); resp.Sum != want {
-		t.Fatalf("degraded scan sum = %d, want %d", resp.Sum, want)
-	}
-	h = s.Health()
-	if h.DegradedScans == 0 {
-		t.Fatalf("scan did not run degraded: %+v", h)
-	}
-	if h.State != "ok" {
-		t.Fatalf("success did not close the breaker: %+v", h)
-	}
-	// Closed again: non-scan work flows.
-	if _, err := s.Submit(context.Background(), group); err != nil {
-		t.Fatalf("recovered breaker still shedding: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if h := s.Health(); h.Shed != 1 {
-		t.Fatalf("shed = %d, want 1", h.Shed)
-	}
-}
-
-// TestBreakerHalfOpenProbe trips the breaker and waits out the cooldown: the
-// next non-scan request is admitted as a half-open probe and, succeeding,
-// closes the breaker.
-func TestBreakerHalfOpenProbe(t *testing.T) {
-	s := newServer(t, Options{
-		Workers: 8, OpWorkers: 4, QueueDepth: 8,
-		Faults:           fault.New(fault.Config{Seed: 3, TransientProb: 1, MaxFaults: 2}),
-		BreakerThreshold: 2,
-		BreakerCooldown:  5 * time.Millisecond,
-	})
-	keys := workload.UniformInts(83, 4096, 64)
-	vals := workload.UniformInts(84, 4096, 100)
-	group := Request{Op: OpGroupSum, Keys: keys, Vals: vals, Strategy: agg.StrategyRadix}
-	for i := 0; i < 2; i++ {
-		if _, err := s.Submit(context.Background(), group); !errors.Is(err, errs.ErrTransient) {
-			t.Fatalf("failure %d: %v", i, err)
-		}
-	}
-	if _, err := s.Submit(context.Background(), group); !errors.Is(err, errs.ErrDegraded) {
-		t.Fatalf("open breaker did not shed: %v", err)
-	}
-	time.Sleep(10 * time.Millisecond)
-	if _, err := s.Submit(context.Background(), group); err != nil {
-		t.Fatalf("half-open probe failed: %v", err)
-	}
-	if h := s.Health(); h.State != "ok" {
-		t.Fatalf("probe success did not close the breaker: %+v", h)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRequestDeadline: a request bounded by its caller's context returns the
 // deadline error while the pipeline is pinned, and is counted.
 func TestRequestDeadline(t *testing.T) {
@@ -338,7 +221,7 @@ func TestChaosMix(t *testing.T) {
 		if r.err != nil {
 			// Failures must be typed — anything else is an escape.
 			if !errors.Is(r.err, errs.ErrTransient) && !errors.Is(r.err, errs.ErrWorkerPanic) &&
-				!errors.Is(r.err, errs.ErrDegraded) && !errors.Is(r.err, errs.ErrOverloaded) {
+				!errors.Is(r.err, errs.ErrOverloaded) {
 				t.Fatalf("client %d: untyped failure: %v", c, r.err)
 			}
 			continue
@@ -371,7 +254,7 @@ func TestChaosMix(t *testing.T) {
 	}
 }
 
-// TestNoGoroutineLeaks runs a faulty workload including sheds, deadlines,
+// TestNoGoroutineLeaks runs a faulty workload including rejections, deadlines,
 // and retries, closes the server, and checks the goroutine count settles
 // back to where it started.
 func TestNoGoroutineLeaks(t *testing.T) {
@@ -380,12 +263,10 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		cols, _ := testRelation(2000)
 		s := newServer(t, Options{
 			Workers: 4, OpWorkers: 4, QueueDepth: 4, MaxBatch: 2,
-			Faults:           fault.New(fault.Config{Seed: int64(round), TransientProb: 0.2}),
-			MaxRetries:       2,
-			RetryBackoff:     10 * time.Microsecond,
-			BreakerThreshold: 2,
-			BreakerCooldown:  time.Millisecond,
-			IsolatePanics:    true,
+			Faults:        fault.New(fault.Config{Seed: int64(round), TransientProb: 0.2}),
+			MaxRetries:    2,
+			RetryBackoff:  10 * time.Microsecond,
+			IsolatePanics: true,
 		})
 		if err := s.Register("events", cols); err != nil {
 			t.Fatal(err)

@@ -104,6 +104,48 @@ func TestInteractiveNotBlockedByBatchHold(t *testing.T) {
 	}
 }
 
+// TestHealthQueueDepthCountsBothLanes pins the executors, parks batch work
+// behind the batch core cap and queues more behind it on the batch lane,
+// which the dispatcher does not read while work is parked: Health's
+// QueueDepth must count what waits there, as the serve.queue_depth gauge does.
+func TestHealthQueueDepthCountsBothLanes(t *testing.T) {
+	s := newServer(t, Options{Workers: 8, OpWorkers: 4, InteractiveReserve: 2, QueueDepth: 16})
+	hold := make(chan struct{})
+	s.testHold = hold
+	group := Request{
+		Op: OpGroupSum, Keys: []int64{1, 2, 3}, Vals: []int64{4, 5, 6}, Strategy: agg.StrategyGlobal,
+		Priority: PriorityBatch,
+	}
+	var wg sync.WaitGroup
+	submit := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Submit(context.Background(), group); err != nil {
+				t.Errorf("batch request: %v", err)
+			}
+		}()
+	}
+	// g1 holds 4 of the 6 batch-class cores; g2 does not fit and parks.
+	submit()
+	waitFor(t, func() bool { return s.coresFree.Value() == 4 }, "first batch operation never took its cores")
+	submit()
+	waitFor(t, func() bool { return s.Health().Admitted == 2 && len(s.intakeLo) == 0 }, "second batch operation never parked")
+	const queued = 5
+	for i := 0; i < queued; i++ {
+		submit()
+	}
+	waitFor(t, func() bool { return s.Health().Admitted == 2+queued }, "batch requests never queued")
+	if h := s.Health(); h.QueueDepth != queued {
+		t.Errorf("Health().QueueDepth = %d with %d batch requests queued", h.QueueDepth, queued)
+	}
+	close(hold)
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // waitFor polls cond for up to 5s.
 func waitFor(t *testing.T, cond func() bool, msg string) {
 	t.Helper()

@@ -31,23 +31,17 @@
 //   - morsel-level transient failures and recovered worker panics are
 //     retried with bounded exponential backoff plus jitter (MaxRetries,
 //     RetryBackoff);
-//   - a circuit breaker trips after BreakerThreshold consecutive failures:
-//     while open, join/aggregate/query requests are shed with ErrDegraded,
-//     and scan requests still run — on a quarter of the worker budget — so
-//     the serving layer degrades instead of collapsing. After
-//     BreakerCooldown one probe request half-opens the breaker; a success
-//     closes it;
-//   - Health() snapshots the breaker, retry, re-dispatch, and fault-log
-//     state.
+//   - Health() snapshots the retry, re-dispatch, and fault-log state.
+//
+// A server has no circuit breaker of its own: a server that keeps failing is
+// routed around by the shard tier's per-node breaker (internal/shard).
 //
 // With Options.Memory armed the server also governs memory (see
 // internal/mem): join/aggregate requests win a reservation at admission or
 // are shed with ErrMemoryPressure, operators charge hash-table state against
 // the reservation and degrade to a grace-hash spill plan when a charge is
 // denied, and settle() accounts spill and peak-footprint accounting before
-// releasing the reservation. Memory pressure deliberately does NOT feed the
-// circuit breaker: a full budget is relieved by completions, not by shedding
-// into degraded mode.
+// releasing the reservation.
 //
 // With Options.Store armed the server is durable (see internal/store):
 // registered tables are staged into the segment store, Checkpoint writes an
@@ -79,7 +73,6 @@ import (
 	"time"
 
 	"hwstar/internal/agg"
-	"hwstar/internal/breaker"
 	"hwstar/internal/errs"
 	"hwstar/internal/fault"
 	"hwstar/internal/hw"
@@ -281,14 +274,6 @@ type Options struct {
 	// ring. Nil disables tracing at zero cost.
 	Trace *trace.Tracer
 
-	// BreakerThreshold arms the circuit breaker: after that many
-	// consecutive operation failures the breaker opens, shedding non-scan
-	// requests with ErrDegraded and running scans on Workers/4 (min 1)
-	// simulated cores. After BreakerCooldown (default 10ms) one request
-	// probes half-open; success closes the breaker. 0 disables the breaker.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
 	// IsolatePanics, StragglerThreshold, and SchedBlockSize configure the
 	// scheduler's own resilience for every operation this server runs (see
 	// sched.Options).
@@ -355,9 +340,6 @@ func (o Options) withDefaults(m *hw.Machine) (Options, error) {
 	if o.CheckpointInterval > 0 && o.Store == nil {
 		return o, fmt.Errorf("serve: checkpoint interval %s without a store: %w", o.CheckpointInterval, errs.ErrInvalidInput)
 	}
-	if o.BreakerThreshold > 0 && o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 10 * time.Millisecond
-	}
 	return o, nil
 }
 
@@ -406,9 +388,7 @@ type Server struct {
 	released  chan event
 	coresFree *metrics.Gauge // serve.cores_free, set after every step
 
-	// brk is the circuit breaker (nil when disabled); rng feeds backoff
-	// jitter deterministically.
-	brk   *breaker.Breaker
+	// rng feeds backoff jitter deterministically.
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
@@ -483,9 +463,6 @@ func New(m *hw.Machine, opts Options) (*Server, error) {
 	}
 	s.coresFree = s.reg.Gauge("serve.cores_free")
 	s.coresFree.Set(int64(opts.Workers))
-	if opts.BreakerThreshold > 0 {
-		s.brk = breaker.New(opts.BreakerThreshold, opts.BreakerCooldown)
-	}
 	// Arm the memory governor when a budget is set or allocation faults are
 	// requested (an unlimited governor still injects). The server's compute
 	// fault injector doubles as the allocation injector unless the memory
@@ -795,13 +772,6 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 		s.tenantInc(req.Tenant, "invalid")
 		return Response{}, err
 	}
-	// Degraded mode: shed everything but scans while the breaker is open.
-	// Scans stay admitted — they run on the reduced worker budget.
-	if s.brk != nil && req.Op != OpScan && !s.brk.Allow(time.Now()) {
-		s.reg.Counter("serve.shed").Inc()
-		s.tenantInc(req.Tenant, "shed")
-		return Response{}, fmt.Errorf("serve: circuit open, %s shed: %w", req.Op, errs.ErrDegraded)
-	}
 	// Memory admission: a join/aggregate request must win its reservation
 	// before it may queue — admission considers memory, not just queue
 	// depth. A budget too full to grant one sheds the request with
@@ -1016,15 +986,14 @@ func (s *Server) recordPhases(phases []sched.Result, opErr error) {
 
 // batch is the scan batch under collection: requests against one table
 // that will share a single block-major pass. workers is the simulated-core
-// budget the dispatcher counted out for it; degraded records that the
-// breaker was open when it was placed; lo that every member is batch-class.
+// budget the dispatcher counted out for it; lo that every member is
+// batch-class.
 type batch struct {
-	table    string
-	vt       *vecTable
-	reqs     []*pending
-	workers  int
-	lo       bool
-	degraded bool
+	table   string
+	vt      *vecTable
+	reqs    []*pending
+	workers int
+	lo      bool
 }
 
 // dispatch is the loop around the dispatcher (dispatch.go) and the only code
@@ -1050,7 +1019,7 @@ func (s *Server) dispatch() {
 				fromLo = true
 			default:
 				s.drain(d) // an open batch widens to every core already returned
-				s.step(d, event{kind: evIdle, degraded: s.degraded()})
+				s.step(d, event{kind: evIdle})
 				hiR, loR = s.lanes(d, hi, lo)
 				select {
 				case ev := <-s.released:
@@ -1076,7 +1045,7 @@ func (s *Server) dispatch() {
 			hi = nil
 		}
 		if !ok && hi == nil && lo == nil {
-			s.step(d, event{kind: evClose, degraded: s.degraded()})
+			s.step(d, event{kind: evClose})
 		}
 	}
 }
@@ -1116,7 +1085,7 @@ func (s *Server) admit(d *dispatcher, p *pending) {
 		s.finish(p, Response{}, fmt.Errorf("serve: dropped before dispatch: %w", err))
 		return
 	}
-	ev := event{kind: evArrive, p: p, degraded: s.degraded()}
+	ev := event{kind: evArrive, p: p}
 	if p.req.Op == OpScan {
 		if d.open == nil || d.open.table != p.req.Table {
 			vt, ok := s.lookup(p.ctx, p.req.Table)
@@ -1144,14 +1113,9 @@ func (s *Server) step(d *dispatcher, ev event) {
 			go s.runOne(st.p, st.workers, st.lo)
 			continue
 		}
-		if st.b.degraded {
-			s.reg.Counter("serve.degraded_scans").Inc()
-		}
 		go s.runBatch(st.b)
 	}
 }
-
-func (s *Server) degraded() bool { return s.brk != nil && s.brk.Degraded() }
 
 // runBatch executes one shared block-major pass for every live request of the
 // batch and distributes per-query results. The modeled cost attributed to
@@ -1343,9 +1307,9 @@ func (s *Server) finish(p *pending, resp Response, err error) {
 
 // settle accounts the outcome and leaves it in p.out, for its executor to send
 // once the cores are back: context-terminated requests count as deadline-
-// exceeded, successful ones record latency and close the breaker's failure
-// streak, machine-level failures feed the breaker. Every admitted request ends
-// here, so it also settles the memory reservation: spill and peak, then release.
+// exceeded, successful ones record latency, the rest count as failed. Every
+// admitted request ends here, so it also settles the memory reservation: spill
+// and peak, then release.
 func (s *Server) settle(p *pending, resp Response, err error) {
 	tenant := p.req.Tenant
 	switch {
@@ -1359,9 +1323,6 @@ func (s *Server) settle(p *pending, resp Response, err error) {
 			s.reg.Histogram(tenantPrefix + tenant + ".cycles_per_query").Record(resp.SimCycles)
 		}
 		p.span.SetAttr("status", "ok")
-		if s.brk != nil {
-			s.brk.OnSuccess()
-		}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		s.reg.Counter("serve.deadline_exceeded").Inc()
 		s.tenantInc(tenant, "deadline_exceeded")
@@ -1372,14 +1333,6 @@ func (s *Server) settle(p *pending, resp Response, err error) {
 		p.span.SetAttr("status", "failed")
 		if errors.Is(err, errs.ErrOOMKilled) {
 			s.reg.Counter("serve.oom_killed").Inc()
-		}
-		// Memory pressure is the governor's domain, not the machine's: it
-		// does not feed the breaker. Tripping into degraded mode over a full
-		// budget would shed the very load whose completion frees it.
-		if s.brk != nil && retryable(err) && !errors.Is(err, errs.ErrMemoryPressure) {
-			if s.brk.OnFailure(time.Now()) {
-				s.reg.Counter("serve.breaker_trips").Inc()
-			}
 		}
 	}
 	if p.resv != nil {
@@ -1409,22 +1362,22 @@ func (s *Server) settle(p *pending, resp Response, err error) {
 
 // Health is a point-in-time snapshot of the server's resilience state.
 type Health struct {
-	// State is "ok" or "degraded" (circuit breaker open).
+	// State is "ok" for a server; the shard tier's view reports "degraded"
+	// while a node is dead.
 	State string
-	// QueueDepth is the current intake backlog; ConsecutiveFailures the
-	// breaker's failure streak.
-	QueueDepth          int
-	ConsecutiveFailures int
+	// QueueDepth is the current intake backlog, both lanes.
+	QueueDepth int
 
-	// Admission and outcome counters.
+	// Admission and outcome counters. Shed is always 0 and kept because the
+	// v1 wire carries it.
 	Admitted, Completed, Failed, Rejected, Shed, DeadlineExceeded int64
 
 	// Resilience counters: retry attempts, operations that exhausted their
-	// retry budget, breaker trips, morsels re-dispatched away from sick
-	// workers, recovered panics, stragglers retired, cores lost.
-	Retries, RetryExhausted, BreakerTrips       int64
-	Redispatched, PanicsRecovered               int64
-	StragglersRetired, CoresLost, DegradedScans int64
+	// retry budget, morsels re-dispatched away from sick workers, recovered
+	// panics, stragglers retired, cores lost.
+	Retries, RetryExhausted       int64
+	Redispatched, PanicsRecovered int64
+	StragglersRetired, CoresLost  int64
 
 	// Memory-governance counters: requests shed at admission for lack of
 	// budget, operator spill decisions and simulated spill-tier bytes, and
@@ -1469,7 +1422,8 @@ type Health struct {
 // distribution. It is assembled from the per-tenant metric dimension — no
 // mutexed state is copied to produce it.
 type TenantHealth struct {
-	// Admission and outcome counters for this tenant's requests.
+	// Admission and outcome counters for this tenant's requests. Shed is
+	// always 0 and kept because the v1 wire carries it.
 	Admitted, Completed, Failed, Rejected, Shed, MemShed int64
 	DeadlineExceeded, Invalid                            int64
 
@@ -1498,16 +1452,13 @@ func HealthFromCounters(c map[string]int64) Health {
 		Completed:          c["serve.completed"],
 		Failed:             c["serve.failed"],
 		Rejected:           c["serve.rejected"],
-		Shed:               c["serve.shed"],
 		DeadlineExceeded:   c["serve.deadline_exceeded"],
 		Retries:            c["serve.retries"],
 		RetryExhausted:     c["serve.retry_exhausted"],
-		BreakerTrips:       c["serve.breaker_trips"],
 		Redispatched:       c["serve.redispatched"],
 		PanicsRecovered:    c["serve.panics_recovered"],
 		StragglersRetired:  c["serve.stragglers_retired"],
 		CoresLost:          c["serve.cores_lost"],
-		DegradedScans:      c["serve.degraded_scans"],
 		MemShed:            c["serve.mem_shed"],
 		Spills:             c["serve.spills"],
 		SpillBytes:         c["serve.spill_bytes"],
@@ -1551,7 +1502,6 @@ func TenantHealthFromCounters(c map[string]int64, tenant string) TenantHealth {
 		Completed:        c[p+"completed"],
 		Failed:           c[p+"failed"],
 		Rejected:         c[p+"rejected"],
-		Shed:             c[p+"shed"],
 		MemShed:          c[p+"mem_shed"],
 		DeadlineExceeded: c[p+"deadline_exceeded"],
 		Invalid:          c[p+"invalid"],
@@ -1561,22 +1511,14 @@ func TenantHealthFromCounters(c map[string]int64, tenant string) TenantHealth {
 }
 
 // Health snapshots the server's resilience state: the counter view plus what
-// no counter holds — breaker position and failure streak, queue depth, the
-// governor, the fault injector's log, the store, and each tenant's latency
-// distribution and memory position.
+// no counter holds — queue depth, the governor, the fault injector's log, the
+// store, and each tenant's latency distribution and memory position.
 func (s *Server) Health() Health {
 	h := HealthFromCounters(s.reg.Counters())
 	h.State = "ok"
-	h.QueueDepth = len(s.intake)
+	h.QueueDepth = len(s.intake) + len(s.intakeLo)
 	h.Memory = s.gov.Stats()
 	h.Faults = s.opts.Faults.CountsInt64()
-	if s.brk != nil {
-		consec, open, _ := s.brk.Snapshot()
-		h.ConsecutiveFailures = consec
-		if open {
-			h.State = "degraded"
-		}
-	}
 	if s.st != nil {
 		h.Durable = true
 		h.Recovery = s.st.Recovery()

@@ -122,7 +122,7 @@ func TestScanBatching(t *testing.T) {
 		t.Fatalf("counters: %v", ctrs)
 	}
 	if bs := s.Metrics().Histogram("serve.batch_size"); bs.Count() != 1 || bs.Max() != clients {
-		t.Fatalf("batch size histogram: %s", bs.Summary())
+		t.Fatalf("batch size histogram: %+v", bs.Stats())
 	}
 	if bw := s.Metrics().Histogram("serve.batch_wait_ms"); bw.Count() != clients {
 		t.Fatalf("batch_wait_ms recorded %d waits, want one per member (%d)", bw.Count(), clients)

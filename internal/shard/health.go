@@ -39,8 +39,7 @@ type NodeHealth struct {
 	ID    int
 	Alive bool
 	// BreakerOpen and BreakerTrips describe the router-side breaker
-	// guarding the route to this node (the node's own breaker is inside
-	// Serve).
+	// guarding the route to this node.
 	BreakerOpen  bool
 	BreakerTrips int64
 	// Serve is the node's own health snapshot (zero when the node is
@@ -103,9 +102,9 @@ func (r *Router) ClusterHealth() ClusterHealth {
 }
 
 // liveView is what both health views are built from: the live shards'
-// counter snapshots added key by key, and their Health snapshots for the
-// fields no counter holds.
-func (r *Router) liveView() (map[string]int64, []serve.Health) {
+// counter snapshots added key by key, their Health snapshots for the fields
+// no counter holds, and whether any node is dead.
+func (r *Router) liveView() (map[string]int64, []serve.Health, bool) {
 	r.mu.RLock()
 	nodes := r.nodes
 	r.mu.RUnlock()
@@ -122,7 +121,7 @@ func (r *Router) liveView() (map[string]int64, []serve.Health) {
 		}
 		live = append(live, srv.Health())
 	}
-	return sum, live
+	return sum, live, len(live) < len(nodes)
 }
 
 // Health is the single-node surface the frontend already speaks, for the
@@ -131,9 +130,9 @@ func (r *Router) liveView() (map[string]int64, []serve.Health) {
 // this file naming it. A dead node's server and its counts are gone, so after
 // a node loss the totals are a floor. What no counter holds has one rule each:
 //
-//   - State degrades when any live node does; Durable is true when any
+//   - State is "degraded" while any node is dead; Durable is true when any
 //     live node's is.
-//   - QueueDepth, ConsecutiveFailures, Faults and the Recovery counts are
+//   - QueueDepth, Faults and the Recovery counts are
 //     summed; Faults also carries the router's own "node-loss" count.
 //   - StoreVersion and Recovery.ManifestVersion are the lowest across live
 //     durable nodes: the version every node has committed.
@@ -143,15 +142,14 @@ func (r *Router) liveView() (map[string]int64, []serve.Health) {
 //
 // Cluster-only detail (failovers, hedges, partials) lives in ClusterHealth.
 func (r *Router) Health() serve.Health {
-	sum, live := r.liveView()
+	sum, live, dead := r.liveView()
 	out := serve.HealthFromCounters(sum)
 	out.State = "ok"
+	if dead {
+		out.State = "degraded"
+	}
 	for _, h := range live {
-		if h.State == "degraded" {
-			out.State = h.State
-		}
 		out.QueueDepth += h.QueueDepth
-		out.ConsecutiveFailures += h.ConsecutiveFailures
 		if h.Faults != nil && out.Faults == nil {
 			out.Faults = make(map[string]int64)
 		}
@@ -195,7 +193,7 @@ func (r *Router) Health() serve.Health {
 
 // TenantHealth is one tenant's slice of Health, built the same way.
 func (r *Router) TenantHealth(tenant string) serve.TenantHealth {
-	sum, live := r.liveView()
+	sum, live, _ := r.liveView()
 	return r.tenantView(tenant, serve.TenantHealthFromCounters(sum, tenant), live)
 }
 

@@ -123,6 +123,32 @@ func TestRouterHealthIsSumOfNodes(t *testing.T) {
 	}
 }
 
+// TestRouterStateDegradedWhileNodeDead: the router's State is "degraded"
+// exactly while a node is dead, and "ok" again once it has recovered.
+func TestRouterStateDegradedWhileNodeDead(t *testing.T) {
+	ctx := context.Background()
+	cols, _ := testRelation(9000)
+	r := newRouter(t, Options{Shards: 3, Replicas: 2, Stores: openStores(t, 3)})
+	if err := r.Register("ev", cols); err != nil {
+		t.Fatal(err)
+	}
+	if s := r.Health().State; s != "ok" {
+		t.Fatalf("state with every node alive = %q, want ok", s)
+	}
+	if err := r.KillNode(2); err != nil {
+		t.Fatal(err)
+	}
+	if s := r.Health().State; s != "degraded" {
+		t.Fatalf("state with node 2 dead = %q, want degraded", s)
+	}
+	if err := r.RecoverNode(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	if s := r.Health().State; s != "ok" {
+		t.Fatalf("state after node 2 recovered = %q, want ok", s)
+	}
+}
+
 // TestRouterTenantLatencyIsWholeRequest: a tenant's latency behind a Router
 // is what it waited for at the router — one sample per request, not one per
 // stripe — and it reaches both TenantHealth and Health().Tenants.

@@ -13,8 +13,8 @@
 //
 //   - fault.ClassNodeLoss kills a whole shard the way core loss kills a
 //     worker; the router fails over to surviving replicas;
-//   - each node carries a router-side circuit breaker (the node's own
-//     breaker guards its internals; this one guards the route to it);
+//   - each node carries a router-side circuit breaker guarding the route
+//     to it (a server has no breaker of its own);
 //   - hedged dispatch sends a late request to a second replica and
 //     cancels the loser, bounding the tail the way straggler retirement
 //     bounds a slow core;
