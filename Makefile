@@ -63,20 +63,23 @@ race-core:
 
 # check is the full verification gate: compile everything, run the static
 # analyzers, run the whole suite once without the race detector (the pooled
-# allocation pins — agg, join, sched, serve — skip under -race, where
+# allocation pins — agg, join, sched, serve, shard — skip under -race, where
 # sync.Pool drops Puts on purpose) and once under it (core concurrency
-# packages uncached). The modeled-cycle golden runs ten times more: it guards
-# serve's drain-releases-first rule (the dispatch loop steps every release an
+# packages uncached). Two shard tests run ten times more, because one run
+# rarely hits what they guard. The modeled-cycle golden guards serve's
+# drain-releases-first rule (the dispatch loop steps every release an
 # executor sent before it steps the next arrival or idle, so a pass never
-# starts short of cores a finished request already returned), which one run
-# rarely tests.
+# starts short of cores a finished request already returned). The hedge-loser
+# test guards the router's pool rule (a fan-out's state is recycled only once
+# every attempt it launched has reported), which needs a loser still running
+# when its request returns.
 check:
 	$(GO) build ./...
 	$(MAKE) lint
 	$(GO) test ./...
 	$(MAKE) race-core
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run TestSimCyclesGolden ./internal/shard
+	$(GO) test -race -count=10 -run 'TestSimCyclesGolden|TestHedgeLoserNeverSeesRecycledState' ./internal/shard
 
 # fuzz-smoke gives each native fuzz target ten seconds of mutation past its
 # seed corpus (plain `go test` only replays the seeds). One target per

@@ -155,14 +155,6 @@ func (c *Cache) ResetStats() {
 	c.stats = Stats{Name: name}
 }
 
-// Flush empties the cache and zeroes statistics.
-func (c *Cache) Flush() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
-	}
-	c.ResetStats()
-}
-
 // TLB simulates a fully-associative translation lookaside buffer with LRU
 // replacement at page granularity.
 type TLB struct {
@@ -209,12 +201,6 @@ func (t *TLB) Access(addr uint64) bool {
 
 // Stats returns a copy of the TLB statistics.
 func (t *TLB) Stats() Stats { return t.stats }
-
-// Flush empties the TLB and zeroes statistics.
-func (t *TLB) Flush() {
-	t.pages = t.pages[:0]
-	t.stats = Stats{Name: "TLB"}
-}
 
 // Hierarchy chains cache levels (closest first) plus a TLB and prices every
 // access in simulated cycles. Levels are inclusive: a line missing in L1 is
@@ -308,18 +294,6 @@ func (h *Hierarchy) Accesses() int64 { return h.accesses }
 
 // Cycles returns the total simulated cycles spent on memory accesses.
 func (h *Hierarchy) Cycles() float64 { return h.cycles }
-
-// Flush empties every level and the TLB and zeroes all statistics.
-func (h *Hierarchy) Flush() {
-	for _, c := range h.levels {
-		c.Flush()
-	}
-	if h.tlb != nil {
-		h.tlb.Flush()
-	}
-	h.accesses = 0
-	h.cycles = 0
-}
 
 // ResetStats zeroes statistics but preserves cache contents.
 func (h *Hierarchy) ResetStats() {

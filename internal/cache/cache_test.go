@@ -132,7 +132,7 @@ func TestContainsDoesNotPerturb(t *testing.T) {
 	}
 }
 
-func TestFlushAndResetStats(t *testing.T) {
+func TestResetStatsPreservesContents(t *testing.T) {
 	c := smallCache()
 	c.Access(0)
 	c.ResetStats()
@@ -141,10 +141,6 @@ func TestFlushAndResetStats(t *testing.T) {
 	}
 	if !c.Access(0) {
 		t.Fatal("ResetStats must preserve contents")
-	}
-	c.Flush()
-	if c.Access(0) {
-		t.Fatal("Flush must empty the cache")
 	}
 }
 
@@ -176,10 +172,6 @@ func TestTLBBasics(t *testing.T) {
 	tlb.Access(8192) // page 2, evicts page 0
 	if tlb.Access(0) {
 		t.Fatal("page 0 should have been evicted")
-	}
-	tlb.Flush()
-	if s := tlb.Stats(); s.Accesses() != 0 {
-		t.Fatalf("flush left stats %+v", s)
 	}
 }
 
@@ -239,7 +231,6 @@ func TestHierarchyAccessRange(t *testing.T) {
 	if h.Accesses() != 4 {
 		t.Fatalf("accesses = %d, want 4", h.Accesses())
 	}
-	h.Flush()
 	if got := h.AccessRange(0, 128, 0); got <= 0 {
 		t.Fatal("stride 0 should default to 1 and return positive cycles")
 	}
@@ -259,18 +250,6 @@ func TestFromMachine(t *testing.T) {
 	h.ResetStats()
 	if h.Accesses() != 0 {
 		t.Fatal("ResetStats should zero access count")
-	}
-}
-
-func TestHierarchyFlush(t *testing.T) {
-	h := FromMachine(hw.Laptop())
-	h.Access(0)
-	h.Flush()
-	if h.Accesses() != 0 || h.Cycles() != 0 {
-		t.Fatal("Flush should zero counters")
-	}
-	if got := h.Access(0); got <= 100 {
-		t.Fatalf("post-flush access should be a cold miss, got %f cycles", got)
 	}
 }
 

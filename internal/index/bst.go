@@ -1,9 +1,6 @@
 package index
 
-import (
-	"hwstar/internal/cache"
-	"hwstar/internal/hw"
-)
+import "hwstar/internal/cache"
 
 // bstNodeBytes is the simulated footprint of one BST node: key, value, two
 // child pointers, padded to half a cache line (typical allocator behaviour).
@@ -89,21 +86,6 @@ func (t *BST) TracedGet(h *cache.Hierarchy, key int64) (int64, bool, float64) {
 		}
 	}
 	return 0, false, cycles
-}
-
-// ProbeWork returns the analytic cost of `probes` random lookups against an
-// index holding n entries with the given per-level bytes and branching: the
-// BST walks log2(n) dependent lines, the B+-tree height-many node reads
-// (each node a short burst of adjacent lines).
-func ProbeWork(name string, probes int64, levels float64, bytesPerLevel int64, ws int64) hw.Work {
-	return hw.Work{
-		Name:            name,
-		Tuples:          probes,
-		ComputePerTuple: 4 * levels,
-		RandomReads:     probes * int64(levels),
-		RandomWS:        ws,
-		SeqReadBytes:    probes * bytesPerLevel,
-	}
 }
 
 // TracedScan visits keys in [lo, hi] (up to limit) in order, touching every

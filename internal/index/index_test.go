@@ -127,20 +127,6 @@ func TestBTreeBeatsBSTUnderTrace(t *testing.T) {
 	}
 }
 
-func TestProbeWork(t *testing.T) {
-	m := hw.Server2S()
-	w := ProbeWork("bst-probe", 1000, 17, 32, 1<<30)
-	c := m.Cycles(w, hw.DefaultContext())
-	if c <= 0 {
-		t.Fatal("probe work should cost cycles")
-	}
-	// More levels must cost more.
-	w2 := ProbeWork("btree-probe", 1000, 4, 256, 1<<30)
-	if m.Cycles(w2, hw.DefaultContext()) >= c {
-		t.Fatal("fewer levels should cost fewer cycles")
-	}
-}
-
 // Property: both structures agree with a reference map and with each other
 // under arbitrary insert sequences (including duplicates).
 func TestIndexEquivalenceProperty(t *testing.T) {

@@ -360,6 +360,9 @@ type pending struct {
 	// single point every admitted request converges on.
 	resv *mem.Reservation
 
+	// tenant is the request's tenant series, nil when unattributed.
+	tenant *tenantSeries
+
 	span      *trace.Span
 	queueSpan *trace.Span
 	batchSpan *trace.Span
@@ -395,6 +398,9 @@ type Server struct {
 	mu     sync.RWMutex // guards closed and tables
 	closed bool
 	tables map[string]*vecTable
+
+	tenantMu sync.RWMutex // guards tenants
+	tenants  map[string]*tenantSeries
 
 	// Durable-tier state (nil when Options.Store is nil). stopc ends the
 	// background checkpointer at Close.
@@ -459,6 +465,7 @@ func New(m *hw.Machine, opts Options) (*Server, error) {
 		intakeLo: make(chan *pending, opts.QueueDepth),
 		released: make(chan event, opts.Workers),
 		tables:   make(map[string]*vecTable),
+		tenants:  make(map[string]*tenantSeries),
 		rng:      rand.New(rand.NewSource(seed)),
 	}
 	s.coresFree = s.reg.Gauge("serve.cores_free")
@@ -662,11 +669,46 @@ func (s *Server) RegisterEncoded(t *table.Table) error {
 
 // tenantInc bumps one tenant-dimension counter (serve.tenant.<id>.<metric>);
 // Health finds the tenant by that key. No-op for the empty (unattributed)
-// tenant.
+// tenant. It builds the series name, so it counts the rare outcomes only;
+// every request's series go through tenantSeries.
 func (s *Server) tenantInc(tenant, metric string) {
 	if tenant != "" {
 		s.reg.Counter(tenantPrefix + tenant + "." + metric).Inc()
 	}
+}
+
+// tenantSeries is one tenant's handles on the series every admitted request
+// touches, named and looked up in the registry once per tenant.
+type tenantSeries struct {
+	admitted, completed *metrics.Counter
+	latency, cycles     *metrics.Histogram
+}
+
+// tenant returns the tenant's series, nil for the empty (unattributed)
+// tenant.
+func (s *Server) tenant(tenant string) *tenantSeries {
+	if tenant == "" {
+		return nil
+	}
+	s.tenantMu.RLock()
+	ts := s.tenants[tenant]
+	s.tenantMu.RUnlock()
+	if ts != nil {
+		return ts
+	}
+	s.tenantMu.Lock()
+	defer s.tenantMu.Unlock()
+	if ts = s.tenants[tenant]; ts == nil {
+		p := tenantPrefix + tenant + "."
+		ts = &tenantSeries{
+			admitted:  s.reg.Counter(p + "admitted"),
+			completed: s.reg.Counter(p + "completed"),
+			latency:   s.reg.Histogram(p + "latency_ms"),
+			cycles:    s.reg.Histogram(p + "cycles_per_query"),
+		}
+		s.tenants[tenant] = ts
+	}
+	return ts
 }
 
 // SetTenantMemCap caps the named tenant's share of the server's memory
@@ -790,7 +832,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 			return Response{}, fmt.Errorf("serve: %s shed at admission: %w", req.Op, err)
 		}
 	}
-	p := &pending{ctx: ctx, req: req, enq: time.Now(), done: make(chan outcome, 1), resv: resv}
+	p := &pending{ctx: ctx, req: req, enq: time.Now(), done: make(chan outcome, 1), resv: resv, tenant: s.tenant(req.Tenant)}
 	// The trace (if this request is sampled) must be rooted before the
 	// request enters the intake queue: the dispatcher reads the spans
 	// concurrently the moment the send succeeds.
@@ -825,7 +867,9 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 	case lane <- p:
 		s.mu.RUnlock()
 		s.reg.Counter("serve.admitted").Inc()
-		s.tenantInc(req.Tenant, "admitted")
+		if p.tenant != nil {
+			p.tenant.admitted.Inc()
+		}
 		s.reg.Gauge("serve.queue_depth").Set(int64(len(s.intake) + len(s.intakeLo)))
 	default:
 		s.mu.RUnlock()
@@ -1317,10 +1361,10 @@ func (s *Server) settle(p *pending, resp Response, err error) {
 		s.reg.Counter("serve.completed").Inc()
 		lat := float64(time.Since(p.enq).Microseconds()) / 1000
 		s.reg.Histogram("serve.latency_ms").Record(lat)
-		if tenant != "" {
-			s.tenantInc(tenant, "completed")
-			s.reg.Histogram(tenantPrefix + tenant + ".latency_ms").Record(lat)
-			s.reg.Histogram(tenantPrefix + tenant + ".cycles_per_query").Record(resp.SimCycles)
+		if ts := p.tenant; ts != nil {
+			ts.completed.Inc()
+			ts.latency.Record(lat)
+			ts.cycles.Record(resp.SimCycles)
 		}
 		p.span.SetAttr("status", "ok")
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"hwstar/internal/cluster"
 	"hwstar/internal/errs"
@@ -41,56 +40,43 @@ func (r *Router) distJoin(ctx context.Context, req serve.Request) (Response, err
 	plan := planner.ChooseDistStrategy(clu, planner.StatsOf(in, 0), hw.DefaultContext())
 	if len(live) == 1 {
 		// One node left: no movement, run the whole join there.
-		resp, hov, err := r.dispatch(ctx, live, req)
-		return Response{Response: resp, Strategy: plan.Strategy, Hedged: hov.hedged, Failovers: hov.failovers}, err
+		resp, err := r.routeOne(ctx, req, live)
+		resp.Strategy = plan.Strategy
+		return resp, err
 	}
 
-	subs := splitJoin(in, len(live), plan.Strategy)
-
-	type subOut struct {
-		resp serve.Response
-		err  error
-		hov  hedgeOutcome
-	}
-	outs := make([]subOut, len(subs))
-	var wg sync.WaitGroup
-	for i := range subs {
-		if len(subs[i].BuildKeys) == 0 && len(subs[i].ProbeKeys) == 0 {
-			continue
+	// Every live node is a candidate for every sub-join: its data is inline,
+	// so anyone can run it. The fan-out rotates sub i's order by i, so the
+	// sub-joins start on distinct nodes.
+	f := newFanout(len(live))
+	defer f.release()
+	for _, part := range splitJoin(in, len(live), plan.Strategy) {
+		if len(part.BuildKeys) > 0 || len(part.ProbeKeys) > 0 {
+			f.add(req, live).Join = part
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sreq := req
-			sreq.Join = subs[i]
-			// Preferred node first, every other live node as failover —
-			// the sub-join's data is inline, so anyone can run it.
-			order := rotated(live, i)
-			resp, hov, err := r.dispatch(ctx, order, sreq)
-			outs[i] = subOut{resp: resp, err: err, hov: hov}
-		}(i)
 	}
-	wg.Wait()
+	r.run(ctx, f)
 
 	var out Response
 	out.Strategy = plan.Strategy
 	out.BytesMoved = plan.BytesMoved
 	out.NetworkCycles = plan.NetworkCycles
 	var maxLocal float64
-	for _, o := range outs {
-		out.Failovers += o.hov.failovers
-		out.Hedged = out.Hedged || o.hov.hedged
-		if o.err != nil {
-			// dispatch already exhausted every live node; the join cannot
-			// be completed exactly, and joins never return partials.
-			return out, o.err
+	for i := range f.subs {
+		s := &f.subs[i]
+		out.Failovers += s.failovers
+		out.Hedged = out.Hedged || s.hedged
+		if s.err != nil {
+			// The sub-join failed on every live node; the join cannot be
+			// completed exactly, and joins never return partials.
+			return out, s.err
 		}
-		out.Matches += o.resp.Matches
-		out.Checksum += o.resp.Checksum
-		out.Spilled = out.Spilled || o.resp.Spilled
-		out.SpillBytes += o.resp.SpillBytes
-		if o.resp.SimCycles > maxLocal {
-			maxLocal = o.resp.SimCycles
+		out.Matches += s.resp.Matches
+		out.Checksum += s.resp.Checksum
+		out.Spilled = out.Spilled || s.resp.Spilled
+		out.SpillBytes += s.resp.SpillBytes
+		if s.resp.SimCycles > maxLocal {
+			maxLocal = s.resp.SimCycles
 		}
 	}
 	out.SimCycles = maxLocal + out.NetworkCycles
@@ -157,14 +143,4 @@ func hashPart(k int64, n int) int {
 	h := uint64(k) * 0x9E3779B97F4A7C15
 	h ^= h >> 29
 	return int(h % uint64(n))
-}
-
-// rotated returns ids rotated so ids[i%len] leads — the distributed
-// join's preferred-node ordering with everyone else as failover.
-func rotated(ids []int, i int) []int {
-	out := make([]int, len(ids))
-	for j := range ids {
-		out[j] = ids[(i+j)%len(ids)]
-	}
-	return out
 }

@@ -249,17 +249,18 @@ func TestFailingNodeSortsAfterHealthyReplica(t *testing.T) {
 	bad.brk.OnFailure(now.Add(-150 * time.Minute)) // trips
 	bad.brk.OnFailure(now.Add(-90 * time.Minute))  // probe after the first cooldown fails
 	bad.brk.OnFailure(now.Add(-30 * time.Minute))  // probe after the second fails
-	for i := 0; i < 4; i++ {                       // every rotor position
-		c := r.candidates([]int{0, 1}, now)
-		if len(c) != 2 || c[0].id != 0 || c[1] != bad {
-			t.Fatalf("rotation %d: node failing every probe not ordered last: %v then %v", i, c[0].id, c[1].id)
+	// Every rotation, appended behind another sub's candidate.
+	for rot := 0; rot < 4; rot++ {
+		c := candidates([]try{{node: r.nodes[0]}}, r.nodes, []int{0, 1}, rot, now)
+		if len(c) != 3 || c[1].node.id != 0 || c[2].node != bad {
+			t.Fatalf("rotation %d: node failing every probe not ordered last: %d candidates, then %v", rot, len(c), c[len(c)-1].node.id)
 		}
 	}
 	if err := r.KillNode(0); err != nil {
 		t.Fatal(err)
 	}
-	if c := r.candidates([]int{0, 1}, now); len(c) != 1 || c[0] != bad {
-		t.Fatalf("last replica standing dropped from candidates: %v", c)
+	if c := candidates(nil, r.nodes, []int{0, 1}, 0, now); len(c) != 1 || c[0].node != bad {
+		t.Fatalf("last replica standing dropped from candidates: %d candidates", len(c))
 	}
 }
 

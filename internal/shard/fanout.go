@@ -1,0 +1,285 @@
+package shard
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+	"time"
+
+	"hwstar/internal/errs"
+	"hwstar/internal/serve"
+)
+
+// fanout is one routed request's dispatch: its sub-requests (a scan's
+// stripes, a join's sub-joins, or one inline request), each sent to its
+// replica set with failover and hedging. run drives every sub from the
+// calling goroutine under one cancel context, one hedge timer and one
+// results channel; only the attempts themselves run on goroutines of their
+// own. The state is pooled, so a request whose primaries all answer in time
+// allocates none of it.
+type fanout struct {
+	ctx  context.Context // the attempts' context, cancelled when run returns
+	subs []sub
+	// tries holds every sub's candidates back to back, one attempt slot
+	// each. An attempt writes only its own slot, then sends the slot's index
+	// on done, which is buffered to at least len(tries): no attempt ever
+	// blocks, even after run has returned.
+	tries []try
+	done  chan int
+	// outstanding counts the attempts launched and not yet received.
+	outstanding int
+}
+
+// sub is one sub-request and, once run returns, its outcome: resp when err
+// is nil, how it hedged and how often it failed over.
+type sub struct {
+	req      serve.Request
+	replicas []int
+
+	first, end        int // its candidates: tries[first:end], in launch order
+	launched, pending int
+	settled           bool
+
+	resp      serve.Response
+	err       error
+	hedged    bool
+	failovers int
+}
+
+// try is one candidate of one sub and, once its attempt has reported, that
+// attempt's answer.
+type try struct {
+	node   *node
+	sub    int
+	hedged bool
+	resp   serve.Response
+	err    error
+}
+
+var fanouts = sync.Pool{New: func() any { return new(fanout) }}
+
+// newFanout returns pooled state with room for n sub-requests.
+func newFanout(n int) *fanout {
+	f := fanouts.Get().(*fanout)
+	f.subs = slices.Grow(f.subs, n)
+	return f
+}
+
+// add appends a sub-request for replicas and returns its Request, a copy of
+// req, for the caller to narrow (a stripe's table, a sub-join's input).
+func (f *fanout) add(req serve.Request, replicas []int) *serve.Request {
+	f.subs = append(f.subs, sub{replicas: replicas})
+	s := &f.subs[len(f.subs)-1]
+	s.req = req
+	return &s.req
+}
+
+// release returns f to the pool once every attempt it launched has
+// reported; it collects the reports of hedge losers that have already
+// finished. While a loser still runs, it reads its sub's Request and writes
+// its try slot: recycled, that is another request's state, and a silent
+// wrong total. So f then goes to the GC instead. Every sub and try is zeroed
+// before the Put, or the pool would pin an inline request's columns and a
+// group-sum's result map.
+func (f *fanout) release() {
+	for ; f.outstanding > 0; f.outstanding-- {
+		select {
+		case <-f.done:
+		default:
+			return
+		}
+	}
+	clear(f.subs)
+	clear(f.tries)
+	f.ctx, f.subs, f.tries = nil, f.subs[:0], f.tries[:0]
+	fanouts.Put(f)
+}
+
+// run dispatches every sub of f and returns once each is settled:
+//
+//   - a sub's candidates are its replicas ordered live-first and
+//     breaker-aware (candidates), sub i rotated by the request's rotor draw
+//     plus i, so load spreads across replicas and sub-joins across nodes;
+//   - every sub's primary starts at once; when the op class's hedge
+//     deadline (the p95 of its recent dispatches) passes, every sub still
+//     unanswered hedges to its next unused candidate, and whichever attempt
+//     answers first wins;
+//   - a failed attempt (node died, shed, errored) fails over to the sub's
+//     next unused candidate at once;
+//   - a sub fails only when every candidate it launched has failed.
+//
+// A sub that succeeds records its time from the first launch to the
+// winning answer in its op class. A hedged sub therefore records at least
+// its deadline, so hedging cannot pull the p95 down into a hedge storm.
+//
+// Attempts still running when run returns (hedge losers) are cancelled
+// then, when the whole request is answered, not when their own sub settles.
+// Each sends exactly one index on the buffered done channel, so none
+// outlives the request uncollected (a test pins this).
+func (r *Router) run(ctx context.Context, f *fanout) {
+	start := time.Now()
+	r.mu.RLock()
+	nodes := r.nodes
+	r.mu.RUnlock()
+	rot := int(r.rotor.Add(1))
+	ntries := 0
+	for i := range f.subs {
+		ntries += len(f.subs[i].replicas)
+	}
+	f.tries = slices.Grow(f.tries, ntries)
+	for i := range f.subs {
+		s := &f.subs[i]
+		s.first = len(f.tries)
+		f.tries = candidates(f.tries, nodes, s.replicas, rot+i, start)
+		s.end = len(f.tries)
+	}
+	if cap(f.done) < len(f.tries) {
+		f.done = make(chan int, len(f.tries))
+	}
+	actx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	f.ctx = actx
+
+	waiting := 0
+	for i := range f.subs {
+		if s := &f.subs[i]; s.first == s.end {
+			s.err, s.settled = noReplicaErr(s), true
+			continue
+		}
+		f.launch(i, false)
+		waiting++
+	}
+	if waiting == 0 {
+		return
+	}
+	var hedge <-chan time.Time // nil while the class is warming up: never hedge
+	if d := r.hedgeDelayFor(opClass(f.subs[0].req.Op)); d > 0 {
+		hedgeTimer := time.NewTimer(d)
+		defer hedgeTimer.Stop()
+		hedge = hedgeTimer.C
+	}
+
+	for waiting > 0 {
+		select {
+		case <-ctx.Done():
+			f.abandon(ctx.Err())
+			return
+		case <-hedge:
+			// The primaries exceeded the class's deadline: every sub still
+			// waiting hedges to its next unused candidate, if any.
+			for i := range f.subs {
+				if s := &f.subs[i]; !s.settled && s.first+s.launched < s.end {
+					s.hedged = true
+					r.reg.Counter("shard.hedges").Inc()
+					f.launch(i, true)
+				}
+			}
+		case t := <-f.done:
+			f.outstanding--
+			a := &f.tries[t]
+			s := &f.subs[a.sub]
+			s.pending--
+			if s.settled {
+				continue // a hedge loser: its sub already has its answer
+			}
+			now := time.Now()
+			switch {
+			case a.err == nil:
+				r.lat[opClass(s.req.Op)].record(now.Sub(start))
+				a.node.brk.OnSuccess()
+				if a.hedged {
+					r.reg.Counter("shard.hedge_wins").Inc()
+				}
+				s.resp, s.err, s.settled = a.resp, nil, true
+				waiting--
+				continue
+			case errors.Is(a.err, context.Canceled) && ctx.Err() == nil:
+				// Lost a hedge race — not a node failure.
+			default:
+				a.node.brk.OnFailure(now)
+				s.err = a.err
+				if s.first+s.launched < s.end {
+					s.failovers++
+					r.reg.Counter("shard.failovers").Inc()
+					f.launch(a.sub, false)
+				}
+			}
+			if s.pending == 0 {
+				if s.err == nil {
+					s.err = fmt.Errorf("shard: all replicas lost: %w", errs.ErrDegraded)
+				}
+				s.settled = true
+				waiting--
+			}
+		}
+	}
+}
+
+// launch starts sub i's next unused candidate.
+func (f *fanout) launch(i int, hedged bool) {
+	s := &f.subs[i]
+	t := s.first + s.launched
+	s.launched++
+	s.pending++
+	f.outstanding++
+	f.tries[t].sub, f.tries[t].hedged = i, hedged
+	go f.attempt(t)
+}
+
+// attempt sends try t's sub-request to its node and reports t on done.
+func (f *fanout) attempt(t int) {
+	a := &f.tries[t]
+	if srv := a.node.server(); srv == nil || !a.node.alive.Load() {
+		a.err = fmt.Errorf("shard: node %d down: %w", a.node.id, errs.ErrDegraded)
+	} else {
+		a.resp, a.err = srv.Submit(f.ctx, f.subs[a.sub].req)
+	}
+	f.done <- t
+}
+
+// abandon settles every sub still waiting with the caller's cancellation.
+func (f *fanout) abandon(cause error) {
+	err := fmt.Errorf("shard: dispatch cancelled: %w", cause)
+	for i := range f.subs {
+		if s := &f.subs[i]; !s.settled {
+			s.err, s.settled = err, true
+		}
+	}
+}
+
+// noReplicaErr is the error of a sub with no live candidate, built outside
+// run's loop: it formats the replica set.
+func noReplicaErr(s *sub) error {
+	return fmt.Errorf("shard: no live replica for %q (replicas %v): %w", s.req.Table, s.replicas, errs.ErrDegraded)
+}
+
+// candidates appends to dst one try per live node of a replica set, rotated
+// by rot: nodes whose breaker allows a request first, then those with open
+// breakers, each group in rotation order. An open breaker sorts a node last
+// but never drops it: the last replica standing gets tried, breaker or not.
+// Dead nodes are left out. now is the dispatch's start, for the breaker
+// check. The open-breaker nodes are parked at the back of the grown region
+// and moved up behind the healthy ones, so no second slice is built.
+func candidates(dst []try, nodes []*node, replicas []int, rot int, now time.Time) []try {
+	base := len(dst)
+	region := slices.Grow(dst, len(replicas))[:base+len(replicas)]
+	front, back := base, len(region)
+	for i := range replicas {
+		n := nodes[replicas[(i+rot)%len(replicas)]]
+		switch {
+		case !n.alive.Load():
+		case n.brk.Allow(now):
+			region[front] = try{node: n}
+			front++
+		default:
+			back--
+			region[back] = try{node: n}
+		}
+	}
+	slices.Reverse(region[back:])
+	end := front + copy(region[front:], region[back:])
+	clear(region[end:])
+	return region[:end]
+}

@@ -203,8 +203,9 @@ func (r *Router) TenantHealth(tenant string) serve.TenantHealth {
 // per-stripe sub-requests and cannot be merged. Memory in use is summed over
 // the live shards; the cap is the largest any of them carries.
 func (r *Router) tenantView(tenant string, th serve.TenantHealth, live []serve.Health) serve.TenantHealth {
-	th.LatencyMs = r.reg.Histogram("shard.tenant." + tenant + ".latency_ms").Stats()
-	th.CyclesPerQuery = r.reg.Histogram("shard.tenant." + tenant + ".cycles_per_query").Stats()
+	ts := r.tenant(tenant)
+	th.LatencyMs = ts.latency.Stats()
+	th.CyclesPerQuery = ts.cycles.Stats()
 	for _, h := range live {
 		th.MemInUseBytes += h.Memory.TenantInUse[tenant]
 		th.MemCapBytes = max(th.MemCapBytes, h.Memory.TenantCaps[tenant])

@@ -1,22 +1,12 @@
 package shard
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"math/bits"
 	"sync/atomic"
 	"time"
 
-	"hwstar/internal/errs"
 	"hwstar/internal/serve"
 )
-
-// hedgeOutcome is the routing story of one replicated dispatch.
-type hedgeOutcome struct {
-	hedged    bool
-	failovers int
-}
 
 // The hedge deadline of an op class is the upper edge of the log2-µs bucket
 // holding the p95 of the class's recent dispatch times (Dean & Barroso, "The
@@ -104,113 +94,4 @@ func (r *Router) hedgeDelayFor(c int) time.Duration {
 		return r.opts.hedgeDelay
 	}
 	return r.lat[c].deadline()
-}
-
-// attemptResult is one replica's answer.
-type attemptResult struct {
-	resp   serve.Response
-	err    error
-	node   *node
-	hedged bool
-}
-
-// dispatch sends req to the replica set with failover and hedged dispatch:
-//
-//   - candidates are ordered live-first and breaker-aware;
-//   - the primary attempt starts immediately; if it has not answered
-//     within the op class's hedge deadline (the p95 of its recent
-//     dispatches), the same request is hedged to the next candidate and
-//     whichever answers first wins, the loser's context cancelled;
-//   - a failed attempt (node died, shed, errored) fails over to the next
-//     unused candidate immediately;
-//   - only when every candidate has failed does the dispatch fail.
-//
-// A successful dispatch records its time from the first launch to the
-// winning answer in its class. A hedged dispatch therefore records at least
-// its deadline, so hedging cannot pull the p95 down into a hedge storm.
-//
-// The results channel is buffered to the attempt count and every attempt
-// goroutine sends exactly one result, so no goroutine outlives the
-// dispatch uncollected — the hedged-dispatch cancel path is leak-free (a
-// test pins this).
-func (r *Router) dispatch(ctx context.Context, replicas []int, req serve.Request) (serve.Response, hedgeOutcome, error) {
-	start := time.Now()
-	cands := r.candidates(replicas, start)
-	if len(cands) == 0 {
-		return serve.Response{}, hedgeOutcome{}, fmt.Errorf("shard: no live replica for %q (replicas %v): %w",
-			req.Table, replicas, errs.ErrDegraded)
-	}
-
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make(chan attemptResult, len(cands))
-	var launched int
-	launch := func(n *node, hedged bool) {
-		launched++
-		go func() {
-			srv := n.server()
-			if srv == nil || !n.alive.Load() {
-				results <- attemptResult{err: fmt.Errorf("shard: node %d down: %w", n.id, errs.ErrDegraded), node: n, hedged: hedged}
-				return
-			}
-			resp, err := srv.Submit(actx, req)
-			results <- attemptResult{resp: resp, err: err, node: n, hedged: hedged}
-		}()
-	}
-
-	launch(cands[0], false)
-	class := opClass(req.Op)
-	var hedge <-chan time.Time // nil while the class is warming up: never hedge
-	if d := r.hedgeDelayFor(class); d > 0 {
-		hedgeTimer := time.NewTimer(d)
-		defer hedgeTimer.Stop()
-		hedge = hedgeTimer.C
-	}
-
-	var out hedgeOutcome
-	var lastErr error
-	pending := 1
-	for pending > 0 {
-		select {
-		case <-ctx.Done():
-			return serve.Response{}, out, fmt.Errorf("shard: dispatch cancelled: %w", ctx.Err())
-		case <-hedge:
-			// Primary exceeded the class's deadline: hedge to the next
-			// unused candidate, if any.
-			if launched < len(cands) {
-				out.hedged = true
-				r.reg.Counter("shard.hedges").Inc()
-				launch(cands[launched], true)
-				pending++
-			}
-		case res := <-results:
-			pending--
-			now := time.Now()
-			if res.err == nil {
-				r.lat[class].record(now.Sub(start))
-				res.node.brk.OnSuccess()
-				if res.hedged {
-					r.reg.Counter("shard.hedge_wins").Inc()
-				}
-				return res.resp, out, nil
-			}
-			if errors.Is(res.err, context.Canceled) && ctx.Err() == nil {
-				// Lost the hedge race — not a node failure.
-				continue
-			}
-			res.node.brk.OnFailure(now)
-			lastErr = res.err
-			if launched < len(cands) {
-				out.failovers++
-				r.reg.Counter("shard.failovers").Inc()
-				launch(cands[launched], false)
-				pending++
-			}
-		}
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("shard: all replicas lost: %w", errs.ErrDegraded)
-	}
-	return serve.Response{}, out, lastErr
 }

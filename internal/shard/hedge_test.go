@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -203,5 +204,91 @@ func TestParentCancellationPropagates(t *testing.T) {
 	cancel()
 	if _, err := r.Submit(ctx, scanReq("ev", 0, 1999)); err == nil {
 		t.Fatal("cancelled submit succeeded")
+	}
+}
+
+// TestFailedAttemptsAreNotRecorded drives failing attempts through the
+// fan-out: node 0's server is closed while the router still routes to it, so
+// every attempt that lands there fails with ErrClosed and its stripe fails
+// over to the other replica. Only the stripes that succeeded may add a
+// sample to the scan class, so j scans on three shards still record exactly
+// 3j, however many attempts failed on the way.
+func TestFailedAttemptsAreNotRecorded(t *testing.T) {
+	const j = 12
+	cols, expect := testRelation(3000)
+	want := expect(0, 2999)
+	r := newRouter(t, Options{Shards: 3, Replicas: 2, hedgeDelay: time.Hour})
+	if err := r.Register("ev", cols); err != nil {
+		t.Fatal(err)
+	}
+	r.nodes[0].server().Close()
+	for i := 0; i < j; i++ {
+		resp, err := r.Submit(context.Background(), scanReq("ev", 0, 2999))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Sum != want {
+			t.Fatalf("scan %d = %d, want %d", i, resp.Sum, want)
+		}
+	}
+	if ch := r.ClusterHealth(); ch.Failovers == 0 {
+		t.Fatal("no attempt failed: the test drove nothing through the failure path")
+	}
+	scan := &r.lat[opClass(serve.OpScan)]
+	if n := scan.n.Load(); n != 3*j {
+		t.Fatalf("scan class holds %d samples after %d scans of 3 stripes with failed attempts, want %d", n, j, 3*j)
+	}
+}
+
+// TestHedgeLoserNeverSeesRecycledState pins the pool rule of the fan-out:
+// its state goes back to the pool only once every attempt it launched has
+// reported. A 1ns deadline hedges every stripe, so most requests return
+// with a loser still running, and eight clients alternate two tables whose
+// sums differ. A loser that read a recycled Request would scan the other
+// client's stripe, and one that wrote into a recycled slot would hand its
+// answer to the other client's stripe: either way a total is wrong. Run it
+// under -race, where the detector also sees the write.
+func TestHedgeLoserNeverSeesRecycledState(t *testing.T) {
+	const clients, scans = 8, 64
+	colsA, expect := testRelation(6000)
+	colsB := [][]int64{colsA[0], make([]int64, len(colsA[1]))}
+	for i, v := range colsA[1] {
+		colsB[1][i] = 3*v + 1
+	}
+	wantA, wantB := expect(0, 5999), 3*expect(0, 5999)+6000
+	r := newRouter(t, Options{Shards: 3, Replicas: 2, hedgeDelay: time.Nanosecond})
+	if err := r.Register("a", colsA); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Register("b", colsB); err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		go func(c int) {
+			for i := 0; i < scans; i++ {
+				table, want := "a", wantA
+				if (c+i)%2 == 1 {
+					table, want = "b", wantB
+				}
+				resp, err := r.Submit(context.Background(), scanReq(table, 0, 5999))
+				if err == nil && resp.Sum != want {
+					err = fmt.Errorf("client %d scan %d of %q = %d, want %d", c, i, table, resp.Sum, want)
+				}
+				if err != nil {
+					errc <- err
+					return
+				}
+			}
+			errc <- nil
+		}(c)
+	}
+	for c := 0; c < clients; c++ {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ch := r.ClusterHealth(); ch.Hedges == 0 {
+		t.Fatal("1ns hedge delay produced no hedges")
 	}
 }

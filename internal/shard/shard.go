@@ -1,13 +1,20 @@
 // Package shard is the serving tier lifted one level up the hardware
 // hierarchy: N serve.Server shards — each a full single-node engine with
-// its own scheduler, memory governor, breaker, and durable store — behind
-// a router that owns placement, replication, and the fabric. The keynote's
-// argument ("software must understand the hardware it runs on") applied at
-// rack scale means the router prices the network like any other bandwidth
-// tier: distributed joins choose shuffle-vs-broadcast through the planner
-// with the fabric costed via cluster.Cluster, scatter-gather scans charge
-// the aggregation hop. The hedged-dispatch deadline is measured, not
-// modeled: the p95 of the router's own recent dispatch times per op class.
+// its own scheduler, memory governor and durable store — behind a router
+// that owns placement, replication, and the fabric. The keynote's argument
+// ("software must understand the hardware it runs on") applied at rack
+// scale means the router prices the network like any other bandwidth tier:
+// distributed joins choose shuffle-vs-broadcast through the planner with
+// the fabric costed via cluster.Cluster, scatter-gather scans charge the
+// aggregation hop.
+//
+// Every routed request is one fan-out (fanout.go): its sub-requests — a
+// scan's stripes, a join's sub-joins, or the one inline request — are driven
+// from the calling goroutine under one cancel context, one hedge timer and
+// one results channel, with their state taken from a pool. The hedge
+// deadline is measured, not modeled: the p95 of the router's own recent
+// dispatch times per op class. A hedge loser is cancelled when the whole
+// request returns, not when its own sub-request settles.
 //
 // Robustness mechanisms mirror the single-node ones, one level up:
 //
@@ -15,9 +22,9 @@
 //     worker; the router fails over to surviving replicas;
 //   - each node carries a router-side circuit breaker guarding the route
 //     to it (a server has no breaker of its own);
-//   - hedged dispatch sends a late request to a second replica and
-//     cancels the loser, bounding the tail the way straggler retirement
-//     bounds a slow core;
+//   - hedged dispatch sends a late sub-request to its next replica and
+//     cancels the loser with the request, bounding the tail the way
+//     straggler retirement bounds a slow core;
 //   - when a key range loses every replica, scans degrade to typed
 //     partial results (errs.ErrPartialResult + CoveredFraction) instead
 //     of failing or — worse — silently returning a wrong total;
@@ -191,6 +198,33 @@ type Router struct {
 
 	// lat is each op class's recent dispatch times, for the hedge deadline.
 	lat [opClasses]latencyClass
+
+	tenantMu sync.RWMutex // guards tenants
+	tenants  map[string]*tenantSeries
+}
+
+// tenantSeries is one tenant's whole-request histograms, named and looked up
+// in the registry once per tenant rather than on every request.
+type tenantSeries struct {
+	latency, cycles *metrics.Histogram
+}
+
+// tenant returns the tenant's series (shard.tenant.<id>.*).
+func (r *Router) tenant(tenant string) *tenantSeries {
+	r.tenantMu.RLock()
+	ts := r.tenants[tenant]
+	r.tenantMu.RUnlock()
+	if ts != nil {
+		return ts
+	}
+	r.tenantMu.Lock()
+	defer r.tenantMu.Unlock()
+	if ts = r.tenants[tenant]; ts == nil {
+		p := "shard.tenant." + tenant + "."
+		ts = &tenantSeries{latency: r.reg.Histogram(p + "latency_ms"), cycles: r.reg.Histogram(p + "cycles_per_query")}
+		r.tenants[tenant] = ts
+	}
+	return ts
 }
 
 // New builds the shard tier: opts.Shards serve.Servers on machine m behind
@@ -222,6 +256,7 @@ func New(_ context.Context, m *hw.Machine, opts Options) (*Router, error) {
 		reg:      metrics.NewRegistry(),
 		inflight: make(chan struct{}, opts.maxInflight),
 		tables:   make(map[string]*tableMeta),
+		tenants:  make(map[string]*tenantSeries),
 	}
 	if opts.Memory.BudgetBytes > 0 {
 		r.gov = mem.NewGovernor(opts.Memory)
@@ -389,44 +424,19 @@ func (r *Router) SubmitDist(ctx context.Context, req serve.Request) (Response, e
 		if req.Tenant != "" {
 			// What the tenant waited for, whole-request: the shards' own
 			// tenant histograms time per-stripe sub-requests.
-			r.reg.Histogram("shard.tenant." + req.Tenant + ".latency_ms").Record(ms)
-			r.reg.Histogram("shard.tenant." + req.Tenant + ".cycles_per_query").Record(resp.SimCycles)
+			ts := r.tenant(req.Tenant)
+			ts.latency.Record(ms)
+			ts.cycles.Record(resp.SimCycles)
 		}
 	}
 	return resp, err
 }
 
-// candidates returns the live-first, breaker-aware ordering of a replica
-// set, rotated by the request rotor so load spreads across replicas.
-// Nodes with open breakers sort after healthy ones but are never dropped:
-// the last replica standing gets tried, breaker or not. Dead nodes are
-// excluded entirely. now is the dispatch's start, for the breaker check.
-func (r *Router) candidates(replicas []int, now time.Time) []*node {
-	r.mu.RLock()
-	nodes := r.nodes
-	r.mu.RUnlock()
-
-	rot := int(r.rotor.Add(1))
-	var healthy, degraded []*node
-	for i := range replicas {
-		n := nodes[replicas[(i+rot)%len(replicas)]]
-		if !n.alive.Load() {
-			continue
-		}
-		if n.brk.Allow(now) {
-			healthy = append(healthy, n)
-		} else {
-			degraded = append(degraded, n)
-		}
-	}
-	return append(healthy, degraded...)
-}
-
-// scatterScan fans a scan out to every partition, hedging and failing
-// over per partition, and merges the per-stripe sums. Partitions with no
-// surviving replica degrade the result to a typed partial: the sum is
-// exact over the covered stripes and the caller learns exactly how much
-// of the table it covers.
+// scatterScan fans a scan out to every partition in one fan-out, hedging
+// and failing over per partition, and merges the per-stripe sums.
+// Partitions with no surviving replica degrade the result to a typed
+// partial: the sum is exact over the covered stripes and the caller learns
+// exactly how much of the table it covers.
 func (r *Router) scatterScan(ctx context.Context, req serve.Request) (Response, error) {
 	r.mu.RLock()
 	meta, ok := r.tables[req.Table]
@@ -435,49 +445,37 @@ func (r *Router) scatterScan(ctx context.Context, req serve.Request) (Response, 
 		return Response{}, fmt.Errorf("shard: unknown table %q: %w", req.Table, errs.ErrInvalidInput)
 	}
 
-	type partOut struct {
-		resp serve.Response
-		err  error
-		part *partition
-		hov  hedgeOutcome
+	f := newFanout(len(meta.parts))
+	defer f.release()
+	for _, part := range meta.parts {
+		f.add(req, part.replicas).Table = part.derived
 	}
-	outs := make([]partOut, len(meta.parts))
-	var wg sync.WaitGroup
-	for i, part := range meta.parts {
-		wg.Add(1)
-		go func(i int, part *partition) {
-			defer wg.Done()
-			preq := req
-			preq.Table = part.derived
-			resp, hov, err := r.dispatch(ctx, part.replicas, preq)
-			outs[i] = partOut{resp: resp, err: err, part: part, hov: hov}
-		}(i, part)
-	}
-	wg.Wait()
+	r.run(ctx, f)
 
 	var out Response
 	var coveredRows, coveredParts int
 	var maxCycles float64
 	var firstErr error
-	for _, o := range outs {
-		out.Failovers += o.hov.failovers
-		out.Hedged = out.Hedged || o.hov.hedged
-		if o.err != nil {
+	for i := range f.subs {
+		s := &f.subs[i]
+		out.Failovers += s.failovers
+		out.Hedged = out.Hedged || s.hedged
+		if s.err != nil {
 			if firstErr == nil {
-				firstErr = o.err
+				firstErr = s.err
 			}
 			continue
 		}
 		coveredParts++
-		coveredRows += o.part.rows
-		out.Sum += o.resp.Sum
-		out.Spilled = out.Spilled || o.resp.Spilled
-		out.SpillBytes += o.resp.SpillBytes
-		if o.resp.BatchSize > out.BatchSize {
-			out.BatchSize = o.resp.BatchSize
+		coveredRows += meta.parts[i].rows
+		out.Sum += s.resp.Sum
+		out.Spilled = out.Spilled || s.resp.Spilled
+		out.SpillBytes += s.resp.SpillBytes
+		if s.resp.BatchSize > out.BatchSize {
+			out.BatchSize = s.resp.BatchSize
 		}
-		if o.resp.SimCycles > maxCycles {
-			maxCycles = o.resp.SimCycles
+		if s.resp.SimCycles > maxCycles {
+			maxCycles = s.resp.SimCycles
 		}
 	}
 
@@ -517,8 +515,17 @@ func (r *Router) routeAny(ctx context.Context, req serve.Request) (Response, err
 		defer resv.Release()
 	}
 
-	resp, hov, err := r.dispatch(ctx, r.LiveNodes(), req)
-	return Response{Response: resp, Hedged: hov.hedged, Failovers: hov.failovers}, err
+	return r.routeOne(ctx, req, r.LiveNodes())
+}
+
+// routeOne dispatches req alone to replicas: a fan-out of one.
+func (r *Router) routeOne(ctx context.Context, req serve.Request, replicas []int) (Response, error) {
+	f := newFanout(1)
+	defer f.release()
+	f.add(req, replicas)
+	r.run(ctx, f)
+	s := &f.subs[0]
+	return Response{Response: s.resp, Hedged: s.hedged, Failovers: s.failovers}, s.err
 }
 
 // reserve takes the request's slice of the cluster-wide budget, or nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"hwstar/internal/agg"
 	"hwstar/internal/cluster"
@@ -227,5 +228,42 @@ func BenchmarkScatter(b *testing.B) {
 			}
 			b.ReportMetric(float64(r.ClusterHealth().Hedges)/float64(b.N), "hedges/op")
 		})
+	}
+}
+
+// scatterAllocsCeiling is what one warm scan over a 3x2 router may allocate:
+// serve's per-stripe request state, the attempts' goroutine arguments, the
+// one cancel context and hedge timer, and the response path. Measured 63 +
+// 2. The fan-out's subs, candidates and results channel are pooled; a
+// per-stripe slice, channel or timer puts it over.
+const scatterAllocsCeiling = 65
+
+// TestScatterAllocs pins the router hop's garbage: a warm 3x2 router with
+// hedging forbidden, so every request's state goes back to the pool.
+func TestScatterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	cols, expect := testRelation(30_000)
+	want := expect(5_000, 20_000)
+	r := newRouter(t, Options{Shards: 3, Replicas: 2, hedgeDelay: time.Hour})
+	if err := r.Register("ev", cols); err != nil {
+		t.Fatal(err)
+	}
+	req := scanReq("ev", 5_000, 20_000)
+	scan := func() {
+		resp, err := r.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Sum != want {
+			t.Fatalf("scan = %d, want %d", resp.Sum, want)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		scan()
+	}
+	if got := testing.AllocsPerRun(200, scan); got > scatterAllocsCeiling {
+		t.Fatalf("a warm scan allocated %.1f objects, ceiling %d", got, scatterAllocsCeiling)
 	}
 }
