@@ -65,14 +65,17 @@ race-core:
 # analyzers, run the whole suite once without the race detector (the pooled
 # allocation pins — agg, join, sched, serve, shard — skip under -race, where
 # sync.Pool drops Puts on purpose) and once under it (core concurrency
-# packages uncached). Two shard tests run ten times more, because one run
-# rarely hits what they guard. The modeled-cycle golden guards serve's
-# drain-releases-first rule (the dispatch loop steps every release an
+# packages uncached). Two shard tests and one serve test run ten times more,
+# because one run rarely hits what they guard. The modeled-cycle golden
+# guards serve's drain-releases-first rule (the dispatch loop steps every release an
 # executor sent before it steps the next arrival or idle, so a pass never
 # starts short of cores a finished request already returned). The hedge-loser
 # test guards the router's pool rule (a fan-out's state is recycled only once
 # every attempt it launched has reported), which needs a loser still running
-# when its request returns.
+# when its request returns. The cancelled-Submit test guards serve's pool rule
+# (a request's pending is recycled only after its executor's done send, never
+# by a Submit that returned on its context), which needs a cancel to land
+# while the executor still holds the pending.
 check:
 	$(GO) build ./...
 	$(MAKE) lint
@@ -80,6 +83,7 @@ check:
 	$(MAKE) race-core
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestSimCyclesGolden|TestHedgeLoserNeverSeesRecycledState' ./internal/shard
+	$(GO) test -race -count=10 -timeout 5m -run 'TestCancelledSubmitNeverSeesRecycledState' ./internal/serve
 
 # fuzz-smoke gives each native fuzz target ten seconds of mutation past its
 # seed corpus (plain `go test` only replays the seeds). One target per

@@ -136,7 +136,7 @@ func (d *dispatcher) arrive(p *pending, vt *vecTable) {
 		d.place(true)
 	}
 	if d.open == nil {
-		d.open = &batch{table: p.req.Table, vt: vt, lo: true}
+		d.open = newBatch(p.req.Table, vt)
 	}
 	d.open.lo = d.open.lo && lo
 	d.open.reqs = append(d.open.reqs, p)

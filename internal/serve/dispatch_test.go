@@ -289,7 +289,7 @@ func TestDispatchHistories(t *testing.T) {
 // enqueue puts req straight onto the interactive lane, as Submit would after
 // admission, and returns its pending.
 func enqueue(s *Server, req Request) *pending {
-	p := &pending{ctx: context.Background(), req: req, enq: time.Now(), done: make(chan outcome, 1)}
+	p := &pending{ctx: context.Background(), req: req, enq: time.Now(), done: make(chan struct{}, 1)}
 	s.intake <- p
 	return p
 }
@@ -325,10 +325,12 @@ func TestReleasesStepBeforeArrivals(t *testing.T) {
 	y := enqueue(s, group)
 	s.mu.Unlock()
 
-	if out := <-y.done; out.err != nil || out.resp.SimCycles != want.SimCycles {
+	<-y.done
+	if out := y.out; out.err != nil || out.resp.SimCycles != want.SimCycles {
 		t.Fatalf("group-sum queued behind a release: %v cycles (err %v), %v on an idle server", out.resp.SimCycles, out.err, want.SimCycles)
 	}
-	if out := <-x.done; out.err != nil {
+	<-x.done
+	if out := x.out; out.err != nil {
 		t.Fatalf("scan: %v", out.err)
 	}
 }
@@ -366,7 +368,8 @@ func TestIdleStepsReleasesFirst(t *testing.T) {
 	s.released <- release(6, false)
 	s.mu.Unlock()
 
-	if out := <-x.done; out.err != nil || out.resp.SimCycles != want.SimCycles {
+	<-x.done
+	if out := x.out; out.err != nil || out.resp.SimCycles != want.SimCycles {
 		t.Fatalf("scan placed before a queued release: %v cycles (err %v), %v on an idle server", out.resp.SimCycles, out.err, want.SimCycles)
 	}
 }

@@ -54,22 +54,24 @@ func scanPassBatch(filter []int64, n int) []scan.Query {
 	return qs
 }
 
-// TestScanPassAllocs: a warm pass allocates its accumulator, its scratch row
-// and its state once, plus the schedule's Result — a constant, not one
-// slice per morsel. The count is the same for a batch of one and of eight,
-// and for a table four times as long.
+// TestScanPassAllocs: a warm pass on a reused vecPass, as a pooled batch
+// runs it, allocates no accumulator, scratch row or state, only what the
+// schedule's run allocates — a constant, not one slice per morsel. The count
+// is the same for a batch of one and of eight, and for a table four times as
+// long.
 func TestScanPassAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
-	const ceiling = 8
+	const ceiling = 4
 	want := -1.0
+	var pass vecPass
 	for _, rows := range []int{scanPassRows, 4 * scanPassRows} {
 		s, vt, sch, filter := scanPassFixture(t, scanShapes[0], rows)
 		for _, batch := range []int{1, 8} {
 			qs := scanPassBatch(filter, batch)
 			got := testing.AllocsPerRun(20, func() {
-				if _, _, err := s.vecSharedScan(context.Background(), vt, qs, sch); err != nil {
+				if _, _, err := s.vecSharedScan(context.Background(), &pass, vt, qs, sch); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -94,12 +96,13 @@ func TestScanPassAllocs(t *testing.T) {
 func BenchmarkScanPass(b *testing.B) {
 	for _, shape := range scanShapes[:2] {
 		s, vt, sch, filter := scanPassFixture(b, shape, scanPassRows)
+		var pass vecPass
 		for _, batch := range []int{1, 8} {
 			qs := scanPassBatch(filter, batch)
 			b.Run(shape.name+"/batch-"+strconv.Itoa(batch), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := s.vecSharedScan(context.Background(), vt, qs, sch); err != nil {
+					if _, _, err := s.vecSharedScan(context.Background(), &pass, vt, qs, sch); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -347,13 +347,22 @@ func (o Options) withDefaults(m *hw.Machine) (Options, error) {
 // nil (no-op) when tracing is off or the request fell outside the sampling
 // rate: span is the request's root, queueSpan covers enqueue → dispatch,
 // batchSpan covers a scan's wait while its batch assembles, from joined on.
+//
+// It is pooled, on the rule that state goes back only once every party that
+// can touch it has finished. Submit publishes p on a lane; from then on the
+// dispatcher and one executor own it until the executor, after settle has
+// written p.out, sends on done, and that send is the last touch. The receive
+// in Submit is the happens-before edge that makes p.out readable; Submit then
+// returns p to the pool. A Submit that gives up on ctx.Done leaves p to the
+// GC instead, because its executor may still settle it and send. A p that
+// was never published (closed server, full lane) goes back at once.
 type pending struct {
 	ctx    context.Context
 	req    Request
 	enq    time.Time
 	joined time.Time
-	out    outcome // what settle left for done
-	done   chan outcome
+	out    outcome       // written by settle, read by Submit after done
+	done   chan struct{} // capacity 1: the executor's one send never blocks
 
 	// resv is the request's memory reservation (nil when ungoverned or for
 	// scans, which carry no operator table state). Released in settle — the
@@ -371,6 +380,34 @@ type pending struct {
 type outcome struct {
 	resp Response
 	err  error
+}
+
+var pendings = sync.Pool{New: func() any { return &pending{done: make(chan struct{}, 1)} }}
+
+// release returns p, whose done is empty, to the pool. It is zeroed first
+// but for done, so the pool pins no Request (no inline join or group-sum
+// columns), reservation, context or span.
+func (p *pending) release() {
+	*p = pending{done: p.done}
+	pendings.Put(p)
+}
+
+// requestSpanName is the root span's name for op, a constant for every op
+// validate accepts, so Submit builds no string with tracing off.
+func requestSpanName(op Op) string {
+	switch op {
+	case OpScan:
+		return "request:scan"
+	case OpJoin:
+		return "request:join"
+	case OpGroupSum:
+		return "request:group-sum"
+	case OpQ1:
+		return "request:q1"
+	case OpQ6:
+		return "request:q6"
+	}
+	return "request:" + string(op)
 }
 
 // Server is an admission-controlled, batching query service bound to one
@@ -832,11 +869,12 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 			return Response{}, fmt.Errorf("serve: %s shed at admission: %w", req.Op, err)
 		}
 	}
-	p := &pending{ctx: ctx, req: req, enq: time.Now(), done: make(chan outcome, 1), resv: resv, tenant: s.tenant(req.Tenant)}
+	p := pendings.Get().(*pending)
+	p.ctx, p.req, p.enq, p.resv, p.tenant = ctx, req, time.Now(), resv, s.tenant(req.Tenant)
 	// The trace (if this request is sampled) must be rooted before the
 	// request enters the intake queue: the dispatcher reads the spans
 	// concurrently the moment the send succeeds.
-	p.span = s.opts.Trace.Start("request:" + string(req.Op))
+	p.span = s.opts.Trace.Start(requestSpanName(req.Op))
 	if req.Tenant != "" {
 		p.span.SetAttr("tenant", req.Tenant)
 	}
@@ -861,6 +899,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 		p.span.SetAttr("status", "closed")
 		p.queueSpan.End()
 		p.span.End()
+		p.release()
 		return Response{}, fmt.Errorf("serve: submit: %w", errs.ErrClosed)
 	}
 	select {
@@ -879,15 +918,19 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 		p.span.SetAttr("status", "rejected")
 		p.queueSpan.End()
 		p.span.End()
+		p.release()
 		return Response{}, fmt.Errorf("serve: %s intake queue full (%d deep): %w", req.Priority.Lane(), s.opts.QueueDepth, errs.ErrOverloaded)
 	}
 
 	select {
-	case out := <-p.done:
+	case <-p.done:
+		out := p.out
+		p.release()
 		return out.resp, out.err
 	case <-ctx.Done():
 		// The request may still be dispatched; the dispatcher will observe
-		// the dead context and account it then.
+		// the dead context and account it then. Its executor may still settle
+		// p and send on done, so p is the GC's, not the pool's.
 		return Response{}, ctx.Err()
 	}
 }
@@ -1031,13 +1074,40 @@ func (s *Server) recordPhases(phases []sched.Result, opErr error) {
 // batch is the scan batch under collection: requests against one table
 // that will share a single block-major pass. workers is the simulated-core
 // budget the dispatcher counted out for it; lo that every member is
-// batch-class.
+// batch-class. live, qs, execs and pass are runBatch's buffers.
+//
+// It is pooled on pending's rule: the dispatcher takes it in arrive and hands
+// it to exactly one runBatch, which releases it after its last done send.
 type batch struct {
 	table   string
 	vt      *vecTable
 	reqs    []*pending
 	workers int
 	lo      bool
+
+	live  []*pending
+	qs    []scan.Query
+	execs []*trace.Span
+	pass  vecPass
+}
+
+var batches = sync.Pool{New: func() any { return new(batch) }}
+
+// newBatch returns an empty pooled batch over vt.
+func newBatch(table string, vt *vecTable) *batch {
+	b := batches.Get().(*batch)
+	b.table, b.vt, b.lo = table, vt, true
+	return b
+}
+
+// release returns b to the pool with its buffers' capacity, pinning no
+// request, span or table.
+func (b *batch) release() {
+	clear(b.reqs)
+	clear(b.live)
+	clear(b.execs)
+	*b = batch{reqs: b.reqs[:0], live: b.live[:0], qs: b.qs[:0], execs: b.execs[:0], pass: vecPass{buf: b.pass.buf}}
+	batches.Put(b)
 }
 
 // dispatch is the loop around the dispatcher (dispatch.go) and the only code
@@ -1170,14 +1240,14 @@ func (s *Server) runBatch(b *batch) {
 	defer func() {
 		s.released <- event{kind: evRelease, n: b.workers, batchClass: b.lo}
 		for _, p := range b.reqs {
-			p.done <- p.out
+			p.done <- struct{}{}
 		}
+		b.release()
 	}()
 	if c := s.testHold; c != nil {
 		<-c
 	}
 
-	live := make([]*pending, 0, len(b.reqs))
 	batchWait := s.reg.Histogram("serve.batch_wait_ms")
 	for _, p := range b.reqs {
 		p.batchSpan.End() // assembly is over: the pass has its cores
@@ -1186,14 +1256,14 @@ func (s *Server) runBatch(b *batch) {
 			s.settle(p, Response{}, fmt.Errorf("serve: dropped from batch: %w", err))
 			continue
 		}
-		live = append(live, p)
+		b.live = append(b.live, p)
 	}
+	live := b.live
 	if len(live) == 0 {
 		return
 	}
-	qs := make([]scan.Query, len(live))
-	for i, p := range live {
-		qs[i] = p.req.Query
+	for _, p := range live {
+		b.qs = append(b.qs, p.req.Query)
 	}
 	var sums []int64
 	var schedRes sched.Result
@@ -1211,7 +1281,8 @@ func (s *Server) runBatch(b *batch) {
 	// waiting on that pass, retries included) with their amortized share of
 	// the cycles — every trace decomposes, without N copies of the subtree.
 	leader := live[0]
-	execs := make([]*trace.Span, len(live))
+	b.execs = append(b.execs, make([]*trace.Span, len(live))...)
+	execs := b.execs
 	for i, p := range live[1:] {
 		execs[i+1] = p.span.Child("execute")
 	}
@@ -1226,7 +1297,7 @@ func (s *Server) runBatch(b *batch) {
 			return err
 		}
 		exec := leader.span.Child("execute")
-		sums, schedRes, err = s.vecSharedScan(trace.NewContext(passCtx, exec), b.vt, qs, sch)
+		sums, schedRes, err = s.vecSharedScan(trace.NewContext(passCtx, exec), &b.pass, b.vt, b.qs, sch)
 		exec.AddCycles(schedRes.MakespanCycles)
 		exec.End()
 		s.recordSched(schedRes.FaultStats, err)
@@ -1263,7 +1334,7 @@ func (s *Server) runOne(p *pending, workers int, batchClass bool) {
 	defer s.wg.Done()
 	defer func() {
 		s.released <- event{kind: evRelease, n: workers, batchClass: batchClass}
-		p.done <- p.out
+		p.done <- struct{}{}
 	}()
 	if c := s.testHold; c != nil {
 		<-c
@@ -1346,14 +1417,14 @@ func (s *Server) execute(ctx context.Context, req Request, workers int, resv *me
 // finish settles a request that holds no cores and answers it.
 func (s *Server) finish(p *pending, resp Response, err error) {
 	s.settle(p, resp, err)
-	p.done <- p.out
+	p.done <- struct{}{}
 }
 
-// settle accounts the outcome and leaves it in p.out, for its executor to send
-// once the cores are back: context-terminated requests count as deadline-
-// exceeded, successful ones record latency, the rest count as failed. Every
-// admitted request ends here, so it also settles the memory reservation: spill
-// and peak, then release.
+// settle accounts the outcome and leaves it in p.out, for Submit to read once
+// the executor, its cores back, has sent on done: context-terminated requests
+// count as deadline-exceeded, successful ones record latency, the rest count
+// as failed. Every admitted request ends here, so it also settles the memory
+// reservation: spill and peak, then release.
 func (s *Server) settle(p *pending, resp Response, err error) {
 	tenant := p.req.Tenant
 	switch {

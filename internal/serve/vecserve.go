@@ -85,12 +85,14 @@ func (vt *vecTable) ratio() float64 {
 // per-query sums, one scratch row the running morsel fills, and the block
 // outcome counts. Task bodies run one at a time on the goroutine that called
 // RunMorsels (the sched package contract), so morsels update it without
-// synchronisation.
+// synchronisation. acc and row are carved from buf, which a pooled batch
+// keeps from pass to pass.
 type vecPass struct {
 	vt      *vecTable
 	queries []scan.Query
 	acc     []int64
 	row     []int64
+	buf     []int64
 
 	pruned   int64 // zone map missed the predicate: header-only
 	fastSums int64 // zone map proved a full match: O(1) fold
@@ -117,15 +119,20 @@ func (p *vecPass) morsel(start, end int, w *sched.Worker) {
 // split into block-aligned morsels, and each morsel task streams its blocks
 // once for the WHOLE batch — a straddling block is decoded at most once per
 // pass and every query evaluates it while it is cache-hot. Results are
-// exact — identical to scan.Shared. The pass allocates its accumulator and
-// scratch row once, whatever the number of morsels.
-func (s *Server) vecSharedScan(ctx context.Context, vt *vecTable, queries []scan.Query, sch *sched.Scheduler) ([]int64, sched.Result, error) {
+// exact — identical to scan.Shared. The pass runs on p, whose accumulator
+// and scratch row are reused when p's buffer is large enough, so a warm pass
+// allocates neither; the sums returned are p's, valid until p runs again.
+func (s *Server) vecSharedScan(ctx context.Context, p *vecPass, vt *vecTable, queries []scan.Query, sch *sched.Scheduler) ([]int64, sched.Result, error) {
 	n := len(queries)
-	if n == 0 || vt.rows == 0 {
-		return make([]int64, n), sched.Result{}, nil
+	if cap(p.buf) < 2*n {
+		p.buf = make([]int64, 2*n)
 	}
-	sums := make([]int64, 2*n)
-	p := &vecPass{vt: vt, queries: queries, acc: sums[:n:n], row: sums[n:]}
+	sums := p.buf[:2*n]
+	clear(sums)
+	*p = vecPass{vt: vt, queries: queries, acc: sums[:n:n], row: sums[n:], buf: p.buf}
+	if n == 0 || vt.rows == 0 {
+		return p.acc, sched.Result{}, nil
+	}
 
 	ps := trace.FromContext(ctx).Child("vec-scan")
 	ps.SetAttr("queries", strconv.Itoa(n))

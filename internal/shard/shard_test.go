@@ -232,11 +232,12 @@ func BenchmarkScatter(b *testing.B) {
 }
 
 // scatterAllocsCeiling is what one warm scan over a 3x2 router may allocate:
-// serve's per-stripe request state, the attempts' goroutine arguments, the
-// one cancel context and hedge timer, and the response path. Measured 63 +
-// 2. The fan-out's subs, candidates and results channel are pooled; a
-// per-stripe slice, channel or timer puts it over.
-const scatterAllocsCeiling = 65
+// each stripe's scheduler and executor goroutine on its node, the attempts'
+// goroutine arguments, the one cancel context and hedge timer, and the
+// response path. Measured 30 + 2. The fan-out's subs, candidates and results
+// channel are pooled, and so are serve's per-request pending and per-pass
+// batch; a per-stripe slice, channel or timer puts it over.
+const scatterAllocsCeiling = 32
 
 // TestScatterAllocs pins the router hop's garbage: a warm 3x2 router with
 // hedging forbidden, so every request's state goes back to the pool.
