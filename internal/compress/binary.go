@@ -15,6 +15,7 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/bits"
 
 	"hwstar/internal/errs"
@@ -30,25 +31,41 @@ func (c *Compressed) BinarySize() int {
 	return binPrefixBytes + len(c.blocks)*binBlockBytes + len(c.payload)*8
 }
 
-// AppendBinary appends the column's binary form to dst.
-func (c *Compressed) AppendBinary(dst []byte) []byte {
+// WriteBinary writes the column's binary form to w through buf: it fills
+// buf, writes it whenever the next field would overflow it and once more at
+// the end, so a column of any size goes out without a copy of its size. A
+// buf of at least one block header (32 bytes) is never outgrown.
+func (c *Compressed) WriteBinary(w io.Writer, buf []byte) error {
 	le := binary.LittleEndian
-	dst = le.AppendUint64(dst, uint64(c.n))
-	dst = le.AppendUint64(dst, uint64(len(c.blocks)))
-	dst = le.AppendUint64(dst, uint64(len(c.payload)))
+	out := le.AppendUint64(buf[:0], uint64(c.n))
+	out = le.AppendUint64(out, uint64(len(c.blocks)))
+	out = le.AppendUint64(out, uint64(len(c.payload)))
 	for i := range c.blocks {
+		if len(out)+binBlockBytes > cap(out) {
+			if _, err := w.Write(out); err != nil {
+				return err
+			}
+			out = out[:0]
+		}
 		b := &c.blocks[i]
-		dst = append(dst, byte(b.kind), b.width)
-		dst = le.AppendUint16(dst, b.n)
-		dst = le.AppendUint32(dst, b.words)
-		dst = le.AppendUint64(dst, uint64(b.minV))
-		dst = le.AppendUint64(dst, uint64(b.maxV))
-		dst = le.AppendUint64(dst, uint64(b.sum))
+		out = append(out, byte(b.kind), b.width)
+		out = le.AppendUint16(out, b.n)
+		out = le.AppendUint32(out, b.words)
+		out = le.AppendUint64(out, uint64(b.minV))
+		out = le.AppendUint64(out, uint64(b.maxV))
+		out = le.AppendUint64(out, uint64(b.sum))
 	}
-	for _, w := range c.payload {
-		dst = le.AppendUint64(dst, w)
+	for _, v := range c.payload {
+		if len(out)+8 > cap(out) {
+			if _, err := w.Write(out); err != nil {
+				return err
+			}
+			out = out[:0]
+		}
+		out = le.AppendUint64(out, v)
 	}
-	return dst
+	_, err := w.Write(out)
+	return err
 }
 
 // UnmarshalColumn rebuilds a column from its binary form. data comes from

@@ -121,6 +121,16 @@ func shapeColumns(r *rand.Rand) []shapeColumn {
 	return shapes
 }
 
+// AppendBinary appends the column's binary form to dst, written in one
+// piece: the tests' marshal, beside WriteBinary's chunked form.
+func (c *Compressed) AppendBinary(dst []byte) []byte {
+	b := bytes.NewBuffer(dst)
+	if err := c.WriteBinary(b, make([]byte, max(c.BinarySize(), binBlockBytes))); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}
+
 // TestBinaryFormProperty checks, over seeded block shapes, that (1) Encode's
 // single-pass codec choice and in-place packing equal the build-both
 // reference encoder bit for bit, (2) each block header's sum is the block's

@@ -12,9 +12,10 @@ import (
 // FuzzUnmarshalColumn drives the column trust boundary — bytes from a
 // segment file or a peer — with mutations of the property test's block
 // shapes. It must never panic; a rejection must wrap errs.ErrCorrupted; an
-// accepted column must re-marshal to exactly the input and must carry every
-// block through the scan kernels (decode, range select on a straddling and a
-// covering range, whole and selective sum) without indexing out of bounds.
+// accepted column must re-marshal to exactly the input, whole and through a
+// one-header write buffer, and must carry every block through the scan
+// kernels (decode, range select on a straddling and a covering range, whole
+// and selective sum) without indexing out of bounds.
 func FuzzUnmarshalColumn(f *testing.F) {
 	for _, sh := range shapeColumns(rand.New(rand.NewSource(1))) {
 		f.Add(Encode(sh.vals).AppendBinary(nil))
@@ -31,6 +32,12 @@ func FuzzUnmarshalColumn(f *testing.F) {
 		}
 		if again := c.AppendBinary(nil); !bytes.Equal(again, data) {
 			t.Fatalf("accepted %d bytes, re-marshalled %d different ones", len(data), len(again))
+		}
+		// Through a buffer of one block header, every field and word
+		// boundary meets a chunk boundary somewhere.
+		var chunked bytes.Buffer
+		if err := c.WriteBinary(&chunked, make([]byte, binBlockBytes)); err != nil || !bytes.Equal(chunked.Bytes(), data) {
+			t.Fatalf("WriteBinary through %d bytes: err %v, wrote %d bytes that differ from the %d accepted", binBlockBytes, err, chunked.Len(), len(data))
 		}
 		var buf [BlockValues]int64
 		sel := make([]int32, 0, BlockValues)

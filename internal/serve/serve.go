@@ -50,9 +50,9 @@
 // server answers from the moment New returns (recovery is store.Open's work).
 // Cold-tier tables are validated at recovery but loaded lazily, priced
 // through the machine's flash-bandwidth tier, on their first request.
-// CheckpointInterval arms a background checkpointer whose segment images are
-// charged against the memory governor, so durability work competes with
-// queries under the same byte budget instead of around it.
+// CheckpointInterval arms a background checkpointer whose segment staging
+// buffers are charged against the memory governor, so durability work
+// competes with queries under the same byte budget instead of around it.
 //
 // Per-server metrics (queue depth, batch sizes, latencies, modeled cycles
 // per query, admission and resilience counters) are recorded in a
@@ -613,12 +613,13 @@ func (s *Server) WaitRecovered(context.Context) error { return nil }
 // Checkpoint persists every table staged in the durable store as one new
 // atomically-committed manifest version, concurrent with serving: the store
 // snapshots under its own lock and in-flight queries keep running against
-// the resident tables. When the memory governor is armed, the checkpoint's
-// segment images are charged against the server's byte budget under the
-// "_checkpoint" tenant — a budget too full to grant them fails the
-// checkpoint with ErrMemoryPressure rather than blowing the budget, and the
-// interval loop simply tries again next tick. Checkpoints are single-flight;
-// a concurrent call blocks on the store's checkpoint lock.
+// the resident tables. When the memory governor is armed, the bytes the
+// checkpoint holds (each segment's staging buffer, at most 64 KiB) are
+// charged against the server's byte budget under the "_checkpoint" tenant:
+// a budget too full to grant them fails the checkpoint with
+// ErrMemoryPressure rather than blowing the budget, and the interval loop
+// simply tries again next tick. Checkpoints are single-flight; a concurrent
+// call blocks on the store's checkpoint lock.
 func (s *Server) Checkpoint(ctx context.Context) (store.CheckpointStats, error) {
 	if s.st == nil {
 		return store.CheckpointStats{}, fmt.Errorf("serve: checkpoint without a store: %w", errs.ErrInvalidInput)

@@ -324,7 +324,7 @@ func TestCheckpointRequiresStore(t *testing.T) {
 }
 
 // TestCheckpointMemShedUnderTightBudget arms a governor whose budget cannot
-// grant the checkpoint's segment image: the checkpoint sheds with
+// grant what the checkpoint holds of its segment: the checkpoint sheds with
 // ErrMemoryPressure instead of blowing the budget, and the counter records
 // it.
 func TestCheckpointMemShedUnderTightBudget(t *testing.T) {

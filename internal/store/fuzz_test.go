@@ -71,7 +71,7 @@ func sealSegment(t testing.TB, hdr segHeader, payload []byte) []byte {
 // lyingSegments are checksum-valid segments whose header disagrees with
 // their payload; each must be rejected as corrupt.
 func lyingSegments(t testing.TB) map[string][]byte {
-	col := compress.Encode([]int64{1, 2, 3}).AppendBinary(nil)
+	col := columnBinary(compress.Encode([]int64{1, 2, 3}))
 	floats := make([]byte, 3*8)
 	i64 := func(n int) []segCol { return []segCol{{Name: "k", Type: "int64", Bytes: n}} }
 	return map[string][]byte{

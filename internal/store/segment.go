@@ -24,9 +24,10 @@ import (
 // The CRC covers every byte before it (magic, length, header, payloads), so
 // a torn write, a truncated file, or a flipped byte anywhere is caught by
 // one validation pass at read time. The header gives each column's payload
-// length, so the image is sized exactly before a byte of it is written.
+// length, so the segment's size is known before a byte of it is written,
+// and the writer streams it through a fixed staging buffer (segStream).
 // Every column is int64 and its payload is the FOR/RLE block stream the
-// server scans (compress.AppendBinary): what is served is what is written,
+// server scans (compress.WriteBinary): what is served is what is written,
 // and a restart serves what it reads without re-encoding. The last magic
 // byte is the version; version 1 (raw int64 payloads) has no reader.
 var segMagic = [8]byte{'H', 'W', 'S', 'E', 'G', '1', 0, 2}
@@ -63,9 +64,9 @@ func blockStream(t *table.Table, i int) (*compress.Compressed, error) {
 	return c, nil
 }
 
-// segmentHeader returns t's encoded header and the exact size of its
-// segment image.
-func segmentHeader(t *table.Table) (hdrJSON []byte, size int, err error) {
+// segmentHeader returns the head of t's segment — magic, header length and
+// header JSON — and the segment's exact size.
+func segmentHeader(t *table.Table) (head []byte, size int, err error) {
 	hdr := segHeader{Table: t.Name(), Rows: t.NumRows(), Cols: make([]segCol, t.Schema().NumColumns())}
 	for i := range hdr.Cols {
 		c, err := blockStream(t, i)
@@ -75,34 +76,60 @@ func segmentHeader(t *table.Table) (hdrJSON []byte, size int, err error) {
 		hdr.Cols[i] = segCol{Name: t.Schema().Column(i).Name, Type: table.Int64.String(), Bytes: c.BinarySize()}
 		size += hdr.Cols[i].Bytes
 	}
-	hdrJSON, err = json.Marshal(hdr)
+	hdrJSON, err := json.Marshal(hdr)
 	if err != nil {
 		return nil, 0, fmt.Errorf("store: encode header for %q: %w", t.Name(), err)
 	}
-	return hdrJSON, segEnvelope + len(hdrJSON) + size, nil
+	head = binary.LittleEndian.AppendUint32(append(make([]byte, 0, len(segMagic)+4+len(hdrJSON)), segMagic[:]...), uint32(len(hdrJSON)))
+	return append(head, hdrJSON...), segEnvelope + len(hdrJSON) + size, nil
 }
 
-// appendSegment appends t's segment image, checksum included, to dst;
-// hdrJSON is segmentHeader's.
-func appendSegment(dst, hdrJSON []byte, t *table.Table) []byte {
-	start := len(dst)
-	dst = append(dst, segMagic[:]...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(hdrJSON)))
-	dst = append(dst, hdrJSON...)
+// segStage is the size of the staging buffer a segment streams through:
+// what a checkpoint holds of a segment, whatever the table's size.
+const segStage = 64 << 10
+
+// segStream is the one path a segment's bytes take: its head, each column's
+// block stream through the staging buffer buf, then the crc32c of all of
+// them. It keeps the running checksum over the clean bytes and applies the
+// injector's decisions by offset, so w receives exactly what writing the
+// whole image at once would have left.
+type segStream struct {
+	w    io.Writer
+	buf  []byte
+	crc  uint32
+	off  int // bytes streamed so far
+	flip int // offset of the byte a checksum fault flips; -1 for none
+	keep int // bytes that reach w: the segment, or the prefix a torn write leaves
+}
+
+// Write passes p on: the checksum covers p as given, w gets what survives
+// the faults.
+func (s *segStream) Write(p []byte) (int, error) {
+	s.crc = crc32.Update(s.crc, crcTable, p)
+	kept := p[:min(len(p), max(s.keep-s.off, 0))]
+	if i := s.flip - s.off; i >= 0 && i < len(kept) {
+		kept = append(append(kept[:i:i], kept[i]^0x40), kept[i+1:]...) // a flipped copy
+	}
+	s.off += len(p)
+	if _, err := s.w.Write(kept); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// table streams t's segment; head is segmentHeader's.
+func (s *segStream) table(head []byte, t *table.Table) error {
+	if _, err := s.Write(head); err != nil {
+		return err
+	}
 	for i := 0; i < t.Schema().NumColumns(); i++ {
-		dst = t.Column(i).(*compress.Compressed).AppendBinary(dst) // segmentHeader vetted it
+		// segmentHeader vetted every column.
+		if err := t.Column(i).(*compress.Compressed).WriteBinary(s, s.buf); err != nil {
+			return err
+		}
 	}
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
-}
-
-// encodeSegment serializes t into the segment format in one allocation of
-// the image's exact size.
-func encodeSegment(t *table.Table) ([]byte, error) {
-	hdrJSON, size, err := segmentHeader(t)
-	if err != nil {
-		return nil, err
-	}
-	return appendSegment(make([]byte, 0, size), hdrJSON, t), nil
+	_, err := s.Write(binary.LittleEndian.AppendUint32(s.buf[:0], s.crc))
+	return err
 }
 
 // decodeSegment validates the checksum and envelope of raw and rebuilds the
@@ -187,37 +214,31 @@ type SegmentWriter struct {
 	closed    bool
 }
 
-// WriteTable encodes t and writes it through the handle; every column must
-// be a block stream, as Put requires. The injector's
-// durability faults apply here: a torn write persists only a prefix of the
-// payload (and still reports success), a checksum flip silently corrupts one
-// payload byte after the CRC was computed, and a crash aborts with
-// ErrInjectedCrash leaving the bytes written so far on disk — exactly the
-// partial state a SIGKILL at that instant would leave.
+// WriteTable streams t's segment through the handle, holding at most
+// segStage bytes of it; every column must be a block stream, as Put
+// requires. The injector's durability faults are drawn before a byte is
+// written and apply by offset: a torn write persists only the first half of
+// the segment (and still reports success), a checksum flip silently
+// corrupts its middle byte after the CRC covered the clean one, and a crash
+// aborts with ErrInjectedCrash leaving the bytes written so far on disk —
+// exactly the partial state a SIGKILL at that instant would leave.
 func (w *SegmentWriter) WriteTable(t *table.Table) error {
-	raw, err := encodeSegment(t)
+	head, size, err := segmentHeader(t)
 	if err != nil {
 		return err
 	}
-	return w.writeRaw(raw)
-}
-
-func (w *SegmentWriter) writeRaw(raw []byte) error {
 	if w.in.ShouldCrash(w.site) {
 		w.crashed = true
 		return fmt.Errorf("store: %s: %w", w.site, ErrInjectedCrash)
 	}
-	if w.in.FlipChecksum(w.site) && len(raw) > 16 {
-		// Flip one bit in the middle of the payload, after the CRC in the
-		// trailer was computed over the clean bytes.
-		raw = append([]byte(nil), raw...)
-		raw[len(raw)/2] ^= 0x40
+	s := &segStream{w: w.f, buf: make([]byte, min(size, segStage)), flip: -1, keep: size}
+	if w.in.FlipChecksum(w.site) && size > 16 {
+		s.flip = size / 2
 	}
 	if w.in.TornWrite(w.site) {
-		// Only a prefix reaches the device; the write still reports success.
-		raw = raw[:len(raw)/2]
+		s.keep = size / 2
 	}
-	if _, err := w.f.Write(raw); err != nil {
+	if err := s.table(head, t); err != nil {
 		return fmt.Errorf("store: write %s: %w", w.tmp, err)
 	}
 	return nil

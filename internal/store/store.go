@@ -454,11 +454,12 @@ func (s *Store) CreateSegment(tbl string, version uint64) (*SegmentWriter, error
 }
 
 // Checkpoint writes every dirty table as a fresh segment, commits a new
-// manifest version, and applies the placement policy. Segment images are
-// charged against res (nil skips governance): a checkpoint on a loaded
-// server degrades to ErrMemoryPressure instead of OOMing it. Injected
-// durability faults surface as ErrInjectedCrash (partial on-disk state
-// preserved) or corrupt committed files recovery must survive.
+// manifest version, and applies the placement policy. Each segment's
+// staging buffer is charged against res (nil skips governance): a
+// checkpoint on a loaded server degrades to ErrMemoryPressure instead of
+// OOMing it. Injected durability faults surface as ErrInjectedCrash
+// (partial on-disk state preserved) or corrupt committed files recovery
+// must survive.
 func (s *Store) Checkpoint(ctx context.Context, res *mem.Reservation) (CheckpointStats, error) {
 	s.cpMu.Lock()
 	defer s.cpMu.Unlock()
@@ -560,26 +561,26 @@ func (s *Store) Checkpoint(ctx context.Context, res *mem.Reservation) (Checkpoin
 	return stats, nil
 }
 
-// writeSegment encodes and durably writes one table's segment, charging the
-// segment image — the only bytes a checkpoint holds beyond the resident
-// table — against res for the duration.
+// writeSegment durably writes one table's segment, charging what the
+// checkpoint holds beyond the resident table — the staging buffer,
+// min(size, segStage) bytes — against res for the duration.
 func (s *Store) writeSegment(name string, t *table.Table, version uint64, res *mem.Reservation) (int64, error) {
-	hdrJSON, size, err := segmentHeader(t)
+	_, size, err := segmentHeader(t)
 	if err != nil {
 		return 0, err
 	}
-	if res != nil {
-		if err := res.Charge("checkpoint-encode", -1, int64(size)); err != nil {
+	if held := int64(min(size, segStage)); res != nil {
+		if err := res.Charge("checkpoint-encode", -1, held); err != nil {
 			return 0, fmt.Errorf("store: checkpoint %q: %w", name, err)
 		}
-		defer res.Uncharge(int64(size))
+		defer res.Uncharge(held)
 	}
 	w, err := s.CreateSegment(name, version)
 	if err != nil {
 		return 0, err
 	}
 	defer w.Close()
-	if err := w.writeRaw(appendSegment(make([]byte, 0, size), hdrJSON, t)); err != nil {
+	if err := w.WriteTable(t); err != nil {
 		return 0, err
 	}
 	if err := w.Commit(); err != nil {

@@ -323,8 +323,9 @@ func TestRecoveryLoadsHotEagerlyColdLazily(t *testing.T) {
 }
 
 func TestCheckpointGovernedByReservation(t *testing.T) {
-	// A governor whose whole budget is smaller than the segment image: the
-	// charge is denied, the checkpoint degrades instead of OOMing.
+	// A governor whose whole budget is smaller than the staging buffer a
+	// large segment streams through: the charge is denied, the checkpoint
+	// degrades instead of OOMing.
 	tight := mem.NewGovernor(mem.Config{BudgetBytes: 16 << 10, PerQueryBytes: 512})
 	res, err := tight.Reserve(512)
 	if err != nil {
@@ -353,10 +354,10 @@ func TestCheckpointGovernedByReservation(t *testing.T) {
 }
 
 // TestCheckpointChargesSegmentImage pins the checkpoint's governor charge to
-// the bytes it actually holds: the segment image, which for int64 columns is
-// the block stream (about 9 KB here), not the raw columnar footprint (80000
-// bytes). A 32 KiB budget must grant it, and the reservation must have seen
-// exactly the bytes the checkpoint reports writing.
+// the bytes it actually holds: a segment smaller than the staging buffer
+// (about 9 KB here, the block stream, not the raw columnar footprint of 80000
+// bytes) is held whole. A 32 KiB budget must grant it, and the reservation
+// must have seen exactly the bytes the checkpoint reports writing.
 func TestCheckpointChargesSegmentImage(t *testing.T) {
 	cols := [][]int64{make([]int64, 5000), make([]int64, 5000)}
 	for i := range cols[0] {
