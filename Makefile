@@ -75,15 +75,19 @@ race-core:
 # when its request returns. The cancelled-Submit test guards serve's pool rule
 # (a request's pending is recycled only after its executor's done send, never
 # by a Submit that returned on its context), which needs a cancel to land
-# while the executor still holds the pending.
+# while the executor still holds the pending. The lease tests guard the rule
+# one level up (a request's leased columns go back only after the frontend,
+# every router attempt and every serve executor holding them has released):
+# a hedge loser or a cancelled Submit's executor must still be reading when
+# its caller lets go.
 check:
 	$(GO) build ./...
 	$(MAKE) lint
 	$(GO) test ./...
 	$(MAKE) race-core
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestSimCyclesGolden|TestHedgeLoserNeverSeesRecycledState' ./internal/shard
-	$(GO) test -race -count=10 -timeout 5m -run 'TestCancelledSubmitNeverSeesRecycledState' ./internal/serve
+	$(GO) test -race -count=10 -run 'TestSimCyclesGolden|TestHedgeLoserNeverSeesRecycledState|TestHedgeLoserHoldsLease|TestLeasedRequestsOverHedgedRouter' ./internal/shard
+	$(GO) test -race -count=10 -timeout 5m -run 'TestCancelledSubmitNeverSeesRecycledState|TestLeaseOutlivesCancelledSubmit' ./internal/serve
 
 # fuzz-smoke gives each native fuzz target ten seconds of mutation past its
 # seed corpus (plain `go test` only replays the seeds). One target per

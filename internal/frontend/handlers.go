@@ -15,6 +15,7 @@ import (
 
 	"hwstar/internal/errs"
 	v1 "hwstar/internal/frontend/v1"
+	"hwstar/internal/mem"
 	"hwstar/internal/serve"
 )
 
@@ -114,8 +115,11 @@ func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer ts.endQuery()
 
+	// Every router attempt and serve executor holds its own lease reference.
+	lease := mem.NewLease()
+	defer lease.Release()
 	var q v1.QueryRequest
-	if err := decodeBody(r, q.UnmarshalJSON); err != nil {
+	if err := decodeBody(r, func(body []byte) error { return q.UnmarshalLeased(body, lease) }); err != nil {
 		f.tenantGovInc(tenant, "invalid")
 		f.writeCode(w, v1.CodeInvalidArgument, http.StatusBadRequest, false, 0, "", err.Error())
 		return
@@ -140,7 +144,7 @@ func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		sreq.Lineitem = li
 	}
-	sreq.Tenant = tenant
+	sreq.Tenant, sreq.Lease = tenant, lease
 
 	ctx := r.Context()
 	if f.timeout > 0 {

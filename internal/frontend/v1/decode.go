@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math"
 	"sync/atomic"
+
+	"hwstar/internal/mem"
 )
 
 // DecodeStrict is the wire's reference decode: encoding/json into dst with
@@ -34,10 +36,16 @@ var fastDecodes atomic.Int64
 // encoding/json's, and the fast path only has to be right where it accepts.
 // Nothing in q aliases data afterwards.
 func (q *QueryRequest) UnmarshalJSON(data []byte) error {
+	return q.UnmarshalLeased(data, nil)
+}
+
+// UnmarshalLeased is UnmarshalJSON with the fast path's inline columns taken
+// from lease (the fallback's are the garbage collector's).
+func (q *QueryRequest) UnmarshalLeased(data []byte, lease *mem.Lease) error {
 	// encoding/json merges into a non-zero destination; only the fallback
 	// reproduces that.
 	if *q == (QueryRequest{}) {
-		if fast, ok := decodeQuery(data); ok {
+		if fast, ok := decodeQuery(data, lease); ok {
 			fastDecodes.Add(1)
 			*q = fast
 			return nil
@@ -48,8 +56,8 @@ func (q *QueryRequest) UnmarshalJSON(data []byte) error {
 
 // decodeQuery is the single-pass decoder; ok is false for anything outside
 // the canonical encoding.
-func decodeQuery(data []byte) (q QueryRequest, ok bool) {
-	c := cursor{b: data}
+func decodeQuery(data []byte, lease *mem.Lease) (q QueryRequest, ok bool) {
+	c := cursor{b: data, lease: lease}
 	var seen uint
 	ok = c.object(func(key []byte) bool {
 		switch string(key) {
@@ -144,8 +152,9 @@ func (c *cursor) groupSumArgs(a *GroupSumArgs) bool {
 // cursor walks a JSON text. Every method reports false, leaving the position
 // undefined, on the first byte it does not recognise.
 type cursor struct {
-	b []byte
-	i int
+	b     []byte
+	i     int
+	lease *mem.Lease
 }
 
 // space skips JSON whitespace.
@@ -259,7 +268,7 @@ var comma = []byte{','}
 // column decodes an array of integers into one exactly-sized slice: the
 // commas up to the closing bracket give the length before any digit is read,
 // so nothing grows. An element is at least one byte, so the slice is at most
-// four times the array's text.
+// four times the array's text. Leased, it is not zeroed: all of it is written.
 func (c *cursor) column(dst *[]int64) bool {
 	if !c.eat('[') {
 		return false
@@ -276,7 +285,7 @@ func (c *cursor) column(dst *[]int64) bool {
 	if 2*n-1 > end {
 		return false
 	}
-	out := make([]int64, n)
+	out := c.lease.Column(n)
 	for k := range out {
 		if k > 0 && !c.eat(',') {
 			return false

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"hwstar/internal/mem"
 )
 
 // benchBodies are query bodies in the shapes cmd/hwperf/data.go generates
@@ -78,7 +80,7 @@ func TestFastPathTakesGeneratedBodies(t *testing.T) {
 // left to encoding/json — accepted or refused there, never by the fast path.
 func TestNonCanonicalBodiesFallBack(t *testing.T) {
 	for _, body := range nonCanonicalBodies {
-		if _, ok := decodeQuery([]byte(body)); ok {
+		if _, ok := decodeQuery([]byte(body), nil); ok {
 			t.Errorf("fast path accepted %s", body)
 		}
 	}
@@ -137,7 +139,8 @@ var nonCanonicalBodies = []string{
 // reference it must be indistinguishable from: for any bytes,
 // (*QueryRequest).UnmarshalJSON and DecodeStrict agree on accept/reject and
 // on the error text, and an accepted request is deeply equal (nil against
-// empty slices included) and survives its input being overwritten.
+// empty slices included) and survives its input being overwritten. The same
+// holds for UnmarshalLeased over pools just filled with garbage columns.
 func FuzzDecodeQuery(f *testing.F) {
 	for _, c := range toServeCases {
 		f.Add([]byte(c.body))
@@ -165,20 +168,51 @@ func diffAgainstReference(body []byte) string {
 	var want plainQuery
 	wantErr := DecodeStrict(bytes.Clone(body), &want)
 
-	var got QueryRequest
+	var got, leased QueryRequest
 	gotErr := got.UnmarshalJSON(body)
+	lease := dirtyLease(QueryRequest(want))
+	defer lease.Release()
+	leasedErr := leased.UnmarshalLeased(body, lease)
 	for i := range body {
 		body[i] = 'x' // nothing decoded may alias the input
 	}
-	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-		return fmt.Sprintf("UnmarshalJSON: %v\nreference:     %v", gotErr, wantErr)
-	}
-	if gotErr == nil && !reflect.DeepEqual(got, QueryRequest(want)) {
-		gj, _ := json.Marshal(got)
-		wj, _ := json.Marshal(QueryRequest(want))
-		return fmt.Sprintf("decoded requests differ\ngot  %s\nwant %s", gj, wj)
+	for _, c := range []struct {
+		name string
+		got  QueryRequest
+		err  error
+	}{{"UnmarshalJSON", got, gotErr}, {"UnmarshalLeased", leased, leasedErr}} {
+		if fmt.Sprint(c.err) != fmt.Sprint(wantErr) {
+			return fmt.Sprintf("%s: %v\nreference: %v", c.name, c.err, wantErr)
+		}
+		if c.err == nil && !reflect.DeepEqual(c.got, QueryRequest(want)) {
+			gj, _ := json.Marshal(c.got)
+			wj, _ := json.Marshal(QueryRequest(want))
+			return fmt.Sprintf("%s: decoded requests differ\ngot  %s\nwant %s", c.name, gj, wj)
+		}
 	}
 	return ""
+}
+
+// dirtyLease fills the column pools with garbage at the lengths of want's
+// inline columns, then returns a fresh lease, whose columns of those lengths
+// are the garbage ones whenever the pool hands back what it was just given:
+// a decoder that leaves an element unwritten decodes garbage there.
+func dirtyLease(want QueryRequest) *mem.Lease {
+	var cols [][]int64
+	if j := want.Join; j != nil {
+		cols = append(cols, j.BuildKeys, j.BuildVals, j.ProbeKeys, j.ProbeVals)
+	}
+	if g := want.GroupSum; g != nil {
+		cols = append(cols, g.Keys, g.Vals)
+	}
+	dirty := mem.NewLease()
+	for _, c := range cols {
+		for i, col := 0, dirty.Column(len(c)); i < len(col); i++ {
+			col[i] = 0x5a5a5a5a5a5a5a5a
+		}
+	}
+	dirty.Release()
+	return mem.NewLease()
 }
 
 // TestDecodeQueryMutations runs the differential check in tier-1, where the

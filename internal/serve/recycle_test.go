@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,16 +12,18 @@ import (
 	"weak"
 
 	"hwstar/internal/agg"
+	"hwstar/internal/mem"
 	"hwstar/internal/workload"
 )
 
 // submitAllocsCeiling is what one warm lone scan on one server may allocate:
 // Submit to answer, through the lane, the dispatcher, the pass's scheduler
-// and its executor goroutine. Measured 7 + 2. Before a request's pending,
-// its done channel and the scan batch's buffers were pooled the same scan made
-// 18 (20 in BenchmarkSubmit/lone-scan, which adds its client goroutine), so a
-// per-request channel or per-pass slice puts it over.
-const submitAllocsCeiling = 9
+// and its executor goroutine. Measured 7, plus one. Before a request's
+// pending, its done channel and the scan batch's buffers were pooled the same
+// scan made 18 (20 in BenchmarkSubmit/lone-scan, which adds its client
+// goroutine), so a per-request channel or per-pass slice puts it over, and so
+// does a pending that skips its pool (two objects: itself and its channel).
+const submitAllocsCeiling = 8
 
 // TestSubmitAllocs pins serve's per-request garbage on the scan path.
 func TestSubmitAllocs(t *testing.T) {
@@ -220,4 +223,82 @@ func TestPooledStatePinsNoColumns(t *testing.T) {
 			t.Fatal("the dropped table outlived its last scan: the pooled batch pins it")
 		}
 	})
+}
+
+// TestLeaseOutlivesCancelledSubmit pins the lease rule of Submit: the server
+// takes its own reference to a request's lease at admission and drops it in
+// settle, so a Submit that returns on its context leaves the columns to the
+// executor that may still read them. The executor is held, its Submit
+// cancelled and the caller's reference dropped: while the executor holds, a
+// fresh lease must not be handed the held columns. Once it is let go they are
+// back in the pool, and a request whose columns are those arrays is answered
+// right.
+func TestLeaseOutlivesCancelledSubmit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: the pool hands back what it was given
+	const n = 1 << 12
+	s := newServer(t, Options{})
+	defer s.Close()
+	hold := make(chan struct{})
+	s.testHold = hold
+	letGo := sync.OnceFunc(func() { close(hold) })
+	defer letGo()
+
+	lease := mem.NewLease()
+	keys, vals := lease.Column(n), lease.Column(n)
+	fillGroupSum(keys, vals, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(ctx, Request{Op: OpGroupSum, Keys: keys, Vals: vals, Strategy: agg.StrategyGlobal, Lease: lease})
+		errc <- err
+	}()
+	waitFor(t, func() bool { return s.coresFree.Value() < int64(s.Workers()) }, "the group-sum's executor never took its cores")
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Submit returned %v", err)
+	}
+	lease.Release() // the caller's reference: the held executor's is the last
+
+	held := map[*int64]bool{&keys[0]: true, &vals[0]: true}
+	fresh := mem.NewLease()
+	for i := 0; i < 4; i++ {
+		if col := fresh.Column(n); held[&col[0]] {
+			t.Fatal("a fresh lease was handed a column the held executor still reads")
+		}
+	}
+	fresh.Release()
+
+	letGo()
+	// The executor settles before it sends the release that frees its cores.
+	waitFor(t, func() bool { return s.coresFree.Value() == int64(s.Workers()) }, "the held executor never finished")
+	again := mem.NewLease()
+	defer again.Release()
+	var cols [][]int64
+	for i := 0; i < 8 && len(cols) < 2; i++ {
+		if col := again.Column(n); held[&col[0]] || raceEnabled {
+			cols = append(cols, col)
+		}
+	}
+	if len(cols) < 2 {
+		t.Fatal("the settled executor's release did not return the columns to the pool")
+	}
+	want := fillGroupSum(cols[0], cols[1], 2)
+	resp, err := s.Submit(context.Background(), Request{Op: OpGroupSum, Keys: cols[0], Vals: cols[1], Strategy: agg.StrategyGlobal, Lease: again})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(resp.Groups, want) {
+		t.Fatalf("group-sum over recycled columns: %d groups, want %d", len(resp.Groups), len(want))
+	}
+}
+
+// fillGroupSum writes every element of keys and vals from seed and returns
+// the group sums they make.
+func fillGroupSum(keys, vals []int64, seed int64) map[int64]int64 {
+	want := make(map[int64]int64)
+	for i := range keys {
+		keys[i], vals[i] = (int64(i)*seed)%61, int64(i)+seed
+		want[keys[i]] += vals[i]
+	}
+	return want
 }

@@ -166,6 +166,9 @@ type Request struct {
 	// OpQ1 / OpQ6: the lineitem table and execution engine.
 	Lineitem *table.Table
 	Engine   queries.Engine
+	// Lease, when non-nil, owns the pooled columns the inline inputs live in
+	// (the server holds a reference from admission to settle).
+	Lease *mem.Lease
 }
 
 // Response is the server's answer to one Request. The embedded hw.Cost
@@ -872,6 +875,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 	}
 	p := pendings.Get().(*pending)
 	p.ctx, p.req, p.enq, p.resv, p.tenant = ctx, req, time.Now(), resv, s.tenant(req.Tenant)
+	req.Lease.Acquire() // the executor's reference, released in settle
 	// The trace (if this request is sampled) must be rooted before the
 	// request enters the intake queue: the dispatcher reads the spans
 	// concurrently the moment the send succeeds.
@@ -897,6 +901,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 	if s.closed {
 		s.mu.RUnlock()
 		p.resv.Release()
+		req.Lease.Release()
 		p.span.SetAttr("status", "closed")
 		p.queueSpan.End()
 		p.span.End()
@@ -914,6 +919,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 	default:
 		s.mu.RUnlock()
 		p.resv.Release()
+		req.Lease.Release()
 		s.reg.Counter("serve.rejected").Inc()
 		s.tenantInc(req.Tenant, "rejected")
 		p.span.SetAttr("status", "rejected")
@@ -1425,7 +1431,7 @@ func (s *Server) finish(p *pending, resp Response, err error) {
 // the executor, its cores back, has sent on done: context-terminated requests
 // count as deadline-exceeded, successful ones record latency, the rest count
 // as failed. Every admitted request ends here, so it also settles the memory
-// reservation: spill and peak, then release.
+// reservation (spill and peak, then release) and its lease reference.
 func (s *Server) settle(p *pending, resp Response, err error) {
 	tenant := p.req.Tenant
 	switch {
@@ -1474,6 +1480,7 @@ func (s *Server) settle(p *pending, resp Response, err error) {
 	p.batchSpan.End()
 	p.span.End()
 	p.out = outcome{resp: resp, err: err}
+	p.req.Lease.Release() // the executor's last read is behind it
 }
 
 // Health is a point-in-time snapshot of the server's resilience state.

@@ -8,6 +8,7 @@ import (
 	"hwstar/internal/errs"
 	"hwstar/internal/hw"
 	"hwstar/internal/join"
+	"hwstar/internal/mem"
 	"hwstar/internal/planner"
 	"hwstar/internal/serve"
 )
@@ -50,7 +51,7 @@ func (r *Router) distJoin(ctx context.Context, req serve.Request) (Response, err
 	// sub-joins start on distinct nodes.
 	f := newFanout(len(live))
 	defer f.release()
-	for _, part := range splitJoin(in, len(live), plan.Strategy) {
+	for _, part := range splitJoin(in, len(live), plan.Strategy, req.Lease) {
 		if len(part.BuildKeys) > 0 || len(part.ProbeKeys) > 0 {
 			f.add(req, live).Join = part
 		}
@@ -86,9 +87,9 @@ func (r *Router) distJoin(ctx context.Context, req serve.Request) (Response, err
 
 // splitJoin partitions a join input for n-way distributed execution.
 // Shuffle: both sides hash-partitioned by key, so matching keys land on
-// the same sub-join. Broadcast: every sub-join sees the full build side
-// and a contiguous probe stripe.
-func splitJoin(in join.Input, n int, strat cluster.Strategy) []join.Input {
+// the same sub-join, into columns taken from lease. Broadcast: every
+// sub-join sees the full build side and a contiguous probe stripe.
+func splitJoin(in join.Input, n int, strat cluster.Strategy, lease *mem.Lease) []join.Input {
 	subs := make([]join.Input, n)
 	if strat == cluster.StrategyBroadcast {
 		for i := range subs {
@@ -101,8 +102,8 @@ func splitJoin(in join.Input, n int, strat cluster.Strategy) []join.Input {
 		}
 		return subs
 	}
-	bk, bv := hashSplit(in.BuildKeys, in.BuildVals, n)
-	pk, pv := hashSplit(in.ProbeKeys, in.ProbeVals, n)
+	bk, bv := hashSplit(in.BuildKeys, in.BuildVals, n, lease)
+	pk, pv := hashSplit(in.ProbeKeys, in.ProbeVals, n, lease)
 	for d := range subs {
 		subs[d] = join.Input{BuildKeys: bk[d], BuildVals: bv[d], ProbeKeys: pk[d], ProbeVals: pv[d]}
 	}
@@ -111,15 +112,15 @@ func splitJoin(in join.Input, n int, strat cluster.Strategy) []join.Input {
 
 // hashSplit hash-partitions a key column and its value column n ways, in
 // input order. One counting pass sizes every partition, so each column is
-// one exactly-sized backing array carved into capacity-capped pieces rather
-// than n slices grown by append.
-func hashSplit(keys, vals []int64, n int) (pkeys, pvals [][]int64) {
+// one exactly-sized leased array, all of it written by the second pass,
+// carved into capacity-capped pieces rather than n slices grown by append.
+func hashSplit(keys, vals []int64, n int, lease *mem.Lease) (pkeys, pvals [][]int64) {
 	next := make([]int, n) // a partition's size, then its write cursor
 	for _, k := range keys {
 		next[hashPart(k, n)]++
 	}
-	allKeys := make([]int64, len(keys))
-	allVals := make([]int64, len(keys))
+	allKeys := lease.Column(len(keys))
+	allVals := lease.Column(len(keys))
 	pkeys, pvals = make([][]int64, n), make([][]int64, n)
 	off := 0
 	for d, size := range next {

@@ -6,6 +6,7 @@ import (
 
 	"hwstar/internal/cluster"
 	"hwstar/internal/join"
+	"hwstar/internal/mem"
 	"hwstar/internal/workload"
 )
 
@@ -34,7 +35,7 @@ func TestSplitJoinShuffle(t *testing.T) {
 			want[d].ProbeKeys = append(want[d].ProbeKeys, k)
 			want[d].ProbeVals = append(want[d].ProbeVals, in.ProbeVals[i])
 		}
-		got := splitJoin(in, n, cluster.StrategyShuffle)
+		got := splitJoin(in, n, cluster.StrategyShuffle, nil)
 		for d := range want {
 			for _, c := range []struct {
 				name      string
@@ -57,7 +58,7 @@ func TestSplitJoinShuffle(t *testing.T) {
 	// Every key on one sub-join leaves the others empty, not out of range.
 	same := join.Input{BuildKeys: []int64{5, 5}, BuildVals: []int64{1, 2}, ProbeKeys: []int64{5}, ProbeVals: []int64{3}}
 	rows := 0
-	for _, sub := range splitJoin(same, 4, cluster.StrategyShuffle) {
+	for _, sub := range splitJoin(same, 4, cluster.StrategyShuffle, nil) {
 		rows += len(sub.BuildKeys) + len(sub.ProbeKeys)
 	}
 	if rows != 3 {
@@ -67,29 +68,50 @@ func TestSplitJoinShuffle(t *testing.T) {
 
 // TestSplitJoinAllocs pins the shuffle at one allocation per column plus a
 // constant (the sub-join headers and each side's cursors and slice headers),
-// whatever the input size; a broadcast only slices.
+// whatever the input size; a broadcast only slices. With a warm lease the
+// columns come from its pools, so only the constant is left.
 func TestSplitJoinAllocs(t *testing.T) {
 	in := benchJoinInput()
 	for _, c := range []struct {
-		strat cluster.Strategy
-		max   float64
-	}{{cluster.StrategyShuffle, 4 + 7}, {cluster.StrategyBroadcast, 1}} {
-		if got := testing.AllocsPerRun(10, func() { splitJoin(in, 3, c.strat) }); got > c.max {
-			t.Errorf("%v split: %.0f allocations, want at most %.0f", c.strat, got, c.max)
+		name   string
+		strat  cluster.Strategy
+		leased bool
+		max    float64
+	}{
+		{"shuffle", cluster.StrategyShuffle, false, 4 + 7},
+		{"leased shuffle", cluster.StrategyShuffle, true, 7},
+		{"broadcast", cluster.StrategyBroadcast, false, 1},
+	} {
+		if c.leased && raceEnabled {
+			continue // sync.Pool drops Puts at random under the race detector
+		}
+		if got := testing.AllocsPerRun(10, func() { splitOnce(in, c.strat, c.leased) }); got > c.max {
+			t.Errorf("%s split: %.0f allocations, want at most %.0f", c.name, got, c.max)
 		}
 	}
+}
+
+// splitOnce splits in three ways, its shuffle columns leased or made.
+func splitOnce(in join.Input, strat cluster.Strategy, leased bool) {
+	var lease *mem.Lease
+	if leased {
+		lease = mem.NewLease()
+	}
+	splitJoin(in, 3, strat, lease)
+	lease.Release()
 }
 
 func BenchmarkSplitJoin(b *testing.B) {
 	in := benchJoinInput()
 	for _, c := range []struct {
-		name  string
-		strat cluster.Strategy
-	}{{"shuffle", cluster.StrategyShuffle}, {"broadcast", cluster.StrategyBroadcast}} {
+		name   string
+		strat  cluster.Strategy
+		leased bool
+	}{{"shuffle", cluster.StrategyShuffle, false}, {"shuffle-leased", cluster.StrategyShuffle, true}, {"broadcast", cluster.StrategyBroadcast, false}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				splitJoin(in, 3, c.strat)
+				splitOnce(in, c.strat, c.leased)
 			}
 		})
 	}

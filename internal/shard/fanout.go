@@ -217,7 +217,8 @@ func (r *Router) run(ctx context.Context, f *fanout) {
 	}
 }
 
-// launch starts sub i's next unused candidate.
+// launch starts sub i's next unused candidate, with its own reference to the
+// request's lease: run may return before the attempt reaches Submit.
 func (f *fanout) launch(i int, hedged bool) {
 	s := &f.subs[i]
 	t := s.first + s.launched
@@ -225,17 +226,21 @@ func (f *fanout) launch(i int, hedged bool) {
 	s.pending++
 	f.outstanding++
 	f.tries[t].sub, f.tries[t].hedged = i, hedged
+	s.req.Lease.Acquire()
 	go f.attempt(t)
 }
 
-// attempt sends try t's sub-request to its node and reports t on done.
+// attempt sends try t's sub-request to its node and reports t on done. It
+// drops its lease reference before the send: after it, f may be recycled.
 func (f *fanout) attempt(t int) {
 	a := &f.tries[t]
+	req := &f.subs[a.sub].req
 	if srv := a.node.server(); srv == nil || !a.node.alive.Load() {
 		a.err = fmt.Errorf("shard: node %d down: %w", a.node.id, errs.ErrDegraded)
 	} else {
-		a.resp, a.err = srv.Submit(f.ctx, f.subs[a.sub].req)
+		a.resp, a.err = srv.Submit(f.ctx, *req)
 	}
+	req.Lease.Release()
 	f.done <- t
 }
 
