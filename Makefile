@@ -79,7 +79,11 @@ race-core:
 # one level up (a request's leased columns go back only after the frontend,
 # every router attempt and every serve executor holding them has released):
 # a hedge loser or a cancelled Submit's executor must still be reading when
-# its caller lets go.
+# its caller lets go. The table-lease tests guard the same rule for a
+# registered table's payload (recycled only after the table map, the store
+# entry, every scan batch and every checkpoint job holding it has released,
+# and never once Store.Load has handed it out): a replacing Register must
+# land while a pass or a segment write still reads the old version.
 check:
 	$(GO) build ./...
 	$(MAKE) lint
@@ -87,7 +91,8 @@ check:
 	$(MAKE) race-core
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestSimCyclesGolden|TestHedgeLoserNeverSeesRecycledState|TestHedgeLoserHoldsLease|TestLeasedRequestsOverHedgedRouter' ./internal/shard
-	$(GO) test -race -count=10 -timeout 5m -run 'TestCancelledSubmitNeverSeesRecycledState|TestLeaseOutlivesCancelledSubmit' ./internal/serve
+	$(GO) test -race -count=10 -timeout 5m -run 'TestCancelledSubmitNeverSeesRecycledState|TestLeaseOutlivesCancelledSubmit|TestRetiredTableOutlivesHeldPass|TestLoadPinsLeasedTable|TestChurnAnswersMatchAVersion' ./internal/serve
+	$(GO) test -race -count=10 -run 'TestCheckpointHoldsReplacedTable' ./internal/store
 
 # fuzz-smoke gives each native fuzz target ten seconds of mutation past its
 # seed corpus (plain `go test` only replays the seeds). One target per

@@ -9,6 +9,7 @@ import (
 	"math/bits"
 
 	"hwstar/internal/hw"
+	"hwstar/internal/mem"
 	"hwstar/internal/table"
 )
 
@@ -62,7 +63,12 @@ type Compressed struct {
 // smaller. The choice needs only the block's value span and run count, so a
 // first pass sizes every block and a second packs each block's winning
 // encoding straight into a payload slab allocated once at its final size.
-func Encode(values []int64) *Compressed {
+func Encode(values []int64) *Compressed { return EncodeLeased(values, nil) }
+
+// EncodeLeased is Encode with the payload slab taken from l, so it lives
+// until l's last Release. A recycled slab needs no clearing: the packers
+// write every payload word.
+func EncodeLeased(values []int64, l *mem.Lease) *Compressed {
 	c := &Compressed{n: len(values), blocks: make([]block, (len(values)+BlockValues-1)/BlockValues)}
 	total := 0
 	for i := range c.blocks {
@@ -71,7 +77,7 @@ func Encode(values []int64) *Compressed {
 		b.off = total
 		total += int(b.words)
 	}
-	c.payload = make([]uint64, total)
+	c.payload = l.Words(total)
 	for i := range c.blocks {
 		b := &c.blocks[i]
 		switch {

@@ -1,14 +1,3 @@
-// Package mem provides the memory substrate of hwstar: chunked arena
-// allocators that keep operator state out of the garbage collector's way, and
-// NUMA placement bookkeeping that tells the hardware model which socket's
-// memory a region lives on.
-//
-// Real NUMA placement is impossible from portable Go (and the build host has
-// a single socket anyway), so placement here is explicit metadata: allocators
-// decide a distribution of bytes over nodes according to a policy, and the
-// scheduler/cost model turns "reader on socket 2, region interleaved over 4
-// nodes" into local and remote traffic. The arithmetic is exactly what an OS
-// with the corresponding mbind/numactl policy would produce.
 package mem
 
 import "fmt"
@@ -26,7 +15,6 @@ type Arena struct {
 	cur       []byte
 	off       int
 	chunks    [][]byte
-	free      [][]byte // standard-size chunks retained by Reset for reuse
 	allocated int64
 }
 
@@ -51,13 +39,7 @@ func (a *Arena) Alloc(n int) []byte {
 		return big
 	}
 	if a.cur == nil || a.off+n > len(a.cur) {
-		if l := len(a.free); l > 0 {
-			a.cur = a.free[l-1]
-			a.free[l-1] = nil
-			a.free = a.free[:l-1]
-		} else {
-			a.cur = make([]byte, a.chunkSize)
-		}
+		a.cur = make([]byte, a.chunkSize)
 		a.chunks = append(a.chunks, a.cur)
 		a.off = 0
 	}
@@ -69,14 +51,10 @@ func (a *Arena) Alloc(n int) []byte {
 // AllocatedBytes returns the total bytes handed out (not chunk capacity).
 func (a *Arena) AllocatedBytes() int64 { return a.allocated }
 
-// FootprintBytes returns the total capacity of all chunks held by the arena,
-// including chunks kept for reuse by Reset.
+// FootprintBytes returns the total capacity of all chunks held by the arena.
 func (a *Arena) FootprintBytes() int64 {
 	var t int64
 	for _, c := range a.chunks {
-		t += int64(len(c))
-	}
-	for _, c := range a.free {
 		t += int64(len(c))
 	}
 	return t
@@ -86,88 +64,6 @@ func (a *Arena) FootprintBytes() int64 {
 func (a *Arena) Release() {
 	a.cur = nil
 	a.chunks = nil
-	a.free = nil
-	a.off = 0
-	a.allocated = 0
-}
-
-// Reset makes the arena empty but keeps its standard-size chunks for reuse,
-// so per-morsel arenas stop churning the runtime allocator. Dedicated
-// big-allocation chunks are dropped (they are sized to one request and
-// unlikely to recur). Retained chunks are zeroed here so Alloc's "zeroed
-// slice" contract holds without per-allocation clears. All slices handed out
-// before Reset are invalid afterwards.
-func (a *Arena) Reset() {
-	for i, c := range a.chunks {
-		if len(c) == a.chunkSize {
-			for j := range c {
-				c[j] = 0
-			}
-			a.free = append(a.free, c)
-		}
-		a.chunks[i] = nil // let dropped big chunks go to the GC now
-	}
-	a.cur = nil
-	a.chunks = a.chunks[:0]
-	a.off = 0
-	a.allocated = 0
-}
-
-// TypedArena is a bump allocator for slices of a fixed element type. It is
-// the building block for operator-owned buffers (hash table parts, partition
-// outputs) whose lifetime is one query.
-type TypedArena[T any] struct {
-	chunkElems int
-	cur        []T
-	off        int
-	allocated  int64
-}
-
-// NewTypedArena returns an arena that allocates in chunks of chunkElems
-// elements.
-func NewTypedArena[T any](chunkElems int) *TypedArena[T] {
-	if chunkElems <= 0 {
-		chunkElems = 64 << 10
-	}
-	return &TypedArena[T]{chunkElems: chunkElems}
-}
-
-// Alloc returns a zeroed slice of n elements.
-func (a *TypedArena[T]) Alloc(n int) []T {
-	if n < 0 {
-		panic(fmt.Sprintf("mem: TypedArena.Alloc(%d): negative size", n))
-	}
-	a.allocated += int64(n)
-	if n > a.chunkElems {
-		return make([]T, n)
-	}
-	if a.cur == nil || a.off+n > len(a.cur) {
-		a.cur = make([]T, a.chunkElems)
-		a.off = 0
-	}
-	s := a.cur[a.off : a.off+n : a.off+n]
-	a.off += n
-	return s
-}
-
-// AllocatedElems returns the total number of elements handed out.
-func (a *TypedArena[T]) AllocatedElems() int64 { return a.allocated }
-
-// Release drops the current chunk reference.
-func (a *TypedArena[T]) Release() {
-	a.cur = nil
-	a.off = 0
-	a.allocated = 0
-}
-
-// Reset rewinds the arena over its current chunk instead of dropping it,
-// zeroing the used prefix so Alloc's contract holds. Slices handed out
-// before Reset are invalid afterwards.
-func (a *TypedArena[T]) Reset() {
-	var zero T
-	for i := 0; i < a.off; i++ {
-		a.cur[i] = zero
-	}
 	a.off = 0
 	a.allocated = 0
 }

@@ -1,3 +1,16 @@
+// Package mem provides the memory substrate of hwstar: the lease, whose
+// reference-counted size-class pools recycle request columns and registered
+// tables' payloads once their last reader lets go; the governor, which
+// admits, charges and sheds memory per query and tenant; and NUMA placement
+// bookkeeping that tells the hardware model which socket's memory a region
+// lives on.
+//
+// Real NUMA placement is impossible from portable Go (and the build host has
+// a single socket anyway), so placement here is explicit metadata: allocators
+// decide a distribution of bytes over nodes according to a policy, and the
+// scheduler/cost model turns "reader on socket 2, region interleaved over 4
+// nodes" into local and remote traffic. The arithmetic is exactly what an OS
+// with the corresponding mbind/numactl policy would produce.
 package mem
 
 import (
@@ -6,22 +19,41 @@ import (
 	"sync/atomic"
 )
 
-// Lease owns one request's pooled int64 columns. Every party that may read
-// them after its caller has returned holds a reference, and the last Release
+// Lease owns pooled slices for one lifetime — a request's int64 columns, a
+// registered table's encoded payload words. Every party that may read them
+// after its caller has returned holds a reference, and the last Release
 // puts them back into their size-class pools: reference-counted deferred
-// reclamation. A nil *Lease is valid: Column is make, Acquire and Release do
-// nothing, so a caller that owns its slices passes none.
+// reclamation. A nil *Lease is valid: Column and Words are make, Acquire and
+// Release do nothing, so a caller that owns its slices passes none.
 type Lease struct {
-	refs atomic.Int32
-	cols []*[]int64 // appended to only by the creator, before it shares l
+	refs  atomic.Int32
+	cols  []*[]int64  // appended to only by the creator, before it shares l
+	words []*[]uint64 // likewise
 }
 
-// colClasses bounds the pools: class c holds columns of 1<<c elements, up to
-// 128 MiB, past any body the frontend accepts. Longer columns are plain makes.
-const colClasses = 25
+// Size classes are log-linear: exact up to 16 elements, then 8 steps per
+// power of two, so a class is at most 12.5 % over the length asked for.
+// Lengths past maxPooled (16 M elements, 128 MiB: past any body the frontend
+// accepts and any column Register encodes) are plain makes.
+const (
+	classSteps = 3 // log2 of the steps per power of two
+	maxPooled  = 1 << 24
+	classes    = 176 // class(maxPooled) + 1
+)
 
-var leases = sync.Pool{New: func() any { return new(Lease) }}
-var colPools [colClasses]sync.Pool
+var (
+	leases    = sync.Pool{New: func() any { return new(Lease) }}
+	colPools  [classes]sync.Pool
+	wordPools [classes]sync.Pool
+)
+
+// class returns the pool index and element count of the smallest class
+// holding n > 0 elements. class(size) is class(n) again.
+func class(n int) (idx, size int) {
+	s := max(bits.Len(uint(n-1))-classSteps-1, 0)
+	m := (n - 1) >> s
+	return s<<classSteps + m, (m + 1) << s
+}
 
 // NewLease returns a pooled lease holding one reference, its caller's.
 func NewLease() *Lease {
@@ -33,28 +65,52 @@ func NewLease() *Lease {
 // Column returns an n-element column that lives until l's last Release. It
 // is not zeroed, so the caller must write every element.
 func (l *Lease) Column(n int) []int64 {
-	c := bits.Len(uint(n - 1)) // the smallest class with 1<<c >= n
-	if l == nil || n == 0 || c >= colClasses {
+	if l == nil || n == 0 || n > maxPooled {
 		return make([]int64, n)
 	}
-	p, _ := colPools[c].Get().(*[]int64)
-	if p == nil {
-		col := make([]int64, 1<<c)
-		p = &col
+	return take(&colPools, &l.cols, n)
+}
+
+// Words is Column for uint64 words, pooled apart from columns.
+func (l *Lease) Words(n int) []uint64 {
+	if l == nil || n == 0 || n > maxPooled {
+		return make([]uint64, n)
 	}
-	l.cols = append(l.cols, p)
+	return take(&wordPools, &l.words, n)
+}
+
+// take returns n elements of a slice from n's class pool, allocating the
+// class size on a miss, and appends the slice to held.
+func take[T int64 | uint64](pools *[classes]sync.Pool, held *[]*[]T, n int) []T {
+	c, size := class(n)
+	p, _ := pools[c].Get().(*[]T)
+	if p == nil {
+		s := make([]T, size)
+		p = &s
+	}
+	*held = append(*held, p)
 	return (*p)[:n:n]
 }
 
-// Acquire adds a reference for a party that may read l's columns later.
+// giveBack returns every slice in held to its class pool and empties held.
+func giveBack[T int64 | uint64](pools *[classes]sync.Pool, held *[]*[]T) {
+	for _, p := range *held {
+		c, _ := class(cap(*p))
+		pools[c].Put(p)
+	}
+	clear(*held)
+	*held = (*held)[:0]
+}
+
+// Acquire adds a reference for a party that may read l's slices later.
 func (l *Lease) Acquire() {
 	if l != nil {
 		l.refs.Add(1)
 	}
 }
 
-// Release drops one reference; the last returns the columns and l to their
-// pools. Releasing more often than acquiring panics: it would recycle columns
+// Release drops one reference; the last returns the slices and l to their
+// pools. Releasing more often than acquiring panics: it would recycle slices
 // under a reader still holding them.
 func (l *Lease) Release() {
 	if l == nil {
@@ -65,10 +121,7 @@ func (l *Lease) Release() {
 	} else if n > 0 {
 		return
 	}
-	for _, p := range l.cols {
-		colPools[bits.Len(uint(cap(*p)-1))].Put(p)
-	}
-	clear(l.cols)
-	l.cols = l.cols[:0]
+	giveBack(&colPools, &l.cols)
+	giveBack(&wordPools, &l.words)
 	leases.Put(l)
 }

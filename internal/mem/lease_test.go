@@ -53,3 +53,67 @@ func TestLeaseReleaseBelowZeroPanics(t *testing.T) {
 	}()
 	l.Release()
 }
+
+// TestClassesAreLogLinear pins the one class function Column and Words
+// share: exact up to 16 elements, then at most 12.5 % over the length, a
+// class size maps back to its own class, and maxPooled is the last class.
+// Power-of-two classes (up to 100 % over) fail it.
+func TestClassesAreLogLinear(t *testing.T) {
+	prev := -1
+	for n := 1; n <= maxPooled; n += 1 + n/64 {
+		c, size := class(n)
+		if size < n || (n > 16 && size-n > n/8) || (n <= 16 && size != n) {
+			t.Fatalf("class(%d) size %d: not within 12.5 %% over", n, size)
+		}
+		if c < prev || c >= classes {
+			t.Fatalf("class(%d) = %d after %d, of %d classes", n, c, prev, classes)
+		}
+		if back, again := class(size); back != c || again != size {
+			t.Fatalf("class(%d) = (%d, %d) but class(%d) = (%d, %d)", n, c, size, size, back, again)
+		}
+		prev = c
+	}
+	if c, size := class(maxPooled); c != classes-1 || size != maxPooled {
+		t.Fatalf("class(maxPooled) = (%d, %d), want (%d, %d)", c, size, classes-1, maxPooled)
+	}
+	if _, size := class(1<<20 + 1); size != 1<<20+1<<17 {
+		t.Fatalf("class(1<<20+1) size %d, want %d", size, 1<<20+1<<17)
+	}
+}
+
+// TestWordsHeldUntilLastRelease is the lease rule for Words: a slab stays its
+// lease's while any reference is left, and comes back, dirty and at its
+// asked-for length, once the last is dropped.
+func TestWordsHeldUntilLastRelease(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: the pool hands back what it was given
+	const n = 3000
+	l := NewLease()
+	w := l.Words(n)
+	if len(w) != n || cap(w) != n {
+		t.Fatalf("Words(%d): len %d cap %d", n, len(w), cap(w))
+	}
+	for i := range w {
+		w[i] = ^uint64(0)
+	}
+	l.Acquire()
+	l.Release()
+	fresh := NewLease()
+	defer fresh.Release()
+	if got := fresh.Words(n); &got[0] == &w[0] {
+		t.Fatal("Words handed out again while its lease held a reference")
+	}
+	l.Release()
+	again := NewLease()
+	defer again.Release()
+	got := again.Words(n - 5) // same class
+	if !raceEnabled && &got[0] != &w[0] {
+		t.Fatal("the released slab did not come back from its class pool")
+	}
+	if !raceEnabled && got[0] != ^uint64(0) {
+		t.Fatal("Words cleared a recycled slab; its contract is not zeroed")
+	}
+	var nl *Lease
+	if w := nl.Words(4); len(w) != 4 || w[3] != 0 {
+		t.Fatalf("nil lease Words(4) = %v", w)
+	}
+}

@@ -81,36 +81,36 @@ func TestArenaSlicesDoNotGrowIntoEachOther(t *testing.T) {
 	_ = s1
 }
 
-func TestTypedArena(t *testing.T) {
-	a := NewTypedArena[int64](16)
-	s := a.Alloc(10)
-	if len(s) != 10 {
-		t.Fatalf("len = %d", len(s))
-	}
-	big := a.Alloc(100)
-	if len(big) != 100 {
+func TestArenaBigAllocGetsDedicatedChunk(t *testing.T) {
+	a := NewArena(64)
+	small := a.Alloc(10)
+	big := a.Alloc(500) // larger than the chunk size: dedicated chunk
+	if len(big) != 500 {
 		t.Fatalf("big len = %d", len(big))
 	}
-	if a.AllocatedElems() != 110 {
-		t.Fatalf("allocated = %d", a.AllocatedElems())
+	if a.AllocatedBytes() != 510 {
+		t.Fatalf("allocated = %d, want 510", a.AllocatedBytes())
 	}
-	a.Release()
-	if a.AllocatedElems() != 0 {
-		t.Fatal("release should zero accounting")
+	if a.FootprintBytes() != 64+500 {
+		t.Fatalf("footprint = %d, want one standard + one dedicated chunk", a.FootprintBytes())
 	}
+	// The bump cursor must survive the big detour: the next small allocation
+	// comes from the original chunk, not a fresh one.
+	small2 := a.Alloc(10)
+	if len(small2) != 10 || a.FootprintBytes() != 64+500 {
+		t.Fatalf("small alloc after big grew footprint to %d", a.FootprintBytes())
+	}
+	_ = small
 }
 
-func TestTypedArenaZeroed(t *testing.T) {
-	a := NewTypedArena[uint32](8)
-	s1 := a.Alloc(4)
-	for i := range s1 {
-		s1[i] = 7
+func TestArenaZeroSizeAlloc(t *testing.T) {
+	a := NewArena(64)
+	s := a.Alloc(0)
+	if len(s) != 0 {
+		t.Fatalf("len = %d", len(s))
 	}
-	s2 := a.Alloc(4)
-	for _, v := range s2 {
-		if v != 0 {
-			t.Fatal("fresh allocation must be zeroed")
-		}
+	if a.AllocatedBytes() != 0 {
+		t.Fatalf("allocated = %d, want 0", a.AllocatedBytes())
 	}
 }
 

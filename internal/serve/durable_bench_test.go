@@ -94,13 +94,16 @@ func BenchmarkRecover(b *testing.B) {
 	}
 }
 
-// TestRegisterCheckpointAllocationCeiling is the tier-1 ceiling on a durable
-// write cycle's garbage. Registering and checkpointing the 1 M × 2 clustered
-// table measures 2.65 MB, nearly all of it the blocks Register encodes (the
-// table being served); the ceiling is 3 MiB. The Checkpoint alone measures
-// ~80 KB, ceiling 128 KiB: its segment streams through one 64 KiB staging
-// buffer, so what it allocates does not grow with the table. Building the
-// whole 2.6 MB segment image, as checkpoints once did, fails both.
+// TestRegisterCheckpointAllocationCeiling is the tier-1 ceiling on a cold
+// durable write cycle: one Register + Checkpoint of the benchmark's 1 M x 2
+// table on a fresh server. Cold, nothing has been retired yet, so every
+// payload slab is a pool miss that allocates its whole size class: 2.65 MB
+// exact-sized, under 3 MiB on the log-linear classes (at most 12.5 % over),
+// 4.4 MB on power-of-two ones; the ceiling is 3 MiB. The Checkpoint alone
+// measures ~80 KB, ceiling 128 KiB: its segment streams through one 64 KiB
+// staging buffer, so what it allocates does not grow with the table.
+// Building the whole 2.6 MB segment image, as checkpoints once did, fails
+// both. TestWarmRegisterAllocs pins the warm cycle.
 func TestRegisterCheckpointAllocationCeiling(t *testing.T) {
 	cols := benchTable(1)
 	s, st := durableServer(t, t.TempDir())
@@ -126,5 +129,37 @@ func TestRegisterCheckpointAllocationCeiling(t *testing.T) {
 	}
 	if user := userBytes(cols); cp.Bytes*5 > user {
 		t.Errorf("checkpoint wrote %d bytes for %d user bytes, want under a fifth", cp.Bytes, user)
+	}
+}
+
+// TestWarmRegisterAllocs pins the warm write cycle: once a replaced table's
+// last reader has let go, its payload slabs go back to their pools and the
+// next Register encodes into them. The writer alternates two versions of
+// the 1 M x 2 table, checkpointing each as durable_churn's does; from the
+// third cycle on each Register allocates its block headers and little else
+// (~80 KB, ceiling 128 KiB; 2.57 MB when every payload was a fresh make).
+func TestWarmRegisterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: a Put lands where the next Get looks
+	versions := [][][]int64{benchTable(1), benchTable(2)}
+	s, st := durableServer(t, t.TempDir())
+	defer st.Close()
+	defer s.Close()
+	const ceiling = 128 << 10
+	for i := 0; i < 6; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := s.Register("events", versions[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; i >= 2 && got > ceiling {
+			t.Errorf("cycle %d: Register allocated %d bytes, ceiling %d", i+1, got, ceiling)
+		}
+		if _, err := s.Checkpoint(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

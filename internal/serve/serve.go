@@ -665,16 +665,20 @@ func (s *Server) Workers() int { return s.opts.Workers }
 
 // Register makes a columnar relation available to scan requests under the
 // given name: it encodes cols into FOR/RLE block streams and registers
-// those (see RegisterEncoded). cols is not retained.
+// those (see RegisterEncoded). cols is not retained. The blocks' payload is
+// leased: once a later Register replaces the table and its last reader lets
+// go, the next encode writes into it.
 func (s *Server) Register(name string, cols [][]int64) error {
 	if _, err := scan.NewRelation(cols); err != nil {
 		return err
 	}
-	t, err := store.TableFromCols(name, cols)
+	l := mem.NewLease()
+	defer l.Release() // the table's holders have taken their own references
+	t, err := store.TableFromColsLeased(name, cols, l)
 	if err != nil {
 		return fmt.Errorf("serve: register %q: %w", name, err)
 	}
-	return s.RegisterEncoded(t)
+	return s.registerEncoded(t, l)
 }
 
 // RegisterEncoded makes an already-encoded relation (store.TableFromCols,
@@ -686,13 +690,19 @@ func (s *Server) Register(name string, cols [][]int64) error {
 // the segment store, so the next Checkpoint persists exactly the blocks
 // being served. The closed check, the staging and the registration are one
 // critical section: a registration that reports failure has staged nothing
-// for Close's final checkpoint to persist.
-func (s *Server) RegisterEncoded(t *table.Table) error {
+// for Close's final checkpoint to persist. The caller keeps t's blocks: they
+// are never recycled.
+func (s *Server) RegisterEncoded(t *table.Table) error { return s.registerEncoded(t, nil) }
+
+// registerEncoded registers t, whose payload l owns (nil: the caller's). The
+// table map holds a reference to l while t is in it.
+func (s *Server) registerEncoded(t *table.Table, l *mem.Lease) error {
 	name := t.Name()
 	vt, ok := newVecTable(t)
 	if !ok {
 		return fmt.Errorf("serve: register %q: not an encoded int64 relation: %w", name, errs.ErrInvalidInput)
 	}
+	vt.lease = l
 	s.reg.Histogram("serve.vec_compression_ratio").Record(vt.ratio())
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -700,9 +710,13 @@ func (s *Server) RegisterEncoded(t *table.Table) error {
 		return fmt.Errorf("serve: register %q: %w", name, errs.ErrClosed)
 	}
 	if s.st != nil {
-		if err := s.st.Put(t); err != nil {
+		if err := s.st.PutLeased(t, l); err != nil {
 			return fmt.Errorf("serve: register %q: %w", name, err)
 		}
+	}
+	l.Acquire()
+	if prior, ok := s.tables[name]; ok {
+		prior.lease.Release() // under the write lock: no lookup can find it now
 	}
 	s.tables[name] = vt
 	return nil
@@ -763,10 +777,14 @@ func (s *Server) SetTenantMemCap(tenant string, bytes int64) {
 }
 
 // lookup returns the table registered under name, faulting cold-tier
-// tables in from the durable store on a miss.
+// tables in from the durable store on a miss. The caller holds a reference
+// to the table's lease and must release it.
 func (s *Server) lookup(ctx context.Context, name string) (*vecTable, bool) {
 	s.mu.RLock()
 	vt, ok := s.tables[name]
+	if ok {
+		vt.lease.Acquire()
+	}
 	s.mu.RUnlock()
 	if ok || s.st == nil {
 		return vt, ok
@@ -794,6 +812,7 @@ func (s *Server) loadCold(ctx context.Context, name string) (*vecTable, bool) {
 	// A racing loadCold may have won; keep the first registration so
 	// in-flight batches and this lookup agree on one table.
 	if prior, ok := s.tables[name]; ok {
+		prior.lease.Acquire()
 		return prior, true
 	}
 	s.tables[name] = vt
@@ -815,6 +834,7 @@ func (s *Server) validate(ctx context.Context, req Request) error {
 		if !ok {
 			return fmt.Errorf("serve: unknown table %q: %w", req.Table, errs.ErrInvalidInput)
 		}
+		defer vt.lease.Release()
 		return req.Query.Validate(len(vt.cols))
 	case OpJoin:
 		switch req.Algorithm {
@@ -1107,9 +1127,10 @@ func newBatch(table string, vt *vecTable) *batch {
 	return b
 }
 
-// release returns b to the pool with its buffers' capacity, pinning no
-// request, span or table.
+// release drops b's reference to its table and returns b to the pool with
+// its buffers' capacity, pinning no request, span or table.
 func (b *batch) release() {
+	b.vt.lease.Release()
 	clear(b.reqs)
 	clear(b.live)
 	clear(b.execs)
@@ -1214,7 +1235,7 @@ func (s *Server) admit(d *dispatcher, p *pending) {
 				s.finish(p, Response{}, fmt.Errorf("serve: unknown table %q: %w", p.req.Table, errs.ErrInvalidInput))
 				return
 			}
-			ev.vt = vt
+			ev.vt = vt // its reference goes to the batch it opens
 		}
 		// batch-assembly and serve.batch_wait_ms: joining → pass has its cores.
 		p.batchSpan = p.span.Child("batch-assembly")

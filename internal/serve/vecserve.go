@@ -17,6 +17,7 @@ import (
 
 	"hwstar/internal/compress"
 	"hwstar/internal/hw"
+	"hwstar/internal/mem"
 	"hwstar/internal/scan"
 	"hwstar/internal/sched"
 	"hwstar/internal/table"
@@ -52,6 +53,11 @@ const (
 type vecTable struct {
 	cols []*compress.Compressed
 	rows int
+	// lease owns the columns' payload when Register encoded them (nil for
+	// RegisterEncoded's and the store's tables). Each holder of vt holds a
+	// reference: the server's table map, each lookup's caller, and the
+	// store's entry and checkpoint jobs.
+	lease *mem.Lease
 }
 
 // newVecTable views t as a scan relation. It reports false when t is not

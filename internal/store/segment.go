@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"hwstar/internal/compress"
 	"hwstar/internal/errs"
@@ -87,6 +88,9 @@ func segmentHeader(t *table.Table) (head []byte, size int, err error) {
 // segStage is the size of the staging buffer a segment streams through:
 // what a checkpoint holds of a segment, whatever the table's size.
 const segStage = 64 << 10
+
+// stages pools the staging buffers: one is held only while WriteTable runs.
+var stages = sync.Pool{New: func() any { return new([segStage]byte) }}
 
 // segStream is the one path a segment's bytes take: its head, each column's
 // block stream through the staging buffer buf, then the crc32c of all of
@@ -231,7 +235,10 @@ func (w *SegmentWriter) WriteTable(t *table.Table) error {
 		w.crashed = true
 		return fmt.Errorf("store: %s: %w", w.site, ErrInjectedCrash)
 	}
-	s := &segStream{w: w.f, buf: make([]byte, min(size, segStage)), flip: -1, keep: size}
+	stage := stages.Get().(*[segStage]byte)
+	defer stages.Put(stage)
+	n := min(size, segStage)
+	s := &segStream{w: w.f, buf: stage[:n:n], flip: -1, keep: size}
 	if w.in.FlipChecksum(w.site) && size > 16 {
 		s.flip = size / 2
 	}
@@ -304,6 +311,10 @@ func OpenSegment(path string) (*SegmentReader, error) {
 	return &SegmentReader{f: f, path: path}, nil
 }
 
+// reads pools ReadTable's whole-file buffers: the table decodeSegment builds
+// copies out everything it keeps, so a buffer is free once it returns.
+var reads = sync.Pool{New: func() any { return new([]byte) }}
+
 // ReadTable reads the whole segment in one read of the file's size,
 // validates its checksum, and rebuilds the table. Corruption of any kind
 // wraps errs.ErrCorrupted.
@@ -312,7 +323,12 @@ func (r *SegmentReader) ReadTable() (*table.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: stat segment %s: %w", filepath.Base(r.path), err)
 	}
-	raw := make([]byte, fi.Size())
+	buf := reads.Get().(*[]byte)
+	defer reads.Put(buf)
+	if int64(cap(*buf)) < fi.Size() {
+		*buf = make([]byte, fi.Size())
+	}
+	raw := (*buf)[:fi.Size()]
 	if _, err := io.ReadFull(r.f, raw); err != nil {
 		return nil, fmt.Errorf("store: read segment %s: %w", filepath.Base(r.path), err)
 	}

@@ -115,6 +115,9 @@ type entry struct {
 	tier  string
 	dirty bool // differs from the last committed segment
 	id    int64
+	// lease owns t's payload when Register encoded it: the entry holds a
+	// reference while it holds t (nil once pinned by Load or evicted).
+	lease *mem.Lease
 }
 
 // Store is the durable tier. All methods are safe for concurrent use.
@@ -131,6 +134,11 @@ type Store struct {
 
 	recovery RecoveryStats
 	lastCP   CheckpointStats
+
+	// testHold, when non-nil, stops every writeSegment before it writes a
+	// byte: it sends on the channel, then receives. Tests use it to replace
+	// a table while its checkpoint holds it.
+	testHold chan struct{}
 }
 
 // Open opens (or creates) the store at opts.Dir and replays durable state:
@@ -344,7 +352,12 @@ func (s *Store) idFor(name string) int64 {
 // streams — the form segments persist and the server scans — and nothing
 // else: a table with any other column (TableFromCols builds the right kind)
 // is refused with errs.ErrInvalidInput. The columns are shared, not copied.
-func (s *Store) Put(t *table.Table) error {
+func (s *Store) Put(t *table.Table) error { return s.PutLeased(t, nil) }
+
+// PutLeased is Put for a table whose payload l owns (TableFromColsLeased):
+// the entry holds a reference to l until a replacing Put or an eviction, and
+// a checkpoint writing t holds its own.
+func (s *Store) PutLeased(t *table.Table, l *mem.Lease) error {
 	if t == nil {
 		return fmt.Errorf("store: nil table: %w", errs.ErrInvalidInput)
 	}
@@ -362,7 +375,11 @@ func (s *Store) Put(t *table.Table) error {
 		return fmt.Errorf("store: put %q: %w", t.Name(), errs.ErrClosed)
 	}
 	id := s.idFor(t.Name())
-	s.tables[t.Name()] = &entry{t: t, rows: t.NumRows(), bytes: t.Bytes(), tier: TierHot, dirty: true, id: id}
+	if old := s.tables[t.Name()]; old != nil {
+		old.lease.Release()
+	}
+	l.Acquire()
+	s.tables[t.Name()] = &entry{t: t, rows: t.NumRows(), bytes: t.Bytes(), tier: TierHot, dirty: true, id: id, lease: l}
 	s.noteAccess(id)
 	return nil
 }
@@ -370,7 +387,8 @@ func (s *Store) Put(t *table.Table) error {
 // Load returns the named table, reading it from flash when it is cold. The
 // access is recorded for the placement policy, and a cold load is priced at
 // flash bandwidth (returned cycles accumulate in Stats). Unknown names
-// wrap errs.ErrInvalidInput.
+// wrap errs.ErrInvalidInput. Load has no release, so a leased table it hands
+// out is pinned: its entry's reference is never dropped.
 func (s *Store) Load(ctx context.Context, name string) (*table.Table, float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, fmt.Errorf("store: load %q: %w", name, err)
@@ -384,6 +402,7 @@ func (s *Store) Load(ctx context.Context, name string) (*table.Table, float64, e
 	s.noteAccess(e.id)
 	if e.t != nil {
 		t := e.t
+		e.lease = nil // pin
 		s.mu.Unlock()
 		return t, 0, nil
 	}
@@ -472,10 +491,16 @@ func (s *Store) Checkpoint(ctx context.Context, res *mem.Reservation) (Checkpoin
 	}
 	version := s.version + 1
 	type job struct {
-		name string
-		t    *table.Table
+		name  string
+		t     *table.Table
+		lease *mem.Lease
 	}
 	var jobs []job
+	defer func() {
+		for _, j := range jobs {
+			j.lease.Release()
+		}
+	}()
 	manifest := &Manifest{Version: version, Tables: make(map[string]TableEntry, len(s.tables))}
 	// snap records which entry object each manifest row was built from: a
 	// Put racing the I/O window below replaces the map entry, and state on
@@ -485,7 +510,8 @@ func (s *Store) Checkpoint(ctx context.Context, res *mem.Reservation) (Checkpoin
 	for name, e := range s.tables {
 		snap[name] = e
 		if e.dirty {
-			jobs = append(jobs, job{name, e.t})
+			e.lease.Acquire() // a Put racing the write must not recycle e.t
+			jobs = append(jobs, job{name, e.t, e.lease})
 		} else {
 			manifest.Tables[name] = TableEntry{Segment: e.seg, Rows: e.rows, Bytes: e.bytes, Tier: e.tier}
 		}
@@ -539,6 +565,8 @@ func (s *Store) Checkpoint(ctx context.Context, res *mem.Reservation) (Checkpoin
 		e.seg, e.tier, e.dirty = me.Segment, me.Tier, false
 		if e.tier == TierCold {
 			e.t = nil // evict: cold tables live on flash, reloaded on access
+			e.lease.Release()
+			e.lease = nil
 		}
 	}
 	if s.opts.Machine != nil {
@@ -574,6 +602,10 @@ func (s *Store) writeSegment(name string, t *table.Table, version uint64, res *m
 			return 0, fmt.Errorf("store: checkpoint %q: %w", name, err)
 		}
 		defer res.Uncharge(held)
+	}
+	if c := s.testHold; c != nil {
+		c <- struct{}{}
+		<-c
 	}
 	w, err := s.CreateSegment(name, version)
 	if err != nil {
@@ -670,11 +702,17 @@ func (s *Store) Close() error {
 // with block-stream columns c0..cN: the one representation Register, the
 // replicas of a stripe and the segment file all share.
 func TableFromCols(name string, cols [][]int64) (*table.Table, error) {
+	return TableFromColsLeased(name, cols, nil)
+}
+
+// TableFromColsLeased is TableFromCols with every column's payload taken
+// from l (compress.EncodeLeased).
+func TableFromColsLeased(name string, cols [][]int64, l *mem.Lease) (*table.Table, error) {
 	defs := make([]table.ColumnDef, len(cols))
 	data := make([]table.ColumnData, len(cols))
 	for i, c := range cols {
 		defs[i] = table.ColumnDef{Name: "c" + strconv.Itoa(i), Type: table.Int64}
-		data[i] = compress.Encode(c)
+		data[i] = compress.EncodeLeased(c, l)
 	}
 	schema, err := table.NewSchema(defs...)
 	if err != nil {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hwstar/internal/compress"
@@ -20,17 +22,23 @@ import (
 // testTable builds a three-column relation with deterministic contents, in
 // the form the store holds: a ramp, runs, and a small cycling domain.
 func testTable(name string, rows int, salt int64) *table.Table {
+	tbl, err := TableFromCols(name, testCols(rows, salt))
+	if err != nil {
+		panic(err)
+	}
+	return tbl
+}
+
+// testCols is testTable's columns. Every salt encodes to the same payload
+// sizes.
+func testCols(rows int, salt int64) [][]int64 {
 	cols := [][]int64{make([]int64, rows), make([]int64, rows), make([]int64, rows)}
 	for i := 0; i < rows; i++ {
 		cols[0][i] = int64(i)*7 + salt
 		cols[1][i] = int64(i/50) + salt
 		cols[2][i] = (int64(i) + salt) % 5
 	}
-	tbl, err := TableFromCols(name, cols)
-	if err != nil {
-		panic(err)
-	}
-	return tbl
+	return cols
 }
 
 // rawTable builds a one-column, row-built table of the given type: raw
@@ -534,4 +542,70 @@ func TestSegmentGolden(t *testing.T) {
 	if cols, ok := ColsFromTable(back); !ok || back.Name() != "golden" || !reflect.DeepEqual(cols, goldenCols()) {
 		t.Fatalf("golden decoded to table %q (block streams: %v) with other contents", back.Name(), ok)
 	}
+}
+
+// TestCheckpointHoldsReplacedTable pins the checkpoint's lease rule: each job
+// takes its own reference to a leased table under s.mu. Two Puts replace the
+// table while its segment write is held — the second encoded into whatever
+// the first retired — and the committed segment is still, byte for byte,
+// the replaced version's image.
+func TestCheckpointHoldsReplacedTable(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: the pool hands back what it was given
+	const rows = 8 * compress.BlockValues
+	dir := t.TempDir()
+	s := mustOpen(t, Options{Dir: dir})
+	put := func(salt int64) {
+		l := mem.NewLease()
+		defer l.Release() // the entry holds its own reference
+		tbl, err := TableFromColsLeased("t", testCols(rows, salt), l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutLeased(tbl, l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(1)
+	hold := make(chan struct{})
+	s.testHold = hold
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Checkpoint(context.Background(), nil)
+		done <- err
+	}()
+	<-hold // the job holds version 1 and has written nothing
+	put(2) // drops the entry's reference to version 1: the job's is the last
+	put(3) // encodes into whatever version 1 would have given back
+	hold <- struct{}{}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got, want := segFile(t, dir, "t", 1), segmentImage(t, testTable("t", rows, 1)); !bytes.Equal(got, want) {
+		t.Fatal("the held checkpoint committed a segment that is not the replaced version's image")
+	}
+}
+
+// TestReadTableKeepsNothingOfItsBuffer: ReadTable's whole-file buffer goes
+// back to a pool when it returns, so the table it built must hold nothing of
+// it. A second read, of another table's segment, reuses the buffer; the first
+// table must still be what was written.
+func TestReadTableKeepsNothingOfItsBuffer(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: the pool hands back what it was given
+	dir := t.TempDir()
+	s := mustOpen(t, Options{Dir: dir})
+	first, second := testTable("a", 3000, 1), testTable("b", 3000, 2)
+	for _, tbl := range []*table.Table{first, second} {
+		if err := s.Put(tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := mustCheckpoint(t, s).Version
+	got, _, err := readSegment(filepath.Join(dir, fmt.Sprintf("a-%08d.seg", v)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readSegment(filepath.Join(dir, fmt.Sprintf("b-%08d.seg", v))); err != nil {
+		t.Fatal(err)
+	}
+	sameContents(t, got, first)
 }
