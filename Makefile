@@ -83,7 +83,9 @@ race-core:
 # registered table's payload (recycled only after the table map, the store
 # entry, every scan batch and every checkpoint job holding it has released,
 # and never once Store.Load has handed it out): a replacing Register must
-# land while a pass or a segment write still reads the old version.
+# land while a pass or a segment write still reads the old version. The
+# group-sum lease tests guard it for an answer's map, which holders take
+# from a lease they already share, so the lease's map list has its own lock.
 check:
 	$(GO) build ./...
 	$(MAKE) lint
@@ -91,7 +93,8 @@ check:
 	$(MAKE) race-core
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestSimCyclesGolden|TestHedgeLoserNeverSeesRecycledState|TestHedgeLoserHoldsLease|TestLeasedRequestsOverHedgedRouter' ./internal/shard
-	$(GO) test -race -count=10 -timeout 5m -run 'TestCancelledSubmitNeverSeesRecycledState|TestLeaseOutlivesCancelledSubmit|TestRetiredTableOutlivesHeldPass|TestLoadPinsLeasedTable|TestChurnAnswersMatchAVersion' ./internal/serve
+	$(GO) test -race -count=10 -timeout 5m -run 'TestCancelledSubmitNeverSeesRecycledState|TestLeaseOutlivesCancelledSubmit|TestRetiredTableOutlivesHeldPass|TestLoadPinsLeasedTable|TestChurnAnswersMatchAVersion|TestGroupsLiveUntilLastRelease' ./internal/serve
+	$(GO) test -race -count=10 -run 'TestLeaseMapConcurrentTakes|TestLeaseMapClasses' ./internal/mem
 	$(GO) test -race -count=10 -run 'TestCheckpointHoldsReplacedTable' ./internal/store
 
 # fuzz-smoke gives each native fuzz target ten seconds of mutation past its

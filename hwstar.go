@@ -275,7 +275,7 @@ func (e *Engine) GroupSum(ctx context.Context, keys, vals []int64, strategy AggS
 	if err != nil {
 		return GroupSumResult{}, err
 	}
-	res, err := agg.Parallel(ctx, keys, vals, strategy, s, e.machine, 0)
+	res, err := agg.Parallel(ctx, keys, vals, strategy, s, e.machine, 0, nil)
 	if err != nil {
 		return GroupSumResult{}, err
 	}
@@ -456,7 +456,9 @@ type Server = serve.Server
 // cap). The zero value uses sensible defaults.
 type ServerOptions = serve.Options
 
-// Request is one operation submitted to a Server.
+// Request is one operation submitted to a Server. A request with a Lease
+// gets its group-sum Response.Groups from that lease, valid until the
+// lease's last Release; without one, the map is the caller's to keep.
 type Request = serve.Request
 
 // Response is a Server's answer: the operation's result fields plus the

@@ -17,7 +17,8 @@
 //
 // Every group table is a hashtab.Table taken from its pool and returned when
 // the aggregation ends, however it ends; the only Go map a query builds is
-// Result.Groups, once, at its final size.
+// Result.Groups, once, at its final size, and a leased query takes even that
+// from its mem.Lease.
 package agg
 
 import (
@@ -29,6 +30,7 @@ import (
 	"hwstar/internal/errs"
 	"hwstar/internal/hashtab"
 	"hwstar/internal/hw"
+	"hwstar/internal/mem"
 	"hwstar/internal/sched"
 	"hwstar/internal/trace"
 )
@@ -141,7 +143,10 @@ func (r *Result) runPhase(ctx context.Context, name string, s *sched.Scheduler, 
 // regardless of the requested strategy; only a simulated OOM kill (naive
 // mode) or an unspillable budget aborts. Cancellation is checked at every
 // morsel boundary.
-func Parallel(ctx context.Context, keys, vals []int64, strat Strategy, s *sched.Scheduler, m *hw.Machine, morsel int) (Result, error) {
+//
+// Result.Groups comes from l (see mem.Lease.Map) and is valid until l's last
+// Release; a nil l makes it.
+func Parallel(ctx context.Context, keys, vals []int64, strat Strategy, s *sched.Scheduler, m *hw.Machine, morsel int, l *mem.Lease) (Result, error) {
 	if len(keys) != len(vals) {
 		return Result{}, fmt.Errorf("agg: keys/vals length mismatch: %d vs %d: %w", len(keys), len(vals), errs.ErrInvalidInput)
 	}
@@ -158,18 +163,18 @@ func Parallel(ctx context.Context, keys, vals []int64, strat Strategy, s *sched.
 	tableBytes := g * groupEntryBytes
 	if err := resv.Charge("agg-table", -1, tableBytes); err != nil {
 		if errors.Is(err, errs.ErrMemoryPressure) {
-			return spilledAgg(ctx, keys, vals, g, s, morsel, tableBytes, err)
+			return spilledAgg(ctx, keys, vals, g, s, morsel, tableBytes, err, l)
 		}
 		return Result{}, fmt.Errorf("agg: group table: %w", err)
 	}
 	defer resv.Uncharge(tableBytes)
 	switch strat {
 	case StrategyGlobal:
-		return globalAtomic(ctx, keys, vals, g, s, morsel)
+		return globalAtomic(ctx, keys, vals, g, s, morsel, l)
 	case StrategyLocalMerge:
-		return localMerge(ctx, keys, vals, g, s, morsel)
+		return localMerge(ctx, keys, vals, g, s, morsel, l)
 	default:
-		return radixPartitioned(ctx, keys, vals, g, s, m, morsel)
+		return radixPartitioned(ctx, keys, vals, g, s, m, morsel, l)
 	}
 }
 
@@ -221,10 +226,10 @@ func putAll(tables []*hashtab.Table) {
 	}
 }
 
-// groupsOf builds the result map, once and at its final size g, from tables
-// whose key sets are disjoint.
-func groupsOf(g int64, tables ...*hashtab.Table) map[int64]int64 {
-	groups := make(map[int64]int64, g)
+// groupsOf builds the result map in l, once and at its final size g, from
+// tables whose key sets are disjoint.
+func groupsOf(l *mem.Lease, g int64, tables ...*hashtab.Table) map[int64]int64 {
+	groups := l.Map(int(g))
 	for _, t := range tables {
 		if t != nil {
 			t.Range(func(k, v int64) { groups[k] = v })
@@ -238,7 +243,7 @@ func groupsOf(g int64, tables ...*hashtab.Table) map[int64]int64 {
 // the number of cores hammering the same lines: with G groups and P active
 // cores, the probability of a concurrent update to the same entry scales
 // with P/G, and each conflict costs a cache-line transfer.
-func globalAtomic(ctx context.Context, keys, vals []int64, g int64, s *sched.Scheduler, morsel int) (Result, error) {
+func globalAtomic(ctx context.Context, keys, vals []int64, g int64, s *sched.Scheduler, morsel int, l *mem.Lease) (Result, error) {
 	var res Result
 	groups := hashtab.Get(capHint(g, len(keys)))
 	defer hashtab.Put(groups)
@@ -271,7 +276,7 @@ func globalAtomic(ctx context.Context, keys, vals []int64, g int64, s *sched.Sch
 	if err := res.runPhase(ctx, "agg-global", s, tasks); err != nil {
 		return res, err
 	}
-	res.Groups = groupsOf(g, groups)
+	res.Groups = groupsOf(l, g, groups)
 	return res, nil
 }
 
@@ -279,7 +284,7 @@ func globalAtomic(ctx context.Context, keys, vals []int64, g int64, s *sched.Sch
 // One table per morsel, not per worker, is the design the strategy models
 // (the merge costs chunks x groups), and it is what lets a morsel that is
 // dispatched twice overwrite its first attempt instead of adding to it.
-func localMerge(ctx context.Context, keys, vals []int64, g int64, s *sched.Scheduler, morsel int) (Result, error) {
+func localMerge(ctx context.Context, keys, vals []int64, g int64, s *sched.Scheduler, morsel int, l *mem.Lease) (Result, error) {
 	var res Result
 	msz := morselOrDefault(morsel)
 	nChunks := (len(keys) + msz - 1) / msz
@@ -328,14 +333,14 @@ func localMerge(ctx context.Context, keys, vals []int64, g int64, s *sched.Sched
 	if err := res.runPhase(ctx, "agg-merge", s, mergeTask); err != nil {
 		return res, err
 	}
-	res.Groups = groupsOf(g, groups)
+	res.Groups = groupsOf(l, g, groups)
 	return res, nil
 }
 
 // radixPartitioned: partition input by group-key hash so each partition's
 // groups are disjoint; one task aggregates each partition into a private,
 // cache-sized table; results concatenate without merging.
-func radixPartitioned(ctx context.Context, keys, vals []int64, g int64, s *sched.Scheduler, m *hw.Machine, morsel int) (Result, error) {
+func radixPartitioned(ctx context.Context, keys, vals []int64, g int64, s *sched.Scheduler, m *hw.Machine, morsel int, l *mem.Lease) (Result, error) {
 	var res Result
 	// Fan-out chosen so a partition's group state fits in half the L2 AND
 	// phase 2 has enough tasks to occupy (and balance across) all workers.
@@ -418,6 +423,6 @@ func radixPartitioned(ctx context.Context, keys, vals []int64, g int64, s *sched
 		return res, err
 	}
 
-	res.Groups = groupsOf(g, partGroups...)
+	res.Groups = groupsOf(l, g, partGroups...)
 	return res, nil
 }

@@ -40,7 +40,7 @@ func TestAllStrategiesMatchSerial(t *testing.T) {
 	want := Serial(keys, vals)
 	for _, strat := range []Strategy{StrategyGlobal, StrategyLocalMerge, StrategyRadix} {
 		s := newSched(t, m, 8)
-		res, err := Parallel(context.Background(), keys, vals, strat, s, m, 1024)
+		res, err := Parallel(context.Background(), keys, vals, strat, s, m, 1024, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -56,10 +56,10 @@ func TestAllStrategiesMatchSerial(t *testing.T) {
 func TestParallelValidation(t *testing.T) {
 	m := hw.Laptop()
 	s := newSched(t, m, 2)
-	if _, err := Parallel(context.Background(), []int64{1}, nil, StrategyGlobal, s, m, 0); err == nil {
+	if _, err := Parallel(context.Background(), []int64{1}, nil, StrategyGlobal, s, m, 0, nil); err == nil {
 		t.Fatal("mismatched inputs should fail")
 	}
-	if _, err := Parallel(context.Background(), nil, nil, Strategy("bogus"), s, m, 0); err == nil {
+	if _, err := Parallel(context.Background(), nil, nil, Strategy("bogus"), s, m, 0, nil); err == nil {
 		t.Fatal("unknown strategy should fail")
 	}
 }
@@ -68,7 +68,7 @@ func TestEmptyInput(t *testing.T) {
 	m := hw.Laptop()
 	for _, strat := range []Strategy{StrategyGlobal, StrategyLocalMerge, StrategyRadix} {
 		s := newSched(t, m, 2)
-		res, err := Parallel(context.Background(), nil, nil, strat, s, m, 0)
+		res, err := Parallel(context.Background(), nil, nil, strat, s, m, 0, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -85,7 +85,7 @@ func TestGlobalContentionGrowsWithWorkers(t *testing.T) {
 	vals := workload.UniformInts(2, 1<<16, 100)
 	perTuple := func(workers int) float64 {
 		s := newSched(t, m, workers)
-		res, err := Parallel(context.Background(), keys, vals, StrategyGlobal, s, m, 1024)
+		res, err := Parallel(context.Background(), keys, vals, StrategyGlobal, s, m, 1024, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestRadixBeatsGlobalOnFewGroupsManyWorkers(t *testing.T) {
 	vals := workload.UniformInts(4, 1<<17, 100)
 	run := func(strat Strategy) float64 {
 		s := newSched(t, m, 32)
-		res, err := Parallel(context.Background(), keys, vals, strat, s, m, 2048)
+		res, err := Parallel(context.Background(), keys, vals, strat, s, m, 2048, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestLocalMergePaysForHighCardinality(t *testing.T) {
 	vals := workload.UniformInts(6, 1<<16, 100)
 	run := func(strat Strategy) float64 {
 		s := newSched(t, m, 16)
-		res, err := Parallel(context.Background(), keys, vals, strat, s, m, 4096)
+		res, err := Parallel(context.Background(), keys, vals, strat, s, m, 4096, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestRadixPhases(t *testing.T) {
 	keys := workload.UniformInts(7, 5000, 1<<20)
 	vals := workload.UniformInts(8, 5000, 100)
 	s := newSched(t, m, 4)
-	res, err := Parallel(context.Background(), keys, vals, StrategyRadix, s, m, 512)
+	res, err := Parallel(context.Background(), keys, vals, StrategyRadix, s, m, 512, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestStrategiesEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			res, err := Parallel(context.Background(), keys, vals, strat, s, m, 8)
+			res, err := Parallel(context.Background(), keys, vals, strat, s, m, 8, nil)
 			if err != nil || !reflect.DeepEqual(res.Groups, want) {
 				return false
 			}

@@ -93,7 +93,7 @@ func TestPooledTablesMatchSerial(t *testing.T) {
 		for name, in := range pooledInputs() {
 			want := Serial(in[0], in[1])
 			for _, run := range pooledRuns {
-				res, err := Parallel(context.Background(), in[0], in[1], run.strat, pooledSched(t, m, run.spilled, sched.Options{}), m, 512)
+				res, err := Parallel(context.Background(), in[0], in[1], run.strat, pooledSched(t, m, run.spilled, sched.Options{}), m, 512, nil)
 				if err != nil {
 					t.Fatalf("round %d %s/%s: %v", round, name, run.name, err)
 				}
@@ -125,7 +125,7 @@ func TestRedispatchedMorselsCountOnce(t *testing.T) {
 					Inject:        fault.New(fault.Config{Seed: seed, PanicProb: 0.05}),
 					IsolatePanics: true,
 				})
-				res, err := Parallel(context.Background(), in[0], in[1], run.strat, s, m, 256)
+				res, err := Parallel(context.Background(), in[0], in[1], run.strat, s, m, 256, nil)
 				for _, ph := range res.Phases {
 					panics += ph.Panics
 				}
@@ -176,11 +176,11 @@ func TestCancelledQueryLeavesThePoolClean(t *testing.T) {
 		// phase of the executions that have one.
 		for _, after := range []int{3, 17, 39, 42, 47} {
 			left := after
-			_, err := Parallel(cancelAfter{context.Background(), &left}, dirty[0], dirty[1], run.strat, pooledSched(t, m, run.spilled, sched.Options{}), m, 512)
+			_, err := Parallel(cancelAfter{context.Background(), &left}, dirty[0], dirty[1], run.strat, pooledSched(t, m, run.spilled, sched.Options{}), m, 512, nil)
 			if !errors.Is(err, context.Canceled) && (err != nil || after < 40) {
 				t.Fatalf("%s: cancelled after %d morsels: err = %v", run.name, after, err)
 			}
-			res, err := Parallel(context.Background(), keys, vals, run.strat, pooledSched(t, m, run.spilled, sched.Options{}), m, 512)
+			res, err := Parallel(context.Background(), keys, vals, run.strat, pooledSched(t, m, run.spilled, sched.Options{}), m, 512, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +206,7 @@ func TestGroupSumAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() map[int64]int64 {
-		res, err := Parallel(context.Background(), keys, vals, StrategyLocalMerge, s, m, 0)
+		res, err := Parallel(context.Background(), keys, vals, StrategyLocalMerge, s, m, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func BenchmarkGroupSum(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Parallel(context.Background(), keys, vals, run.strat, s, m, 0); err != nil {
+				if _, err := Parallel(context.Background(), keys, vals, run.strat, s, m, 0, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

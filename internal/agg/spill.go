@@ -21,7 +21,7 @@ import (
 // property the radix strategy exploits, applied one tier down the memory
 // hierarchy. denial is the original over-budget error, returned verbatim
 // when even spilling cannot fit.
-func spilledAgg(ctx context.Context, keys, vals []int64, g int64, s *sched.Scheduler, morsel int, tableBytes int64, denial error) (Result, error) {
+func spilledAgg(ctx context.Context, keys, vals []int64, g int64, s *sched.Scheduler, morsel int, tableBytes int64, denial error, l *mem.Lease) (Result, error) {
 	var res Result
 	resv := s.Mem()
 	K := mem.SpillFanout(tableBytes, resv.Available(), s.Workers())
@@ -100,6 +100,6 @@ func spilledAgg(ctx context.Context, keys, vals []int64, g int64, s *sched.Sched
 		}
 	}
 
-	res.Groups = groupsOf(g, partGroups...)
+	res.Groups = groupsOf(l, g, partGroups...)
 	return res, nil
 }

@@ -59,7 +59,7 @@ func runE22Curve(cfg Config, m *hw.Machine) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := agg.Parallel(context.Background(), keys, vals, agg.StrategyGlobal, s, m, 0)
+		res, err := agg.Parallel(context.Background(), keys, vals, agg.StrategyGlobal, s, m, 0, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -63,7 +63,7 @@ func runE2(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		aggRes, err := agg.Parallel(context.Background(), keys, vals, agg.StrategyRadix, s2, m, 1<<14)
+		aggRes, err := agg.Parallel(context.Background(), keys, vals, agg.StrategyRadix, s2, m, 1<<14, nil)
 		if err != nil {
 			return nil, err
 		}

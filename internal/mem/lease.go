@@ -1,9 +1,9 @@
 // Package mem provides the memory substrate of hwstar: the lease, whose
-// reference-counted size-class pools recycle request columns and registered
-// tables' payloads once their last reader lets go; the governor, which
-// admits, charges and sheds memory per query and tenant; and NUMA placement
-// bookkeeping that tells the hardware model which socket's memory a region
-// lives on.
+// reference-counted size-class pools recycle request columns, group-sum
+// answer maps and registered tables' payloads once their last reader lets
+// go; the governor, which admits, charges and sheds memory per query and
+// tenant; and NUMA placement bookkeeping that tells the hardware model which
+// socket's memory a region lives on.
 //
 // Real NUMA placement is impossible from portable Go (and the build host has
 // a single socket anyway), so placement here is explicit metadata: allocators
@@ -19,16 +19,30 @@ import (
 	"sync/atomic"
 )
 
-// Lease owns pooled slices for one lifetime — a request's int64 columns, a
-// registered table's encoded payload words. Every party that may read them
-// after its caller has returned holds a reference, and the last Release
-// puts them back into their size-class pools: reference-counted deferred
-// reclamation. A nil *Lease is valid: Column and Words are make, Acquire and
-// Release do nothing, so a caller that owns its slices passes none.
+// Lease owns pooled storage for one lifetime — a request's int64 columns and
+// group-sum answer maps, a registered table's encoded payload words. Every
+// party that may read them after its caller has returned holds a reference,
+// and the last Release puts them back into their size-class pools:
+// reference-counted deferred reclamation. A nil *Lease is valid: Column,
+// Words and Map are make, Acquire and Release do nothing, so a caller that
+// owns its storage passes none.
+//
+// Column and Words are called only by l's creator, before it shares l. Map
+// is called by the holders themselves — executors, two at once when a hedged
+// request runs on two replicas — so the maps it holds are behind their own
+// lock.
 type Lease struct {
 	refs  atomic.Int32
 	cols  []*[]int64  // appended to only by the creator, before it shares l
 	words []*[]uint64 // likewise
+	mu    sync.Mutex
+	maps  []leasedMap // guarded by mu
+}
+
+// leasedMap is a map a lease holds and the class pool it goes back to.
+type leasedMap struct {
+	m     map[int64]int64
+	class int
 }
 
 // Size classes are log-linear: exact up to 16 elements, then 8 steps per
@@ -39,12 +53,24 @@ const (
 	classSteps = 3 // log2 of the steps per power of two
 	maxPooled  = 1 << 24
 	classes    = 176 // class(maxPooled) + 1
+
+	maxPooledMap = 1 << 16 // keys; past it, Map is make
 )
+
+// mapClass returns the power-of-two class of a map for n keys, or -1 past
+// maxPooledMap. A map made at its class's count never grows holding n keys.
+func mapClass(n int) int {
+	if n > maxPooledMap {
+		return -1
+	}
+	return bits.Len(uint(max(n, 1) - 1))
+}
 
 var (
 	leases    = sync.Pool{New: func() any { return new(Lease) }}
 	colPools  [classes]sync.Pool
 	wordPools [classes]sync.Pool
+	mapPools  [17]sync.Pool // mapClass(maxPooledMap) + 1
 )
 
 // class returns the pool index and element count of the smallest class
@@ -79,6 +105,23 @@ func (l *Lease) Words(n int) []uint64 {
 	return take(&wordPools, &l.words, n)
 }
 
+// Map returns an empty map with room for n keys that lives until l's last
+// Release, when it is cleared and pooled. Any holder may call it.
+func (l *Lease) Map(n int) map[int64]int64 {
+	c := mapClass(n)
+	if l == nil || c < 0 {
+		return make(map[int64]int64, n)
+	}
+	m, _ := mapPools[c].Get().(map[int64]int64)
+	if m == nil {
+		m = make(map[int64]int64, 1<<c)
+	}
+	l.mu.Lock()
+	l.maps = append(l.maps, leasedMap{m, c})
+	l.mu.Unlock()
+	return m
+}
+
 // take returns n elements of a slice from n's class pool, allocating the
 // class size on a miss, and appends the slice to held.
 func take[T int64 | uint64](pools *[classes]sync.Pool, held *[]*[]T, n int) []T {
@@ -109,9 +152,9 @@ func (l *Lease) Acquire() {
 	}
 }
 
-// Release drops one reference; the last returns the slices and l to their
-// pools. Releasing more often than acquiring panics: it would recycle slices
-// under a reader still holding them.
+// Release drops one reference; the last returns the slices, the maps and l
+// to their pools. Releasing more often than acquiring panics: it would
+// recycle slices under a reader still holding them.
 func (l *Lease) Release() {
 	if l == nil {
 		return
@@ -123,5 +166,11 @@ func (l *Lease) Release() {
 	}
 	giveBack(&colPools, &l.cols)
 	giveBack(&wordPools, &l.words)
+	for _, h := range l.maps { // no holder is left to call Map
+		clear(h.m) // keeps the map's storage
+		mapPools[h.class].Put(h.m)
+	}
+	clear(l.maps)
+	l.maps = l.maps[:0]
 	leases.Put(l)
 }

@@ -1,8 +1,11 @@
 package mem
 
 import (
+	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // TestLeaseHoldsColumnsUntilLastRelease: a column stays its lease's while any
@@ -117,3 +120,99 @@ func TestWordsHeldUntilLastRelease(t *testing.T) {
 		t.Fatalf("nil lease Words(4) = %v", w)
 	}
 }
+
+// TestLeaseMapConcurrentTakes: holders take maps from one shared lease at
+// once, as a hedged request's two executors do, and release as they finish.
+// Under -race a map list without its lock is a reported write; every holder
+// must also read back exactly what it filled.
+func TestLeaseMapConcurrentTakes(t *testing.T) {
+	const holders, keys = 8, 300
+	l := NewLease()
+	errc := make(chan error, holders)
+	for h := 0; h < holders; h++ {
+		l.Acquire()
+		go func(h int64) {
+			defer l.Release()
+			m := l.Map(keys)
+			for k := int64(0); k < keys; k++ {
+				m[k] = h*keys + k
+			}
+			for k := int64(0); k < keys; k++ {
+				if m[k] != h*keys+k || len(m) != keys {
+					errc <- fmt.Errorf("holder %d: m[%d] = %d of %d keys", h, k, m[k], len(m))
+					return
+				}
+			}
+			errc <- nil
+		}(int64(h))
+	}
+	l.Release()
+	for h := 0; h < holders; h++ {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLeaseMapClasses pins the map classes: powers of two of key count, 0
+// and 1 sharing the first, up to 1<<16 keys; past that, and on a nil lease,
+// Map is make, so a released map is never handed out again by either.
+func TestLeaseMapClasses(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: the pool hands back what it was given
+	for _, c := range []struct{ n, class int }{{0, 0}, {1, 0}, {2, 1}, {4096, 12}, {4097, 13}, {1 << 16, 16}, {1<<16 + 1, -1}} {
+		if got := mapClass(c.n); got != c.class {
+			t.Fatalf("mapClass(%d) = %d, want %d", c.n, got, c.class)
+		}
+	}
+	if mapClass(maxPooledMap) != len(mapPools)-1 {
+		t.Fatalf("mapClass(maxPooledMap) = %d for %d pools", mapClass(maxPooledMap), len(mapPools))
+	}
+	var nl *Lease
+	for _, n := range []int{0, 1, 4096, 4097, 1<<16 + 1} {
+		l := NewLease()
+		m := l.Map(n)
+		if m == nil || len(m) != 0 {
+			t.Fatalf("Map(%d) = %v, want empty and non-nil", n, m)
+		}
+		m[1] = 1
+		l.Release()
+		pooled := mapClass(n) >= 0
+		again := NewLease()
+		// Under -race the pool may drop the Put, so only a miss is pinned.
+		if same := identity(again.Map(n)) == identity(m); same != pooled && (!raceEnabled || same) {
+			t.Fatalf("Map(%d) after its release: same map %v, want %v", n, same, pooled)
+		}
+		again.Release()
+		if got := nl.Map(n); got == nil || len(got) != 0 || identity(got) == identity(m) {
+			t.Fatalf("nil lease Map(%d) was not a fresh map", n)
+		}
+	}
+}
+
+// TestRecycledMapStartsEmpty: a released map comes back from its class pool
+// cleared, so a group-sum over fewer or other keys never reports the last
+// one's. Dropping the clear in Release fails it.
+func TestRecycledMapStartsEmpty(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: the pool hands back what it was given
+	l := NewLease()
+	m := l.Map(4000)
+	for k := int64(0); k < 4000; k++ {
+		m[k] = -k
+	}
+	l.Release()
+	again := NewLease()
+	defer again.Release()
+	got := again.Map(3000) // same class
+	if identity(got) != identity(m) {
+		t.Fatal("the released map did not come back from its class pool")
+	}
+	if len(got) != 0 {
+		t.Fatalf("a recycled map holds %d keys, want none", len(got))
+	}
+}
+
+// identity is a map's address: two map values are the same map iff equal.
+func identity(m map[int64]int64) unsafe.Pointer { return reflect.ValueOf(m).UnsafePointer() }

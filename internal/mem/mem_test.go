@@ -7,113 +7,6 @@ import (
 	"hwstar/internal/hw"
 )
 
-func TestArenaAlloc(t *testing.T) {
-	a := NewArena(128)
-	s1 := a.Alloc(10)
-	s2 := a.Alloc(20)
-	if len(s1) != 10 || len(s2) != 20 {
-		t.Fatalf("lengths = %d, %d", len(s1), len(s2))
-	}
-	for i := range s1 {
-		s1[i] = 0xAA
-	}
-	for _, b := range s2 {
-		if b != 0 {
-			t.Fatal("allocations must not overlap or alias")
-		}
-	}
-	if a.AllocatedBytes() != 30 {
-		t.Fatalf("allocated = %d, want 30", a.AllocatedBytes())
-	}
-}
-
-func TestArenaLargeAllocation(t *testing.T) {
-	a := NewArena(64)
-	big := a.Alloc(1000)
-	if len(big) != 1000 {
-		t.Fatalf("len = %d", len(big))
-	}
-	if a.FootprintBytes() < 1000 {
-		t.Fatalf("footprint = %d", a.FootprintBytes())
-	}
-}
-
-func TestArenaChunkRollover(t *testing.T) {
-	a := NewArena(100)
-	a.Alloc(60)
-	a.Alloc(60) // does not fit the first chunk
-	if a.FootprintBytes() != 200 {
-		t.Fatalf("footprint = %d, want 200 (two chunks)", a.FootprintBytes())
-	}
-}
-
-func TestArenaRelease(t *testing.T) {
-	a := NewArena(0) // default chunk size
-	a.Alloc(10)
-	a.Release()
-	if a.AllocatedBytes() != 0 || a.FootprintBytes() != 0 {
-		t.Fatal("release should zero accounting")
-	}
-	if s := a.Alloc(5); len(s) != 5 {
-		t.Fatal("arena should be reusable after release")
-	}
-}
-
-func TestArenaNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative Alloc should panic")
-		}
-	}()
-	NewArena(0).Alloc(-1)
-}
-
-func TestArenaSlicesDoNotGrowIntoEachOther(t *testing.T) {
-	a := NewArena(1024)
-	s1 := a.Alloc(8)
-	s2 := a.Alloc(8)
-	s1 = append(s1, 1) // must reallocate due to capped capacity, not clobber s2
-	for _, b := range s2 {
-		if b != 0 {
-			t.Fatal("append to earlier slice clobbered later allocation")
-		}
-	}
-	_ = s1
-}
-
-func TestArenaBigAllocGetsDedicatedChunk(t *testing.T) {
-	a := NewArena(64)
-	small := a.Alloc(10)
-	big := a.Alloc(500) // larger than the chunk size: dedicated chunk
-	if len(big) != 500 {
-		t.Fatalf("big len = %d", len(big))
-	}
-	if a.AllocatedBytes() != 510 {
-		t.Fatalf("allocated = %d, want 510", a.AllocatedBytes())
-	}
-	if a.FootprintBytes() != 64+500 {
-		t.Fatalf("footprint = %d, want one standard + one dedicated chunk", a.FootprintBytes())
-	}
-	// The bump cursor must survive the big detour: the next small allocation
-	// comes from the original chunk, not a fresh one.
-	small2 := a.Alloc(10)
-	if len(small2) != 10 || a.FootprintBytes() != 64+500 {
-		t.Fatalf("small alloc after big grew footprint to %d", a.FootprintBytes())
-	}
-	_ = small
-}
-
-func TestArenaZeroSizeAlloc(t *testing.T) {
-	a := NewArena(64)
-	s := a.Alloc(0)
-	if len(s) != 0 {
-		t.Fatalf("len = %d", len(s))
-	}
-	if a.AllocatedBytes() != 0 {
-		t.Fatalf("allocated = %d, want 0", a.AllocatedBytes())
-	}
-}
-
 func TestPolicyString(t *testing.T) {
 	names := map[Policy]string{
 		PolicyLocal:      "local",

@@ -167,7 +167,9 @@ type Request struct {
 	Lineitem *table.Table
 	Engine   queries.Engine
 	// Lease, when non-nil, owns the pooled columns the inline inputs live in
-	// (the server holds a reference from admission to settle).
+	// (the server holds a reference from admission to settle), and a
+	// group-sum's Response.Groups is taken from it: that map is valid until
+	// the lease's last Release. Without a lease, Groups is the caller's.
 	Lease *mem.Lease
 }
 
@@ -1417,7 +1419,7 @@ func (s *Server) execute(ctx context.Context, req Request, workers int, resv *me
 		if err != nil {
 			return Response{}, err
 		}
-		res, err := agg.Parallel(ctx, req.Keys, req.Vals, req.Strategy, sch, s.machine, 0)
+		res, err := agg.Parallel(ctx, req.Keys, req.Vals, req.Strategy, sch, s.machine, 0, req.Lease)
 		s.recordPhases(res.Phases, err)
 		if err != nil {
 			return Response{}, err
