@@ -122,14 +122,15 @@ bench:
 # clustered and uniform filter column, a batch of one and of eight) and of the
 # write path (block encode per column shape; one
 # Register + Checkpoint cycle and one restart-to-first-answer of the
-# benchmark's 1 M x 2 table, MB/s over user bytes) with allocations, five
-# times each. CI runs it once per bench
+# benchmark's 1 M x 2 table, MB/s over user bytes) and of the metrics
+# histogram every layer records into (one Record, serial and from
+# GOMAXPROCS goroutines) with allocations, five times each. CI runs it once per bench
 # (BENCHFLAGS='-benchtime=1x -count=1') to catch one that stops compiling or
 # starts failing; host times are read by people, not gated.
 BENCHFLAGS ?= -count=5
 bench-layers:
-	$(GO) test -run='^$$' -bench='BenchmarkDecodeQuery|BenchmarkAppendResponse|BenchmarkHandleQuery|BenchmarkSplitJoin|BenchmarkMorsels|BenchmarkGroupSum|BenchmarkNPO|BenchmarkEncode|BenchmarkSubmit|BenchmarkScatter|BenchmarkScanPass|BenchmarkCheckpoint|BenchmarkRecover' -benchmem $(BENCHFLAGS) \
-		./internal/frontend/v1 ./internal/frontend ./internal/shard ./internal/sched ./internal/agg ./internal/join ./internal/compress ./internal/serve
+	$(GO) test -run='^$$' -bench='BenchmarkDecodeQuery|BenchmarkAppendResponse|BenchmarkHandleQuery|BenchmarkSplitJoin|BenchmarkMorsels|BenchmarkGroupSum|BenchmarkNPO|BenchmarkEncode|BenchmarkSubmit|BenchmarkScatter|BenchmarkScanPass|BenchmarkCheckpoint|BenchmarkRecover|BenchmarkHistogramRecord' -benchmem $(BENCHFLAGS) \
+		./internal/frontend/v1 ./internal/frontend ./internal/shard ./internal/sched ./internal/agg ./internal/join ./internal/compress ./internal/serve ./internal/metrics
 
 # perf runs hwperf, the repository's benchmark (BENCHMARK.json): four
 # workloads over loopback HTTP, one process each. perf-smoke is its toy-scale

@@ -321,6 +321,9 @@ func run(ctx context.Context, cfg Config) (*report, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 	bs := b.Metrics().Histogram("serve.batch_size")
+	if b.router != nil {
+		bs = b.router.Histogram("serve.batch_size")
+	}
 	r := &report{
 		completed: completed.Load(), rejected: rejected.Load(), deadlined: deadlined.Load(),
 		shed: shed.Load(), failed: failed.Load(), partials: partials.Load(),

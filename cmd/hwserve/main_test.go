@@ -54,16 +54,12 @@ func runScanMix(t *testing.T, shards, replicas int) {
 	if r.health.VecPasses == 0 || r.health.StoreVersion == 0 {
 		t.Fatalf("health: %d scan passes, manifest v%d", r.health.VecPasses, r.health.StoreVersion)
 	}
-	want := []string{"completed", "Mcycles/query", "scan passes", fmt.Sprintf("manifest v%d", r.health.StoreVersion)}
+	if r.batches == 0 || r.batchMax < 1 {
+		t.Fatalf("no batches recorded: %+v", r)
+	}
+	want := []string{"completed", "Mcycles/query", "scan passes", "scan batches", fmt.Sprintf("manifest v%d", r.health.StoreVersion)}
 	if shards > 1 {
-		// The batch histogram is a serve.* series, not a Health field: a
-		// Router's registry carries only its own series (ROADMAP item 6).
 		want = append(want, "cluster 3 shards x 2 replicas")
-	} else {
-		if r.batches == 0 || r.batchMax < 1 {
-			t.Fatalf("no batches recorded: %+v", r)
-		}
-		want = append(want, "scan batches")
 	}
 	var sb strings.Builder
 	r.print(&sb, cfg)
@@ -74,10 +70,18 @@ func runScanMix(t *testing.T, shards, replicas int) {
 	}
 }
 
-// TestRunVectorized checks the report's scan-pass line: every scan batch is
-// one block-major pass, and each block visit has exactly one outcome.
+// TestRunVectorized checks the report's scan-pass and scan-batch lines: every
+// scan batch is one block-major pass, and each block visit has exactly one
+// outcome. A cluster's batches are its shards' batch histograms merged.
 func TestRunVectorized(t *testing.T) {
+	for _, mode := range engineModes {
+		t.Run(mode.name, func(t *testing.T) { runVectorized(t, mode.shards, mode.replicas) })
+	}
+}
+
+func runVectorized(t *testing.T, shards, replicas int) {
 	cfg := smallConfig()
+	cfg.Shards, cfg.Replicas = shards, replicas
 	r, err := run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -94,8 +98,10 @@ func TestRunVectorized(t *testing.T) {
 	}
 	var sb strings.Builder
 	r.print(&sb, cfg)
-	if !strings.Contains(sb.String(), "scan passes") {
-		t.Fatalf("report missing scan passes line:\n%s", sb.String())
+	for _, w := range []string{"scan passes", fmt.Sprintf("scan batches %d ", r.batches)} {
+		if !strings.Contains(sb.String(), w) {
+			t.Fatalf("report missing %q:\n%s", w, sb.String())
+		}
 	}
 }
 

@@ -1,16 +1,16 @@
-// Package metrics provides lightweight counters, timers, and histograms used
+// Package metrics provides lightweight counters, gauges, and histograms used
 // throughout hwstar to record both real (wall-clock) and simulated
 // (model-cycle) measurements.
 //
-// The package is deliberately dependency-free and allocation-conscious:
-// experiment harnesses create thousands of histograms and counters during a
-// parameter sweep, and the cost of recording a sample must be negligible
-// compared to the work being measured.
+// The package is deliberately dependency-free and allocation-free on the
+// recording path: every Record, Add and Set is a few atomic operations on
+// fixed storage, and readers walk that storage without a lock or a sort.
+// Histograms are fixed log-linear buckets, so two of them add with Merge
+// (one series summed over a cluster's nodes).
 package metrics
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -42,153 +42,161 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 // Value returns the stored value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// DefaultReservoir is the default sample bound of a Histogram: below it every
-// sample is kept and order statistics are exact; above it the histogram keeps
-// a uniform reservoir of this size, so memory stays bounded under sustained
-// serving load while count, sum, mean, min, and max remain exact.
-const DefaultReservoir = 8192
+// A Histogram's buckets are log-linear: a value in [2^-20, 2^44) lands in the
+// bucket its float64 exponent and top three mantissa bits name (its bits >>
+// 49), an eighth of an octave. Bucket 0 holds everything below the range
+// (zero, negatives, NaN), the last bucket everything above it.
+const (
+	numBuckets = 64*8 + 2
+	firstKey   = (1023 - 20) << 3 // 2^-20's bits >> 49, bucket 1's
+)
 
-// Histogram records float64 samples and reports order statistics. It is
-// bounded: up to DefaultReservoir samples are all retained and quantiles are
-// exact; beyond it, reservoir sampling (Vitter's Algorithm R, deterministic
-// seed) keeps a uniform subset for quantile estimation. Count, Sum, Mean,
-// Min, and Max are always computed over every recorded sample. Record is
-// O(1); quantile queries sort the reservoir lazily.
+var lowest, highest = math.Ldexp(1, -20), math.Ldexp(1, 44)
+
+// Histogram records float64 samples in fixed log-linear buckets. Record is a
+// few atomic operations: no lock, no allocation. Count, Sum, Min and Max are
+// exact; Quantile is read off the buckets. The zero value is an empty
+// histogram, and histograms add with Merge.
 type Histogram struct {
-	mu       sync.Mutex
-	vals     []float64 // the reservoir (all samples while count <= DefaultReservoir)
-	sorted   bool
-	count    int64
-	sum      float64
-	minV     float64
-	maxV     float64
-	rngState uint64
+	buckets [numBuckets]atomic.Int64
+	sum     atomic.Uint64 // float64 bits
+	// The largest sample's orderKey, and the complement of the smallest's:
+	// zero, the empty value, is below every key in both.
+	maxKey, minKey atomic.Uint64
 }
 
-// NewHistogram returns an empty histogram with capacity hint n and the
-// default reservoir bound.
-func NewHistogram(n int) *Histogram {
-	if n > DefaultReservoir {
-		n = DefaultReservoir
+// NewHistogram returns an empty histogram.
+func NewHistogram() *Histogram { return &Histogram{} }
+
+func bucketOf(v float64) int {
+	switch {
+	case !(v >= lowest):
+		return 0
+	case v >= highest:
+		return numBuckets - 1
 	}
-	return &Histogram{vals: make([]float64, 0, n), rngState: 0x9E3779B97F4A7C15}
+	return int(math.Float64bits(v)>>49) - firstKey + 1
 }
 
-// nextRand is a splitmix64 step — a tiny deterministic generator so reservoir
-// eviction does not contend on the global math/rand lock.
-func (h *Histogram) nextRand() uint64 {
-	h.rngState += 0x9E3779B97F4A7C15
-	z := h.rngState
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+// orderKey maps a float64 to a uint64 of the same order.
+func orderKey(v float64) uint64 {
+	k := math.Float64bits(v)
+	if k>>63 == 1 {
+		return ^k
+	}
+	return k | 1<<63
 }
 
-// Record adds one sample.
+// fromKey inverts orderKey. The keys of no number, 0 and ^0, are an empty
+// histogram's extremes and read as 0.
+func fromKey(k uint64) float64 {
+	switch {
+	case k == 0 || k == ^uint64(0):
+		return 0
+	case k>>63 == 1:
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
+}
+
+// raise stores k in a unless a holds more.
+func raise(a *atomic.Uint64, k uint64) {
+	for old := a.Load(); k > old && !a.CompareAndSwap(old, k); old = a.Load() {
+	}
+}
+
+// addFloat adds d to the float64 whose bits a holds.
+func addFloat(a *atomic.Uint64, d float64) {
+	for old := a.Load(); !a.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)); old = a.Load() {
+	}
+}
+
+// Record adds one sample. Its bucket goes last, so a reader that counts the
+// sample sees its sum and extremes too.
 func (h *Histogram) Record(v float64) {
-	h.mu.Lock()
-	if h.count == 0 || v < h.minV {
-		h.minV = v
-	}
-	if h.count == 0 || v > h.maxV {
-		h.maxV = v
-	}
-	h.count++
-	h.sum += v
-	if len(h.vals) < DefaultReservoir {
-		h.vals = append(h.vals, v)
-		h.sorted = false
-	} else if j := h.nextRand() % uint64(h.count); j < DefaultReservoir {
-		// Algorithm R: sample i (>= DefaultReservoir) replaces a random slot
-		// with probability DefaultReservoir/i, keeping the reservoir uniform
-		// over all samples seen.
-		h.vals[j] = v
-		h.sorted = false
-	}
-	h.mu.Unlock()
+	k := orderKey(v)
+	raise(&h.maxKey, k)
+	raise(&h.minKey, ^k)
+	addFloat(&h.sum, v)
+	h.buckets[bucketOf(v)].Add(1)
 }
 
-// Count returns the number of recorded samples (all of them, not just the
-// retained reservoir).
+// Merge adds o's samples to h. A sample recorded into o meanwhile may be
+// partly merged.
+func (h *Histogram) Merge(o *Histogram) {
+	for i := range o.buckets {
+		h.buckets[i].Add(o.buckets[i].Load())
+	}
+	raise(&h.maxKey, o.maxKey.Load())
+	raise(&h.minKey, o.minKey.Load())
+	addFloat(&h.sum, o.Sum())
+}
+
+// Halve removes half of each bucket's samples, rounding up, and returns how
+// many it removed: repeated, it decays the buckets to the recent samples.
+// Sum, Min and Max keep covering every sample.
+func (h *Histogram) Halve() int64 {
+	var removed int64
+	for i := range h.buckets {
+		half := (h.buckets[i].Load() + 1) / 2 // a concurrent record's add is kept
+		h.buckets[i].Add(-half)
+		removed += half
+	}
+	return removed
+}
+
+// Count returns the number of recorded samples: the buckets' sum. There is
+// no count word, so Record makes one atomic add fewer.
 func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return int(h.count)
+	var n int64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return int(n)
 }
 
 // Sum returns the sum of all samples.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // Mean returns the arithmetic mean, or 0 for an empty histogram.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
+func (h *Histogram) Mean() float64 { return h.Sum() / float64(max(1, h.Count())) }
 
-// Min returns the smallest sample (exact), or 0 for an empty histogram.
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.minV
-}
+// Min returns the smallest sample, or 0 for an empty histogram.
+func (h *Histogram) Min() float64 { return fromKey(^h.minKey.Load()) }
 
-// Max returns the largest sample (exact), or 0 for an empty histogram.
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.maxV
-}
+// Max returns the largest sample, or 0 for an empty histogram.
+func (h *Histogram) Max() float64 { return fromKey(h.maxKey.Load()) }
 
-// Quantile returns the q-quantile using linear interpolation between order
-// statistics (the "type 7" estimator): position q*(n-1) in the sorted
-// samples, interpolating between the two neighbouring ranks when it is
-// fractional. Once the sample count exceeds the reservoir bound the result
-// is an estimate over a uniform subsample; the q=0 and q=1 endpoints stay
-// exact (tracked min/max).
+// Quantile returns the nearest-rank q-quantile: the middle of the bucket
+// holding the ceil(q*n)-th smallest sample (Max for the overflow bucket),
+// clamped to [Min, Max]. For a sample in the bucket range that is within 1/16
+// of it, and it is exact when all samples are equal. A Halve racing the walk
+// can leave it short of the rank: then Max.
 //
-// Out-of-domain inputs are defined: q is clamped to [0, 1] (q <= 0 returns
-// the minimum, q >= 1 the maximum), a NaN q returns NaN, and an empty
-// histogram returns 0 for any q.
+// Out-of-domain inputs are defined: q <= 0 returns the minimum, q >= 1 the
+// maximum, a NaN q returns NaN, and an empty histogram returns 0 for any q.
 func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
+	n := int64(h.Count())
+	switch {
+	case n == 0:
 		return 0
-	}
-	if math.IsNaN(q) {
+	case math.IsNaN(q):
 		return math.NaN()
+	case q <= 0:
+		return h.Min()
+	case q >= 1:
+		return h.Max()
 	}
-	if q <= 0 {
-		return h.minV
+	rank := max(1, int64(math.Ceil(q*float64(n))))
+	v := h.Max()
+	for b, cum := 0, int64(0); b < numBuckets-1; b++ {
+		if cum += h.buckets[b].Load(); cum >= rank {
+			// The bucket's middle is its key with the next mantissa bit set.
+			v = math.Float64frombits(uint64(b-1+firstKey)<<49 | 1<<48)
+			break
+		}
 	}
-	if q >= 1 {
-		return h.maxV
-	}
-	h.ensureSortedLocked()
-	n := len(h.vals)
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return h.vals[lo]
-	}
-	frac := pos - float64(lo)
-	return h.vals[lo]*(1-frac) + h.vals[hi]*frac
-}
-
-func (h *Histogram) ensureSortedLocked() {
-	if !h.sorted {
-		sort.Float64s(h.vals)
-		h.sorted = true
-	}
+	return min(max(v, h.Min()), h.Max())
 }
 
 // HistogramStats is a compact, copyable summary of a histogram — what
@@ -198,8 +206,7 @@ type HistogramStats struct {
 	Sum, Mean, Min, P50, P95, P99, Max float64
 }
 
-// Stats returns the histogram's summary statistics in one lock acquisition
-// per quantile family.
+// Stats returns the histogram's summary statistics.
 func (h *Histogram) Stats() HistogramStats {
 	return HistogramStats{
 		Count: h.Count(),
@@ -250,7 +257,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = NewHistogram(64)
+		h = NewHistogram()
 		r.hists[name] = h
 	}
 	return h
@@ -300,24 +307,12 @@ type Snapshot struct {
 // Snapshot captures all counters, gauges, and histogram summaries at once,
 // for health reporting and experiment output.
 func (r *Registry) Snapshot() Snapshot {
+	s := Snapshot{Counters: r.Counters(), Gauges: r.Gauges()}
 	r.mu.Lock()
-	hists := make([]*Histogram, 0, len(r.hists))
-	names := make([]string, 0, len(r.hists))
+	defer r.mu.Unlock()
+	s.Histograms = make(map[string]HistogramStats, len(r.hists))
 	for k, h := range r.hists {
-		hists = append(hists, h)
-		names = append(names, k)
-	}
-	r.mu.Unlock()
-
-	s := Snapshot{
-		Counters:   r.Counters(),
-		Gauges:     r.Gauges(),
-		Histograms: make(map[string]HistogramStats, len(hists)),
-	}
-	// Histogram stats are computed outside the registry lock: Quantile
-	// sorts lazily and must not block concurrent Counter/Histogram lookups.
-	for i, h := range hists {
-		s.Histograms[names[i]] = h.Stats()
+		s.Histograms[k] = h.Stats()
 	}
 	return s
 }

@@ -55,14 +55,14 @@ func TestGauge(t *testing.T) {
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(0)
+	h := NewHistogram()
 	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Min() != 0 || h.Max() != 0 {
 		t.Fatalf("empty histogram should report zeros")
 	}
 }
 
 func TestHistogramBasicStats(t *testing.T) {
-	h := NewHistogram(8)
+	h := NewHistogram()
 	for _, v := range []float64{1, 2, 3, 4, 5} {
 		h.Record(v)
 	}
@@ -78,8 +78,9 @@ func TestHistogramBasicStats(t *testing.T) {
 	if h.Min() != 1 || h.Max() != 5 {
 		t.Fatalf("min/max = %f/%f, want 1/5", h.Min(), h.Max())
 	}
-	if got := h.Quantile(0.5); got != 3 {
-		t.Fatalf("median = %f, want 3", got)
+	// Nearest rank: the 3rd sample, 3, read as the middle of [3, 3.25).
+	if got := h.Quantile(0.5); got != 3.125 {
+		t.Fatalf("median = %f, want 3.125", got)
 	}
 	if got := h.Quantile(0); got != 1 {
 		t.Fatalf("q0 = %f, want 1", got)
@@ -89,18 +90,9 @@ func TestHistogramBasicStats(t *testing.T) {
 	}
 }
 
-func TestHistogramInterpolation(t *testing.T) {
-	h := NewHistogram(2)
-	h.Record(0)
-	h.Record(10)
-	if got := h.Quantile(0.25); math.Abs(got-2.5) > 1e-12 {
-		t.Fatalf("q0.25 = %f, want 2.5", got)
-	}
-}
-
 func TestHistogramRecordAfterQuantile(t *testing.T) {
-	// Recording after a quantile query must invalidate the sorted cache.
-	h := NewHistogram(4)
+	// A quantile query leaves later records to update the extremes.
+	h := NewHistogram()
 	h.Record(5)
 	_ = h.Quantile(0.5)
 	h.Record(1)
@@ -115,7 +107,7 @@ func TestHistogramQuantileMonotoneProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		h := NewHistogram(len(raw))
+		h := NewHistogram()
 		for _, v := range raw {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				v = 0
@@ -135,26 +127,185 @@ func TestHistogramQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-// Property: the median of a shuffled known multiset equals the true median.
-func TestHistogramMedianMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(200)
-		vals := make([]float64, n)
-		h := NewHistogram(n)
-		for i := range vals {
-			vals[i] = rng.Float64() * 100
-			h.Record(vals[i])
+// Property: against the sorted samples, Quantile(q) is within 1/16 of the
+// nearest-rank sample s[ceil(q*n)-1] when that sample lies in the bucket
+// range, monotone in q, and within [Min, Max], which are exact. Samples are
+// log-uniform over 1e-5..1e12, with zeros, negatives, and values below and
+// above the bucket range mixed in.
+func TestHistogramQuantileWithinBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(2000)
+		h := NewHistogram()
+		s := make([]float64, n)
+		var sum float64
+		for i := range s {
+			v := math.Pow(10, -5+17*rng.Float64())
+			switch rng.Intn(20) {
+			case 0:
+				v = 0
+			case 1:
+				v = -v
+			case 2:
+				v = lowest * rng.Float64()
+			case 3:
+				v = highest * (1 + rng.Float64())
+			}
+			s[i] = v
+			sum += v
+			h.Record(v)
 		}
-		sort.Float64s(vals)
-		pos := 0.5 * float64(n-1)
-		lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
-		frac := pos - float64(lo)
-		want := vals[lo]*(1-frac) + vals[hi]*frac
-		if got := h.Quantile(0.5); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("trial %d: median = %f, want %f", trial, got, want)
+		sort.Float64s(s)
+		if h.Count() != n || h.Sum() != sum || h.Min() != s[0] || h.Max() != s[n-1] {
+			t.Fatalf("trial %d: count/sum/min/max = %d/%g/%g/%g, want %d/%g/%g/%g",
+				trial, h.Count(), h.Sum(), h.Min(), h.Max(), n, sum, s[0], s[n-1])
+		}
+		prev := math.Inf(-1)
+		for q := 0.0; q <= 1; q += 0.005 {
+			got := h.Quantile(q)
+			want := s[max(1, int(math.Ceil(q*float64(n))))-1]
+			if want >= lowest && want < highest && math.Abs(got-want) > want/16 {
+				t.Fatalf("trial %d: Quantile(%g) = %g, nearest-rank sample %g", trial, q, got, want)
+			}
+			if got < prev || got < s[0] || got > s[n-1] {
+				t.Fatalf("trial %d: Quantile(%g) = %g after %g, outside [%g, %g] or falling", trial, q, got, prev, s[0], s[n-1])
+			}
+			prev = got
 		}
 	}
+}
+
+// Quantiles are exact when every sample is equal, in and out of the range.
+func TestHistogramEqualSamplesExact(t *testing.T) {
+	for _, v := range []float64{0, -7, 3, 1e-9, 1e15} {
+		h := NewHistogram()
+		for i := 0; i < 10; i++ {
+			h.Record(v)
+		}
+		for _, q := range []float64{0.01, 0.5, 0.99} {
+			if got := h.Quantile(q); got != v {
+				t.Fatalf("all samples %g: Quantile(%g) = %g", v, q, got)
+			}
+		}
+	}
+}
+
+func TestHistogramRecordAllocs(t *testing.T) {
+	h := NewHistogram()
+	v := 0.0
+	if allocs := testing.AllocsPerRun(1000, func() { v += 1.5; h.Record(v) }); allocs != 0 {
+		t.Fatalf("Record allocates %v objects, want 0", allocs)
+	}
+}
+
+// Eight recorders of integers: Count, Sum, Min and Max are exact however
+// their adds interleave (run under -race).
+func TestHistogramConcurrentRecorders(t *testing.T) {
+	const workers, each = 8, 5000
+	var h Histogram
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				h.Record(float64(w*each + i - 1000))
+			}
+		}(w)
+	}
+	wg.Wait()
+	const n = workers * each
+	if h.Count() != n || h.Min() != -1000 || h.Max() != n-1001 {
+		t.Fatalf("count/min/max = %d/%g/%g, want %d/%d/%d", h.Count(), h.Min(), h.Max(), n, -1000, n-1001)
+	}
+	if want := float64(n*(n-1)/2 - n*1000); h.Sum() != want {
+		t.Fatalf("sum = %g, want %g", h.Sum(), want)
+	}
+	if got, want := h.Quantile(0.5), float64(n/2-1001); math.Abs(got-want) > want/16 {
+		t.Fatalf("median = %g, nearest-rank sample %g", got, want)
+	}
+}
+
+// Merge gives what recording both histograms' samples into one gives, and
+// an empty histogram merges as nothing.
+func TestHistogramMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a, b, both := NewHistogram(), NewHistogram(), NewHistogram()
+	for i := 0; i < 3000; i++ {
+		v := rng.ExpFloat64() * 100
+		if i%3 == 0 {
+			b.Record(v - 50)
+			both.Record(v - 50)
+		} else {
+			a.Record(v)
+			both.Record(v)
+		}
+	}
+	var merged Histogram
+	merged.Merge(NewHistogram())
+	if merged.Count() != 0 || merged.Min() != 0 || merged.Max() != 0 {
+		t.Fatalf("empty merge = %+v", merged.Stats())
+	}
+	merged.Merge(a)
+	merged.Merge(b)
+	merged.Merge(NewHistogram())
+	if merged.Count() != both.Count() || merged.Min() != both.Min() || merged.Max() != both.Max() ||
+		math.Abs(merged.Sum()-both.Sum()) > 1e-9*math.Abs(both.Sum()) {
+		t.Fatalf("merged %+v, recorded together %+v", merged.Stats(), both.Stats())
+	}
+	for q := 0.0; q <= 1; q += 0.01 {
+		if got, want := merged.Quantile(q), both.Quantile(q); got != want {
+			t.Fatalf("merged Quantile(%g) = %g, recorded together %g", q, got, want)
+		}
+	}
+}
+
+// Halve removes half of every bucket, rounding up, and the same from the
+// count: the quantiles of a doubled sample set come back.
+func TestHistogramHalve(t *testing.T) {
+	h, twice := NewHistogram(), NewHistogram()
+	for i := 1; i <= 100; i++ {
+		h.Record(float64(i))
+		twice.Record(float64(i))
+		twice.Record(float64(i))
+	}
+	if removed := twice.Halve(); removed != 100 || twice.Count() != 100 {
+		t.Fatalf("Halve removed %d, leaving %d, want 100 and 100", removed, twice.Count())
+	}
+	for q := 0.01; q < 1; q += 0.01 {
+		if got, want := twice.Quantile(q), h.Quantile(q); got != want {
+			t.Fatalf("halved Quantile(%g) = %g, want %g", q, got, want)
+		}
+	}
+}
+
+// BenchmarkHistogramRecord records latency-like samples (exponential, mean
+// 1 ms, cycled from a seeded table so the loop does no random draws), from one
+// goroutine and from GOMAXPROCS goroutines sharing the histogram.
+func BenchmarkHistogramRecord(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var vals [1024]float64
+	for i := range vals {
+		vals[i] = rng.ExpFloat64()
+	}
+	b.Run("serial", func(b *testing.B) {
+		h := NewHistogram()
+		i := 0
+		for b.Loop() {
+			h.Record(vals[i%len(vals)])
+			i++
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		h := NewHistogram()
+		b.RunParallel(func(pb *testing.PB) {
+			i := 0
+			for pb.Next() {
+				h.Record(vals[i%len(vals)])
+				i++
+			}
+		})
+	})
 }
 
 func TestRegistry(t *testing.T) {
@@ -199,7 +350,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 }
 
 func TestHistogramStats(t *testing.T) {
-	h := NewHistogram(8)
+	h := NewHistogram()
 	for i := 1; i <= 100; i++ {
 		h.Record(float64(i))
 	}
@@ -210,7 +361,7 @@ func TestHistogramStats(t *testing.T) {
 	if st.P50 != h.Quantile(0.5) || st.P95 != h.Quantile(0.95) || st.P99 != h.Quantile(0.99) {
 		t.Fatalf("stats quantiles disagree with Quantile: %+v", st)
 	}
-	if empty := NewHistogram(0).Stats(); empty.Count != 0 || empty.Mean != 0 {
+	if empty := NewHistogram().Stats(); empty.Count != 0 || empty.Mean != 0 {
 		t.Fatalf("empty stats = %+v", empty)
 	}
 }
@@ -222,7 +373,7 @@ func TestHistogramBoundedUnderSustainedLoad(t *testing.T) {
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 
-	h := NewHistogram(64)
+	h := NewHistogram()
 	const n = 10_000_000
 	for i := 0; i < n; i++ {
 		h.Record(float64(i % 1000))
@@ -235,40 +386,37 @@ func TestHistogramBoundedUnderSustainedLoad(t *testing.T) {
 	if h.Count() != n {
 		t.Fatalf("count = %d, want %d", h.Count(), n)
 	}
-	if len(h.vals) > DefaultReservoir {
-		t.Fatalf("reservoir holds %d samples, bound is %d", len(h.vals), DefaultReservoir)
-	}
 	if h.Min() != 0 || h.Max() != 999 {
 		t.Fatalf("min/max = %f/%f, want 0/999", h.Min(), h.Max())
 	}
 	if got, want := h.Sum(), float64(n/1000)*(999*1000/2); got != want {
 		t.Fatalf("sum = %f, want %f", got, want)
 	}
-	// 10M float64 samples would be 80MB; the reservoir keeps 8192 (64KB).
-	// Allow generous slack for allocator noise.
+	// 10M float64 samples would be 80MB; the buckets are 4KB. Allow generous
+	// slack for allocator noise.
 	const ceiling = 8 << 20
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > ceiling {
 		t.Fatalf("heap grew %d bytes recording 10M samples, ceiling %d", grew, ceiling)
 	}
 }
 
-// Past the reservoir bound, quantiles are estimates over a uniform
-// subsample; for a uniform input the median must land near the middle.
+// Quantiles over many samples are read off the buckets; for a uniform input
+// the median must land near the middle.
 func TestHistogramReservoirQuantileEstimate(t *testing.T) {
-	h := NewHistogram(0)
+	h := NewHistogram()
 	rng := rand.New(rand.NewSource(7))
 	const n = 200_000
 	for i := 0; i < n; i++ {
 		h.Record(rng.Float64() * 100)
 	}
-	if h.Count() != n || len(h.vals) != DefaultReservoir {
-		t.Fatalf("count/reservoir = %d/%d, want %d/%d", h.Count(), len(h.vals), n, DefaultReservoir)
+	if h.Count() != n {
+		t.Fatalf("count = %d, want %d", h.Count(), n)
 	}
 	if p50 := h.Quantile(0.5); p50 < 40 || p50 > 60 {
-		t.Fatalf("reservoir p50 = %f, want ~50", p50)
+		t.Fatalf("p50 = %f, want ~50", p50)
 	}
 	if p99 := h.Quantile(0.99); p99 < 95 {
-		t.Fatalf("reservoir p99 = %f, want >= 95", p99)
+		t.Fatalf("p99 = %f, want >= 95", p99)
 	}
 	if h.Quantile(0) != h.Min() || h.Quantile(1) != h.Max() {
 		t.Fatal("quantile endpoints must stay exact min/max")
@@ -278,7 +426,7 @@ func TestHistogramReservoirQuantileEstimate(t *testing.T) {
 // Quantile's domain is defined for all inputs: NaN in, NaN out; q outside
 // [0,1] clamps to the exact extremes; the empty histogram reports 0.
 func TestHistogramQuantileDomain(t *testing.T) {
-	h := NewHistogram(4)
+	h := NewHistogram()
 	if got := h.Quantile(math.NaN()); got != 0 {
 		t.Fatalf("empty histogram NaN quantile = %f, want 0", got)
 	}

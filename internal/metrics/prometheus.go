@@ -1,7 +1,6 @@
 // Prometheus text exposition for registry snapshots. The exporter is
-// pull-based and allocation-light: a scrape takes one Snapshot (counters and
-// gauges under the registry lock, histogram summaries outside it) and
-// renders deterministic, sorted output — no background goroutines, no
+// pull-based and allocation-light: a scrape takes one Snapshot and renders
+// deterministic, sorted output — no background goroutines, no
 // third-party client library.
 package metrics
 

@@ -5,25 +5,27 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hwstar/internal/metrics"
 	"hwstar/internal/serve"
 )
 
-// The hedge deadline of an op class is the upper edge of the log2-µs bucket
-// holding the p95 of the class's recent dispatch times (Dean & Barroso, "The
-// Tail at Scale"), floored at minHedgeDelay: below it a hedge would race
-// scheduling noise, not stragglers. Bucket b counts dispatches of
-// [2^(b-1), 2^b) µs, bucket 0 those under 1 µs, and the last bucket
-// everything slower.
+// The hedge deadline of an op class is the upper edge of the power-of-two
+// octave of microseconds that holds the p95 of the class's recent dispatch
+// times (Dean & Barroso, "The Tail at Scale"), floored at minHedgeDelay
+// (below it a hedge would race scheduling noise, not stragglers) and capped
+// at maxHedgeDelay. The p95 is read off a metrics.Histogram of whole
+// microseconds, whose buckets split octaves and never straddle them, so
+// before any halving the octave is the true p95's.
 //
 // A class with fewer than hedgeWarmup samples has no p95 yet and does not
-// hedge. When a class reaches halveAt samples every bucket halves, so the p95
-// is over the last few hundred dispatches: a lasting 10x shift either way is
-// followed within 4*halveAt dispatches.
+// hedge. When a class reaches halveAt samples its histogram halves, so the
+// p95 is over the last few hundred dispatches: a lasting 10x shift either way
+// is followed within 4*halveAt dispatches.
 const (
-	minHedgeDelay  = 50 * time.Microsecond
-	latencyBuckets = 24
-	hedgeWarmup    = 64
-	halveAt        = 512
+	minHedgeDelay = 50 * time.Microsecond
+	maxHedgeDelay = time.Microsecond << 23
+	hedgeWarmup   = 64
+	halveAt       = 512
 )
 
 // classOps lists the op classes in index order: a class's dispatches share
@@ -44,47 +46,29 @@ func opClass(op serve.Op) int {
 // Recording and reading are atomic adds and loads: no lock, no sort, no
 // allocation on the dispatch path.
 type latencyClass struct {
-	n       atomic.Int64 // samples recorded minus samples halved away
-	buckets [latencyBuckets]atomic.Int64
+	n atomic.Int64 // samples recorded minus samples halved away
+	h metrics.Histogram
 }
 
 func (c *latencyClass) record(d time.Duration) {
-	b := bits.Len64(uint64(d.Microseconds()))
-	if b >= latencyBuckets {
-		b = latencyBuckets - 1
-	}
-	c.buckets[b].Add(1)
+	c.h.Record(float64(d.Microseconds()))
 	// Only the record that takes the count to halveAt halves, and the count
 	// cannot reach it again before that halving has subtracted what it removed.
-	if c.n.Add(1) != halveAt {
-		return
+	if c.n.Add(1) == halveAt {
+		c.n.Add(-c.h.Halve())
 	}
-	var removed int64
-	for i := range c.buckets {
-		half := (c.buckets[i].Load() + 1) / 2 // a concurrent record's add is kept
-		c.buckets[i].Add(-half)
-		removed += half
-	}
-	c.n.Add(-removed)
 }
 
 // deadline returns the class's hedge deadline, or 0 while it warms up. A
-// halving between the loads of the count and of the buckets can leave the
-// walk short of the rank; that one dispatch then waits out the last bucket.
+// halving during the histogram's walk reads the p95 as the class's maximum;
+// that one dispatch then waits out a longer deadline.
 func (c *latencyClass) deadline() time.Duration {
-	n := c.n.Load()
-	if n < hedgeWarmup {
+	if c.n.Load() < hedgeWarmup {
 		return 0
 	}
-	rank := n - n/20 // ceil(0.95 n)
-	var cum int64
-	b := 0
-	for ; b < latencyBuckets-1; b++ {
-		if cum += c.buckets[b].Load(); cum >= rank {
-			break
-		}
-	}
-	return max(minHedgeDelay, time.Microsecond<<b)
+	// A p95 of 2^22 µs or more is in maxHedgeDelay's octave.
+	p95 := min(c.h.Quantile(0.95), float64(maxHedgeDelay/time.Microsecond/2))
+	return max(minHedgeDelay, time.Microsecond<<bits.Len64(uint64(p95)))
 }
 
 // hedgeDelayFor returns how long a dispatch of class c waits on an attempt

@@ -3,7 +3,10 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -124,7 +127,7 @@ func TestHedgeDeadline(t *testing.T) {
 		{name: "hedged samples do not lower the deadline past the last bucket",
 			samples: []samples{{groupSum, 300 * us, 100}},
 			hedged:  4 * halveAt,
-			class:   groupSum, want: time.Microsecond << (latencyBuckets - 1)},
+			class:   groupSum, want: maxHedgeDelay},
 		{name: "the hedgeDelay seam wins",
 			seam:    7 * time.Millisecond,
 			samples: []samples{{scan, 300 * us, 100}},
@@ -149,6 +152,37 @@ func TestHedgeDeadline(t *testing.T) {
 				t.Fatalf("deadline = %v, want %v", got, row.want)
 			}
 		})
+	}
+}
+
+// TestHedgeDeadlineMatchesSortedP95 replays seeded dispatch streams that
+// stay below halveAt, mixing fast, typical and straggling dispatches of
+// sub-µs to seconds, and checks the deadline after every record against an
+// oracle over the sorted samples: the nearest-rank p95, rounded up to the
+// next power of two of microseconds, floored and capped.
+func TestHedgeDeadlineMatchesSortedP95(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var c latencyClass
+		var us []int64
+		scale := 1 + rng.Intn(20)
+		for len(us) < halveAt-1 {
+			d := time.Duration(rng.ExpFloat64() * float64(scale) * float64(50*time.Microsecond))
+			if rng.Intn(20) == 0 {
+				d *= time.Duration(1 + rng.Intn(5000))
+			}
+			c.record(d)
+			us = append(us, d.Microseconds())
+			want := time.Duration(0)
+			if len(us) >= hedgeWarmup {
+				sorted := slices.Sorted(slices.Values(us))
+				p95 := sorted[(len(sorted)*95+99)/100-1]
+				want = min(maxHedgeDelay, max(minHedgeDelay, time.Microsecond<<bits.Len64(uint64(p95))))
+			}
+			if got := c.deadline(); got != want {
+				t.Fatalf("seed %d, after %d dispatches: deadline %v, sorted p95 gives %v", seed, len(us), got, want)
+			}
+		}
 	}
 }
 
@@ -182,10 +216,7 @@ func TestDispatchRecordsPerOpClass(t *testing.T) {
 	var want [opClasses]int64
 	want[opClass(serve.OpScan)], want[opClass(serve.OpQ6)] = 3*j, k
 	for c := range r.lat {
-		var n int64
-		for b := range r.lat[c].buckets {
-			n += r.lat[c].buckets[b].Load()
-		}
+		n := int64(r.lat[c].h.Count())
 		if n != want[c] || r.lat[c].n.Load() != want[c] {
 			t.Errorf("class %d holds %d samples (count %d), want %d", c, n, r.lat[c].n.Load(), want[c])
 		}

@@ -545,6 +545,22 @@ func (r *Router) reserve(tenant string) (*mem.Reservation, error) {
 // each serve.Server).
 func (r *Router) Metrics() *metrics.Registry { return r.reg }
 
+// Histogram returns a shard-side series (serve.batch_size, say) merged over
+// the live shards' registries into a new histogram. A dead node's samples
+// are gone with its server, so after a node loss the merge is a floor.
+func (r *Router) Histogram(name string) *metrics.Histogram {
+	r.mu.RLock()
+	nodes := r.nodes
+	r.mu.RUnlock()
+	h := metrics.NewHistogram()
+	for _, n := range nodes {
+		if srv := n.server(); srv != nil && n.alive.Load() {
+			h.Merge(srv.Metrics().Histogram(name))
+		}
+	}
+	return h
+}
+
 // Workers returns the cluster-wide simulated-core budget: the sum of the
 // live shards' worker budgets.
 func (r *Router) Workers() int {

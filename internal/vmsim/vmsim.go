@@ -89,7 +89,7 @@ func RunDistribution(m *hw.Machine, spec QuerySpec, inter Interference, n int, s
 		return nil, fmt.Errorf("vmsim: need a positive query count, got %d", n)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	hist := metrics.NewHistogram(n)
+	hist := metrics.NewHistogram()
 	for q := 0; q < n; q++ {
 		factor := inter.BandwidthFactor
 		if inter.PollutionProb > 0 && rng.Float64() < inter.PollutionProb {
