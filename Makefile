@@ -6,7 +6,7 @@ GO ?= go
 # no dependencies beyond the toolchain.
 STRICT ?=
 
-.PHONY: all build vet hwlint lint lint-report loc test race race-core check fuzz-smoke bench bench-layers perf perf-smoke experiments clean
+.PHONY: all build vet hwlint lint lint-report loc test race race-core race-repeat check fuzz-smoke bench bench-layers perf perf-smoke experiments clean
 
 all: check
 
@@ -61,13 +61,9 @@ race:
 race-core:
 	$(GO) test -race -count=1 ./internal/serve ./internal/sched ./internal/mem ./internal/frontend ./internal/vecexec ./internal/compress ./internal/shard ./internal/store ./internal/cluster ./internal/concurrent ./internal/metrics ./internal/breaker ./internal/hashtab
 
-# check is the full verification gate: compile everything, run the static
-# analyzers, run the whole suite once without the race detector (the pooled
-# allocation pins — agg, join, sched, serve, shard — skip under -race, where
-# sync.Pool drops Puts on purpose) and once under it (core concurrency
-# packages uncached). Two shard tests and one serve test run ten times more,
-# because one run rarely hits what they guard. The modeled-cycle golden
-# guards serve's drain-releases-first rule (the dispatch loop steps every release an
+# race-repeat runs the tests that guard a recycling or ordering rule ten more
+# times under -race, because one run rarely hits what they guard. The
+# modeled-cycle golden guards serve's drain-releases-first rule (the dispatch loop steps every release an
 # executor sent before it steps the next arrival or idle, so a pass never
 # starts short of cores a finished request already returned). The hedge-loser
 # test guards the router's pool rule (a fan-out's state is recycled only once
@@ -86,16 +82,24 @@ race-core:
 # land while a pass or a segment write still reads the old version. The
 # group-sum lease tests guard it for an answer's map, which holders take
 # from a lease they already share, so the lease's map list has its own lock.
+race-repeat:
+	$(GO) test -race -count=10 -run 'TestSimCyclesGolden|TestHedgeLoserNeverSeesRecycledState|TestHedgeLoserHoldsLease|TestLeasedRequestsOverHedgedRouter' ./internal/shard
+	$(GO) test -race -count=10 -timeout 5m -run 'TestCancelledSubmitNeverSeesRecycledState|TestLeaseOutlivesCancelledSubmit|TestRetiredTableOutlivesHeldPass|TestLoadPinsLeasedTable|TestChurnAnswersMatchAVersion|TestGroupsLiveUntilLastRelease' ./internal/serve
+	$(GO) test -race -count=10 -run 'TestLeaseMapConcurrentTakes|TestLeaseMapClasses' ./internal/mem
+	$(GO) test -race -count=10 -run 'TestCheckpointHoldsReplacedTable' ./internal/store
+
+# check is the full verification gate: compile everything, run the static
+# analyzers, run the whole suite once without the race detector (the pooled
+# allocation pins — agg, join, sched, serve, shard — skip under -race, where
+# sync.Pool drops Puts on purpose) and once under it (core concurrency
+# packages uncached), then race-repeat.
 check:
 	$(GO) build ./...
 	$(MAKE) lint
 	$(GO) test ./...
 	$(MAKE) race-core
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestSimCyclesGolden|TestHedgeLoserNeverSeesRecycledState|TestHedgeLoserHoldsLease|TestLeasedRequestsOverHedgedRouter' ./internal/shard
-	$(GO) test -race -count=10 -timeout 5m -run 'TestCancelledSubmitNeverSeesRecycledState|TestLeaseOutlivesCancelledSubmit|TestRetiredTableOutlivesHeldPass|TestLoadPinsLeasedTable|TestChurnAnswersMatchAVersion|TestGroupsLiveUntilLastRelease' ./internal/serve
-	$(GO) test -race -count=10 -run 'TestLeaseMapConcurrentTakes|TestLeaseMapClasses' ./internal/mem
-	$(GO) test -race -count=10 -run 'TestCheckpointHoldsReplacedTable' ./internal/store
+	$(MAKE) race-repeat
 
 # fuzz-smoke gives each native fuzz target ten seconds of mutation past its
 # seed corpus (plain `go test` only replays the seeds). One target per

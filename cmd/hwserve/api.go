@@ -65,8 +65,8 @@ func serveAPI(ctx context.Context, cfg Config, out io.Writer) error {
 
 	if cfg.DataDir != "" {
 		h := b.Health()
-		fmt.Fprintf(out, "hwserve: durable store %s ready (manifest v%d, %d tables replayed, %d hot)\n",
-			cfg.DataDir, h.StoreVersion, h.Recovery.TablesTotal, h.Recovery.TablesHot)
+		fmt.Fprintf(out, "hwserve: durable store %s ready (manifest v%d, %d tables replayed)\n",
+			cfg.DataDir, h.StoreVersion, h.Recovery.TablesTotal)
 	}
 	stopChaos := startChaos(ctx, cfg, b.router)
 

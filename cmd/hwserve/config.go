@@ -94,11 +94,9 @@ type Config struct {
 
 	// Durable storage (both modes): DataDir arms the checkpointed store —
 	// the server replays committed state at boot and flushes on shutdown.
-	// CheckpointInterval adds background checkpoints; HotBytes caps the
-	// DRAM-resident hot set (0 = everything hot, nothing tiered to flash).
+	// CheckpointInterval adds background checkpoints.
 	DataDir            string   `json:"data_dir"`
 	CheckpointInterval Duration `json:"checkpoint_interval"`
-	HotBytes           int64    `json:"hot_bytes"`
 
 	// Observability.
 	Listen     string `json:"listen"`
@@ -159,13 +157,8 @@ func (c *Config) Validate() error {
 	if c.Replicas > c.Shards && c.Shards > 1 {
 		return fmt.Errorf("-replicas %d exceeds -shards %d", c.Replicas, c.Shards)
 	}
-	if c.DataDir == "" {
-		if c.CheckpointInterval > 0 {
-			return fmt.Errorf("-checkpoint-interval needs -data-dir")
-		}
-		if c.HotBytes > 0 {
-			return fmt.Errorf("-hot-bytes needs -data-dir")
-		}
+	if c.DataDir == "" && c.CheckpointInterval > 0 {
+		return fmt.Errorf("-checkpoint-interval needs -data-dir")
 	}
 	if c.CheckpointInterval < 0 {
 		return fmt.Errorf("negative checkpoint interval %s", time.Duration(c.CheckpointInterval))
@@ -227,7 +220,6 @@ func bindFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.DurationVar((*time.Duration)(&cfg.Backoff), "backoff", time.Duration(cfg.Backoff), "base retry backoff (doubles per attempt, jittered)")
 	fs.StringVar(&cfg.DataDir, "data-dir", cfg.DataDir, "durable store directory: replay committed state at boot, flush on shutdown (empty = memory-only)")
 	fs.DurationVar((*time.Duration)(&cfg.CheckpointInterval), "checkpoint-interval", time.Duration(cfg.CheckpointInterval), "background checkpoint period (0 = flush only on shutdown; needs -data-dir)")
-	fs.Int64Var(&cfg.HotBytes, "hot-bytes", cfg.HotBytes, "DRAM budget for the store's hot set in bytes; overflow tiers to flash, loaded on first access (0 = all hot)")
 	fs.StringVar(&cfg.Listen, "listen", cfg.Listen, "serve /metrics, /debug/vars, and /debug/pprof on this address during the run (empty = off)")
 	fs.IntVar(&cfg.TraceEvery, "trace-every", cfg.TraceEvery, "trace every Nth request and dump span trees after the report (0 = off)")
 	fs.StringVar(&cfg.ServeAPI, "serve-api", cfg.ServeAPI, "serve the /v1 multi-tenant HTTP API on this address until interrupted (empty = load-generator mode)")

@@ -189,7 +189,6 @@ func TestPrintConfigRoundTrips(t *testing.T) {
 		"-serve-api", "127.0.0.1:0",
 		"-data-dir", "/tmp/hwserve-data",
 		"-checkpoint-interval", "250ms",
-		"-hot-bytes", "1048576",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,13 +217,12 @@ func TestPrintConfigRoundTrips(t *testing.T) {
 
 // TestStorageConfigPrecedence pins the storage fields through the
 // defaults < file < explicit flags chain: -data-dir on the command line
-// overrides the file's directory while the file's checkpoint interval and
-// hot budget stay in force.
+// overrides the file's directory while the file's checkpoint interval stays
+// in force.
 func TestStorageConfigPrecedence(t *testing.T) {
 	path := writeConfig(t, `{
 		"data_dir": "/var/lib/hwserve",
-		"checkpoint_interval": "5s",
-		"hot_bytes": 4096
+		"checkpoint_interval": "5s"
 	}`)
 	cfg, _, err := parseConfig([]string{
 		"-config", path,
@@ -239,10 +237,7 @@ func TestStorageConfigPrecedence(t *testing.T) {
 	if cfg.CheckpointInterval != Duration(5*time.Second) {
 		t.Fatalf("CheckpointInterval = %v, want file value 5s", time.Duration(cfg.CheckpointInterval))
 	}
-	if cfg.HotBytes != 4096 {
-		t.Fatalf("HotBytes = %d, want file value 4096", cfg.HotBytes)
-	}
-	if def := DefaultConfig(); def.DataDir != "" || def.CheckpointInterval != 0 || def.HotBytes != 0 {
+	if def := DefaultConfig(); def.DataDir != "" || def.CheckpointInterval != 0 {
 		t.Fatalf("storage defaults not off: %+v", def)
 	}
 }
@@ -267,7 +262,6 @@ func TestValidate(t *testing.T) {
 		{"checkpoint interval without data dir", func(c *Config) {
 			c.CheckpointInterval = Duration(time.Second)
 		}, false},
-		{"hot bytes without data dir", func(c *Config) { c.HotBytes = 1 }, false},
 		{"negative checkpoint interval", func(c *Config) {
 			c.DataDir = "d"
 			c.CheckpointInterval = Duration(-time.Second)
@@ -275,7 +269,6 @@ func TestValidate(t *testing.T) {
 		{"data dir with interval and budget", func(c *Config) {
 			c.DataDir = "d"
 			c.CheckpointInterval = Duration(time.Second)
-			c.HotBytes = 1 << 20
 		}, true},
 	}
 	for _, c := range cases {

@@ -177,7 +177,7 @@ func build(ctx context.Context, cfg Config) (*backend, error) {
 		opts.Trace = b.tracer
 	}
 	openStore := func(dir string) (*hwstar.Store, error) {
-		st, err := hwstar.OpenStore(hwstar.StoreOptions{Dir: dir, Machine: m, HotBytes: cfg.HotBytes})
+		st, err := hwstar.OpenStore(hwstar.StoreOptions{Dir: dir, Machine: m})
 		if err == nil {
 			b.stores = append(b.stores, st)
 		}
@@ -407,8 +407,8 @@ func (r *report) print(w io.Writer, cfg Config) {
 	}
 	if cfg.DataDir != "" {
 		h := r.health
-		fmt.Fprintf(w, "  durable store %s  (manifest v%d, recovered %d tables / %d hot, checkpoints %d, cold loads %d)\n",
-			cfg.DataDir, h.StoreVersion, h.Recovery.TablesTotal, h.Recovery.TablesHot, h.Checkpoints, h.ColdLoads)
+		fmt.Fprintf(w, "  durable store %s  (manifest v%d, recovered %d tables, checkpoints %d)\n",
+			cfg.DataDir, h.StoreVersion, h.Recovery.TablesTotal, h.Checkpoints)
 	}
 	if r.listenAddr != "" {
 		fmt.Fprintf(w, "  debug endpoints served on %s (/metrics, /debug/vars, /debug/pprof)\n", r.listenAddr)

@@ -518,14 +518,15 @@ type MemoryStats = mem.Stats
 
 // Store is the durable storage tier: checkpointed columnar segments with
 // per-segment checksums, an atomically-committed versioned manifest,
-// crash-recovery replay, and DRAM/flash tiering priced through the machine's
-// flash bandwidth. Arm one on a Server via ServerOptions.Store; the server
-// replays the hot set before admitting work and the caller closes the store
-// after Server.Close. See internal/store for the commit protocol.
+// crash-recovery replay priced through the machine's flash bandwidth. Every
+// stored table is resident. Arm one on a Server via ServerOptions.Store; the
+// server registers every stored table before admitting work and the caller
+// closes the store after Server.Close. See internal/store for the commit
+// protocol.
 type Store = store.Store
 
-// StoreOptions configures a Store: directory, pricing machine, fault
-// injector, and the DRAM budget of the hot/cold placement policy.
+// StoreOptions configures a Store: directory, pricing machine and fault
+// injector.
 type StoreOptions = store.Options
 
 // RecoveryStats describes one OpenStore's replay of durable state:

@@ -109,8 +109,10 @@ type Result struct {
 	BytesMoved int64
 }
 
-// hashNode assigns a key to a node.
-func hashNode(k int64, nodes int) int {
+// HashNode assigns a key to one of nodes (Fibonacci multiplicative
+// hashing): the cluster simulation's shuffle and the router's distributed
+// join both partition by it.
+func HashNode(k int64, nodes int) int {
 	h := uint64(k) * 0x9E3779B97F4A7C15
 	h ^= h >> 29
 	return int(h % uint64(nodes))
@@ -140,7 +142,7 @@ func shuffle(data []nodeData, nodes int) ([]nodeData, []int64) {
 	sent := make([]int64, nodes)
 	for src, nd := range data {
 		for i, k := range nd.keys {
-			dst := hashNode(k, nodes)
+			dst := HashNode(k, nodes)
 			out[dst].keys = append(out[dst].keys, k)
 			out[dst].vals = append(out[dst].vals, nd.vals[i])
 			if dst != src {

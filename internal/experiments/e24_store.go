@@ -69,7 +69,7 @@ func e24Verify(ctx context.Context, st *store.Store, want map[string][][]int64) 
 		mismatches++
 	}
 	for name, wantCols := range want {
-		t, _, err := st.Load(ctx, name)
+		t, err := st.Load(ctx, name)
 		if err != nil {
 			mismatches++
 			continue

@@ -208,11 +208,10 @@ func (f *Frontend) handleHealth(w http.ResponseWriter, r *http.Request) {
 		out.Durable = true
 		out.StoreVersion = h.StoreVersion
 		out.RecoveredTables = h.Recovery.TablesTotal
-		out.RecoveredHot = h.Recovery.TablesHot
+		out.RecoveredHot = h.Recovery.TablesTotal // every recovered table is resident
 		out.RecoveryFallbacks = h.Recovery.Fallbacks
 		out.Checkpoints = h.Checkpoints
 		out.CheckpointFailures = h.CheckpointFailures
-		out.ColdLoads = h.ColdLoads
 	}
 	if len(h.Tenants) > 0 {
 		c := f.reg.Counters()

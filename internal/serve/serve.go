@@ -46,10 +46,8 @@
 // With Options.Store armed the server is durable (see internal/store):
 // registered tables are staged into the segment store, Checkpoint writes an
 // atomically-committed manifest version while serving continues, and New
-// registers the hot tables the opened store already holds, so a restarted
+// registers every table the opened store already holds, so a restarted
 // server answers from the moment New returns (recovery is store.Open's work).
-// Cold-tier tables are validated at recovery but loaded lazily, priced
-// through the machine's flash-bandwidth tier, on their first request.
 // CheckpointInterval arms a background checkpointer whose segment staging
 // buffers are charged against the memory governor, so durability work
 // competes with queries under the same byte budget instead of around it.
@@ -289,7 +287,7 @@ type Options struct {
 	// Store arms the durable storage tier: an opened (and therefore already
 	// crash-recovered) segment store. Tables registered on the server are
 	// staged into it, Checkpoint persists them as an atomically-committed
-	// manifest version, and New registers the store's hot tables before it
+	// manifest version, and New registers every stored table before it
 	// returns. The server does not close the store; its opener does, after
 	// Server.Close. Nil (the default) keeps the server memory-only.
 	Store *store.Store
@@ -559,38 +557,24 @@ func (c lifetimeCtx) Err() error {
 	}
 }
 
-// registerStored registers the opened store's hot tables — resident after
-// store.Open, so each Load is a map lookup. Cold-tier tables are left to
-// loadCold on first touch, so a cold start under load pays flash bandwidth
-// only for tables the traffic actually asks for.
+// registerStored registers every table of the opened store — all resident
+// after store.Open, so each Load is a map lookup. The store hands back the
+// block streams it persisted, so a table is served as loaded — nothing is
+// re-encoded.
 func (s *Server) registerStored() error {
 	for _, name := range s.st.Tables() {
-		if s.st.Tier(name) != store.TierHot {
-			continue
-		}
-		vt, _, err := s.loadStored(lifetimeCtx{}, name)
+		t, err := s.st.Load(lifetimeCtx{}, name)
 		if err != nil {
 			return err
+		}
+		vt, ok := newVecTable(t)
+		if !ok {
+			return fmt.Errorf("serve: stored table %q is not an encoded int64 relation: %w", name, errs.ErrCorrupted)
 		}
 		s.tables[name] = vt
 		s.reg.Counter("serve.replayed_tables").Inc()
 	}
 	return nil
-}
-
-// loadStored reads one table from the durable store, returning the modeled
-// load cycles. The store hands back the block streams it persisted, so the
-// table is served as loaded — nothing is re-encoded.
-func (s *Server) loadStored(ctx context.Context, name string) (*vecTable, float64, error) {
-	t, cycles, err := s.st.Load(ctx, name)
-	if err != nil {
-		return nil, 0, err
-	}
-	vt, ok := newVecTable(t)
-	if !ok {
-		return nil, 0, fmt.Errorf("serve: stored table %q is not an encoded int64 relation: %w", name, errs.ErrCorrupted)
-	}
-	return vt, cycles, nil
 }
 
 // checkpointLoop persists the store every CheckpointInterval until Close.
@@ -778,49 +762,16 @@ func (s *Server) SetTenantMemCap(tenant string, bytes int64) {
 	s.gov.SetTenantCap(tenant, bytes)
 }
 
-// lookup returns the table registered under name, faulting cold-tier
-// tables in from the durable store on a miss. The caller holds a reference
-// to the table's lease and must release it.
-func (s *Server) lookup(ctx context.Context, name string) (*vecTable, bool) {
+// lookup returns the table registered under name. The caller holds a
+// reference to the table's lease and must release it.
+func (s *Server) lookup(name string) (*vecTable, bool) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	vt, ok := s.tables[name]
 	if ok {
 		vt.lease.Acquire()
 	}
-	s.mu.RUnlock()
-	if ok || s.st == nil {
-		return vt, ok
-	}
-	return s.loadCold(ctx, name)
-}
-
-// loadCold faults one cold-tier table in from the durable store: the load
-// pays the machine's flash-bandwidth price (recorded, not charged to the
-// triggering request — the warmed table serves every later request), and
-// the encoded table is registered so the next lookup hits memory.
-func (s *Server) loadCold(ctx context.Context, name string) (*vecTable, bool) {
-	if s.st.Tier(name) == "" {
-		return nil, false // not a stored table either
-	}
-	vt, cycles, err := s.loadStored(ctx, name)
-	if err != nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, false
-	}
-	// A racing loadCold may have won; keep the first registration so
-	// in-flight batches and this lookup agree on one table.
-	if prior, ok := s.tables[name]; ok {
-		prior.lease.Acquire()
-		return prior, true
-	}
-	s.tables[name] = vt
-	s.reg.Counter("serve.cold_loads").Inc()
-	s.reg.Histogram("serve.cold_load_cycles").Record(cycles)
-	return vt, true
+	return vt, ok
 }
 
 // validate rejects malformed requests before they consume queue space.
@@ -832,7 +783,7 @@ func (s *Server) validate(ctx context.Context, req Request) error {
 	}
 	switch req.Op {
 	case OpScan:
-		vt, ok := s.lookup(ctx, req.Table)
+		vt, ok := s.lookup(req.Table)
 		if !ok {
 			return fmt.Errorf("serve: unknown table %q: %w", req.Table, errs.ErrInvalidInput)
 		}
@@ -964,13 +915,33 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 	}
 }
 
-// Close stops intake and drains: queued requests are still served, the
-// background checkpointer and replay stop, then the server's goroutines
-// exit. On a durable server, one final checkpoint flushes every staged
-// table after the drain, so a cleanly-closed server restarts with nothing
-// to lose; its error (if any) is Close's error. Safe to call once; further
-// calls and further Submits return ErrClosed.
+// Close stops the server as Kill does, then, on a durable server, flushes
+// every staged table in one final checkpoint, so a cleanly-closed server
+// restarts with nothing to lose; the flush's error (if any) is Close's
+// error. Safe to call once; further calls and further Submits return
+// ErrClosed.
 func (s *Server) Close() error {
+	if err := s.Kill(); err != nil {
+		return err
+	}
+	if s.st != nil {
+		// The drain is over and nothing mutates the table set anymore; a
+		// nil-done lifetimeCtx (never cancelled) is the right scope for the
+		// shutdown flush.
+		if _, err := s.Checkpoint(lifetimeCtx{}); err != nil {
+			return fmt.Errorf("serve: close flush: %w", err)
+		}
+	}
+	return nil
+}
+
+// Kill stops the server as a crash would, leaving its store as the last
+// checkpoint left it: intake closes, the background checkpointer stops,
+// queued requests drain through the executors, and nothing is flushed. A
+// killed node's store may already belong to its successor, which a
+// shutdown flush would overwrite. Safe to call once; further calls, Close
+// after it and further Submits return ErrClosed.
+func (s *Server) Kill() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -984,14 +955,6 @@ func (s *Server) Close() error {
 		close(s.stopc)
 	}
 	s.wg.Wait()
-	if s.st != nil {
-		// The drain is over and nothing mutates the table set anymore; a
-		// nil-done lifetimeCtx (never cancelled) is the right scope for the
-		// shutdown flush.
-		if _, err := s.Checkpoint(lifetimeCtx{}); err != nil {
-			return fmt.Errorf("serve: close flush: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -1232,7 +1195,7 @@ func (s *Server) admit(d *dispatcher, p *pending) {
 	ev := event{kind: evArrive, p: p}
 	if p.req.Op == OpScan {
 		if d.open == nil || d.open.table != p.req.Table {
-			vt, ok := s.lookup(p.ctx, p.req.Table)
+			vt, ok := s.lookup(p.req.Table)
 			if !ok { // table dropped since validation
 				s.finish(p, Response{}, fmt.Errorf("serve: unknown table %q: %w", p.req.Table, errs.ErrInvalidInput))
 				return
@@ -1541,15 +1504,14 @@ type Health struct {
 	// store's crash-recovery report (manifest version restored, fallback and
 	// corruption counts, bytes validated); LastCheckpoint the most recent
 	// checkpoint's shape. Checkpoints/CheckpointFailures/CheckpointMemShed
-	// count background and explicit checkpoint outcomes; ColdLoads and
-	// ReplayedTables count tables faulted in from the flash tier and tables
-	// registered from the store at boot.
+	// count background and explicit checkpoint outcomes; ReplayedTables
+	// counts tables registered from the store at boot.
 	Durable                         bool
 	Recovery                        store.RecoveryStats
 	LastCheckpoint                  store.CheckpointStats
 	StoreVersion                    uint64
 	Checkpoints, CheckpointFailures int64
-	CheckpointMemShed, ColdLoads    int64
+	CheckpointMemShed               int64
 	ReplayedTables                  int64
 
 	// VecPasses counts shared-scan passes; the block counters decompose
@@ -1612,7 +1574,6 @@ func HealthFromCounters(c map[string]int64) Health {
 		Checkpoints:        c["serve.checkpoints"],
 		CheckpointFailures: c["serve.checkpoint_failures"],
 		CheckpointMemShed:  c["serve.checkpoint_mem_shed"],
-		ColdLoads:          c["serve.cold_loads"],
 		ReplayedTables:     c["serve.replayed_tables"],
 		VecPasses:          c["serve.vec_passes"],
 		VecBlocksPruned:    c["serve.vec_blocks_pruned"],

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -216,75 +217,36 @@ func TestConcurrentRegisterRacesRecovery(t *testing.T) {
 	}
 }
 
-// TestColdTableFaultsInOnDemand boots against a store whose hot budget fits
-// only one table: the cold one is not registered at replay, and the first
-// scan against it faults it in from the flash tier (priced, counted), after
-// which it serves from memory.
-func TestColdTableFaultsInOnDemand(t *testing.T) {
+// TestRecoversTableRecordedCold boots against testdata/cold_manifest, a
+// data dir whose committed manifest (v2) records "small" in the cold tier,
+// as a store with a DRAM budget that fit only "big" wrote it: 1000 rows of
+// testRelation as "big", {1,2,3} x {10,20,30} as "small". Recovery ignores
+// the recorded tier, so both tables are registered at boot and served.
+func TestRecoversTableRecordedCold(t *testing.T) {
 	dir := t.TempDir()
-	cols, expect := testRelation(4000)
-	small := [][]int64{{1, 2, 3}, {10, 20, 30}}
-
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "cold_manifest"))); err != nil {
+		t.Fatal(err)
+	}
 	st := openStore(t, dir, store.Options{})
+	defer st.Close()
 	s := newServer(t, Options{Store: st})
-	if err := s.Register("big", cols); err != nil {
-		t.Fatal(err)
+	defer s.Close()
+	if h := s.Health(); h.ReplayedTables != 2 || h.Recovery.ManifestVersion != 2 {
+		t.Fatalf("replayed %d tables from manifest v%d, want 2 from v2", h.ReplayedTables, h.Recovery.ManifestVersion)
 	}
-	if err := s.Register("small", small); err != nil {
-		t.Fatal(err)
-	}
-	// Touch big more so the classifier ranks it hotter than small.
-	for i := 0; i < 32; i++ {
-		if _, err := s.Submit(context.Background(), Request{Op: OpScan, Table: "big", Query: scan.Query{FilterCol: 0, Lo: 0, Hi: 1, AggCol: 1}}); err != nil {
+	_, expect := testRelation(1000)
+	for _, c := range []struct {
+		table string
+		hi    int64
+		want  int64
+	}{{"small", 100, 60}, {"big", 10000, expect(0, 10000)}} {
+		resp, err := s.Submit(context.Background(), Request{Op: OpScan, Table: c.table, Query: scan.Query{FilterCol: 0, Lo: 0, Hi: c.hi, AggCol: 1}})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A hot budget that fits big at its resident (encoded) size — about
-	// 11.6 KB, not the 64000 raw bytes of 4000 rows × 2 cols × 8B — but not
-	// big+small (small is 48 bytes encoded) leaves the colder one out.
-	bigEnc, err := store.TableFromCols("big", cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bigEnc.Bytes() >= 16<<10 {
-		t.Fatalf("big is %d bytes resident, want it block-encoded (raw 64000)", bigEnc.Bytes())
-	}
-	st2 := openStore(t, dir, store.Options{HotBytes: bigEnc.Bytes() + 24})
-	defer st2.Close()
-	s2 := newServer(t, Options{Store: st2})
-	defer s2.Close()
-	if got := s2.Health().ReplayedTables; got != 1 {
-		t.Fatalf("replayed %d tables, want only the hot one", got)
-	}
-	if tier := st2.Tier("small"); tier != store.TierCold {
-		t.Fatalf("small tier = %q, want cold", tier)
-	}
-	resp, err := s2.Submit(context.Background(), Request{Op: OpScan, Table: "small", Query: scan.Query{FilterCol: 0, Lo: 0, Hi: 100, AggCol: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Sum != 60 {
-		t.Fatalf("cold scan sum = %d, want 60", resp.Sum)
-	}
-	h := s2.Health()
-	if h.ColdLoads != 1 {
-		t.Fatalf("cold loads = %d, want 1", h.ColdLoads)
-	}
-	// The hot table recovered too.
-	want := expect(0, 10000)
-	resp, err = s2.Submit(context.Background(), Request{Op: OpScan, Table: "big", Query: scan.Query{FilterCol: 0, Lo: 0, Hi: 10000, AggCol: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Sum != want {
-		t.Fatalf("hot scan sum = %d, want %d", resp.Sum, want)
+		if resp.Sum != c.want {
+			t.Fatalf("%s scan sum = %d, want %d", c.table, resp.Sum, c.want)
+		}
 	}
 }
 

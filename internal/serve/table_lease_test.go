@@ -98,7 +98,7 @@ func TestLoadPinsLeasedTable(t *testing.T) {
 	if err := s.Register("t", v1); err != nil {
 		t.Fatal(err)
 	}
-	loaded, _, err := st.Load(context.Background(), "t")
+	loaded, err := st.Load(context.Background(), "t")
 	if err != nil {
 		t.Fatal(err)
 	}

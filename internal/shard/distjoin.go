@@ -117,7 +117,7 @@ func splitJoin(in join.Input, n int, strat cluster.Strategy, lease *mem.Lease) [
 func hashSplit(keys, vals []int64, n int, lease *mem.Lease) (pkeys, pvals [][]int64) {
 	next := make([]int, n) // a partition's size, then its write cursor
 	for _, k := range keys {
-		next[hashPart(k, n)]++
+		next[cluster.HashNode(k, n)]++
 	}
 	allKeys := lease.Column(len(keys))
 	allVals := lease.Column(len(keys))
@@ -130,18 +130,10 @@ func hashSplit(keys, vals []int64, n int, lease *mem.Lease) (pkeys, pvals [][]in
 		off += size
 	}
 	for i, k := range keys {
-		d := hashPart(k, n)
+		d := cluster.HashNode(k, n)
 		allKeys[next[d]] = k
 		allVals[next[d]] = vals[i]
 		next[d]++
 	}
 	return pkeys, pvals
-}
-
-// hashPart assigns a join key to a sub-join, mirroring the cluster
-// simulation's node hash (Fibonacci multiplicative hashing).
-func hashPart(k int64, n int) int {
-	h := uint64(k) * 0x9E3779B97F4A7C15
-	h ^= h >> 29
-	return int(h % uint64(n))
 }

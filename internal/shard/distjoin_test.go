@@ -26,12 +26,12 @@ func TestSplitJoinShuffle(t *testing.T) {
 	for _, n := range []int{2, 3, 7} {
 		want := make([]join.Input, n)
 		for i, k := range in.BuildKeys {
-			d := hashPart(k, n)
+			d := cluster.HashNode(k, n)
 			want[d].BuildKeys = append(want[d].BuildKeys, k)
 			want[d].BuildVals = append(want[d].BuildVals, in.BuildVals[i])
 		}
 		for i, k := range in.ProbeKeys {
-			d := hashPart(k, n)
+			d := cluster.HashNode(k, n)
 			want[d].ProbeKeys = append(want[d].ProbeKeys, k)
 			want[d].ProbeVals = append(want[d].ProbeVals, in.ProbeVals[i])
 		}

@@ -10,10 +10,12 @@ import (
 
 // KillNode simulates whole-node loss (fault.ClassNodeLoss made manual):
 // the node's serve.Server disappears from routing immediately and is
-// drained in the background. In-flight requests against it either finish
-// or fail over; new dispatches skip it. The node's durable store — bytes
-// on disk — survives, exactly like a crashed machine's disks, and seeds
-// recovery when the node revives. Killing an already-dead node is a no-op.
+// killed in the background (serve.Server.Kill: drained, never flushed).
+// In-flight requests against it either finish or fail over; new dispatches
+// skip it. The node's durable store — bytes on disk — survives, exactly
+// like a crashed machine's disks, and seeds recovery when the node revives:
+// the revived server shares the store, so the dead one must not commit to
+// it. Killing an already-dead node is a no-op.
 func (r *Router) KillNode(id int) error {
 	n, err := r.nodeByID(id)
 	if err != nil {
@@ -34,7 +36,11 @@ func (r *Router) KillNode(id int) error {
 		r.reapWG.Add(1)
 		go func() {
 			defer r.reapWG.Done()
-			srv.Close()
+			if c := r.opts.reapHold; c != nil {
+				c <- struct{}{}
+				<-c
+			}
+			srv.Kill()
 		}()
 	}
 	return nil
@@ -158,7 +164,7 @@ func (r *Router) fetchStripe(ctx context.Context, nodes []*node, part *partition
 		if src.st == nil {
 			continue
 		}
-		if t, _, err := src.st.Load(ctx, part.derived); err == nil {
+		if t, err := src.st.Load(ctx, part.derived); err == nil {
 			return t, true
 		}
 	}

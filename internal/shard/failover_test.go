@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -231,6 +232,40 @@ func TestKillAndRecoverIdempotent(t *testing.T) {
 	}
 	if err := r.KillNode(9); !errors.Is(err, errs.ErrInvalidInput) {
 		t.Fatalf("out-of-range kill: %v, want ErrInvalidInput", err)
+	}
+}
+
+// TestKilledNodeNeverCommits pins that a kill is a crash-stop: the revived
+// node shares the dead one's store, so the dead server, stopped in the
+// background after its successor has opened that store, must commit
+// nothing to it. The reaper is held until the successor has checkpointed,
+// then let go; the store must still be at the successor's version.
+func TestKilledNodeNeverCommits(t *testing.T) {
+	ctx := context.Background()
+	cols, _ := testRelation(9000)
+	hold := make(chan struct{})
+	r := newRouter(t, Options{Shards: 3, Replicas: 2, Stores: openStores(t, 3), reapHold: hold})
+	if err := r.Register("ev", cols); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	<-hold // the reaper holds the dead server, not yet stopped
+	release := sync.OnceFunc(func() { hold <- struct{}{} })
+	t.Cleanup(release) // before the router's Close, which waits for the reaper
+	if err := r.RecoverNode(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	n := r.nodes[1]
+	if _, err := n.server().Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	v := n.st.Version()
+	release()
+	r.reapWG.Wait()
+	if got := n.st.Version(); got != v {
+		t.Fatalf("the killed server committed manifest v%d over its successor's v%d", got, v)
 	}
 }
 

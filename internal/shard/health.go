@@ -167,7 +167,6 @@ func (r *Router) Health() serve.Health {
 		out.Recovery.Fallbacks += h.Recovery.Fallbacks
 		out.Recovery.CorruptSegments += h.Recovery.CorruptSegments
 		out.Recovery.TablesTotal += h.Recovery.TablesTotal
-		out.Recovery.TablesHot += h.Recovery.TablesHot
 		out.Recovery.BytesValidated += h.Recovery.BytesValidated
 		out.Recovery.SimCycles += h.Recovery.SimCycles
 		out.Recovery.WallNanos += h.Recovery.WallNanos

@@ -86,14 +86,16 @@ type Options struct {
 	// budget (per-shard governors still apply).
 	Memory mem.Config
 
-	// hedgeDelay and maxInflight are test seams. hedgeDelay, when positive,
-	// replaces the measured per-op-class hedge deadline with a fixed one, so
-	// tests force (time.Nanosecond) or forbid (time.Hour) hedging
-	// deterministically. maxInflight, when positive, replaces the Shards ×
-	// 256 cluster-wide admission bound, so a test can fill it with one
-	// request.
+	// hedgeDelay, maxInflight and reapHold are test seams. hedgeDelay, when
+	// positive, replaces the measured per-op-class hedge deadline with a
+	// fixed one, so tests force (time.Nanosecond) or forbid (time.Hour)
+	// hedging deterministically. maxInflight, when positive, replaces the
+	// Shards × 256 cluster-wide admission bound, so a test can fill it with
+	// one request. reapHold, when non-nil, stops KillNode's reaper before it
+	// kills the dead server: it sends on the channel, then receives.
 	hedgeDelay  time.Duration
 	maxInflight int
+	reapHold    chan struct{}
 }
 
 // A node's router-side breaker opens after routeBreakerThreshold

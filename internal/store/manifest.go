@@ -13,6 +13,7 @@ import (
 
 	"hwstar/internal/errs"
 	"hwstar/internal/fault"
+	"hwstar/internal/table"
 )
 
 // Manifest commit protocol. A checkpoint becomes durable in two atomic
@@ -38,11 +39,11 @@ const (
 )
 
 // Manifest is one committed version of the store: which segment holds each
-// table, and which tier the placement policy assigned it.
+// table.
 type Manifest struct {
 	// Version is the monotonically increasing checkpoint number.
 	Version uint64 `json:"version"`
-	// Tables maps table name to its persisted location and placement.
+	// Tables maps table name to its persisted location.
 	Tables map[string]TableEntry `json:"tables"`
 }
 
@@ -50,22 +51,23 @@ type Manifest struct {
 type TableEntry struct {
 	// Segment is the segment file name (relative to the store directory).
 	Segment string `json:"segment"`
-	// Rows and Bytes describe the table. Bytes is the resident footprint —
-	// int64 columns at their compressed size — which is what the tiering
-	// budget governs.
+	// Rows and Bytes describe the table. Bytes is the resident footprint:
+	// int64 columns at their compressed size.
 	Rows  int   `json:"rows"`
 	Bytes int64 `json:"bytes"`
-	// Tier is the placement the policy chose: TierHot (DRAM-resident,
-	// loaded eagerly at recovery) or TierCold (flash-resident, loaded on
-	// first access).
+	// Tier is always TierHot when written, so a store that still places
+	// tables by tier reads every table as resident. Recovery ignores it: a
+	// manifest that records a table "cold" recovers that table eagerly too.
 	Tier string `json:"tier"`
 }
 
-// Placement tiers.
-const (
-	TierHot  = "hot"
-	TierCold = "cold"
-)
+// TierHot is the only tier a manifest records.
+const TierHot = "hot"
+
+// tableEntry is the manifest row of table t committed in segment seg.
+func tableEntry(seg string, t *table.Table) TableEntry {
+	return TableEntry{Segment: seg, Rows: t.NumRows(), Bytes: t.Bytes(), Tier: TierHot}
+}
 
 func manifestName(version uint64) string { return fmt.Sprintf("MANIFEST-%08d", version) }
 

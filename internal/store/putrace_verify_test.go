@@ -22,7 +22,7 @@ func TestVerifyPutDuringCheckpointReview(t *testing.T) {
 			t.Fatalf("second checkpoint: %v", err)
 		}
 		r := mustOpen(t, Options{Dir: dir})
-		got, _, err := r.Load(context.Background(), "a")
+		got, err := r.Load(context.Background(), "a")
 		if err != nil {
 			t.Fatalf("iter %d: load after restart: %v", iter, err)
 		}

@@ -1,6 +1,6 @@
 // Package store is hwstar's durable storage tier: checkpointed columnar
 // segments with per-segment checksums, an atomically-committed versioned
-// manifest, crash-recovery replay, and a DRAM/flash tiering policy.
+// manifest, and crash-recovery replay.
 //
 // The keynote's argument applies below DRAM too: real hardware crashes,
 // tears writes across sector boundaries, and silently flips bits, so a
@@ -13,10 +13,9 @@
 // recovered store.
 //
 // Commit protocol and recovery semantics are documented in manifest.go; the
-// segment file format in segment.go. Placement is priced through the hw
-// model's flash bandwidth tier: hot tables (by the hotcold estimator, within
-// the DRAM budget) are loaded eagerly at recovery, cold tables stay on flash
-// and pay the flash transfer on first access.
+// segment file format in segment.go. Every stored table is resident: recovery
+// loads each one eagerly, and its flash reads are priced through the hw
+// model's flash bandwidth tier.
 package store
 
 import (
@@ -34,7 +33,6 @@ import (
 	"hwstar/internal/compress"
 	"hwstar/internal/errs"
 	"hwstar/internal/fault"
-	"hwstar/internal/hotcold"
 	"hwstar/internal/hw"
 	"hwstar/internal/mem"
 	"hwstar/internal/table"
@@ -46,28 +44,17 @@ import (
 // from a real failure; recovery treats the two identically.
 var ErrInjectedCrash = errors.New("store: injected crash")
 
-// maxAccessLog bounds the tiering access log; when full the older half is
-// dropped (recent slices dominate the smoothed estimate anyway).
-const maxAccessLog = 1 << 16
-
 // Options configures a Store.
 type Options struct {
 	// Dir is the store directory, created if absent.
 	Dir string
-	// Machine prices flash traffic (checkpoint writes, recovery and
-	// cold-load reads) in simulated cycles through its flash bandwidth
-	// tier. Nil disables pricing (SimCycles stay 0).
+	// Machine prices flash traffic (checkpoint writes and recovery reads)
+	// in simulated cycles through its flash bandwidth tier. Nil disables
+	// pricing (SimCycles stay 0).
 	Machine *hw.Machine
 	// Faults injects durability faults at checkpoint sites. Nil injects
 	// nothing.
 	Faults *fault.Injector
-	// HotBytes is the DRAM budget of the placement policy: the hottest
-	// tables whose summed resident footprint — columns at their compressed
-	// size, which is how the store holds them — fits are TierHot
-	// (resident, loaded eagerly at recovery); the rest are TierCold
-	// (flash-resident, loaded and priced on first access). Zero or negative
-	// pins everything hot.
-	HotBytes int64
 }
 
 // RecoveryStats describes one Open's replay of durable state.
@@ -80,10 +67,8 @@ type RecoveryStats struct {
 	// CorruptSegments counts segment files that failed checksum or decode
 	// validation during recovery (across rejected candidates).
 	CorruptSegments int `json:"corrupt_segments"`
-	// TablesTotal and TablesHot count recovered tables and how many the
-	// placement policy made DRAM-resident.
+	// TablesTotal counts recovered tables, every one of them resident.
 	TablesTotal int `json:"tables_total"`
-	TablesHot   int `json:"tables_hot"`
 	// BytesValidated is the segment bytes read and checksum-validated.
 	BytesValidated int64 `json:"bytes_validated"`
 	// SimCycles is the modeled flash-read cost of the replay; WallNanos
@@ -108,29 +93,22 @@ type CheckpointStats struct {
 
 // entry is the in-memory state of one table.
 type entry struct {
-	t     *table.Table // nil when cold (flash-resident, not yet loaded)
-	seg   string       // segment file backing the last committed version
-	rows  int
-	bytes int64
-	tier  string
-	dirty bool // differs from the last committed segment
-	id    int64
+	t     *table.Table
+	seg   string // segment file backing the last committed version
+	dirty bool   // differs from the last committed segment
 	// lease owns t's payload when Register encoded it: the entry holds a
-	// reference while it holds t (nil once pinned by Load or evicted).
+	// reference while it holds t (nil once pinned by Load).
 	lease *mem.Lease
 }
 
 // Store is the durable tier. All methods are safe for concurrent use.
 type Store struct {
-	mu        sync.Mutex
-	cpMu      sync.Mutex // serializes checkpoints (single-flight)
-	opts      Options
-	version   uint64
-	tables    map[string]*entry
-	ids       map[string]int64
-	nextID    int64
-	accessLog []int64
-	closed    bool
+	mu      sync.Mutex
+	cpMu    sync.Mutex // serializes checkpoints (single-flight)
+	opts    Options
+	version uint64
+	tables  map[string]*entry
+	closed  bool
 
 	recovery RecoveryStats
 	lastCP   CheckpointStats
@@ -144,8 +122,8 @@ type Store struct {
 // Open opens (or creates) the store at opts.Dir and replays durable state:
 // it follows CURRENT to the committed manifest, validates every referenced
 // segment checksum, and falls back to the newest older manifest that
-// validates end to end when anything is corrupt. Hot tables are loaded into
-// DRAM eagerly; cold tables stay on flash until first Load. A directory
+// validates end to end when anything is corrupt. Every table is loaded
+// eagerly, whatever tier an older manifest recorded for it. A directory
 // whose manifests are all corrupt is unrecoverable: Open fails wrapping
 // errs.ErrCorrupted rather than silently serving an empty store.
 func Open(opts Options) (*Store, error) {
@@ -155,7 +133,7 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
-	s := &Store{opts: opts, tables: make(map[string]*entry), ids: make(map[string]int64)}
+	s := &Store{opts: opts, tables: make(map[string]*entry)}
 	start := time.Now()
 	if err := s.recover(); err != nil {
 		return nil, err
@@ -174,7 +152,7 @@ func (s *Store) recover() error {
 	}
 	var lastErr error
 	for _, name := range candidates {
-		clear(s.tables) // drop hot tables staged by a rejected candidate
+		clear(s.tables) // drop tables staged by a rejected candidate
 		m, bytesRead, corrupt, err := s.tryManifest(name)
 		s.recovery.BytesValidated += bytesRead
 		s.recovery.CorruptSegments += corrupt
@@ -183,7 +161,9 @@ func (s *Store) recover() error {
 			lastErr = err
 			continue
 		}
-		s.installManifest(m)
+		s.version = m.Version
+		s.recovery.ManifestVersion = m.Version
+		s.recovery.TablesTotal = len(m.Tables)
 		if s.opts.Machine != nil {
 			s.recovery.SimCycles = float64(s.recovery.BytesValidated) / s.opts.Machine.FlashBandwidth(1)
 		}
@@ -220,8 +200,9 @@ func (s *Store) recoveryCandidates() []string {
 }
 
 // tryManifest validates one manifest candidate and all segments it
-// references, returning the decoded manifest on success. Hot tables come
-// back decoded; cold tables are validated and dropped.
+// references, returning the decoded manifest on success. Every table it
+// validates is staged in s.tables; the tier an older manifest recorded is
+// ignored.
 func (s *Store) tryManifest(name string) (m *Manifest, bytesRead int64, corruptSegments int, err error) {
 	raw, err := os.ReadFile(filepath.Join(s.opts.Dir, name))
 	if err != nil {
@@ -243,70 +224,9 @@ func (s *Store) tryManifest(name string) (m *Manifest, bytesRead int64, corruptS
 		if segErr != nil {
 			return nil, bytesRead, 1, fmt.Errorf("store: manifest %s table %q: %w", name, tbl, segErr)
 		}
-		if e.Tier == TierHot {
-			s.stageRecovered(tbl, t, e)
-		}
+		s.tables[tbl] = &entry{t: t, seg: e.Segment}
 	}
 	return m, bytesRead, 0, nil
-}
-
-// stageRecovered parks a validated hot table; installManifest adopts it.
-func (s *Store) stageRecovered(name string, t *table.Table, e TableEntry) {
-	s.tables[name] = &entry{t: t, seg: e.Segment, rows: e.Rows, bytes: e.Bytes, tier: e.Tier, id: s.idFor(name)}
-}
-
-// installManifest adopts a fully validated manifest as the store state,
-// re-fitting the recorded placement to THIS boot's hot budget: the manifest
-// records the tiers of the machine that wrote it, and a restart on a
-// smaller-DRAM profile must not inflate the resident set past its own
-// Options.HotBytes. Recorded-hot tables keep priority (largest first, then
-// name, deterministically) and the overflow is demoted to cold — validated
-// already, reloaded from flash on first access. Nothing is promoted at
-// boot: there is no access history yet to justify it.
-func (s *Store) installManifest(m *Manifest) {
-	s.version = m.Version
-	names := make([]string, 0, len(m.Tables))
-	for name := range m.Tables {
-		names = append(names, name)
-	}
-	sort.Strings(names) // deterministic tiering-id assignment
-	for _, name := range names {
-		e := m.Tables[name]
-		if _, hot := s.tables[name]; !hot {
-			s.tables[name] = &entry{seg: e.Segment, rows: e.Rows, bytes: e.Bytes, tier: e.Tier, id: s.idFor(name)}
-		}
-	}
-	if s.opts.HotBytes > 0 {
-		fit := make([]string, 0, len(names))
-		for _, name := range names {
-			if s.tables[name].tier == TierHot {
-				fit = append(fit, name)
-			}
-		}
-		sort.Slice(fit, func(i, j int) bool {
-			a, b := s.tables[fit[i]], s.tables[fit[j]]
-			if a.bytes != b.bytes {
-				return a.bytes > b.bytes
-			}
-			return fit[i] < fit[j]
-		})
-		var resident int64
-		for _, name := range fit {
-			e := s.tables[name]
-			if resident+e.bytes <= s.opts.HotBytes {
-				resident += e.bytes
-				continue
-			}
-			e.tier, e.t = TierCold, nil
-		}
-	}
-	s.recovery.ManifestVersion = m.Version
-	s.recovery.TablesTotal = len(m.Tables)
-	for _, e := range s.tables {
-		if e.t != nil {
-			s.recovery.TablesHot++
-		}
-	}
 }
 
 // readSegment opens, validates and decodes one segment file, returning the
@@ -334,18 +254,6 @@ func removeOrphanTemps(dir string) {
 	}
 }
 
-// idFor returns the stable tiering id of a table name. Callers hold s.mu
-// (or run single-threaded inside Open).
-func (s *Store) idFor(name string) int64 {
-	if id, ok := s.ids[name]; ok {
-		return id
-	}
-	id := s.nextID
-	s.nextID++
-	s.ids[name] = id
-	return id
-}
-
 // Put stages a table: it becomes visible to Load immediately and is written
 // out by the next checkpoint. Tables are immutable; putting the same name
 // again replaces it (and re-dirties it). The store holds FOR/RLE block
@@ -355,7 +263,7 @@ func (s *Store) idFor(name string) int64 {
 func (s *Store) Put(t *table.Table) error { return s.PutLeased(t, nil) }
 
 // PutLeased is Put for a table whose payload l owns (TableFromColsLeased):
-// the entry holds a reference to l until a replacing Put or an eviction, and
+// the entry holds a reference to l until a replacing Put or a Load, and
 // a checkpoint writing t holds its own.
 func (s *Store) PutLeased(t *table.Table, l *mem.Lease) error {
 	if t == nil {
@@ -374,66 +282,29 @@ func (s *Store) PutLeased(t *table.Table, l *mem.Lease) error {
 	if s.closed {
 		return fmt.Errorf("store: put %q: %w", t.Name(), errs.ErrClosed)
 	}
-	id := s.idFor(t.Name())
 	if old := s.tables[t.Name()]; old != nil {
 		old.lease.Release()
 	}
 	l.Acquire()
-	s.tables[t.Name()] = &entry{t: t, rows: t.NumRows(), bytes: t.Bytes(), tier: TierHot, dirty: true, id: id, lease: l}
-	s.noteAccess(id)
+	s.tables[t.Name()] = &entry{t: t, dirty: true, lease: l}
 	return nil
 }
 
-// Load returns the named table, reading it from flash when it is cold. The
-// access is recorded for the placement policy, and a cold load is priced at
-// flash bandwidth (returned cycles accumulate in Stats). Unknown names
-// wrap errs.ErrInvalidInput. Load has no release, so a leased table it hands
-// out is pinned: its entry's reference is never dropped.
-func (s *Store) Load(ctx context.Context, name string) (*table.Table, float64, error) {
+// Load returns the named table. Unknown names wrap errs.ErrInvalidInput.
+// Load has no release, so a leased table it hands out is pinned: its entry's
+// reference is never dropped.
+func (s *Store) Load(ctx context.Context, name string) (*table.Table, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, 0, fmt.Errorf("store: load %q: %w", name, err)
+		return nil, fmt.Errorf("store: load %q: %w", name, err)
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e, ok := s.tables[name]
 	if !ok {
-		s.mu.Unlock()
-		return nil, 0, fmt.Errorf("store: unknown table %q: %w", name, errs.ErrInvalidInput)
+		return nil, fmt.Errorf("store: unknown table %q: %w", name, errs.ErrInvalidInput)
 	}
-	s.noteAccess(e.id)
-	if e.t != nil {
-		t := e.t
-		e.lease = nil // pin
-		s.mu.Unlock()
-		return t, 0, nil
-	}
-	seg := e.seg
-	s.mu.Unlock()
-
-	// Cold load: read and validate outside the lock — segments are
-	// immutable once committed, and a concurrent identical load is
-	// harmless (last writer wins with an equal table).
-	t, n, err := readSegment(filepath.Join(s.opts.Dir, seg))
-	if err != nil {
-		return nil, 0, err
-	}
-	var cycles float64
-	if s.opts.Machine != nil {
-		cycles = float64(n) / s.opts.Machine.FlashBandwidth(1)
-	}
-	s.mu.Lock()
-	if cur, ok := s.tables[name]; ok && cur.t == nil {
-		cur.t = t
-	}
-	s.mu.Unlock()
-	return t, cycles, nil
-}
-
-// noteAccess appends to the tiering access log. Callers hold s.mu.
-func (s *Store) noteAccess(id int64) {
-	if len(s.accessLog) >= maxAccessLog {
-		s.accessLog = append(s.accessLog[:0], s.accessLog[maxAccessLog/2:]...)
-	}
-	s.accessLog = append(s.accessLog, id)
+	e.lease = nil // pin
+	return e.t, nil
 }
 
 // Tables returns the known table names, sorted.
@@ -446,16 +317,6 @@ func (s *Store) Tables() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Tier returns the placement tier of the named table ("" when unknown).
-func (s *Store) Tier(name string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.tables[name]; ok {
-		return e.tier
-	}
-	return ""
 }
 
 // CreateSegment returns a writer for one table's segment at the given
@@ -473,7 +334,7 @@ func (s *Store) CreateSegment(tbl string, version uint64) (*SegmentWriter, error
 }
 
 // Checkpoint writes every dirty table as a fresh segment, commits a new
-// manifest version, and applies the placement policy. Each segment's
+// manifest version. Each segment's
 // staging buffer is charged against res (nil skips governance): a
 // checkpoint on a loaded server degrades to ErrMemoryPressure instead of
 // OOMing it. Injected durability faults surface as ErrInjectedCrash
@@ -513,10 +374,9 @@ func (s *Store) Checkpoint(ctx context.Context, res *mem.Reservation) (Checkpoin
 			e.lease.Acquire() // a Put racing the write must not recycle e.t
 			jobs = append(jobs, job{name, e.t, e.lease})
 		} else {
-			manifest.Tables[name] = TableEntry{Segment: e.seg, Rows: e.rows, Bytes: e.bytes, Tier: e.tier}
+			manifest.Tables[name] = tableEntry(e.seg, e.t)
 		}
 	}
-	tiers := s.placements()
 	s.mu.Unlock()
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].name < jobs[j].name })
 
@@ -529,16 +389,9 @@ func (s *Store) Checkpoint(ctx context.Context, res *mem.Reservation) (Checkpoin
 		if err != nil {
 			return stats, err
 		}
-		manifest.Tables[j.name] = TableEntry{
-			Segment: fmt.Sprintf("%s-%08d.seg", j.name, version),
-			Rows:    j.t.NumRows(), Bytes: j.t.Bytes(),
-		}
+		manifest.Tables[j.name] = tableEntry(fmt.Sprintf("%s-%08d.seg", j.name, version), j.t)
 		stats.Segments++
 		stats.Bytes += n
-	}
-	for name, e := range manifest.Tables {
-		e.Tier = tiers[name]
-		manifest.Tables[name] = e
 	}
 
 	raw, err := encodeManifest(manifest)
@@ -562,12 +415,7 @@ func (s *Store) Checkpoint(ctx context.Context, res *mem.Reservation) (Checkpoin
 			// stays dirty for the next checkpoint to pick up.
 			continue
 		}
-		e.seg, e.tier, e.dirty = me.Segment, me.Tier, false
-		if e.tier == TierCold {
-			e.t = nil // evict: cold tables live on flash, reloaded on access
-			e.lease.Release()
-			e.lease = nil
-		}
+		e.seg, e.dirty = me.Segment, false
 	}
 	if s.opts.Machine != nil {
 		stats.SimCycles = float64(stats.Bytes) / s.opts.Machine.FlashBandwidth(1)
@@ -619,49 +467,6 @@ func (s *Store) writeSegment(name string, t *table.Table, version uint64, res *m
 		return 0, err
 	}
 	return int64(size), nil
-}
-
-// placements runs the tiering policy: smooth the access log, rank tables by
-// estimated frequency, and pin the hottest within the DRAM budget. Callers
-// hold s.mu.
-func (s *Store) placements() map[string]string {
-	out := make(map[string]string, len(s.tables))
-	if s.opts.HotBytes <= 0 {
-		for name := range s.tables {
-			out[name] = TierHot
-		}
-		return out
-	}
-	est, err := hotcold.NewEstimator().Estimate(s.accessLog)
-	if err != nil {
-		est = map[int64]float64{}
-	}
-	type cand struct {
-		name  string
-		bytes int64
-		f     float64
-		id    int64
-	}
-	cands := make([]cand, 0, len(s.tables))
-	for name, e := range s.tables {
-		cands = append(cands, cand{name, e.bytes, est[e.id], e.id})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].f != cands[j].f {
-			return cands[i].f > cands[j].f
-		}
-		return cands[i].id < cands[j].id
-	})
-	var used int64
-	for _, c := range cands {
-		if c.f > 0 && used+c.bytes <= s.opts.HotBytes {
-			out[c.name] = TierHot
-			used += c.bytes
-		} else {
-			out[c.name] = TierCold
-		}
-	}
-	return out
 }
 
 // Version returns the last committed manifest version (0 before the first

@@ -112,12 +112,9 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("recovery stats = %+v", rec)
 	}
 	for _, want := range orig {
-		got, cycles, err := r.Load(context.Background(), want.Name())
+		got, err := r.Load(context.Background(), want.Name())
 		if err != nil {
 			t.Fatalf("Load(%q): %v", want.Name(), err)
-		}
-		if cycles != 0 {
-			t.Fatalf("hot load of %q priced %v cycles, want 0", want.Name(), cycles)
 		}
 		sameContents(t, want, got)
 	}
@@ -168,12 +165,12 @@ func TestCrashSitesNeverLoseCommittedVersion(t *testing.T) {
 			if v := r.Recovery().ManifestVersion; v != 1 {
 				t.Fatalf("recovered version %d after crash at %s, want 1", v, site)
 			}
-			got, _, err := r.Load(context.Background(), "a")
+			got, err := r.Load(context.Background(), "a")
 			if err != nil {
 				t.Fatalf("Load after recovery: %v", err)
 			}
 			sameContents(t, v1a, got)
-			got, _, err = r.Load(context.Background(), "b")
+			got, err = r.Load(context.Background(), "b")
 			if err != nil {
 				t.Fatalf("Load after recovery: %v", err)
 			}
@@ -203,7 +200,7 @@ func TestTornManifestFallsBack(t *testing.T) {
 	if rec.ManifestVersion != 1 || rec.Fallbacks != 1 {
 		t.Fatalf("recovery = %+v, want fallback to version 1", rec)
 	}
-	got, _, err := r.Load(context.Background(), "a")
+	got, err := r.Load(context.Background(), "a")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -229,7 +226,7 @@ func TestChecksumFlipDetectedAndFallsBack(t *testing.T) {
 	if rec.ManifestVersion != 1 || rec.Fallbacks != 1 || rec.CorruptSegments != 1 {
 		t.Fatalf("recovery = %+v, want corrupt segment and fallback to 1", rec)
 	}
-	got, _, err := r.Load(context.Background(), "a")
+	got, err := r.Load(context.Background(), "a")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -266,68 +263,70 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestTieringEvictsColdAndPricesLoads(t *testing.T) {
+// TestRecoveryIgnoresRecordedTier pins the manifest format rule: a manifest
+// that records a table "cold" (as a store with a DRAM budget wrote them)
+// still recovers every table eagerly, and a new manifest records "hot" for
+// every table, so a store that still reads the tier loads them all too.
+func TestRecoveryIgnoresRecordedTier(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, Options{Dir: dir})
 	hot, cold := testTable("hot", 400, 1), testTable("cold", 400, 2)
-	s := mustOpen(t, Options{
-		Dir:      t.TempDir(),
-		Machine:  hw.Laptop(),
-		HotBytes: hot.Bytes() + 1, // room for exactly one table
-	})
 	s.Put(hot)
 	s.Put(cold)
-	// Heat up "hot": the estimator must rank it above "cold".
-	for i := 0; i < 10; i++ {
-		if _, _, err := s.Load(context.Background(), "hot"); err != nil {
-			t.Fatalf("Load: %v", err)
+	v := mustCheckpoint(t, s).Version
+	for _, name := range []string{"hot", "cold"} {
+		if e := readManifest(t, dir, v).Tables[name]; e.Tier != TierHot {
+			t.Fatalf("new manifest records %q as %q, want %q", name, e.Tier, TierHot)
 		}
 	}
-	mustCheckpoint(t, s)
-	if got := s.Tier("hot"); got != TierHot {
-		t.Fatalf("hot table tier = %q", got)
-	}
-	if got := s.Tier("cold"); got != TierCold {
-		t.Fatalf("cold table tier = %q", got)
-	}
-	got, cycles, err := s.Load(context.Background(), "cold")
+	// Rewrite the committed manifest as a budgeted store wrote it.
+	m := readManifest(t, dir, v)
+	e := m.Tables["cold"]
+	e.Tier = "cold"
+	m.Tables["cold"] = e
+	raw, err := encodeManifest(m)
 	if err != nil {
-		t.Fatalf("cold Load: %v", err)
+		t.Fatal(err)
 	}
-	if cycles <= 0 {
-		t.Fatalf("cold load priced %v cycles, want > 0", cycles)
+	if err := os.WriteFile(filepath.Join(dir, manifestName(v)), raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	sameContents(t, cold, got)
-	// A second load is DRAM-resident again.
-	if _, cycles, _ = s.Load(context.Background(), "cold"); cycles != 0 {
-		t.Fatalf("second cold load priced %v cycles, want 0", cycles)
-	}
-}
 
-func TestRecoveryLoadsHotEagerlyColdLazily(t *testing.T) {
-	dir := t.TempDir()
-	hot, cold := testTable("hot", 400, 1), testTable("cold", 400, 2)
-	budget := hot.Bytes() + 1 // room for exactly one table
-	s := mustOpen(t, Options{Dir: dir, Machine: hw.Laptop(), HotBytes: budget})
-	s.Put(hot)
-	s.Put(cold)
-	for i := 0; i < 10; i++ {
-		s.Load(context.Background(), "hot")
-	}
-	mustCheckpoint(t, s)
-
-	r := mustOpen(t, Options{Dir: dir, Machine: hw.Laptop(), HotBytes: budget})
+	r := mustOpen(t, Options{Dir: dir, Machine: hw.Laptop()})
 	rec := r.Recovery()
-	if rec.TablesTotal != 2 || rec.TablesHot != 1 {
-		t.Fatalf("recovery = %+v, want 2 tables with 1 hot", rec)
+	if rec.ManifestVersion != v || rec.TablesTotal != 2 || rec.Fallbacks != 0 {
+		t.Fatalf("recovery = %+v, want version %d with 2 tables", rec, v)
 	}
 	if rec.SimCycles <= 0 {
 		t.Fatalf("recovery priced %v cycles, want > 0", rec.SimCycles)
 	}
-	if _, cycles, _ := r.Load(context.Background(), "hot"); cycles != 0 {
-		t.Fatalf("recovered hot table priced %v cycles, want 0", cycles)
+	r.mu.Lock()
+	staged := len(r.tables)
+	r.mu.Unlock()
+	if staged != 2 {
+		t.Fatalf("recovery staged %d tables, want both", staged)
 	}
-	if _, cycles, _ := r.Load(context.Background(), "cold"); cycles <= 0 {
-		t.Fatalf("recovered cold table priced %v cycles, want > 0", cycles)
+	for _, want := range []*table.Table{hot, cold} {
+		got, err := r.Load(context.Background(), want.Name())
+		if err != nil {
+			t.Fatalf("Load(%q): %v", want.Name(), err)
+		}
+		sameContents(t, want, got)
 	}
+}
+
+// readManifest decodes the committed manifest of version v in dir.
+func readManifest(t *testing.T, dir string, v uint64) *Manifest {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName(v)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := decodeManifest(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestCheckpointGovernedByReservation(t *testing.T) {
@@ -434,7 +433,7 @@ func TestValidationErrors(t *testing.T) {
 	if err := s.Put(nil); !errors.Is(err, errs.ErrInvalidInput) {
 		t.Fatalf("Put(nil) err = %v", err)
 	}
-	if _, _, err := s.Load(context.Background(), "ghost"); !errors.Is(err, errs.ErrInvalidInput) {
+	if _, err := s.Load(context.Background(), "ghost"); !errors.Is(err, errs.ErrInvalidInput) {
 		t.Fatalf("Load(ghost) err = %v", err)
 	}
 	s.Close()

@@ -172,7 +172,7 @@ func TestStreamedSegmentFaultParity(t *testing.T) {
 			if rec := r.Recovery(); rec.ManifestVersion != 1 || rec.Fallbacks != 1 {
 				t.Fatalf("recovery = %+v, want fallback to version 1", rec)
 			}
-			got, _, err := r.Load(context.Background(), "big")
+			got, err := r.Load(context.Background(), "big")
 			if err != nil {
 				t.Fatal(err)
 			}
