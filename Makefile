@@ -123,7 +123,9 @@ bench:
 # a cohort of eight), of the router (one scan scattered over a 3x2 router's
 # stripes and merged, clustered and uniform filter column, one client), of the
 # block decode/filter layer (one shared scan pass over a 350 K-row stripe,
-# clustered and uniform filter column, a batch of one and of eight) and of the
+# clustered and uniform filter column, a batch of one and of eight; and the
+# block kernel alone, one block per op, FOR widths 4/17/40 and RLE, on a
+# straddling and a covering range) and of the
 # write path (block encode per column shape; one
 # Register + Checkpoint cycle and one restart-to-first-answer of the
 # benchmark's 1 M x 2 table, MB/s over user bytes) and of the metrics
@@ -133,8 +135,8 @@ bench:
 # starts failing; host times are read by people, not gated.
 BENCHFLAGS ?= -count=5
 bench-layers:
-	$(GO) test -run='^$$' -bench='BenchmarkDecodeQuery|BenchmarkAppendResponse|BenchmarkHandleQuery|BenchmarkSplitJoin|BenchmarkMorsels|BenchmarkGroupSum|BenchmarkNPO|BenchmarkEncode|BenchmarkSubmit|BenchmarkScatter|BenchmarkScanPass|BenchmarkCheckpoint|BenchmarkRecover|BenchmarkHistogramRecord' -benchmem $(BENCHFLAGS) \
-		./internal/frontend/v1 ./internal/frontend ./internal/shard ./internal/sched ./internal/agg ./internal/join ./internal/compress ./internal/serve ./internal/metrics
+	$(GO) test -run='^$$' -bench='BenchmarkDecodeQuery|BenchmarkAppendResponse|BenchmarkHandleQuery|BenchmarkSplitJoin|BenchmarkMorsels|BenchmarkGroupSum|BenchmarkNPO|BenchmarkEncode|BenchmarkSubmit|BenchmarkScatter|BenchmarkScanPass|BenchmarkSelectBlock|BenchmarkCheckpoint|BenchmarkRecover|BenchmarkHistogramRecord' -benchmem $(BENCHFLAGS) \
+		./internal/frontend/v1 ./internal/frontend ./internal/shard ./internal/sched ./internal/agg ./internal/join ./internal/compress ./internal/vecexec ./internal/serve ./internal/metrics
 
 # perf runs hwperf, the repository's benchmark (BENCHMARK.json): four
 # workloads over loopback HTTP, one process each. perf-smoke is its toy-scale

@@ -74,10 +74,10 @@ func (c *Compressed) WriteBinary(w io.Writer, buf []byte) error {
 // per-block value counts against the value count, each block's kind, its
 // width against its zone map, its payload length against its width, and
 // every RLE run (positive lengths totalling the block, values inside the
-// zone map). A column that passes cannot send DecodeBlock, RangeSelectBlock
-// or SumBlockSel out of bounds. Payload bits, zone maps and sums are not
-// recomputed — that would be a full decode per load; whole-file integrity is
-// the caller's checksum. Any violation wraps errs.ErrCorrupted.
+// zone map). A column that passes cannot send DecodeBlock out of bounds,
+// and Match and BlockSum read only its headers. Payload bits, zone maps and
+// sums are not recomputed — that would be a full decode per load; whole-file
+// integrity is the caller's checksum. Any violation wraps errs.ErrCorrupted.
 func UnmarshalColumn(data []byte) (*Compressed, error) {
 	if len(data) < binPrefixBytes {
 		return nil, corrupt("%d bytes is shorter than the column prefix", len(data))

@@ -254,52 +254,23 @@ func (c *Compressed) Decode() []int64 {
 	return out
 }
 
-// Sum scans the compressed column, decoding block-at-a-time in cache.
+// Sum decodes every block and adds its values: the decode-path reference E12
+// checks against the raw column, so it does not take the header sums.
 func (c *Compressed) Sum() int64 {
 	var sum int64
 	var buf [BlockValues]int64
 	for i := range c.blocks {
-		part, _ := c.SumBlockSel(i, nil, buf[:])
-		sum += part
+		for _, v := range c.decodeBlock(&c.blocks[i], buf[:]) {
+			sum += v
+		}
 	}
 	return sum
 }
 
-// RangeCount counts values in [lo, hi] without materializing the column.
-// Blocks whose stored zone map misses the predicate are skipped outright,
-// and blocks wholly inside it are counted without decoding. (Earlier
-// versions derived the block maximum as ref + (1<<width - 1), which can
-// overflow int64 for blocks near the top of the domain and silently skip
-// blocks that matched; the zone map is exact and overflow-free.)
-func (c *Compressed) RangeCount(lo, hi int64) int64 {
-	var count int64
-	var buf [BlockValues]int64
-	for i := range c.blocks {
-		b := &c.blocks[i]
-		if b.minV > hi || b.maxV < lo {
-			continue
-		}
-		if b.minV >= lo && b.maxV <= hi {
-			count += int64(b.n)
-			continue
-		}
-		if b.kind == kindRLE {
-			runs := c.words(b)
-			for r := 0; r < len(runs); r += 2 {
-				if v := int64(runs[r]); v >= lo && v <= hi {
-					count += int64(runs[r+1])
-				}
-			}
-			continue
-		}
-		for _, v := range c.decodeBlock(b, buf[:]) {
-			if v >= lo && v <= hi {
-				count++
-			}
-		}
-	}
-	return count
-}
+// DecodeCycles is the modeled compute to decode one value: shift/mask for
+// FOR, run expansion bookkeeping for RLE. ScanWork and the server's scan
+// pass both price decode with it.
+const DecodeCycles = 4.0
 
 // ScanWorkRaw models scanning n uncompressed values: pure streaming with
 // trivial per-value compute.
@@ -320,7 +291,7 @@ func (c *Compressed) ScanWork() hw.Work {
 	return hw.Work{
 		Name:            "scan-compressed",
 		Tuples:          int64(c.n),
-		ComputePerTuple: 4,
+		ComputePerTuple: DecodeCycles,
 		SeqReadBytes:    c.Bytes(),
 	}
 }

@@ -114,8 +114,8 @@ func TestRangeCountMatchesReference(t *testing.T) {
 				want++
 			}
 		}
-		if got := c.RangeCount(r[0], r[1]); got != want {
-			t.Fatalf("RangeCount[%d,%d] = %d, want %d", r[0], r[1], got, want)
+		if got := rangeCount(c, r[0], r[1]); got != want {
+			t.Fatalf("rangeCount[%d,%d] = %d, want %d", r[0], r[1], got, want)
 		}
 	}
 }
@@ -126,10 +126,10 @@ func TestRangeCountBlockPruning(t *testing.T) {
 	// change).
 	data := workload.SequentialInts(100000)
 	c := Encode(data)
-	if got := c.RangeCount(50_000, 50_099); got != 100 {
+	if got := rangeCount(c, 50_000, 50_099); got != 100 {
 		t.Fatalf("pruned range count = %d, want 100", got)
 	}
-	if got := c.RangeCount(-5, -1); got != 0 {
+	if got := rangeCount(c, -5, -1); got != 0 {
 		t.Fatalf("out-of-domain count = %d", got)
 	}
 }
@@ -189,7 +189,7 @@ func TestRoundTripProperty(t *testing.T) {
 				wantCount++
 			}
 		}
-		return c.RangeCount(-1000, 1000) == wantCount
+		return rangeCount(c, -1000, 1000) == wantCount
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

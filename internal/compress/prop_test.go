@@ -99,9 +99,10 @@ func propRange(r *rand.Rand, vals []int64) (int64, int64) {
 	}
 }
 
-// TestPropertyCodecMatchesRaw cross-checks Decode, Sum, RangeCount, and the
-// block-level select/sum primitives against the raw slice across seeded
-// random inputs. Sizes deliberately straddle block boundaries.
+// TestPropertyCodecMatchesRaw cross-checks Decode, Sum, and the block kernel
+// (Match, BlockSum and DecodeBlock, composed by blockSelect and rangeCount)
+// against the raw slice across seeded random inputs. Sizes deliberately
+// straddle block boundaries.
 func TestPropertyCodecMatchesRaw(t *testing.T) {
 	r := rand.New(rand.NewSource(0xC0DEC))
 	sizes := []int{1, 7, BlockValues - 1, BlockValues, BlockValues + 1, 3*BlockValues + 513}
@@ -137,8 +138,8 @@ func TestPropertyCodecMatchesRaw(t *testing.T) {
 						want++
 					}
 				}
-				if cnt := c.RangeCount(lo, hi); cnt != want {
-					t.Fatalf("%s n=%d: RangeCount(%d,%d)=%d want %d", g.name, n, lo, hi, cnt, want)
+				if cnt := rangeCount(c, lo, hi); cnt != want {
+					t.Fatalf("%s n=%d: rangeCount(%d,%d)=%d want %d", g.name, n, lo, hi, cnt, want)
 				}
 				checkBlockSelect(t, g.name, c, vals, lo, hi)
 			}
@@ -146,8 +147,42 @@ func TestPropertyCodecMatchesRaw(t *testing.T) {
 	}
 }
 
-// checkBlockSelect verifies RangeSelectBlock + SumBlockSel reproduce the
-// reference filtered sum and count per block.
+// blockSelect is the block kernel over block i of c, c being both the
+// filter and the aggregate column: Match classifies the block, a full match
+// counts and sums from the header, and a straddling block decodes into buf
+// and filters. scanned reports whether the payload was read.
+func blockSelect(c *Compressed, i int, lo, hi int64, buf []int64) (cnt int, sum int64, scanned bool) {
+	switch c.Match(i, lo, hi) {
+	case MatchNone:
+		return 0, 0, false
+	case MatchAll:
+		return c.BlockLen(i), c.BlockSum(i), false
+	}
+	for _, v := range c.DecodeBlock(i, buf) {
+		if v >= lo && v <= hi {
+			cnt++
+			sum += v
+		}
+	}
+	return cnt, sum, true
+}
+
+// rangeCount counts c's values in [lo, hi] block by block through the
+// kernel: pruned blocks and full matches never decode.
+func rangeCount(c *Compressed, lo, hi int64) int64 {
+	var count int64
+	var buf [BlockValues]int64
+	for i := 0; i < c.NumBlocks(); i++ {
+		n, _, _ := blockSelect(c, i, lo, hi, buf[:])
+		count += int64(n)
+	}
+	return count
+}
+
+// checkBlockSelect verifies the block kernel reproduces the reference
+// filtered sum and count per block, and that Match's class agrees with the
+// block's values: none only when nothing qualifies, all only when
+// everything does, and a payload read only for a straddling block.
 func checkBlockSelect(t *testing.T, name string, c *Compressed, vals []int64, lo, hi int64) {
 	t.Helper()
 	var buf [BlockValues]int64
@@ -161,22 +196,17 @@ func checkBlockSelect(t *testing.T, name string, c *Compressed, vals []int64, lo
 				wantSum += v
 			}
 		}
-		sel, all, _ := c.RangeSelectBlock(i, lo, hi, buf[:], nil)
-		var gotCnt int
-		var gotSum int64
-		if all {
-			if len(sel) != 0 {
-				t.Fatalf("%s block %d: all=true with %d appended indices", name, i, len(sel))
-			}
-			gotCnt = bn
-			gotSum, _ = c.SumBlockSel(i, nil, buf[:])
-		} else {
-			gotCnt = len(sel)
-			gotSum, _ = c.SumBlockSel(i, sel, buf[:])
+		m := c.Match(i, lo, hi)
+		if (m == MatchNone && wantCnt != 0) || (m == MatchAll && wantCnt != bn) {
+			t.Fatalf("%s block %d [%d,%d]: Match = %d with %d of %d values in range", name, i, lo, hi, m, wantCnt, bn)
 		}
+		gotCnt, gotSum, scanned := blockSelect(c, i, lo, hi, buf[:])
 		if gotCnt != wantCnt || gotSum != wantSum {
 			t.Fatalf("%s block %d [%d,%d]: got cnt=%d sum=%d want cnt=%d sum=%d",
 				name, i, lo, hi, gotCnt, gotSum, wantCnt, wantSum)
+		}
+		if scanned != (m == MatchSome) {
+			t.Fatalf("%s block %d [%d,%d]: Match = %d but scanned = %v", name, i, lo, hi, m, scanned)
 		}
 	}
 }
@@ -188,11 +218,14 @@ func checkBlockSelect(t *testing.T, name string, c *Compressed, vals []int64, lo
 func TestRangeCountPruneOverflowRegression(t *testing.T) {
 	vals := []int64{math.MaxInt64 - 6, math.MaxInt64 - 1, math.MaxInt64 - 4}
 	c := Encode(vals)
-	if got := c.RangeCount(math.MaxInt64-6, math.MaxInt64); got != 3 {
-		t.Fatalf("RangeCount over near-MaxInt64 block = %d, want 3", got)
+	if m := c.Match(0, math.MaxInt64-6, math.MaxInt64); m != MatchAll {
+		t.Fatalf("Match over a near-MaxInt64 block it covers = %d, want MatchAll", m)
 	}
-	if got := c.RangeCount(math.MaxInt64-5, math.MaxInt64-1); got != 2 {
-		t.Fatalf("partial RangeCount over near-MaxInt64 block = %d, want 2", got)
+	if got := rangeCount(c, math.MaxInt64-6, math.MaxInt64); got != 3 {
+		t.Fatalf("rangeCount over near-MaxInt64 block = %d, want 3", got)
+	}
+	if got := rangeCount(c, math.MaxInt64-5, math.MaxInt64-1); got != 2 {
+		t.Fatalf("partial rangeCount over near-MaxInt64 block = %d, want 2", got)
 	}
 }
 

@@ -397,6 +397,7 @@ func runE24(cfg Config) ([]*Table, error) {
 	t3.AddRow("10ms interval", bench.F("%.3f", interference.CheckpointP50Ms),
 		bench.F("%.3f", interference.CheckpointP99Ms), bench.F("%.2fx", interference.P99Ratio),
 		bench.F("%d", interference.Checkpoints), bench.F("%d", interference.SegmentBytes))
+	t3.AddNote("the p99 ratio is host time and is not asserted: two -scale 0.1 runs of one tree read 1.19x and 3.84x")
 
 	return []*Table{t1, t2, t3}, nil
 }

@@ -333,11 +333,12 @@ type HealthResponse struct {
 	MemBudgetBytes int64 `json:"mem_budget_bytes"`
 	// Durability (all zero/absent when the server runs memory-only).
 	// Durable reports a durable store is armed. StoreVersion is the last
-	// committed manifest version; RecoveredTables/RecoveredHot what recovery
-	// found and how much of it is DRAM-resident; RecoveryFallbacks how many
-	// corrupt manifest versions recovery skipped past. Checkpoints and
-	// CheckpointFailures count background/shutdown flushes; ColdLoads counts
-	// flash-resident tables faulted in on first access.
+	// committed manifest version; RecoveredTables how many tables recovery
+	// found; RecoveryFallbacks how many corrupt manifest versions recovery
+	// skipped past. Checkpoints and CheckpointFailures count
+	// background/shutdown flushes. Every stored table is resident, so
+	// RecoveredHot always equals RecoveredTables and ColdLoads is always 0;
+	// both stay only because the v1 wire is frozen.
 	Durable            bool   `json:"durable,omitempty"`
 	StoreVersion       uint64 `json:"store_version,omitempty"`
 	RecoveredTables    int    `json:"recovered_tables,omitempty"`

@@ -30,13 +30,6 @@ type Config struct {
 	// injects allocation failures into Charge: a charge fails with
 	// errs.ErrMemoryPressure before any bytes are accounted.
 	Faults *fault.Injector
-
-	// TenantCaps caps individual tenants' shares of the budget: a
-	// reservation made through ReserveFor fails with errs.ErrMemoryPressure
-	// once that tenant's in-use bytes would pass its cap, even while the
-	// global budget has headroom — one noisy tenant cannot drain the pool.
-	// Tenants absent from the map are bounded only by the global budget.
-	TenantCaps map[string]int64
 }
 
 // Stats is a point-in-time snapshot of a governor, exported through
@@ -96,21 +89,16 @@ func NewGovernor(cfg Config) *Governor {
 	if cfg.PerQueryBytes <= 0 && cfg.BudgetBytes > 0 {
 		cfg.PerQueryBytes = cfg.BudgetBytes / 4
 	}
-	g := &Governor{cfg: cfg}
-	for id, cap := range cfg.TenantCaps {
-		if cap > 0 {
-			if g.tenantCaps == nil {
-				g.tenantCaps = make(map[string]int64)
-			}
-			g.tenantCaps[id] = cap
-		}
-	}
-	return g
+	return &Governor{cfg: cfg}
 }
 
 // SetTenantCap caps (or, with bytes <= 0, uncaps) one tenant's share of the
-// budget. Safe to call while reservations are live: the cap applies to the
-// next reservation or grow.
+// budget: a reservation made through ReserveFor fails with
+// errs.ErrMemoryPressure once that tenant's in-use bytes would pass its cap,
+// even while the global budget has headroom — one noisy tenant cannot drain
+// the pool. An uncapped tenant is bounded only by the global budget. Safe to
+// call while reservations are live: the cap applies to the next reservation
+// or grow.
 func (g *Governor) SetTenantCap(tenant string, bytes int64) {
 	if g == nil || tenant == "" {
 		return

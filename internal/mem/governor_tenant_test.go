@@ -14,8 +14,8 @@ func TestTenantCapDeniesAdmission(t *testing.T) {
 	g := NewGovernor(Config{
 		BudgetBytes:   1000,
 		PerQueryBytes: 200,
-		TenantCaps:    map[string]int64{"noisy": 300},
 	})
+	g.SetTenantCap("noisy", 300)
 	r1, err := g.ReserveFor("noisy", 200)
 	if err != nil {
 		t.Fatalf("first reservation within cap: %v", err)
@@ -55,8 +55,8 @@ func TestTenantCapDeniesGrow(t *testing.T) {
 	g := NewGovernor(Config{
 		BudgetBytes:   1000,
 		PerQueryBytes: 100,
-		TenantCaps:    map[string]int64{"noisy": 150},
 	})
+	g.SetTenantCap("noisy", 150)
 	r, err := g.ReserveFor("noisy", 100)
 	if err != nil {
 		t.Fatal(err)
@@ -82,8 +82,8 @@ func TestTenantCapBoundsAvailable(t *testing.T) {
 	g := NewGovernor(Config{
 		BudgetBytes:   1000,
 		PerQueryBytes: 100,
-		TenantCaps:    map[string]int64{"noisy": 300},
 	})
+	g.SetTenantCap("noisy", 300)
 	r, err := g.ReserveFor("noisy", 100)
 	if err != nil {
 		t.Fatal(err)
@@ -133,8 +133,8 @@ func TestKillOnOverageIgnoresTenantCaps(t *testing.T) {
 		BudgetBytes:   1000,
 		PerQueryBytes: 100,
 		KillOnOverage: true,
-		TenantCaps:    map[string]int64{"noisy": 50},
 	})
+	g.SetTenantCap("noisy", 50)
 	r, err := g.ReserveFor("noisy", 400)
 	if err != nil {
 		t.Fatalf("naive mode must grant past the tenant cap: %v", err)

@@ -37,6 +37,9 @@ type Lease struct {
 	words []*[]uint64 // likewise
 	mu    sync.Mutex
 	maps  []leasedMap // guarded by mu
+	// colBuf backs cols up to a join's four columns, so a request's lease
+	// is one allocation.
+	colBuf [4]*[]int64
 }
 
 // leasedMap is a map a lease holds and the class pool it goes back to.
@@ -67,7 +70,6 @@ func mapClass(n int) int {
 }
 
 var (
-	leases    = sync.Pool{New: func() any { return new(Lease) }}
 	colPools  [classes]sync.Pool
 	wordPools [classes]sync.Pool
 	mapPools  [17]sync.Pool // mapClass(maxPooledMap) + 1
@@ -81,10 +83,13 @@ func class(n int) (idx, size int) {
 	return s<<classSteps + m, (m + 1) << s
 }
 
-// NewLease returns a pooled lease holding one reference, its caller's.
+// NewLease returns a lease holding one reference, its caller's. Leases are
+// not pooled, so a Release past the last one always panics instead of
+// dropping a reference another owner's recycled lease holds.
 func NewLease() *Lease {
-	l := leases.Get().(*Lease)
+	l := new(Lease)
 	l.refs.Store(1)
+	l.cols = l.colBuf[:0]
 	return l
 }
 
@@ -135,14 +140,13 @@ func take[T int64 | uint64](pools *[classes]sync.Pool, held *[]*[]T, n int) []T 
 	return (*p)[:n:n]
 }
 
-// giveBack returns every slice in held to its class pool and empties held.
+// giveBack returns every slice in held to its class pool and drops held.
 func giveBack[T int64 | uint64](pools *[classes]sync.Pool, held *[]*[]T) {
 	for _, p := range *held {
 		c, _ := class(cap(*p))
 		pools[c].Put(p)
 	}
-	clear(*held)
-	*held = (*held)[:0]
+	*held = nil
 }
 
 // Acquire adds a reference for a party that may read l's slices later.
@@ -152,9 +156,9 @@ func (l *Lease) Acquire() {
 	}
 }
 
-// Release drops one reference; the last returns the slices, the maps and l
-// to their pools. Releasing more often than acquiring panics: it would
-// recycle slices under a reader still holding them.
+// Release drops one reference; the last returns the slices and the maps to
+// their pools. Releasing more often than acquiring panics: it would recycle
+// slices under a reader still holding them.
 func (l *Lease) Release() {
 	if l == nil {
 		return
@@ -170,7 +174,5 @@ func (l *Lease) Release() {
 		clear(h.m) // keeps the map's storage
 		mapPools[h.class].Put(h.m)
 	}
-	clear(l.maps)
-	l.maps = l.maps[:0]
-	leases.Put(l)
+	l.maps = nil
 }

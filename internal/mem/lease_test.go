@@ -57,6 +57,28 @@ func TestLeaseReleaseBelowZeroPanics(t *testing.T) {
 	l.Release()
 }
 
+// TestStrayReleaseNeverReachesANewLease: a stray Release after the last one
+// panics even when another lease was made in between. A pooled Lease struct
+// would come back from NewLease as the new lease, and the stray call would
+// silently drop its owner's reference and recycle its columns.
+func TestStrayReleaseNeverReachesANewLease(t *testing.T) {
+	l := NewLease()
+	l.Column(8)
+	l.Release()
+	next := NewLease()
+	next.Column(8)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a stray Release after a NewLease did not panic")
+		}
+		if n := next.refs.Load(); n != 1 {
+			t.Fatalf("the new lease holds %d references, want its owner's 1", n)
+		}
+		next.Release()
+	}()
+	l.Release()
+}
+
 // TestClassesAreLogLinear pins the one class function Column and Words
 // share: exact up to 16 elements, then at most 12.5 % over the length, a
 // class size maps back to its own class, and maxPooled is the last class.

@@ -5,9 +5,11 @@ import (
 	"strconv"
 	"testing"
 
+	"hwstar/internal/compress"
 	"hwstar/internal/hw"
 	"hwstar/internal/scan"
 	"hwstar/internal/sched"
+	"hwstar/internal/vecexec"
 )
 
 // scanPassRows is one benchmark stripe: 350 K rows, 43 morsels.
@@ -107,6 +109,59 @@ func BenchmarkScanPass(b *testing.B) {
 					}
 				}
 			})
+		}
+		s.Close()
+	}
+}
+
+// blockOutcome is one block's fate under one query: the zone map pruned it,
+// answered it from the header, or its payload was read; and the sum it
+// contributed.
+type blockOutcome struct {
+	pruned, fastSum, scanned bool
+	sum                      int64
+}
+
+// TestProbeKernelMatchesScanPass: the block kernel's one-query wrappers,
+// vecexec.RangeFilterCompressed and SumCompressed called as the benchmark's
+// probe calls them, reach the same outcome on every block and range as the
+// server's scan pass run on that block alone — pruned, fast-summed from the
+// header or scanned — and the same sum. A wrapper that reads the payload of
+// a full match, or classifies a block by another zone-map rule, fails it.
+func TestProbeKernelMatchesScanPass(t *testing.T) {
+	const rows = 3*vecMorselRows + 17 // a short final block
+	for _, shape := range scanShapes {
+		s, vt, sch, _ := scanPassFixture(t, shape, rows)
+		pass := make([]blockOutcome, vt.cols[0].NumBlocks())
+		var buf [compress.BlockValues]int64
+		sel := make(vecexec.Sel, 0, compress.BlockValues)
+		for _, q := range scanCases(shape.gen(rows)) {
+			qs := []scan.Query{q}
+			_, err := sch.RunMorsels(context.Background(), vt.rows, compress.BlockValues, compress.BlockValues, "probe-parity",
+				func(start, end int, w *sched.Worker) {
+					var out [1]int64
+					p, f, sc := vecScanMorsel(vt, qs, start, end, w, out[:])
+					pass[start/compress.BlockValues] = blockOutcome{p == 1, f == 1, sc == 1, out[0]}
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fcol, acol := vt.cols[q.FilterCol], vt.cols[q.AggCol]
+			for blk := range pass {
+				var all, scanned, sumScanned bool
+				var sum int64
+				sel, all, scanned = vecexec.RangeFilterCompressed(fcol, blk, q.Lo, q.Hi, buf[:], sel[:0])
+				switch {
+				case all:
+					sum, sumScanned = vecexec.SumCompressed(acol, blk, nil, buf[:])
+				case len(sel) > 0:
+					sum, sumScanned = vecexec.SumCompressed(acol, blk, sel, buf[:])
+				}
+				got := blockOutcome{!all && !scanned, all && !sumScanned, scanned || sumScanned, sum}
+				if got != pass[blk] {
+					t.Fatalf("%s block %d, query %+v: wrappers %+v, scan pass %+v", shape.name, blk, q, got, pass[blk])
+				}
+			}
 		}
 		s.Close()
 	}

@@ -39,12 +39,11 @@ const (
 const vecDispatchCycles = 2000
 
 // zoneCheckCycles and fastSumCycles price the per-(block, query) zone-map
-// comparison and the precomputed-sum fold; decodeTupleCycles matches the
-// compressed ScanWork decode price.
+// comparison and the precomputed-sum fold; a decoded value costs
+// compress.DecodeCycles, the compressed ScanWork's price.
 const (
-	zoneCheckCycles   = 1.0
-	fastSumCycles     = 2.0
-	decodeTupleCycles = 4.0
+	zoneCheckCycles = 1.0
+	fastSumCycles   = 2.0
 )
 
 // vecTable is a registered relation as the server holds it: every column a
@@ -182,12 +181,11 @@ func vecScanMorsel(vt *vecTable, queries []scan.Query, start, end int, w *sched.
 			q := &queries[qi]
 			fcol := vt.cols[q.FilterCol]
 			zoneChecks++
-			bmin, bmax := fcol.BlockRange(blk)
-			if bmin > q.Hi || bmax < q.Lo {
+			switch fcol.Match(blk, q.Lo, q.Hi) {
+			case compress.MatchNone:
 				pruned++
 				continue
-			}
-			if bmin >= q.Lo && bmax <= q.Hi {
+			case compress.MatchAll:
 				out[qi] += vt.cols[q.AggCol].BlockSum(blk)
 				fastSums++
 				continue
@@ -230,7 +228,7 @@ func vecScanMorsel(vt *vecTable, queries []scan.Query, start, end int, w *sched.
 		Tuples: 1,
 		ComputePerTuple: float64(zoneChecks)*zoneCheckCycles +
 			float64(fastSums)*fastSumCycles +
-			float64(decodedTuples)*decodeTupleCycles +
+			float64(decodedTuples)*compress.DecodeCycles +
 			float64(evalTuples+gatherTuples)*vecexec.VecTupleCycles,
 		SeqReadBytes: hdrBytes + payloadBytes,
 		RandomReads:  gatherTuples,

@@ -121,7 +121,8 @@ func hashSplit(keys, vals []int64, n int, lease *mem.Lease) (pkeys, pvals [][]in
 	}
 	allKeys := lease.Column(len(keys))
 	allVals := lease.Column(len(keys))
-	pkeys, pvals = make([][]int64, n), make([][]int64, n)
+	parts := make([][]int64, 2*n)
+	pkeys, pvals = parts[:n:n], parts[n:]
 	off := 0
 	for d, size := range next {
 		pkeys[d] = allKeys[off : off+size : off+size]

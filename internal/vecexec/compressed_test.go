@@ -92,3 +92,68 @@ func TestCompressedEntryPointsMatchDecoded(t *testing.T) {
 		}
 	}
 }
+
+var selectSink int64
+
+// BenchmarkSelectBlock is the block kernel as the benchmark's probe runs it —
+// RangeFilterCompressed, then SumCompressed — one block per op, so ns/op is
+// compress.select_ns_per_block's unit. Columns are 64 blocks of FOR at
+// widths 4, 17 and 40 and of RLE (16 runs a block), each both filter and
+// aggregate. "straddle" is a range every block straddles (decode, filter,
+// gather); "full" one every block lies in (zone map and header sum).
+func BenchmarkSelectBlock(b *testing.B) {
+	const blocks = 64
+	for _, shape := range []struct {
+		name  string
+		words int // payload words per block, pinning the encoding
+		gen   func(r *rand.Rand, i int) int64
+	}{
+		{"for-w4", 64, func(r *rand.Rand, _ int) int64 { return r.Int63n(1 << 4) }},
+		{"for-w17", 272, func(r *rand.Rand, _ int) int64 { return r.Int63n(1 << 17) }},
+		{"for-w40", 640, func(r *rand.Rand, _ int) int64 { return r.Int63n(1 << 40) }},
+		{"rle", 32, func(_ *rand.Rand, i int) int64 { return int64(i / 64 * 389 % 1000) }},
+	} {
+		r := rand.New(rand.NewSource(1))
+		vals := make([]int64, blocks*compress.BlockValues)
+		minV, maxV := shape.gen(r, 0), shape.gen(r, 0)
+		for i := range vals {
+			vals[i] = shape.gen(r, i)
+			minV, maxV = min(minV, vals[i]), max(maxV, vals[i])
+		}
+		col := compress.Encode(vals)
+		if want := int64(blocks * (compress.BlockHeaderBytes + 8*shape.words)); col.Bytes() != want {
+			b.Fatalf("%s: encoded %d bytes, want %d", shape.name, col.Bytes(), want)
+		}
+		quarter := (maxV - minV) / 4
+		for _, rg := range []struct {
+			name   string
+			lo, hi int64
+			want   compress.BlockMatch
+		}{
+			{"straddle", minV + quarter, maxV - quarter, compress.MatchSome},
+			{"full", minV, maxV, compress.MatchAll},
+		} {
+			for blk := 0; blk < blocks; blk++ {
+				if m := col.Match(blk, rg.lo, rg.hi); m != rg.want {
+					b.Fatalf("%s/%s: block %d classifies %d, want %d", shape.name, rg.name, blk, m, rg.want)
+				}
+			}
+			b.Run(shape.name+"/"+rg.name, func(b *testing.B) {
+				var buf [compress.BlockValues]int64
+				sel := make(Sel, 0, compress.BlockValues)
+				var sum int64
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					blk := i % blocks
+					s, all, _ := RangeFilterCompressed(col, blk, rg.lo, rg.hi, buf[:], sel[:0])
+					if all {
+						s = nil
+					}
+					part, _ := SumCompressed(col, blk, s, buf[:])
+					sum += part
+				}
+				selectSink = sum
+			})
+		}
+	}
+}
