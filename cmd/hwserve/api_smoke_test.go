@@ -164,20 +164,13 @@ func serveAPISmoke(t *testing.T, shards, replicas int) {
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil || resp.StatusCode != 200 {
 		t.Fatalf("health: HTTP %d (err %v)", resp.StatusCode, err)
 	}
-	// Governance counts are the frontend's and exact in both topologies; a
-	// Router's Completed sums per-stripe sub-requests, so there it is a floor.
-	completedOK := func(got, queries int64) bool {
-		if shards > 1 {
-			return got >= queries
-		}
-		return got == queries
-	}
-	// Latency is what the tenant waited for, whole-request, in both
-	// topologies (a Router records it itself: shard.tenant.<id>.latency_ms).
-	if got := h.Tenants["int-a"]; !completedOK(got.Completed, noisyFlood) || got.RateLimited != 0 || got.LatencyP50Ms <= 0 {
+	// Every tenant count is the frontend's, one per query the tenant sent,
+	// and exact in both topologies: a Router's per-stripe sub-requests are
+	// not tenant queries. Latency is what the tenant waited for.
+	if got := h.Tenants["int-a"]; got.Completed != noisyFlood || got.RateLimited != 0 || got.LatencyP50Ms <= 0 {
 		t.Fatalf("interactive tenant health: %+v", got)
 	}
-	if got := h.Tenants["noisy-b"]; !completedOK(got.Completed, 3) || got.RateLimited != int64(noisyFlood-3) || got.LatencyP50Ms <= 0 {
+	if got := h.Tenants["noisy-b"]; got.Completed != 3 || got.RateLimited != int64(noisyFlood-3) || got.LatencyP50Ms <= 0 {
 		t.Fatalf("noisy tenant health: %+v", got)
 	}
 
@@ -191,9 +184,18 @@ func serveAPISmoke(t *testing.T, shards, replicas int) {
 	if _, err := mbuf.ReadFrom(mresp.Body); err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("frontend_tenant_noisy_b_rate_limited %d", noisyFlood-3)
-	if !strings.Contains(mbuf.String(), want) {
-		t.Fatalf("/metrics missing %q", want)
+	for _, want := range []string{
+		fmt.Sprintf("frontend_tenant_noisy_b_rate_limited %d", noisyFlood-3),
+		fmt.Sprintf("frontend_tenant_int_a_completed %d", noisyFlood),
+	} {
+		if !strings.Contains(mbuf.String(), want) {
+			t.Fatalf("/metrics missing %q", want)
+		}
+	}
+	for _, gone := range []string{"serve_tenant_", "shard_tenant_"} {
+		if strings.Contains(mbuf.String(), gone) {
+			t.Fatalf("/metrics carries a %s* series: the frontend is the one tenant ledger", gone)
+		}
 	}
 }
 

@@ -43,6 +43,7 @@ import (
 	"hwstar/internal/experiments"
 	"hwstar/internal/fault"
 	"hwstar/internal/frontend"
+	v1 "hwstar/internal/frontend/v1"
 	"hwstar/internal/hw"
 	"hwstar/internal/join"
 	"hwstar/internal/layout"
@@ -628,8 +629,9 @@ var NewRouter = shard.New
 
 // Frontend is the multi-tenant HTTP/JSON face of a Server: sessions with
 // bearer tokens, per-tenant token-bucket rate limits and concurrency quotas,
-// priority classes, and the versioned v1 wire protocol. Mount
-// Frontend.Handler on an http.Server. See internal/frontend.
+// priority classes, the tenant ledger (each tenant query counted once), and
+// the versioned v1 wire protocol. Mount Frontend.Handler on an http.Server.
+// See internal/frontend.
 type Frontend = frontend.Frontend
 
 // FrontendConfig assembles a Frontend: the backend it fronts (a Server, or
@@ -659,9 +661,11 @@ const (
 	PriorityBatch       = serve.PriorityBatch
 )
 
-// TenantHealth is one tenant's slice of a Server's counters and latency
-// distribution, inside ServerHealth.Tenants.
-type TenantHealth = serve.TenantHealth
+// TenantHealth is one tenant's ledger as a Frontend reports it at
+// /v1/tenants/{id}/stats and inside /v1/health: counts by outcome, latency
+// quantiles, frontend-side levels and memory position. The Frontend is the
+// one tier that sees each tenant query once, so it is where they are counted.
+type TenantHealth = v1.TenantStats
 
 // RunExperiment executes one experiment of the E1–E26 suite at the given
 // scale (1 = full size) and returns its result tables.

@@ -51,7 +51,6 @@ func (b stubBackend) Submit(_ context.Context, req serve.Request) (serve.Respons
 	return serve.Response{Matches: sum, BatchSize: len(req.TraceID)}, nil
 }
 func (b stubBackend) Health() serve.Health                     { return serve.Health{State: "ok"} }
-func (b stubBackend) TenantHealth(string) serve.TenantHealth   { return serve.TenantHealth{} }
 func (b stubBackend) Workers() int                             { return 1 }
 func (b stubBackend) Metrics() *metrics.Registry               { return b.reg }
 func (b stubBackend) SetTenantMemCap(tenant string, cap int64) {}

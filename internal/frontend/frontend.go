@@ -12,9 +12,12 @@
 //     and a concurrent-query quota run BEFORE serve.Submit, so a noisy
 //     tenant burns its own allowance, not the engine's intake queue.
 //   - Governance inside the engine: tenant identity threads into
-//     serve.Request, picking up per-tenant metrics, trace attribution,
-//     tenant-capped memory reservations, and the priority lane the tenant
-//     is configured for.
+//     serve.Request, picking up trace attribution, tenant-capped memory
+//     reservations, and the priority lane the tenant is configured for.
+//   - One tenant ledger: the frontend sees each tenant query exactly once,
+//     with the answer the tenant got, so it is the one tier that counts
+//     per tenant (frontend.tenant.<id>.*), behind a single server and a
+//     router alike.
 //
 // The tenant registry is fixed at New and read without a lock. Session state
 // is sharded (hash of token → shard, each with its own RWMutex) so the
@@ -35,6 +38,7 @@ import (
 	"time"
 
 	"hwstar/internal/errs"
+	v1 "hwstar/internal/frontend/v1"
 	"hwstar/internal/metrics"
 	"hwstar/internal/serve"
 	"hwstar/internal/table"
@@ -48,7 +52,6 @@ import (
 type Backend interface {
 	Submit(ctx context.Context, req serve.Request) (serve.Response, error)
 	Health() serve.Health
-	TenantHealth(tenant string) serve.TenantHealth
 	Workers() int
 	Metrics() *metrics.Registry
 	SetTenantMemCap(tenant string, bytes int64)
@@ -81,7 +84,7 @@ type TenantConfig struct {
 type Config struct {
 	// Backend is the engine the frontend fronts (required): a
 	// *serve.Server, or a shard.Router presenting a replicated cluster
-	// behind the same six methods.
+	// behind the same five methods.
 	Backend Backend
 	// Tenants declares the tenant set. At least one tenant is required —
 	// an API with no one authorized to call it is a misconfiguration.
@@ -117,7 +120,8 @@ type session struct {
 // always handled by pointer (go vet's copylocks) and its mutex scopes only this
 // tenant — cross-tenant contention is impossible by construction.
 type tenantState struct {
-	cfg TenantConfig
+	cfg    TenantConfig
+	ledger ledger
 
 	mu       sync.Mutex
 	tokens   float64   // token-bucket level
@@ -139,6 +143,96 @@ type Frontend struct {
 	// tenants is written only inside New and read without a lock after.
 	tenants  map[string]*tenantState
 	sessions [nShards]sessionShard
+
+	// refused holds the frontend-wide totals of the refusals the frontend
+	// makes itself (frontend.invalid, .rate_limited, .quota_rejected); the
+	// other outcomes have no entry.
+	refused [nOutcomes]*metrics.Counter
+}
+
+// outcome is what one tenant query came to, as the tenant saw it.
+type outcome int
+
+const (
+	outCompleted        outcome = iota // 200, partial answers included
+	outFailed                          // any engine code not named below
+	outDeadlineExceeded                // DEADLINE_EXCEEDED
+	outRejected                        // OVERLOADED
+	outMemShed                         // MEMORY_PRESSURE
+	outInvalid                         // INVALID_ARGUMENT, the frontend's or the engine's
+	outRateLimited                     // refused by the tenant's token bucket
+	outQuotaRejected                   // refused by the tenant's concurrency quota
+	nOutcomes
+)
+
+var outcomeNames = [nOutcomes]string{
+	"completed", "failed", "deadline_exceeded", "rejected", "mem_shed", "invalid", "rate_limited", "quota_rejected",
+}
+
+// ledger is one tenant's series in the backend's registry, all named
+// frontend.tenant.<id>.*: one counter per outcome, spills and spill_bytes,
+// and latency_ms / cycles_per_query histograms over completed queries. Each
+// tenant query is counted once, under one outcome; admitted is completed +
+// failed + deadline_exceeded, the queries the engine took in. The tenant set
+// is fixed at New, so the handles are resolved there: recording takes no lock
+// and allocates nothing.
+type ledger struct {
+	count              [nOutcomes]*metrics.Counter
+	spills, spillBytes *metrics.Counter
+	latency, cycles    *metrics.Histogram
+}
+
+// newLedger resolves tenant's series in reg.
+func newLedger(reg *metrics.Registry, tenant string) ledger {
+	p := "frontend.tenant." + tenant + "."
+	l := ledger{
+		spills:     reg.Counter(p + "spills"),
+		spillBytes: reg.Counter(p + "spill_bytes"),
+		latency:    reg.Histogram(p + "latency_ms"),
+		cycles:     reg.Histogram(p + "cycles_per_query"),
+	}
+	for o, name := range outcomeNames {
+		l.count[o] = reg.Counter(p + name)
+	}
+	return l
+}
+
+// completed records a 200 answer: its wall time, modeled cycles and spill.
+func (l *ledger) completed(wallMs float64, resp *serve.Response) {
+	l.count[outCompleted].Inc()
+	l.latency.Record(wallMs)
+	l.cycles.Record(resp.SimCycles)
+	if resp.Spilled {
+		l.spills.Inc()
+		l.spillBytes.Add(resp.SpillBytes)
+	}
+}
+
+// engineError records a query the engine answered with an error, classified
+// by the wire code the tenant received.
+func (l *ledger) engineError(code string) {
+	o := outFailed
+	switch code {
+	case v1.CodeOverloaded:
+		o = outRejected
+	case v1.CodeMemoryPressure:
+		o = outMemShed
+	case v1.CodeDeadlineExceeded:
+		o = outDeadlineExceeded
+	case v1.CodeInvalidArgument:
+		o = outInvalid
+	}
+	l.count[o].Inc()
+}
+
+// counted reports whether the ledger holds any query.
+func (l *ledger) counted() bool {
+	for _, c := range l.count {
+		if c.Value() != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // New validates cfg and builds a Frontend, arming the engine's governor
@@ -166,6 +260,9 @@ func New(cfg Config) (*Frontend, error) {
 		lineitems: cfg.Lineitems,
 		tenants:   make(map[string]*tenantState, len(cfg.Tenants)),
 	}
+	for _, o := range []outcome{outInvalid, outRateLimited, outQuotaRejected} {
+		f.refused[o] = f.reg.Counter("frontend." + outcomeNames[o])
+	}
 	for i := range f.sessions {
 		f.sessions[i].m = make(map[string]*session)
 	}
@@ -183,7 +280,7 @@ func New(cfg Config) (*Frontend, error) {
 		if _, dup := f.tenants[tc.ID]; dup {
 			return nil, fmt.Errorf("frontend: duplicate tenant %q: %w", tc.ID, errs.ErrInvalidInput)
 		}
-		f.tenants[tc.ID] = &tenantState{cfg: tc, tokens: float64(tc.Burst), last: cfg.Now()}
+		f.tenants[tc.ID] = &tenantState{cfg: tc, ledger: newLedger(f.reg, tc.ID), tokens: float64(tc.Burst), last: cfg.Now()}
 		if tc.MemCapBytes > 0 {
 			backend.SetTenantMemCap(tc.ID, tc.MemCapBytes)
 		}
@@ -334,7 +431,7 @@ func (t *tenantState) endQuery() {
 }
 
 // govSnapshot reads the tenant's frontend-side levels. Refusals are not
-// state: they are counted once, in the registry, by tenantGovInc.
+// state: they are counted once, in the ledger, by tenantGovInc.
 func (t *tenantState) govSnapshot() (inFlight, sessions int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

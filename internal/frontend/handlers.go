@@ -102,13 +102,13 @@ func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// its 429. (This also means governance rejections win over body
 	// validation: a throttled tenant gets 429, not 400, for a bad body.)
 	if ok, retryAfter := ts.takeToken(f.now()); !ok {
-		f.tenantGovInc(tenant, "rate_limited")
+		f.tenantGovInc(ts, outRateLimited)
 		f.writeCode(w, v1.CodeRateLimited, http.StatusTooManyRequests, true, retryAfter, "",
 			fmt.Sprintf("tenant %q rate limit exceeded", tenant))
 		return
 	}
 	if !ts.beginQuery() {
-		f.tenantGovInc(tenant, "quota_rejected")
+		f.tenantGovInc(ts, outQuotaRejected)
 		f.writeCode(w, v1.CodeQuotaExceeded, http.StatusTooManyRequests, true, time.Second, "",
 			fmt.Sprintf("tenant %q at max %d concurrent queries", tenant, ts.cfg.MaxConcurrent))
 		return
@@ -120,13 +120,13 @@ func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer lease.Release()
 	var q v1.QueryRequest
 	if err := decodeBody(r, func(body []byte) error { return q.UnmarshalLeased(body, lease) }); err != nil {
-		f.tenantGovInc(tenant, "invalid")
+		f.tenantGovInc(ts, outInvalid)
 		f.writeCode(w, v1.CodeInvalidArgument, http.StatusBadRequest, false, 0, "", err.Error())
 		return
 	}
 	sreq, err := q.ToServe()
 	if err != nil {
-		f.tenantGovInc(tenant, "invalid")
+		f.tenantGovInc(ts, outInvalid)
 		f.writeCode(w, v1.CodeInvalidArgument, http.StatusBadRequest, false, 0, q.TraceID, err.Error())
 		return
 	}
@@ -137,7 +137,7 @@ func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if sreq.Op == serve.OpQ1 || sreq.Op == serve.OpQ6 {
 		li, found := f.lineitems[q.Table]
 		if !found {
-			f.tenantGovInc(tenant, "invalid")
+			f.tenantGovInc(ts, outInvalid)
 			f.writeCode(w, v1.CodeInvalidArgument, http.StatusBadRequest, false, 0, q.TraceID,
 				fmt.Sprintf("unknown lineitem table %q", q.Table))
 			return
@@ -152,9 +152,11 @@ func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, f.timeout)
 		defer cancel()
 	}
-	start := f.now()
+	// Wall time is read off the real clock even under an injected Now: it
+	// is what the tenant waited for, and it feeds the tenant's latency.
+	start := time.Now()
 	resp, err := f.srv.Submit(ctx, sreq)
-	wallMs := float64(f.now().Sub(start).Microseconds()) / 1000
+	wallMs := float64(time.Since(start).Microseconds()) / 1000
 	if err != nil && !errors.Is(err, errs.ErrPartialResult) {
 		f.reg.Counter("frontend.queries_failed").Inc()
 		f.writeError(w, ts, q.TraceID, err)
@@ -176,6 +178,7 @@ func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 	body, err := v1.AppendResponse(buf.AvailableBuffer(), &q, tenant, string(sreq.Priority.Lane()), wallMs, resp)
 	if err != nil {
 		f.reg.Counter("frontend.queries_failed").Inc()
+		ts.ledger.count[outFailed].Inc()
 		f.writeCode(w, v1.CodeInternal, http.StatusInternalServerError, false, 0, q.TraceID, err.Error())
 		return
 	}
@@ -184,6 +187,7 @@ func (f *Frontend) handleQuery(w http.ResponseWriter, r *http.Request) {
 		f.reg.Counter("frontend.queries_partial").Inc()
 	}
 	f.reg.Counter("frontend.queries_ok").Inc()
+	ts.ledger.completed(wallMs, &resp)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(http.StatusOK)
@@ -213,12 +217,14 @@ func (f *Frontend) handleHealth(w http.ResponseWriter, r *http.Request) {
 		out.Checkpoints = h.Checkpoints
 		out.CheckpointFailures = h.CheckpointFailures
 	}
-	if len(h.Tenants) > 0 {
-		c := f.reg.Counters()
-		out.Tenants = make(map[string]v1.TenantStats, len(h.Tenants))
-		for id, th := range h.Tenants {
-			out.Tenants[id] = f.wireTenantStats(id, th, c)
+	for id, ts := range f.tenants {
+		if !ts.ledger.counted() {
+			continue
 		}
+		if out.Tenants == nil {
+			out.Tenants = make(map[string]v1.TenantStats)
+		}
+		out.Tenants[id] = wireTenantStats(ts, h.Memory.TenantInUse)
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -238,42 +244,43 @@ func (f *Frontend) handleTenantStats(w http.ResponseWriter, r *http.Request) {
 		f.writeCode(w, v1.CodeNotFound, http.StatusNotFound, false, 0, "", fmt.Sprintf("no tenant %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, f.wireTenantStats(id, f.srv.TenantHealth(id), f.reg.Counters()))
+	writeJSON(w, http.StatusOK, wireTenantStats(ts, f.srv.Health().Memory.TenantInUse))
 }
 
-// wireTenantStats merges the engine's per-tenant health with the frontend's
-// governance counters (read from the registry snapshot c, where tenantGovInc
-// counts them) onto the wire DTO.
-func (f *Frontend) wireTenantStats(id string, th serve.TenantHealth, c map[string]int64) v1.TenantStats {
+// wireTenantStats puts one tenant's ledger on the wire, with its
+// frontend-side levels, its configured memory cap and the bytes the engine
+// holds for it now (inUse is the backend's mem.Stats.TenantInUse).
+func wireTenantStats(ts *tenantState, inUse map[string]int64) v1.TenantStats {
+	l := &ts.ledger
+	n := func(o outcome) int64 { return l.count[o].Value() }
+	lat := l.latency.Stats()
 	out := v1.TenantStats{
-		Tenant:           id,
-		Admitted:         th.Admitted,
-		Completed:        th.Completed,
-		Failed:           th.Failed,
-		Rejected:         th.Rejected,
-		Shed:             th.Shed,
-		MemShed:          th.MemShed,
-		DeadlineExceeded: th.DeadlineExceeded,
-		Spills:           th.Spills,
-		SpillBytes:       th.SpillBytes,
-		LatencyP50Ms:     th.LatencyMs.P50,
-		LatencyP99Ms:     th.LatencyMs.P99,
-		MemInUseBytes:    th.MemInUseBytes,
-		MemCapBytes:      th.MemCapBytes,
-		RateLimited:      c["frontend.tenant."+id+".rate_limited"],
-		QuotaRejected:    c["frontend.tenant."+id+".quota_rejected"],
+		Tenant:           ts.cfg.ID,
+		Admitted:         n(outCompleted) + n(outFailed) + n(outDeadlineExceeded),
+		Completed:        n(outCompleted),
+		Failed:           n(outFailed),
+		Rejected:         n(outRejected),
+		MemShed:          n(outMemShed),
+		DeadlineExceeded: n(outDeadlineExceeded),
+		Spills:           l.spills.Value(),
+		SpillBytes:       l.spillBytes.Value(),
+		RateLimited:      n(outRateLimited),
+		QuotaRejected:    n(outQuotaRejected),
+		LatencyP50Ms:     lat.P50,
+		LatencyP99Ms:     lat.P99,
+		MemInUseBytes:    inUse[ts.cfg.ID],
+		MemCapBytes:      ts.cfg.MemCapBytes,
 	}
-	if ts, ok := f.tenants[id]; ok {
-		out.InFlight, out.Sessions = ts.govSnapshot()
-	}
+	out.InFlight, out.Sessions = ts.govSnapshot()
 	return out
 }
 
-// tenantGovInc counts a frontend governance event, in total and under the
-// tenant's dimension. These registry counters are the only count kept.
-func (f *Frontend) tenantGovInc(tenant, metric string) {
-	f.reg.Counter("frontend." + metric).Inc()
-	f.reg.Counter("frontend.tenant." + tenant + "." + metric).Inc()
+// tenantGovInc counts a query the frontend refused itself (o is invalid,
+// rate_limited or quota_rejected): in the frontend's total and in the
+// tenant's ledger.
+func (f *Frontend) tenantGovInc(ts *tenantState, o outcome) {
+	f.refused[o].Inc()
+	ts.ledger.count[o].Inc()
 }
 
 // bodyPool recycles body buffers, request and response alike: a megabyte
@@ -313,19 +320,19 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-// writeError maps an engine error through the v1 code table. 429s carry a
-// Retry-After so well-behaved clients back off: the tenant's token bucket is
-// consulted, and if the tenant is also out of tokens the hint is the actual
-// time to the next token, not a flat second.
+// writeError maps an engine error through the v1 code table and counts it in
+// the tenant's ledger under the code it maps to. 429s carry a Retry-After so
+// well-behaved clients back off: the tenant's token bucket is consulted, and
+// if the tenant is also out of tokens the hint is the actual time to the next
+// token, not a flat second.
 func (f *Frontend) writeError(w http.ResponseWriter, ts *tenantState, traceID string, err error) {
 	code, status, retryable := v1.CodeFor(err)
+	ts.ledger.engineError(code)
 	retryAfter := time.Duration(0)
 	if status == http.StatusTooManyRequests {
 		retryAfter = time.Second
-		if ts != nil {
-			if hint := ts.retryHint(f.now()); hint > 0 {
-				retryAfter = hint
-			}
+		if hint := ts.retryHint(f.now()); hint > 0 {
+			retryAfter = hint
 		}
 	}
 	f.writeCode(w, code, status, retryable, retryAfter, traceID, err.Error())

@@ -557,6 +557,90 @@ func TestHealthRoute(t *testing.T) {
 	}
 }
 
+// TestTenantHealthBreakdown drives labelled traffic and checks the tenant
+// ledger as /v1/health shows it and as the registry carries it for /metrics:
+// completed scans with their latency, an engine refusal counted once under
+// the code the tenant got, no entry for a tenant that sent nothing, and no
+// per-tenant series kept by the engine.
+func TestTenantHealthBreakdown(t *testing.T) {
+	e := newTestEnv(t, serve.Options{}, append(defaultTenants(), TenantConfig{ID: "idle", Key: "k"}), Config{})
+	alpha := e.open("alpha", "alpha-key")
+	bravo := e.open("bravo", "bravo-key")
+	scanQ := &v1.ScanArgs{Hi: 1000, AggCol: 1}
+	for i := 0; i < 3; i++ {
+		if status, _, raw := e.do("POST", "/v1/query", alpha, v1.QueryRequest{Op: v1.OpScan, Table: "facts", Scan: scanQ}); status != 200 {
+			t.Fatalf("scan %d: HTTP %d: %s", i, status, raw)
+		}
+	}
+	// An unknown table passes the frontend's checks; the engine refuses it.
+	if status, _, raw := e.do("POST", "/v1/query", bravo, v1.QueryRequest{Op: v1.OpScan, Table: "missing", Scan: scanQ}); status != 400 {
+		t.Fatalf("scan of unknown table: HTTP %d: %s", status, raw)
+	}
+
+	var h v1.HealthResponse
+	if status, _, raw := e.do("GET", "/v1/health", "", nil); status != 200 || json.Unmarshal(raw, &h) != nil {
+		t.Fatalf("health: HTTP %d: %s", status, raw)
+	}
+	if ta := h.Tenants["alpha"]; ta.Admitted != 3 || ta.Completed != 3 || ta.Failed != 0 || ta.LatencyP50Ms <= 0 {
+		t.Fatalf("tenant alpha health: %+v", ta)
+	}
+	if tb, ok := h.Tenants["bravo"]; !ok || tb.Admitted != 0 || tb.Failed != 0 {
+		t.Fatalf("tenant bravo health: %+v (listed %v)", tb, ok)
+	}
+	if _, ok := h.Tenants["idle"]; ok {
+		t.Fatalf("a tenant that sent nothing is listed: %+v", h.Tenants)
+	}
+
+	c := e.fe.reg.Counters()
+	if c["frontend.tenant.alpha.completed"] != 3 || c["frontend.tenant.bravo.invalid"] != 1 || c["frontend.invalid"] != 0 {
+		t.Fatalf("tenant series: %v", c)
+	}
+	if got := e.fe.reg.Histogram("frontend.tenant.alpha.latency_ms").Stats().Count; got != 3 {
+		t.Fatalf("alpha latency holds %d samples, want 3", got)
+	}
+	for k := range c {
+		if strings.HasPrefix(k, "serve.tenant.") {
+			t.Fatalf("the engine keeps a tenant series: %q", k)
+		}
+	}
+}
+
+// TestLedgerRecordsWithoutAllocating: recording a query under every outcome,
+// the frontend's own refusals included, allocates nothing (the handles are
+// resolved at New), and each engine code lands under its outcome.
+func TestLedgerRecordsWithoutAllocating(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
+	e := newTestEnv(t, serve.Options{}, defaultTenants(), Config{})
+	ts := e.fe.tenants["alpha"]
+	resp := serve.Response{Spilled: true, SpillBytes: 64}
+	resp.SimCycles = 1e5
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, func() {
+		ts.ledger.completed(1.5, &resp)
+		for _, code := range []string{v1.CodeOverloaded, v1.CodeMemoryPressure, v1.CodeDeadlineExceeded, v1.CodeInvalidArgument, v1.CodeInternal} {
+			ts.ledger.engineError(code)
+		}
+		for _, o := range []outcome{outInvalid, outRateLimited, outQuotaRejected} {
+			e.fe.tenantGovInc(ts, o)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("recording every outcome made %.1f allocations, want 0", allocs)
+	}
+	const n = runs + 1 // AllocsPerRun warms up with one extra call
+	got := wireTenantStats(ts, nil)
+	want := v1.TenantStats{
+		Tenant: "alpha", Admitted: 3 * n, Completed: n, Failed: n, Rejected: n, MemShed: n,
+		DeadlineExceeded: n, Spills: n, SpillBytes: 64 * n, RateLimited: n, QuotaRejected: n,
+		LatencyP50Ms: got.LatencyP50Ms, LatencyP99Ms: got.LatencyP99Ms,
+	}
+	if got != want || ts.ledger.count[outInvalid].Value() != 2*n {
+		t.Fatalf("ledger after %d rounds: %+v, invalid %d; want %+v, invalid %d", n, got, ts.ledger.count[outInvalid].Value(), want, 2*n)
+	}
+}
+
 // TestOverloadSheds429 drives a flood at a one-slot queue: some queries must
 // be shed with 429 OVERLOADED + Retry-After, and nothing may fail any other
 // way.

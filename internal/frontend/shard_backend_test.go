@@ -12,9 +12,10 @@ import (
 	"hwstar/internal/shard"
 )
 
-// newShardEnv boots a replicated shard.Router as the frontend's backend,
-// registered with an n-row relation whose range sums are exactly computable.
-func newShardEnv(t *testing.T, n int) (*testEnv, *shard.Router, func(lo, hi int64) int64) {
+// newShardEnv boots a replicated shard.Router of the given shard count as the
+// frontend's backend, registered with an n-row relation whose range sums are
+// exactly computable.
+func newShardEnv(t *testing.T, n, shards int) (*testEnv, *shard.Router, func(lo, hi int64) int64) {
 	t.Helper()
 	keys := make([]int64, n)
 	vals := make([]int64, n)
@@ -31,7 +32,7 @@ func newShardEnv(t *testing.T, n int) (*testEnv, *shard.Router, func(lo, hi int6
 		}
 		return sum
 	}
-	router, err := shard.New(context.Background(), hw.Server2S(), shard.Options{Shards: 4, Replicas: 2})
+	router, err := shard.New(context.Background(), hw.Server2S(), shard.Options{Shards: shards, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func newShardEnv(t *testing.T, n int) (*testEnv, *shard.Router, func(lo, hi int6
 // shard.Router — same wire protocol, same session flow — and a healthy
 // cluster's answers are exact and unflagged.
 func TestShardBackendServesQueries(t *testing.T) {
-	env, _, expect := newShardEnv(t, 8000)
+	env, _, expect := newShardEnv(t, 8000, 4)
 	tok := env.open("acme", "k1")
 
 	status, _, raw := env.do("POST", "/v1/query", tok, v1.QueryRequest{
@@ -96,7 +97,7 @@ func TestShardBackendServesQueries(t *testing.T) {
 // wrong sum, never a 5xx hiding a usable answer.
 func TestShardBackendPartialResultOnWire(t *testing.T) {
 	const n = 9000
-	env, router, expect := newShardEnv(t, n)
+	env, router, expect := newShardEnv(t, n, 4)
 	tok := env.open("acme", "k1")
 
 	parts, err := router.Partitions("facts")
@@ -156,5 +157,37 @@ func TestShardBackendPartialResultOnWire(t *testing.T) {
 	wantCovered := 1 - float64(lost)/n
 	if diff := qr.CoveredFraction - wantCovered; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("covered_fraction = %v, want %v", qr.CoveredFraction, wantCovered)
+	}
+}
+
+// TestTenantCountedOncePerQuery: behind a router a scan fans out to every
+// stripe, but the tenant's ledger counts what the tenant sent — one admitted
+// and completed query, one latency and one cycles sample per scan — not one
+// per stripe sub-request.
+func TestTenantCountedOncePerQuery(t *testing.T) {
+	env, _, _ := newShardEnv(t, 9000, 3)
+	tok := env.open("acme", "k1")
+	const queries = 5
+	for i := 0; i < queries; i++ {
+		status, _, raw := env.do("POST", "/v1/query", tok, v1.QueryRequest{
+			Op: v1.OpScan, Table: "facts",
+			Scan: &v1.ScanArgs{FilterCol: 0, Lo: 0, Hi: 8999, AggCol: 1},
+		})
+		if status != http.StatusOK {
+			t.Fatalf("query %d: HTTP %d: %s", i, status, raw)
+		}
+	}
+	status, _, raw := env.do("GET", "/v1/tenants/acme/stats", tok, nil)
+	var ts v1.TenantStats
+	if status != http.StatusOK || json.Unmarshal(raw, &ts) != nil {
+		t.Fatalf("stats: HTTP %d: %s", status, raw)
+	}
+	if ts.Admitted != queries || ts.Completed != queries || ts.LatencyP50Ms <= 0 {
+		t.Fatalf("stats after %d scans over 3 stripes: %s", queries, raw)
+	}
+	for _, name := range []string{"latency_ms", "cycles_per_query"} {
+		if got := env.fe.reg.Histogram("frontend.tenant.acme." + name).Stats().Count; got != queries {
+			t.Errorf("%s holds %d samples after %d scans", name, got, queries)
+		}
 	}
 }

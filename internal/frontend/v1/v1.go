@@ -347,16 +347,18 @@ type HealthResponse struct {
 	Checkpoints        int64  `json:"checkpoints,omitempty"`
 	CheckpointFailures int64  `json:"checkpoint_failures,omitempty"`
 	ColdLoads          int64  `json:"cold_loads,omitempty"`
-	// Tenants breaks admission down per tenant id.
+	// Tenants holds every configured tenant with a non-zero count.
 	Tenants map[string]TenantStats `json:"tenants,omitempty"`
 }
 
-// TenantStats is one tenant's slice of the server, served standalone from
-// GET /v1/tenants/{id}/stats and embedded in HealthResponse.
+// TenantStats is one tenant's ledger, served standalone from
+// GET /v1/tenants/{id}/stats and embedded in HealthResponse. The frontend
+// counts each of the tenant's queries once, by the code the tenant got.
 type TenantStats struct {
 	Tenant string `json:"tenant"`
-	// Engine-side admission and completion counters. Shed is always 0; it
-	// stays because the v1 wire is frozen (memory-pressure sheds are MemShed).
+	// Outcome counters; Admitted is Completed + Failed + DeadlineExceeded.
+	// Shed is always 0; it stays because the v1 wire is frozen
+	// (memory-pressure sheds are MemShed).
 	Admitted         int64 `json:"admitted"`
 	Completed        int64 `json:"completed"`
 	Failed           int64 `json:"failed"`
@@ -371,10 +373,12 @@ type TenantStats struct {
 	QuotaRejected int64 `json:"quota_rejected"`
 	InFlight      int64 `json:"in_flight"`
 	Sessions      int64 `json:"sessions"`
-	// Latency quantiles in milliseconds (engine-side, successful queries).
+	// Latency quantiles in milliseconds (wall time at the frontend,
+	// completed queries).
 	LatencyP50Ms float64 `json:"latency_p50_ms"`
 	LatencyP99Ms float64 `json:"latency_p99_ms"`
-	// Memory position against the tenant's cap (zero when uncapped).
+	// Bytes the engine holds for the tenant now, and its configured cap
+	// (zero when uncapped).
 	MemInUseBytes int64 `json:"mem_in_use_bytes"`
 	MemCapBytes   int64 `json:"mem_cap_bytes"`
 }

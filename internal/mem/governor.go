@@ -51,12 +51,12 @@ type Stats struct {
 	AdmissionDenied int64
 	OOMKills        int64
 
-	// TenantCaps, TenantInUse, and TenantDenied break the budget position
-	// down by tenant for every tenant with a cap or live usage. Nil when the
-	// governor carries no tenant dimension.
-	TenantCaps   map[string]int64
-	TenantInUse  map[string]int64
-	TenantDenied map[string]int64
+	// TenantCaps and TenantInUse break the budget position down by tenant
+	// for every tenant with a cap or live usage. Nil when the governor
+	// carries no tenant dimension. Denials are not broken down: a tenant's
+	// refused queries are counted by the frontend's tenant ledger.
+	TenantCaps  map[string]int64
+	TenantInUse map[string]int64
 }
 
 // Governor tracks a server-wide memory budget and hands out per-query
@@ -77,11 +77,10 @@ type Governor struct {
 	live  int
 	stats Stats
 
-	// Tenant dimension: per-tenant caps, in-use bytes, and denial counts.
-	// All nil until a cap is set or a tenant-labelled reservation is made.
+	// Tenant dimension: per-tenant caps and in-use bytes. Both nil until a
+	// cap is set or a tenant-labelled reservation is made.
 	tenantCaps map[string]int64
 	tenantUse  map[string]int64
-	tenantDeny map[string]int64
 }
 
 // NewGovernor returns a governor armed with cfg.
@@ -141,15 +140,11 @@ func (g *Governor) ReserveFor(tenant string, n int64) (*Reservation, error) {
 	if !g.cfg.KillOnOverage {
 		if cap, ok := g.tenantCaps[tenant]; ok && tenant != "" && g.tenantUse[tenant]+n > cap {
 			g.stats.AdmissionDenied++
-			g.noteTenantDenied(tenant)
 			return nil, fmt.Errorf("mem: reserve %d bytes for tenant %q with %d of %d tenant cap in use: %w",
 				n, tenant, g.tenantUse[tenant], cap, errs.ErrMemoryPressure)
 		}
 		if g.cfg.BudgetBytes > 0 && g.inUse+n > g.cfg.BudgetBytes {
 			g.stats.AdmissionDenied++
-			if tenant != "" {
-				g.noteTenantDenied(tenant)
-			}
 			return nil, fmt.Errorf("mem: reserve %d bytes with %d of %d in use: %w",
 				n, g.inUse, g.cfg.BudgetBytes, errs.ErrMemoryPressure)
 		}
@@ -179,21 +174,12 @@ func (g *Governor) growTenant(tenant string, n int64) {
 	g.tenantUse[tenant] += n
 }
 
-// noteTenantDenied counts one denial against a tenant. Callers hold g.mu.
-func (g *Governor) noteTenantDenied(tenant string) {
-	if g.tenantDeny == nil {
-		g.tenantDeny = make(map[string]int64)
-	}
-	g.tenantDeny[tenant]++
-}
-
 // tryGrow attempts to add n bytes to usage for a reservation grow, applying
 // tenant-cap, budget, and kill semantics. Callers hold g.mu.
 func (g *Governor) tryGrow(n int64, tenant, site string) error {
 	if tenant != "" && !g.cfg.KillOnOverage {
 		if cap, ok := g.tenantCaps[tenant]; ok && g.tenantUse[tenant]+n > cap {
 			g.stats.Denied++
-			g.noteTenantDenied(tenant)
 			return fmt.Errorf("mem: charge %d bytes at %s with %d of %d tenant %q cap in use: %w",
 				n, site, g.tenantUse[tenant], cap, tenant, errs.ErrMemoryPressure)
 		}
@@ -207,9 +193,6 @@ func (g *Governor) tryGrow(n int64, tenant, site string) error {
 				site, g.inUse, g.cfg.BudgetBytes, errs.ErrOOMKilled)
 		}
 		g.stats.Denied++
-		if tenant != "" {
-			g.noteTenantDenied(tenant)
-		}
 		return fmt.Errorf("mem: charge %d bytes at %s with %d of %d in use: %w",
 			n, site, g.inUse, g.cfg.BudgetBytes, errs.ErrMemoryPressure)
 	}
@@ -249,7 +232,6 @@ func (g *Governor) Stats() Stats {
 	s.Reservations = g.live
 	s.TenantCaps = copyTenantMap(g.tenantCaps)
 	s.TenantInUse = copyTenantMap(g.tenantUse)
-	s.TenantDenied = copyTenantMap(g.tenantDeny)
 	return s
 }
 

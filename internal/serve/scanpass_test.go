@@ -166,3 +166,30 @@ func TestProbeKernelMatchesScanPass(t *testing.T) {
 		s.Close()
 	}
 }
+
+// TestAggregatingTheFilterColumnDecodesOnce: a query that aggregates its own
+// filter column reads each straddled block's payload once, so over one
+// uniform morsel it models fewer cycles than the same filter aggregating
+// another column, which must decode a second column as well.
+func TestAggregatingTheFilterColumnDecodesOnce(t *testing.T) {
+	s, vt, sch, _ := scanPassFixture(t, scanShapes[1], vecMorselRows)
+	defer s.Close()
+	nBlocks := int64(vt.cols[0].NumBlocks())
+	cycles := func(aggCol int) float64 {
+		qs := []scan.Query{{FilterCol: 0, Lo: 2500, Hi: 7500, AggCol: aggCol}}
+		res, err := sch.RunMorsels(context.Background(), vt.rows, vecMorselRows, compress.BlockValues, "filter-is-agg",
+			func(start, end int, w *sched.Worker) {
+				var out [1]int64
+				if p, f, sc := vecScanMorsel(vt, qs, start, end, w, out[:]); p != 0 || f != 0 || sc != nBlocks {
+					t.Errorf("agg col %d: %d pruned, %d fast-summed, %d scanned; want every one of %d blocks scanned", aggCol, p, f, sc, nBlocks)
+				}
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.MakespanCycles
+	}
+	if same, other := cycles(0), cycles(1); same >= other {
+		t.Fatalf("filter col = agg col modeled %.0f cycles, filter col != agg col %.0f: the filter column was decoded twice", same, other)
+	}
+}

@@ -65,7 +65,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,12 +129,11 @@ func (p Priority) Lane() string {
 type Request struct {
 	Op Op
 
-	// Tenant labels the request with the submitting tenant's identity.
-	// Non-empty tenants get their own metric dimension (serve.tenant.<id>.*
-	// counters and histograms), a per-tenant Health breakdown, tenant
-	// attribution on trace spans, and — when the memory governor carries
-	// per-tenant caps — a tenant-scoped memory budget. Empty means
-	// unattributed (the pre-multi-tenancy behaviour).
+	// Tenant labels the request with the submitting tenant's identity:
+	// tenant attribution on trace spans and — when the memory governor
+	// carries per-tenant caps — a tenant-scoped memory budget. Empty means
+	// unattributed. Per-tenant counts are kept by the frontend, the one tier
+	// that sees each tenant query once.
 	Tenant string
 
 	// Priority selects the dispatch class: "" or "interactive" for the
@@ -372,9 +370,6 @@ type pending struct {
 	// single point every admitted request converges on.
 	resv *mem.Reservation
 
-	// tenant is the request's tenant series, nil when unattributed.
-	tenant *tenantSeries
-
 	span      *trace.Span
 	queueSpan *trace.Span
 	batchSpan *trace.Span
@@ -439,9 +434,6 @@ type Server struct {
 	closed bool
 	tables map[string]*vecTable
 
-	tenantMu sync.RWMutex // guards tenants
-	tenants  map[string]*tenantSeries
-
 	// Durable-tier state (nil when Options.Store is nil). stopc ends the
 	// background checkpointer at Close.
 	st    *store.Store
@@ -505,7 +497,6 @@ func New(m *hw.Machine, opts Options) (*Server, error) {
 		intakeLo: make(chan *pending, opts.QueueDepth),
 		released: make(chan event, opts.Workers),
 		tables:   make(map[string]*vecTable),
-		tenants:  make(map[string]*tenantSeries),
 		rng:      rand.New(rand.NewSource(seed)),
 	}
 	s.coresFree = s.reg.Gauge("serve.cores_free")
@@ -708,50 +699,6 @@ func (s *Server) registerEncoded(t *table.Table, l *mem.Lease) error {
 	return nil
 }
 
-// tenantInc bumps one tenant-dimension counter (serve.tenant.<id>.<metric>);
-// Health finds the tenant by that key. No-op for the empty (unattributed)
-// tenant. It builds the series name, so it counts the rare outcomes only;
-// every request's series go through tenantSeries.
-func (s *Server) tenantInc(tenant, metric string) {
-	if tenant != "" {
-		s.reg.Counter(tenantPrefix + tenant + "." + metric).Inc()
-	}
-}
-
-// tenantSeries is one tenant's handles on the series every admitted request
-// touches, named and looked up in the registry once per tenant.
-type tenantSeries struct {
-	admitted, completed *metrics.Counter
-	latency, cycles     *metrics.Histogram
-}
-
-// tenant returns the tenant's series, nil for the empty (unattributed)
-// tenant.
-func (s *Server) tenant(tenant string) *tenantSeries {
-	if tenant == "" {
-		return nil
-	}
-	s.tenantMu.RLock()
-	ts := s.tenants[tenant]
-	s.tenantMu.RUnlock()
-	if ts != nil {
-		return ts
-	}
-	s.tenantMu.Lock()
-	defer s.tenantMu.Unlock()
-	if ts = s.tenants[tenant]; ts == nil {
-		p := tenantPrefix + tenant + "."
-		ts = &tenantSeries{
-			admitted:  s.reg.Counter(p + "admitted"),
-			completed: s.reg.Counter(p + "completed"),
-			latency:   s.reg.Histogram(p + "latency_ms"),
-			cycles:    s.reg.Histogram(p + "cycles_per_query"),
-		}
-		s.tenants[tenant] = ts
-	}
-	return ts
-}
-
 // SetTenantMemCap caps the named tenant's share of the server's memory
 // budget: reservations for that tenant's requests fail with
 // ErrMemoryPressure once the tenant's in-use bytes would pass the cap, even
@@ -825,7 +772,6 @@ func (s *Server) validate(ctx context.Context, req Request) error {
 func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 	if err := s.validate(ctx, req); err != nil {
 		s.reg.Counter("serve.invalid").Inc()
-		s.tenantInc(req.Tenant, "invalid")
 		return Response{}, err
 	}
 	// Memory admission: a join/aggregate request must win its reservation
@@ -842,12 +788,11 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 		resv, err = s.gov.ReserveFor(req.Tenant, 0)
 		if err != nil {
 			s.reg.Counter("serve.mem_shed").Inc()
-			s.tenantInc(req.Tenant, "mem_shed")
 			return Response{}, fmt.Errorf("serve: %s shed at admission: %w", req.Op, err)
 		}
 	}
 	p := pendings.Get().(*pending)
-	p.ctx, p.req, p.enq, p.resv, p.tenant = ctx, req, time.Now(), resv, s.tenant(req.Tenant)
+	p.ctx, p.req, p.enq, p.resv = ctx, req, time.Now(), resv
 	req.Lease.Acquire() // the executor's reference, released in settle
 	// The trace (if this request is sampled) must be rooted before the
 	// request enters the intake queue: the dispatcher reads the spans
@@ -885,16 +830,12 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 	case lane <- p:
 		s.mu.RUnlock()
 		s.reg.Counter("serve.admitted").Inc()
-		if p.tenant != nil {
-			p.tenant.admitted.Inc()
-		}
 		s.reg.Gauge("serve.queue_depth").Set(int64(len(s.intake) + len(s.intakeLo)))
 	default:
 		s.mu.RUnlock()
 		p.resv.Release()
 		req.Lease.Release()
 		s.reg.Counter("serve.rejected").Inc()
-		s.tenantInc(req.Tenant, "rejected")
 		p.span.SetAttr("status", "rejected")
 		p.queueSpan.End()
 		p.span.End()
@@ -1419,25 +1360,16 @@ func (s *Server) finish(p *pending, resp Response, err error) {
 // as failed. Every admitted request ends here, so it also settles the memory
 // reservation (spill and peak, then release) and its lease reference.
 func (s *Server) settle(p *pending, resp Response, err error) {
-	tenant := p.req.Tenant
 	switch {
 	case err == nil:
 		s.reg.Counter("serve.completed").Inc()
-		lat := float64(time.Since(p.enq).Microseconds()) / 1000
-		s.reg.Histogram("serve.latency_ms").Record(lat)
-		if ts := p.tenant; ts != nil {
-			ts.completed.Inc()
-			ts.latency.Record(lat)
-			ts.cycles.Record(resp.SimCycles)
-		}
+		s.reg.Histogram("serve.latency_ms").Record(float64(time.Since(p.enq).Microseconds()) / 1000)
 		p.span.SetAttr("status", "ok")
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		s.reg.Counter("serve.deadline_exceeded").Inc()
-		s.tenantInc(tenant, "deadline_exceeded")
 		p.span.SetAttr("status", "deadline")
 	default:
 		s.reg.Counter("serve.failed").Inc()
-		s.tenantInc(tenant, "failed")
 		p.span.SetAttr("status", "failed")
 		if errors.Is(err, errs.ErrOOMKilled) {
 			s.reg.Counter("serve.oom_killed").Inc()
@@ -1447,10 +1379,6 @@ func (s *Server) settle(p *pending, resp Response, err error) {
 		if spills, spillB := p.resv.Spills(); spills > 0 {
 			s.reg.Counter("serve.spills").Add(spills)
 			s.reg.Counter("serve.spill_bytes").Add(spillB)
-			if tenant != "" {
-				s.reg.Counter(tenantPrefix + tenant + ".spills").Add(spills)
-				s.reg.Counter(tenantPrefix + tenant + ".spill_bytes").Add(spillB)
-			}
 			p.span.SetAttr("spilled", "true")
 		}
 		p.span.AddBytes(p.resv.PeakBytes())
@@ -1519,43 +1447,15 @@ type Health struct {
 	// decodes).
 	VecPasses                                      int64
 	VecBlocksPruned, VecFastSums, VecBlocksScanned int64
-
-	// Tenants breaks the admission/outcome counters down by tenant id, for
-	// every tenant that has submitted at least one labelled request. Nil
-	// when no request carried a tenant.
-	Tenants map[string]TenantHealth
-}
-
-// TenantHealth is one tenant's slice of the server's counters and latency
-// distribution. It is assembled from the per-tenant metric dimension — no
-// mutexed state is copied to produce it.
-type TenantHealth struct {
-	// Admission and outcome counters for this tenant's requests. Shed is
-	// always 0 and kept because the v1 wire carries it.
-	Admitted, Completed, Failed, Rejected, Shed, MemShed int64
-	DeadlineExceeded, Invalid                            int64
-
-	// Spill accounting for this tenant's governed operators.
-	Spills, SpillBytes int64
-
-	// LatencyMs summarizes the tenant's completed-request latency;
-	// CyclesPerQuery the modeled cost distribution.
-	LatencyMs, CyclesPerQuery metrics.HistogramStats
-
-	// MemInUseBytes and MemCapBytes report the tenant's position against
-	// its memory cap (both 0 when the governor carries no cap for it).
-	MemInUseBytes, MemCapBytes int64
 }
 
 // HealthFromCounters is the counter half of Health: every field that is a
 // monotonic count, read from a counter snapshot of one server's registry — or
 // of several summed key by key, which is how the shard tier builds its view.
 // The registry is the only counter store, so this mapping is the only place a
-// Health counter field is tied to its series. Tenants is rebuilt from the
-// serve.tenant.<id>.<metric> keys (metric names carry no dot, so the id is
-// everything up to the last one).
+// Health counter field is tied to its series.
 func HealthFromCounters(c map[string]int64) Health {
-	h := Health{
+	return Health{
 		Admitted:           c["serve.admitted"],
 		Completed:          c["serve.completed"],
 		Failed:             c["serve.failed"],
@@ -1580,46 +1480,11 @@ func HealthFromCounters(c map[string]int64) Health {
 		VecFastSums:        c["serve.vec_block_fast_sums"],
 		VecBlocksScanned:   c["serve.vec_blocks_scanned"],
 	}
-	for k := range c {
-		rest, ok := strings.CutPrefix(k, tenantPrefix)
-		dot := strings.LastIndexByte(rest, '.')
-		if !ok || dot <= 0 {
-			continue
-		}
-		if _, seen := h.Tenants[rest[:dot]]; seen {
-			continue
-		}
-		if h.Tenants == nil {
-			h.Tenants = make(map[string]TenantHealth)
-		}
-		h.Tenants[rest[:dot]] = TenantHealthFromCounters(c, rest[:dot])
-	}
-	return h
-}
-
-// tenantPrefix starts every per-tenant series: serve.tenant.<id>.<metric>.
-const tenantPrefix = "serve.tenant."
-
-// TenantHealthFromCounters is the counter half of one tenant's breakdown,
-// over the same snapshot HealthFromCounters reads.
-func TenantHealthFromCounters(c map[string]int64, tenant string) TenantHealth {
-	p := tenantPrefix + tenant + "."
-	return TenantHealth{
-		Admitted:         c[p+"admitted"],
-		Completed:        c[p+"completed"],
-		Failed:           c[p+"failed"],
-		Rejected:         c[p+"rejected"],
-		MemShed:          c[p+"mem_shed"],
-		DeadlineExceeded: c[p+"deadline_exceeded"],
-		Invalid:          c[p+"invalid"],
-		Spills:           c[p+"spills"],
-		SpillBytes:       c[p+"spill_bytes"],
-	}
 }
 
 // Health snapshots the server's resilience state: the counter view plus what
-// no counter holds — queue depth, the governor, the fault injector's log, the
-// store, and each tenant's latency distribution and memory position.
+// no counter holds — queue depth, the governor, the fault injector's log and
+// the store.
 func (s *Server) Health() Health {
 	h := HealthFromCounters(s.reg.Counters())
 	h.State = "ok"
@@ -1632,27 +1497,5 @@ func (s *Server) Health() Health {
 		h.LastCheckpoint = s.st.LastCheckpoint()
 		h.StoreVersion = s.st.Version()
 	}
-	for id, th := range h.Tenants {
-		h.Tenants[id] = s.tenantLive(id, th, h.Memory)
-	}
 	return h
-}
-
-// TenantHealth returns one tenant's Health slice (zero for a tenant the
-// server has never seen).
-func (s *Server) TenantHealth(tenant string) TenantHealth {
-	return s.tenantLive(tenant, TenantHealthFromCounters(s.reg.Counters(), tenant), s.gov.Stats())
-}
-
-// tenantLive fills the non-counter half of one tenant's breakdown: the
-// per-tenant histograms and the tenant's position against its memory cap.
-func (s *Server) tenantLive(tenant string, th TenantHealth, gs mem.Stats) TenantHealth {
-	p := tenantPrefix + tenant + "."
-	th.LatencyMs = s.reg.Histogram(p + "latency_ms").Stats()
-	th.CyclesPerQuery = s.reg.Histogram(p + "cycles_per_query").Stats()
-	if gs.TenantInUse != nil {
-		th.MemInUseBytes = gs.TenantInUse[tenant]
-		th.MemCapBytes = gs.TenantCaps[tenant]
-	}
-	return th
 }

@@ -205,14 +205,20 @@ func vecScanMorsel(vt *vecTable, queries []scan.Query, start, end int, w *sched.
 			if len(sel) == 0 {
 				continue
 			}
-			acol := vt.cols[q.AggCol]
-			if aCached != q.AggCol {
-				acol.DecodeBlock(blk, abuf[:])
-				aCached = q.AggCol
-				payloadBytes += acol.BlockBytes(blk)
-				decodedTuples += int64(n)
+			// A query aggregating its filter column sums the block it
+			// just filtered.
+			vals := fbuf[:n]
+			if q.AggCol != q.FilterCol {
+				acol := vt.cols[q.AggCol]
+				if aCached != q.AggCol {
+					acol.DecodeBlock(blk, abuf[:])
+					aCached = q.AggCol
+					payloadBytes += acol.BlockBytes(blk)
+					decodedTuples += int64(n)
+				}
+				vals = abuf[:n]
 			}
-			out[qi] += vecexec.SumI64(abuf[:n], sel)
+			out[qi] += vecexec.SumI64(vals, sel)
 			gatherTuples += int64(len(sel))
 		}
 		if blockScanned {

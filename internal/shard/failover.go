@@ -66,9 +66,6 @@ func (r *Router) RecoverNode(ctx context.Context, id int) error {
 	if err != nil {
 		return fmt.Errorf("shard: recover node %d: %w", id, err)
 	}
-	n.mu.Lock()
-	n.srv = srv
-	n.mu.Unlock()
 
 	if err := r.rereplicate(ctx, n); err != nil {
 		n.mu.Lock()

@@ -13,6 +13,7 @@ import (
 	"hwstar/internal/fault"
 	"hwstar/internal/hw"
 	"hwstar/internal/mem"
+	"hwstar/internal/serve"
 	"hwstar/internal/store"
 )
 
@@ -233,6 +234,60 @@ func TestKillAndRecoverIdempotent(t *testing.T) {
 	if err := r.KillNode(9); !errors.Is(err, errs.ErrInvalidInput) {
 		t.Fatalf("out-of-range kill: %v, want ErrInvalidInput", err)
 	}
+}
+
+// TestRevivedNodeKeepsTenantCaps: a tenant memory cap binds on every node,
+// including one killed and recovered after the cap was set and one that was
+// dead when it was set, and one revived while caps are being set: a revived
+// node's server is built with the caps the router was given.
+func TestRevivedNodeKeepsTenantCaps(t *testing.T) {
+	ctx := context.Background()
+	const capBytes = 1 << 20
+	r := newRouter(t, Options{Shards: 3, Replicas: 2, Stores: openStores(t, 3),
+		Shard: serve.Options{Memory: mem.Config{BudgetBytes: 64 << 20}}})
+	if err := r.KillNode(2); err != nil {
+		t.Fatal(err)
+	}
+	r.SetTenantMemCap("acme", capBytes)
+	if err := r.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{1, 2} {
+		if err := r.RecoverNode(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkCaps := func(want int64) {
+		t.Helper()
+		for _, n := range r.nodes {
+			if got := n.server().Health().Memory.TenantCaps["acme"]; got != want {
+				t.Errorf("node %d: tenant cap %d, want %d", n.id, got, want)
+			}
+		}
+	}
+	checkCaps(capBytes)
+
+	// Caps set while a node is being revived: whichever way each set and
+	// the revival interleave, every node ends on the last cap set.
+	const sets = 50
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := int64(1); i <= sets; i++ {
+			r.SetTenantMemCap("acme", capBytes+i)
+		}
+	}()
+	for i := 0; i < 5; i++ {
+		if err := r.KillNode(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.RecoverNode(ctx, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	checkCaps(capBytes + sets)
 }
 
 // TestKilledNodeNeverCommits pins that a kill is a crash-stop: the revived

@@ -101,10 +101,26 @@ func (r *Router) ClusterHealth() ClusterHealth {
 	return ch
 }
 
-// liveView is what both health views are built from: the live shards'
-// counter snapshots added key by key, their Health snapshots for the fields
-// no counter holds, and whether any node is dead.
-func (r *Router) liveView() (map[string]int64, []serve.Health, bool) {
+// Health is the single-node surface the frontend already speaks, for the
+// cluster: serve's counter mapping applied once to the live shards' summed
+// counters, so a counter field added to serve.Health is summed here without
+// this file naming it. A dead node's server and its counts are gone, so after
+// a node loss the totals are a floor. What no counter holds has one rule each:
+//
+//   - State is "degraded" while any node is dead; Durable is true when any
+//     live node's is.
+//   - QueueDepth, Faults and the Recovery counts are
+//     summed; Faults also carries the router's own "node-loss" count.
+//   - StoreVersion and Recovery.ManifestVersion are the lowest across live
+//     durable nodes: the version every node has committed.
+//   - LastCheckpoint is the furthest-along node's (highest manifest version:
+//     nodes checkpoint independently and share no clock).
+//   - Memory is the cluster-wide governor's snapshot, zero when it is off,
+//     but for Memory.TenantInUse: each tenant's bytes in use summed over the
+//     live shards, where its queries reserve.
+//
+// Cluster-only detail (failovers, hedges, partials) lives in ClusterHealth.
+func (r *Router) Health() serve.Health {
 	r.mu.RLock()
 	nodes := r.nodes
 	r.mu.RUnlock()
@@ -121,34 +137,19 @@ func (r *Router) liveView() (map[string]int64, []serve.Health, bool) {
 		}
 		live = append(live, srv.Health())
 	}
-	return sum, live, len(live) < len(nodes)
-}
-
-// Health is the single-node surface the frontend already speaks, for the
-// cluster: serve's counter mapping applied once to the live shards' summed
-// counters, so a counter field added to serve.Health is summed here without
-// this file naming it. A dead node's server and its counts are gone, so after
-// a node loss the totals are a floor. What no counter holds has one rule each:
-//
-//   - State is "degraded" while any node is dead; Durable is true when any
-//     live node's is.
-//   - QueueDepth, Faults and the Recovery counts are
-//     summed; Faults also carries the router's own "node-loss" count.
-//   - StoreVersion and Recovery.ManifestVersion are the lowest across live
-//     durable nodes: the version every node has committed.
-//   - LastCheckpoint is the furthest-along node's (highest manifest version:
-//     nodes checkpoint independently and share no clock).
-//   - Memory is the cluster-wide governor's snapshot, zero when it is off.
-//
-// Cluster-only detail (failovers, hedges, partials) lives in ClusterHealth.
-func (r *Router) Health() serve.Health {
-	sum, live, dead := r.liveView()
 	out := serve.HealthFromCounters(sum)
 	out.State = "ok"
-	if dead {
+	if len(live) < len(nodes) {
 		out.State = "degraded"
 	}
+	var inUse map[string]int64
 	for _, h := range live {
+		for id, b := range h.Memory.TenantInUse {
+			if inUse == nil {
+				inUse = make(map[string]int64)
+			}
+			inUse[id] += b
+		}
 		out.QueueDepth += h.QueueDepth
 		if h.Faults != nil && out.Faults == nil {
 			out.Faults = make(map[string]int64)
@@ -177,6 +178,7 @@ func (r *Router) Health() serve.Health {
 	if r.gov != nil {
 		out.Memory = r.gov.Stats()
 	}
+	out.Memory.TenantInUse = inUse
 	losses := r.reg.Counters()["shard.node_losses"]
 	if out.Faults == nil && losses > 0 {
 		out.Faults = make(map[string]int64)
@@ -184,30 +186,5 @@ func (r *Router) Health() serve.Health {
 	if out.Faults != nil {
 		out.Faults["node-loss"] += losses
 	}
-	for id, th := range out.Tenants {
-		out.Tenants[id] = r.tenantView(id, th, live)
-	}
 	return out
-}
-
-// TenantHealth is one tenant's slice of Health, built the same way.
-func (r *Router) TenantHealth(tenant string) serve.TenantHealth {
-	sum, live, _ := r.liveView()
-	return r.tenantView(tenant, serve.TenantHealthFromCounters(sum, tenant), live)
-}
-
-// tenantView fills what the summed counters cannot say about a tenant.
-// Latency and modeled cost are what the tenant waited for at the router
-// (SubmitDist records them per request): the shards' histograms time
-// per-stripe sub-requests and cannot be merged. Memory in use is summed over
-// the live shards; the cap is the largest any of them carries.
-func (r *Router) tenantView(tenant string, th serve.TenantHealth, live []serve.Health) serve.TenantHealth {
-	ts := r.tenant(tenant)
-	th.LatencyMs = ts.latency.Stats()
-	th.CyclesPerQuery = ts.cycles.Stats()
-	for _, h := range live {
-		th.MemInUseBytes += h.Memory.TenantInUse[tenant]
-		th.MemCapBytes = max(th.MemCapBytes, h.Memory.TenantCaps[tenant])
-	}
-	return th
 }

@@ -191,6 +191,9 @@ type Router struct {
 	nodes  []*node
 	tables map[string]*tableMeta
 	closed bool
+	// caps is every tenant memory cap SetTenantMemCap was given, so a
+	// server built later (a revived node's) carries them too.
+	caps map[string]int64
 
 	// reapWG tracks background teardown of killed nodes' servers.
 	reapWG sync.WaitGroup
@@ -200,33 +203,6 @@ type Router struct {
 
 	// lat is each op class's recent dispatch times, for the hedge deadline.
 	lat [opClasses]latencyClass
-
-	tenantMu sync.RWMutex // guards tenants
-	tenants  map[string]*tenantSeries
-}
-
-// tenantSeries is one tenant's whole-request histograms, named and looked up
-// in the registry once per tenant rather than on every request.
-type tenantSeries struct {
-	latency, cycles *metrics.Histogram
-}
-
-// tenant returns the tenant's series (shard.tenant.<id>.*).
-func (r *Router) tenant(tenant string) *tenantSeries {
-	r.tenantMu.RLock()
-	ts := r.tenants[tenant]
-	r.tenantMu.RUnlock()
-	if ts != nil {
-		return ts
-	}
-	r.tenantMu.Lock()
-	defer r.tenantMu.Unlock()
-	if ts = r.tenants[tenant]; ts == nil {
-		p := "shard.tenant." + tenant + "."
-		ts = &tenantSeries{latency: r.reg.Histogram(p + "latency_ms"), cycles: r.reg.Histogram(p + "cycles_per_query")}
-		r.tenants[tenant] = ts
-	}
-	return ts
 }
 
 // New builds the shard tier: opts.Shards serve.Servers on machine m behind
@@ -258,7 +234,7 @@ func New(_ context.Context, m *hw.Machine, opts Options) (*Router, error) {
 		reg:      metrics.NewRegistry(),
 		inflight: make(chan struct{}, opts.maxInflight),
 		tables:   make(map[string]*tableMeta),
-		tenants:  make(map[string]*tenantSeries),
+		caps:     make(map[string]int64),
 	}
 	if opts.Memory.BudgetBytes > 0 {
 		r.gov = mem.NewGovernor(opts.Memory)
@@ -268,25 +244,38 @@ func New(_ context.Context, m *hw.Machine, opts Options) (*Router, error) {
 		if opts.Stores != nil {
 			n.st = opts.Stores[i]
 		}
-		srv, err := r.buildServer(n)
-		if err != nil {
+		if _, err := r.buildServer(n); err != nil {
 			for _, prev := range r.nodes {
 				prev.server().Close()
 			}
 			return nil, fmt.Errorf("shard: node %d: %w", i, err)
 		}
-		n.srv = srv
 		n.alive.Store(true)
 		r.nodes = append(r.nodes, n)
 	}
 	return r, nil
 }
 
-// buildServer constructs one shard's serve.Server from the template.
+// buildServer constructs one shard's serve.Server from the template, gives
+// it every tenant memory cap the router holds and installs it as n's server.
+// The caps are read and the server installed under one read lock, so a
+// SetTenantMemCap racing a revival is either read here or finds the server.
 func (r *Router) buildServer(n *node) (*serve.Server, error) {
 	so := r.opts.Shard
 	so.Store = n.st
-	return serve.New(r.machine, so)
+	srv, err := serve.New(r.machine, so)
+	if err != nil {
+		return nil, err
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for tenant, bytes := range r.caps {
+		srv.SetTenantMemCap(tenant, bytes)
+	}
+	n.mu.Lock()
+	n.srv = srv
+	n.mu.Unlock()
+	return srv, nil
 }
 
 // Close drains every live shard and releases router state. Safe to call
@@ -421,15 +410,7 @@ func (r *Router) SubmitDist(ctx context.Context, req serve.Request) (Response, e
 		resp, err = r.routeAny(ctx, req)
 	}
 	if err == nil || resp.Partial {
-		ms := float64(time.Since(start).Microseconds()) / 1e3
-		r.reg.Histogram("shard.latency_ms").Record(ms)
-		if req.Tenant != "" {
-			// What the tenant waited for, whole-request: the shards' own
-			// tenant histograms time per-stripe sub-requests.
-			ts := r.tenant(req.Tenant)
-			ts.latency.Record(ms)
-			ts.cycles.Record(resp.SimCycles)
-		}
+		r.reg.Histogram("shard.latency_ms").Record(float64(time.Since(start).Microseconds()) / 1e3)
 	}
 	return resp, err
 }
@@ -578,17 +559,19 @@ func (r *Router) Workers() int {
 }
 
 // SetTenantMemCap forwards a per-tenant byte cap to the cluster-wide
-// governor (when armed) and to every live shard's governor, so a tenant's
-// cap binds wherever its queries land.
+// governor (when armed) and to every shard's governor, so a tenant's cap
+// binds wherever its queries land. The router keeps the cap: a node dead
+// now gets it when RecoverNode builds its new server.
 func (r *Router) SetTenantMemCap(tenant string, bytes int64) {
 	if r.gov != nil {
 		r.gov.SetTenantCap(tenant, bytes)
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.caps[tenant] = bytes
 	for _, n := range r.nodes {
-		if n.alive.Load() {
-			n.server().SetTenantMemCap(tenant, bytes)
+		if srv := n.server(); srv != nil {
+			srv.SetTenantMemCap(tenant, bytes)
 		}
 	}
 }
