@@ -63,8 +63,8 @@ type Config struct {
 	Deadline Duration `json:"deadline"`
 
 	// Sharded serving tier: Shards > 1 runs that many serve.Server shards
-	// behind a consistent-hash router with Replicas-way replication,
-	// replica failover, and hedged dispatch (see internal/shard). Shards
+	// behind a router that places partition p on nodes p … p+Replicas−1,
+	// with replica failover and hedged dispatch (see internal/shard). Shards
 	// 0/1 is the classic single-server mode. With -data-dir each shard
 	// gets its own node-N subdirectory, so node recovery re-replicates
 	// from the surviving replicas' durable stores.

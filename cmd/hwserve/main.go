@@ -127,10 +127,11 @@ type report struct {
 // build assembles the engine both modes run against. The per-server options,
 // memory governor, fault injector, tracer and durable stores are derived from
 // cfg once; cfg.Shards only decides what wraps them — one Server over
-// cfg.DataDir, or cfg.Shards of them behind a replicated consistent-hash
-// Router, each over its own node-N subdirectory so a recovered node can
-// re-replicate lost stripes from the surviving replicas' stores. Opening a
-// store replays its committed state, so the engine returned serves it.
+// cfg.DataDir, or cfg.Shards of them behind a replicated Router (partition
+// p on nodes p … p+Replicas−1), each over its own node-N subdirectory so a
+// recovered node can re-replicate lost stripes from the surviving replicas'
+// stores. Opening a store replays its committed state, so the engine
+// returned serves it.
 func build(ctx context.Context, cfg Config) (*backend, error) {
 	m, ok := hw.Profiles()[cfg.Machine]
 	if !ok {

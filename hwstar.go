@@ -592,7 +592,7 @@ func GenJoin(seed int64, buildRows, probeRows int, zipfS float64) JoinData {
 }
 
 // Router is the sharded serving tier: N serve.Server shards behind a
-// consistent-hash router with R-way replication, replica failover with
+// router that places partition p on nodes p … p+R−1, replica failover with
 // per-node circuit breakers, hedged dispatch against stragglers,
 // cost-model-chosen distributed join strategies, typed partial results on
 // total replica loss, and governed re-replication from surviving durable

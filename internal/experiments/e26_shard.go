@@ -24,7 +24,7 @@ func init() {
 	register(Experiment{
 		ID:    "E26",
 		Title: "Sharded tier: node-loss failover, hedged-dispatch tails, typed partial results, distributed join strategies",
-		Claim: "a replicated consistent-hash serving tier survives seeded node-kill/failover cycles with zero lost committed answers on replicated ranges (recovery re-replicating from surviving durable stores); hedged dispatch bounds the straggler tail to within 2x the no-fault p99; total replica loss degrades to typed partial results that are exact over the covered fraction, never silently wrong totals; and the planner's cost model picks shuffle vs broadcast per the fabric price while distributed joins stay exact",
+		Claim: "a replicated serving tier (partition p on nodes p … p+R−1) survives seeded node-kill/failover cycles with zero lost committed answers on replicated ranges (recovery re-replicating from surviving durable stores); hedged dispatch bounds the straggler tail to within 2x the no-fault p99; total replica loss degrades to typed partial results that are exact over the covered fraction, never silently wrong totals; and the planner's cost model picks shuffle vs broadcast per the fabric price while distributed joins stay exact",
 		Run:   runE26,
 	})
 }
@@ -280,10 +280,10 @@ func runE26Hedge(m *hw.Machine, shards, clients, requests, rows int) (e26HedgeBe
 	return b, nil
 }
 
-// runE26Partial stages total replica loss: each trial kills every replica
-// of a table's first partition (collateral partitions whose replica pair is
-// the same dead set are tracked too) and demands a typed partial result
-// whose sum is exactly the covered stripes' total.
+// runE26Partial stages total replica loss: trial t kills every replica of
+// partition t mod P, so the trials lose different stripes (any other
+// partition left without a live replica is tracked too), and demands a
+// typed partial result whose sum is exactly the covered stripes' total.
 func runE26Partial(m *hw.Machine, shards, trials, rows int) (e26PartialBench, error) {
 	ctx := context.Background()
 	b := e26PartialBench{Trials: trials, MinCoveredFrac: 1}
@@ -296,9 +296,7 @@ func runE26Partial(m *hw.Machine, shards, trials, rows int) (e26PartialBench, er
 		if err != nil {
 			return b, err
 		}
-		// Per-trial table names move the placement around the ring, so the
-		// trials cover different partition→replica layouts.
-		name := fmt.Sprintf("t%d", trial)
+		const name = "facts"
 		cols, expect := e26Relation(rows)
 		if err := r.Register(name, cols); err != nil {
 			r.Close()
@@ -310,7 +308,7 @@ func runE26Partial(m *hw.Machine, shards, trials, rows int) (e26PartialBench, er
 			return b, err
 		}
 		killed := make(map[int]bool)
-		for _, nid := range parts[0].Replicas {
+		for _, nid := range parts[trial%len(parts)].Replicas {
 			if err := r.KillNode(nid); err != nil {
 				r.Close()
 				return b, err

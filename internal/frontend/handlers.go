@@ -201,10 +201,6 @@ func (f *Frontend) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Status:         h.State,
 		QueueDepth:     h.QueueDepth,
 		Workers:        f.srv.Workers(),
-		Admitted:       h.Admitted,
-		Completed:      h.Completed,
-		Failed:         h.Failed,
-		Shed:           h.MemShed,
 		MemInUseBytes:  h.Memory.InUseBytes,
 		MemBudgetBytes: h.Memory.BudgetBytes,
 	}
@@ -217,6 +213,8 @@ func (f *Frontend) handleHealth(w http.ResponseWriter, r *http.Request) {
 		out.Checkpoints = h.Checkpoints
 		out.CheckpointFailures = h.CheckpointFailures
 	}
+	// The admission totals are the tenant ledgers' sum: each query once,
+	// where the engine behind a router counts one per stripe.
 	for id, ts := range f.tenants {
 		if !ts.ledger.counted() {
 			continue
@@ -224,7 +222,12 @@ func (f *Frontend) handleHealth(w http.ResponseWriter, r *http.Request) {
 		if out.Tenants == nil {
 			out.Tenants = make(map[string]v1.TenantStats)
 		}
-		out.Tenants[id] = wireTenantStats(ts, h.Memory.TenantInUse)
+		st := wireTenantStats(ts, h.Memory.TenantInUse)
+		out.Admitted += st.Admitted
+		out.Completed += st.Completed
+		out.Failed += st.Failed
+		out.Shed += st.MemShed
+		out.Tenants[id] = st
 	}
 	writeJSON(w, http.StatusOK, out)
 }

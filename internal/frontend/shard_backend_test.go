@@ -9,6 +9,7 @@ import (
 
 	v1 "hwstar/internal/frontend/v1"
 	"hwstar/internal/hw"
+	"hwstar/internal/serve"
 	"hwstar/internal/shard"
 )
 
@@ -188,6 +189,44 @@ func TestTenantCountedOncePerQuery(t *testing.T) {
 	for _, name := range []string{"latency_ms", "cycles_per_query"} {
 		if got := env.fe.reg.Histogram("frontend.tenant.acme." + name).Stats().Count; got != queries {
 			t.Errorf("%s holds %d samples after %d scans", name, got, queries)
+		}
+	}
+}
+
+// TestHealthCountsEachQueryOnce: /v1/health's admission totals count what
+// tenants sent, so five scans read five in both topologies — behind a 3×2
+// router too, where the engine's own counters hold one per stripe.
+func TestHealthCountsEachQueryOnce(t *testing.T) {
+	const queries = 5
+	single := newTestEnv(t, serve.Options{}, defaultTenants(), Config{})
+	cluster, _, _ := newShardEnv(t, 9000, 3)
+	for _, c := range []struct {
+		name          string
+		env           *testEnv
+		tenant, key   string
+		engineCounted int64
+	}{
+		{"single node", single, "alpha", "alpha-key", queries},
+		{"3x2 router", cluster, "acme", "k1", 3 * queries},
+	} {
+		tok := c.env.open(c.tenant, c.key)
+		for i := 0; i < queries; i++ {
+			if status, _, raw := c.env.do("POST", "/v1/query", tok, v1.QueryRequest{
+				Op: v1.OpScan, Table: "facts", Scan: &v1.ScanArgs{Hi: 1000, AggCol: 1},
+			}); status != http.StatusOK {
+				t.Fatalf("%s: query %d: HTTP %d: %s", c.name, i, status, raw)
+			}
+		}
+		var h v1.HealthResponse
+		if status, _, raw := c.env.do("GET", "/v1/health", "", nil); status != http.StatusOK || json.Unmarshal(raw, &h) != nil {
+			t.Fatalf("%s: health: HTTP %d: %s", c.name, status, raw)
+		}
+		if h.Admitted != queries || h.Completed != queries || h.Failed != 0 || h.Shed != 0 {
+			t.Fatalf("%s: health after %d scans: admitted %d completed %d failed %d shed %d",
+				c.name, queries, h.Admitted, h.Completed, h.Failed, h.Shed)
+		}
+		if got := c.env.fe.srv.Health().Completed; got != c.engineCounted {
+			t.Fatalf("%s: the engine counted %d completions, want %d", c.name, got, c.engineCounted)
 		}
 	}
 }

@@ -322,7 +322,8 @@ type HealthResponse struct {
 	// Queue and workers.
 	QueueDepth int `json:"queue_depth"`
 	Workers    int `json:"workers"`
-	// Admission totals. Shed counts memory-pressure sheds (the server
+	// Admission totals, summed over the tenant ledgers: each query once,
+	// behind a router too. Shed counts memory-pressure sheds (the server
 	// sheds for no other reason).
 	Admitted  int64 `json:"admitted"`
 	Completed int64 `json:"completed"`

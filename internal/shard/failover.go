@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"hwstar/internal/errs"
 	"hwstar/internal/table"
@@ -48,7 +49,7 @@ func (r *Router) KillNode(id int) error {
 
 // RecoverNode revives a killed node: a fresh serve.Server is built from
 // the shard template (replaying the node's own durable store, when one is
-// armed), the node's ring-assigned partitions are re-replicated from a
+// armed), the node's partitions (replicasOf) are re-replicated from a
 // surviving replica's durable store, and the node rejoins routing. The
 // copy is memory-governed under the "_rereplicate" tenant on the
 // cluster-wide governor — recovery traffic competes for budget like any
@@ -98,7 +99,7 @@ func (r *Router) rereplicate(ctx context.Context, n *node) error {
 	srv := n.server()
 	for _, meta := range tables {
 		for _, part := range meta.parts {
-			if !contains(part.replicas, n.id) {
+			if !slices.Contains(part.replicas, n.id) {
 				continue
 			}
 			stripe, ok := r.fetchStripe(ctx, nodes, part, n.id)
@@ -231,13 +232,4 @@ func (r *Router) nodeByID(id int) (*node, error) {
 		return nil, fmt.Errorf("shard: node %d out of range [0,%d): %w", id, len(r.nodes), errs.ErrInvalidInput)
 	}
 	return r.nodes[id], nil
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -136,7 +137,7 @@ func TestRecoveryRereplicatesFromSurvivingStore(t *testing.T) {
 	nodes := r.nodes
 	r.mu.RUnlock()
 	for _, part := range meta.parts {
-		if contains(part.replicas, 1) {
+		if slices.Contains(part.replicas, 1) {
 			if !holdsStripe(nodes[1], part.derived) {
 				t.Fatalf("revived node 1 missing stripe %s after re-replication", part.derived)
 			}
@@ -233,6 +234,41 @@ func TestKillAndRecoverIdempotent(t *testing.T) {
 	}
 	if err := r.KillNode(9); !errors.Is(err, errs.ErrInvalidInput) {
 		t.Fatalf("out-of-range kill: %v, want ErrInvalidInput", err)
+	}
+}
+
+// TestKillMidReadSkipsTheNode: KillNode clears a node's liveness and then its
+// server without the router lock, so a reader that checks liveness and then
+// reads the server can see alive=true with no server. Register and Workers
+// must treat that node as dead, not dereference nil.
+func TestKillMidReadSkipsTheNode(t *testing.T) {
+	cols, expect := testRelation(3000)
+	r := newRouter(t, Options{Shards: 3, Replicas: 2})
+	n := r.nodes[1]
+	srv := n.server()
+	n.mu.Lock()
+	n.srv = nil // the interleaving: alive still true, server already gone
+	n.mu.Unlock()
+	t.Cleanup(func() { // before the router's Close, so the server is closed
+		n.mu.Lock()
+		n.srv = srv
+		n.mu.Unlock()
+	})
+
+	if got, want := r.Workers(), 2*4; got != want {
+		t.Fatalf("workers = %d, want %d (the half-killed node's left out)", got, want)
+	}
+	if err := r.Register("ev", cols); err != nil {
+		t.Fatal(err)
+	}
+	if holdsStripe(&node{srv: srv}, "ev@1") {
+		t.Fatal("the half-killed node's server was given a stripe")
+	}
+	if err := r.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := r.Submit(context.Background(), scanReq("ev", 0, 2999)); err != nil || resp.Sum != expect(0, 2999) {
+		t.Fatalf("scan: sum=%d err=%v, want %d", resp.Sum, err, expect(0, 2999))
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 )
 
 // PartitionInfo describes one partition's placement: the contiguous row
-// stripe it covers and the nodes replicating it (primary first). Chaos
-// tooling and experiments use it to stage targeted failures — killing
-// every replica of one range is how a total-loss partial result is forced
-// deterministically.
+// stripe it covers and the nodes replicating it (nodes ID … ID+R−1, in the
+// order the fan-out draws from). Chaos tooling and experiments use it to
+// stage targeted failures — killing every replica of one range is how a
+// total-loss partial result is forced deterministically.
 type PartitionInfo struct {
 	ID       int
 	Rows     int

@@ -8,6 +8,11 @@
 // the fabric costed via cluster.Cluster, scatter-gather scans charge the
 // aggregation hop.
 //
+// Placement is one rule, chained declustering: a table is split into one
+// contiguous stripe per node, and partition p lives on nodes p … p+R−1 (mod
+// N). Membership is fixed at New, so the rule needs no state, and each node
+// holds exactly R of a table's N stripes.
+//
 // Every routed request is one fan-out (fanout.go): its sub-requests — a
 // scan's stripes, a join's sub-joins, or the one inline request — are driven
 // from the calling goroutine under one cancel context, one hedge timer and
@@ -164,7 +169,20 @@ type partition struct {
 	id       int
 	derived  string
 	rows     int
-	replicas []int // node ids, ring order, primary first
+	replicas []int // node ids, as replicasOf lists them
+}
+
+// replicasOf is the placement rule: partition p lives on nodes p, p+1, …,
+// p+r−1, mod the node count. Node p+j is listed at index (p+j) mod r: the
+// fan-out starts sub p at index rot+p, which is node p + rot mod r for every
+// p, so one scan's stripes start on distinct nodes and the rotor moves them
+// all together.
+func replicasOf(p, nodes, r int) []int {
+	out := make([]int, r)
+	for j := range out {
+		out[(p+j)%r] = (p + j) % nodes
+	}
+	return out
 }
 
 type tableMeta struct {
@@ -181,7 +199,6 @@ type Router struct {
 	opts    Options
 	machine *hw.Machine
 	clu     cluster.Cluster
-	ring    *ring
 	gov     *mem.Governor // nil when Options.Memory is zero
 	reg     *metrics.Registry
 
@@ -198,7 +215,7 @@ type Router struct {
 	// reapWG tracks background teardown of killed nodes' servers.
 	reapWG sync.WaitGroup
 
-	// rotor spreads primary picks across replicas.
+	// rotor spreads first attempts across replicas.
 	rotor atomic.Uint64
 
 	// lat is each op class's recent dispatch times, for the hedge deadline.
@@ -206,11 +223,11 @@ type Router struct {
 }
 
 // New builds the shard tier: opts.Shards serve.Servers on machine m behind
-// a consistent-hash router. Every shard is constructed from the
-// opts.Shard template (with its own store when opts.Stores is set) and
-// serves that store's tables by the time New returns — or the whole
-// constructor fails and tears down. The context is unused; the parameter
-// stays because the frozen benchmark (cmd/hwperf) passes one.
+// a router that places partition p on nodes p … p+Replicas−1. Every shard is
+// constructed from the opts.Shard template (with its own store when
+// opts.Stores is set) and serves that store's tables by the time New returns
+// — or the whole constructor fails and tears down. The context is unused;
+// the parameter stays because the frozen benchmark (cmd/hwperf) passes one.
 func New(_ context.Context, m *hw.Machine, opts Options) (*Router, error) {
 	if m == nil {
 		return nil, fmt.Errorf("shard: %w", errs.ErrNilMachine)
@@ -230,7 +247,6 @@ func New(_ context.Context, m *hw.Machine, opts Options) (*Router, error) {
 		opts:     opts,
 		machine:  m,
 		clu:      clu,
-		ring:     newRing(opts.Shards),
 		reg:      metrics.NewRegistry(),
 		inflight: make(chan struct{}, opts.maxInflight),
 		tables:   make(map[string]*tableMeta),
@@ -304,9 +320,9 @@ func (r *Router) Close() error {
 
 // Register splits the relation into Shards contiguous row stripes, encodes
 // each stripe once, and registers its blocks — immutable, so shared rather
-// than copied — on the stripe's ring-assigned Replicas nodes. Placement is
-// stable across restarts (it hashes names, not load), so a re-registered
-// table lands on the same shards its durable stripes live on.
+// than copied — on the stripe's Replicas nodes (replicasOf). Placement
+// depends only on the partition number and the cluster's shape, so a
+// re-registered table lands on the same shards its durable stripes live on.
 func (r *Router) Register(name string, cols [][]int64) error {
 	if len(cols) == 0 || len(cols[0]) == 0 {
 		return fmt.Errorf("shard: register %q: empty relation: %w", name, errs.ErrInvalidInput)
@@ -342,20 +358,23 @@ func (r *Router) Register(name string, cols [][]int64) error {
 			id:       p,
 			derived:  name + "@" + strconv.Itoa(p),
 			rows:     hi - lo,
-			replicas: r.ring.lookup(name+"/"+strconv.Itoa(p), r.opts.Replicas),
+			replicas: replicasOf(p, r.opts.Shards, r.opts.Replicas),
 		}
 		enc, err := store.TableFromCols(part.derived, stripe)
 		if err != nil {
 			return fmt.Errorf("shard: register %q partition %d: %w", name, p, err)
 		}
 		for _, nid := range part.replicas {
+			// Read the server once: KillNode clears it without r.mu, so a
+			// node seen alive may already have none.
 			n := nodes[nid]
-			if !n.alive.Load() {
+			srv := n.server()
+			if srv == nil || !n.alive.Load() {
 				// A dead replica misses the stripe; re-replication
 				// restores it when the node revives.
 				continue
 			}
-			if err := n.server().RegisterEncoded(enc); err != nil {
+			if err := srv.RegisterEncoded(enc); err != nil {
 				return fmt.Errorf("shard: register %q partition %d on node %d: %w", name, p, nid, err)
 			}
 		}
@@ -551,8 +570,8 @@ func (r *Router) Workers() int {
 	defer r.mu.RUnlock()
 	total := 0
 	for _, n := range r.nodes {
-		if n.alive.Load() {
-			total += n.server().Workers()
+		if srv := n.server(); srv != nil && n.alive.Load() {
+			total += srv.Workers()
 		}
 	}
 	return total
