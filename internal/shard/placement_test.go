@@ -114,3 +114,77 @@ func TestPlacementRule(t *testing.T) {
 		}
 	}
 }
+
+// The three tests below check replicasOf, the rule itself, without a router.
+// Chained declustering lays the nodes on a ring: partition p's replicas are
+// the R nodes from p onward around it.
+
+func TestRingReplicaSetsAreDistinctAndStable(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		for rep := 1; rep <= n; rep++ {
+			for p := 0; p < n; p++ {
+				reps := replicasOf(p, n, rep)
+				if len(reps) != rep {
+					t.Fatalf("N%d-R%d partition %d: %d replicas, want %d", n, rep, p, len(reps), rep)
+				}
+				want := make([]int, rep)
+				for k := range want {
+					want[k] = (p + k) % n
+				}
+				if got := slices.Sorted(slices.Values(reps)); !slices.Equal(got, slices.Sorted(slices.Values(want))) {
+					t.Fatalf("N%d-R%d partition %d: replicas %v, want the nodes %v", n, rep, p, reps, want)
+				}
+				if again := replicasOf(p, n, rep); !slices.Equal(reps, again) {
+					t.Fatalf("N%d-R%d partition %d: not stable: %v vs %v", n, rep, p, reps, again)
+				}
+			}
+		}
+	}
+}
+
+// TestRingBalance checks that with one partition per node every node stores
+// exactly R stripes, and that for every rotor value the fan-out's draw
+// (index rot+p of partition p's list, as candidates takes it) starts each
+// node on exactly one stripe.
+func TestRingBalance(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		for rep := 1; rep <= n; rep++ {
+			stored := make([]int, n)
+			for p := 0; p < n; p++ {
+				for _, id := range replicasOf(p, n, rep) {
+					stored[id]++
+				}
+			}
+			for id, c := range stored {
+				if c != rep {
+					t.Fatalf("N%d-R%d: node %d stores %d stripes, want %d", n, rep, id, c, rep)
+				}
+			}
+			for rot := 0; rot < rep; rot++ {
+				first := make([]int, n)
+				for p := 0; p < n; p++ {
+					reps := replicasOf(p, n, rep)
+					first[reps[(rot+p)%rep]]++
+				}
+				for id, c := range first {
+					if c != 1 {
+						t.Fatalf("N%d-R%d rotor %d: node %d starts %d stripes, want 1", n, rep, rot, id, c)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestRingClampsReplicasToNodes(t *testing.T) {
+	o := Options{Shards: 2, Replicas: 5}
+	o.setDefaults()
+	if o.Replicas != 2 {
+		t.Fatalf("Replicas = %d, want clamped to 2 nodes", o.Replicas)
+	}
+	for p := 0; p < o.Shards; p++ {
+		if got := replicasOf(p, o.Shards, o.Replicas); len(got) != 2 || got[0] == got[1] {
+			t.Fatalf("partition %d: replicas = %v, want both nodes", p, got)
+		}
+	}
+}
