@@ -79,14 +79,15 @@ race-core:
 # registered table's payload (recycled only after the table map, the store
 # entry, every scan batch and every checkpoint job holding it has released,
 # and never once Store.Load has handed it out): a replacing Register must
-# land while a pass or a segment write still reads the old version. The
+# land while a pass or a segment write still reads the old version, and a
+# store Drop while a segment write still reads the dropped table. The
 # group-sum lease tests guard it for an answer's map, which holders take
 # from a lease they already share, so the lease's map list has its own lock.
 race-repeat:
 	$(GO) test -race -count=10 -run 'TestSimCyclesGolden|TestHedgeLoserNeverSeesRecycledState|TestHedgeLoserHoldsLease|TestLeasedRequestsOverHedgedRouter' ./internal/shard
 	$(GO) test -race -count=10 -timeout 5m -run 'TestCancelledSubmitNeverSeesRecycledState|TestLeaseOutlivesCancelledSubmit|TestRetiredTableOutlivesHeldPass|TestLoadPinsLeasedTable|TestChurnAnswersMatchAVersion|TestGroupsLiveUntilLastRelease' ./internal/serve
 	$(GO) test -race -count=10 -run 'TestLeaseMapConcurrentTakes|TestLeaseMapClasses' ./internal/mem
-	$(GO) test -race -count=10 -run 'TestCheckpointHoldsReplacedTable' ./internal/store
+	$(GO) test -race -count=10 -run 'TestCheckpointHoldsReplacedTable|TestDropDuringCheckpointCommitsSnapshot' ./internal/store
 
 # check is the full verification gate: compile everything, run the static
 # analyzers, run the whole suite once without the race detector (the pooled

@@ -8,16 +8,13 @@ import (
 
 // PairedResource enforces hwstar's paired lifecycles, lostcancel-style:
 // a trace.Span that is Started or Child-ed must reach End, a granted
-// mem.Reservation must reach Release, a mem.Lease from NewLease must reach
-// Release, and a store segment handle (SegmentWriter from CreateSegment,
-// SegmentReader from OpenSegment) must reach Close. An un-Ended span
-// corrupts the trace tree's attribution (PR 3's whole point); an
-// unreleased reservation leaks budget until the governor wedges every later
-// query into ErrMemoryPressure (PR 4's whole point); an unreleased lease
-// never hands its pooled columns back, so every later request allocates
-// afresh; an un-Closed segment handle leaks a file descriptor — and for a
-// writer, an orphaned temp file that recovery has to sweep (PR 7's whole
-// point).
+// mem.Reservation must reach Release, and a mem.Lease from NewLease must
+// reach Release. An un-Ended span corrupts the trace tree's attribution
+// (PR 3's whole point); an unreleased reservation leaks budget until the
+// governor wedges every later query into ErrMemoryPressure (PR 4's whole
+// point); an unreleased lease never hands its pooled columns back, so every
+// later request allocates afresh. The store has no handle to pair: every
+// file it writes or reads opens and closes inside one function.
 //
 // The check is intraprocedural and deliberately conservative: a resource
 // that escapes the function — returned, stored in a struct or slice,
@@ -42,8 +39,6 @@ var pairedResources = []resourceKind{
 	{"hwstar/internal/trace", "Span", "End"},
 	{"hwstar/internal/mem", "Reservation", "Release"},
 	{"hwstar/internal/mem", "Lease", "Release"},
-	{"hwstar/internal/store", "SegmentWriter", "Close"},
-	{"hwstar/internal/store", "SegmentReader", "Close"},
 	// The PR 9 handles: a Router owns reaper and hedge goroutines, a Server
 	// owns its worker pool — an un-Closed one leaks the whole crew.
 	{"hwstar/internal/shard", "Router", "Close"},
@@ -93,7 +88,6 @@ func runPairedResource(pass *Pass) error {
 // resource; every other producer of a resource-typed value is a borrow.
 var creatingNames = map[string]bool{
 	"Start": true, "Child": true, "Reserve": true, "NewLease": true,
-	"CreateSegment": true, "OpenSegment": true,
 	// shard.New / serve.New mint a Router / Server; NewRouter is the
 	// facade alias. The name filter is loose (every package has a New) —
 	// the type filter in resourceFor does the real gating.

@@ -13,22 +13,13 @@ func TestPairedResource(t *testing.T) {
 }
 
 // The implementor exemption is per resource kind, not per package: trace
-// manipulates its own spans freely (the ring recycles them), store hands
-// segment writers across its checkpoint pipeline — but each package is
-// still held to every *other* package's pairs.
+// manipulates its own spans freely (the ring recycles them) — but each
+// package is still held to every *other* package's pairs.
 
 func TestPairedResourceImplementorExemption(t *testing.T) {
 	for _, d := range runOn(t, "testdata/pairedresource", "hwstar/internal/trace", analysis.PairedResource) {
 		if strings.Contains(d.Message, "Span.End") {
 			t.Fatalf("trace's own Span pair fired inside trace: %v", d)
-		}
-	}
-}
-
-func TestPairedResourceStoreImplementorExemption(t *testing.T) {
-	for _, d := range runOn(t, "testdata/pairedresource", "hwstar/internal/store", analysis.PairedResource) {
-		if strings.Contains(d.Message, "SegmentWriter.Close") || strings.Contains(d.Message, "SegmentReader.Close") {
-			t.Fatalf("store's own segment pair fired inside store: %v", d)
 		}
 	}
 }

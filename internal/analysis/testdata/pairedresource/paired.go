@@ -1,14 +1,11 @@
-// Testdata for the pairedresource analyzer: started spans reach End,
-// granted reservations reach Release, and segment handles reach Close,
-// on every path.
+// Testdata for the pairedresource analyzer: started spans reach End and
+// granted reservations reach Release, on every path.
 package serve
 
 import (
 	"errors"
 
 	"hwstar/internal/mem"
-	"hwstar/internal/store"
-	"hwstar/internal/table"
 	"hwstar/internal/trace"
 )
 
@@ -104,65 +101,4 @@ func DeferredReservationOK(g *mem.Governor) error {
 	}
 	defer r.Release()
 	return r.Charge("join-build", 0, 4096)
-}
-
-func LeakSegmentWriter(s *store.Store, t *table.Table) {
-	w, err := s.CreateSegment("facts", 1) // want `w acquired here never reaches SegmentWriter.Close`
-	if err != nil {
-		return
-	}
-	_ = w.WriteTable(t)
-}
-
-func EarlyReturnSegmentWriter(s *store.Store, t *table.Table) error {
-	w, err := s.CreateSegment("facts", 1) // want `does not reach SegmentWriter.Close on the early-return path`
-	if err != nil {
-		return err
-	}
-	if err := w.WriteTable(t); err != nil {
-		return err
-	}
-	w.Close()
-	return nil
-}
-
-// DeferredSegmentWriterOK is the canonical shape: Close deferred right after
-// acquisition (idempotent after Commit), Commit on the success path.
-func DeferredSegmentWriterOK(s *store.Store, t *table.Table) error {
-	w, err := s.CreateSegment("facts", 1)
-	if err != nil {
-		return err
-	}
-	defer w.Close()
-	if err := w.WriteTable(t); err != nil {
-		return err
-	}
-	return w.Commit()
-}
-
-func LeakSegmentReader(path string) {
-	r, err := store.OpenSegment(path) // want `r acquired here never reaches SegmentReader.Close`
-	if err != nil {
-		return
-	}
-	_, _ = r.ReadTable()
-}
-
-// DeferredSegmentReaderOK pairs the open with a deferred Close.
-func DeferredSegmentReaderOK(path string) (*table.Table, error) {
-	r, err := store.OpenSegment(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return r.ReadTable()
-}
-
-// EscapeSegmentWriterOK: ownership transfers to the caller.
-func EscapeSegmentWriterOK(s *store.Store) (*store.SegmentWriter, error) {
-	w, err := s.CreateSegment("facts", 2)
-	if err != nil {
-		return nil, err
-	}
-	return w, nil
 }

@@ -699,6 +699,29 @@ func (s *Server) registerEncoded(t *table.Table, l *mem.Lease) error {
 	return nil
 }
 
+// Drop removes the named table from the server and, on a durable server,
+// from its store, so the next checkpoint's manifest omits it. A batch in
+// flight finishes on the table it holds. The closed check, the store's
+// drop and the removal are one critical section, as in registerEncoded.
+// Unknown names wrap errs.ErrInvalidInput.
+func (s *Server) Drop(name string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return fmt.Errorf("serve: drop %q: %w", name, errs.ErrClosed)
+	}
+	vt, ok := s.tables[name]
+	if !ok {
+		return fmt.Errorf("serve: drop %q: unknown table: %w", name, errs.ErrInvalidInput)
+	}
+	if s.st != nil {
+		s.st.Drop(name)
+	}
+	delete(s.tables, name)
+	vt.lease.Release() // under the write lock: no lookup can find it now
+	return nil
+}
+
 // SetTenantMemCap caps the named tenant's share of the server's memory
 // budget: reservations for that tenant's requests fail with
 // ErrMemoryPressure once the tenant's in-use bytes would pass the cap, even

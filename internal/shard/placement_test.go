@@ -7,7 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"hwstar/internal/hw"
 	"hwstar/internal/serve"
+	"hwstar/internal/store"
+	"hwstar/internal/table"
 	"hwstar/internal/workload"
 )
 
@@ -186,5 +189,68 @@ func TestRingClampsReplicasToNodes(t *testing.T) {
 		if got := replicasOf(p, o.Shards, o.Replicas); len(got) != 2 || got[0] == got[1] {
 			t.Fatalf("partition %d: replicas = %v, want both nodes", p, got)
 		}
+	}
+}
+
+// TestRestartDropsStrayStripes is the placement rule applied to a replayed
+// data dir: a stripe a node's store holds but the rule does not assign it —
+// as a dir written under another placement keeps — is dropped at New when a
+// node the rule assigns holds it too, and is gone from the node's store once
+// the router closes. A stripe no rule node holds is the last durable copy
+// and is kept.
+func TestRestartDropsStrayStripes(t *testing.T) {
+	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
+	open := func(dir string) *store.Store {
+		st, err := store.Open(store.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	life := func(register func(*Router)) {
+		stores := make([]*store.Store, len(dirs))
+		for i, d := range dirs {
+			stores[i] = open(d)
+		}
+		r, err := New(context.Background(), hw.Server2S(), Options{Shards: 3, Replicas: 2, Stores: stores, Shard: serve.Options{Workers: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		register(r)
+		if err := r.Close(); err != nil { // flushes every node's store
+			t.Fatal(err)
+		}
+	}
+	cols, _ := testRelation(6000)
+	life(func(r *Router) {
+		if err := r.Register("facts", cols); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// Plant a copy of facts@0 — nodes 0 and 1 hold it by the rule — and a
+	// lone other@0 in node 2's store.
+	stripe, err := open(dirs[0]).Load(context.Background(), "facts@0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := store.TableFromCols("other@0", cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node2 := open(dirs[2])
+	for _, tbl := range []*table.Table{stripe, other} {
+		if err := node2.Put(tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := node2.Checkpoint(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+
+	life(func(*Router) {})
+	want := []string{"facts@1", "facts@2", "other@0"}
+	if got := open(dirs[2]).Tables(); !slices.Equal(got, want) {
+		t.Fatalf("node 2's store holds %v after a second life, want %v", got, want)
 	}
 }

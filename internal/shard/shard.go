@@ -44,7 +44,9 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -269,7 +271,48 @@ func New(_ context.Context, m *hw.Machine, opts Options) (*Router, error) {
 		n.alive.Store(true)
 		r.nodes = append(r.nodes, n)
 	}
+	if err := r.dropStrays(); err != nil {
+		r.Close()
+		return nil, err
+	}
 	return r, nil
+}
+
+// dropStrays reconciles every node's replayed stripes with the placement
+// rule: a node drops each name@p that replicasOf does not assign to it, so
+// it stops serving the stripe now and its next checkpoint stops storing it.
+// A stray is dropped only when some node the rule assigns holds name@p: a
+// lone copy is the last durable one and stays.
+func (r *Router) dropStrays() error {
+	held := make([]map[string]bool, len(r.nodes))
+	for i, n := range r.nodes {
+		held[i] = make(map[string]bool)
+		if n.st != nil {
+			for _, name := range n.st.Tables() {
+				held[i][name] = true
+			}
+		}
+	}
+	for _, n := range r.nodes {
+		for name := range held[n.id] {
+			at := strings.LastIndexByte(name, '@')
+			if at < 0 {
+				continue
+			}
+			p, err := strconv.Atoi(name[at+1:])
+			if err != nil || p < 0 {
+				continue
+			}
+			owners := replicasOf(p, r.opts.Shards, r.opts.Replicas)
+			if slices.Contains(owners, n.id) || !slices.ContainsFunc(owners, func(o int) bool { return held[o][name] }) {
+				continue
+			}
+			if err := n.server().Drop(name); err != nil {
+				return fmt.Errorf("shard: node %d: drop stray stripe %s: %w", n.id, name, err)
+			}
+		}
+	}
+	return nil
 }
 
 // buildServer constructs one shard's serve.Server from the template, gives

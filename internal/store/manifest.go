@@ -1,11 +1,11 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,13 +16,14 @@ import (
 	"hwstar/internal/table"
 )
 
-// Manifest commit protocol. A checkpoint becomes durable in two atomic
-// renames, LevelDB-style:
+// Manifest commit protocol. Every store file — each segment, each
+// manifest, CURRENT — is written by one function, commit: a temp file,
+// fsync, rename, directory sync. A checkpoint's segments are committed
+// first; then it becomes durable in two atomic renames, LevelDB-style:
 //
-//  1. the versioned manifest (MANIFEST-%08d) is written to a temp file,
-//     fsynced, and renamed into place;
-//  2. CURRENT — a one-line file naming the active manifest — is rewritten
-//     the same way.
+//  1. the versioned manifest (MANIFEST-%08d) is committed;
+//  2. CURRENT — a one-line file naming the active manifest — is committed
+//     over the old one.
 //
 // A crash between the two leaves CURRENT pointing at the previous manifest:
 // the new segments and manifest exist on disk but are not committed, and
@@ -71,89 +72,122 @@ func tableEntry(seg string, t *table.Table) TableEntry {
 
 func manifestName(version uint64) string { return fmt.Sprintf("MANIFEST-%08d", version) }
 
-// encodeManifest wraps the manifest JSON in the checksummed envelope
-// (same shape as segments: magic, u32 length, body, crc32c).
+// encodeManifest wraps the manifest JSON in the segments' checksummed
+// envelope, with nothing after the body.
 func encodeManifest(m *Manifest) ([]byte, error) {
 	body, err := json.Marshal(m)
 	if err != nil {
 		return nil, fmt.Errorf("store: encode manifest: %w", err)
 	}
-	var buf bytes.Buffer
-	buf.Write(manMagic[:])
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(body)))
-	buf.Write(u32[:])
-	buf.Write(body)
-	binary.LittleEndian.PutUint32(u32[:], crc32.Checksum(buf.Bytes(), crcTable))
-	buf.Write(u32[:])
-	return buf.Bytes(), nil
+	head := envelopeHead(manMagic, body)
+	return binary.LittleEndian.AppendUint32(head, crc32.Checksum(head, crcTable)), nil
 }
 
 // decodeManifest validates the envelope and returns the manifest. Any
 // mismatch wraps errs.ErrCorrupted.
 func decodeManifest(raw []byte) (*Manifest, error) {
-	const envelope = 8 + 4 + 4
-	if len(raw) < envelope {
-		return nil, fmt.Errorf("store: manifest truncated at %d bytes: %w", len(raw), errs.ErrCorrupted)
+	body, rest, err := openEnvelope(raw, manMagic, "manifest")
+	if err != nil {
+		return nil, err
 	}
-	if !bytes.Equal(raw[:8], manMagic[:]) {
-		return nil, fmt.Errorf("store: bad manifest magic: %w", errs.ErrCorrupted)
-	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	want := binary.LittleEndian.Uint32(tail)
-	if got := crc32.Checksum(body, crcTable); got != want {
-		return nil, fmt.Errorf("store: manifest checksum mismatch (got %08x want %08x): %w", got, want, errs.ErrCorrupted)
-	}
-	bodyLen := int(binary.LittleEndian.Uint32(raw[8:12]))
-	if 12+bodyLen != len(body) {
-		return nil, fmt.Errorf("store: manifest length %d inconsistent with file size %d: %w", bodyLen, len(raw), errs.ErrCorrupted)
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("store: manifest length %d inconsistent with file size %d: %w", len(body), len(raw), errs.ErrCorrupted)
 	}
 	var m Manifest
-	if err := json.Unmarshal(raw[12:12+bodyLen], &m); err != nil {
+	if err := json.Unmarshal(body, &m); err != nil {
 		return nil, fmt.Errorf("store: manifest body: %w: %w", err, errs.ErrCorrupted)
 	}
 	return &m, nil
 }
 
-// atomicWrite writes data to dir/name via a fsynced temp file and rename,
-// consulting the injector at the named durability site for crash, torn-write
-// and checksum-flip faults.
-func atomicWrite(dir, name string, data []byte, in *fault.Injector, site string) error {
+// commit writes the size-byte file dir/name that write streams: a temp
+// file, fsync, rename over name, directory sync. The injector's faults at
+// site are drawn before the temp file exists, in this order: a crash aborts
+// with ErrInjectedCrash; a checksum flip corrupts byte size/2 (of files over
+// 16 bytes) and a torn write keeps only the first size/2 bytes, both by
+// offset as the bytes pass (faultWriter) and both reporting success. A
+// crash at site+"-rename" leaves the synced temp file and the committed
+// name as a kill between the two would.
+func commit(dir, name, site string, in *fault.Injector, size int, write func(io.Writer) error) error {
 	if in.ShouldCrash(site) {
 		return fmt.Errorf("store: %s: %w", site, ErrInjectedCrash)
 	}
-	if in.FlipChecksum(site) && len(data) > 16 {
-		data = append([]byte(nil), data...)
-		data[len(data)/2] ^= 0x40
+	fw := &faultWriter{flip: -1, keep: size}
+	if in.FlipChecksum(site) && size > 16 {
+		fw.flip = size / 2
 	}
 	if in.TornWrite(site) {
-		data = data[:len(data)/2]
+		fw.keep = size / 2
 	}
 	tmp := filepath.Join(dir, name+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: create %s: %w", tmp, err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	fw.w = f
+	err = write(fw)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("store: write %s: %w", tmp, err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: sync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: close %s: %w", tmp, err)
-	}
 	if in.ShouldCrash(site + "-rename") {
-		// Killed after the temp file hit disk but before the rename: the
-		// temp file stays, the committed name is untouched.
 		return fmt.Errorf("store: %s-rename: %w", site, ErrInjectedCrash)
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
 		return fmt.Errorf("store: rename %s: %w", tmp, err)
 	}
 	return syncDir(dir)
+}
+
+// commitBytes commits data as dir/name (see commit).
+func commitBytes(dir, name, site string, in *fault.Injector, data []byte) error {
+	return commit(dir, name, site, in, len(data), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// faultWriter passes a file's bytes on to w as the injector's draws leave
+// them, by offset: the byte at flip XORed by 0x40, nothing past keep.
+type faultWriter struct {
+	w    io.Writer
+	off  int // bytes passed so far
+	flip int // offset of the byte a checksum fault flips; -1 for none
+	keep int // bytes that reach w: the file, or the prefix a torn write leaves
+}
+
+func (f *faultWriter) Write(p []byte) (int, error) {
+	kept := p[:min(len(p), max(f.keep-f.off, 0))]
+	if i := f.flip - f.off; i >= 0 && i < len(kept) {
+		kept = append(append(kept[:i:i], kept[i]^0x40), kept[i+1:]...) // a flipped copy
+	}
+	f.off += len(p)
+	if _, err := f.w.Write(kept); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// syncDir fsyncs a directory so a completed rename is durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("store: open dir %s: %w", dir, err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("store: sync dir %s: %w", dir, err)
+	}
+	return nil
 }
 
 // readCurrent returns the manifest file name CURRENT points at, or "" when

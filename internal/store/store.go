@@ -12,16 +12,18 @@
 // and operation sequence produce the same on-disk state and the same
 // recovered store.
 //
-// Commit protocol and recovery semantics are documented in manifest.go; the
-// segment file format in segment.go. Every stored table is resident: recovery
-// loads each one eagerly, and its flash reads are priced through the hw
-// model's flash bandwidth tier.
+// Every file is written by one commit function (manifest.go, with the
+// recovery semantics); segments and manifests share one checksummed
+// envelope (segment.go, with the segment format). Every stored table is
+// resident: recovery loads each one eagerly, and its flash reads are priced
+// through the hw model's flash bandwidth tier.
 package store
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -229,18 +231,6 @@ func (s *Store) tryManifest(name string) (m *Manifest, bytesRead int64, corruptS
 	return m, bytesRead, 0, nil
 }
 
-// readSegment opens, validates and decodes one segment file, returning the
-// table and the bytes validated.
-func readSegment(path string) (*table.Table, int64, error) {
-	r, err := OpenSegment(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %w", err, errs.ErrCorrupted)
-	}
-	defer r.Close()
-	t, err := r.ReadTable()
-	return t, r.read, err
-}
-
 // removeOrphanTemps clears temp files a killed checkpoint left behind.
 func removeOrphanTemps(dir string) {
 	entries, err := os.ReadDir(dir)
@@ -307,6 +297,19 @@ func (s *Store) Load(ctx context.Context, name string) (*table.Table, error) {
 	return e.t, nil
 }
 
+// Drop removes the named table, if the store holds it, so the next
+// checkpoint's manifest omits it, and drops the entry's reference to a
+// leased table: a checkpoint already writing the table holds its own and
+// commits the snapshot it took.
+func (s *Store) Drop(name string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.tables[name]; ok {
+		delete(s.tables, name)
+		e.lease.Release()
+	}
+}
+
 // Tables returns the known table names, sorted.
 func (s *Store) Tables() []string {
 	s.mu.Lock()
@@ -319,27 +322,12 @@ func (s *Store) Tables() []string {
 	return out
 }
 
-// CreateSegment returns a writer for one table's segment at the given
-// version. The caller must Close the writer on every path; Commit makes the
-// segment durable. Exposed for the checkpoint path and for tests; most
-// callers want Checkpoint.
-func (s *Store) CreateSegment(tbl string, version uint64) (*SegmentWriter, error) {
-	final := filepath.Join(s.opts.Dir, fmt.Sprintf("%s-%08d.seg", tbl, version))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: create %s: %w", filepath.Base(tmp), err)
-	}
-	return &SegmentWriter{f: f, dir: s.opts.Dir, tmp: tmp, final: final, site: "seg:" + tbl, in: s.opts.Faults}, nil
-}
-
-// Checkpoint writes every dirty table as a fresh segment, commits a new
-// manifest version. Each segment's
-// staging buffer is charged against res (nil skips governance): a
-// checkpoint on a loaded server degrades to ErrMemoryPressure instead of
-// OOMing it. Injected durability faults surface as ErrInjectedCrash
-// (partial on-disk state preserved) or corrupt committed files recovery
-// must survive.
+// Checkpoint writes every dirty table as a fresh segment and commits a new
+// manifest version. Each segment's staging buffer is charged against res
+// (nil skips governance): a checkpoint on a loaded server degrades to
+// ErrMemoryPressure instead of OOMing it. Injected durability faults surface
+// as ErrInjectedCrash (partial on-disk state preserved) or corrupt committed
+// files recovery must survive.
 func (s *Store) Checkpoint(ctx context.Context, res *mem.Reservation) (CheckpointStats, error) {
 	s.cpMu.Lock()
 	defer s.cpMu.Unlock()
@@ -389,7 +377,7 @@ func (s *Store) Checkpoint(ctx context.Context, res *mem.Reservation) (Checkpoin
 		if err != nil {
 			return stats, err
 		}
-		manifest.Tables[j.name] = tableEntry(fmt.Sprintf("%s-%08d.seg", j.name, version), j.t)
+		manifest.Tables[j.name] = tableEntry(segmentName(j.name, version), j.t)
 		stats.Segments++
 		stats.Bytes += n
 	}
@@ -398,10 +386,10 @@ func (s *Store) Checkpoint(ctx context.Context, res *mem.Reservation) (Checkpoin
 	if err != nil {
 		return stats, err
 	}
-	if err := atomicWrite(s.opts.Dir, manifestName(version), raw, s.opts.Faults, "manifest"); err != nil {
+	if err := commitBytes(s.opts.Dir, manifestName(version), "manifest", s.opts.Faults, raw); err != nil {
 		return stats, err
 	}
-	if err := atomicWrite(s.opts.Dir, currentName, []byte(manifestName(version)+"\n"), s.opts.Faults, "current"); err != nil {
+	if err := commitBytes(s.opts.Dir, currentName, "current", s.opts.Faults, []byte(manifestName(version)+"\n")); err != nil {
 		return stats, err
 	}
 
@@ -437,11 +425,15 @@ func (s *Store) Checkpoint(ctx context.Context, res *mem.Reservation) (Checkpoin
 	return stats, nil
 }
 
-// writeSegment durably writes one table's segment, charging what the
+// segmentName is the file of table tbl's segment committed at version.
+func segmentName(tbl string, version uint64) string { return fmt.Sprintf("%s-%08d.seg", tbl, version) }
+
+// writeSegment commits one table's segment at the "seg:"+name fault site,
+// streaming it through a pooled staging buffer and charging what the
 // checkpoint holds beyond the resident table — the staging buffer,
 // min(size, segStage) bytes — against res for the duration.
 func (s *Store) writeSegment(name string, t *table.Table, version uint64, res *mem.Reservation) (int64, error) {
-	_, size, err := segmentHeader(t)
+	head, size, err := segmentHeader(t)
 	if err != nil {
 		return 0, err
 	}
@@ -455,15 +447,13 @@ func (s *Store) writeSegment(name string, t *table.Table, version uint64, res *m
 		c <- struct{}{}
 		<-c
 	}
-	w, err := s.CreateSegment(name, version)
+	err = commit(s.opts.Dir, segmentName(name, version), "seg:"+name, s.opts.Faults, size, func(w io.Writer) error {
+		stage := stages.Get().(*[segStage]byte)
+		defer stages.Put(stage)
+		n := min(size, segStage)
+		return (&segStream{w: w, buf: stage[:n:n]}).table(head, t)
+	})
 	if err != nil {
-		return 0, err
-	}
-	defer w.Close()
-	if err := w.WriteTable(t); err != nil {
-		return 0, err
-	}
-	if err := w.Commit(); err != nil {
 		return 0, err
 	}
 	return int64(size), nil

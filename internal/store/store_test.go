@@ -584,6 +584,60 @@ func TestCheckpointHoldsReplacedTable(t *testing.T) {
 	}
 }
 
+// TestDropDuringCheckpointCommitsSnapshot pins Drop against a checkpoint's
+// I/O window: a leased table dropped while its segment write is held is
+// still committed, byte for byte, by the checkpoint that snapshotted it —
+// the job's own reference keeps its payload from the Put that follows,
+// which encodes into whatever a premature release would have given back —
+// and the next checkpoint's manifest omits it. A lease released twice
+// panics.
+func TestDropDuringCheckpointCommitsSnapshot(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: the pool hands back what it was given
+	const rows = 8 * compress.BlockValues
+	dir := t.TempDir()
+	s := mustOpen(t, Options{Dir: dir})
+	put := func(name string, salt int64) {
+		l := mem.NewLease()
+		defer l.Release() // the entry holds its own reference
+		tbl, err := TableFromColsLeased(name, testCols(rows, salt), l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutLeased(tbl, l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("t", 1)
+	hold := make(chan struct{})
+	s.testHold = hold
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Checkpoint(context.Background(), nil)
+		done <- err
+	}()
+	<-hold // the job holds t and has written nothing
+	s.Drop("t")
+	put("u", 2)
+	hold <- struct{}{}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got, want := segFile(t, dir, "t", 1), segmentImage(t, testTable("t", rows, 1)); !bytes.Equal(got, want) {
+		t.Fatal("the held checkpoint committed a segment that is not the dropped table's image")
+	}
+	if _, ok := readManifest(t, dir, 1).Tables["t"]; !ok {
+		t.Fatal("the checkpoint holding t when it was dropped did not commit it")
+	}
+	s.testHold = nil
+	v := mustCheckpoint(t, s).Version
+	if m := readManifest(t, dir, v); len(m.Tables) != 1 || m.Tables["u"].Segment == "" {
+		t.Fatalf("manifest v%d after the drop lists %v, want u alone", v, m.Tables)
+	}
+	if got := mustOpen(t, Options{Dir: dir}).Tables(); !reflect.DeepEqual(got, []string{"u"}) {
+		t.Fatalf("reopened store lists %v, want [u]", got)
+	}
+}
+
 // TestReadTableKeepsNothingOfItsBuffer: ReadTable's whole-file buffer goes
 // back to a pool when it returns, so the table it built must hold nothing of
 // it. A second read, of another table's segment, reuses the buffer; the first

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"hwstar/internal/compress"
@@ -39,15 +40,15 @@ func appendSegment(dst, hdrJSON []byte, t *table.Table) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
 }
 
-// encodeSegment serializes t into the segment format: the stream a
-// SegmentWriter writes, into memory.
+// encodeSegment serializes t into the segment format: the stream
+// writeSegment commits, into memory.
 func encodeSegment(t *table.Table) ([]byte, error) {
 	head, size, err := segmentHeader(t)
 	if err != nil {
 		return nil, err
 	}
 	var out bytes.Buffer
-	s := &segStream{w: &out, buf: make([]byte, min(size, segStage)), flip: -1, keep: size}
+	s := &segStream{w: &out, buf: make([]byte, min(size, segStage))}
 	if err := s.table(head, t); err != nil {
 		return nil, err
 	}
@@ -66,6 +67,17 @@ func segmentImage(t *testing.T, tbl *table.Table) []byte {
 		t.Fatalf("image of %q is %d bytes, segmentHeader sized it %d", tbl.Name(), len(img), size)
 	}
 	return img
+}
+
+// mustCols decodes tbl's columns: a whole-table comparison far quicker than
+// sameContents' row by row one.
+func mustCols(t *testing.T, tbl *table.Table) [][]int64 {
+	t.Helper()
+	cols, ok := ColsFromTable(tbl)
+	if !ok {
+		t.Fatalf("%q is not a table of block streams", tbl.Name())
+	}
+	return cols
 }
 
 // segFile reads the committed segment of tbl at version.
@@ -110,15 +122,7 @@ func TestStreamedSegmentMatchesImage(t *testing.T) {
 	s := mustOpen(t, Options{Dir: dir})
 	for _, tbl := range tables {
 		img := segmentImage(t, tbl)
-		w, err := s.CreateSegment(tbl.Name(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer w.Close()
-		if err := w.WriteTable(tbl); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Commit(); err != nil {
+		if _, err := s.writeSegment(tbl.Name(), tbl, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := segFile(t, dir, tbl.Name(), 1); !bytes.Equal(got, img) {
@@ -130,54 +134,82 @@ func TestStreamedSegmentMatchesImage(t *testing.T) {
 	}
 }
 
-// TestStreamedSegmentFaultParity checks that injected faults leave the
-// streamed file exactly as they left the whole image, on a segment whose
-// middle byte is past the first staging buffer: a checksum flip is the image
-// with byte size/2 XORed by 0x40 (the trailer still the clean CRC), a torn
-// write is the image's first size/2 bytes, and in both cases recovery falls
-// back to the previous version.
+// TestStreamedSegmentFaultParity checks that injected faults leave every
+// file kind commit writes exactly as they left the whole image, the segment
+// on a size whose middle byte is past the first staging buffer: a checksum
+// flip is the image with byte size/2 XORed by 0x40 (a segment's or
+// manifest's trailer still the clean CRC), and a torn write is the image's
+// first size/2 bytes. Recovery lands where each fault leaves it: a faulted
+// segment or manifest falls back to version 1, and a faulted CURRENT names
+// no manifest, so every manifest is tried and version 2 recovers.
 func TestStreamedSegmentFaultParity(t *testing.T) {
 	big := multiChunkTable(t)
-	img := segmentImage(t, big)
-	if len(img)/2 < segStage {
-		t.Fatalf("middle byte %d is in the first staging buffer", len(img)/2)
+	seg := segmentImage(t, big)
+	if len(seg)/2 < segStage {
+		t.Fatalf("middle byte %d is in the first staging buffer", len(seg)/2)
 	}
-	flipped := append([]byte(nil), img...)
-	flipped[len(img)/2] ^= 0x40
-	cases := []struct {
-		name string
-		cfg  fault.Config
-		want []byte
+	man, err := encodeManifest(&Manifest{Version: 2, Tables: map[string]TableEntry{"big": tableEntry(segmentName("big", 2), big)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := testTable("big", 40, 1)
+	flipped := func(img []byte) []byte {
+		out := append([]byte(nil), img...)
+		out[len(img)/2] ^= 0x40
+		return out
+	}
+	files := []struct {
+		prefix, site, file string // prefix names the subtests
+		img                []byte
+		version            uint64 // recovered
+		want               *table.Table
 	}{
-		// TornWrite is armed too: with a budget of one fault only the first
-		// draw fires, so this also pins the flip's draw ahead of the tear's.
-		{"flip", fault.Config{ChecksumFlipSites: map[string]float64{"seg:big": 1}, TornWriteSites: map[string]float64{"seg:big": 1}}, flipped},
-		{"tear", fault.Config{TornWriteSites: map[string]float64{"seg:big": 1}}, img[:len(img)/2]},
+		{"", "seg:big", segmentName("big", 2), seg, 1, v1},
+		{"manifest-", "manifest", manifestName(2), man, 1, v1},
+		{"current-", "current", currentName, []byte(manifestName(2) + "\n"), 2, big},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			s := mustOpen(t, Options{Dir: dir})
-			v1 := testTable("big", 40, 1)
-			s.Put(v1)
-			mustCheckpoint(t, s)
-			tc.cfg.Seed, tc.cfg.MaxFaults = 7, 1
-			s.opts.Faults = fault.New(tc.cfg)
-			s.Put(big)
-			mustCheckpoint(t, s) // both faults report success
-			if got := segFile(t, dir, "big", 2); !bytes.Equal(got, tc.want) {
-				t.Fatalf("faulted file of %d bytes differs from the %d-byte reference", len(got), len(tc.want))
-			}
-			r := mustOpen(t, Options{Dir: dir})
-			if rec := r.Recovery(); rec.ManifestVersion != 1 || rec.Fallbacks != 1 {
-				t.Fatalf("recovery = %+v, want fallback to version 1", rec)
-			}
-			got, err := r.Load(context.Background(), "big")
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameContents(t, v1, got)
-		})
+	for _, f := range files {
+		faults := []struct {
+			name string
+			cfg  fault.Config
+			want []byte
+		}{
+			// TornWrite is armed too: with a budget of one fault only the
+			// first draw fires, so this also pins the flip's draw ahead of
+			// the tear's.
+			{"flip", fault.Config{ChecksumFlipSites: map[string]float64{f.site: 1}, TornWriteSites: map[string]float64{f.site: 1}}, flipped(f.img)},
+			{"tear", fault.Config{TornWriteSites: map[string]float64{f.site: 1}}, f.img[:len(f.img)/2]},
+		}
+		for _, tc := range faults {
+			t.Run(f.prefix+tc.name, func(t *testing.T) {
+				dir := t.TempDir()
+				s := mustOpen(t, Options{Dir: dir})
+				s.Put(v1)
+				mustCheckpoint(t, s)
+				tc.cfg.Seed, tc.cfg.MaxFaults = 7, 1
+				s.opts.Faults = fault.New(tc.cfg)
+				s.Put(big)
+				mustCheckpoint(t, s) // both faults report success
+				got, err := os.ReadFile(filepath.Join(dir, f.file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, tc.want) {
+					t.Fatalf("faulted %s of %d bytes differs from the %d-byte reference", f.file, len(got), len(tc.want))
+				}
+				r := mustOpen(t, Options{Dir: dir})
+				if rec := r.Recovery(); rec.ManifestVersion != f.version || rec.Fallbacks != int(2-f.version) {
+					t.Fatalf("recovery = %+v, want version %d", rec, f.version)
+				}
+				back, err := r.Load(context.Background(), "big")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := mustCols(t, back), mustCols(t, f.want); !reflect.DeepEqual(got, want) {
+					t.Fatalf("recovered %q is not the %d-row version", back.Name(), f.want.NumRows())
+				}
+			})
+		}
 	}
 }
 
