@@ -9,12 +9,12 @@ import (
 // PairedResource enforces hwstar's paired lifecycles, lostcancel-style:
 // a trace.Span that is Started or Child-ed must reach End, a granted
 // mem.Reservation must reach Release, and a mem.Lease from NewLease must
-// reach Release. An un-Ended span corrupts the trace tree's attribution
-// (PR 3's whole point); an unreleased reservation leaks budget until the
-// governor wedges every later query into ErrMemoryPressure (PR 4's whole
-// point); an unreleased lease never hands its pooled columns back, so every
-// later request allocates afresh. The store has no handle to pair: every
-// file it writes or reads opens and closes inside one function.
+// reach Release. An un-Ended span corrupts the trace tree's attribution;
+// an unreleased reservation leaks budget until the governor wedges every
+// later query into ErrMemoryPressure; an unreleased lease never hands its
+// pooled columns back, so every later request allocates afresh. The store
+// has no handle to pair: every file it writes or reads opens and closes
+// inside one function.
 //
 // The check is intraprocedural and deliberately conservative: a resource
 // that escapes the function — returned, stored in a struct or slice,
