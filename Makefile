@@ -112,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalColumn -fuzztime=10s ./internal/compress
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSegment -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzDispatch -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzScatterMatchesOracle -fuzztime=10s ./internal/shard
 
 bench:
 	$(GO) test -bench=BenchmarkE -benchtime=1x .

@@ -48,17 +48,24 @@ const (
 	MatchSome                   // the range straddles the block: decode and filter
 )
 
-// Match classifies block i against [lo, hi] by its exact zone map — the one
-// zone-map rule every scan of a compressed column applies. Being exact, it
-// cannot overflow near the ends of the int64 domain the way a maximum
-// derived from the FOR width would. An empty range (lo > hi) is MatchNone or
-// MatchSome, never MatchAll.
+// Match classifies block i against [lo, hi] by its exact zone map: MatchRange
+// over the block's stored min and max.
 func (c *Compressed) Match(i int, lo, hi int64) BlockMatch {
 	b := &c.blocks[i]
+	return MatchRange(b.minV, b.maxV, lo, hi)
+}
+
+// MatchRange is the one zone-map rule: how values spanning exactly
+// [minV, maxV] relate to the predicate range [lo, hi]. Every scan of a
+// compressed column applies it per block, and the shard router per stripe.
+// Being exact, it cannot overflow near the ends of the int64 domain the way
+// a maximum derived from the FOR width would. An empty range (lo > hi) is
+// MatchNone or MatchSome, never MatchAll.
+func MatchRange(minV, maxV, lo, hi int64) BlockMatch {
 	switch {
-	case b.minV > hi || b.maxV < lo:
+	case minV > hi || maxV < lo:
 		return MatchNone
-	case b.minV >= lo && b.maxV <= hi:
+	case minV >= lo && maxV <= hi:
 		return MatchAll
 	}
 	return MatchSome

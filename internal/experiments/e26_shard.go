@@ -281,9 +281,9 @@ func runE26Hedge(m *hw.Machine, shards, clients, requests, rows int) (e26HedgeBe
 }
 
 // runE26Partial stages total replica loss: trial t kills every replica of
-// partition t mod P, so the trials lose different stripes (any other
-// partition left without a live replica is tracked too), and demands a
-// typed partial result whose sum is exactly the covered stripes' total.
+// partition t mod P, so the trials lose different stripes, scans a range
+// that straddles that stripe, and demands a typed partial result whose sum
+// is exactly the covered stripes' total.
 func runE26Partial(m *hw.Machine, shards, trials, rows int) (e26PartialBench, error) {
 	ctx := context.Background()
 	b := e26PartialBench{Trials: trials, MinCoveredFrac: 1}
@@ -308,13 +308,23 @@ func runE26Partial(m *hw.Machine, shards, trials, rows int) (e26PartialBench, er
 			return b, err
 		}
 		killed := make(map[int]bool)
-		for _, nid := range parts[trial%len(parts)].Replicas {
+		target := trial % len(parts)
+		for _, nid := range parts[target].Replicas {
 			if err := r.KillNode(nid); err != nil {
 				r.Close()
 				return b, err
 			}
 			killed[nid] = true
 		}
+		// The scan starts one row into the killed partition's stripe, so
+		// it must dispatch that stripe. A stripe it misses or covers whole
+		// is settled by the router's zones and needs no replica, so only a
+		// dead stripe the range straddles is lost.
+		from := int64(0)
+		for _, p := range parts[:target] {
+			from += int64(p.Rows)
+		}
+		from++
 		var lostSum int64
 		lostRows := 0
 		lo := int64(0)
@@ -326,15 +336,15 @@ func runE26Partial(m *hw.Machine, shards, trials, rows int) (e26PartialBench, er
 					allDead = false
 				}
 			}
-			if allDead {
-				lostSum += expect(lo, hi)
+			if allDead && lo < from && from <= hi {
+				lostSum += expect(from, hi)
 				lostRows += p.Rows
 			}
 			lo = hi + 1
 		}
 
-		resp, err := r.Submit(ctx, e26ScanReq(name, 0, int64(rows)-1))
-		total := expect(0, int64(rows)-1)
+		resp, err := r.Submit(ctx, e26ScanReq(name, from, int64(rows)-1))
+		total := expect(from, int64(rows)-1)
 		switch {
 		case err == nil && resp.Sum != total:
 			b.SilentWrongSums++

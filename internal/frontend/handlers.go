@@ -214,7 +214,7 @@ func (f *Frontend) handleHealth(w http.ResponseWriter, r *http.Request) {
 		out.CheckpointFailures = h.CheckpointFailures
 	}
 	// The admission totals are the tenant ledgers' sum: each query once,
-	// where the engine behind a router counts one per stripe.
+	// where the engine behind a router counts one per dispatched stripe.
 	for id, ts := range f.tenants {
 		if !ts.ledger.counted() {
 			continue

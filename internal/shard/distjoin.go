@@ -47,13 +47,13 @@ func (r *Router) distJoin(ctx context.Context, req serve.Request) (Response, err
 	}
 
 	// Every live node is a candidate for every sub-join: its data is inline,
-	// so anyone can run it. The fan-out rotates sub i's order by i, so the
-	// sub-joins start on distinct nodes.
+	// so anyone can run it. Sub i is part i, and the fan-out rotates its order
+	// by its part, so the sub-joins start on distinct nodes.
 	f := newFanout(len(live))
 	defer f.release()
 	for _, part := range splitJoin(in, len(live), plan.Strategy, req.Lease) {
 		if len(part.BuildKeys) > 0 || len(part.ProbeKeys) > 0 {
-			f.add(req, live).Join = part
+			f.add(req, len(f.subs), live).Join = part
 		}
 	}
 	r.run(ctx, f)

@@ -34,8 +34,9 @@ func openStores(t *testing.T, n int) []*store.Store {
 }
 
 func TestScanSurvivesSingleNodeLoss(t *testing.T) {
-	cols, expect := testRelation(8000)
-	want := expect(0, 7999)
+	cols, _ := testRelation(8000)
+	req := straddleReq("ev")
+	want := oracleSum(cols, req.Query)
 	r := newRouter(t, Options{Shards: 4, Replicas: 2})
 	if err := r.Register("ev", cols); err != nil {
 		t.Fatal(err)
@@ -43,7 +44,7 @@ func TestScanSurvivesSingleNodeLoss(t *testing.T) {
 	if err := r.KillNode(2); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := r.Submit(context.Background(), scanReq("ev", 0, 7999))
+	resp, err := r.Submit(context.Background(), req)
 	if err != nil {
 		t.Fatalf("scan after node loss: %v", err)
 	}
@@ -59,8 +60,9 @@ func TestScanSurvivesSingleNodeLoss(t *testing.T) {
 }
 
 func TestTotalRangeLossReturnsTypedPartial(t *testing.T) {
-	cols, expect := testRelation(9000)
-	total := expect(0, 8999)
+	cols, _ := testRelation(9000)
+	req := straddleReq("ev")
+	total := oracleSum(cols, req.Query)
 	r := newRouter(t, Options{Shards: 4, Replicas: 2})
 	if err := r.Register("ev", cols); err != nil {
 		t.Fatal(err)
@@ -76,7 +78,7 @@ func TestTotalRangeLossReturnsTypedPartial(t *testing.T) {
 		}
 	}
 
-	resp, err := r.Submit(context.Background(), scanReq("ev", 0, 8999))
+	resp, err := r.Submit(context.Background(), req)
 	if !errors.Is(err, errs.ErrPartialResult) {
 		t.Fatalf("total range loss returned %v, want ErrPartialResult", err)
 	}
@@ -85,10 +87,9 @@ func TestTotalRangeLossReturnsTypedPartial(t *testing.T) {
 	}
 
 	// The partial answer must be exactly the covered stripes' sum — never
-	// a silent wrong total.
-	lostLo := int64(0)
-	lostHi := int64(part.rows - 1) // partition 0 is the first contiguous stripe
-	wantPartial := total - expect(lostLo, lostHi)
+	// a silent wrong total. Partition 0 is the first contiguous stripe.
+	lost := [][]int64{cols[0][:part.rows], cols[1][:part.rows]}
+	wantPartial := total - oracleSum(lost, req.Query)
 	if resp.Sum != wantPartial {
 		t.Fatalf("partial sum = %d, want exactly the covered stripes' %d", resp.Sum, wantPartial)
 	}
@@ -102,8 +103,9 @@ func TestTotalRangeLossReturnsTypedPartial(t *testing.T) {
 }
 
 func TestRecoveryRereplicatesFromSurvivingStore(t *testing.T) {
-	cols, expect := testRelation(6000)
-	want := expect(0, 5999)
+	cols, _ := testRelation(6000)
+	req := straddleReq("ev")
+	want := oracleSum(cols, req.Query)
 	stores := openStores(t, 3)
 	r := newRouter(t, Options{Shards: 3, Replicas: 2, Stores: stores})
 
@@ -117,7 +119,7 @@ func TestRecoveryRereplicatesFromSurvivingStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cluster still answers exactly from the surviving replicas.
-	resp, err := r.Submit(context.Background(), scanReq("ev", 0, 5999))
+	resp, err := r.Submit(context.Background(), req)
 	if err != nil || resp.Sum != want {
 		t.Fatalf("scan with node down: sum=%d err=%v, want %d", resp.Sum, err, want)
 	}
@@ -143,7 +145,7 @@ func TestRecoveryRereplicatesFromSurvivingStore(t *testing.T) {
 			}
 		}
 	}
-	resp, err = r.Submit(context.Background(), scanReq("ev", 0, 5999))
+	resp, err = r.Submit(context.Background(), req)
 	if err != nil || resp.Sum != want {
 		t.Fatalf("scan after recovery: sum=%d err=%v, want %d", resp.Sum, err, want)
 	}
@@ -158,7 +160,7 @@ func TestRecoveryRereplicatesFromSurvivingStore(t *testing.T) {
 // 4.6 KB encoded; under a 16 KiB budget the copy must be granted (it was
 // denied when the charge assumed raw columns) and must still be accounted.
 func TestRereplicationChargesEncodedBytes(t *testing.T) {
-	cols, expect := testRelation(6000)
+	cols, _ := testRelation(6000)
 	stores := openStores(t, 3)
 	r := newRouter(t, Options{Shards: 3, Replicas: 2, Stores: stores,
 		Memory: mem.Config{BudgetBytes: 16 << 10, PerQueryBytes: 1 << 10}})
@@ -182,8 +184,9 @@ func TestRereplicationChargesEncodedBytes(t *testing.T) {
 	if ch := r.ClusterHealth(); ch.Rereplications == 0 {
 		t.Fatal("recovery performed no re-replications")
 	}
-	if resp, err := r.Submit(context.Background(), scanReq("ev", 0, 5999)); err != nil || resp.Sum != expect(0, 5999) {
-		t.Fatalf("scan after recovery: sum=%d err=%v, want %d", resp.Sum, err, expect(0, 5999))
+	req := straddleReq("ev")
+	if resp, err := r.Submit(context.Background(), req); err != nil || resp.Sum != oracleSum(cols, req.Query) {
+		t.Fatalf("scan after recovery: sum=%d err=%v, want %d", resp.Sum, err, oracleSum(cols, req.Query))
 	}
 }
 
@@ -242,7 +245,7 @@ func TestKillAndRecoverIdempotent(t *testing.T) {
 // reads the server can see alive=true with no server. Register and Workers
 // must treat that node as dead, not dereference nil.
 func TestKillMidReadSkipsTheNode(t *testing.T) {
-	cols, expect := testRelation(3000)
+	cols, _ := testRelation(3000)
 	r := newRouter(t, Options{Shards: 3, Replicas: 2})
 	n := r.nodes[1]
 	srv := n.server()
@@ -267,8 +270,9 @@ func TestKillMidReadSkipsTheNode(t *testing.T) {
 	if err := r.KillNode(1); err != nil {
 		t.Fatal(err)
 	}
-	if resp, err := r.Submit(context.Background(), scanReq("ev", 0, 2999)); err != nil || resp.Sum != expect(0, 2999) {
-		t.Fatalf("scan: sum=%d err=%v, want %d", resp.Sum, err, expect(0, 2999))
+	req := straddleReq("ev")
+	if resp, err := r.Submit(context.Background(), req); err != nil || resp.Sum != oracleSum(cols, req.Query) {
+		t.Fatalf("scan: sum=%d err=%v, want %d", resp.Sum, err, oracleSum(cols, req.Query))
 	}
 }
 
@@ -399,11 +403,12 @@ func TestFailingNodeSortsAfterHealthyReplica(t *testing.T) {
 func TestRecoveryReplacesStaleReplayedStripes(t *testing.T) {
 	for _, second := range []int{0, 2} {
 		v1, _ := testRelation(6000)
-		v2, expect := testRelation(6000)
+		v2, _ := testRelation(6000)
 		for i := range v2[1] {
 			v2[1][i] *= 3
 		}
-		want := expect(0, 5999)
+		req := straddleReq("ev")
+		want := oracleSum(v2, req.Query)
 
 		r := newRouter(t, Options{Shards: 3, Replicas: 2, Stores: openStores(t, 3)})
 		if err := r.Register("ev", v1); err != nil {
@@ -426,7 +431,7 @@ func TestRecoveryReplacesStaleReplayedStripes(t *testing.T) {
 		if err := r.KillNode(second); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := r.Submit(context.Background(), scanReq("ev", 0, 5999))
+		resp, err := r.Submit(context.Background(), req)
 		if err != nil || resp.Partial {
 			t.Fatalf("after losing node %d: partial=%v err=%v, want a full answer", second, resp.Partial, err)
 		}

@@ -37,6 +37,9 @@ type fanout struct {
 type sub struct {
 	req      serve.Request
 	replicas []int
+	// part is the sub's partition — a scan's stripe, a sub-join's
+	// destination — and offsets the rotation of its candidates.
+	part int
 
 	first, end        int // its candidates: tries[first:end], in launch order
 	launched, pending int
@@ -67,10 +70,11 @@ func newFanout(n int) *fanout {
 	return f
 }
 
-// add appends a sub-request for replicas and returns its Request, a copy of
-// req, for the caller to narrow (a stripe's table, a sub-join's input).
-func (f *fanout) add(req serve.Request, replicas []int) *serve.Request {
-	f.subs = append(f.subs, sub{replicas: replicas})
+// add appends partition part's sub-request for replicas and returns its
+// Request, a copy of req, for the caller to narrow (a stripe's table, a
+// sub-join's input).
+func (f *fanout) add(req serve.Request, part int, replicas []int) *serve.Request {
+	f.subs = append(f.subs, sub{replicas: replicas, part: part})
 	s := &f.subs[len(f.subs)-1]
 	s.req = req
 	return &s.req
@@ -100,8 +104,9 @@ func (f *fanout) release() {
 // run dispatches every sub of f and returns once each is settled:
 //
 //   - a sub's candidates are its replicas ordered live-first and
-//     breaker-aware (candidates), sub i rotated by the request's rotor draw
-//     plus i, so load spreads across replicas and sub-joins across nodes;
+//     breaker-aware (candidates), rotated by the request's rotor draw plus
+//     the sub's partition, so load spreads across replicas and sub-joins
+//     across nodes;
 //   - every sub's primary starts at once; when the op class's hedge
 //     deadline (the p95 of its recent dispatches) passes, every sub still
 //     unanswered hedges to its next unused candidate, and whichever attempt
@@ -132,7 +137,7 @@ func (r *Router) run(ctx context.Context, f *fanout) {
 	for i := range f.subs {
 		s := &f.subs[i]
 		s.first = len(f.tries)
-		f.tries = candidates(f.tries, nodes, s.replicas, rot+i, start)
+		f.tries = candidates(f.tries, nodes, s.replicas, rot+s.part, start)
 		s.end = len(f.tries)
 	}
 	if cap(f.done) < len(f.tries) {

@@ -24,15 +24,16 @@ func TestHedgedDispatchCancelLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	func() {
-		cols, expect := testRelation(4000)
-		want := expect(0, 3999)
+		cols, _ := testRelation(4000)
+		req := straddleReq("ev")
+		want := oracleSum(cols, req.Query)
 		r := newRouter(t, Options{Shards: 4, Replicas: 2, hedgeDelay: time.Nanosecond})
 		defer r.Close()
 		if err := r.Register("ev", cols); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 200; i++ {
-			resp, err := r.Submit(context.Background(), scanReq("ev", 0, 3999))
+			resp, err := r.Submit(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +71,7 @@ func TestHedgeWinsRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		if _, err := r.Submit(context.Background(), scanReq("ev", 0, 1999)); err != nil {
+		if _, err := r.Submit(context.Background(), straddleReq("ev")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,9 +188,9 @@ func TestHedgeDeadlineMatchesSortedP95(t *testing.T) {
 }
 
 // TestDispatchRecordsPerOpClass is the wiring check: every op has its own
-// class, and every successful dispatch lands in its op's class. A scan
-// dispatches once per stripe, so j scans on three shards record 3j; k Q6
-// requests record k.
+// class, and every successful dispatch lands in its op's class. A scan no
+// stripe's zone settles dispatches once per stripe, so j of them on three
+// shards record 3j; k Q6 requests record k.
 func TestDispatchRecordsPerOpClass(t *testing.T) {
 	for c, op := range classOps {
 		if opClass(op) != c {
@@ -209,7 +210,7 @@ func TestDispatchRecordsPerOpClass(t *testing.T) {
 		}
 	}
 	for i := 0; i < j; i++ {
-		if _, err := r.Submit(context.Background(), scanReq("ev", 0, 2999)); err != nil {
+		if _, err := r.Submit(context.Background(), straddleReq("ev")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,15 +247,16 @@ func TestParentCancellationPropagates(t *testing.T) {
 // 3j, however many attempts failed on the way.
 func TestFailedAttemptsAreNotRecorded(t *testing.T) {
 	const j = 12
-	cols, expect := testRelation(3000)
-	want := expect(0, 2999)
+	cols, _ := testRelation(3000)
+	req := straddleReq("ev")
+	want := oracleSum(cols, req.Query)
 	r := newRouter(t, Options{Shards: 3, Replicas: 2, hedgeDelay: time.Hour})
 	if err := r.Register("ev", cols); err != nil {
 		t.Fatal(err)
 	}
 	r.nodes[0].server().Close()
 	for i := 0; i < j; i++ {
-		resp, err := r.Submit(context.Background(), scanReq("ev", 0, 2999))
+		resp, err := r.Submit(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,12 +283,13 @@ func TestFailedAttemptsAreNotRecorded(t *testing.T) {
 // under -race, where the detector also sees the write.
 func TestHedgeLoserNeverSeesRecycledState(t *testing.T) {
 	const clients, scans = 8, 64
-	colsA, expect := testRelation(6000)
+	colsA, _ := testRelation(6000)
 	colsB := [][]int64{colsA[0], make([]int64, len(colsA[1]))}
 	for i, v := range colsA[1] {
 		colsB[1][i] = 3*v + 1
 	}
-	wantA, wantB := expect(0, 5999), 3*expect(0, 5999)+6000
+	q := straddleReq("").Query
+	wantA, wantB := oracleSum(colsA, q), oracleSum(colsB, q)
 	r := newRouter(t, Options{Shards: 3, Replicas: 2, hedgeDelay: time.Nanosecond})
 	if err := r.Register("a", colsA); err != nil {
 		t.Fatal(err)
@@ -302,7 +305,7 @@ func TestHedgeLoserNeverSeesRecycledState(t *testing.T) {
 				if (c+i)%2 == 1 {
 					table, want = "b", wantB
 				}
-				resp, err := r.Submit(context.Background(), scanReq(table, 0, 5999))
+				resp, err := r.Submit(context.Background(), straddleReq(table))
 				if err == nil && resp.Sum != want {
 					err = fmt.Errorf("client %d scan %d of %q = %d, want %d", c, i, table, resp.Sum, want)
 				}

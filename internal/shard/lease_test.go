@@ -60,7 +60,7 @@ func TestHedgeLoserHoldsLease(t *testing.T) {
 	keys, vals := lease.Column(n), lease.Column(n)
 	want := fillGroupSum(keys, vals, 1)
 	f := newFanout(1)
-	f.add(serve.Request{Op: serve.OpGroupSum, Keys: keys, Vals: vals, Strategy: agg.StrategyGlobal, Lease: lease}, []int{0, 1})
+	f.add(serve.Request{Op: serve.OpGroupSum, Keys: keys, Vals: vals, Strategy: agg.StrategyGlobal, Lease: lease}, 0, []int{0, 1})
 	r.run(ctx, f)
 	if s := &f.subs[0]; s.err != nil || !s.hedged || !maps.Equal(s.resp.Groups, want) {
 		t.Fatalf("hedged group-sum: err %v, hedged %v, %d groups, want %d", s.err, s.hedged, len(s.resp.Groups), len(want))

@@ -49,8 +49,8 @@ func startsOnDistinctNodes(t *testing.T, r *Router, req serve.Request, want int,
 // TestPlacementRule covers every cluster shape up to six nodes: partition p
 // lives on nodes p … p+R−1 (R clamped to N), the layout is the same on every
 // router, every node holds exactly R stripes of a full table, and for every
-// rotor value one scan's stripes — and one join's sub-joins — start on
-// distinct nodes.
+// rotor value the stripes one scan dispatches — and one join's sub-joins —
+// start on distinct nodes.
 func TestPlacementRule(t *testing.T) {
 	cols, _ := testRelation(1000)
 	g := workload.GenerateJoin(workload.JoinConfig{Seed: 40, BuildRows: 500, ProbeRows: 3000})
@@ -107,10 +107,16 @@ func TestPlacementRule(t *testing.T) {
 				}
 
 				// Each request draws the next rotor value; n·R of them cover
-				// every residue the draw is taken under.
+				// every residue the draw is taken under. The scan of full
+				// dispatches every stripe; the one across its first stripe
+				// boundary dispatches fewer stripes than there are nodes; the
+				// small table's one-row stripes are always settled by their
+				// zones, so a scan of it dispatches nothing.
+				edge := int64(1000 / n)
 				for rot := 0; rot < n*wantR; rot++ {
-					startsOnDistinctNodes(t, r, scanReq("full", 0, 999), n, fmt.Sprintf("scan %d of full", rot))
-					startsOnDistinctNodes(t, r, scanReq("small", 0, 999), min(small, n), fmt.Sprintf("scan %d of small", rot))
+					startsOnDistinctNodes(t, r, straddleReq("full"), n, fmt.Sprintf("scan %d of full", rot))
+					startsOnDistinctNodes(t, r, scanReq("full", edge-1, edge), min(2, n), fmt.Sprintf("scan %d across a boundary", rot))
+					startsOnDistinctNodes(t, r, scanReq("small", 0, 999), 0, fmt.Sprintf("scan %d of small", rot))
 					startsOnDistinctNodes(t, r, join, n, fmt.Sprintf("join %d", rot))
 				}
 			})

@@ -13,10 +13,17 @@
 // N). Membership is fixed at New, so the rule needs no state, and each node
 // holds exactly R of a table's N stripes.
 //
+// A scan visits only the stripes its range can hit. Each partition keeps a
+// zone per column — exact min, max and wrapping sum, folded at Register from
+// the stripe's block headers — and the router classifies a stripe by the
+// rule every block scan applies (compress.MatchRange): a stripe the range
+// misses is covered with sum 0, one it covers whole is answered from its
+// stored total, and neither needs a hop or a live replica.
+//
 // Every routed request is one fan-out (fanout.go): its sub-requests — a
-// scan's stripes, a join's sub-joins, or the one inline request — are driven
-// from the calling goroutine under one cancel context, one hedge timer and
-// one results channel, with their state taken from a pool. The hedge
+// scan's unsettled stripes, a join's sub-joins, or the one inline request —
+// are driven from the calling goroutine under one cancel context, one hedge
+// timer and one results channel, with their state taken from a pool. The hedge
 // deadline is measured, not modeled: the p95 of the router's own recent
 // dispatch times per op class. A hedge loser is cancelled when the whole
 // request returns, not when its own sub-request settles.
@@ -53,6 +60,7 @@ import (
 
 	"hwstar/internal/breaker"
 	"hwstar/internal/cluster"
+	"hwstar/internal/compress"
 	"hwstar/internal/errs"
 	"hwstar/internal/fault"
 	"hwstar/internal/hw"
@@ -60,6 +68,7 @@ import (
 	"hwstar/internal/metrics"
 	"hwstar/internal/serve"
 	"hwstar/internal/store"
+	"hwstar/internal/table"
 )
 
 // Options configures a Router.
@@ -166,12 +175,41 @@ func (n *node) server() *serve.Server {
 
 // partition is one contiguous row stripe of a registered table, placed on
 // a fixed replica set. derived is the per-shard table name the stripe is
-// registered under ("orders@3" for partition 3 of "orders").
+// registered under ("orders@3" for partition 3 of "orders"); zones holds one
+// zone per column.
 type partition struct {
 	id       int
 	derived  string
 	rows     int
 	replicas []int // node ids, as replicasOf lists them
+	zones    []zone
+}
+
+// zone is one column's zone map over a whole stripe: the exact min and max
+// of its values and their wrapping sum. It is the stripe's block zone maps
+// folded into one, so the router classifies a stripe by the blocks' rule
+// (compress.MatchRange) and answers a stripe the range covers whole from sum.
+type zone struct{ min, max, sum int64 }
+
+// stripeZones folds each column's zone from the encoded stripe's block
+// headers (BlockRange, BlockSum): O(blocks), no pass over the rows. Every
+// column must be a non-empty block stream, as store.TableFromCols builds.
+func stripeZones(t *table.Table) ([]zone, error) {
+	zones := make([]zone, t.Schema().NumColumns())
+	for c := range zones {
+		col, ok := t.Column(c).(*compress.Compressed)
+		if !ok || col.NumBlocks() == 0 {
+			return nil, fmt.Errorf("shard: stripe %q column %d is not a block stream", t.Name(), c)
+		}
+		z := &zones[c]
+		z.min, z.max = col.BlockRange(0)
+		for b := range col.NumBlocks() {
+			lo, hi := col.BlockRange(b)
+			z.min, z.max = min(z.min, lo), max(z.max, hi)
+			z.sum += col.BlockSum(b)
+		}
+	}
+	return zones, nil
 }
 
 // replicasOf is the placement rule: partition p lives on nodes p, p+1, …,
@@ -404,6 +442,9 @@ func (r *Router) Register(name string, cols [][]int64) error {
 			replicas: replicasOf(p, r.opts.Shards, r.opts.Replicas),
 		}
 		enc, err := store.TableFromCols(part.derived, stripe)
+		if err == nil {
+			part.zones, err = stripeZones(enc)
+		}
 		if err != nil {
 			return fmt.Errorf("shard: register %q partition %d: %w", name, p, err)
 		}
@@ -477,11 +518,14 @@ func (r *Router) SubmitDist(ctx context.Context, req serve.Request) (Response, e
 	return resp, err
 }
 
-// scatterScan fans a scan out to every partition in one fan-out, hedging
-// and failing over per partition, and merges the per-stripe sums.
-// Partitions with no surviving replica degrade the result to a typed
-// partial: the sum is exact over the covered stripes and the caller learns
-// exactly how much of the table it covers.
+// scatterScan answers a scan stripe by stripe. Each stripe's zone on the
+// filter column settles it at the router when the range misses it (sum 0)
+// or covers it whole (its stored total of the aggregate column); those need
+// no hop and no live replica. The rest go out in one fan-out, hedging and
+// failing over per stripe, and their sums are merged in. Stripes with no
+// surviving replica degrade the result to a typed partial: the sum is exact
+// over the covered stripes and the caller learns exactly how much of the
+// table it covers.
 func (r *Router) scatterScan(ctx context.Context, req serve.Request) (Response, error) {
 	r.mu.RLock()
 	meta, ok := r.tables[req.Table]
@@ -490,15 +534,45 @@ func (r *Router) scatterScan(ctx context.Context, req serve.Request) (Response, 
 		return Response{}, fmt.Errorf("shard: unknown table %q: %w", req.Table, errs.ErrInvalidInput)
 	}
 
+	// Only a valid scan whose caller is still waiting is settled by zones:
+	// any other goes to every stripe, whose servers refuse it as they would
+	// without zones, rather than answer a range that misses every stripe
+	// with a silent 0.
+	q := req.Query
+	useZones := q.Validate(len(meta.parts[0].zones)) == nil && ctx.Err() == nil
+	var out Response
+	var coveredRows, pruned, summed int
 	f := newFanout(len(meta.parts))
 	defer f.release()
 	for _, part := range meta.parts {
-		f.add(req, part.replicas).Table = part.derived
+		match := compress.MatchSome
+		if useZones {
+			z := part.zones[q.FilterCol]
+			match = compress.MatchRange(z.min, z.max, q.Lo, q.Hi)
+		}
+		switch match {
+		case compress.MatchNone:
+			pruned++
+		case compress.MatchAll:
+			summed++
+			out.Sum += part.zones[q.AggCol].sum
+		default:
+			f.add(req, part.id, part.replicas).Table = part.derived
+			continue
+		}
+		coveredRows += part.rows
 	}
-	r.run(ctx, f)
+	if pruned > 0 {
+		r.reg.Counter("shard.stripes_pruned").Add(int64(pruned))
+	}
+	if summed > 0 {
+		r.reg.Counter("shard.stripes_summed").Add(int64(summed))
+	}
+	if len(f.subs) > 0 {
+		r.run(ctx, f)
+	}
 
-	var out Response
-	var coveredRows, coveredParts int
+	var answered int
 	var maxCycles float64
 	var firstErr error
 	for i := range f.subs {
@@ -511,8 +585,8 @@ func (r *Router) scatterScan(ctx context.Context, req serve.Request) (Response, 
 			}
 			continue
 		}
-		coveredParts++
-		coveredRows += meta.parts[i].rows
+		answered++
+		coveredRows += meta.parts[s.part].rows
 		out.Sum += s.resp.Sum
 		out.Spilled = out.Spilled || s.resp.Spilled
 		out.SpillBytes += s.resp.SpillBytes
@@ -524,17 +598,18 @@ func (r *Router) scatterScan(ctx context.Context, req serve.Request) (Response, 
 		}
 	}
 
-	// Price the gather hop: every covered partition ships one aggregate
-	// row back to the router over the fabric.
-	if coveredParts > 1 {
-		gatherBytes := int64(coveredParts) * 16
+	// Price the gather hop: every dispatched stripe that answered ships one
+	// aggregate row back to the router over the fabric.
+	if answered > 1 {
+		gatherBytes := int64(answered) * 16
 		out.NetworkCycles = r.clu.TransferCycles(gatherBytes, 1)
 		out.BytesMoved = gatherBytes
 	}
 	out.SimCycles = maxCycles + out.NetworkCycles
 
-	if coveredRows == 0 && firstErr != nil {
-		// Nothing answered: propagate the routing failure, not a partial.
+	// Nothing answered, or the caller gave up before any dispatched stripe
+	// did: propagate the failure, not a partial built from zones alone.
+	if firstErr != nil && (coveredRows == 0 || answered == 0 && ctx.Err() != nil) {
 		return out, firstErr
 	}
 	if coveredRows < meta.totalRows {
@@ -567,7 +642,7 @@ func (r *Router) routeAny(ctx context.Context, req serve.Request) (Response, err
 func (r *Router) routeOne(ctx context.Context, req serve.Request, replicas []int) (Response, error) {
 	f := newFanout(1)
 	defer f.release()
-	f.add(req, replicas)
+	f.add(req, 0, replicas)
 	r.run(ctx, f)
 	s := &f.subs[0]
 	return Response{Response: s.resp, Hedged: s.hedged, Failovers: s.failovers}, s.err

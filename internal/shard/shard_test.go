@@ -52,6 +52,28 @@ func scanReq(table string, lo, hi int64) serve.Request {
 	return serve.Request{Op: serve.OpScan, Table: table, Query: scan.Query{FilterCol: 0, Lo: lo, Hi: hi, AggCol: 1}}
 }
 
+// straddleReq is a scan that no stripe's zone settles, on a testRelation
+// table whose stripes hold 97 rows or more: it filters the value column
+// (i%97 + 1, so each such stripe's zone is [1, 97]) over [2, 97], which
+// neither misses a stripe nor covers one whole. Tests of dispatch — hedging,
+// failover, placement, recovery — use it to send every stripe through the
+// fan-out; oracleSum gives its answer.
+func straddleReq(table string) serve.Request {
+	return serve.Request{Op: serve.OpScan, Table: table, Query: scan.Query{FilterCol: 1, Lo: 2, Hi: 97, AggCol: 0}}
+}
+
+// oracleSum is a scan's answer over the unsplit columns: a plain loop, the
+// single-node truth the router's sums are checked against.
+func oracleSum(cols [][]int64, q scan.Query) int64 {
+	var sum int64
+	for i, v := range cols[q.FilterCol] {
+		if v >= q.Lo && v <= q.Hi {
+			sum += cols[q.AggCol][i]
+		}
+	}
+	return sum
+}
+
 // holdsStripe reports whether the node's own server can serve the stripe.
 func holdsStripe(n *node, derived string) bool {
 	_, err := n.server().Submit(context.Background(), scanReq(derived, 0, 0))
@@ -184,7 +206,7 @@ func TestClusterHealthSurfacesRoutingCounters(t *testing.T) {
 	if err := r.Register("ev", cols); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Submit(context.Background(), scanReq("ev", 0, 399)); err != nil {
+	if _, err := r.Submit(context.Background(), straddleReq("ev")); err != nil {
 		t.Fatal(err)
 	}
 	ch := r.ClusterHealth()
@@ -232,11 +254,13 @@ func BenchmarkScatter(b *testing.B) {
 }
 
 // scatterAllocsCeiling is what one warm scan over a 3x2 router may allocate:
-// each stripe's scheduler and executor goroutine on its node, the attempts'
-// goroutine arguments, the one cancel context and hedge timer, and the
-// response path. Measured 30 + 2. The fan-out's subs, candidates and results
-// channel are pooled, and so are serve's per-request pending and per-pass
-// batch; a per-stripe slice, channel or timer puts it over.
+// each dispatched stripe's scheduler and executor goroutine on its node, the
+// attempts' goroutine arguments, the one cancel context and hedge timer, and
+// the response path. Measured 30 + 2 when the scan below dispatched all three
+// stripes; it now dispatches two, the third being covered whole and answered
+// from its zone, and measures 22. The fan-out's subs, candidates and
+// results channel are pooled, and so are serve's per-request pending and
+// per-pass batch; a per-stripe slice, channel or timer puts it over.
 const scatterAllocsCeiling = 32
 
 // TestScatterAllocs pins the router hop's garbage: a warm 3x2 router with
