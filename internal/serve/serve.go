@@ -124,6 +124,15 @@ func (p Priority) Lane() string {
 	return "interactive"
 }
 
+// Validate reports an unknown priority with errs.ErrInvalidInput.
+func (p Priority) Validate() error {
+	switch p {
+	case "", PriorityInteractive, PriorityBatch:
+		return nil
+	}
+	return fmt.Errorf("serve: unknown priority %q: %w", p, errs.ErrInvalidInput)
+}
+
 // Request is one client query. Set Op and the fields of the matching group;
 // the rest stay zero.
 type Request struct {
@@ -746,10 +755,8 @@ func (s *Server) lookup(name string) (*vecTable, bool) {
 
 // validate rejects malformed requests before they consume queue space.
 func (s *Server) validate(ctx context.Context, req Request) error {
-	switch req.Priority {
-	case "", PriorityInteractive, PriorityBatch:
-	default:
-		return fmt.Errorf("serve: unknown priority %q: %w", req.Priority, errs.ErrInvalidInput)
+	if err := req.Priority.Validate(); err != nil {
+		return err
 	}
 	switch req.Op {
 	case OpScan:

@@ -50,6 +50,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -525,7 +526,7 @@ func (r *Router) SubmitDist(ctx context.Context, req serve.Request) (Response, e
 // failing over per stripe, and their sums are merged in. Stripes with no
 // surviving replica degrade the result to a typed partial: the sum is exact
 // over the covered stripes and the caller learns exactly how much of the
-// table it covers.
+// table it covers. A stripe that fails any other way fails the scan.
 func (r *Router) scatterScan(ctx context.Context, req serve.Request) (Response, error) {
 	r.mu.RLock()
 	meta, ok := r.tables[req.Table]
@@ -534,23 +535,26 @@ func (r *Router) scatterScan(ctx context.Context, req serve.Request) (Response, 
 		return Response{}, fmt.Errorf("shard: unknown table %q: %w", req.Table, errs.ErrInvalidInput)
 	}
 
-	// Only a valid scan whose caller is still waiting is settled by zones:
-	// any other goes to every stripe, whose servers refuse it as they would
-	// without zones, rather than answer a range that misses every stripe
-	// with a silent 0.
+	// A stripe's zone settles it only for a valid scan whose caller is
+	// still waiting: an invalid or cancelled one gets the error its servers
+	// would give, not a silent 0 for a range that misses every stripe.
 	q := req.Query
-	useZones := q.Validate(len(meta.parts[0].zones)) == nil && ctx.Err() == nil
+	if err := req.Priority.Validate(); err != nil {
+		return Response{}, err
+	}
+	if err := q.Validate(len(meta.parts[0].zones)); err != nil {
+		return Response{}, err
+	}
+	if err := ctx.Err(); err != nil {
+		return Response{}, err
+	}
 	var out Response
 	var coveredRows, pruned, summed int
 	f := newFanout(len(meta.parts))
 	defer f.release()
 	for _, part := range meta.parts {
-		match := compress.MatchSome
-		if useZones {
-			z := part.zones[q.FilterCol]
-			match = compress.MatchRange(z.min, z.max, q.Lo, q.Hi)
-		}
-		switch match {
+		z := part.zones[q.FilterCol]
+		switch compress.MatchRange(z.min, z.max, q.Lo, q.Hi) {
 		case compress.MatchNone:
 			pruned++
 		case compress.MatchAll:
@@ -574,14 +578,16 @@ func (r *Router) scatterScan(ctx context.Context, req serve.Request) (Response, 
 
 	var answered int
 	var maxCycles float64
-	var firstErr error
+	var lost, failed error
 	for i := range f.subs {
 		s := &f.subs[i]
 		out.Failovers += s.failovers
 		out.Hedged = out.Hedged || s.hedged
 		if s.err != nil {
-			if firstErr == nil {
-				firstErr = s.err
+			if lostReplicas(s.err) {
+				lost = s.err
+			} else {
+				failed = s.err
 			}
 			continue
 		}
@@ -607,10 +613,15 @@ func (r *Router) scatterScan(ctx context.Context, req serve.Request) (Response, 
 	}
 	out.SimCycles = maxCycles + out.NetworkCycles
 
-	// Nothing answered, or the caller gave up before any dispatched stripe
-	// did: propagate the failure, not a partial built from zones alone.
-	if firstErr != nil && (coveredRows == 0 || answered == 0 && ctx.Err() != nil) {
-		return out, firstErr
+	// Only stripes that lost their replicas degrade the scan to a partial.
+	// A stripe shed (overload, memory pressure) or cancelled fails the whole
+	// scan with its own error, which the caller can retry; so does replica
+	// loss when no row is covered.
+	if failed != nil {
+		return out, failed
+	}
+	if lost != nil && coveredRows == 0 {
+		return out, lost
 	}
 	if coveredRows < meta.totalRows {
 		out.Partial = true
@@ -621,6 +632,12 @@ func (r *Router) scatterScan(ctx context.Context, req serve.Request) (Response, 
 	}
 	out.CoveredFraction = 1
 	return out, nil
+}
+
+// lostReplicas reports whether a dispatched stripe failed because its
+// replicas are gone: none was live, or each was closed under the request.
+func lostReplicas(err error) bool {
+	return errors.Is(err, errs.ErrDegraded) || errors.Is(err, errs.ErrClosed)
 }
 
 // routeAny runs an inline-data request (group-sum, Q1, Q6, unregistered-

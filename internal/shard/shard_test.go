@@ -254,13 +254,11 @@ func BenchmarkScatter(b *testing.B) {
 }
 
 // scatterAllocsCeiling is what one warm scan over a 3x2 router may allocate:
-// each dispatched stripe's scheduler and executor goroutine on its node, the
-// attempts' goroutine arguments, the one cancel context and hedge timer, and
-// the response path. Measured 30 + 2 when the scan below dispatched all three
-// stripes; it now dispatches two, the third being covered whole and answered
-// from its zone, and measures 22. The fan-out's subs, candidates and
-// results channel are pooled, and so are serve's per-request pending and
-// per-pass batch; a per-stripe slice, channel or timer puts it over.
+// each stripe's scheduler and executor goroutine on its node, the attempts'
+// goroutine arguments, the one cancel context and hedge timer, and the
+// response path. Measured 30 + 2. The fan-out's subs, candidates and results
+// channel are pooled, and so are serve's per-request pending and per-pass
+// batch; a per-stripe slice, channel or timer puts it over.
 const scatterAllocsCeiling = 32
 
 // TestScatterAllocs pins the router hop's garbage: a warm 3x2 router with
@@ -269,13 +267,13 @@ func TestScatterAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race")
 	}
-	cols, expect := testRelation(30_000)
-	want := expect(5_000, 20_000)
+	cols, _ := testRelation(30_000)
 	r := newRouter(t, Options{Shards: 3, Replicas: 2, hedgeDelay: time.Hour})
 	if err := r.Register("ev", cols); err != nil {
 		t.Fatal(err)
 	}
-	req := scanReq("ev", 5_000, 20_000)
+	req := straddleReq("ev") // every stripe goes through the fan-out
+	want := oracleSum(cols, req.Query)
 	scan := func() {
 		resp, err := r.Submit(context.Background(), req)
 		if err != nil {

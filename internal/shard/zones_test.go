@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hwstar/internal/errs"
+	"hwstar/internal/fault"
 	"hwstar/internal/scan"
 	"hwstar/internal/serve"
 )
@@ -76,6 +77,8 @@ func TestPrunedScanKeepsValidation(t *testing.T) {
 		{"filter column out of range", context.Background(), miss(scan.Query{FilterCol: 2, Lo: 5000, Hi: 6000, AggCol: 1}), errs.ErrInvalidInput},
 		{"agg column out of range", context.Background(), miss(scan.Query{FilterCol: 0, Lo: 5000, Hi: 6000, AggCol: 2}), errs.ErrInvalidInput},
 		{"unknown table", context.Background(), scanReq("nope", 5000, 6000), errs.ErrInvalidInput},
+		{"unknown priority", context.Background(), serve.Request{Op: serve.OpScan, Table: "ev", Priority: "urgent",
+			Query: scan.Query{FilterCol: 0, Lo: 5000, Hi: 6000, AggCol: 1}}, errs.ErrInvalidInput},
 		{"cancelled context", cancelled, scanReq("ev", 5000, 6000), context.Canceled},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -84,6 +87,31 @@ func TestPrunedScanKeepsValidation(t *testing.T) {
 				t.Fatalf("got sum %d, err %v; want %v", resp.Sum, err, c.want)
 			}
 		})
+	}
+}
+
+// TestFailedStripeFailsPrunedScan: only a stripe that lost its replicas
+// degrades a scan to a partial. On a 3x2 router whose every node fails each
+// scan pass with a transient fault and retries none, a scan that zones
+// settle in part still covers rows from those zones, yet it must return the
+// dispatched stripes' own error, as a shed or cancelled stripe must: that
+// error is the caller's to retry, where a partial would pass for an answer.
+func TestFailedStripeFailsPrunedScan(t *testing.T) {
+	cols, _ := testRelation(3000)
+	r := newRouter(t, Options{Shards: 3, Replicas: 2, hedgeDelay: time.Hour,
+		Shard: serve.Options{Faults: fault.New(fault.Config{Seed: 3, TransientProb: 1})}})
+	if err := r.Register("ev", cols); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []serve.Request{
+		scanReq("ev", 100, 900),  // 1 dispatched, 2 pruned
+		scanReq("ev", 500, 2500), // 2 dispatched, 1 summed
+	} {
+		resp, err := r.Submit(context.Background(), req)
+		if !errors.Is(err, errs.ErrTransient) || errors.Is(err, errs.ErrPartialResult) {
+			t.Fatalf("scan [%d, %d]: sum %d, err %v; want the stripes' ErrTransient, not a partial",
+				req.Query.Lo, req.Query.Hi, resp.Sum, err)
+		}
 	}
 }
 
