@@ -88,10 +88,6 @@ type Config struct {
 	// one, and recovers dead nodes on the following tick.
 	NodeLossProb float64 `json:"node_loss_prob"`
 
-	// Resilience policy.
-	Retries int      `json:"retries"`
-	Backoff Duration `json:"backoff"`
-
 	// Durable storage (both modes): DataDir arms the checkpointed store —
 	// the server replays committed state at boot and flushes on shutdown.
 	// CheckpointInterval adds background checkpoints.
@@ -123,7 +119,6 @@ func DefaultConfig() Config {
 		MaxBatch:      1024,
 		FaultSeed:     1,
 		StragglerSkew: 8,
-		Backoff:       Duration(200 * time.Microsecond),
 		SessionTTL:    Duration(time.Hour),
 	}
 }
@@ -216,8 +211,6 @@ func bindFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.Float64Var(&cfg.StragglerSkew, "straggler-skew", cfg.StragglerSkew, "cycle multiplier for straggling workers")
 	fs.Float64Var(&cfg.AllocFailProb, "alloc-fail-prob", cfg.AllocFailProb, "per-charge injected allocation-failure probability")
 	fs.Float64Var(&cfg.NodeLossProb, "node-loss-prob", cfg.NodeLossProb, "per-tick node-kill probability of the router's chaos loop (needs -shards > 1)")
-	fs.IntVar(&cfg.Retries, "retries", cfg.Retries, "morsel-level retries per request (0 = retry-free)")
-	fs.DurationVar((*time.Duration)(&cfg.Backoff), "backoff", time.Duration(cfg.Backoff), "base retry backoff (doubles per attempt, jittered)")
 	fs.StringVar(&cfg.DataDir, "data-dir", cfg.DataDir, "durable store directory: replay committed state at boot, flush on shutdown (empty = memory-only)")
 	fs.DurationVar((*time.Duration)(&cfg.CheckpointInterval), "checkpoint-interval", time.Duration(cfg.CheckpointInterval), "background checkpoint period (0 = flush only on shutdown; needs -data-dir)")
 	fs.StringVar(&cfg.Listen, "listen", cfg.Listen, "serve /metrics, /debug/vars, and /debug/pprof on this address during the run (empty = off)")

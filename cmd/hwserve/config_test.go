@@ -72,7 +72,7 @@ func writeConfig(t *testing.T, body string) string {
 // flags.
 func TestParseConfigFlagsOnly(t *testing.T) {
 	cfg, printOnly, err := parseConfig([]string{
-		"-clients", "8", "-max-batch", "32", "-trace-every", "5", "-backoff", "3ms",
+		"-clients", "8", "-max-batch", "32", "-trace-every", "5", "-deadline", "3ms",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestParseConfigFlagsOnly(t *testing.T) {
 	want.Clients = 8
 	want.MaxBatch = 32
 	want.TraceEvery = 5
-	want.Backoff = Duration(3 * time.Millisecond)
+	want.Deadline = Duration(3 * time.Millisecond)
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("cfg = %+v\nwant %+v", cfg, want)
 	}
@@ -96,7 +96,7 @@ func TestParseConfigPrecedence(t *testing.T) {
 		"clients": 16,
 		"rows": 4096,
 		"max_batch": 64,
-		"backoff": "4ms",
+		"fault_seed": 4,
 		"deadline": 2000000,
 		"tenants": [{"id": "a", "key": "ka"}]
 	}`)
@@ -117,8 +117,8 @@ func TestParseConfigPrecedence(t *testing.T) {
 	if cfg.Rows != 4096 {
 		t.Fatalf("Rows = %d, want file value 4096", cfg.Rows)
 	}
-	if cfg.Backoff != Duration(4*time.Millisecond) {
-		t.Fatalf("Backoff = %v, want file value 4ms", time.Duration(cfg.Backoff))
+	if cfg.FaultSeed != 4 {
+		t.Fatalf("FaultSeed = %d, want file value 4", cfg.FaultSeed)
 	}
 	if cfg.Deadline != Duration(2*time.Millisecond) {
 		t.Fatalf("Deadline = %v, want numeric-ns file value 2ms", time.Duration(cfg.Deadline))
@@ -142,15 +142,15 @@ func TestLoadConfigFileStrict(t *testing.T) {
 	if _, _, err := parseConfig([]string{"-config", filepath.Join(t.TempDir(), "missing.json")}); err == nil {
 		t.Fatal("missing config file accepted")
 	}
-	// The scan-path knobs, the pre-Config aliases and the serve breaker's
-	// knobs are gone, not ignored: a stale flag or config key fails loudly
-	// instead of silently selecting nothing.
-	for _, flag := range []string{"-vectorized", "-vec-adaptive", "-vec-morsel-rows=8192", "-vec-batch-width=8", "-maxbatch=32", "-trace=5", "-breaker=3", "-cooldown=10ms"} {
+	// The scan-path knobs, the pre-Config aliases, the serve breaker's knobs
+	// and the serve retry loop's knobs are gone, not ignored: a stale flag or
+	// config key fails loudly instead of silently selecting nothing.
+	for _, flag := range []string{"-vectorized", "-vec-adaptive", "-vec-morsel-rows=8192", "-vec-batch-width=8", "-maxbatch=32", "-trace=5", "-breaker=3", "-cooldown=10ms", "-retries=2", "-backoff=1ms"} {
 		if _, _, err := parseConfig([]string{flag}); err == nil {
 			t.Fatalf("removed flag %s accepted", flag)
 		}
 	}
-	for _, key := range []string{`{"vectorized": true}`, `{"breaker": 3}`, `{"cooldown": "10ms"}`} {
+	for _, key := range []string{`{"vectorized": true}`, `{"breaker": 3}`, `{"cooldown": "10ms"}`, `{"retries": 2}`, `{"backoff": "1ms"}`} {
 		if err := loadConfigFile(writeConfig(t, key), &c); err == nil {
 			t.Fatalf("removed config key %s accepted", key)
 		}
@@ -185,7 +185,7 @@ func TestPrintConfigRoundTrips(t *testing.T) {
 	cfg, printOnly, err := parseConfig([]string{
 		"-print-config",
 		"-clients", "3",
-		"-backoff", "7ms",
+		"-deadline", "7ms",
 		"-serve-api", "127.0.0.1:0",
 		"-data-dir", "/tmp/hwserve-data",
 		"-checkpoint-interval", "250ms",

@@ -55,12 +55,12 @@
 // allocation failures at the charge sites.
 //
 // The fault flags arm a seeded injector on the server (panics, transient
-// failures, stragglers), and the resilience flags configure how the server
-// absorbs them: morsel retry with exponential backoff, and panic isolation
-// with straggler re-dispatch. A sharded run's router also routes around a
-// failing node with its per-node breaker. SIGINT/SIGTERM stops the clients
-// and drains admitted work through Server.Close before the final report
-// prints.
+// failures, stragglers), and with it the scheduler's resilience: a transient
+// re-runs its morsel, a panicking worker retires and its morsels
+// re-dispatch, and a straggler's claimed morsels move to healthy cores. A
+// sharded run's router also routes around a failing node with its per-node
+// breaker. SIGINT/SIGTERM stops the clients and drains admitted work through
+// Server.Close before the final report prints.
 package main
 
 import (
@@ -138,10 +138,8 @@ func build(ctx context.Context, cfg Config) (*backend, error) {
 		return nil, fmt.Errorf("unknown machine %q", cfg.Machine)
 	}
 	opts := hwstar.ServerOptions{
-		QueueDepth:   cfg.Queue,
-		MaxBatch:     cfg.MaxBatch,
-		MaxRetries:   cfg.Retries,
-		RetryBackoff: time.Duration(cfg.Backoff),
+		QueueDepth: cfg.Queue,
+		MaxBatch:   cfg.MaxBatch,
 	}
 	if cfg.MemBudget > 0 {
 		opts.Memory = hwstar.MemoryConfig{
@@ -164,10 +162,6 @@ func build(ctx context.Context, cfg Config) (*backend, error) {
 	}
 	if cfg.faulty() {
 		opts.Faults = inj
-		// Injected panics and stragglers are survivable only with isolation
-		// and re-dispatch armed.
-		opts.IsolatePanics = true
-		opts.StragglerThreshold = 3
 	}
 	if cfg.DataDir != "" {
 		opts.CheckpointInterval = time.Duration(cfg.CheckpointInterval)
@@ -393,8 +387,8 @@ func (r *report) print(w io.Writer, cfg Config) {
 	}
 	if cfg.faulty() {
 		h := r.health
-		fmt.Fprintf(w, "  health %s  (retries %d, exhausted %d, panics recovered %d, re-dispatched %d, stragglers retired %d)\n",
-			h.State, h.Retries, h.RetryExhausted, h.PanicsRecovered, h.Redispatched, h.StragglersRetired)
+		fmt.Fprintf(w, "  health %s  (retries %d, panics recovered %d, re-dispatched %d, stragglers retired %d)\n",
+			h.State, h.Retries, h.PanicsRecovered, h.Redispatched, h.StragglersRetired)
 		classes := make([]string, 0, len(h.Faults))
 		for c := range h.Faults {
 			classes = append(classes, c)

@@ -132,15 +132,13 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestRunWithFaults arms the injector with transient failures and panics and
-// checks the resilient configuration still completes everything, with the
+// checks the scheduler's resilience still completes everything, with the
 // health summary in the report.
 func TestRunWithFaults(t *testing.T) {
 	cfg := smallConfig()
 	cfg.FaultSeed = 7
 	cfg.TransientProb = 0.05
 	cfg.PanicProb = 0.01
-	cfg.Retries = 4
-	cfg.Backoff = Duration(20 * time.Microsecond)
 	r, err := run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)

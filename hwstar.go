@@ -79,8 +79,8 @@ var (
 	// ErrWorkerPanic reports a recovered task panic that the run could not
 	// absorb (stack attached to the wrapping error).
 	ErrWorkerPanic = errs.ErrWorkerPanic
-	// ErrTransient reports a retryable morsel-level failure that survived
-	// the server's retry budget.
+	// ErrTransient reports a morsel-level failure that survived the
+	// scheduler's per-morsel re-run budget.
 	ErrTransient = errs.ErrTransient
 	// ErrDegraded reports a Router request that found no live replica.
 	ErrDegraded = errs.ErrDegraded
@@ -502,7 +502,7 @@ type FaultEvent = fault.Event
 var NewFaultInjector = fault.New
 
 // ServerHealth is the resilience snapshot returned by Server.Health() and
-// Router.Health(): state, queue depth, retry/re-dispatch counters,
+// Router.Health(): state, queue depth, morsel re-run/re-dispatch counters,
 // memory-governor position, and injected fault counts.
 type ServerHealth = serve.Health
 

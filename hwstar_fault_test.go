@@ -39,9 +39,10 @@ func TestSentinelFacade(t *testing.T) {
 }
 
 // TestFaultErrorsReachClients produces each resilience sentinel through the
-// public API: a server without isolation surfaces ErrWorkerPanic, one
-// without retries surfaces ErrTransient, and a router with no live node left
-// answers ErrDegraded.
+// public API: a server whose morsel panics on every worker surfaces
+// ErrWorkerPanic, and one whose morsel fails on every draw surfaces
+// ErrTransient, each once the scheduler's per-morsel re-run budget is spent;
+// a router with no live node left answers ErrDegraded.
 func TestFaultErrorsReachClients(t *testing.T) {
 	cols := [][]int64{GenUniform(51, 4096, 1000), GenUniform(52, 4096, 100)}
 	scanReq := Request{Op: OpScan, Table: "facts", Query: ScanQuery{FilterCol: 0, Lo: 0, Hi: 1000, AggCol: 1}}
@@ -64,7 +65,7 @@ func TestFaultErrorsReachClients(t *testing.T) {
 
 	t.Run("worker panic", func(t *testing.T) {
 		srv := newSrv(t, ServerOptions{
-			Faults: NewFaultInjector(FaultConfig{Seed: 1, PanicProb: 1, MaxFaults: 1}),
+			Faults: NewFaultInjector(FaultConfig{Seed: 1, PanicProb: 1}),
 		})
 		if _, err := srv.Submit(context.Background(), scanReq); !errors.Is(err, ErrWorkerPanic) {
 			t.Fatalf("err = %v, want ErrWorkerPanic", err)
@@ -73,7 +74,7 @@ func TestFaultErrorsReachClients(t *testing.T) {
 
 	t.Run("transient", func(t *testing.T) {
 		srv := newSrv(t, ServerOptions{
-			Faults: NewFaultInjector(FaultConfig{Seed: 1, TransientProb: 1, MaxFaults: 1}),
+			Faults: NewFaultInjector(FaultConfig{Seed: 1, TransientProb: 1}),
 		})
 		if _, err := srv.Submit(context.Background(), scanReq); !errors.Is(err, ErrTransient) {
 			t.Fatalf("err = %v, want ErrTransient", err)

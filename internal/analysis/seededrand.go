@@ -24,9 +24,9 @@ import (
 //     assigned from time.Now in the same function.
 //
 // The rule: determinism paths thread an explicit seed (fault.Config.Seed,
-// serve.Options.JitterSeed, workload generators). Code that genuinely wants
-// per-process entropy — jitter identity, not reproducibility — reads
-// crypto/rand once for a seed, which this analyzer deliberately permits.
+// workload generators). Code that genuinely wants per-process entropy —
+// identity, not reproducibility — reads crypto/rand once for a seed, which
+// this analyzer deliberately permits.
 var SeededRand = &Analyzer{
 	Name: "seededrand",
 	Doc:  "no global math/rand and no time-seeded sources in determinism-critical packages",

@@ -31,8 +31,9 @@ var (
 	// wrapped around this sentinel.
 	ErrWorkerPanic = errors.New("worker panic")
 	// ErrTransient reports a transient task failure (injected or real) that
-	// is safe to retry: the morsel had no partial effect. The serving layer
-	// retries these with bounded exponential backoff.
+	// is safe to retry: the morsel had no partial effect. The scheduler
+	// re-runs the morsel in place and surfaces this only once a morsel has
+	// exhausted its re-run budget.
 	ErrTransient = errors.New("transient failure")
 	// ErrDegraded reports that the shard router had no live replica left to
 	// send the request to. Unlike ErrOverloaded (queue full), ErrDegraded

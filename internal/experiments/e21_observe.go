@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -19,20 +20,22 @@ func init() {
 	register(Experiment{
 		ID:    "E21",
 		Title: "Observability: tail-latency decomposition from query-lifecycle traces",
-		Claim: "per-request span trees decompose the p99 latency of a chaos-loaded server into queue wait, batch assembly, execution, and retry backoff — locating the tail in the serving layer, not the operator",
+		Claim: "per-request span trees decompose the p99 latency of a chaos-loaded server into queue wait, batch assembly, and execution, with the scheduler's morsel re-runs as events on the execute span — locating the tail in the serving layer, not the operator",
 		Run:   runE21,
 	})
 }
 
 // e21Breakdown is one traced request's lifecycle, in wall milliseconds.
+// retried reports a morsel re-run event in the trace: the scheduler's
+// retries happen inside the execute span, so they add no stage of their own.
 type e21Breakdown struct {
-	total, queue, batch, execute, retry float64
-	execMcyc                            float64
-	retried                             bool
+	total, queue, batch, execute float64
+	execMcyc                     float64
+	retried                      bool
 }
 
 func (b e21Breakdown) other() float64 {
-	o := b.total - b.queue - b.batch - b.execute - b.retry
+	o := b.total - b.queue - b.batch - b.execute
 	if o < 0 {
 		o = 0
 	}
@@ -69,12 +72,7 @@ func e21Run(cfg Config) ([]e21Breakdown, serve.Health, error) {
 			StragglerProb: 0.05,
 			StragglerSkew: 8,
 		}),
-		MaxRetries:         4,
-		RetryBackoff:       100 * time.Microsecond,
-		JitterSeed:         21,
-		IsolatePanics:      true,
-		StragglerThreshold: 3,
-		Trace:              tr,
+		Trace: tr,
 	})
 	if err != nil {
 		return nil, serve.Health{}, err
@@ -112,13 +110,25 @@ func e21Run(cfg Config) ([]e21Breakdown, serve.Health, error) {
 			queue:    ms(td.SumWall("queue")),
 			batch:    ms(td.SumWall("batch-assembly")),
 			execute:  ms(td.SumWall("execute")),
-			retry:    ms(td.SumWall("retry-backoff")),
 			execMcyc: td.SumCycles("execute") / 1e6,
-			retried:  td.SumWall("retry-backoff") > 0,
+			retried:  reranMorsel(td),
 		}
 		out = append(out, b)
 	}
 	return out, h, nil
+}
+
+// reranMorsel reports whether any span of td carries the scheduler's morsel
+// re-run event.
+func reranMorsel(td trace.TraceData) bool {
+	for _, sp := range td.Spans {
+		for _, ev := range sp.Events {
+			if strings.Contains(ev, "morsel re-run") {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func runE21(cfg Config) ([]*Table, error) {
@@ -132,8 +142,8 @@ func runE21(cfg Config) ([]*Table, error) {
 	sort.Slice(bds, func(i, j int) bool { return bds[i].total < bds[j].total })
 	at := func(q float64) e21Breakdown { return bds[int(q*float64(len(bds)-1))] }
 
-	t1 := bench.NewTable("E21: request latency decomposed by lifecycle stage, "+bench.F("%d", len(bds))+" traced scans under chaos (2% transient, 5% straggler @8x; 4 retries)",
-		"quantile", "total ms", "queue ms", "batch-assembly ms", "execute ms", "retry-backoff ms", "other ms", "exec Mcyc")
+	t1 := bench.NewTable("E21: request latency decomposed by lifecycle stage, "+bench.F("%d", len(bds))+" traced scans under chaos (2% transient, 5% straggler @8x; morsel re-runs)",
+		"quantile", "total ms", "queue ms", "batch-assembly ms", "execute ms", "other ms", "exec Mcyc")
 	for _, row := range []struct {
 		name string
 		q    float64
@@ -144,14 +154,13 @@ func runE21(cfg Config) ([]*Table, error) {
 			bench.F("%.3f", b.queue),
 			bench.F("%.3f", b.batch),
 			bench.F("%.3f", b.execute),
-			bench.F("%.3f", b.retry),
 			bench.F("%.3f", b.other()),
 			bench.F("%.2f", b.execMcyc))
 	}
 	t1.AddNote("each row is ONE traced request at that latency quantile, its wall time split by span: where the p99 differs from the p50 is where the tail lives")
 
 	// Aggregate view: total milliseconds spent per stage across all traced
-	// requests, plus how many requests retried at all.
+	// requests, plus how many requests' traces carry a morsel re-run.
 	var sum e21Breakdown
 	retried := 0
 	for _, b := range bds {
@@ -159,7 +168,6 @@ func runE21(cfg Config) ([]*Table, error) {
 		sum.queue += b.queue
 		sum.batch += b.batch
 		sum.execute += b.execute
-		sum.retry += b.retry
 		if b.retried {
 			retried++
 		}
@@ -170,13 +178,12 @@ func runE21(cfg Config) ([]*Table, error) {
 		}
 		return bench.F("%.1f%%", 100*v/sum.total)
 	}
-	t2 := bench.NewTable("E21: aggregate time by stage ("+bench.F("%d", retried)+"/"+bench.F("%d", len(bds))+" requests retried; server retries "+bench.F("%d", h.Retries)+", re-dispatched "+bench.F("%d", h.Redispatched)+")",
+	t2 := bench.NewTable("E21: aggregate time by stage ("+bench.F("%d", retried)+"/"+bench.F("%d", len(bds))+" traces re-ran a morsel; morsel re-runs "+bench.F("%d", h.Retries)+", re-dispatched "+bench.F("%d", h.Redispatched)+")",
 		"stage", "total ms", "share of wall")
 	t2.AddRow("queue", bench.F("%.2f", sum.queue), pct(sum.queue))
 	t2.AddRow("batch-assembly", bench.F("%.2f", sum.batch), pct(sum.batch))
 	t2.AddRow("execute", bench.F("%.2f", sum.execute), pct(sum.execute))
-	t2.AddRow("retry-backoff", bench.F("%.2f", sum.retry), pct(sum.retry))
-	t2.AddRow("other", bench.F("%.2f", sum.total-sum.queue-sum.batch-sum.execute-sum.retry), pct(sum.total-sum.queue-sum.batch-sum.execute-sum.retry))
+	t2.AddRow("other", bench.F("%.2f", sum.total-sum.queue-sum.batch-sum.execute), pct(sum.total-sum.queue-sum.batch-sum.execute))
 	t2.AddNote("wall milliseconds are host-real (the serving layer is being measured, not simulated); exec Mcyc ties each request back to the machine model")
 	return []*Table{t1, t2}, nil
 }

@@ -21,24 +21,30 @@ func TestE22GovernedBeatsNaive(t *testing.T) {
 		t.Fatalf("tables = %d, want 2", len(tables))
 	}
 
-	// Table 2 rows: naive, governed, governed+faults. Columns:
-	// engine, completed, aborted, oom kills, spilled, spill KiB, p50, p99.
+	// Table 2 rows: naive, governed, governed+faults. Columns: engine,
+	// completed, aborted, submissions, oom kills, spilled, spill KiB, p50,
+	// p99.
 	rows := tables[1].Rows
 	if len(rows) != 3 {
 		t.Fatalf("serve rows = %d, want 3", len(rows))
 	}
-	naive, governed := rows[0], rows[1]
-	if naive[3] == "0" {
+	naive, governed, faulted := rows[0], rows[1], rows[2]
+	if naive[4] == "0" {
 		t.Fatalf("naive engine never OOM-killed: %v", naive)
 	}
 	if naive[1] == naive[2] && naive[2] == "0" {
 		t.Fatalf("naive row empty: %v", naive)
 	}
-	if governed[2] != "0" || governed[3] != "0" {
+	if governed[2] != "0" || governed[4] != "0" {
 		t.Fatalf("governed engine aborted or was killed: %v", governed)
 	}
-	if governed[4] == "0" {
+	if governed[5] == "0" {
 		t.Fatalf("governed engine never spilled: %v", governed)
+	}
+	// Allocation faults surface as retryable memory pressure; the client's
+	// resubmits must carry every query through.
+	if faulted[2] != "0" || faulted[3] == strconv.Itoa(TestConfig().scaled(120, 24)) {
+		t.Fatalf("alloc-fault row aborted or never resubmitted: %v", faulted)
 	}
 
 	// The degradation curve: every budgeted row must complete, and the

@@ -242,7 +242,6 @@ func runE26Hedge(m *hw.Machine, shards, clients, requests, rows int) (e26HedgeBe
 				StragglerProb: 0.2,
 				StragglerSkew: 8,
 			})
-			opts.Shard.StragglerThreshold = 3
 		}
 		r, err := shard.New(context.Background(), m, opts)
 		if err != nil {

@@ -712,7 +712,6 @@ func TestTwoTenantChaos(t *testing.T) {
 	e := newTestEnv(t, serve.Options{
 		Workers:    4,
 		QueueDepth: 32,
-		MaxRetries: 2,
 		Memory:     mem.Config{BudgetBytes: 4 << 20, PerQueryBytes: 32 << 10},
 		Faults: fault.New(fault.Config{
 			Seed:          7,

@@ -79,7 +79,8 @@ func CodeFor(err error) (code string, status int, retryable bool) {
 		return CodeDeadlineExceeded, http.StatusGatewayTimeout, false
 	default:
 		// errs.ErrWorkerPanic, errs.ErrOOMKilled, errs.ErrTransient (only
-		// surfaced when retries are exhausted), and anything unclassified.
+		// surfaced when a morsel exhausts the scheduler's re-run budget),
+		// and anything unclassified.
 		return CodeInternal, http.StatusInternalServerError, false
 	}
 }

@@ -208,24 +208,55 @@ func TestCoreLossWithoutStealingRebalances(t *testing.T) {
 	}
 }
 
-func TestTransientFaultAbortsRunTyped(t *testing.T) {
-	m := hw.Server2S()
-	inj := fault.New(fault.Config{Seed: 1, TransientProb: 1, MaxFaults: 1})
-	s, err := New(m, Options{Workers: 4, Inject: inj})
+// TestTransientFaultRerunsMorsel: a transient fires before the body, so the
+// worker re-runs the morsel in place; two faults fit the re-run budget and
+// the run succeeds with every task run exactly once.
+func TestTransientFaultRerunsMorsel(t *testing.T) {
+	inj := fault.New(fault.Config{Seed: 1, TransientProb: 1, MaxFaults: 2})
+	s, err := New(hw.Server2S(), Options{Workers: 4, Inject: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ran []int32
-	_, runErr := s.RunContext(context.Background(), countingTasks(16, 100, &ran))
+	res, err := s.RunContext(context.Background(), countingTasks(16, 100, &ran))
+	if err != nil {
+		t.Fatalf("run with 2 transients failed: %v", err)
+	}
+	for i, n := range ran {
+		if n != 1 {
+			t.Fatalf("task %d ran %d times", i, n)
+		}
+	}
+	if res.TaskRetries != 2 || res.TasksRun != 16 {
+		t.Fatalf("retries %d, tasks run %d; want 2 and 16", res.TaskRetries, res.TasksRun)
+	}
+}
+
+// TestTransientFaultAbortsRunTyped: a morsel that fails on every draw
+// exhausts its re-run budget and fails the run typed, its body never run.
+func TestTransientFaultAbortsRunTyped(t *testing.T) {
+	inj := fault.New(fault.Config{Seed: 1, TransientProb: 1})
+	s, err := New(hw.Server2S(), Options{Workers: 4, Inject: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran []int32
+	res, runErr := s.RunContext(context.Background(), countingTasks(16, 100, &ran))
 	if !errors.Is(runErr, errs.ErrTransient) {
 		t.Fatalf("err = %v, want ErrTransient", runErr)
+	}
+	if res.TaskRetries != maxTaskRetries || res.TasksRun != 0 {
+		t.Fatalf("retries %d, tasks run %d; want %d and 0", res.TaskRetries, res.TasksRun, maxTaskRetries)
+	}
+	if got := inj.Counts()[fault.ClassTransient]; got != 1+maxTaskRetries {
+		t.Fatalf("injector fired %d transients, want %d", got, 1+maxTaskRetries)
 	}
 }
 
 // TestMorselFaultNamesItsRange: a morsel carries its range instead of a
 // formatted name, and the fault path still prints "family[start:end]".
 func TestMorselFaultNamesItsRange(t *testing.T) {
-	inj := fault.New(fault.Config{Seed: 1, TransientProb: 1, MaxFaults: 1})
+	inj := fault.New(fault.Config{Seed: 1, TransientProb: 1})
 	s, err := New(hw.Server2S(), Options{Workers: 1, Inject: inj})
 	if err != nil {
 		t.Fatal(err)

@@ -24,11 +24,13 @@
 // Task panics are always recovered and converted to a typed error wrapping
 // errs.ErrWorkerPanic with the stack captured; with Options.IsolatePanics
 // the panicking worker is retired and its morsels re-dispatch to healthy
-// workers instead of failing the run. Per-worker progress clocks detect
-// stragglers (cores running a configurable factor slower than the median),
-// retire them, and re-dispatch their remaining claimed morsels. Simulated
-// core loss at run start is absorbed the same way. A fault.Injector armed
-// via Options.Inject drives all of these deterministically from a seed.
+// workers instead of failing the run. A transient failure at a morsel
+// boundary re-runs that morsel on the same worker, within the same bounded
+// per-morsel budget. Per-worker progress clocks detect stragglers (cores
+// running a configurable factor slower than the median), retire them, and
+// re-dispatch their remaining claimed morsels. Simulated core loss at run
+// start is absorbed the same way. A fault.Injector armed via Options.Inject
+// drives all of these deterministically from a seed.
 package sched
 
 import (
@@ -142,8 +144,8 @@ type queued struct {
 }
 
 // maxTaskRetries bounds how many times one morsel may be re-executed after
-// panics before the run fails. It keeps a deterministically-poisoned morsel
-// from retiring every worker in turn.
+// panics and transient failures, together, before the run fails. It keeps a
+// deterministically-poisoned morsel from retiring every worker in turn.
 const maxTaskRetries = 2
 
 // Options configures a scheduler run.
@@ -213,7 +215,7 @@ type Result struct {
 // run multiple phases (join, aggregation) sum these across phases.
 type FaultStats struct {
 	// Panics is the number of recovered task panics; TaskRetries the
-	// morsel re-executions they caused.
+	// morsel re-executions they and injected transient failures caused.
 	Panics      int
 	TaskRetries int
 	// Redispatched counts morsels moved from a retired or lost worker to a
@@ -578,8 +580,9 @@ func (s *Scheduler) Run(tasks []Task) Result {
 // Task panics are recovered, never propagated: without IsolatePanics the run
 // fails with an error wrapping errs.ErrWorkerPanic carrying the panic value
 // and captured stack; with it the panicking worker retires and its morsels
-// re-dispatch (see Options). Injected transient failures fail the run with
-// an errs.ErrTransient-wrapping error — retrying is the caller's policy.
+// re-dispatch (see Options). An injected transient failure re-runs its
+// morsel on the same worker; a morsel still failing after maxTaskRetries
+// re-runs fails the run with an errs.ErrTransient-wrapping error.
 //
 // Task bodies run one at a time on the calling goroutine (see the package
 // documentation).
@@ -677,12 +680,20 @@ func (st *runState) run(ctx context.Context, s *Scheduler, tasks []Task) (Result
 			site = t.label()
 		}
 
-		// Injected transient failure: the morsel boundary is the failure
-		// point, so nothing partial happened — fail the run and let the
-		// caller's retry policy decide.
-		if err := inj.TaskError(site, w.ID); err != nil {
-			sp.Annotate("transient fault in %s on worker %d", t.label(), w.ID)
-			runErr = fmt.Errorf("sched: task %s failed: %w", t.label(), err)
+		// Injected transient failure: it fires at the morsel boundary, before
+		// the body, so nothing partial happened — the worker re-draws and
+		// re-runs the morsel on the spot. Only a morsel that exhausts its
+		// re-run budget fails the run.
+		terr := inj.TaskError(site, w.ID)
+		for terr != nil && ct.attempts < maxTaskRetries {
+			ct.attempts++
+			res.TaskRetries++
+			sp.Event("transient fault in " + t.label() + " on worker " + strconv.Itoa(w.ID) + "; morsel re-run")
+			terr = inj.TaskError(site, w.ID)
+		}
+		if terr != nil {
+			sp.Annotate("transient fault in %s on worker %d, giving up after %d attempts", t.label(), w.ID, ct.attempts+1)
+			runErr = fmt.Errorf("sched: task %s failed: %w", t.label(), terr)
 			break
 		}
 

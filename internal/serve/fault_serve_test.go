@@ -16,15 +16,14 @@ import (
 )
 
 // TestRetryRecoversTransient stages "fails twice, then recovers": a budget
-// of two injected transient failures against a retry budget of three. The
-// client sees a correct answer; the retry counters see the two attempts.
+// of two injected transient failures, which the scheduler absorbs by
+// re-running the morsel twice. The client sees a correct answer; the retry
+// counter sees the two morsel re-runs.
 func TestRetryRecoversTransient(t *testing.T) {
 	cols, expect := testRelation(5000)
 	s := newServer(t, Options{
 		QueueDepth: 8, MaxBatch: 1,
-		Faults:       fault.New(fault.Config{Seed: 3, TransientProb: 1, MaxFaults: 2}),
-		MaxRetries:   3,
-		RetryBackoff: 10 * time.Microsecond,
+		Faults: fault.New(fault.Config{Seed: 3, TransientProb: 1, MaxFaults: 2}),
 	})
 	if err := s.Register("events", cols); err != nil {
 		t.Fatal(err)
@@ -43,29 +42,22 @@ func TestRetryRecoversTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := s.Health()
-	if h.Retries != 2 {
-		t.Fatalf("retries = %d, want 2", h.Retries)
-	}
-	if h.RetryExhausted != 0 {
-		t.Fatalf("retry budget reported exhausted: %+v", h)
+	if h.Retries != 2 || h.Completed != 1 {
+		t.Fatalf("retries %d, completed %d; want 2 and 1", h.Retries, h.Completed)
 	}
 	if h.Faults["transient"] != 2 {
 		t.Fatalf("fault log disagrees: %v", h.Faults)
 	}
-	if bh := s.Metrics().Histogram("serve.retry_backoff_ms"); bh.Count() != 2 {
-		t.Fatalf("backoff histogram has %d samples, want 2", bh.Count())
-	}
 }
 
-// TestRetryExhausted caps retries below the injected failure budget: the
-// typed transient error must reach the client.
+// TestRetryExhausted: a morsel that fails on every draw exhausts the
+// scheduler's re-run budget, and the typed transient error reaches the
+// client after exactly that many re-runs.
 func TestRetryExhausted(t *testing.T) {
 	cols, _ := testRelation(1000)
 	s := newServer(t, Options{
 		QueueDepth: 8, MaxBatch: 1,
-		Faults:       fault.New(fault.Config{Seed: 3, TransientProb: 1}),
-		MaxRetries:   2,
-		RetryBackoff: 10 * time.Microsecond,
+		Faults: fault.New(fault.Config{Seed: 3, TransientProb: 1}),
 	})
 	if err := s.Register("events", cols); err != nil {
 		t.Fatal(err)
@@ -77,8 +69,57 @@ func TestRetryExhausted(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if h := s.Health(); h.RetryExhausted != 1 || h.Retries != 2 {
-		t.Fatalf("health = %+v, want 2 retries then exhaustion", h)
+	if h := s.Health(); h.Retries != 2 || h.Failed != 1 || h.Faults["transient"] != 3 {
+		t.Fatalf("health = %+v, want 2 retries, 3 transients, then failure", h)
+	}
+}
+
+// TestTransientScansMatchShared is the differential check of the morsel
+// re-run: over 24 fault seeds, a cohort of scans under a 5% per-morsel
+// transient rate — each pass eight morsels — must equal scan.Shared on the
+// first submission, with no client resubmitting, so a re-run morsel is
+// folded exactly once.
+func TestTransientScansMatchShared(t *testing.T) {
+	cols, _ := testRelation(8 * vecMorselRows)
+	qs := []scan.Query{
+		scanQuery(0, 10000), scanQuery(500, 3500), scanQuery(2000, 2000), scanQuery(20000, 30000),
+		{FilterCol: 1, Lo: 100, Hi: 300, AggCol: 0},
+	}
+	rel, err := scan.NewRelation(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := scan.Shared(rel, qs, scan.SharedOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]Request, len(qs))
+	for i, q := range qs {
+		reqs[i] = Request{Op: OpScan, Table: "t", Query: q}
+	}
+	var retries int64
+	for seed := int64(1); seed <= 24; seed++ {
+		s := newServer(t, Options{
+			QueueDepth: len(qs), MaxBatch: len(qs), Workers: 8, SchedBlockSize: 2,
+			Faults: fault.New(fault.Config{Seed: seed, TransientProb: 0.05}),
+		})
+		if err := s.Register("t", cols); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range cohort(t, s, reqs) {
+			if r.Sum != want[i] {
+				t.Errorf("seed %d query %d %+v: sum %d, scan.Shared says %d", seed, i, qs[i], r.Sum, want[i])
+			}
+		}
+		s.Close()
+		h := s.Health()
+		if h.Failed != 0 || h.Completed != int64(len(qs)) {
+			t.Fatalf("seed %d: %d failed, %d completed of %d", seed, h.Failed, h.Completed, len(qs))
+		}
+		retries += h.Retries
+	}
+	if retries == 0 {
+		t.Fatal("no morsel re-ran: the check passed vacuously")
 	}
 }
 
@@ -88,8 +129,7 @@ func TestPanicIsolationInServer(t *testing.T) {
 	cols, expect := testRelation(5000)
 	s := newServer(t, Options{
 		QueueDepth: 8, MaxBatch: 1,
-		Faults:        fault.New(fault.Config{Seed: 3, PanicProb: 1, MaxFaults: 1}),
-		IsolatePanics: true,
+		Faults: fault.New(fault.Config{Seed: 3, PanicProb: 1, MaxFaults: 1}),
 	})
 	if err := s.Register("events", cols); err != nil {
 		t.Fatal(err)
@@ -164,12 +204,8 @@ func TestChaosMix(t *testing.T) {
 	})
 	s := newServer(t, Options{
 		Workers: 8, OpWorkers: 4, QueueDepth: clients, MaxBatch: 4,
-		Faults:             inj,
-		MaxRetries:         4,
-		RetryBackoff:       10 * time.Microsecond,
-		IsolatePanics:      true,
-		StragglerThreshold: 3,
-		SchedBlockSize:     4,
+		Faults:         inj,
+		SchedBlockSize: 4,
 	})
 	if err := s.Register("events", cols); err != nil {
 		t.Fatal(err)
@@ -263,10 +299,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		cols, _ := testRelation(2000)
 		s := newServer(t, Options{
 			Workers: 4, OpWorkers: 4, QueueDepth: 4, MaxBatch: 2,
-			Faults:        fault.New(fault.Config{Seed: int64(round), TransientProb: 0.2}),
-			MaxRetries:    2,
-			RetryBackoff:  10 * time.Microsecond,
-			IsolatePanics: true,
+			Faults: fault.New(fault.Config{Seed: int64(round), TransientProb: 0.2}),
 		})
 		if err := s.Register("events", cols); err != nil {
 			t.Fatal(err)

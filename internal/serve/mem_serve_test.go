@@ -161,8 +161,7 @@ func TestJoinSpillCompletesWithinBudget(t *testing.T) {
 func TestNaiveOOMKill(t *testing.T) {
 	s := newServer(t, Options{
 		Workers: 4, OpWorkers: 2, QueueDepth: 8,
-		Memory:     mem.Config{BudgetBytes: 4 << 10, KillOnOverage: true},
-		MaxRetries: 2, RetryBackoff: 10 * time.Microsecond,
+		Memory: mem.Config{BudgetBytes: 4 << 10, KillOnOverage: true},
 	})
 	req, _ := groupReq(8192, 2048)
 	_, err := s.Submit(context.Background(), req)
@@ -195,10 +194,8 @@ func TestMemoryChaos(t *testing.T) {
 	inj := fault.New(fault.Config{Seed: 17, AllocFailProb: 0.05})
 	s := newServer(t, Options{
 		Workers: 8, OpWorkers: 4, QueueDepth: clients, MaxBatch: 4,
-		Faults:       inj,
-		Memory:       mem.Config{BudgetBytes: 48 << 10}, // each heavy table ≈ 68 KiB: spills guaranteed
-		MaxRetries:   3,
-		RetryBackoff: 10 * time.Microsecond,
+		Faults: inj,
+		Memory: mem.Config{BudgetBytes: 48 << 10}, // each heavy table ≈ 68 KiB: spills guaranteed
 	})
 	if err := s.Register("events", cols); err != nil {
 		t.Fatal(err)
@@ -297,10 +294,8 @@ func TestNoGoroutineLeaksUnderMemoryChaos(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		s := newServer(t, Options{
 			Workers: 4, OpWorkers: 2, QueueDepth: 4,
-			Faults:       fault.New(fault.Config{Seed: int64(round), AllocFailProb: 0.1}),
-			Memory:       mem.Config{BudgetBytes: 32 << 10},
-			MaxRetries:   2,
-			RetryBackoff: 10 * time.Microsecond,
+			Faults: fault.New(fault.Config{Seed: int64(round), AllocFailProb: 0.1}),
+			Memory: mem.Config{BudgetBytes: 32 << 10},
 		})
 		req, _ := groupReq(4096, 1024)
 		var wg sync.WaitGroup

@@ -25,15 +25,15 @@
 //     the next morsel boundary;
 //   - Close drains: queued requests finish, new ones get ErrClosed.
 //
-// The server is also the resilience layer over a partially failing machine
-// (arm faults with Options.Faults; see internal/fault):
-//
-//   - morsel-level transient failures and recovered worker panics are
-//     retried with bounded exponential backoff plus jitter (MaxRetries,
-//     RetryBackoff);
-//   - Health() snapshots the retry, re-dispatch, and fault-log state.
-//
-// A server has no circuit breaker of its own: a server that keeps failing is
+// A server armed with Options.Faults (see internal/fault) runs every
+// operation on a scheduler that absorbs them: a transient morsel failure
+// re-runs that morsel, a panicking worker retires and its morsels
+// re-dispatch, and a straggler's claimed morsels move to healthy cores.
+// The server itself retries nothing — one retry layer per fault: the
+// scheduler re-runs a morsel, the shard router fails over and hedges across
+// nodes, and a client resubmits on the wire's Retry-After. Health()
+// snapshots the morsel re-runs, re-dispatches and fault-log state. A server
+// has no circuit breaker of its own either: a server that keeps failing is
 // routed around by the shard tier's per-node breaker (internal/shard).
 //
 // With Options.Memory armed the server also governs memory (see
@@ -59,14 +59,10 @@ package serve
 
 import (
 	"context"
-	cryptorand "crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hwstar/internal/agg"
@@ -247,8 +243,11 @@ type Options struct {
 	// it closes the batch. Default 1024.
 	MaxBatch int
 
-	// Faults arms a fault injector on every scheduled operation. Nil (the
-	// default) injects nothing.
+	// Faults arms a fault injector on every scheduled operation, and with it
+	// the scheduler's resilience: panic isolation, straggler re-dispatch (a
+	// worker 3x slower per morsel than its peers) and in-place re-runs of a
+	// morsel hit by a transient. Nil (the default) injects nothing and
+	// schedules without any of them.
 	Faults *fault.Injector
 
 	// Memory arms the memory governor: admission reserves
@@ -262,34 +261,16 @@ type Options struct {
 	// chaos together.
 	Memory mem.Config
 
-	// MaxRetries is how many times a failed operation (transient fault or
-	// unabsorbed worker panic) is re-executed before the error reaches the
-	// client; 0 disables retries. RetryBackoff is the base of the
-	// exponential backoff between attempts (default 200µs when retries are
-	// on); the actual sleep is base<<attempt, capped at 32×base, with full
-	// jitter in [d/2, d).
-	MaxRetries   int
-	RetryBackoff time.Duration
-
-	// JitterSeed seeds the retry-backoff jitter generator. The default (0)
-	// derives a varied per-server seed, so concurrent server instances do
-	// NOT draw identical jitter and synchronize their retry storms; set a
-	// non-zero seed only where reproducible backoff sequences matter
-	// (tests, deterministic experiments).
-	JitterSeed int64
-
 	// Trace arms query-lifecycle tracing: sampled requests record a span
-	// tree (admit → queue → batch assembly → execute → retries) carrying
-	// wall time and simulated cycles, retained in the tracer's bounded
-	// ring. Nil disables tracing at zero cost.
+	// tree (admit → queue → batch assembly → execute, morsel re-runs as
+	// events under execute) carrying wall time and simulated cycles,
+	// retained in the tracer's bounded ring. Nil disables tracing at zero
+	// cost.
 	Trace *trace.Tracer
 
-	// IsolatePanics, StragglerThreshold, and SchedBlockSize configure the
-	// scheduler's own resilience for every operation this server runs (see
-	// sched.Options).
-	IsolatePanics      bool
-	StragglerThreshold float64
-	SchedBlockSize     int
+	// SchedBlockSize is how many morsels a worker claims per dispatch in
+	// every operation this server runs (see sched.Options.BlockSize).
+	SchedBlockSize int
 
 	// Store arms the durable storage tier: an opened (and therefore already
 	// crash-recovered) segment store. Tables registered on the server are
@@ -343,9 +324,6 @@ func (o Options) withDefaults(m *hw.Machine) (Options, error) {
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 1024
-	}
-	if o.MaxRetries > 0 && o.RetryBackoff <= 0 {
-		o.RetryBackoff = 200 * time.Microsecond
 	}
 	if o.CheckpointInterval > 0 && o.Store == nil {
 		return o, fmt.Errorf("serve: checkpoint interval %s without a store: %w", o.CheckpointInterval, errs.ErrInvalidInput)
@@ -435,10 +413,6 @@ type Server struct {
 	released  chan event
 	coresFree *metrics.Gauge // serve.cores_free, set after every step
 
-	// rng feeds backoff jitter deterministically.
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
 	mu     sync.RWMutex // guards closed and tables
 	closed bool
 	tables map[string]*vecTable
@@ -456,24 +430,6 @@ type Server struct {
 	testHold chan struct{}
 }
 
-// seedFallback distinguishes servers within one process if the entropy pool
-// is somehow unreadable.
-var seedFallback atomic.Int64
-
-// entropySeed derives a per-instance jitter seed from the OS entropy pool.
-// Jitter wants identity, not reproducibility: distinct servers — including
-// ones in separate processes started the same instant — must not share a
-// backoff phase. Reading crypto/rand once at construction is the
-// seededrand-sanctioned way to get that; anything reproducible should
-// thread Options.JitterSeed instead.
-func entropySeed() int64 {
-	var b [8]byte
-	if _, err := cryptorand.Read(b[:]); err != nil {
-		return int64(uint64(0x9E3779B97F4A7C15) ^ uint64(seedFallback.Add(1)))
-	}
-	return int64(binary.LittleEndian.Uint64(b[:]))
-}
-
 // New starts a server on the given machine profile. The returned server is
 // running; stop it with Close.
 func New(m *hw.Machine, opts Options) (*Server, error) {
@@ -487,17 +443,6 @@ func New(m *hw.Machine, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Backoff jitter must differ between server instances: a shared constant
-	// seed makes concurrent servers draw identical jitter and synchronize
-	// their retry storms, defeating the jitter's purpose (the PR 2 bug). A
-	// time.Now seed is the opposite failure — servers started in the same
-	// instant still collide, and chaos runs become unreproducible — so the
-	// default seed comes from the OS entropy pool instead. Tests pin
-	// JitterSeed for reproducibility.
-	seed := opts.JitterSeed
-	if seed == 0 {
-		seed = entropySeed()
-	}
 	s := &Server{
 		machine:  m,
 		opts:     opts,
@@ -506,7 +451,6 @@ func New(m *hw.Machine, opts Options) (*Server, error) {
 		intakeLo: make(chan *pending, opts.QueueDepth),
 		released: make(chan event, opts.Workers),
 		tables:   make(map[string]*vecTable),
-		rng:      rand.New(rand.NewSource(seed)),
 	}
 	s.coresFree = s.reg.Gauge("serve.cores_free")
 	s.coresFree.Set(int64(opts.Workers))
@@ -930,79 +874,31 @@ func (s *Server) Kill() error {
 }
 
 // newSched builds one scheduler for one operation, carrying the server's
-// fault injector, resilience policy, and the request's memory reservation.
+// fault injector and the request's memory reservation. A server armed with
+// faults also isolates panics and retires workers 3x slower per morsel than
+// their peers: stragglers come only from the injector's skew, and an
+// injected panic fires before the morsel body, so re-running its morsel
+// elsewhere is safe. An unarmed server schedules with neither.
 func (s *Server) newSched(workers int, resv *mem.Reservation) (*sched.Scheduler, error) {
-	return sched.New(s.machine, sched.Options{
-		Workers:            workers,
-		Stealing:           true,
-		Inject:             s.opts.Faults,
-		Mem:                resv,
-		IsolatePanics:      s.opts.IsolatePanics,
-		StragglerThreshold: s.opts.StragglerThreshold,
-		BlockSize:          s.opts.SchedBlockSize,
-	})
-}
-
-// retryable classifies errors the retry loop acts on: transient morsel
-// failures, worker panics, and memory pressure (which subsides as concurrent
-// queries release their reservations). Validation and context errors are the
-// client's problem; a simulated OOM kill is fatal by definition.
-func retryable(err error) bool {
-	return errors.Is(err, errs.ErrTransient) || errors.Is(err, errs.ErrWorkerPanic) ||
-		errors.Is(err, errs.ErrMemoryPressure)
-}
-
-// backoff returns the sleep before retry attempt+1: exponential in the
-// attempt with full jitter, capped at 32× the base.
-func (s *Server) backoff(attempt int) time.Duration {
-	d := s.opts.RetryBackoff << attempt
-	if max := 32 * s.opts.RetryBackoff; d > max {
-		d = max
+	opts := sched.Options{
+		Workers:   workers,
+		Stealing:  true,
+		Inject:    s.opts.Faults,
+		Mem:       resv,
+		BlockSize: s.opts.SchedBlockSize,
 	}
-	s.rngMu.Lock()
-	j := s.rng.Float64()
-	s.rngMu.Unlock()
-	return d/2 + time.Duration(j*float64(d/2))
-}
-
-// withRetry runs op up to 1+MaxRetries times, sleeping an exponentially
-// backed-off, jittered interval between attempts. Only retryable failures
-// re-run; ctx ending stops the loop. Retries are annotated onto sp (nil-safe)
-// and each backoff sleep is a "retry-backoff" child span, so a trace
-// decomposes a slow request into execution vs waiting-to-retry.
-func (s *Server) withRetry(ctx context.Context, sp *trace.Span, op func() error) error {
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = op()
-		if err == nil || attempt >= s.opts.MaxRetries || !retryable(err) || ctx.Err() != nil {
-			break
-		}
-		d := s.backoff(attempt)
-		s.reg.Counter("serve.retries").Inc()
-		s.reg.Histogram("serve.retry_backoff_ms").Record(float64(d.Microseconds()) / 1000)
-		sp.Event("attempt " + strconv.Itoa(attempt+1) + " failed (" + err.Error() + "); retrying after " + d.String())
-		bs := sp.Child("retry-backoff")
-		timer := time.NewTimer(d)
-		select {
-		case <-timer.C:
-			bs.End()
-		case <-ctx.Done():
-			timer.Stop()
-			bs.End()
-			return fmt.Errorf("serve: retry abandoned: %w", ctx.Err())
-		}
+	if s.opts.Faults != nil {
+		opts.IsolatePanics, opts.StragglerThreshold = true, 3
 	}
-	if err != nil && retryable(err) && s.opts.MaxRetries > 0 {
-		s.reg.Counter("serve.retry_exhausted").Inc()
-	}
-	return err
+	return sched.New(s.machine, opts)
 }
 
 // recordSched accumulates one schedule's fault handling into the server's
 // counters. runErr is the schedule's outcome: a run that failed by
 // surfacing a worker panic did NOT recover that final panic, so it is
 // excluded from serve.panics_recovered (any earlier panics in the same run
-// were absorbed by isolation and do count).
+// were absorbed by isolation and do count). serve.retries counts the
+// schedule's morsel re-runs.
 func (s *Server) recordSched(fs sched.FaultStats, runErr error) {
 	recovered := fs.Panics
 	if runErr != nil && errors.Is(runErr, errs.ErrWorkerPanic) {
@@ -1010,6 +906,9 @@ func (s *Server) recordSched(fs sched.FaultStats, runErr error) {
 	}
 	if recovered > 0 {
 		s.reg.Counter("serve.panics_recovered").Add(int64(recovered))
+	}
+	if fs.TaskRetries > 0 {
+		s.reg.Counter("serve.retries").Add(int64(fs.TaskRetries))
 	}
 	if fs.Redispatched > 0 {
 		s.reg.Counter("serve.redispatched").Add(int64(fs.Redispatched))
@@ -1229,21 +1128,18 @@ func (s *Server) runBatch(b *batch) {
 	for _, p := range live {
 		b.qs = append(b.qs, p.req.Query)
 	}
-	var sums []int64
-	var schedRes sched.Result
 	// The batch runs for all its members; individual deadlines were honoured
-	// at collection time. Batch members share fate from here, including
-	// retries: a transient morsel failure re-runs the whole pass. Cycles
-	// burned by failed attempts are real machine work and stay charged to
-	// the batch — the amortized cost reports what the request actually cost,
-	// not just its final successful pass.
-	var burned float64
-	// One member — the first — is the trace leader: its per-attempt "execute"
-	// span hosts the shared pass's full span tree (vec-scan, per-worker
-	// breakdown) and carries the whole batch makespan. The other members get
-	// one "execute" span bracketing the shared execution (their request IS
-	// waiting on that pass, retries included) with their amortized share of
-	// the cycles — every trace decomposes, without N copies of the subtree.
+	// at collection time. Batch members share fate from here: a pass whose
+	// scheduler could not absorb a fault fails every member, and even a
+	// failed pass reports the cycles it burned, so clients (and the chaos
+	// experiment) can account the cost of failure.
+	//
+	// One member — the first — is the trace leader: its "execute" span hosts
+	// the shared pass's full span tree (vec-scan with its morsel re-runs as
+	// events, per-worker breakdown) and carries the whole batch makespan. The
+	// other members get one "execute" span bracketing the shared execution
+	// with their amortized share of the cycles — every trace decomposes,
+	// without N copies of the subtree.
 	leader := live[0]
 	b.execs = append(b.execs, make([]*trace.Span, len(live))...)
 	execs := b.execs
@@ -1255,27 +1151,19 @@ func (s *Server) runBatch(b *batch) {
 	// entirely (context.Background) would also drop the leader's values.
 	// WithoutCancel keeps the values and detaches only cancellation.
 	passCtx := context.WithoutCancel(leader.ctx)
-	err := s.withRetry(passCtx, leader.span, func() error {
-		sch, err := s.newSched(b.workers, nil) // scans are streaming: no governed state
-		if err != nil {
-			return err
-		}
+	var sums []int64
+	var schedRes sched.Result
+	sch, err := s.newSched(b.workers, nil) // scans are streaming: no governed state
+	if err == nil {
 		exec := leader.span.Child("execute")
 		sums, schedRes, err = s.vecSharedScan(trace.NewContext(passCtx, exec), &b.pass, b.vt, b.qs, sch)
 		exec.AddCycles(schedRes.MakespanCycles)
 		exec.End()
 		s.recordSched(schedRes.FaultStats, err)
-		if err != nil {
-			burned += schedRes.MakespanCycles
-		}
-		return err
-	})
-	// Even a failed batch reports the cycles it burned, so clients (and the
-	// chaos experiment) can account the cost of failure.
-	resp := Response{Cost: hw.Cost{SimCycles: burned / float64(len(live))}}
+	}
+	resp := Response{Cost: hw.Cost{SimCycles: schedRes.MakespanCycles / float64(len(live))}}
 	var batchSize string
 	if err == nil {
-		resp.SimCycles = (schedRes.MakespanCycles + burned) / float64(len(live))
 		resp.BatchSize, batchSize = len(live), strconv.Itoa(len(live))
 		s.reg.Histogram("serve.batch_size").Record(float64(len(live)))
 		s.reg.Histogram("serve.cycles_per_query").Record(resp.SimCycles)
@@ -1307,15 +1195,10 @@ func (s *Server) runOne(p *pending, workers int, batchClass bool) {
 		s.settle(p, Response{}, fmt.Errorf("serve: dropped before execution: %w", err))
 		return
 	}
-	var resp Response
-	err := s.withRetry(p.ctx, p.span, func() error {
-		exec := p.span.Child("execute")
-		var err error
-		resp, err = s.execute(trace.NewContext(p.ctx, exec), p.req, workers, p.resv)
-		exec.AddCycles(resp.SimCycles)
-		exec.End()
-		return err
-	})
+	exec := p.span.Child("execute")
+	resp, err := s.execute(trace.NewContext(p.ctx, exec), p.req, workers, p.resv)
+	exec.AddCycles(resp.SimCycles)
+	exec.End()
 	if err == nil {
 		s.reg.Histogram("serve.cycles_per_query").Record(resp.SimCycles)
 	}
@@ -1439,10 +1322,10 @@ type Health struct {
 	// v1 wire carries it.
 	Admitted, Completed, Failed, Rejected, Shed, DeadlineExceeded int64
 
-	// Resilience counters: retry attempts, operations that exhausted their
-	// retry budget, morsels re-dispatched away from sick workers, recovered
-	// panics, stragglers retired, cores lost.
-	Retries, RetryExhausted       int64
+	// Resilience counters: the schedulers' morsel re-runs, morsels
+	// re-dispatched away from sick workers, recovered panics, stragglers
+	// retired, cores lost.
+	Retries                       int64
 	Redispatched, PanicsRecovered int64
 	StragglersRetired, CoresLost  int64
 
@@ -1492,7 +1375,6 @@ func HealthFromCounters(c map[string]int64) Health {
 		Rejected:           c["serve.rejected"],
 		DeadlineExceeded:   c["serve.deadline_exceeded"],
 		Retries:            c["serve.retries"],
-		RetryExhausted:     c["serve.retry_exhausted"],
 		Redispatched:       c["serve.redispatched"],
 		PanicsRecovered:    c["serve.panics_recovered"],
 		StragglersRetired:  c["serve.stragglers_retired"],

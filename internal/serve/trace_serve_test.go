@@ -2,9 +2,9 @@ package serve
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hwstar/internal/fault"
 	"hwstar/internal/scan"
@@ -73,8 +73,7 @@ func TestRequestTracing(t *testing.T) {
 		}
 		// Lifecycle stages are disjoint sub-intervals of the request, so
 		// their walls must sum to at most the root's wall.
-		stages := td.SumWall("queue") + td.SumWall("batch-assembly") +
-			td.SumWall("execute") + td.SumWall("retry-backoff")
+		stages := td.SumWall("queue") + td.SumWall("batch-assembly") + td.SumWall("execute")
 		if stages > root.Wall {
 			t.Fatalf("stage walls %v exceed root wall %v:\n%s", stages, root.Wall, td.Render())
 		}
@@ -126,16 +125,13 @@ func TestRequestTracing(t *testing.T) {
 }
 
 // TestTracingRecordsRetries arms a transient-fault injector and checks that
-// a retried request's trace carries retry-backoff spans and annotations.
+// a retried request's trace carries the scheduler's morsel re-run events on
+// the pass under its execute span.
 func TestTracingRecordsRetries(t *testing.T) {
 	cols, _ := testRelation(20000)
 	tr := trace.New(trace.Config{Capacity: 16, SampleEvery: 1})
 	inj := fault.New(fault.Config{Seed: 5, TransientProb: 0.3})
-	s := newServer(t, Options{
-		QueueDepth: 4, MaxBatch: 1,
-		Faults: inj, MaxRetries: 8, RetryBackoff: 50 * time.Microsecond,
-		JitterSeed: 11, Trace: tr,
-	})
+	s := newServer(t, Options{QueueDepth: 4, MaxBatch: 1, Faults: inj, Trace: tr})
 	defer s.Close()
 	if err := s.Register("events", cols); err != nil {
 		t.Fatal(err)
@@ -153,52 +149,21 @@ func TestTracingRecordsRetries(t *testing.T) {
 	if s.Metrics().Counters()["serve.retries"] == 0 {
 		t.Skip("injector produced no retry in 50 requests")
 	}
-	var sawBackoff bool
+	var sawRerun bool
 	for _, td := range tr.Snapshot() {
-		if td.SumWall("retry-backoff") > 0 {
-			sawBackoff = true
-			if len(td.Root().Events) == 0 {
-				t.Fatalf("retried trace has no retry annotation:\n%s", td.Render())
+		for _, sp := range td.Spans {
+			for _, ev := range sp.Events {
+				if !strings.Contains(ev, "morsel re-run") {
+					continue
+				}
+				sawRerun = true
+				if sp.Name != "vec-scan" || td.Spans[sp.Parent].Name != "execute" {
+					t.Fatalf("re-run event on span %q, want vec-scan under execute:\n%s", sp.Name, td.Render())
+				}
 			}
 		}
 	}
-	if !sawBackoff {
-		t.Fatal("retries recorded in metrics but no retry-backoff span in any trace")
-	}
-}
-
-// TestJitterSeedDeterminism pins the backoff-jitter contract: an explicit
-// JitterSeed reproduces the exact backoff sequence across servers, and the
-// default derives per-server seeds so two servers do NOT draw identical
-// jitter (the bug this guards against: a constant seed synchronized the
-// retry storms of every server instance).
-func TestJitterSeedDeterminism(t *testing.T) {
-	seq := func(opts Options) []time.Duration {
-		s := newServer(t, opts)
-		defer s.Close()
-		out := make([]time.Duration, 8)
-		for i := range out {
-			out[i] = s.backoff(i % 4)
-		}
-		return out
-	}
-	fixed := Options{MaxRetries: 2, RetryBackoff: 100 * time.Microsecond, JitterSeed: 42}
-	a, b := seq(fixed), seq(fixed)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("fixed seed diverged at draw %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	varied := Options{MaxRetries: 2, RetryBackoff: 100 * time.Microsecond}
-	c, d := seq(varied), seq(varied)
-	same := true
-	for i := range c {
-		if c[i] != d[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatalf("default seed produced identical jitter sequences: %v", c)
+	if !sawRerun {
+		t.Fatal("retries recorded in metrics but no morsel re-run event in any trace")
 	}
 }

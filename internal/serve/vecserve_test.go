@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"hwstar/internal/compress"
 	"hwstar/internal/fault"
@@ -96,7 +95,7 @@ func scanCases(cols [][]int64) []scan.Query {
 // server that encoded the relation, on a server restarted from its store,
 // which serves the blocks it read from the segment without re-encoding them,
 // and on a server under E20's fault mix, where morsels re-run after panics
-// and passes re-run after transients and must still fold each row once.
+// and transients and must still fold each row once.
 func TestScanMatchesSharedReference(t *testing.T) {
 	rowCounts := []int{1, compress.BlockValues - 1, compress.BlockValues, compress.BlockValues + 1,
 		vecMorselRows + 3*compress.BlockValues + 17, 3 * vecMorselRows}
@@ -161,21 +160,17 @@ func TestScanMatchesSharedReference(t *testing.T) {
 	}
 }
 
-// e20Resilient is E20's resilient server (panic isolation, straggler
-// retirement, three retries, block claiming over eight workers) sized for a
-// batch of batch scans, with E20's fault classes — its straggler rate, but
-// forty and ten times its panic and transient rates, so that a pass of one
-// to three morsels meets them.
+// e20Resilient is E20's resilient server (a faulted server isolates panics,
+// retires stragglers and re-runs transient morsels; block claiming over
+// eight workers) sized for a batch of batch scans, with E20's fault classes
+// — its straggler rate, but forty and ten times its panic and transient
+// rates, so that a pass of one to three morsels meets them.
 func e20Resilient(seed int64, batch int) Options {
 	return Options{
-		QueueDepth:         batch,
-		MaxBatch:           batch,
-		Workers:            8,
-		SchedBlockSize:     8,
-		MaxRetries:         3,
-		RetryBackoff:       50 * time.Microsecond,
-		IsolatePanics:      true,
-		StragglerThreshold: 3,
+		QueueDepth:     batch,
+		MaxBatch:       batch,
+		Workers:        8,
+		SchedBlockSize: 8,
 		Faults: fault.New(fault.Config{
 			Seed:          seed,
 			PanicProb:     0.2,

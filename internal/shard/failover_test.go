@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hwstar/internal/agg"
 	"hwstar/internal/breaker"
 	"hwstar/internal/errs"
 	"hwstar/internal/fault"
@@ -438,5 +439,41 @@ func TestRecoveryReplacesStaleReplayedStripes(t *testing.T) {
 		if resp.Sum != want {
 			t.Fatalf("after losing node %d: sum = %d, want %d — revived node served a stale stripe", second, resp.Sum, want)
 		}
+	}
+}
+
+// TestInvalidRequestTripsNoBreaker: a request every node refuses as invalid
+// is the client's fault, not a node's. Its sub settles on the first answer —
+// no failover to a replica that would refuse it too, and no breaker failure,
+// so a burst of bad requests cannot open every breaker in the cluster.
+func TestInvalidRequestTripsNoBreaker(t *testing.T) {
+	r := newRouter(t, Options{Shards: 3, Replicas: 2})
+	reqs := make([]serve.Request, 0, 6)
+	for i := 0; i < 5; i++ {
+		reqs = append(reqs, serve.Request{Op: serve.OpGroupSum, Keys: []int64{1, 2, 3}, Vals: []int64{1, 2}, Strategy: agg.StrategyGlobal})
+	}
+	bogus := serve.Request{Op: serve.OpJoin, Algorithm: "bogus"}
+	bogus.Join.BuildKeys, bogus.Join.BuildVals = []int64{1}, []int64{1}
+	reqs = append(reqs, bogus)
+	for i, req := range reqs {
+		if _, err := r.Submit(context.Background(), req); !errors.Is(err, errs.ErrInvalidInput) {
+			t.Fatalf("request %d: err = %v, want ErrInvalidInput", i, err)
+		}
+	}
+	ch := r.ClusterHealth()
+	if ch.Failovers != 0 {
+		t.Fatalf("%d failovers for invalid requests, want 0", ch.Failovers)
+	}
+	var invalid int64
+	for _, n := range ch.Nodes {
+		if n.BreakerOpen {
+			t.Fatalf("node %d breaker opened on invalid requests", n.ID)
+		}
+	}
+	for _, n := range r.nodes {
+		invalid += n.server().Metrics().Counters()["serve.invalid"]
+	}
+	if invalid != int64(len(reqs)) {
+		t.Fatalf("nodes counted %d invalid requests, want %d (one hop each)", invalid, len(reqs))
 	}
 }

@@ -113,6 +113,8 @@ func (f *fanout) release() {
 //     answers first wins;
 //   - a failed attempt (node died, shed, errored) fails over to the sub's
 //     next unused candidate at once;
+//   - an attempt refused as invalid input settles its sub with that error:
+//     the request is at fault, so no failover and no breaker failure;
 //   - a sub fails only when every candidate it launched has failed.
 //
 // A sub that succeeds records its time from the first launch to the
@@ -124,6 +126,11 @@ func (f *fanout) release() {
 // Each sends exactly one index on the buffered done channel, so none
 // outlives the request uncollected (a test pins this).
 func (r *Router) run(ctx context.Context, f *fanout) {
+	// A caller already gone gets its cancellation before any attempt starts.
+	if err := ctx.Err(); err != nil {
+		f.abandon(err)
+		return
+	}
 	start := time.Now()
 	r.mu.RLock()
 	nodes := r.nodes
@@ -202,6 +209,12 @@ func (r *Router) run(ctx context.Context, f *fanout) {
 				continue
 			case errors.Is(a.err, context.Canceled) && ctx.Err() == nil:
 				// Lost a hedge race — not a node failure.
+			case errors.Is(a.err, errs.ErrInvalidInput):
+				// The request is at fault, not the node: every replica
+				// would refuse it too.
+				s.err, s.settled = a.err, true
+				waiting--
+				continue
 			default:
 				a.node.brk.OnFailure(now)
 				s.err = a.err

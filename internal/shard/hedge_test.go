@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hwstar/internal/agg"
 	"hwstar/internal/serve"
 	"hwstar/internal/workload"
 )
@@ -236,6 +238,32 @@ func TestParentCancellationPropagates(t *testing.T) {
 	cancel()
 	if _, err := r.Submit(ctx, scanReq("ev", 0, 1999)); err == nil {
 		t.Fatal("cancelled submit succeeded")
+	}
+}
+
+// TestCancelledInlineRequestLaunchesNothing: a group-sum or join whose
+// caller is already gone returns the cancellation without launching a single
+// attempt, so no node admits work nobody is waiting for.
+func TestCancelledInlineRequestLaunchesNothing(t *testing.T) {
+	r := newRouter(t, Options{Shards: 3, Replicas: 2})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := workload.GenerateJoin(workload.JoinConfig{Seed: 41, BuildRows: 200, ProbeRows: 800})
+	join := serve.Request{Op: serve.OpJoin}
+	join.Join.BuildKeys, join.Join.BuildVals = g.BuildKeys, g.BuildVals
+	join.Join.ProbeKeys, join.Join.ProbeVals = g.ProbeKeys, g.ProbeVals
+	groupSum := serve.Request{Op: serve.OpGroupSum, Keys: []int64{1, 2, 1}, Vals: []int64{4, 5, 6}, Strategy: agg.StrategyGlobal}
+	for i := 0; i < 20; i++ {
+		for _, req := range []serve.Request{groupSum, join} {
+			if _, err := r.Submit(ctx, req); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled %s: err = %v, want context.Canceled", req.Op, err)
+			}
+		}
+	}
+	for i, n := range admittedPerNode(r) {
+		if n != 0 {
+			t.Fatalf("node %d admitted %d cancelled requests, want 0", i, n)
+		}
 	}
 }
 
