@@ -477,3 +477,43 @@ func TestInvalidRequestTripsNoBreaker(t *testing.T) {
 		t.Fatalf("nodes counted %d invalid requests, want %d (one hop each)", invalid, len(reqs))
 	}
 }
+
+// TestEmptyRecoveredNodeFailsOver: a memory-only node recovers with no
+// stripes, since there is no durable copy to re-replicate from, and refuses
+// its stripes as unknown tables. That refusal is the node's state, not the
+// scan's fault, so each such stripe fails over to its live replica and every
+// scan still equals the oracle. Once that replica dies too, the stripe is
+// lost and the scan degrades to a typed partial.
+func TestEmptyRecoveredNodeFailsOver(t *testing.T) {
+	cols, _ := testRelation(6000)
+	req := straddleReq("ev")
+	want := oracleSum(cols, req.Query)
+	r := newRouter(t, Options{Shards: 3, Replicas: 2})
+	if err := r.Register("ev", cols); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RecoverNode(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 24; i++ {
+		resp, err := r.Submit(context.Background(), req)
+		if err != nil || resp.Sum != want {
+			t.Fatalf("scan %d after an empty recovery: sum=%d err=%v, want %d", i, resp.Sum, err, want)
+		}
+	}
+	if ch := r.ClusterHealth(); ch.Failovers == 0 {
+		t.Fatal("no failover away from the empty recovered node")
+	}
+	// Partition 1 lives on nodes 1 and 2: with node 2 dead, only the empty
+	// node 1 is left for it.
+	if err := r.KillNode(2); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := r.Submit(context.Background(), req)
+	if !errors.Is(err, errs.ErrPartialResult) || !resp.Partial {
+		t.Fatalf("scan with a stripe on no holder: partial=%v err=%v, want a partial", resp.Partial, err)
+	}
+}

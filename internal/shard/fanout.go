@@ -63,6 +63,10 @@ type try struct {
 
 var fanouts = sync.Pool{New: func() any { return new(fanout) }}
 
+// errStripeMissing is a scan stripe refused by a replica that does not hold
+// it: a lost replica.
+var errStripeMissing = fmt.Errorf("shard: replica lacks the stripe: %w", errs.ErrDegraded)
+
 // newFanout returns pooled state with room for n sub-requests.
 func newFanout(n int) *fanout {
 	f := fanouts.Get().(*fanout)
@@ -113,8 +117,10 @@ func (f *fanout) release() {
 //     answers first wins;
 //   - a failed attempt (node died, shed, errored) fails over to the sub's
 //     next unused candidate at once;
-//   - an attempt refused as invalid input settles its sub with that error:
-//     the request is at fault, so no failover and no breaker failure;
+//   - an inline request (a group-sum, a sub-join) refused as invalid input
+//     settles its sub with that error: the request is at fault, so no
+//     failover and no breaker failure. A scan stripe refused so is a
+//     node without the stripe, and fails over as a lost replica;
 //   - a sub fails only when every candidate it launched has failed.
 //
 // A sub that succeeds records its time from the first launch to the
@@ -209,15 +215,21 @@ func (r *Router) run(ctx context.Context, f *fanout) {
 				continue
 			case errors.Is(a.err, context.Canceled) && ctx.Err() == nil:
 				// Lost a hedge race — not a node failure.
-			case errors.Is(a.err, errs.ErrInvalidInput):
-				// The request is at fault, not the node: every replica
-				// would refuse it too.
+			case errors.Is(a.err, errs.ErrInvalidInput) && s.req.Op != serve.OpScan:
+				// An inline request is at fault, not the node: every
+				// replica would refuse it too.
 				s.err, s.settled = a.err, true
 				waiting--
 				continue
 			default:
 				a.node.brk.OnFailure(now)
 				s.err = a.err
+				if errors.Is(a.err, errs.ErrInvalidInput) {
+					// The router has checked the scan, so a node refusing
+					// it lacks the stripe (a memory-only node recovers
+					// empty): a lost replica, not a bad request.
+					s.err = errStripeMissing
+				}
 				if s.first+s.launched < s.end {
 					s.failovers++
 					r.reg.Counter("shard.failovers").Inc()
