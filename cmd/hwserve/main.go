@@ -50,9 +50,11 @@
 // -mem-budget arms the memory governor: joins and grouped aggregations
 // reserve against a server-wide byte budget at admission, charge their hash
 // tables against it, and degrade to grace-hash spill plans when the grant
-// runs out. -oom-kill switches the governor to the naive mode that allocates
-// past the budget and then kills the query. -alloc-fail-prob injects
-// allocation failures at the charge sites.
+// runs out. With -shards > 1 the budget is the cluster's: the router gives
+// each node an even share, and the report's peak is the nodes' peaks summed.
+// -oom-kill switches the governor to the naive mode that allocates past the
+// budget and then kills the query. -alloc-fail-prob injects allocation
+// failures at the charge sites; a morsel denied a charge re-runs.
 //
 // The fault flags arm a seeded injector on the server (panics, transient
 // failures, stragglers), and with it the scheduler's resilience: a transient
@@ -197,12 +199,6 @@ func build(ctx context.Context, cfg Config) (*backend, error) {
 		return b, nil
 	}
 	ropts := hwstar.RouterOptions{Shards: cfg.Shards, Replicas: cfg.Replicas, Faults: inj}
-	if cfg.MemBudget > 0 {
-		// Federated budgets: the router admits against the cluster-wide
-		// budget while each shard governs its even share.
-		ropts.Memory = hwstar.MemoryConfig{BudgetBytes: cfg.MemBudget, PerQueryBytes: cfg.MemQuery}
-		opts.Memory.BudgetBytes /= int64(cfg.Shards)
-	}
 	if cfg.DataDir != "" {
 		for i := 0; i < cfg.Shards; i++ {
 			if _, err := openStore(filepath.Join(cfg.DataDir, fmt.Sprintf("node-%d", i))); err != nil {

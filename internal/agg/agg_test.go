@@ -6,7 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hwstar/internal/fault"
 	"hwstar/internal/hw"
+	"hwstar/internal/mem"
 	"hwstar/internal/sched"
 	"hwstar/internal/workload"
 )
@@ -186,5 +188,37 @@ func TestStrategiesEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpilledAggSurvivesDeniedPartitionCharge: a spilled aggregation whose
+// partition-table charge is denied once by an injected allocation fault
+// re-runs that partition and returns the exact groups, not an error.
+func TestSpilledAggSurvivesDeniedPartitionCharge(t *testing.T) {
+	m := hw.Server2S()
+	keys := workload.UniformInts(3, 1<<14, 4096)
+	vals := workload.UniformInts(4, 1<<14, 1000)
+	inj := fault.New(fault.Config{Seed: 1, AllocFailSites: map[string]float64{"agg-spill-reduce": 1}, MaxFaults: 1})
+	resv, err := mem.NewGovernor(mem.Config{BudgetBytes: 48 << 10, Faults: inj}).Reserve(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resv.Release()
+	s, err := sched.New(m, sched.Options{Workers: 8, Stealing: true, Mem: resv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Parallel(context.Background(), keys, vals, StrategyGlobal, s, m, 1024, nil)
+	if err != nil {
+		t.Fatalf("spilled aggregation with one denied partition charge: %v", err)
+	}
+	if !res.Spilled {
+		t.Fatal("the group table fit the budget: the spill path never ran")
+	}
+	if got := inj.Counts()[fault.ClassAllocFail]; got != 1 {
+		t.Fatalf("%d alloc faults fired, want 1", got)
+	}
+	if !reflect.DeepEqual(res.Groups, Serial(keys, vals)) {
+		t.Fatalf("groups diverged from the serial reference (%d groups)", len(res.Groups))
 	}
 }

@@ -2,7 +2,6 @@ package agg
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 
 	"hwstar/internal/hashtab"
@@ -58,12 +57,11 @@ func spilledAgg(ctx context.Context, keys, vals []int64, g int64, s *sched.Sched
 	resv.NoteSpill(spillBytes)
 
 	// Phase 2: one task per partition reads its fragment back and aggregates
-	// into a budget-charged table. Charge failures (budget exhausted
-	// mid-run, injected allocation faults) cannot surface through a
-	// sched.Task, so they are collected and raised after the phase.
+	// into a budget-charged table. A denied charge (budget exhausted mid-run,
+	// an injected allocation fault) returns before the fragment is touched,
+	// and the scheduler re-runs the partition or fails the phase.
 	partGroups := make([]*hashtab.Table, K)
 	defer putAll(partGroups)
-	chargeErrs := make([]error, K)
 	aggTasks := make([]sched.Task, K)
 	for p := 0; p < K; p++ {
 		p := p
@@ -73,8 +71,7 @@ func spilledAgg(ctx context.Context, keys, vals []int64, g int64, s *sched.Sched
 				return
 			}
 			pBytes := (g/int64(K) + 1) * groupEntryBytes
-			if err := w.Mem().Charge("agg-spill-reduce", w.ID, pBytes); err != nil {
-				chargeErrs[p] = err
+			if !w.Alloc("agg-spill-reduce", pBytes) {
 				return
 			}
 			defer w.Mem().Uncharge(pBytes)
@@ -93,11 +90,6 @@ func spilledAgg(ctx context.Context, keys, vals []int64, g int64, s *sched.Sched
 	}
 	if err := res.runPhase(ctx, "agg-spill-reduce", s, aggTasks); err != nil {
 		return res, err
-	}
-	for _, err := range chargeErrs {
-		if err != nil {
-			return res, fmt.Errorf("agg: spill partition table denied: %w", err)
-		}
 	}
 
 	res.Groups = groupsOf(l, g, partGroups...)

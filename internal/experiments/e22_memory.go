@@ -85,12 +85,10 @@ func runE22Curve(cfg Config, m *hw.Machine) (*Table, error) {
 // runE22Serve compares servers on the same memory-hostile query sequence:
 // ungoverned-naive (KillOnOverage: allocation always succeeds, but crossing
 // the budget is a simulated OOM kill), governed, and governed under injected
-// allocation faults, whose client resubmits a query answered with retryable
-// memory pressure as a wire client does on a 429's Retry-After. That client
-// runs twice: with up to 5 submissions a query, the attempts a server
-// retrying 4 times gave, and with E20's client's 10.
-// Sequential submissions with MaxBatch=1 keep every engine's fault and
-// allocation draw order deterministic.
+// allocation faults. A query is submitted once: an allocation denied inside
+// a morsel re-runs that morsel in the scheduler, so the client resubmits
+// nothing. Sequential submissions with MaxBatch=1 keep every engine's fault
+// and allocation draw order deterministic.
 func runE22Serve(cfg Config, m *hw.Machine) (*Table, error) {
 	rows := cfg.scaled(1<<16, 1<<13)
 	queriesN := cfg.scaled(120, 24)
@@ -111,12 +109,11 @@ func runE22Serve(cfg Config, m *hw.Machine) (*Table, error) {
 
 	type engineStats struct {
 		completed, aborted, spills int
-		submissions                int
-		oomKills, shed             int64
+		oomKills, reruns           int64
 		p50, p99                   float64
 		spillKiB                   float64
 	}
-	runEngine := func(mc mem.Config, inj *fault.Injector, resubmits int) (engineStats, error) {
+	runEngine := func(mc mem.Config, inj *fault.Injector) (engineStats, error) {
 		var st engineStats
 		s, err := serve.New(m, serve.Options{
 			QueueDepth: 4, MaxBatch: 1, Workers: 8, OpWorkers: 8,
@@ -131,11 +128,6 @@ func runE22Serve(cfg Config, m *hw.Machine) (*Table, error) {
 		var cycles []float64
 		for i := 0; i < queriesN; i++ {
 			resp, err := s.Submit(context.Background(), reqs[i])
-			st.submissions++
-			for try := 0; try < resubmits && errors.Is(err, errs.ErrMemoryPressure); try++ {
-				resp, err = s.Submit(context.Background(), reqs[i])
-				st.submissions++
-			}
 			if err != nil {
 				if !errors.Is(err, errs.ErrOOMKilled) && !errors.Is(err, errs.ErrMemoryPressure) {
 					return st, err
@@ -156,35 +148,32 @@ func runE22Serve(cfg Config, m *hw.Machine) (*Table, error) {
 		}
 		h := s.Health()
 		st.oomKills = h.OOMKilled
-		st.shed = h.MemShed
+		st.reruns = h.Retries
 		st.spillKiB = float64(h.SpillBytes) / 1024
 		return st, nil
 	}
 
 	t := bench.NewTable("E22: serving a memory-hostile sequence, "+bench.F("%d", queriesN)+" group-bys (half over a "+bench.F("%d", budget>>10)+" KiB budget) on one server",
-		"engine", "completed", "aborted", "submissions", "oom kills", "spilled", "spill KiB", "p50 Mcyc", "p99 Mcyc")
+		"engine", "completed", "aborted", "morsel re-runs", "oom kills", "spilled", "spill KiB", "p50 Mcyc", "p99 Mcyc")
 	rowsSpec := []struct {
-		name      string
-		mc        mem.Config
-		inj       *fault.Injector
-		resubmits int
+		name string
+		mc   mem.Config
+		inj  *fault.Injector
 	}{
-		{"naive (unbounded)", mem.Config{BudgetBytes: budget, KillOnOverage: true}, nil, 0},
-		{"governed", mem.Config{BudgetBytes: budget}, nil, 0},
-		{"governed + alloc faults, <=5 submissions", mem.Config{BudgetBytes: budget},
-			fault.New(fault.Config{Seed: 2299, AllocFailProb: 0.02}), 4},
-		{"governed + alloc faults, <=10 submissions", mem.Config{BudgetBytes: budget},
-			fault.New(fault.Config{Seed: 2299, AllocFailProb: 0.02}), 9},
+		{"naive (unbounded)", mem.Config{BudgetBytes: budget, KillOnOverage: true}, nil},
+		{"governed", mem.Config{BudgetBytes: budget}, nil},
+		{"governed + alloc faults", mem.Config{BudgetBytes: budget},
+			fault.New(fault.Config{Seed: 2299, AllocFailProb: 0.02})},
 	}
 	for _, spec := range rowsSpec {
-		st, err := runEngine(spec.mc, spec.inj, spec.resubmits)
+		st, err := runEngine(spec.mc, spec.inj)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(spec.name,
 			bench.F("%d/%d", st.completed, queriesN),
 			bench.F("%d", st.aborted),
-			bench.F("%d", st.submissions),
+			bench.F("%d", st.reruns),
 			bench.F("%d", st.oomKills),
 			bench.F("%d", st.spills),
 			bench.F("%.0f", st.spillKiB),
@@ -192,7 +181,7 @@ func runE22Serve(cfg Config, m *hw.Machine) (*Table, error) {
 			bench.F("%.2f", st.p99))
 	}
 	t.AddNote("the naive engine allocates without asking and is OOM-killed by every over-budget table; the governed engine degrades the same queries to grace-hash spill plans and completes all of them with a bounded p99")
-	t.AddNote("under allocation faults the client resubmits memory pressure; a query lost at 5 submissions is a spilled aggregation denied a partition charge on each, since one denied charge fails the whole query")
+	t.AddNote("under allocation faults every query completes on its one submission: a morsel denied a charge re-runs in the scheduler, and an aggregation denied its group table spills")
 	return t, nil
 }
 

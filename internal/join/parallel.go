@@ -178,10 +178,10 @@ func ParallelRadix(ctx context.Context, in Input, opts RadixOptions, s *sched.Sc
 
 	// Phase 2: one task per partition. Partition tables are cache-sized by
 	// construction, so a reservation denial here (budget exhausted, injected
-	// allocation fault) fails the partition cleanly instead of spilling —
-	// there is nothing smaller to degrade to.
+	// allocation fault) does not spill — there is nothing smaller to degrade
+	// to: the partition returns untouched, and the scheduler re-runs it or
+	// fails the phase.
 	partials := make([]Result, fanout)
-	chargeErrs := make([]error, fanout)
 	tasks := make([]sched.Task, 0, fanout)
 	for p := 0; p < fanout; p++ {
 		p := p
@@ -200,8 +200,7 @@ func ParallelRadix(ctx context.Context, in Input, opts RadixOptions, s *sched.Sc
 					return
 				}
 				htBytes := hashtab.BytesFor(int(buildRows))
-				if err := w.Mem().Charge("radix-join", w.ID, htBytes); err != nil {
-					chargeErrs[p] = err
+				if !w.Alloc("radix-join", htBytes) {
 					return
 				}
 				defer w.Mem().Uncharge(htBytes)
@@ -233,9 +232,6 @@ func ParallelRadix(ctx context.Context, in Input, opts RadixOptions, s *sched.Sc
 	out.addPhase(phase)
 	if err != nil {
 		return out, err
-	}
-	if err := firstChargeErr(chargeErrs); err != nil {
-		return out, fmt.Errorf("join: radix partition table denied: %w", err)
 	}
 
 	for _, p := range partials {

@@ -2,7 +2,6 @@ package join
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 
 	"hwstar/internal/hashtab"
@@ -74,11 +73,11 @@ func graceHashJoin(ctx context.Context, in Input, s *sched.Scheduler, morsel int
 	resv.NoteSpill(spillBytes)
 
 	// Join phase: one task per partition reads its fragments back from the
-	// spill tier and joins with a budget-charged small table. Charge failures
-	// (budget exhausted mid-run, injected allocation faults) cannot surface
-	// through a sched.Task, so they are collected and raised after the phase.
+	// spill tier and joins with a budget-charged small table. A denied charge
+	// (budget exhausted mid-run, an injected allocation fault) returns before
+	// the fragments are touched, and the scheduler re-runs the partition or
+	// fails the phase.
 	partials := make([]Result, K)
-	chargeErrs := make([]error, K)
 	tasks := make([]sched.Task, 0, K)
 	for p := 0; p < K; p++ {
 		p := p
@@ -92,8 +91,7 @@ func graceHashJoin(ctx context.Context, in Input, s *sched.Scheduler, morsel int
 					return
 				}
 				htBytes := hashtab.BytesFor(len(pt.bk))
-				if err := w.Mem().Charge("grace-join", w.ID, htBytes); err != nil {
-					chargeErrs[p] = err
+				if !w.Alloc("grace-join", htBytes) {
 					return
 				}
 				defer w.Mem().Uncharge(htBytes)
@@ -121,9 +119,6 @@ func graceHashJoin(ctx context.Context, in Input, s *sched.Scheduler, morsel int
 	if err != nil {
 		return out, err
 	}
-	if err := firstChargeErr(chargeErrs); err != nil {
-		return out, fmt.Errorf("join: grace-hash partition table denied: %w", err)
-	}
 
 	for _, p := range partials {
 		out.Matches += p.Matches
@@ -131,14 +126,4 @@ func graceHashJoin(ctx context.Context, in Input, s *sched.Scheduler, morsel int
 	}
 	out.SimCycles = out.MakespanCycles
 	return out, nil
-}
-
-// firstChargeErr returns the first per-partition charge failure, if any.
-func firstChargeErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -235,6 +235,34 @@ func (g *Governor) Stats() Stats {
 	return s
 }
 
+// Add accumulates other into s field by field, and each tenant map key by
+// key: the snapshot of governors that split one budget between them, as a
+// router's nodes do. PeakBytes becomes the sum of peaks, a ceiling on the
+// peak the governors reached together.
+func (s *Stats) Add(other Stats) {
+	s.BudgetBytes += other.BudgetBytes
+	s.InUseBytes += other.InUseBytes
+	s.PeakBytes += other.PeakBytes
+	s.Reservations += other.Reservations
+	s.Denied += other.Denied
+	s.AdmissionDenied += other.AdmissionDenied
+	s.OOMKills += other.OOMKills
+	s.TenantCaps = addTenantMap(s.TenantCaps, other.TenantCaps)
+	s.TenantInUse = addTenantMap(s.TenantInUse, other.TenantInUse)
+}
+
+// addTenantMap adds src into dst, making dst when src has a key and dst is
+// nil, so dst never aliases src.
+func addTenantMap(dst, src map[string]int64) map[string]int64 {
+	for k, v := range src {
+		if dst == nil {
+			dst = make(map[string]int64, len(src))
+		}
+		dst[k] += v
+	}
+	return dst
+}
+
 // copyTenantMap snapshots a tenant map, preserving nil for "no dimension".
 func copyTenantMap(m map[string]int64) map[string]int64 {
 	if len(m) == 0 {

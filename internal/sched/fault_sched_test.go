@@ -10,6 +10,7 @@ import (
 	"hwstar/internal/errs"
 	"hwstar/internal/fault"
 	"hwstar/internal/hw"
+	"hwstar/internal/mem"
 )
 
 // countingTasks returns n fixed-cost tasks that each atomically record their
@@ -310,5 +311,63 @@ func TestFaultRunsAreDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a.MakespanCycles != b.MakespanCycles || a.FaultStats != b.FaultStats {
 		t.Fatalf("not deterministic:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestDeniedAllocReRunsMorsel: a morsel whose Worker.Alloc is denied returns
+// at once. Memory pressure re-runs it on the spot within the morsel's re-run
+// budget; a denial that outlasts the budget fails the run typed
+// ErrMemoryPressure, and an OOM kill fails it with no re-run.
+func TestDeniedAllocReRunsMorsel(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		mc          mem.Config
+		wantErr     error
+		wantRetries int
+	}{
+		{"one injected denial re-runs",
+			mem.Config{BudgetBytes: 1 << 20, Faults: fault.New(fault.Config{Seed: 1, AllocFailProb: 1, MaxFaults: 1})},
+			nil, 1},
+		{"denied on every attempt",
+			mem.Config{BudgetBytes: 1 << 20, Faults: fault.New(fault.Config{Seed: 1, AllocFailProb: 1})},
+			errs.ErrMemoryPressure, maxTaskRetries},
+		{"oom kill fails at once",
+			mem.Config{BudgetBytes: 1 << 10, KillOnOverage: true},
+			errs.ErrOOMKilled, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resv, err := mem.NewGovernor(tc.mc).Reserve(1 << 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resv.Release()
+			s, err := New(hw.Server2S(), Options{Workers: 2, Mem: resv})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var runs, done int
+			task := Task{Name: "alloc", Site: "alloc", Socket: -1, Run: func(w *Worker) {
+				runs++
+				if !w.Alloc("alloc", 4<<10) {
+					return
+				}
+				defer w.Mem().Uncharge(4 << 10)
+				done++
+			}}
+			res, err := s.RunContext(context.Background(), []Task{task})
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("run error = %v, want %v", err, tc.wantErr)
+			}
+			if res.TaskRetries != tc.wantRetries || runs != tc.wantRetries+1 {
+				t.Fatalf("%d retries over %d runs, want %d retries", res.TaskRetries, runs, tc.wantRetries)
+			}
+			wantDone := 0
+			if tc.wantErr == nil {
+				wantDone = 1
+			}
+			if done != wantDone {
+				t.Fatalf("body completed %d times, want %d", done, wantDone)
+			}
+		})
 	}
 }

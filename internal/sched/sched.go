@@ -71,13 +71,27 @@ type Worker struct {
 	claimed []queued
 	retired bool
 
-	// resv is the query's memory reservation (nil = ungoverned).
-	resv *mem.Reservation
+	// resv is the query's memory reservation (nil = ungoverned); denied is
+	// the error of the running morsel's refused Alloc, if any.
+	resv   *mem.Reservation
+	denied error
 }
 
 // Mem returns the memory reservation of the query this worker executes. A
 // nil reservation grants every charge, so operators call it unconditionally.
 func (w *Worker) Mem() *mem.Reservation { return w.resv }
+
+// Alloc charges n bytes at site against the worker's reservation. On a
+// denial it records the error for the scheduler and returns false, and the
+// morsel body must return at once, having done nothing the denial should
+// undo. A denial under memory pressure (a budget momentarily full, an
+// injected allocation fault) leaves the reservation as it was, so the
+// scheduler re-runs the morsel on this worker within its re-run budget; any
+// other denial (an OOM kill) fails the run.
+func (w *Worker) Alloc(site string, n int64) bool {
+	w.denied = w.resv.Charge(site, w.ID, n)
+	return w.denied == nil
+}
 
 // TotalWorkers returns the number of workers participating in the current
 // run — the "P" that contention formulas need.
@@ -144,8 +158,9 @@ type queued struct {
 }
 
 // maxTaskRetries bounds how many times one morsel may be re-executed after
-// panics and transient failures, together, before the run fails. It keeps a
-// deterministically-poisoned morsel from retiring every worker in turn.
+// panics, transient failures and denied allocations, together, before the
+// run fails. It keeps a deterministically-poisoned morsel from retiring
+// every worker in turn.
 const maxTaskRetries = 2
 
 // Options configures a scheduler run.
@@ -215,7 +230,8 @@ type Result struct {
 // run multiple phases (join, aggregation) sum these across phases.
 type FaultStats struct {
 	// Panics is the number of recovered task panics; TaskRetries the
-	// morsel re-executions they and injected transient failures caused.
+	// morsel re-executions they, injected transient failures and
+	// allocations denied under memory pressure caused.
 	Panics      int
 	TaskRetries int
 	// Redispatched counts morsels moved from a retired or lost worker to a
@@ -582,7 +598,10 @@ func (s *Scheduler) Run(tasks []Task) Result {
 // and captured stack; with it the panicking worker retires and its morsels
 // re-dispatch (see Options). An injected transient failure re-runs its
 // morsel on the same worker; a morsel still failing after maxTaskRetries
-// re-runs fails the run with an errs.ErrTransient-wrapping error.
+// re-runs fails the run with an errs.ErrTransient-wrapping error. A morsel
+// whose Worker.Alloc is denied under memory pressure re-runs on the same
+// worker within the same budget; one denied on its last allowed attempt, or
+// denied any other way, fails the run with the denial.
 //
 // Task bodies run one at a time on the calling goroutine (see the package
 // documentation).
@@ -698,7 +717,22 @@ func (st *runState) run(ctx context.Context, s *Scheduler, tasks []Task) (Result
 		}
 
 		before := w.clock
-		if pval, stack := runTask(t, w, inj, site); pval != nil {
+		pval, stack := runTask(t, w, inj, site)
+		// A morsel denied its allocation returned before doing anything,
+		// so it re-runs on the spot, like a transient.
+		for pval == nil && w.denied != nil && ct.attempts < maxTaskRetries && errors.Is(w.denied, errs.ErrMemoryPressure) {
+			ct.attempts++
+			res.TaskRetries++
+			sp.Event("allocation denied in " + t.label() + " on worker " + strconv.Itoa(w.ID) + "; morsel re-run")
+			w.denied = nil
+			pval, stack = runTask(t, w, inj, site)
+		}
+		if pval == nil && w.denied != nil {
+			sp.Annotate("allocation denied in %s on worker %d after %d attempts", t.label(), w.ID, ct.attempts+1)
+			runErr = fmt.Errorf("sched: task %s: allocation denied: %w", t.label(), w.denied)
+			break
+		}
+		if pval != nil {
 			res.Panics++
 			if !s.opts.IsolatePanics {
 				sp.Annotate("panic on worker %d in %s (run failed)", w.ID, t.label())

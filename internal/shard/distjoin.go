@@ -25,12 +25,6 @@ func (r *Router) distJoin(ctx context.Context, req serve.Request) (Response, err
 	if err := in.Validate(); err != nil {
 		return Response{}, err
 	}
-	if resv, err := r.reserve(req.Tenant); err != nil {
-		return Response{}, err
-	} else if resv != nil {
-		defer resv.Release()
-	}
-
 	live := r.LiveNodes()
 	if len(live) == 0 {
 		return Response{}, fmt.Errorf("shard: no live nodes: %w", errs.ErrDegraded)

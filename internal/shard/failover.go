@@ -50,10 +50,7 @@ func (r *Router) KillNode(id int) error {
 // RecoverNode revives a killed node: a fresh serve.Server is built from
 // the shard template (replaying the node's own durable store, when one is
 // armed), the node's partitions (replicasOf) are re-replicated from a
-// surviving replica's durable store, and the node rejoins routing. The
-// copy is memory-governed under the "_rereplicate" tenant on the
-// cluster-wide governor — recovery traffic competes for budget like any
-// other tenant instead of stampeding the cluster.
+// surviving replica's durable store, and the node rejoins routing.
 func (r *Router) RecoverNode(ctx context.Context, id int) error {
 	n, err := r.nodeByID(id)
 	if err != nil {
@@ -106,34 +103,13 @@ func (r *Router) rereplicate(ctx context.Context, n *node) error {
 			if !ok {
 				continue
 			}
-			if err := r.governedCopy(stripe, func() error {
-				return srv.RegisterEncoded(stripe)
-			}); err != nil {
+			if err := srv.RegisterEncoded(stripe); err != nil {
 				return fmt.Errorf("re-replicate %s: %w", part.derived, err)
 			}
 			r.reg.Counter("shard.rereplications").Inc()
 		}
 	}
 	return nil
-}
-
-// governedCopy runs one stripe copy under the "_rereplicate" tenant's
-// slice of the cluster-wide budget, charging the stripe's encoded bytes —
-// what crosses the fabric and what the revived node then holds — for the
-// duration of the copy.
-func (r *Router) governedCopy(stripe *table.Table, copyFn func() error) error {
-	if r.gov == nil {
-		return copyFn()
-	}
-	resv, err := r.gov.ReserveFor("_rereplicate", 0)
-	if err != nil {
-		return err
-	}
-	defer resv.Release()
-	if err := resv.Charge("rereplicate-stripe", -1, stripe.Bytes()); err != nil {
-		return err
-	}
-	return copyFn()
 }
 
 // fetchStripe reads one partition's encoded stripe from a surviving

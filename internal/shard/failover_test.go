@@ -155,42 +155,6 @@ func TestRecoveryRereplicatesFromSurvivingStore(t *testing.T) {
 	}
 }
 
-// TestRereplicationChargesEncodedBytes pins what a stripe copy costs the
-// cluster budget: the encoded blocks that cross the fabric and stay resident,
-// not rows × columns × 8. A 2000-row × 2 stripe is 32000 raw bytes and about
-// 4.6 KB encoded; under a 16 KiB budget the copy must be granted (it was
-// denied when the charge assumed raw columns) and must still be accounted.
-func TestRereplicationChargesEncodedBytes(t *testing.T) {
-	cols, _ := testRelation(6000)
-	stores := openStores(t, 3)
-	r := newRouter(t, Options{Shards: 3, Replicas: 2, Stores: stores,
-		Memory: mem.Config{BudgetBytes: 16 << 10, PerQueryBytes: 1 << 10}})
-	if err := r.KillNode(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register("ev", cols); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RecoverNode(context.Background(), 1); err != nil {
-		t.Fatalf("re-replication under a budget above the encoded stripe: %v", err)
-	}
-	stripe, err := store.TableFromCols("s", [][]int64{cols[0][:2000], cols[1][:2000]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	peak := r.gov.Stats().PeakBytes
-	if raw := int64(2 * 2000 * 8); peak < stripe.Bytes() || peak >= raw {
-		t.Fatalf("budget peak %d, want at least the encoded stripe (%d) and under the raw one (%d)", peak, stripe.Bytes(), raw)
-	}
-	if ch := r.ClusterHealth(); ch.Rereplications == 0 {
-		t.Fatal("recovery performed no re-replications")
-	}
-	req := straddleReq("ev")
-	if resp, err := r.Submit(context.Background(), req); err != nil || resp.Sum != oracleSum(cols, req.Query) {
-		t.Fatalf("scan after recovery: sum=%d err=%v, want %d", resp.Sum, err, oracleSum(cols, req.Query))
-	}
-}
-
 func TestChaosTickIsSeededAndSpares(t *testing.T) {
 	mk := func() *Router {
 		return newRouter(t, Options{
@@ -277,10 +241,11 @@ func TestKillMidReadSkipsTheNode(t *testing.T) {
 	}
 }
 
-// TestRevivedNodeKeepsTenantCaps: a tenant memory cap binds on every node,
-// including one killed and recovered after the cap was set and one that was
-// dead when it was set, and one revived while caps are being set: a revived
-// node's server is built with the caps the router was given.
+// TestRevivedNodeKeepsTenantCaps: a tenant memory cap binds on every node at
+// its share (cap/3 here), including one killed and recovered after the cap
+// was set and one that was dead when it was set, and one revived while caps
+// are being set: a revived node's server is built with its share of the caps
+// the router was given.
 func TestRevivedNodeKeepsTenantCaps(t *testing.T) {
 	ctx := context.Background()
 	const capBytes = 1 << 20
@@ -306,7 +271,7 @@ func TestRevivedNodeKeepsTenantCaps(t *testing.T) {
 			}
 		}
 	}
-	checkCaps(capBytes)
+	checkCaps(capBytes / 3)
 
 	// Caps set while a node is being revived: whichever way each set and
 	// the revival interleave, every node ends on the last cap set.
@@ -328,7 +293,7 @@ func TestRevivedNodeKeepsTenantCaps(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	checkCaps(capBytes + sets)
+	checkCaps((capBytes + sets) / 3)
 }
 
 // TestKilledNodeNeverCommits pins that a kill is a crash-stop: the revived
@@ -515,5 +480,31 @@ func TestEmptyRecoveredNodeFailsOver(t *testing.T) {
 	resp, err := r.Submit(context.Background(), req)
 	if !errors.Is(err, errs.ErrPartialResult) || !resp.Partial {
 		t.Fatalf("scan with a stripe on no holder: partial=%v err=%v, want a partial", resp.Partial, err)
+	}
+}
+
+// TestShedTripsNoBreaker: a node that sheds for want of memory is refusing
+// work, not failing. Each node's share of the cluster budget (1 KiB) is below
+// one group-sum's reservation (4 KiB), so every node sheds every group-sum at
+// admission: each request fails over across all three nodes and ends in
+// ErrMemoryPressure, and no node's breaker counts those sheds as failures.
+func TestShedTripsNoBreaker(t *testing.T) {
+	r := newRouter(t, Options{Shards: 3, Replicas: 2, hedgeDelay: time.Hour,
+		Shard: serve.Options{Memory: mem.Config{BudgetBytes: 3 << 10, PerQueryBytes: 4 << 10}}})
+	for i := 0; i < 4; i++ {
+		_, err := r.Submit(context.Background(), serve.Request{Op: serve.OpGroupSum, Strategy: agg.StrategyLocalMerge,
+			Keys: []int64{1, 2, 1}, Vals: []int64{10, 20, 30}})
+		if !errors.Is(err, errs.ErrMemoryPressure) {
+			t.Fatalf("group-sum %d: %v, want ErrMemoryPressure", i, err)
+		}
+	}
+	ch := r.ClusterHealth()
+	if ch.Failovers != 8 {
+		t.Errorf("failovers = %d, want 8 (each group-sum tried all 3 nodes)", ch.Failovers)
+	}
+	for _, nh := range ch.Nodes {
+		if nh.BreakerTrips > 0 || nh.BreakerOpen {
+			t.Errorf("node %d: breaker tripped %d times (open %v) on sheds alone", nh.ID, nh.BreakerTrips, nh.BreakerOpen)
+		}
 	}
 }

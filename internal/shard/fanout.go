@@ -116,7 +116,9 @@ func (f *fanout) release() {
 //     unanswered hedges to its next unused candidate, and whichever attempt
 //     answers first wins;
 //   - a failed attempt (node died, shed, errored) fails over to the sub's
-//     next unused candidate at once;
+//     next unused candidate at once. A shed (overload, memory pressure) is
+//     a node refusing work it has no room for, not a node failing, so it
+//     leaves the node's breaker as it was: another node may have room;
 //   - an inline request (a group-sum, a sub-join) refused as invalid input
 //     settles its sub with that error: the request is at fault, so no
 //     failover and no breaker failure. A scan stripe refused so is a
@@ -222,7 +224,9 @@ func (r *Router) run(ctx context.Context, f *fanout) {
 				waiting--
 				continue
 			default:
-				a.node.brk.OnFailure(now)
+				if !shed(a.err) {
+					a.node.brk.OnFailure(now)
+				}
 				s.err = a.err
 				if errors.Is(a.err, errs.ErrInvalidInput) {
 					// The router has checked the scan, so a node refusing
@@ -245,6 +249,13 @@ func (r *Router) run(ctx context.Context, f *fanout) {
 			}
 		}
 	}
+}
+
+// shed reports whether a node refused an attempt for want of room — its
+// intake lanes were full or its memory governor denied the bytes — rather
+// than failed it.
+func shed(err error) bool {
+	return errors.Is(err, errs.ErrOverloaded) || errors.Is(err, errs.ErrMemoryPressure)
 }
 
 // launch starts sub i's next unused candidate, with its own reference to the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hwstar/internal/errs"
-	"hwstar/internal/mem"
 	"hwstar/internal/serve"
 )
 
@@ -60,10 +59,6 @@ type ClusterHealth struct {
 	Partials                     int64
 	NodeLosses, Rereplications   int64
 
-	// Memory is the cluster-wide governor's snapshot (zero when the
-	// router-level budget is off).
-	Memory mem.Stats
-
 	Nodes []NodeHealth
 }
 
@@ -86,9 +81,6 @@ func (r *Router) ClusterHealth() ClusterHealth {
 		NodeLosses:     c["shard.node_losses"],
 		Rereplications: c["shard.rereplications"],
 	}
-	if r.gov != nil {
-		ch.Memory = r.gov.Stats()
-	}
 	for _, n := range nodes {
 		nh := NodeHealth{ID: n.id, Alive: n.alive.Load()}
 		_, nh.BreakerOpen, nh.BreakerTrips = n.brk.Snapshot()
@@ -109,15 +101,13 @@ func (r *Router) ClusterHealth() ClusterHealth {
 //
 //   - State is "degraded" while any node is dead; Durable is true when any
 //     live node's is.
-//   - QueueDepth, Faults and the Recovery counts are
-//     summed; Faults also carries the router's own "node-loss" count.
+//   - QueueDepth, Faults, Memory and the Recovery counts are summed, Memory
+//     field by field (mem.Stats.Add); Faults also carries the router's own
+//     "node-loss" count.
 //   - StoreVersion and Recovery.ManifestVersion are the lowest across live
 //     durable nodes: the version every node has committed.
 //   - LastCheckpoint is the furthest-along node's (highest manifest version:
 //     nodes checkpoint independently and share no clock).
-//   - Memory is the cluster-wide governor's snapshot, zero when it is off,
-//     but for Memory.TenantInUse: each tenant's bytes in use summed over the
-//     live shards, where its queries reserve.
 //
 // Cluster-only detail (failovers, hedges, partials) lives in ClusterHealth.
 func (r *Router) Health() serve.Health {
@@ -142,14 +132,8 @@ func (r *Router) Health() serve.Health {
 	if len(live) < len(nodes) {
 		out.State = "degraded"
 	}
-	var inUse map[string]int64
 	for _, h := range live {
-		for id, b := range h.Memory.TenantInUse {
-			if inUse == nil {
-				inUse = make(map[string]int64)
-			}
-			inUse[id] += b
-		}
+		out.Memory.Add(h.Memory)
 		out.QueueDepth += h.QueueDepth
 		if h.Faults != nil && out.Faults == nil {
 			out.Faults = make(map[string]int64)
@@ -175,10 +159,6 @@ func (r *Router) Health() serve.Health {
 			out.LastCheckpoint = h.LastCheckpoint
 		}
 	}
-	if r.gov != nil {
-		out.Memory = r.gov.Stats()
-	}
-	out.Memory.TenantInUse = inUse
 	losses := r.reg.Counters()["shard.node_losses"]
 	if out.Faults == nil && losses > 0 {
 		out.Faults = make(map[string]int64)

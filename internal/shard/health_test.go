@@ -2,11 +2,13 @@ package shard
 
 import (
 	"context"
+	"maps"
 	"reflect"
 	"testing"
 	"time"
 
 	"hwstar/internal/agg"
+	"hwstar/internal/mem"
 	"hwstar/internal/serve"
 )
 
@@ -124,5 +126,68 @@ func TestRouterStateDegradedWhileNodeDead(t *testing.T) {
 	}
 	if s := r.Health().State; s != "ok" {
 		t.Fatalf("state after node 2 recovered = %q, want ok", s)
+	}
+}
+
+// TestRouterHealthSumsNodeMemory: the router reports the memory its nodes
+// govern, each field the sum over the live nodes. The template budget is the
+// cluster's, split evenly, so the summed budget is the template's; a tenant
+// cap is the cluster's too, so the summed caps are the cap.
+func TestRouterHealthSumsNodeMemory(t *testing.T) {
+	const budget, tenantCap = 3 << 20, 3 << 18
+	r := newRouter(t, Options{Shards: 3, Replicas: 2, hedgeDelay: time.Hour,
+		Shard: serve.Options{Memory: mem.Config{BudgetBytes: budget}}})
+	r.SetTenantMemCap("acme", tenantCap)
+	for i, tenant := range []string{"", "acme", "acme", "zeta.co"} {
+		gs := serve.Request{Op: serve.OpGroupSum, Tenant: tenant, Strategy: agg.StrategyLocalMerge,
+			Keys: []int64{1, 2, 1, int64(i)}, Vals: []int64{10, 20, 30, 40}}
+		if _, err := r.Submit(context.Background(), gs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A node releases a reservation after its answer is sent: wait for the
+	// last one to settle, so the two snapshots below agree.
+	for deadline := time.Now().Add(5 * time.Second); r.Health().Memory.Reservations != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("reservations never settled: %+v", r.Health().Memory)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	got := r.Health().Memory
+	var want mem.Stats
+	caps, inUse := map[string]int64{}, map[string]int64{}
+	for _, nh := range r.ClusterHealth().Nodes {
+		m := nh.Serve.Memory
+		want.BudgetBytes += m.BudgetBytes
+		want.InUseBytes += m.InUseBytes
+		want.PeakBytes += m.PeakBytes
+		want.Reservations += m.Reservations
+		want.Denied += m.Denied
+		want.AdmissionDenied += m.AdmissionDenied
+		want.OOMKills += m.OOMKills
+		for k, v := range m.TenantCaps {
+			caps[k] += v
+		}
+		for k, v := range m.TenantInUse {
+			inUse[k] += v
+		}
+	}
+	gotCaps, gotInUse := got.TenantCaps, got.TenantInUse
+	got.TenantCaps, got.TenantInUse = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Health().Memory = %+v, want the nodes' sum %+v", got, want)
+	}
+	if !maps.Equal(gotCaps, caps) || !maps.Equal(gotInUse, inUse) {
+		t.Errorf("tenant caps %v / in use %v, want the nodes' sums %v / %v", gotCaps, gotInUse, caps, inUse)
+	}
+	if got.BudgetBytes != budget {
+		t.Errorf("BudgetBytes = %d, want the template's cluster budget %d", got.BudgetBytes, budget)
+	}
+	if gotCaps["acme"] != tenantCap {
+		t.Errorf("acme's caps sum to %d, want its cluster cap %d", gotCaps["acme"], tenantCap)
+	}
+	if got.PeakBytes <= 0 {
+		t.Errorf("PeakBytes = %d after governed group-sums, want > 0", got.PeakBytes)
 	}
 }

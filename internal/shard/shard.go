@@ -41,11 +41,13 @@
 //     partial results (errs.ErrPartialResult + CoveredFraction) instead
 //     of failing or — worse — silently returning a wrong total;
 //   - recovery re-replicates a revived node's partitions from a surviving
-//     replica's durable store under the governed "_rereplicate" tenant,
-//     the way checkpoints run under "_checkpoint";
-//   - cluster-wide admission (Shards × 256 requests in flight) and a
-//     cluster-wide memory budget federate the per-shard governors: one
-//     router-level gate in front of N per-node gates.
+//     replica's durable store.
+//
+// Admission has one gate per node and none above them: a node's intake
+// lanes and memory governor refuse what it cannot take, and the fan-out
+// fails over to a node that can. The router's only part is to split the
+// cluster's limits (the template's memory budget, each tenant's cap) evenly
+// over the nodes.
 package shard
 
 import (
@@ -65,7 +67,6 @@ import (
 	"hwstar/internal/errs"
 	"hwstar/internal/fault"
 	"hwstar/internal/hw"
-	"hwstar/internal/mem"
 	"hwstar/internal/metrics"
 	"hwstar/internal/serve"
 	"hwstar/internal/store"
@@ -82,7 +83,9 @@ type Options struct {
 	Replicas int
 
 	// Shard is the template for every shard's serve.Options. Store is
-	// overridden per node from Stores; everything else is shared.
+	// overridden per node from Stores; everything else is shared except
+	// Memory.BudgetBytes, which is the cluster's budget: each node governs
+	// budget / Shards (share).
 	Shard serve.Options
 
 	// Stores, when non-nil, must hold one durable store per shard
@@ -96,23 +99,14 @@ type Options struct {
 	// per live node. Nil injects nothing.
 	Faults *fault.Injector
 
-	// Memory is the cluster-wide byte budget federated above the per-shard
-	// governors. Distributed joins and group-sums reserve their working
-	// set here before scattering; re-replication reserves under the
-	// "_rereplicate" tenant. The zero value disables the router-level
-	// budget (per-shard governors still apply).
-	Memory mem.Config
-
-	// hedgeDelay, maxInflight and reapHold are test seams. hedgeDelay, when
-	// positive, replaces the measured per-op-class hedge deadline with a
-	// fixed one, so tests force (time.Nanosecond) or forbid (time.Hour)
-	// hedging deterministically. maxInflight, when positive, replaces the
-	// Shards × 256 cluster-wide admission bound, so a test can fill it with
-	// one request. reapHold, when non-nil, stops KillNode's reaper before it
-	// kills the dead server: it sends on the channel, then receives.
-	hedgeDelay  time.Duration
-	maxInflight int
-	reapHold    chan struct{}
+	// hedgeDelay and reapHold are test seams. hedgeDelay, when positive,
+	// replaces the measured per-op-class hedge deadline with a fixed one, so
+	// tests force (time.Nanosecond) or forbid (time.Hour) hedging
+	// deterministically. reapHold, when non-nil, stops KillNode's reaper
+	// before it kills the dead server: it sends on the channel, then
+	// receives.
+	hedgeDelay time.Duration
+	reapHold   chan struct{}
 }
 
 // A node's router-side breaker opens after routeBreakerThreshold
@@ -133,9 +127,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.Replicas > o.Shards {
 		o.Replicas = o.Shards
-	}
-	if o.maxInflight <= 0 {
-		o.maxInflight = o.Shards * 256
 	}
 }
 
@@ -240,17 +231,14 @@ type Router struct {
 	opts    Options
 	machine *hw.Machine
 	clu     cluster.Cluster
-	gov     *mem.Governor // nil when Options.Memory is zero
 	reg     *metrics.Registry
-
-	inflight chan struct{}
 
 	mu     sync.RWMutex
 	nodes  []*node
 	tables map[string]*tableMeta
 	closed bool
-	// caps is every tenant memory cap SetTenantMemCap was given, so a
-	// server built later (a revived node's) carries them too.
+	// caps is every tenant's cluster-wide memory cap SetTenantMemCap was
+	// given, so a server built later (a revived node's) carries its share.
 	caps map[string]int64
 
 	// reapWG tracks background teardown of killed nodes' servers.
@@ -285,16 +273,12 @@ func New(_ context.Context, m *hw.Machine, opts Options) (*Router, error) {
 	}
 
 	r := &Router{
-		opts:     opts,
-		machine:  m,
-		clu:      clu,
-		reg:      metrics.NewRegistry(),
-		inflight: make(chan struct{}, opts.maxInflight),
-		tables:   make(map[string]*tableMeta),
-		caps:     make(map[string]int64),
-	}
-	if opts.Memory.BudgetBytes > 0 {
-		r.gov = mem.NewGovernor(opts.Memory)
+		opts:    opts,
+		machine: m,
+		clu:     clu,
+		reg:     metrics.NewRegistry(),
+		tables:  make(map[string]*tableMeta),
+		caps:    make(map[string]int64),
 	}
 	for i := 0; i < opts.Shards; i++ {
 		n := &node{id: i, brk: breaker.New(routeBreakerThreshold, routeBreakerCooldown)}
@@ -354,13 +338,15 @@ func (r *Router) dropStrays() error {
 	return nil
 }
 
-// buildServer constructs one shard's serve.Server from the template, gives
-// it every tenant memory cap the router holds and installs it as n's server.
-// The caps are read and the server installed under one read lock, so a
+// buildServer constructs one shard's serve.Server from the template, with
+// its share of the cluster's memory budget, gives it its share of every
+// tenant memory cap the router holds and installs it as n's server. The caps
+// are read and the server installed under one read lock, so a
 // SetTenantMemCap racing a revival is either read here or finds the server.
 func (r *Router) buildServer(n *node) (*serve.Server, error) {
 	so := r.opts.Shard
 	so.Store = n.st
+	so.Memory.BudgetBytes = r.share(so.Memory.BudgetBytes)
 	srv, err := serve.New(r.machine, so)
 	if err != nil {
 		return nil, err
@@ -368,7 +354,7 @@ func (r *Router) buildServer(n *node) (*serve.Server, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for tenant, bytes := range r.caps {
-		srv.SetTenantMemCap(tenant, bytes)
+		srv.SetTenantMemCap(tenant, r.share(bytes))
 	}
 	n.mu.Lock()
 	n.srv = srv
@@ -491,14 +477,6 @@ func (r *Router) SubmitDist(ctx context.Context, req serve.Request) (Response, e
 	if closed {
 		return Response{}, fmt.Errorf("shard: %w", errs.ErrClosed)
 	}
-
-	// Cluster-wide admission: one gate in front of N per-shard gates.
-	select {
-	case r.inflight <- struct{}{}:
-	default:
-		return Response{}, fmt.Errorf("shard: cluster inflight limit %d: %w", r.opts.maxInflight, errs.ErrOverloaded)
-	}
-	defer func() { <-r.inflight }()
 
 	start := time.Now()
 	var resp Response
@@ -642,16 +620,8 @@ func lostReplicas(err error) bool {
 
 // routeAny runs an inline-data request (group-sum, Q1, Q6, unregistered-
 // table ops) on one live node, failing over across all live nodes: the data
-// travels with the request, so any node computes the exact answer. The
-// cluster-wide memory budget is reserved first — the federated governor's
-// admission in front of the chosen shard's own.
+// travels with the request, so any node computes the exact answer.
 func (r *Router) routeAny(ctx context.Context, req serve.Request) (Response, error) {
-	if resv, err := r.reserve(req.Tenant); err != nil {
-		return Response{}, err
-	} else if resv != nil {
-		defer resv.Release()
-	}
-
 	return r.routeOne(ctx, req, r.LiveNodes())
 }
 
@@ -663,19 +633,6 @@ func (r *Router) routeOne(ctx context.Context, req serve.Request, replicas []int
 	r.run(ctx, f)
 	s := &f.subs[0]
 	return Response{Response: s.resp, Hedged: s.hedged, Failovers: s.failovers}, s.err
-}
-
-// reserve takes the request's slice of the cluster-wide budget, or nil
-// when the router-level governor is off.
-func (r *Router) reserve(tenant string) (*mem.Reservation, error) {
-	if r.gov == nil {
-		return nil, nil
-	}
-	resv, err := r.gov.ReserveFor(tenant, 0)
-	if err != nil {
-		return nil, fmt.Errorf("shard: cluster memory budget: %w", err)
-	}
-	return resv, nil
 }
 
 // Metrics returns the router's own registry (per-shard registries hang off
@@ -712,20 +669,27 @@ func (r *Router) Workers() int {
 	return total
 }
 
-// SetTenantMemCap forwards a per-tenant byte cap to the cluster-wide
-// governor (when armed) and to every shard's governor, so a tenant's cap
-// binds wherever its queries land. The router keeps the cap: a node dead
-// now gets it when RecoverNode builds its new server.
+// SetTenantMemCap caps what a tenant holds across the cluster: every
+// shard's governor caps it at its share, so the bytes the nodes charge it
+// stay within bytes in sum. The router keeps the cap: a node dead now gets
+// its share when RecoverNode builds its new server.
 func (r *Router) SetTenantMemCap(tenant string, bytes int64) {
-	if r.gov != nil {
-		r.gov.SetTenantCap(tenant, bytes)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.caps[tenant] = bytes
 	for _, n := range r.nodes {
 		if srv := n.server(); srv != nil {
-			srv.SetTenantMemCap(tenant, bytes)
+			srv.SetTenantMemCap(tenant, r.share(bytes))
 		}
 	}
+}
+
+// share is one node's part of a cluster-wide byte limit: limit / Shards. A
+// positive limit never rounds down to 0, which would mean ungoverned or
+// uncapped; a limit of 0 or below passes through as it is.
+func (r *Router) share(limit int64) int64 {
+	if limit <= 0 {
+		return limit
+	}
+	return max(limit/int64(r.opts.Shards), 1)
 }

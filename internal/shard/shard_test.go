@@ -142,17 +142,6 @@ func TestGroupSumRoutesExactly(t *testing.T) {
 	}
 }
 
-func TestClusterAdmissionSheds(t *testing.T) {
-	r := newRouter(t, Options{Shards: 2, Replicas: 1, maxInflight: 1})
-	// Fill the single inflight slot by hand, then submit.
-	r.inflight <- struct{}{}
-	_, err := r.Submit(context.Background(), scanReq("missing", 0, 1))
-	if !errors.Is(err, errs.ErrOverloaded) {
-		t.Fatalf("over-inflight submit: %v, want ErrOverloaded", err)
-	}
-	<-r.inflight
-}
-
 func TestRouterClosedSheds(t *testing.T) {
 	r := newRouter(t, Options{Shards: 2, Replicas: 1})
 	if err := r.Close(); err != nil {
