@@ -73,7 +73,6 @@ type Config struct {
 
 	// Memory governance (zero budget disables the governor).
 	MemBudget int64 `json:"mem_budget_bytes"`
-	MemQuery  int64 `json:"mem_query_bytes"`
 	OOMKill   bool  `json:"oom_kill"`
 
 	// Fault injection (zero probabilities disable the injector).
@@ -202,7 +201,6 @@ func bindFlags(fs *flag.FlagSet, cfg *Config) {
 	fs.IntVar(&cfg.Shards, "shards", cfg.Shards, "shard count of the replicated serving tier (0 or 1 = single server)")
 	fs.IntVar(&cfg.Replicas, "replicas", cfg.Replicas, "replicas per partition in the sharded tier (0 = default 2; needs -shards > 1)")
 	fs.Int64Var(&cfg.MemBudget, "mem-budget", cfg.MemBudget, "server-wide memory budget in bytes for joins and grouped aggregations (0 = ungoverned)")
-	fs.Int64Var(&cfg.MemQuery, "mem-query", cfg.MemQuery, "default per-query reservation in bytes (0 = budget/4)")
 	fs.BoolVar(&cfg.OOMKill, "oom-kill", cfg.OOMKill, "naive mode: allocate past the budget, then kill the query (instead of spilling)")
 	fs.Int64Var(&cfg.FaultSeed, "fault-seed", cfg.FaultSeed, "fault injector seed")
 	fs.Float64Var(&cfg.PanicProb, "panic-prob", cfg.PanicProb, "per-task injected panic probability")

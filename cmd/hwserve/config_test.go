@@ -142,15 +142,16 @@ func TestLoadConfigFileStrict(t *testing.T) {
 	if _, _, err := parseConfig([]string{"-config", filepath.Join(t.TempDir(), "missing.json")}); err == nil {
 		t.Fatal("missing config file accepted")
 	}
-	// The scan-path knobs, the pre-Config aliases, the serve breaker's knobs
-	// and the serve retry loop's knobs are gone, not ignored: a stale flag or
-	// config key fails loudly instead of silently selecting nothing.
-	for _, flag := range []string{"-vectorized", "-vec-adaptive", "-vec-morsel-rows=8192", "-vec-batch-width=8", "-maxbatch=32", "-trace=5", "-breaker=3", "-cooldown=10ms", "-retries=2", "-backoff=1ms"} {
+	// The scan-path knobs, the pre-Config aliases, the serve breaker's knobs,
+	// the serve retry loop's knobs and the per-query memory reservation are
+	// gone, not ignored: a stale flag or config key fails loudly instead of
+	// silently selecting nothing.
+	for _, flag := range []string{"-vectorized", "-vec-adaptive", "-vec-morsel-rows=8192", "-vec-batch-width=8", "-maxbatch=32", "-trace=5", "-breaker=3", "-cooldown=10ms", "-retries=2", "-backoff=1ms", "-mem-query=4096"} {
 		if _, _, err := parseConfig([]string{flag}); err == nil {
 			t.Fatalf("removed flag %s accepted", flag)
 		}
 	}
-	for _, key := range []string{`{"vectorized": true}`, `{"breaker": 3}`, `{"cooldown": "10ms"}`, `{"retries": 2}`, `{"backoff": "1ms"}`} {
+	for _, key := range []string{`{"vectorized": true}`, `{"breaker": 3}`, `{"cooldown": "10ms"}`, `{"retries": 2}`, `{"backoff": "1ms"}`, `{"mem_query_bytes": 4096}`} {
 		if err := loadConfigFile(writeConfig(t, key), &c); err == nil {
 			t.Fatalf("removed config key %s accepted", key)
 		}

@@ -48,10 +48,10 @@
 // passes line breaks the passes down by block outcome.
 //
 // -mem-budget arms the memory governor: joins and grouped aggregations
-// reserve against a server-wide byte budget at admission, charge their hash
-// tables against it, and degrade to grace-hash spill plans when the grant
-// runs out. With -shards > 1 the budget is the cluster's: the router gives
-// each node an even share, and the report's peak is the nodes' peaks summed.
+// charge their hash tables against a server-wide byte budget as they build,
+// and degrade to grace-hash spill plans when it runs out. With -shards > 1
+// the budget is the cluster's: the router gives each node an even share, and
+// the report's peak is the nodes' peaks summed.
 // -oom-kill switches the governor to the naive mode that allocates past the
 // budget and then kills the query. -alloc-fail-prob injects allocation
 // failures at the charge sites; a morsel denied a charge re-runs.
@@ -146,7 +146,6 @@ func build(ctx context.Context, cfg Config) (*backend, error) {
 	if cfg.MemBudget > 0 {
 		opts.Memory = hwstar.MemoryConfig{
 			BudgetBytes:   cfg.MemBudget,
-			PerQueryBytes: cfg.MemQuery,
 			KillOnOverage: cfg.OOMKill,
 		}
 	}
@@ -374,7 +373,7 @@ func (r *report) print(w io.Writer, cfg Config) {
 	fmt.Fprintf(w, "  modeled cost %.2f Mcycles/query (amortized over shared scans)\n", r.meanMcyc)
 	if cfg.MemBudget > 0 {
 		h := r.health
-		fmt.Fprintf(w, "  memory budget %d KiB  (peak %d KiB, shed at admission %d, spilled %d for %d KiB, oom kills %d)\n",
+		fmt.Fprintf(w, "  memory budget %d KiB  (peak %d KiB, memory pressure %d, spilled %d for %d KiB, oom kills %d)\n",
 			cfg.MemBudget>>10, h.Memory.PeakBytes>>10, r.memShed, h.Spills, h.SpillBytes>>10, r.oomKilled)
 	}
 	if h := r.health; h.VecPasses > 0 {

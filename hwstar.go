@@ -84,10 +84,10 @@ var (
 	ErrTransient = errs.ErrTransient
 	// ErrDegraded reports a Router request that found no live replica.
 	ErrDegraded = errs.ErrDegraded
-	// ErrMemoryPressure reports a request shed at admission or an
-	// allocation denied because the Server's memory budget is exhausted.
-	// Retryable: pressure subsides as running queries release their
-	// reservations.
+	// ErrMemoryPressure reports an allocation denied because the Server's
+	// memory budget (or the tenant's cap) is exhausted and even a spill plan
+	// cannot fit. Retryable: pressure subsides as running queries release
+	// their reservations.
 	ErrMemoryPressure = errs.ErrMemoryPressure
 	// ErrOOMKilled reports a simulated OOM kill: an ungoverned engine
 	// (MemoryConfig.KillOnOverage) allocated past its budget. Fatal, not
@@ -507,10 +507,11 @@ var NewFaultInjector = fault.New
 type ServerHealth = serve.Health
 
 // MemoryConfig arms a Server's memory governor via ServerOptions.Memory: a
-// server-wide byte budget, a per-query reservation granted at admission, and
-// optionally KillOnOverage (the "naive engine" mode E22 uses as its
-// baseline, where allocation always succeeds but crossing the budget is a
-// fatal simulated OOM kill). See internal/mem for the full semantics.
+// server-wide byte budget enforced on every operator charge (a query holds
+// only the bytes it has charged), and optionally KillOnOverage (the "naive
+// engine" mode E22 uses as its baseline, where no allocation is denied but
+// crossing the budget is a fatal simulated OOM kill). See internal/mem for
+// the full semantics.
 type MemoryConfig = mem.Config
 
 // MemoryStats is the governor's snapshot inside ServerHealth.Memory: budget

@@ -199,10 +199,7 @@ func TestSpilledAggSurvivesDeniedPartitionCharge(t *testing.T) {
 	keys := workload.UniformInts(3, 1<<14, 4096)
 	vals := workload.UniformInts(4, 1<<14, 1000)
 	inj := fault.New(fault.Config{Seed: 1, AllocFailSites: map[string]float64{"agg-spill-reduce": 1}, MaxFaults: 1})
-	resv, err := mem.NewGovernor(mem.Config{BudgetBytes: 48 << 10, Faults: inj}).Reserve(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resv := mem.NewGovernor(mem.Config{BudgetBytes: 48 << 10, Faults: inj}).Reserve("")
 	defer resv.Release()
 	s, err := sched.New(m, sched.Options{Workers: 8, Stealing: true, Mem: resv})
 	if err != nil {

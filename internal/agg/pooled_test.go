@@ -70,10 +70,7 @@ func pooledSched(t *testing.T, m *hw.Machine, spilled bool, opts sched.Options) 
 	t.Helper()
 	opts.Workers, opts.Stealing = 4, true
 	if spilled {
-		resv, err := mem.NewGovernor(mem.Config{BudgetBytes: 64 << 10}).Reserve(8 << 10)
-		if err != nil {
-			t.Fatal(err)
-		}
+		resv := mem.NewGovernor(mem.Config{BudgetBytes: 64 << 10}).Reserve("")
 		t.Cleanup(resv.Release)
 		opts.Mem = resv
 	}

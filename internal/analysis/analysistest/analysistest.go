@@ -12,7 +12,7 @@
 //
 // Every line that should trigger a diagnostic carries a want comment:
 //
-//	err := g.Reserve(0) // want `never reaches`
+//	r := g.Reserve("") // want `never reaches`
 //
 // Lines without a want comment assert the negative: any diagnostic on them
 // fails the test. A want comment may hold several quoted regexps when one

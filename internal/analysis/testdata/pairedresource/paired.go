@@ -73,18 +73,12 @@ func EscapeStoreOK(t *trace.Tracer, h *holder) {
 }
 
 func LeakReservation(g *mem.Governor) {
-	r, err := g.Reserve(1 << 20) // want `r acquired here never reaches Reservation.Release`
-	if err != nil {
-		return
-	}
+	r := g.Reserve("") // want `r acquired here never reaches Reservation.Release`
 	_ = r.Charge("agg-table", 0, 4096)
 }
 
 func EarlyReturnReservation(g *mem.Governor) error {
-	r, err := g.Reserve(1 << 20) // want `does not reach Reservation.Release on the early-return path`
-	if err != nil {
-		return err
-	}
+	r := g.Reserve("") // want `does not reach Reservation.Release on the early-return path`
 	if err := r.Charge("join-build", 0, 4096); err != nil {
 		return err
 	}
@@ -95,10 +89,7 @@ func EarlyReturnReservation(g *mem.Governor) error {
 // DeferredReservationOK: nil-safe Release deferred immediately covers the
 // error path too.
 func DeferredReservationOK(g *mem.Governor) error {
-	r, err := g.Reserve(1 << 20)
-	if err != nil {
-		return err
-	}
+	r := g.Reserve("")
 	defer r.Release()
 	return r.Charge("join-build", 0, 4096)
 }

@@ -20,7 +20,7 @@ func init() {
 	register(Experiment{
 		ID:    "E22",
 		Title: "Memory pressure: unbounded allocation vs governed spill and shed",
-		Claim: "a byte budget enforced at admission and allocation turns memory overload from simulated OOM kills into graceful degradation: every query completes, spilled plans pay a bounded bandwidth premium, and p99 stays bounded while the ungoverned engine aborts",
+		Claim: "a byte budget enforced at allocation turns memory overload from simulated OOM kills into graceful degradation: every query completes, spilled plans pay a bounded bandwidth premium, and p99 stays bounded while the ungoverned engine aborts",
 		Run:   runE22,
 	})
 }
@@ -44,15 +44,10 @@ func runE22Curve(cfg Config, m *hw.Machine) (*Table, error) {
 		name string
 		div  int64 // 0 = unlimited
 	}{{"unlimited", 0}, {"1/2 table", 2}, {"1/4 table", 4}, {"1/8 table", 8}} {
-		var resv *mem.Reservation
+		var resv *mem.Reservation // nil: unlimited
 		if frac.div > 0 {
-			budget := tableBytes / frac.div
-			gov := mem.NewGovernor(mem.Config{BudgetBytes: budget})
-			var err error
-			resv, err = gov.Reserve(budget) // the whole budget is this query's
-			if err != nil {
-				return nil, err
-			}
+			// The query is the budget's only holder: all of it is Available.
+			resv = mem.NewGovernor(mem.Config{BudgetBytes: tableBytes / frac.div}).Reserve("")
 		}
 		s, err := sched.New(m, sched.Options{Workers: 8, Stealing: true, Mem: resv, BlockSize: 8})
 		if err != nil {

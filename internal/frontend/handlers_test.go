@@ -712,7 +712,7 @@ func TestTwoTenantChaos(t *testing.T) {
 	e := newTestEnv(t, serve.Options{
 		Workers:    4,
 		QueueDepth: 32,
-		Memory:     mem.Config{BudgetBytes: 4 << 20, PerQueryBytes: 32 << 10},
+		Memory:     mem.Config{BudgetBytes: 4 << 20},
 		Faults: fault.New(fault.Config{
 			Seed:          7,
 			PanicProb:     0.02,

@@ -13,18 +13,14 @@ import (
 // ungoverned code paths (the plain Engine facade, unit tests) free of
 // conditionals.
 type Config struct {
-	// BudgetBytes is the server-wide byte budget the governor enforces. 0
-	// disables budgeting (every reservation and charge is granted).
+	// BudgetBytes is the server-wide byte budget the governor enforces on
+	// operator charges. 0 disables budgeting (every charge is granted).
 	BudgetBytes int64
-	// PerQueryBytes is the default reservation granted to one query at
-	// admission. 0 defaults to BudgetBytes/4 so at least a few queries can
-	// run concurrently before admission pushes back.
-	PerQueryBytes int64
-	// KillOnOverage switches the governor into "naive engine" mode: every
-	// reservation is granted and charges are never denied, but the first
-	// charge that pushes total usage past BudgetBytes returns a fatal
-	// errs.ErrOOMKilled — the simulated OOM kill an ungoverned engine
-	// suffers. E22 uses this as the baseline against governed spill.
+	// KillOnOverage switches the governor into "naive engine" mode: charges
+	// are never denied, but the first charge that would push total usage
+	// past BudgetBytes returns a fatal errs.ErrOOMKilled — the simulated OOM
+	// kill an ungoverned engine suffers. E22 uses this as the baseline
+	// against governed spill.
 	KillOnOverage bool
 	// Faults, when armed with a positive AllocFailProb (or AllocFailSites),
 	// injects allocation failures into Charge: a charge fails with
@@ -43,13 +39,10 @@ type Stats struct {
 	PeakBytes int64
 	// Reservations is the number of live reservations.
 	Reservations int
-	// Denied counts reservation grows refused for lack of budget (spill
-	// triggers); AdmissionDenied counts whole-query reservations refused at
-	// admission (sheds); OOMKills counts simulated kills (KillOnOverage
-	// mode only).
-	Denied          int64
-	AdmissionDenied int64
-	OOMKills        int64
+	// Denied counts charges refused for lack of budget or tenant cap (spill
+	// triggers); OOMKills counts simulated kills (KillOnOverage mode only).
+	Denied   int64
+	OOMKills int64
 
 	// TenantCaps and TenantInUse break the budget position down by tenant
 	// for every tenant with a cap or live usage. Nil when the governor
@@ -85,19 +78,15 @@ type Governor struct {
 
 // NewGovernor returns a governor armed with cfg.
 func NewGovernor(cfg Config) *Governor {
-	if cfg.PerQueryBytes <= 0 && cfg.BudgetBytes > 0 {
-		cfg.PerQueryBytes = cfg.BudgetBytes / 4
-	}
 	return &Governor{cfg: cfg}
 }
 
 // SetTenantCap caps (or, with bytes <= 0, uncaps) one tenant's share of the
-// budget: a reservation made through ReserveFor fails with
-// errs.ErrMemoryPressure once that tenant's in-use bytes would pass its cap,
+// budget: a charge under a reservation opened for that tenant fails with
+// errs.ErrMemoryPressure once the tenant's in-use bytes would pass its cap,
 // even while the global budget has headroom — one noisy tenant cannot drain
 // the pool. An uncapped tenant is bounded only by the global budget. Safe to
-// call while reservations are live: the cap applies to the next reservation
-// or grow.
+// call while reservations are live: the cap applies to the next charge.
 func (g *Governor) SetTenantCap(tenant string, bytes int64) {
 	if g == nil || tenant == "" {
 		return
@@ -114,96 +103,57 @@ func (g *Governor) SetTenantCap(tenant string, bytes int64) {
 	g.tenantCaps[tenant] = bytes
 }
 
-// Reserve grants a reservation of n bytes (n <= 0 means the configured
-// per-query default). Under KillOnOverage the grant always succeeds — the
-// naive engine admits everything and dies later. Otherwise a grant that
-// would push usage past the budget is refused with errs.ErrMemoryPressure,
-// which the serving layer turns into an admission shed.
-func (g *Governor) Reserve(n int64) (*Reservation, error) {
-	return g.ReserveFor("", n)
-}
-
-// ReserveFor is Reserve with tenant attribution: the grant is charged against
-// the tenant's cap (if one is set) before the global budget, and the tenant's
-// in-use bytes are tracked for Stats. An empty tenant is the untenanted form.
-// KillOnOverage mode ignores tenant caps — the naive engine has no
-// governance at all.
-func (g *Governor) ReserveFor(tenant string, n int64) (*Reservation, error) {
+// Reserve opens a reservation for one query, attributed to tenant ("" is
+// untenanted). It holds no bytes and cannot fail: the budget and the
+// tenant's cap are enforced on each Charge, where the bytes are used. A nil
+// governor returns a nil reservation, which grants everything.
+func (g *Governor) Reserve(tenant string) *Reservation {
 	if g == nil {
-		return nil, nil
-	}
-	if n <= 0 {
-		n = g.cfg.PerQueryBytes
+		return nil
 	}
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.cfg.KillOnOverage {
-		if cap, ok := g.tenantCaps[tenant]; ok && tenant != "" && g.tenantUse[tenant]+n > cap {
-			g.stats.AdmissionDenied++
-			return nil, fmt.Errorf("mem: reserve %d bytes for tenant %q with %d of %d tenant cap in use: %w",
-				n, tenant, g.tenantUse[tenant], cap, errs.ErrMemoryPressure)
-		}
-		if g.cfg.BudgetBytes > 0 && g.inUse+n > g.cfg.BudgetBytes {
-			g.stats.AdmissionDenied++
-			return nil, fmt.Errorf("mem: reserve %d bytes with %d of %d in use: %w",
-				n, g.inUse, g.cfg.BudgetBytes, errs.ErrMemoryPressure)
-		}
-	}
-	g.grow(n)
-	g.growTenant(tenant, n)
 	g.live++
-	return &Reservation{gov: g, tenant: tenant, granted: n}, nil
-}
-
-// grow adds n bytes to usage and maintains the peak. Callers hold g.mu.
-func (g *Governor) grow(n int64) {
-	g.inUse += n
-	if g.inUse > g.peak {
-		g.peak = g.inUse
-	}
-}
-
-// growTenant adds n bytes to a tenant's usage. Callers hold g.mu.
-func (g *Governor) growTenant(tenant string, n int64) {
-	if tenant == "" {
-		return
-	}
-	if g.tenantUse == nil {
-		g.tenantUse = make(map[string]int64)
-	}
-	g.tenantUse[tenant] += n
+	g.mu.Unlock()
+	return &Reservation{gov: g, tenant: tenant}
 }
 
 // tryGrow attempts to add n bytes to usage for a reservation grow, applying
 // tenant-cap, budget, and kill semantics. Callers hold g.mu.
 func (g *Governor) tryGrow(n int64, tenant, site string) error {
-	if tenant != "" && !g.cfg.KillOnOverage {
-		if cap, ok := g.tenantCaps[tenant]; ok && g.tenantUse[tenant]+n > cap {
+	over := g.cfg.BudgetBytes > 0 && g.inUse+n > g.cfg.BudgetBytes
+	if !g.cfg.KillOnOverage {
+		if cap, ok := g.tenantCaps[tenant]; ok && tenant != "" && g.tenantUse[tenant]+n > cap {
 			g.stats.Denied++
 			return fmt.Errorf("mem: charge %d bytes at %s with %d of %d tenant %q cap in use: %w",
 				n, site, g.tenantUse[tenant], cap, tenant, errs.ErrMemoryPressure)
 		}
-	}
-	if g.cfg.BudgetBytes > 0 && g.inUse+n > g.cfg.BudgetBytes {
-		if g.cfg.KillOnOverage {
-			g.stats.OOMKills++
-			g.grow(n) // the naive engine allocates anyway; the kill is the consequence
-			g.growTenant(tenant, n)
-			return fmt.Errorf("mem: %s pushed usage to %d of %d budget: %w",
-				site, g.inUse, g.cfg.BudgetBytes, errs.ErrOOMKilled)
+		if over {
+			g.stats.Denied++
+			return fmt.Errorf("mem: charge %d bytes at %s with %d of %d in use: %w",
+				n, site, g.inUse, g.cfg.BudgetBytes, errs.ErrMemoryPressure)
 		}
-		g.stats.Denied++
-		return fmt.Errorf("mem: charge %d bytes at %s with %d of %d in use: %w",
-			n, site, g.inUse, g.cfg.BudgetBytes, errs.ErrMemoryPressure)
 	}
-	g.grow(n)
-	g.growTenant(tenant, n)
+	g.peak = max(g.peak, g.inUse+n)
+	if over {
+		// The naive engine allocates anyway and the kill is the consequence:
+		// the peak shows the overage, but the killed query's bytes are never
+		// held, so its Release has nothing of them to return.
+		g.stats.OOMKills++
+		return fmt.Errorf("mem: %s pushed usage to %d of %d budget: %w",
+			site, g.inUse+n, g.cfg.BudgetBytes, errs.ErrOOMKilled)
+	}
+	g.inUse += n
+	if tenant != "" {
+		if g.tenantUse == nil {
+			g.tenantUse = make(map[string]int64)
+		}
+		g.tenantUse[tenant] += n
+	}
 	return nil
 }
 
-// release returns n bytes to the pool and, when final, retires the
-// reservation.
-func (g *Governor) release(n int64, final bool, tenant string) {
+// release returns a reservation's n held bytes to the pool and retires it.
+func (g *Governor) release(n int64, tenant string) {
 	g.mu.Lock()
 	g.inUse -= n
 	if tenant != "" && g.tenantUse != nil {
@@ -212,9 +162,7 @@ func (g *Governor) release(n int64, final bool, tenant string) {
 			delete(g.tenantUse, tenant)
 		}
 	}
-	if final {
-		g.live--
-	}
+	g.live--
 	g.mu.Unlock()
 }
 
@@ -245,7 +193,6 @@ func (s *Stats) Add(other Stats) {
 	s.PeakBytes += other.PeakBytes
 	s.Reservations += other.Reservations
 	s.Denied += other.Denied
-	s.AdmissionDenied += other.AdmissionDenied
 	s.OOMKills += other.OOMKills
 	s.TenantCaps = addTenantMap(s.TenantCaps, other.TenantCaps)
 	s.TenantInUse = addTenantMap(s.TenantInUse, other.TenantInUse)
@@ -291,30 +238,30 @@ func SpillFanout(tableBytes, avail int64, workers int) int {
 	return 0
 }
 
-// Reservation is one query's slice of the budget. Operators charge their
-// simulated state against it as they build; a charge that cannot be granted
-// tells the operator to degrade (spill) rather than grow. A nil *Reservation
-// grants everything, so ungoverned call sites need no checks. Methods are
-// safe for concurrent use by the workers of one query.
+// Reservation is one query's slice of the budget. It starts empty: operators
+// charge their simulated state against it as they build, and it grows
+// against the governor to the query's high-water mark; a charge that cannot
+// be granted tells the operator to degrade (spill) rather than grow. A nil
+// *Reservation grants everything, so ungoverned call sites need no checks.
+// Methods are safe for concurrent use by the workers of one query.
 type Reservation struct {
 	gov    *Governor
 	tenant string // attribution for tenant caps/usage; "" = untenanted
 
-	mu       sync.Mutex
-	granted  int64 // bytes held against the governor
-	used     int64 // bytes charged by operators
-	peakUsed int64 // high-water mark of used
-	spills   int64 // operator spill decisions under this reservation
-	spillB   int64 // bytes written to the spill tier
-	closed   bool
+	mu     sync.Mutex
+	used   int64 // bytes charged by operators
+	peak   int64 // high-water mark of used: the bytes held against the governor
+	spills int64 // operator spill decisions under this reservation
+	spillB int64 // bytes written to the spill tier
+	closed bool
 }
 
 // Charge requests n simulated bytes at the named site for the given worker.
 // It consults the allocation-fault injector first (a fired fault denies the
 // charge with errs.ErrMemoryPressure before any accounting), then satisfies
 // the request from the reservation, growing it against the governor when
-// used+n exceeds the current grant. A denial leaves the reservation exactly
-// as it was, so the caller can spill and continue.
+// used+n passes the reservation's high-water mark. A denial leaves the
+// reservation exactly as it was, so the caller can spill and continue.
 func (r *Reservation) Charge(site string, worker int, n int64) error {
 	if r == nil || r.gov == nil || n <= 0 {
 		return nil
@@ -327,26 +274,22 @@ func (r *Reservation) Charge(site string, worker int, n int64) error {
 	if r.closed {
 		return fmt.Errorf("mem: charge at %s after release: %w", site, errs.ErrMemoryPressure)
 	}
-	if r.used+n > r.granted {
-		need := r.used + n - r.granted
+	if r.used+n > r.peak {
 		r.gov.mu.Lock()
-		err := r.gov.tryGrow(need, r.tenant, site)
+		err := r.gov.tryGrow(r.used+n-r.peak, r.tenant, site)
 		r.gov.mu.Unlock()
 		if err != nil {
 			return err
 		}
-		r.granted += need
+		r.peak = r.used + n
 	}
 	r.used += n
-	if r.used > r.peakUsed {
-		r.peakUsed = r.used
-	}
 	return nil
 }
 
-// Uncharge returns n previously charged bytes to the reservation (the grant
-// against the governor is kept until Release, so a query's budget slice is
-// stable once won).
+// Uncharge returns n previously charged bytes to the reservation (the bytes
+// held against the governor are kept until Release, so a query's budget
+// slice is stable once won).
 func (r *Reservation) Uncharge(n int64) {
 	if r == nil || n <= 0 {
 		return
@@ -360,9 +303,10 @@ func (r *Reservation) Uncharge(n int64) {
 }
 
 // Available returns the bytes this reservation could still charge without
-// growing past the governor's budget: the unused grant plus the governor's
-// free headroom. Unlimited governors report a very large value. Operators
-// use it to size spill partitions so each fits the remaining budget.
+// growing past the governor's budget: its held but uncharged bytes plus the
+// governor's free headroom. Unlimited governors report a very large value.
+// Operators use it to size spill partitions so each fits the remaining
+// budget.
 func (r *Reservation) Available() int64 {
 	const unbounded = int64(1) << 62
 	if r == nil {
@@ -370,7 +314,7 @@ func (r *Reservation) Available() int64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	slack := r.granted - r.used
+	slack := r.peak - r.used
 	g := r.gov
 	if g == nil {
 		return unbounded
@@ -415,7 +359,7 @@ func (r *Reservation) PeakBytes() int64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.peakUsed
+	return r.peak
 }
 
 // Spills returns the spill decisions and spill-tier bytes recorded so far.
@@ -428,8 +372,8 @@ func (r *Reservation) Spills() (count, bytes int64) {
 	return r.spills, r.spillB
 }
 
-// Release returns the whole grant to the governor. Idempotent; charges after
-// Release fail.
+// Release returns the reservation's held bytes to the governor. Idempotent;
+// charges after Release fail.
 func (r *Reservation) Release() {
 	if r == nil {
 		return
@@ -440,11 +384,10 @@ func (r *Reservation) Release() {
 		return
 	}
 	r.closed = true
-	granted := r.granted
-	r.granted = 0
 	r.used = 0
+	held := r.peak
 	r.mu.Unlock()
 	if r.gov != nil {
-		r.gov.release(granted, true, r.tenant)
+		r.gov.release(held, r.tenant)
 	}
 }

@@ -7,25 +7,22 @@ import (
 	"hwstar/internal/errs"
 )
 
-// TestTenantCapDeniesAdmission pins the tenant-cap admission rule: a tenant
-// at its cap is refused with ErrMemoryPressure even while the global budget
-// has headroom, and another tenant is unaffected.
-func TestTenantCapDeniesAdmission(t *testing.T) {
-	g := NewGovernor(Config{
-		BudgetBytes:   1000,
-		PerQueryBytes: 200,
-	})
+// TestTenantCapDeniesCharge pins the tenant-cap rule: a charge that would
+// take a tenant past its cap is refused with ErrMemoryPressure even while
+// the global budget has headroom, and another tenant is unaffected.
+func TestTenantCapDeniesCharge(t *testing.T) {
+	g := NewGovernor(Config{BudgetBytes: 1000})
 	g.SetTenantCap("noisy", 300)
-	r1, err := g.ReserveFor("noisy", 200)
-	if err != nil {
-		t.Fatalf("first reservation within cap: %v", err)
+	r1, r1b := g.Reserve("noisy"), g.Reserve("noisy")
+	if err := r1.Charge("agg-table", 0, 200); err != nil {
+		t.Fatalf("first charge within cap: %v", err)
 	}
-	if _, err := g.ReserveFor("noisy", 200); !errors.Is(err, errs.ErrMemoryPressure) {
-		t.Fatalf("over-cap reservation error = %v, want ErrMemoryPressure", err)
+	if err := r1b.Charge("agg-table", 0, 200); !errors.Is(err, errs.ErrMemoryPressure) {
+		t.Fatalf("over-cap charge error = %v, want ErrMemoryPressure", err)
 	}
 	// The global budget still has 800 free: another tenant is unaffected.
-	r2, err := g.ReserveFor("quiet", 200)
-	if err != nil {
+	r2 := g.Reserve("quiet")
+	if err := r2.Charge("agg-table", 0, 200); err != nil {
 		t.Fatalf("other tenant blocked by noisy's cap: %v", err)
 	}
 	s := g.Stats()
@@ -35,10 +32,11 @@ func TestTenantCapDeniesAdmission(t *testing.T) {
 	if s.TenantCaps["noisy"] != 300 {
 		t.Fatalf("TenantCaps = %v", s.TenantCaps)
 	}
-	if s.AdmissionDenied != 1 {
-		t.Fatalf("AdmissionDenied = %d, want 1", s.AdmissionDenied)
+	if s.Denied != 1 {
+		t.Fatalf("Denied = %d, want 1", s.Denied)
 	}
 	r1.Release()
+	r1b.Release()
 	r2.Release()
 	if s := g.Stats(); len(s.TenantInUse) != 0 {
 		t.Fatalf("TenantInUse after release = %v, want empty", s.TenantInUse)
@@ -48,18 +46,11 @@ func TestTenantCapDeniesAdmission(t *testing.T) {
 // TestTenantCapDeniesGrow pins the grow path: a charge that would push the
 // tenant past its cap is denied (the spill trigger) and counted.
 func TestTenantCapDeniesGrow(t *testing.T) {
-	g := NewGovernor(Config{
-		BudgetBytes:   1000,
-		PerQueryBytes: 100,
-	})
+	g := NewGovernor(Config{BudgetBytes: 1000})
 	g.SetTenantCap("noisy", 150)
-	r, err := g.ReserveFor("noisy", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Within grant: no grow needed.
+	r := g.Reserve("noisy")
 	if err := r.Charge("agg-table", 0, 100); err != nil {
-		t.Fatalf("charge within grant: %v", err)
+		t.Fatalf("charge within cap: %v", err)
 	}
 	// Grow past the tenant cap (150) but well under the budget (1000).
 	if err := r.Charge("agg-table", 0, 100); !errors.Is(err, errs.ErrMemoryPressure) {
@@ -75,45 +66,45 @@ func TestTenantCapDeniesGrow(t *testing.T) {
 // TestTenantCapBoundsAvailable pins spill sizing: Available() reports the
 // tenant's headroom when it is tighter than the global budget's.
 func TestTenantCapBoundsAvailable(t *testing.T) {
-	g := NewGovernor(Config{
-		BudgetBytes:   1000,
-		PerQueryBytes: 100,
-	})
+	g := NewGovernor(Config{BudgetBytes: 1000})
 	g.SetTenantCap("noisy", 300)
-	r, err := g.ReserveFor("noisy", 100)
-	if err != nil {
+	r := g.Reserve("noisy")
+	if err := r.Charge("agg-table", 0, 100); err != nil {
 		t.Fatal(err)
 	}
-	// Unused grant 100 + tenant headroom (300-100=200, tighter than the
+	r.Uncharge(100)
+	// Held slack 100 + tenant headroom (300-100=200, tighter than the
 	// global 1000-100=900).
 	if got := r.Available(); got != 300 {
-		t.Fatalf("Available = %d, want grant slack + tenant headroom = 300", got)
+		t.Fatalf("Available = %d, want held slack + tenant headroom = 300", got)
 	}
 	// An uncapped tenant sees global headroom.
-	r2, err := g.ReserveFor("quiet", 100)
-	if err != nil {
+	r2 := g.Reserve("quiet")
+	if err := r2.Charge("agg-table", 0, 100); err != nil {
 		t.Fatal(err)
 	}
-	// Unused grant 100 + global headroom 1000-200=800.
+	r2.Uncharge(100)
+	// Held slack 100 + global headroom 1000-200=800.
 	if got := r2.Available(); got != 900 {
-		t.Fatalf("uncapped Available = %d, want grant slack + global headroom = 900", got)
+		t.Fatalf("uncapped Available = %d, want held slack + global headroom = 900", got)
 	}
 	r.Release()
 	r2.Release()
 }
 
 // TestSetTenantCapLiveUpdate pins SetTenantCap: caps apply to the next
-// reservation, and bytes <= 0 removes the cap.
+// charge, even under a reservation already open, and bytes <= 0 removes
+// the cap.
 func TestSetTenantCapLiveUpdate(t *testing.T) {
-	g := NewGovernor(Config{BudgetBytes: 1000, PerQueryBytes: 100})
+	g := NewGovernor(Config{BudgetBytes: 1000})
 	g.SetTenantCap("t", 100)
-	if _, err := g.ReserveFor("t", 200); !errors.Is(err, errs.ErrMemoryPressure) {
-		t.Fatalf("capped reserve error = %v, want ErrMemoryPressure", err)
+	r := g.Reserve("t")
+	if err := r.Charge("agg-table", 0, 200); !errors.Is(err, errs.ErrMemoryPressure) {
+		t.Fatalf("capped charge error = %v, want ErrMemoryPressure", err)
 	}
 	g.SetTenantCap("t", 0) // uncap
-	r, err := g.ReserveFor("t", 200)
-	if err != nil {
-		t.Fatalf("uncapped reserve: %v", err)
+	if err := r.Charge("agg-table", 0, 200); err != nil {
+		t.Fatalf("uncapped charge: %v", err)
 	}
 	r.Release()
 	// Nil receiver and empty tenant are no-ops, not panics.
@@ -125,18 +116,11 @@ func TestSetTenantCapLiveUpdate(t *testing.T) {
 // TestKillOnOverageIgnoresTenantCaps pins the naive-mode contract: the
 // ungoverned engine has no governance at all, so tenant caps do not apply.
 func TestKillOnOverageIgnoresTenantCaps(t *testing.T) {
-	g := NewGovernor(Config{
-		BudgetBytes:   1000,
-		PerQueryBytes: 100,
-		KillOnOverage: true,
-	})
+	g := NewGovernor(Config{BudgetBytes: 1000, KillOnOverage: true})
 	g.SetTenantCap("noisy", 50)
-	r, err := g.ReserveFor("noisy", 400)
-	if err != nil {
-		t.Fatalf("naive mode must grant past the tenant cap: %v", err)
-	}
+	r := g.Reserve("noisy")
 	if err := r.Charge("join-build", 0, 300); err != nil {
-		t.Fatalf("naive charge under budget: %v", err)
+		t.Fatalf("naive mode must grant past the tenant cap: %v", err)
 	}
 	// The global budget still kills once usage passes it.
 	if err := r.Charge("join-build", 0, 800); !errors.Is(err, errs.ErrOOMKilled) {
@@ -145,15 +129,15 @@ func TestKillOnOverageIgnoresTenantCaps(t *testing.T) {
 	r.Release()
 }
 
-// TestReserveForUnlabelled pins that Reserve and ReserveFor("") are the same
-// path and carry no tenant dimension.
-func TestReserveForUnlabelled(t *testing.T) {
-	g := NewGovernor(Config{BudgetBytes: 1000, PerQueryBytes: 100})
-	r, err := g.Reserve(100)
-	if err != nil {
+// TestReserveUnlabelled pins that an untenanted reservation carries no
+// tenant dimension.
+func TestReserveUnlabelled(t *testing.T) {
+	g := NewGovernor(Config{BudgetBytes: 1000})
+	r := g.Reserve("")
+	defer r.Release()
+	if err := r.Charge("agg-table", 0, 100); err != nil {
 		t.Fatal(err)
 	}
-	defer r.Release()
 	if s := g.Stats(); s.TenantInUse != nil {
 		t.Fatalf("unlabelled reservation grew a tenant dimension: %v", s.TenantInUse)
 	}

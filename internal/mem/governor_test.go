@@ -11,9 +11,9 @@ import (
 
 func TestNilGovernorGrantsEverything(t *testing.T) {
 	var g *Governor
-	r, err := g.Reserve(1 << 40)
-	if err != nil || r != nil {
-		t.Fatalf("nil governor Reserve = %v, %v; want nil, nil", r, err)
+	r := g.Reserve("t")
+	if r != nil {
+		t.Fatalf("nil governor Reserve = %v; want nil", r)
 	}
 	if err := r.Charge("anywhere", 0, 1<<40); err != nil {
 		t.Fatalf("nil reservation Charge = %v", err)
@@ -29,41 +29,48 @@ func TestNilGovernorGrantsEverything(t *testing.T) {
 	}
 }
 
-func TestReserveDefaultsAndAdmissionDenial(t *testing.T) {
+// TestReserveHoldsOnlyCharges pins that a reservation holds no bytes until
+// an operator charges them: any number of queries open one on a full-size
+// budget, and the budget is enforced on the charge that would pass it.
+func TestReserveHoldsOnlyCharges(t *testing.T) {
 	g := NewGovernor(Config{BudgetBytes: 1000})
-	// The default reservation is BudgetBytes/4 = 250: exactly four fit.
 	var resvs []*Reservation
-	for i := 0; i < 4; i++ {
-		r, err := g.Reserve(0)
-		if err != nil {
-			t.Fatalf("reservation %d: %v", i, err)
+	for i := 0; i < 8; i++ {
+		resvs = append(resvs, g.Reserve(""))
+	}
+	if s := g.Stats(); s.InUseBytes != 0 || s.Reservations != 8 {
+		t.Fatalf("open reservations hold bytes: %+v", s)
+	}
+	for i, r := range resvs[:4] {
+		if err := r.Charge("site", 0, 250); err != nil {
+			t.Fatalf("charge %d: %v", i, err)
 		}
-		resvs = append(resvs, r)
 	}
-	if _, err := g.Reserve(0); !errors.Is(err, errs.ErrMemoryPressure) {
-		t.Fatalf("5th reservation err = %v, want ErrMemoryPressure", err)
+	if err := resvs[4].Charge("site", 0, 1); !errors.Is(err, errs.ErrMemoryPressure) {
+		t.Fatalf("charge past the budget err = %v, want ErrMemoryPressure", err)
 	}
-	s := g.Stats()
-	if s.InUseBytes != 1000 || s.Reservations != 4 || s.AdmissionDenied != 1 {
+	if s := g.Stats(); s.InUseBytes != 1000 || s.Denied != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 	resvs[0].Release()
-	if r, err := g.Reserve(0); err != nil || r == nil {
-		t.Fatalf("reserve after release = %v, %v", r, err)
+	if err := resvs[4].Charge("site", 0, 250); err != nil {
+		t.Fatalf("charge after release: %v", err)
+	}
+	for _, r := range resvs {
+		r.Release()
+	}
+	if s := g.Stats(); s.InUseBytes != 0 || s.Reservations != 0 {
+		t.Fatalf("after release: %+v", s)
 	}
 }
 
 func TestChargeGrowsGrantAndDenies(t *testing.T) {
-	g := NewGovernor(Config{BudgetBytes: 1000, PerQueryBytes: 100})
-	r, err := g.Reserve(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Within the grant: no governor growth.
+	g := NewGovernor(Config{BudgetBytes: 1000})
+	r := g.Reserve("")
 	if err := r.Charge("site", 0, 100); err != nil {
 		t.Fatal(err)
 	}
-	// Beyond the grant: grows against the governor.
+	// Beyond the high-water mark: grows against the governor.
 	if err := r.Charge("site", 0, 400); err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +87,14 @@ func TestChargeGrowsGrantAndDenies(t *testing.T) {
 	if g.Stats().Denied != 1 {
 		t.Fatalf("Denied = %d, want 1", g.Stats().Denied)
 	}
-	// Uncharge frees reservation headroom but keeps the grant.
+	// Uncharge frees reservation headroom but keeps the held bytes.
 	r.Uncharge(500)
 	if r.used != 0 || g.Stats().InUseBytes != 500 {
 		t.Fatalf("after uncharge: used=%d inUse=%d", r.used, g.Stats().InUseBytes)
+	}
+	// Within the high-water mark: no governor growth.
+	if err := r.Charge("site", 0, 300); err != nil || g.Stats().InUseBytes != 500 {
+		t.Fatalf("recharge under peak: err=%v inUse=%d", err, g.Stats().InUseBytes)
 	}
 	if r.PeakBytes() != 500 {
 		t.Fatalf("peak = %d, want 500", r.PeakBytes())
@@ -101,17 +112,12 @@ func TestChargeGrowsGrantAndDenies(t *testing.T) {
 
 func TestKillOnOverageGrantsThenKills(t *testing.T) {
 	g := NewGovernor(Config{BudgetBytes: 1000, KillOnOverage: true})
-	// Naive mode admits everything, even over budget.
-	r, err := g.Reserve(900)
-	if err != nil {
+	r, r2 := g.Reserve(""), g.Reserve("")
+	if err := r.Charge("big-table", 0, 900); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := g.Reserve(900)
-	if err != nil {
-		t.Fatalf("naive admission refused: %v", err)
-	}
-	// The grant already oversubscribes; the next growing charge dies.
-	err = r2.Charge("big-table", 0, 950)
+	// The next charge past the budget dies.
+	err := r2.Charge("big-table", 0, 950)
 	if !errors.Is(err, errs.ErrOOMKilled) {
 		t.Fatalf("overage charge err = %v, want ErrOOMKilled", err)
 	}
@@ -122,28 +128,44 @@ func TestKillOnOverageGrantsThenKills(t *testing.T) {
 	if s.OOMKills != 1 {
 		t.Fatalf("OOMKills = %d, want 1", s.OOMKills)
 	}
-	if s.InUseBytes <= s.BudgetBytes {
-		t.Fatalf("naive usage should exceed budget: %+v", s)
+	if s.PeakBytes != 1850 || s.InUseBytes != 900 {
+		t.Fatalf("naive peak should show the overage, usage only what survived: %+v", s)
 	}
 	r.Release()
 	r2.Release()
 }
 
+// TestKilledChargeHoldsNothing pins that a naive-mode kill leaks nothing:
+// the bytes of the charge that killed the query were never held, so once
+// its reservation is released the governor is back to zero.
+func TestKilledChargeHoldsNothing(t *testing.T) {
+	g := NewGovernor(Config{BudgetBytes: 100, KillOnOverage: true})
+	g.SetTenantCap("t", 10) // naive mode ignores caps
+	r := g.Reserve("t")
+	if err := r.Charge("agg-table", 0, 150); !errors.Is(err, errs.ErrOOMKilled) {
+		t.Fatalf("charge err = %v, want ErrOOMKilled", err)
+	}
+	r.Release()
+	if s := g.Stats(); s.InUseBytes != 0 || s.Reservations != 0 || s.TenantInUse != nil || s.PeakBytes != 150 {
+		t.Fatalf("after a killed charge and release: %+v", s)
+	}
+}
+
 func TestAvailableTracksBudgetHeadroom(t *testing.T) {
-	g := NewGovernor(Config{BudgetBytes: 1000, PerQueryBytes: 400})
-	r, _ := g.Reserve(0)
-	if a := r.Available(); a != 1000 { // 400 unused grant + 600 free
+	g := NewGovernor(Config{BudgetBytes: 1000})
+	r := g.Reserve("")
+	if a := r.Available(); a != 1000 { // the whole budget is free
 		t.Fatalf("Available = %d, want 1000", a)
 	}
-	if err := r.Charge("site", 0, 300); err != nil {
+	if err := r.Charge("site", 0, 400); err != nil {
 		t.Fatal(err)
 	}
-	if a := r.Available(); a != 700 { // 100 unused + 600 free
+	r.Uncharge(100)
+	if a := r.Available(); a != 700 { // 100 held but uncharged + 600 free
 		t.Fatalf("Available = %d, want 700", a)
 	}
 	// Unlimited governor: effectively unbounded.
-	gu := NewGovernor(Config{})
-	ru, _ := gu.Reserve(0)
+	ru := NewGovernor(Config{}).Reserve("")
 	if a := ru.Available(); a < 1<<61 {
 		t.Fatalf("unlimited Available = %d", a)
 	}
@@ -151,11 +173,7 @@ func TestAvailableTracksBudgetHeadroom(t *testing.T) {
 
 func TestAllocFaultInjectionDeniesWithoutAccounting(t *testing.T) {
 	inj := fault.New(fault.Config{Seed: 1, AllocFailSites: map[string]float64{"join-build": 1}})
-	g := NewGovernor(Config{BudgetBytes: 1 << 20, Faults: inj})
-	r, err := g.Reserve(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewGovernor(Config{BudgetBytes: 1 << 20, Faults: inj}).Reserve("")
 	if err := r.Charge("join-build", 3, 100); !errors.Is(err, errs.ErrMemoryPressure) {
 		t.Fatalf("injected charge err = %v, want ErrMemoryPressure", err)
 	}
@@ -173,17 +191,13 @@ func TestAllocFaultInjectionDeniesWithoutAccounting(t *testing.T) {
 }
 
 func TestGovernorConcurrentChargesBalance(t *testing.T) {
-	g := NewGovernor(Config{BudgetBytes: 1 << 30, PerQueryBytes: 1 << 10})
+	g := NewGovernor(Config{BudgetBytes: 1 << 30})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := g.Reserve(0)
-			if err != nil {
-				t.Error(err)
-				return
-			}
+			r := g.Reserve("")
 			for j := 0; j < 1000; j++ {
 				if err := r.Charge("chaos", 0, 4096); err != nil {
 					t.Error(err)

@@ -336,10 +336,7 @@ func TestDeniedAllocReRunsMorsel(t *testing.T) {
 			errs.ErrOOMKilled, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			resv, err := mem.NewGovernor(tc.mc).Reserve(1 << 9)
-			if err != nil {
-				t.Fatal(err)
-			}
+			resv := mem.NewGovernor(tc.mc).Reserve("")
 			defer resv.Release()
 			s, err := New(hw.Server2S(), Options{Workers: 2, Mem: resv})
 			if err != nil {

@@ -168,10 +168,7 @@ func TestInterferenceSlowsRun(t *testing.T) {
 
 func TestWorkerAccessors(t *testing.T) {
 	m := hw.Laptop()
-	resv, err := mem.NewGovernor(mem.Config{BudgetBytes: 1 << 20}).Reserve(1 << 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resv := mem.NewGovernor(mem.Config{BudgetBytes: 1 << 20}).Reserve("")
 	s, _ := New(m, Options{Workers: 2, Mem: resv})
 	var sawTotal, sawMem bool
 	tasks := []Task{{Socket: -1, Run: func(w *Worker) {

@@ -25,55 +25,88 @@ func groupReq(rows int, groups int64) (Request, map[int64]int64) {
 		agg.Serial(keys, vals)
 }
 
-// TestMemoryAdmissionShed holds one reservation-bearing request in flight and
-// proves the next one is shed at admission with ErrMemoryPressure, then flows
-// again once the first completes and releases.
+// TestMemoryAdmissionShed pins that admission holds no memory: group-sums
+// queued behind one that holds the cores are not shed for budget they have
+// not charged, and each returns its exact groups once the first completes.
+// Four of them outnumber what an up-front budget/4 reservation per request
+// could admit beside the held one.
 func TestMemoryAdmissionShed(t *testing.T) {
 	s := newServer(t, Options{
-		Workers: 4, OpWorkers: 2, QueueDepth: 8,
-		Memory: mem.Config{BudgetBytes: 1000, PerQueryBytes: 600},
+		Workers: 2, OpWorkers: 2, QueueDepth: 8,
+		Memory: mem.Config{BudgetBytes: 1000},
 	})
 	hold := make(chan struct{})
 	s.testHold = hold
 
 	req, want := groupReq(64, 8)
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.Submit(context.Background(), req)
-		done <- err
-	}()
-	// The first request's reservation is taken synchronously in Submit;
-	// wait until the governor shows it.
-	for i := 0; s.gov.Stats().Reservations != 1; i++ {
-		if i > 500 {
-			t.Fatal("first reservation never appeared")
-		}
-		time.Sleep(time.Millisecond)
+	type result struct {
+		resp Response
+		err  error
 	}
-	// 600 of 1000 bytes are held: a second 600-byte reservation must shed.
-	if _, err := s.Submit(context.Background(), req); !errors.Is(err, errs.ErrMemoryPressure) {
-		t.Fatalf("second submit err = %v, want ErrMemoryPressure", err)
+	results := make(chan result, 5)
+	submit := func() {
+		resp, err := s.Submit(context.Background(), req)
+		results <- result{resp, err}
+	}
+	go submit()
+	waitFor(t, func() bool { return s.coresFree.Value() == 0 }, "first group-sum never took the cores")
+	for i := 0; i < 4; i++ {
+		go submit()
+	}
+	admitted := s.reg.Counter("serve.admitted")
+	for admitted.Value() != 5 {
+		select {
+		case r := <-results:
+			t.Fatalf("group-sum behind the held one answered before it ran: %v", r.err)
+		case <-time.After(time.Millisecond):
+		}
 	}
 	close(hold)
-	if err := <-done; err != nil {
-		t.Fatalf("held request failed: %v", err)
-	}
-	// Budget released: the same request is admitted again.
-	resp, err := s.Submit(context.Background(), req)
-	if err != nil {
-		t.Fatalf("post-release submit: %v", err)
-	}
-	for k, w := range want {
-		if resp.Groups[k] != w {
-			t.Fatalf("group %d = %d, want %d", k, resp.Groups[k], w)
+	for i := 0; i < 5; i++ {
+		r := <-results
+		if r.err != nil {
+			t.Fatalf("group-sum %d: %v", i, r.err)
+		}
+		for k, w := range want {
+			if r.resp.Groups[k] != w {
+				t.Fatalf("group %d = %d, want %d", k, r.resp.Groups[k], w)
+			}
 		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	h := s.Health()
-	if h.MemShed != 1 || h.Memory.AdmissionDenied != 1 {
+	if h.MemShed != 0 || h.Completed != 5 {
 		t.Fatalf("shed accounting: %+v", h)
+	}
+	if h.Memory.InUseBytes != 0 || h.Memory.Reservations != 0 {
+		t.Fatalf("budget leaked: %+v", h.Memory)
+	}
+}
+
+// TestUnspillableGroupSumCountsAsMemShed gives a group-sum a budget that no
+// spill fan-out of its table fits (mem.SpillFanout returns 0): the request
+// fails with ErrMemoryPressure, and Health counts it as MemShed, not Failed.
+func TestUnspillableGroupSumCountsAsMemShed(t *testing.T) {
+	const budget = 64
+	s := newServer(t, Options{
+		Workers: 2, OpWorkers: 2, QueueDepth: 8,
+		Memory: mem.Config{BudgetBytes: budget},
+	})
+	req, want := groupReq(8192, 4096)
+	if k := mem.SpillFanout(int64(len(want))*34, budget, 2); k != 0 {
+		t.Fatalf("SpillFanout = %d, want 0: the table must not fit even spilled", k)
+	}
+	if _, err := s.Submit(context.Background(), req); !errors.Is(err, errs.ErrMemoryPressure) {
+		t.Fatalf("unspillable group-sum err = %v, want ErrMemoryPressure", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Health()
+	if h.MemShed != 1 || h.Failed != 0 {
+		t.Fatalf("MemShed = %d, Failed = %d; want 1, 0", h.MemShed, h.Failed)
 	}
 	if h.Memory.InUseBytes != 0 || h.Memory.Reservations != 0 {
 		t.Fatalf("budget leaked: %+v", h.Memory)

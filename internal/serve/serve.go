@@ -37,11 +37,11 @@
 // routed around by the shard tier's per-node breaker (internal/shard).
 //
 // With Options.Memory armed the server also governs memory (see
-// internal/mem): join/aggregate requests win a reservation at admission or
-// are shed with ErrMemoryPressure, operators charge hash-table state against
-// the reservation and degrade to a grace-hash spill plan when a charge is
-// denied, and settle() accounts spill and peak-footprint accounting before
-// releasing the reservation.
+// internal/mem): a join/aggregate request opens a reservation once it holds
+// cores, its operators charge hash-table state against it and degrade to a
+// grace-hash spill plan when a charge is denied, and runOne records spill
+// and peak footprint before releasing it. A request no spill plan fits
+// fails with ErrMemoryPressure, counted as serve.mem_shed.
 //
 // With Options.Store armed the server is durable (see internal/store):
 // registered tables are staged into the segment store, Checkpoint writes an
@@ -250,15 +250,14 @@ type Options struct {
 	// schedules without any of them.
 	Faults *fault.Injector
 
-	// Memory arms the memory governor: admission reserves
-	// Memory.PerQueryBytes for every join/aggregate request against the
-	// server-wide Memory.BudgetBytes, operators charge their hash-table
-	// state against the reservation and degrade to the spill tier when it
-	// cannot grow, and requests that cannot reserve at all are shed with
-	// ErrMemoryPressure. The zero value disables governance. When
-	// Memory.Faults is nil the server's own Faults injector drives
-	// allocation-failure injection, so one seed replays compute and memory
-	// chaos together.
+	// Memory arms the memory governor: a join or aggregate opens a
+	// reservation when it starts to run, its operators charge their
+	// hash-table state against the server-wide Memory.BudgetBytes and
+	// degrade to the spill tier when a charge is denied, and a request whose
+	// operator cannot run even spilled fails with ErrMemoryPressure. The
+	// zero value disables governance. When Memory.Faults is nil the server's
+	// own Faults injector drives allocation-failure injection, so one seed
+	// replays compute and memory chaos together.
 	Memory mem.Config
 
 	// Trace arms query-lifecycle tracing: sampled requests record a span
@@ -352,11 +351,6 @@ type pending struct {
 	out    outcome       // written by settle, read by Submit after done
 	done   chan struct{} // capacity 1: the executor's one send never blocks
 
-	// resv is the request's memory reservation (nil when ungoverned or for
-	// scans, which carry no operator table state). Released in settle — the
-	// single point every admitted request converges on.
-	resv *mem.Reservation
-
 	span      *trace.Span
 	queueSpan *trace.Span
 	batchSpan *trace.Span
@@ -371,7 +365,7 @@ var pendings = sync.Pool{New: func() any { return &pending{done: make(chan struc
 
 // release returns p, whose done is empty, to the pool. It is zeroed first
 // but for done, so the pool pins no Request (no inline join or group-sum
-// columns), reservation, context or span.
+// columns), context or span.
 func (p *pending) release() {
 	*p = pending{done: p.done}
 	pendings.Put(p)
@@ -550,27 +544,18 @@ func (s *Server) WaitRecovered(context.Context) error { return nil }
 // checkpoint holds (each segment's staging buffer, at most 64 KiB) are
 // charged against the server's byte budget under the "_checkpoint" tenant:
 // a budget too full to grant them fails the checkpoint with
-// ErrMemoryPressure rather than blowing the budget, and the interval loop
-// simply tries again next tick. Checkpoints are single-flight; a concurrent
-// call blocks on the store's checkpoint lock.
+// ErrMemoryPressure rather than blowing the budget, counted as
+// serve.checkpoint_mem_shed, and the interval loop simply tries again next
+// tick. Checkpoints are single-flight; a concurrent call blocks on the
+// store's checkpoint lock.
 func (s *Server) Checkpoint(ctx context.Context) (store.CheckpointStats, error) {
 	if s.st == nil {
 		return store.CheckpointStats{}, fmt.Errorf("serve: checkpoint without a store: %w", errs.ErrInvalidInput)
 	}
-	var resv *mem.Reservation
-	if s.gov != nil {
-		var err error
-		resv, err = s.gov.ReserveFor("_checkpoint", 0)
-		if err != nil {
-			s.reg.Counter("serve.checkpoint_mem_shed").Inc()
-			return store.CheckpointStats{}, fmt.Errorf("serve: checkpoint shed at admission: %w", err)
-		}
-		defer resv.Release()
-	}
+	resv := s.gov.Reserve("_checkpoint")
+	defer resv.Release()
 	st, err := s.st.Checkpoint(ctx, resv)
 	if err != nil {
-		// The denial can come from the per-segment encode charge, not just
-		// admission: count it under the same shed metric either way.
 		if errors.Is(err, errs.ErrMemoryPressure) {
 			s.reg.Counter("serve.checkpoint_mem_shed").Inc()
 		}
@@ -748,25 +733,8 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 		s.reg.Counter("serve.invalid").Inc()
 		return Response{}, err
 	}
-	// Memory admission: a join/aggregate request must win its reservation
-	// before it may queue — admission considers memory, not just queue
-	// depth. A budget too full to grant one sheds the request with
-	// ErrMemoryPressure (retryable: pressure subsides as running queries
-	// release). Scans reserve nothing: their state is streaming, not a
-	// table. Q1/Q6 run single-threaded engines with no governed state.
-	// Tenant-labelled requests reserve against their tenant's cap as well as
-	// the global budget, so one tenant cannot drain the whole pool.
-	var resv *mem.Reservation
-	if s.gov != nil && (req.Op == OpJoin || req.Op == OpGroupSum) {
-		var err error
-		resv, err = s.gov.ReserveFor(req.Tenant, 0)
-		if err != nil {
-			s.reg.Counter("serve.mem_shed").Inc()
-			return Response{}, fmt.Errorf("serve: %s shed at admission: %w", req.Op, err)
-		}
-	}
 	p := pendings.Get().(*pending)
-	p.ctx, p.req, p.enq, p.resv = ctx, req, time.Now(), resv
+	p.ctx, p.req, p.enq = ctx, req, time.Now()
 	req.Lease.Acquire() // the executor's reference, released in settle
 	// The trace (if this request is sampled) must be rooted before the
 	// request enters the intake queue: the dispatcher reads the spans
@@ -792,7 +760,6 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		p.resv.Release()
 		req.Lease.Release()
 		p.span.SetAttr("status", "closed")
 		p.queueSpan.End()
@@ -807,7 +774,6 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 		s.reg.Gauge("serve.queue_depth").Set(int64(len(s.intake) + len(s.intakeLo)))
 	default:
 		s.mu.RUnlock()
-		p.resv.Release()
 		req.Lease.Release()
 		s.reg.Counter("serve.rejected").Inc()
 		p.span.SetAttr("status", "rejected")
@@ -1182,6 +1148,10 @@ func (s *Server) runBatch(b *batch) {
 // runOne executes one non-batchable request on its reserved cores, returned
 // (like runBatch's) before it answers. batchClass records which class the cores
 // were acquired under, so the release keeps the batch hold accounting straight.
+// A join or aggregate opens its memory reservation here, once it holds cores:
+// a request waiting in the queue holds no budget. Scans reserve nothing (their
+// state is streaming, not a table), and Q1/Q6 run single-threaded engines with
+// no governed state.
 func (s *Server) runOne(p *pending, workers int, batchClass bool) {
 	defer s.wg.Done()
 	defer func() {
@@ -1195,12 +1165,28 @@ func (s *Server) runOne(p *pending, workers int, batchClass bool) {
 		s.settle(p, Response{}, fmt.Errorf("serve: dropped before execution: %w", err))
 		return
 	}
+	var resv *mem.Reservation
+	if p.req.Op == OpJoin || p.req.Op == OpGroupSum {
+		resv = s.gov.Reserve(p.req.Tenant)
+	}
 	exec := p.span.Child("execute")
-	resp, err := s.execute(trace.NewContext(p.ctx, exec), p.req, workers, p.resv)
+	resp, err := s.execute(trace.NewContext(p.ctx, exec), p.req, workers, resv)
 	exec.AddCycles(resp.SimCycles)
 	exec.End()
 	if err == nil {
 		s.reg.Histogram("serve.cycles_per_query").Record(resp.SimCycles)
+	}
+	if resv != nil {
+		if spills, spillB := resv.Spills(); spills > 0 {
+			s.reg.Counter("serve.spills").Add(spills)
+			s.reg.Counter("serve.spill_bytes").Add(spillB)
+			p.span.SetAttr("spilled", "true")
+		}
+		p.span.AddBytes(resv.PeakBytes())
+		resv.Release()
+		gs := s.gov.Stats()
+		s.reg.Gauge("serve.mem_in_use").Set(gs.InUseBytes)
+		s.reg.Gauge("serve.mem_reservations").Set(int64(gs.Reservations))
 	}
 	s.settle(p, resp, err)
 }
@@ -1269,9 +1255,9 @@ func (s *Server) finish(p *pending, resp Response, err error) {
 
 // settle accounts the outcome and leaves it in p.out, for Submit to read once
 // the executor, its cores back, has sent on done: context-terminated requests
-// count as deadline-exceeded, successful ones record latency, the rest count
-// as failed. Every admitted request ends here, so it also settles the memory
-// reservation (spill and peak, then release) and its lease reference.
+// count as deadline-exceeded, successful ones record latency, memory-pressure
+// denials count as serve.mem_shed, the rest count as failed. Every admitted
+// request ends here, so it also drops its lease reference.
 func (s *Server) settle(p *pending, resp Response, err error) {
 	switch {
 	case err == nil:
@@ -1281,24 +1267,15 @@ func (s *Server) settle(p *pending, resp Response, err error) {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		s.reg.Counter("serve.deadline_exceeded").Inc()
 		p.span.SetAttr("status", "deadline")
+	case errors.Is(err, errs.ErrMemoryPressure):
+		s.reg.Counter("serve.mem_shed").Inc()
+		p.span.SetAttr("status", "mem_shed")
 	default:
 		s.reg.Counter("serve.failed").Inc()
 		p.span.SetAttr("status", "failed")
 		if errors.Is(err, errs.ErrOOMKilled) {
 			s.reg.Counter("serve.oom_killed").Inc()
 		}
-	}
-	if p.resv != nil {
-		if spills, spillB := p.resv.Spills(); spills > 0 {
-			s.reg.Counter("serve.spills").Add(spills)
-			s.reg.Counter("serve.spill_bytes").Add(spillB)
-			p.span.SetAttr("spilled", "true")
-		}
-		p.span.AddBytes(p.resv.PeakBytes())
-		p.resv.Release()
-		gs := s.gov.Stats()
-		s.reg.Gauge("serve.mem_in_use").Set(gs.InUseBytes)
-		s.reg.Gauge("serve.mem_reservations").Set(int64(gs.Reservations))
 	}
 	// Close out the request's trace. queueSpan/batchSpan ends are idempotent
 	// no-ops on the normal path; they matter for requests dropped before
@@ -1329,9 +1306,10 @@ type Health struct {
 	Redispatched, PanicsRecovered int64
 	StragglersRetired, CoresLost  int64
 
-	// Memory-governance counters: requests shed at admission for lack of
-	// budget, operator spill decisions and simulated spill-tier bytes, and
-	// simulated OOM kills (KillOnOverage mode only).
+	// Memory-governance counters: requests answered ErrMemoryPressure (an
+	// operator that could not run even spilled, or an allocation fault that
+	// outlived its morsel's re-runs), operator spill decisions and simulated
+	// spill-tier bytes, and simulated OOM kills (KillOnOverage mode only).
 	MemShed, Spills, SpillBytes, OOMKilled int64
 
 	// Memory is the governor's snapshot (zero when governance is off).

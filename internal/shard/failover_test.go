@@ -484,16 +484,21 @@ func TestEmptyRecoveredNodeFailsOver(t *testing.T) {
 }
 
 // TestShedTripsNoBreaker: a node that sheds for want of memory is refusing
-// work, not failing. Each node's share of the cluster budget (1 KiB) is below
-// one group-sum's reservation (4 KiB), so every node sheds every group-sum at
-// admission: each request fails over across all three nodes and ends in
-// ErrMemoryPressure, and no node's breaker counts those sheds as failures.
+// work, not failing. Each node's share of the cluster budget (64 B) is below
+// what even the deepest spill fan-out of a 4,096-group table needs, so every
+// node answers every group-sum ErrMemoryPressure: each request fails over
+// across all three nodes and ends in ErrMemoryPressure, and no node's
+// breaker counts those sheds as failures.
 func TestShedTripsNoBreaker(t *testing.T) {
 	r := newRouter(t, Options{Shards: 3, Replicas: 2, hedgeDelay: time.Hour,
-		Shard: serve.Options{Memory: mem.Config{BudgetBytes: 3 << 10, PerQueryBytes: 4 << 10}}})
+		Shard: serve.Options{Memory: mem.Config{BudgetBytes: 3 * 64}}})
+	keys := make([]int64, 4096)
+	for i := range keys {
+		keys[i] = int64(i)
+	}
 	for i := 0; i < 4; i++ {
 		_, err := r.Submit(context.Background(), serve.Request{Op: serve.OpGroupSum, Strategy: agg.StrategyLocalMerge,
-			Keys: []int64{1, 2, 1}, Vals: []int64{10, 20, 30}})
+			Keys: keys, Vals: keys})
 		if !errors.Is(err, errs.ErrMemoryPressure) {
 			t.Fatalf("group-sum %d: %v, want ErrMemoryPressure", i, err)
 		}

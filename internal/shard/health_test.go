@@ -164,7 +164,6 @@ func TestRouterHealthSumsNodeMemory(t *testing.T) {
 		want.PeakBytes += m.PeakBytes
 		want.Reservations += m.Reservations
 		want.Denied += m.Denied
-		want.AdmissionDenied += m.AdmissionDenied
 		want.OOMKills += m.OOMKills
 		for k, v := range m.TenantCaps {
 			caps[k] += v

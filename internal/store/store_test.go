@@ -333,15 +333,11 @@ func TestCheckpointGovernedByReservation(t *testing.T) {
 	// A governor whose whole budget is smaller than the staging buffer a
 	// large segment streams through: the charge is denied, the checkpoint
 	// degrades instead of OOMing.
-	tight := mem.NewGovernor(mem.Config{BudgetBytes: 16 << 10, PerQueryBytes: 512})
-	res, err := tight.Reserve(512)
-	if err != nil {
-		t.Fatalf("Reserve: %v", err)
-	}
+	res := mem.NewGovernor(mem.Config{BudgetBytes: 16 << 10}).Reserve("")
 	defer res.Release()
 	s := mustOpen(t, Options{Dir: t.TempDir()})
 	s.Put(testTable("big", 50000, 1))
-	_, err = s.Checkpoint(context.Background(), res)
+	_, err := s.Checkpoint(context.Background(), res)
 	if !errors.Is(err, errs.ErrMemoryPressure) {
 		t.Fatalf("governed checkpoint err = %v, want ErrMemoryPressure", err)
 	}
@@ -349,11 +345,7 @@ func TestCheckpointGovernedByReservation(t *testing.T) {
 		t.Fatalf("version advanced to %d on failed checkpoint", s.Version())
 	}
 	// With a real budget the same checkpoint succeeds.
-	roomy := mem.NewGovernor(mem.Config{BudgetBytes: 16 << 20})
-	res2, err := roomy.Reserve(1 << 20)
-	if err != nil {
-		t.Fatalf("Reserve: %v", err)
-	}
+	res2 := mem.NewGovernor(mem.Config{BudgetBytes: 16 << 20}).Reserve("")
 	defer res2.Release()
 	if _, err := s.Checkpoint(context.Background(), res2); err != nil {
 		t.Fatalf("Checkpoint with budget: %v", err)
@@ -374,11 +366,7 @@ func TestCheckpointChargesSegmentImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gov := mem.NewGovernor(mem.Config{BudgetBytes: 32 << 10, PerQueryBytes: 512})
-	res, err := gov.Reserve(512)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mem.NewGovernor(mem.Config{BudgetBytes: 32 << 10}).Reserve("")
 	defer res.Release()
 	s := mustOpen(t, Options{Dir: t.TempDir()})
 	s.Put(tbl)

@@ -217,11 +217,7 @@ func TestStreamedSegmentFaultParity(t *testing.T) {
 // larger than the staging buffer: the checkpoint holds the buffer, not the
 // segment, so the reservation peaks at exactly segStage bytes.
 func TestCheckpointChargesStagingBuffer(t *testing.T) {
-	gov := mem.NewGovernor(mem.Config{BudgetBytes: 1 << 20, PerQueryBytes: 512})
-	res, err := gov.Reserve(512)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mem.NewGovernor(mem.Config{BudgetBytes: 1 << 20}).Reserve("")
 	defer res.Release()
 	s := mustOpen(t, Options{Dir: t.TempDir()})
 	s.Put(multiChunkTable(t))
