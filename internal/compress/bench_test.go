@@ -3,6 +3,8 @@ package compress
 import (
 	"math/rand"
 	"testing"
+
+	"hwstar/internal/mem"
 )
 
 // benchRows is the benchmark table's height (cmd/hwperf workloads.json).
@@ -31,6 +33,10 @@ func benchColumn(shape string, rows int) []int64 {
 
 var encodeSink *Compressed
 
+// BenchmarkEncode is Register's encode layer: one 1 M-row column of each
+// shape into fresh memory, and "/leased" into a lease released after each
+// encode, as Server.Register re-encodes a table whose prior version's last
+// reader has let go, so headers and payload come back from the pools.
 func BenchmarkEncode(b *testing.B) {
 	for _, shape := range []string{"clustered", "uniform", "runs"} {
 		col := benchColumn(shape, benchRows)
@@ -39,6 +45,15 @@ func BenchmarkEncode(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				encodeSink = Encode(col)
+			}
+		})
+		b.Run(shape+"/leased", func(b *testing.B) {
+			b.SetBytes(int64(len(col)) * 8)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l := mem.NewLease()
+				encodeSink = EncodeLeased(col, l)
+				l.Release()
 			}
 		})
 	}

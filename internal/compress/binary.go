@@ -28,7 +28,7 @@ const (
 
 // BinarySize returns the length of the column's binary form.
 func (c *Compressed) BinarySize() int {
-	return binPrefixBytes + len(c.blocks)*binBlockBytes + len(c.payload)*8
+	return binPrefixBytes + c.NumBlocks()*binBlockBytes + len(c.payload)*8
 }
 
 // WriteBinary writes the column's binary form to w through buf: it fills
@@ -38,16 +38,16 @@ func (c *Compressed) BinarySize() int {
 func (c *Compressed) WriteBinary(w io.Writer, buf []byte) error {
 	le := binary.LittleEndian
 	out := le.AppendUint64(buf[:0], uint64(c.n))
-	out = le.AppendUint64(out, uint64(len(c.blocks)))
+	out = le.AppendUint64(out, uint64(c.NumBlocks()))
 	out = le.AppendUint64(out, uint64(len(c.payload)))
-	for i := range c.blocks {
+	for i := range c.NumBlocks() {
 		if len(out)+binBlockBytes > cap(out) {
 			if _, err := w.Write(out); err != nil {
 				return err
 			}
 			out = out[:0]
 		}
-		b := &c.blocks[i]
+		b := c.block(i)
 		out = append(out, byte(b.kind), b.width)
 		out = le.AppendUint16(out, b.n)
 		out = le.AppendUint32(out, b.words)
@@ -92,22 +92,21 @@ func UnmarshalColumn(data []byte) (*Compressed, error) {
 	if nb != (n+BlockValues-1)/BlockValues || n > nb*BlockValues {
 		return nil, corrupt("%d blocks for %d values", nb, n)
 	}
-	c := &Compressed{n: int(n), blocks: make([]block, nb), payload: make([]uint64, pw)}
+	c := &Compressed{n: int(n), hdr: make([]uint64, nb*hdrWords), payload: make([]uint64, pw)}
 	hdrs, body := data[binPrefixBytes:binPrefixBytes+nb*binBlockBytes], data[binPrefixBytes+nb*binBlockBytes:]
 	for i := range c.payload {
 		c.payload[i] = le.Uint64(body[i*8:])
 	}
 	off := 0
-	for i := range c.blocks {
+	for i := range int(nb) {
 		h := hdrs[i*binBlockBytes:]
-		b := &c.blocks[i]
-		*b = block{
+		b := block{
 			kind: blockKind(h[0]), width: h[1], n: le.Uint16(h[2:]), words: le.Uint32(h[4:]),
 			minV: int64(le.Uint64(h[8:])), maxV: int64(le.Uint64(h[16:])), sum: int64(le.Uint64(h[24:])),
 			off: off,
 		}
 		want := BlockValues
-		if i == len(c.blocks)-1 {
+		if i == int(nb)-1 {
 			want = c.n - i*BlockValues
 		}
 		if int(b.n) != want {
@@ -122,6 +121,7 @@ func UnmarshalColumn(data []byte) (*Compressed, error) {
 		if err := c.checkPayload(i, b); err != nil {
 			return nil, err
 		}
+		c.setBlock(i, b)
 		off += int(b.words)
 	}
 	if off != len(c.payload) {
@@ -132,7 +132,7 @@ func UnmarshalColumn(data []byte) (*Compressed, error) {
 
 // checkPayload validates block i's encoding-specific fields against its
 // payload, which is already in place.
-func (c *Compressed) checkPayload(i int, b *block) error {
+func (c *Compressed) checkPayload(i int, b block) error {
 	switch b.kind {
 	case kindFOR:
 		if b.width != uint8(bits.Len64(uint64(b.maxV-b.minV))) {

@@ -147,9 +147,9 @@ func TestBinaryFormProperty(t *testing.T) {
 				t.Fatalf("%s: %d blocks, reference %d", sh.name, c.NumBlocks(), len(ref))
 			}
 			for i, rb := range ref {
-				b := &c.blocks[i]
+				b := c.block(i)
 				if b.kind != rb.kind || int(b.n) != rb.n || b.minV != rb.minV || b.maxV != rb.maxV || b.width != rb.width {
-					t.Fatalf("%s block %d: header %+v, reference %+v", sh.name, i, *b, rb)
+					t.Fatalf("%s block %d: header %+v, reference %+v", sh.name, i, b, rb)
 				}
 				if !slices.Equal(c.words(b), rb.payload) {
 					t.Fatalf("%s block %d (kind %d width %d): payload differs from reference", sh.name, i, b.kind, b.width)
@@ -203,7 +203,7 @@ func TestUnmarshalColumnRejects(t *testing.T) {
 		}
 	}
 	good := Encode(vals).AppendBinary(nil)
-	if c, err := UnmarshalColumn(good); err != nil || c.blocks[0].kind != kindRLE || c.blocks[1].kind != kindFOR {
+	if c, err := UnmarshalColumn(good); err != nil || c.block(0).kind != kindRLE || c.block(1).kind != kindFOR {
 		t.Fatalf("fixture: err %v, want an RLE block then a FOR block", err)
 	}
 	le := binary.LittleEndian

@@ -1,42 +1,54 @@
 // Block-level access to a compressed column: the zone-map classifier, the
-// header sum and the block decode. A scan over FOR/RLE blocks is these three
-// calls composed with vecexec's filter and gather (vecexec.RangeFilterCompressed
-// and the server's scan pass): a miss costs the header, a full match sums
-// from it, and only a straddling block decodes.
+// header sum, the block decode and an RLE block's run list. A scan over
+// FOR/RLE blocks is these calls composed with vecexec's filter and gather
+// (vecexec.RangeFilterCompressed and the server's scan pass): a miss costs
+// the header, a full match sums from it, and only a straddling block
+// decodes.
 
 package compress
 
 // NumBlocks returns the number of encoded blocks.
-func (c *Compressed) NumBlocks() int { return len(c.blocks) }
+func (c *Compressed) NumBlocks() int { return len(c.hdr) / hdrWords }
 
 // BlockStart returns the row offset of block i within the column.
 func (c *Compressed) BlockStart(i int) int { return i * BlockValues }
 
 // BlockLen returns the number of values in block i (BlockValues except for
 // a short final block).
-func (c *Compressed) BlockLen(i int) int { return int(c.blocks[i].n) }
+func (c *Compressed) BlockLen(i int) int { return int(c.block(i).n) }
 
 // BlockBytes returns the encoded footprint of block i, header included —
 // the memory traffic a scan of the block costs under the hw model.
 func (c *Compressed) BlockBytes(i int) int64 {
-	return BlockHeaderBytes + int64(c.blocks[i].words)*8
+	return BlockHeaderBytes + int64(c.block(i).words)*8
 }
 
 // BlockRange returns the exact min and max value in block i — the zone map
 // stored at encode time. Match is the predicate test over it.
 func (c *Compressed) BlockRange(i int) (minV, maxV int64) {
-	b := &c.blocks[i]
-	return b.minV, b.maxV
+	h := c.head(i)
+	return int64(h[hMin]), int64(h[hMax])
 }
 
 // BlockSum returns the wrapping sum of block i's values, stored at encode
 // time: a zone-map full match aggregates the block without its payload.
-func (c *Compressed) BlockSum(i int) int64 { return c.blocks[i].sum }
+func (c *Compressed) BlockSum(i int) int64 { return int64(c.head(i)[hSum]) }
 
 // DecodeBlock expands block i into buf (len(buf) >= BlockLen(i)) and
 // returns the decoded values.
 func (c *Compressed) DecodeBlock(i int, buf []int64) []int64 {
-	return c.decodeBlock(&c.blocks[i], buf)
+	return c.decodeBlock(c.block(i), buf)
+}
+
+// Runs returns block i's run list, alternating value and run-length words,
+// when the block is run-length encoded, and nil otherwise: a filter can
+// test each run once instead of each value. The words are the column's own
+// and must not be written.
+func (c *Compressed) Runs(i int) []uint64 {
+	if b := c.block(i); b.kind == kindRLE {
+		return c.words(b)
+	}
+	return nil
 }
 
 // BlockMatch is how a block's zone map relates to a range predicate.
@@ -51,8 +63,8 @@ const (
 // Match classifies block i against [lo, hi] by its exact zone map: MatchRange
 // over the block's stored min and max.
 func (c *Compressed) Match(i int, lo, hi int64) BlockMatch {
-	b := &c.blocks[i]
-	return MatchRange(b.minV, b.maxV, lo, hi)
+	h := c.head(i)
+	return MatchRange(int64(h[hMin]), int64(h[hMax]), lo, hi)
 }
 
 // MatchRange is the one zone-map rule: how values spanning exactly

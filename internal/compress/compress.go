@@ -31,7 +31,8 @@ const (
 const BlockHeaderBytes = 16
 
 // block is the header of one encoded block of up to BlockValues values; its
-// payload is Compressed.payload[off : off+words].
+// payload is Compressed.payload[off : off+words]. A column stores it as
+// hdrWords words (see Compressed.block).
 type block struct {
 	// Zone map: the exact min/max of the block's values, stored at encode
 	// time so range predicates can prune (or accept) whole blocks without
@@ -50,13 +51,48 @@ type block struct {
 	width uint8 // FOR bit width; 0 for RLE
 }
 
+// A block header is hdrWords words of Compressed.hdr: min, max, sum, the
+// payload offset, and one word packing words (bits 0-31), n (32-47), width
+// (48-55) and kind (56-63). Plain words let a leased column take its
+// headers from the same pool as its payload.
+const (
+	hMin = iota
+	hMax
+	hSum
+	hOff
+	hMeta
+	hdrWords
+)
+
 // Compressed is an encoded int64 column: one header per block and one
 // payload slab they all index into. It is immutable once built, so any
 // number of tables, replicas and in-flight scans may share it.
 type Compressed struct {
-	blocks  []block
+	hdr     []uint64 // hdrWords per block
 	payload []uint64
 	n       int
+}
+
+// head returns block i's header words.
+func (c *Compressed) head(i int) []uint64 {
+	return c.hdr[i*hdrWords : (i+1)*hdrWords : (i+1)*hdrWords]
+}
+
+// block returns block i's header.
+func (c *Compressed) block(i int) block {
+	h := c.head(i)
+	m := h[hMeta]
+	return block{
+		minV: int64(h[hMin]), maxV: int64(h[hMax]), sum: int64(h[hSum]), off: int(h[hOff]),
+		words: uint32(m), n: uint16(m >> 32), width: uint8(m >> 48), kind: blockKind(m >> 56),
+	}
+}
+
+// setBlock writes b as block i's header, every word of it.
+func (c *Compressed) setBlock(i int, b block) {
+	h := c.head(i)
+	h[hMin], h[hMax], h[hSum], h[hOff] = uint64(b.minV), uint64(b.maxV), uint64(b.sum), uint64(b.off)
+	h[hMeta] = uint64(b.words) | uint64(b.n)<<32 | uint64(b.width)<<48 | uint64(b.kind)<<56
 }
 
 // Encode compresses values, choosing FOR or RLE per block, whichever is
@@ -65,22 +101,23 @@ type Compressed struct {
 // encoding straight into a payload slab allocated once at its final size.
 func Encode(values []int64) *Compressed { return EncodeLeased(values, nil) }
 
-// EncodeLeased is Encode with the payload slab taken from l, so it lives
-// until l's last Release. A recycled slab needs no clearing: the packers
-// write every payload word.
+// EncodeLeased is Encode with the block headers and the payload slab taken
+// from l, so both live until l's last Release. Recycled words need no
+// clearing: setBlock writes every header word and the packers every payload
+// word.
 func EncodeLeased(values []int64, l *mem.Lease) *Compressed {
-	c := &Compressed{n: len(values), blocks: make([]block, (len(values)+BlockValues-1)/BlockValues)}
+	nb := (len(values) + BlockValues - 1) / BlockValues
+	c := &Compressed{n: len(values), hdr: l.Words(nb * hdrWords)}
 	total := 0
-	for i := range c.blocks {
-		b := &c.blocks[i]
-		*b = measureBlock(blockOf(values, i))
+	for i := range nb {
+		b := measureBlock(blockOf(values, i))
 		b.off = total
 		total += int(b.words)
+		c.setBlock(i, b)
 	}
 	c.payload = l.Words(total)
-	for i := range c.blocks {
-		b := &c.blocks[i]
-		switch {
+	for i := range nb {
+		switch b := c.block(i); {
 		case b.kind == kindRLE:
 			packRLE(c.words(b), blockOf(values, i))
 		case b.width > 0:
@@ -174,7 +211,7 @@ func (c *Compressed) Len() int { return c.n }
 // Bytes returns the compressed footprint: a modelled header per block plus
 // the payload.
 func (c *Compressed) Bytes() int64 {
-	return int64(len(c.blocks))*BlockHeaderBytes + int64(len(c.payload))*8
+	return int64(c.NumBlocks())*BlockHeaderBytes + int64(len(c.payload))*8
 }
 
 // RawBytes returns the uncompressed footprint.
@@ -201,12 +238,12 @@ func (c *Compressed) ValueAt(i int) table.Value {
 }
 
 // words returns the payload of block b.
-func (c *Compressed) words(b *block) []uint64 {
+func (c *Compressed) words(b block) []uint64 {
 	return c.payload[b.off : b.off+int(b.words)]
 }
 
 // decodeBlock expands block b into buf (len >= b.n) and returns the values.
-func (c *Compressed) decodeBlock(b *block, buf []int64) []int64 {
+func (c *Compressed) decodeBlock(b block, buf []int64) []int64 {
 	out := buf[:b.n]
 	words := c.words(b)
 	switch b.kind {
@@ -235,11 +272,11 @@ func (c *Compressed) decodeBlock(b *block, buf []int64) []int64 {
 	case kindRLE:
 		pos := 0
 		for r := 0; r < len(words); r += 2 {
-			v, runLen := int64(words[r]), int(words[r+1])
-			for k := 0; k < runLen; k++ {
-				out[pos] = v
-				pos++
+			v, run := int64(words[r]), out[pos:pos+int(words[r+1])]
+			for k := range run {
+				run[k] = v
 			}
+			pos += len(run)
 		}
 	}
 	return out
@@ -248,8 +285,8 @@ func (c *Compressed) decodeBlock(b *block, buf []int64) []int64 {
 // Decode materializes the full column.
 func (c *Compressed) Decode() []int64 {
 	out := make([]int64, c.n)
-	for i := range c.blocks {
-		c.decodeBlock(&c.blocks[i], out[i*BlockValues:])
+	for i := range c.NumBlocks() {
+		c.decodeBlock(c.block(i), out[i*BlockValues:])
 	}
 	return out
 }
@@ -259,8 +296,8 @@ func (c *Compressed) Decode() []int64 {
 func (c *Compressed) Sum() int64 {
 	var sum int64
 	var buf [BlockValues]int64
-	for i := range c.blocks {
-		for _, v := range c.decodeBlock(&c.blocks[i], buf[:]) {
+	for i := range c.NumBlocks() {
+		for _, v := range c.decodeBlock(c.block(i), buf[:]) {
 			sum += v
 		}
 	}

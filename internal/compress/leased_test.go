@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -45,5 +46,76 @@ func TestEncodeLeasedOverDirtySlabs(t *testing.T) {
 	}
 	if !raceEnabled && reused != leased {
 		t.Fatalf("%d of %d encodes got the dirty slab back: the test did not exercise recycled memory", reused, leased)
+	}
+}
+
+// TestEncodeLeasedAllocs: a warm EncodeLeased takes a column's block headers
+// and payload from the lease's pools, so a 1 M-row encode into a lease
+// allocates only the *Compressed. It is measured against a lease that takes
+// the same two slabs and encodes nothing, so the lease's own bookkeeping
+// cancels out: one object and under 128 bytes more. A header array made per
+// encode is 40 KB more. A GC between two runs empties the pools, so the pin
+// is the cheapest of a few measurements.
+func TestEncodeLeasedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: a Put lands where the next Get looks
+	col := benchColumn("uniform", benchRows)
+	c := Encode(col)
+	perRun := func(encode bool) (objects, bytes uint64) {
+		run := func() {
+			l := mem.NewLease()
+			if encode {
+				encodeSink = EncodeLeased(col, l)
+			} else {
+				l.Words(len(c.hdr))
+				l.Words(len(c.payload))
+			}
+			l.Release()
+		}
+		objects, bytes = math.MaxUint64, math.MaxUint64
+		for range 4 {
+			run() // warm the pools
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			objects, bytes = min(objects, after.Mallocs-before.Mallocs), min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		return objects, bytes
+	}
+	encObjects, encBytes := perRun(true)
+	leaseObjects, leaseBytes := perRun(false)
+	if encObjects != leaseObjects+1 || encBytes >= leaseBytes+128 {
+		t.Fatalf("a warm leased encode of %d rows made %d objects, %d bytes; its lease alone %d, %d: want one object (the *Compressed) and under 128 bytes more",
+			len(col), encObjects, encBytes, leaseObjects, leaseBytes)
+	}
+}
+
+// TestEncodeLeasedHeadersOverDirtyWords: recycled header words are not
+// cleared either. A lease's words are handed out all ones and released; an
+// encode that gets them back for its headers must read every header field
+// as Encode's does.
+func TestEncodeLeasedHeadersOverDirtyWords(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: the pool hands back what it was given
+	for _, sh := range shapeColumns(rand.New(rand.NewSource(2))) {
+		want := Encode(sh.vals)
+		dirty := mem.NewLease()
+		for _, n := range []int{len(want.payload), len(want.hdr)} {
+			w := dirty.Words(n)
+			for i := range w {
+				w[i] = ^uint64(0)
+			}
+		}
+		dirty.Release()
+		l := mem.NewLease()
+		got := EncodeLeased(sh.vals, l)
+		for i := range want.NumBlocks() {
+			if got.block(i) != want.block(i) {
+				t.Fatalf("%s block %d: leased header %+v, want %+v", sh.name, i, got.block(i), want.block(i))
+			}
+		}
+		l.Release()
 	}
 }

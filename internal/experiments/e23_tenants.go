@@ -274,9 +274,12 @@ func runE23(cfg Config) ([]*Table, error) {
 		bench.F("%.2f", duoP50), bench.F("%.2f", duoP99), bench.F("%.2fx", p99Ratio))
 
 	// The solo and duo phases both ran on the int-a session; the governance
-	// table reports the duo phase (the contended one).
-	t2 := bench.NewTable("E23: per-tenant governance (noisy tenant burst-only bucket: rejections are exact)",
-		"tenant", "priority", "sent", "completed", "rate-limited", "quota-rejected", "shed", "failed", "throughput rps")
+	// table reports the duo phase (the contended one). Only rate-limited is
+	// exact (checked above). The noisy tenant's completed and quota-rejected
+	// split what got past its bucket by how many found its one concurrency
+	// slot free, which host timing decides, so their columns say so.
+	t2 := bench.NewTable("E23: per-tenant governance (rate-limited is exact, the noisy tenant's bucket being burst-only; its completed and quota-rejected are host-timed)",
+		"tenant", "priority", "sent", "completed (host-timed)", "rate-limited", "quota-rejected (host-timed)", "shed", "failed", "throughput rps")
 	t2.AddRow(duo.row("int-a", "interactive")...)
 	t2.AddRow(noisy.row("noisy-b", "batch")...)
 	return []*Table{t1, t2}, nil

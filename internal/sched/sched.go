@@ -214,8 +214,6 @@ type Result struct {
 	// TotalCycles is the sum of all per-worker busy cycles (the serial
 	// work).
 	TotalCycles float64
-	// PerWorker holds each worker's busy cycles.
-	PerWorker []float64
 	// TasksRun is the number of executed tasks; Steals counts tasks
 	// executed on a non-preferred socket.
 	TasksRun int
@@ -253,23 +251,17 @@ func (s *FaultStats) Add(other FaultStats) {
 }
 
 // Imbalance returns (max-mean)/mean of per-worker busy cycles, 0 for a
-// perfectly balanced run.
+// perfectly balanced run: the busiest worker's clock is the makespan and
+// the mean is TotalCycles over Workers.
 func (r Result) Imbalance() float64 {
-	if len(r.PerWorker) == 0 {
+	if r.Workers == 0 {
 		return 0
 	}
-	var sum, maxC float64
-	for _, c := range r.PerWorker {
-		sum += c
-		if c > maxC {
-			maxC = c
-		}
-	}
-	mean := sum / float64(len(r.PerWorker))
+	mean := r.TotalCycles / float64(r.Workers)
 	if mean == 0 {
 		return 0
 	}
-	return (maxC - mean) / mean
+	return (r.MakespanCycles - mean) / mean
 }
 
 // Scheduler runs task sets on a simulated machine.
@@ -780,10 +772,8 @@ func (st *runState) run(ctx context.Context, s *Scheduler, tasks []Task) (Result
 	}
 
 	out := *res
-	out.PerWorker = make([]float64, len(st.workers))
 	for i := range st.workers {
 		w := &st.workers[i]
-		out.PerWorker[i] = w.clock
 		out.TotalCycles += w.clock
 		if w.clock > out.MakespanCycles {
 			out.MakespanCycles = w.clock

@@ -136,8 +136,10 @@ func TestRegisterCheckpointAllocationCeiling(t *testing.T) {
 // last reader has let go, its payload slabs go back to their pools and the
 // next Register encodes into them. The writer alternates two versions of
 // the 1 M x 2 table, checkpointing each as durable_churn's does; from the
-// third cycle on each Register allocates its block headers and little else
-// (~80 KB, ceiling 128 KiB; 2.57 MB when every payload was a fresh make).
+// third cycle on each Register's block headers come back from the pools
+// with its payload, and it allocates only the table's bookkeeping (~1 KB,
+// ceiling 4 KiB; ~80 KB when every header array was a fresh make, 2.57 MB
+// when every payload was too).
 func TestWarmRegisterAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -147,7 +149,7 @@ func TestWarmRegisterAllocs(t *testing.T) {
 	s, st := durableServer(t, t.TempDir())
 	defer st.Close()
 	defer s.Close()
-	const ceiling = 128 << 10
+	const ceiling = 4 << 10
 	for i := 0; i < 6; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -17,13 +17,14 @@ import (
 )
 
 // submitAllocsCeiling is what one warm lone scan on one server may allocate:
-// Submit to answer, through the lane, the dispatcher, the pass's scheduler
-// and its executor goroutine. Measured 7, plus one. Before a request's
+// Submit to answer, through the lane, the dispatcher and its executor
+// goroutine. Measured 5, plus one; 7 while every pass built its scheduler
+// and the schedule's Result a per-worker slice. Before a request's
 // pending, its done channel and the scan batch's buffers were pooled the same
 // scan made 18 (20 in BenchmarkSubmit/lone-scan, which adds its client
 // goroutine), so a per-request channel or per-pass slice puts it over, and so
 // does a pending that skips its pool (two objects: itself and its channel).
-const submitAllocsCeiling = 8
+const submitAllocsCeiling = 6
 
 // TestSubmitAllocs pins serve's per-request garbage on the scan path.
 func TestSubmitAllocs(t *testing.T) {

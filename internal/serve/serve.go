@@ -406,6 +406,10 @@ type Server struct {
 	// to Workers: every running unit holds a core, so a send never blocks.
 	released  chan event
 	coresFree *metrics.Gauge // serve.cores_free, set after every step
+	// scanScheds[w] is the scheduler of every scan pass on w cores. A scan
+	// charges no reservation, so its scheduler depends on w alone and is
+	// built once, in New.
+	scanScheds []*sched.Scheduler
 
 	mu     sync.RWMutex // guards closed and tables
 	closed bool
@@ -448,6 +452,12 @@ func New(m *hw.Machine, opts Options) (*Server, error) {
 	}
 	s.coresFree = s.reg.Gauge("serve.cores_free")
 	s.coresFree.Set(int64(opts.Workers))
+	s.scanScheds = make([]*sched.Scheduler, opts.Workers+1)
+	for w := 1; w <= opts.Workers; w++ {
+		if s.scanScheds[w], err = s.newSched(w, nil); err != nil {
+			return nil, err
+		}
+	}
 	// Arm the memory governor when a budget is set or allocation faults are
 	// requested (an unlimited governor still injects). The server's compute
 	// fault injector doubles as the allocation injector unless the memory
@@ -839,12 +849,13 @@ func (s *Server) Kill() error {
 	return nil
 }
 
-// newSched builds one scheduler for one operation, carrying the server's
-// fault injector and the request's memory reservation. A server armed with
-// faults also isolates panics and retires workers 3x slower per morsel than
-// their peers: stragglers come only from the injector's skew, and an
-// injected panic fires before the morsel body, so re-running its morsel
-// elsewhere is safe. An unarmed server schedules with neither.
+// newSched builds a scheduler carrying the server's fault injector and a
+// memory reservation: one per join or aggregate, with the request's
+// reservation, and, in New, one per scan worker count, with none. A server
+// armed with faults also isolates panics and retires workers 3x slower per
+// morsel than their peers: stragglers come only from the injector's skew,
+// and an injected panic fires before the morsel body, so re-running its
+// morsel elsewhere is safe. An unarmed server schedules with neither.
 func (s *Server) newSched(workers int, resv *mem.Reservation) (*sched.Scheduler, error) {
 	opts := sched.Options{
 		Workers:   workers,
@@ -1117,16 +1128,11 @@ func (s *Server) runBatch(b *batch) {
 	// entirely (context.Background) would also drop the leader's values.
 	// WithoutCancel keeps the values and detaches only cancellation.
 	passCtx := context.WithoutCancel(leader.ctx)
-	var sums []int64
-	var schedRes sched.Result
-	sch, err := s.newSched(b.workers, nil) // scans are streaming: no governed state
-	if err == nil {
-		exec := leader.span.Child("execute")
-		sums, schedRes, err = s.vecSharedScan(trace.NewContext(passCtx, exec), &b.pass, b.vt, b.qs, sch)
-		exec.AddCycles(schedRes.MakespanCycles)
-		exec.End()
-		s.recordSched(schedRes.FaultStats, err)
-	}
+	exec := leader.span.Child("execute")
+	sums, schedRes, err := s.vecSharedScan(trace.NewContext(passCtx, exec), &b.pass, b.vt, b.qs, s.scanScheds[b.workers])
+	exec.AddCycles(schedRes.MakespanCycles)
+	exec.End()
+	s.recordSched(schedRes.FaultStats, err)
 	resp := Response{Cost: hw.Cost{SimCycles: schedRes.MakespanCycles / float64(len(live))}}
 	var batchSize string
 	if err == nil {

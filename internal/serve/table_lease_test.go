@@ -85,6 +85,44 @@ func TestRetiredTableOutlivesHeldPass(t *testing.T) {
 	}
 }
 
+// TestRetiredTableKeepsItsHeaders pins the lease rule for block headers,
+// which a Register encode takes from the table's lease with its payload: a
+// reader holding the table (a lookup's reference) while it is re-registered
+// twice, the second encode taking the first version's header words if they
+// were back in the pool, still reads its own zone maps and block sums
+// through Match, BlockRange and BlockSum.
+func TestRetiredTableKeepsItsHeaders(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: the pool hands back what it was given
+	s := newServer(t, Options{})
+	defer s.Close()
+	v1, _ := leasedVersion(1)
+	if err := s.Register("t", v1); err != nil {
+		t.Fatal(err)
+	}
+	held, ok := s.lookup("t")
+	if !ok {
+		t.Fatal("lookup missed the registered table")
+	}
+	for k := int64(2); k <= 3; k++ {
+		cols, _ := leasedVersion(k)
+		if err := s.Register("t", cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, c := range held.cols {
+		want := compress.Encode(v1[i])
+		for blk := range want.NumBlocks() {
+			lo, hi := want.BlockRange(blk)
+			gotLo, gotHi := c.BlockRange(blk)
+			if gotLo != lo || gotHi != hi || c.BlockSum(blk) != want.BlockSum(blk) || c.Match(blk, lo, hi) != compress.MatchAll {
+				t.Fatalf("column %d block %d of the held table reads zone [%d, %d], sum %d, match %d; version 1 has [%d, %d], sum %d: a later Register wrote over its headers",
+					i, blk, gotLo, gotHi, c.BlockSum(blk), c.Match(blk, lo, hi), lo, hi, want.BlockSum(blk))
+			}
+		}
+	}
+	held.lease.Release()
+}
+
 // TestLoadPinsLeasedTable: Store.Load has no release, so a leased table it
 // hands out must never be recycled. Two more Registers retire it — the
 // second encoding into its slabs if they were back in the pool — and it must

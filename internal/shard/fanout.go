@@ -17,11 +17,15 @@ import (
 // replica set with failover and hedging. run drives every sub from the
 // calling goroutine under one cancel context, one hedge timer and one
 // results channel; only the attempts themselves run on goroutines of their
-// own. The state is pooled, so a request whose primaries all answer in time
-// allocates none of it.
+// own. The state is pooled, its hedge timer and results channel included,
+// so a request whose primaries all answer in time allocates none of it.
 type fanout struct {
-	ctx  context.Context // the attempts' context, cancelled when run returns
-	subs []sub
+	ctx context.Context // the attempts' context, cancelled when run returns
+	// hedge is made by the first run that hedges and kept with f: run
+	// Resets it and stops it on return, which (Go 1.23 timers) leaves no
+	// stale tick for the next run to read.
+	hedge *time.Timer
+	subs  []sub
 	// tries holds every sub's candidates back to back, one attempt slot
 	// each. An attempt writes only its own slot, then sends the slot's index
 	// on done, which is buffered to at least len(tries): no attempt ever
@@ -158,7 +162,12 @@ func (r *Router) run(ctx context.Context, f *fanout) {
 	if cap(f.done) < len(f.tries) {
 		f.done = make(chan int, len(f.tries))
 	}
-	actx, cancel := context.WithCancel(ctx)
+	// The attempts' context keeps ctx's values but not its cancellation:
+	// rooted at ctx itself, it would register as a child of the caller's
+	// context (a net/http request's allocates a children map and a Done
+	// channel for it). Cancellation still reaches every attempt: run
+	// returns on ctx.Done(), and the deferred cancel stops what still runs.
+	actx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	defer cancel()
 	f.ctx = actx
 
@@ -176,9 +185,13 @@ func (r *Router) run(ctx context.Context, f *fanout) {
 	}
 	var hedge <-chan time.Time // nil while the class is warming up: never hedge
 	if d := r.hedgeDelayFor(opClass(f.subs[0].req.Op)); d > 0 {
-		hedgeTimer := time.NewTimer(d)
-		defer hedgeTimer.Stop()
-		hedge = hedgeTimer.C
+		if f.hedge == nil {
+			f.hedge = time.NewTimer(d)
+		} else {
+			f.hedge.Reset(d)
+		}
+		defer f.hedge.Stop()
+		hedge = f.hedge.C
 	}
 
 	for waiting > 0 {

@@ -242,13 +242,17 @@ func BenchmarkScatter(b *testing.B) {
 	}
 }
 
-// scatterAllocsCeiling is what one warm scan over a 3x2 router may allocate:
-// each stripe's scheduler and executor goroutine on its node, the attempts'
-// goroutine arguments, the one cancel context and hedge timer, and the
-// response path. Measured 30 + 2. The fan-out's subs, candidates and results
-// channel are pooled, and so are serve's per-request pending and per-pass
-// batch; a per-stripe slice, channel or timer puts it over.
-const scatterAllocsCeiling = 32
+// scatterAllocsCeiling is what one warm scan over a 3x2 router may allocate
+// under a cancellable parent: that parent (2 objects, the context and its
+// cancel func), the attempts' cancel context and its detached root, each
+// stripe's executor goroutine on its node, the
+// attempts' goroutine arguments, and the response path. Measured 25 + 2
+// (35 while the cancel context hung off the caller's, each run made a hedge
+// timer and each stripe's pass a scheduler and a per-worker slice). The
+// fan-out's subs, candidates, results channel and hedge timer are pooled,
+// and so are serve's per-request pending, per-pass batch and scan
+// schedulers; a per-stripe slice, channel or timer puts it over.
+const scatterAllocsCeiling = 27
 
 // TestScatterAllocs pins the router hop's garbage: a warm 3x2 router with
 // hedging forbidden, so every request's state goes back to the pool.
@@ -264,7 +268,12 @@ func TestScatterAllocs(t *testing.T) {
 	req := straddleReq("ev") // every stripe goes through the fan-out
 	want := oracleSum(cols, req.Query)
 	scan := func() {
-		resp, err := r.Submit(context.Background(), req)
+		// A fresh cancellable parent per scan, as net/http gives the frontend:
+		// a context derived from it costs it a children map and a Done
+		// channel, which context.Background would hide.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		resp, err := r.Submit(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -504,23 +504,42 @@ func goldenCols() [][]int64 {
 // TestSegmentGolden pins segment format v2 across the deletion of the
 // float64/string payloads: the golden was written by PR 23's encodeSegment
 // from TableFromCols("golden", goldenCols()), and this tree must produce
-// those bytes and read them back. There is no -update: a diff here is a
-// format change, which needs a new version byte and a reader for this one.
+// those bytes and read them back. It must produce them from a leased encode
+// too, into a lease whose block headers and payload come back from a
+// released encode of the same relation shifted by a constant: same sizes,
+// other zone maps, sums and run values. There is no -update: a diff here is
+// a format change, which needs a new version byte and a reader for this one.
 func TestSegmentGolden(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: the pool hands back what it was given
 	golden, err := os.ReadFile(filepath.Join("testdata", "segment_v2.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := TableFromCols("golden", goldenCols())
-	if err != nil {
+	shifted := goldenCols()
+	for _, c := range shifted {
+		for i := range c {
+			c[i] += 12345
+		}
+	}
+	dirty := mem.NewLease()
+	if _, err := TableFromColsLeased("shifted", shifted, dirty); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := encodeSegment(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, golden) {
-		t.Fatalf("encodeSegment wrote %d bytes that differ from the %d-byte golden", len(raw), len(golden))
+	dirty.Release()
+	l := mem.NewLease()
+	defer l.Release()
+	for _, lease := range []*mem.Lease{nil, l} {
+		tbl, err := TableFromColsLeased("golden", goldenCols(), lease)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := encodeSegment(tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, golden) {
+			t.Fatalf("encodeSegment (leased: %v) wrote %d bytes that differ from the %d-byte golden", lease != nil, len(raw), len(golden))
+		}
 	}
 	back, err := decodeSegment(golden)
 	if err != nil {
