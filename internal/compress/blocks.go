@@ -1,9 +1,8 @@
 // Block-level access to a compressed column: the zone-map classifier, the
-// header sum, the block decode and an RLE block's run list. A scan over
-// FOR/RLE blocks is these calls composed with vecexec's filter and gather
-// (vecexec.RangeFilterCompressed and the server's scan pass): a miss costs
-// the header, a full match sums from it, and only a straddling block
-// decodes.
+// header sum and the block decode. A scan over FOR/RLE blocks is these three
+// calls composed with vecexec's filter and gather (vecexec.RangeFilterCompressed
+// and the server's scan pass): a miss costs the header, a full match sums
+// from it, and only a straddling block decodes.
 
 package compress
 
@@ -38,17 +37,6 @@ func (c *Compressed) BlockSum(i int) int64 { return int64(c.head(i)[hSum]) }
 // returns the decoded values.
 func (c *Compressed) DecodeBlock(i int, buf []int64) []int64 {
 	return c.decodeBlock(c.block(i), buf)
-}
-
-// Runs returns block i's run list, alternating value and run-length words,
-// when the block is run-length encoded, and nil otherwise: a filter can
-// test each run once instead of each value. The words are the column's own
-// and must not be written.
-func (c *Compressed) Runs(i int) []uint64 {
-	if b := c.block(i); b.kind == kindRLE {
-		return c.words(b)
-	}
-	return nil
 }
 
 // BlockMatch is how a block's zone map relates to a range predicate.

@@ -1,7 +1,7 @@
 // Package mem provides the memory substrate of hwstar: the lease, whose
 // reference-counted size-class pools recycle request columns, group-sum
-// answer maps and registered tables' payloads once their last reader lets
-// go; the governor, which admits, charges and sheds memory per query and
+// answer maps and registered tables' block headers and payloads once their
+// last reader lets go; the governor, which admits, charges and sheds memory per query and
 // tenant; and NUMA placement bookkeeping that tells the hardware model which
 // socket's memory a region lives on.
 //
@@ -20,7 +20,8 @@ import (
 )
 
 // Lease owns pooled storage for one lifetime — a request's int64 columns and
-// group-sum answer maps, a registered table's encoded payload words. Every
+// group-sum answer maps, a registered table's block headers and encoded
+// payload words. Every
 // party that may read them after its caller has returned holds a reference,
 // and the last Release puts them back into their size-class pools:
 // reference-counted deferred reclamation. A nil *Lease is valid: Column,

@@ -199,7 +199,7 @@ func vecScanMorsel(vt *vecTable, queries []scan.Query, start, end int, w *sched.
 				payloadBytes += fcol.BlockBytes(blk)
 				decodedTuples += int64(n)
 			}
-			sel = vecexec.FilterBlock(fcol, blk, fbuf[:n], q.Lo, q.Hi, sel[:0])
+			sel = vecexec.RangeFilterI64(fbuf[:n], q.Lo, q.Hi, nil, sel[:0])
 			evalTuples += int64(n)
 			blockScanned = true
 			if len(sel) == 0 {

@@ -51,17 +51,6 @@ var scanShapes = []scanShape{
 		}
 		return cols
 	}},
-	// Runs of 70–150 equal values: every block is RLE with several runs,
-	// so a range straddles a block between its runs.
-	{"runs", func(rows int) [][]int64 {
-		cols := [][]int64{make([]int64, rows), make([]int64, rows), make([]int64, rows)}
-		for i := 0; i < rows; i++ {
-			cols[0][i] = int64(i/100%37) * 11
-			cols[1][i] = int64(i/150%13) - 6
-			cols[2][i] = int64(i/70%5) << 40
-		}
-		return cols
-	}},
 }
 
 // scanCases builds the query batch for one relation from its filter

@@ -22,8 +22,9 @@ import (
 type fanout struct {
 	ctx context.Context // the attempts' context, cancelled when run returns
 	// hedge is made by the first run that hedges and kept with f: run
-	// Resets it and stops it on return, which (Go 1.23 timers) leaves no
-	// stale tick for the next run to read.
+	// Resets it and stops it on return, which under the Go 1.23 timer
+	// semantics (on, as the module says go 1.24) leaves no stale tick for
+	// the next run to read.
 	hedge *time.Timer
 	subs  []sub
 	// tries holds every sub's candidates back to back, one attempt slot

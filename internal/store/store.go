@@ -500,8 +500,8 @@ func TableFromCols(name string, cols [][]int64) (*table.Table, error) {
 	return TableFromColsLeased(name, cols, nil)
 }
 
-// TableFromColsLeased is TableFromCols with every column's payload taken
-// from l (compress.EncodeLeased).
+// TableFromColsLeased is TableFromCols with every column's block headers
+// and payload taken from l (compress.EncodeLeased).
 func TableFromColsLeased(name string, cols [][]int64, l *mem.Lease) (*table.Table, error) {
 	defs := make([]table.ColumnDef, len(cols))
 	data := make([]table.ColumnData, len(cols))

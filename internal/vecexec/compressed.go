@@ -3,17 +3,13 @@
 // compress.Match classifies the block by its zone map; a miss reads nothing
 // past the header, a full match sums from the header (BlockSum), and only a
 // straddling block decodes (DecodeBlock) into a caller-provided L1-resident
-// buffer for FilterBlock and SumI64. The scanned flags say whether a
+// buffer for RangeFilterI64 and SumI64. The scanned flags say whether a
 // block's payload was read, the scan pass's pruned / fast-summed / scanned
 // outcome for a batch of one query.
 
 package vecexec
 
-import (
-	"slices"
-
-	"hwstar/internal/compress"
-)
+import "hwstar/internal/compress"
 
 // RangeFilterCompressed appends to out the in-block row indices of block
 // blk of col whose value lies in [lo, hi]. all=true short-circuits a
@@ -27,34 +23,7 @@ func RangeFilterCompressed(col *compress.Compressed, blk int, lo, hi int64, buf 
 	case compress.MatchAll:
 		return out, true, false
 	}
-	return FilterBlock(col, blk, col.DecodeBlock(blk, buf), lo, hi, out), false, true
-}
-
-// FilterBlock is the straddling-block filter of the scan kernel: it appends
-// to out the in-block indices of block blk of col whose value lies in
-// [lo, hi]. vals is the block as DecodeBlock returned it, and a FOR block
-// is filtered over it value by value (RangeFilterI64). An RLE block is
-// filtered from its run list, one comparison per run, and a matching run's
-// indices are written as a span. The returned Sel is non-nil.
-func FilterBlock(col *compress.Compressed, blk int, vals []int64, lo, hi int64, out Sel) Sel {
-	runs := col.Runs(blk)
-	if runs == nil {
-		return RangeFilterI64(vals, lo, hi, nil, out)
-	}
-	pos := int32(0)
-	for r := 0; r < len(runs); r += 2 {
-		v, n := int64(runs[r]), int32(runs[r+1])
-		if v >= lo && v <= hi {
-			base := len(out)
-			out = slices.Grow(out, int(n))[:base+int(n)]
-			span := out[base:]
-			for k := range span {
-				span[k] = pos + int32(k)
-			}
-		}
-		pos += n
-	}
-	return notNil(out)
+	return RangeFilterI64(col.DecodeBlock(blk, buf), lo, hi, nil, out), false, true
 }
 
 // SumCompressed sums block blk of col over sel. A nil sel is a full match

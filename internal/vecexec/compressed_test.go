@@ -2,7 +2,6 @@ package vecexec
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"hwstar/internal/compress"
@@ -91,42 +90,6 @@ func TestCompressedEntryPointsMatchDecoded(t *testing.T) {
 		if got != want {
 			t.Fatalf("[%d,%d]: compressed sum %d != reference %d", lo, hi, got, want)
 		}
-	}
-}
-
-// TestFilterBlockMatchesValueFilter: the straddling-block filter selects,
-// for RLE blocks from their runs and for FOR blocks from the decoded
-// values, exactly the rows RangeFilterI64 selects from the decoded block,
-// on ranges that end inside, between and at the edges of runs.
-func TestFilterBlockMatchesValueFilter(t *testing.T) {
-	r := rand.New(rand.NewSource(78))
-	runs := make([]int64, 4*compress.BlockValues+300)
-	for i := range runs {
-		runs[i] = int64(i/90%23)*7 - 40
-	}
-	noise := make([]int64, 2*compress.BlockValues+5)
-	for i := range noise {
-		noise[i] = r.Int63n(200) - 60
-	}
-	var buf [compress.BlockValues]int64
-	sel := make(Sel, 0, compress.BlockValues)
-	sawRuns := false
-	for _, vals := range [][]int64{runs, noise} {
-		col := compress.Encode(vals)
-		for blk := 0; blk < col.NumBlocks(); blk++ {
-			sawRuns = sawRuns || col.Runs(blk) != nil
-			decoded := col.DecodeBlock(blk, buf[:])
-			for _, rng := range [][2]int64{{-40, -40}, {-33, 30}, {-32, 29}, {0, 200}, {-100, -41}, {5, 4}} {
-				want := RangeFilterI64(decoded, rng[0], rng[1], nil, nil)
-				got := FilterBlock(col, blk, decoded, rng[0], rng[1], sel[:0])
-				if got == nil || !slices.Equal(got, want) {
-					t.Fatalf("block %d (runs %v), [%d, %d]: FilterBlock selected %v, want %v", blk, col.Runs(blk) != nil, rng[0], rng[1], got, want)
-				}
-			}
-		}
-	}
-	if !sawRuns {
-		t.Fatal("no block was RLE: the run path went untested")
 	}
 }
 
