@@ -83,8 +83,12 @@ race-core:
 # store Drop while a segment write still reads the dropped table. The
 # group-sum lease tests guard it for an answer's map, which holders take
 # from a lease they already share, so the lease's map list has its own lock.
+# The revival tests guard the router's one-server rule (a node's server is
+# published once, after it holds its stripes and tenant caps, and never past
+# Close), which needs a cap set, a second publish or a Close to land while a
+# recovery runs.
 race-repeat:
-	$(GO) test -race -count=10 -run 'TestSimCyclesGolden|TestHedgeLoserNeverSeesRecycledState|TestHedgeLoserHoldsLease|TestLeasedRequestsOverHedgedRouter' ./internal/shard
+	$(GO) test -race -count=10 -run 'TestSimCyclesGolden|TestHedgeLoserNeverSeesRecycledState|TestHedgeLoserHoldsLease|TestLeasedRequestsOverHedgedRouter|TestRevivedNodeKeepsTenantCaps|TestPublishKeepsTheFirstServer|TestRecoverRacingCloseLeavesNoServer' ./internal/shard
 	$(GO) test -race -count=10 -timeout 5m -run 'TestCancelledSubmitNeverSeesRecycledState|TestLeaseOutlivesCancelledSubmit|TestRetiredTableOutlivesHeldPass|TestLoadPinsLeasedTable|TestChurnAnswersMatchAVersion|TestGroupsLiveUntilLastRelease' ./internal/serve
 	$(GO) test -race -count=10 -run 'TestLeaseMapConcurrentTakes|TestLeaseMapClasses' ./internal/mem
 	$(GO) test -race -count=10 -run 'TestCheckpointHoldsReplacedTable|TestDropDuringCheckpointCommitsSnapshot' ./internal/store

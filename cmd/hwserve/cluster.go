@@ -16,18 +16,19 @@ func startChaos(ctx context.Context, cfg Config, r *hwstar.Router) (stop func() 
 	}
 	quit := make(chan struct{})
 	done := make(chan int, 1)
-	go func() { done <- runChaos(ctx, r, quit) }()
+	go func() { done <- runChaos(ctx, r, cfg.Shards, quit) }()
 	return func() (int, bool) {
 		close(quit)
 		return <-done, true
 	}
 }
 
-// runChaos drives the router's seeded kill/recover loop until stop closes:
-// each tick first revives every dead node (re-replicating its lost stripes
-// from the surviving replicas), then draws fresh kills. Returns the total
-// kill count.
-func runChaos(ctx context.Context, r *hwstar.Router, stop <-chan struct{}) int {
+// runChaos drives the router's seeded kill/recover loop over its nodes
+// 0 … shards−1 until stop closes: each tick first revives every dead node
+// (re-replicating its lost stripes from the surviving replicas; RecoverNode
+// is a no-op on a live one), then draws fresh kills. Returns the total kill
+// count.
+func runChaos(ctx context.Context, r *hwstar.Router, shards int, stop <-chan struct{}) int {
 	ticker := time.NewTicker(25 * time.Millisecond)
 	defer ticker.Stop()
 	kills := 0
@@ -38,11 +39,9 @@ func runChaos(ctx context.Context, r *hwstar.Router, stop <-chan struct{}) int {
 		case <-stop:
 			return kills
 		case <-ticker.C:
-			for _, nh := range r.ClusterHealth().Nodes {
-				if !nh.Alive {
-					if err := r.RecoverNode(ctx, nh.ID); err != nil {
-						return kills
-					}
+			for id := range shards {
+				if err := r.RecoverNode(ctx, id); err != nil {
+					return kills
 				}
 			}
 			kills += len(r.ChaosTick(ctx))

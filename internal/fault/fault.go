@@ -87,15 +87,14 @@ type Config struct {
 	// NodeLossProb is the per-node probability, drawn once per chaos tick by
 	// the shard router, that the whole node (its serve.Server shard) dies.
 	// The router's chaos tick never kills the cluster's last live node;
-	// tests stage total loss explicitly via LostNodes or KillNode.
+	// Router.KillNode is the only way to stage total loss.
 	NodeLossProb float64
 
-	// StragglerWorkers, LostCores and LostNodes arm specific workers/nodes
-	// deterministically, in addition to the probabilistic draws — tests use
-	// these to stage an exact failure.
+	// StragglerWorkers and LostCores arm specific workers deterministically,
+	// in addition to the probabilistic draws — tests use these to stage an
+	// exact failure.
 	StragglerWorkers []int
 	LostCores        []int
-	LostNodes        []int
 
 	// AllocFailProb is the per-allocation-request probability that a memory
 	// reservation charge fails with errs.ErrMemoryPressure, modelling a
@@ -182,7 +181,7 @@ func (in *Injector) Enabled() bool {
 	return c.PanicProb > 0 || c.TransientProb > 0 || c.StragglerProb > 0 ||
 		c.CoreLossProb > 0 || c.NodeLossProb > 0 || c.AllocFailProb > 0 ||
 		c.CrashProb > 0 || c.TornWriteProb > 0 || c.ChecksumFlipProb > 0 ||
-		len(c.StragglerWorkers) > 0 || len(c.LostCores) > 0 || len(c.LostNodes) > 0 ||
+		len(c.StragglerWorkers) > 0 || len(c.LostCores) > 0 ||
 		len(c.AllocFailSites) > 0 ||
 		len(c.CrashSites) > 0 || len(c.TornWriteSites) > 0 || len(c.ChecksumFlipSites) > 0
 }
@@ -319,20 +318,11 @@ func (in *Injector) LoseCore(worker int) bool {
 }
 
 // LoseNode reports whether the given node's whole shard disappears this
-// chaos tick. Deterministically-armed nodes (LostNodes) fire once on first
-// draw, mirroring LostCores; otherwise NodeLossProb decides. The Worker
-// field of the logged event carries the node index.
+// chaos tick: NodeLossProb decides. The Worker field of the logged event
+// carries the node index.
 func (in *Injector) LoseNode(node int) bool {
 	if in == nil {
 		return false
-	}
-	for _, id := range in.cfg.LostNodes {
-		if id == node {
-			in.mu.Lock()
-			in.record(ClassNodeLoss, "", node)
-			in.mu.Unlock()
-			return true
-		}
 	}
 	return in.fire(ClassNodeLoss, in.cfg.NodeLossProb, "", node)
 }

@@ -134,18 +134,18 @@ func TestExplicitWorkerLists(t *testing.T) {
 }
 
 func TestNodeLoss(t *testing.T) {
-	in := New(Config{Seed: 1, LostNodes: []int{1}})
+	in := New(Config{Seed: 1, NodeLossProb: 1})
 	if !in.Enabled() {
-		t.Fatal("LostNodes should enable the injector")
+		t.Fatal("NodeLossProb should enable the injector")
 	}
 	if !in.LoseNode(1) {
-		t.Fatal("node 1 not lost")
+		t.Fatal("node 1 not lost at p=1")
 	}
-	if in.LoseNode(0) {
+	if c := in.Counts(); c[ClassNodeLoss] != 1 || in.Log()[0].Worker != 1 {
+		t.Fatalf("counts = %v, log = %v", c, in.Log())
+	}
+	if New(Config{Seed: 1}).LoseNode(0) {
 		t.Fatal("node 0 lost with zero probability")
-	}
-	if c := in.Counts(); c[ClassNodeLoss] != 1 {
-		t.Fatalf("counts = %v", c)
 	}
 
 	// Probabilistic draws replay deterministically from the seed.

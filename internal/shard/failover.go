@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"hwstar/internal/errs"
+	"hwstar/internal/serve"
 	"hwstar/internal/table"
 )
 
@@ -22,41 +23,39 @@ func (r *Router) KillNode(id int) error {
 	if err != nil {
 		return err
 	}
-	if !n.alive.CompareAndSwap(true, false) {
+	srv := n.srv.Swap(nil)
+	if srv == nil {
 		return nil
 	}
 	r.reg.Counter("shard.node_losses").Inc()
 
-	n.mu.Lock()
-	srv := n.srv
-	n.srv = nil
-	n.mu.Unlock()
-	if srv != nil {
-		// Drain the abandoned server off the request path so 128-cycle
-		// chaos runs don't accumulate live dispatch goroutines.
-		r.reapWG.Add(1)
-		go func() {
-			defer r.reapWG.Done()
-			if c := r.opts.reapHold; c != nil {
-				c <- struct{}{}
-				<-c
-			}
-			srv.Kill()
-		}()
-	}
+	// Drain the abandoned server off the request path so 128-cycle chaos
+	// runs don't accumulate live dispatch goroutines.
+	r.reapWG.Add(1)
+	go func() {
+		defer r.reapWG.Done()
+		if c := r.opts.reapHold; c != nil {
+			c <- struct{}{}
+			<-c
+		}
+		srv.Kill()
+	}()
 	return nil
 }
 
 // RecoverNode revives a killed node: a fresh serve.Server is built from
 // the shard template (replaying the node's own durable store, when one is
-// armed), the node's partitions (replicasOf) are re-replicated from a
-// surviving replica's durable store, and the node rejoins routing.
+// armed), the node's partitions (replicasOf) are re-replicated onto it from a
+// surviving replica's durable store, and only then is it published, which
+// returns the node to routing. Recovering a live node is a no-op; a recovery
+// that loses a race with Close or another RecoverNode kills the server it
+// built and returns an error wrapping errs.ErrClosed.
 func (r *Router) RecoverNode(ctx context.Context, id int) error {
 	n, err := r.nodeByID(id)
 	if err != nil {
 		return err
 	}
-	if n.alive.Load() {
+	if n.srv.Load() != nil {
 		return nil
 	}
 
@@ -64,42 +63,39 @@ func (r *Router) RecoverNode(ctx context.Context, id int) error {
 	if err != nil {
 		return fmt.Errorf("shard: recover node %d: %w", id, err)
 	}
-
-	if err := r.rereplicate(ctx, n); err != nil {
-		n.mu.Lock()
-		n.srv = nil
-		n.mu.Unlock()
-		srv.Close()
+	if err := r.rereplicate(ctx, n, srv); err != nil {
+		srv.Kill()
 		return fmt.Errorf("shard: recover node %d: %w", id, err)
 	}
 	n.brk.Reset()
-	n.alive.Store(true)
+	if err := r.publish(n, srv); err != nil {
+		return fmt.Errorf("shard: recover node %d: %w", id, err)
+	}
 	return nil
 }
 
-// rereplicate restores every partition assigned to n from a surviving
-// replica's durable store. The revived node's own replay is not trusted:
-// it restores whatever the node's disk held when it died, under the same
-// derived name a later re-registration used, so a stripe is always taken
-// from another replica when one can supply it. The node keeps its replayed
-// copy only when nobody else holds the stripe; stripes nobody holds durably
-// stay lost (their table remains partial until re-registered).
-func (r *Router) rereplicate(ctx context.Context, n *node) error {
+// rereplicate restores every partition assigned to n onto srv, n's server
+// not yet published, from a surviving replica's durable store. The revived
+// node's own replay is not trusted: it restores whatever the node's disk
+// held when it died, under the same derived name a later re-registration
+// used, so a stripe is always taken from another replica when one can supply
+// it. The node keeps its replayed copy only when nobody else holds the
+// stripe; stripes nobody holds durably stay lost (their table remains
+// partial until re-registered).
+func (r *Router) rereplicate(ctx context.Context, n *node, srv *serve.Server) error {
 	r.mu.RLock()
 	tables := make([]*tableMeta, 0, len(r.tables))
 	for _, meta := range r.tables {
 		tables = append(tables, meta)
 	}
-	nodes := r.nodes
 	r.mu.RUnlock()
 
-	srv := n.server()
 	for _, meta := range tables {
 		for _, part := range meta.parts {
 			if !slices.Contains(part.replicas, n.id) {
 				continue
 			}
-			stripe, ok := r.fetchStripe(ctx, nodes, part, n.id)
+			stripe, ok := r.fetchStripe(ctx, part, n.id)
 			if !ok {
 				continue
 			}
@@ -115,14 +111,13 @@ func (r *Router) rereplicate(ctx context.Context, n *node) error {
 // fetchStripe reads one partition's encoded stripe from a surviving
 // replica's durable store, preferring live replicas (their store reflects
 // the latest registration flush). Blocks move as stored; no row is decoded.
-func (r *Router) fetchStripe(ctx context.Context, nodes []*node, part *partition, excludeID int) (*table.Table, bool) {
+func (r *Router) fetchStripe(ctx context.Context, part *partition, excludeID int) (*table.Table, bool) {
 	ordered := make([]*node, 0, len(part.replicas))
 	for _, nid := range part.replicas {
 		if nid == excludeID {
 			continue
 		}
-		src := nodes[nid]
-		if src.alive.Load() {
+		if src := r.nodes[nid]; src.srv.Load() != nil {
 			ordered = append(ordered, src)
 		}
 	}
@@ -130,7 +125,7 @@ func (r *Router) fetchStripe(ctx context.Context, nodes []*node, part *partition
 		if nid == excludeID {
 			continue
 		}
-		if src := nodes[nid]; !src.alive.Load() {
+		if src := r.nodes[nid]; src.srv.Load() == nil {
 			ordered = append(ordered, src)
 		}
 	}
@@ -150,32 +145,23 @@ func (r *Router) fetchStripe(ctx context.Context, nodes []*node, part *partition
 // loss per worker per run. Fired losses kill the node (replica failover
 // and, later, RecoverNode take it from there). The tick never kills the
 // cluster's last live node: a routerless cluster is an outage, not a
-// degraded state, and tests stage total loss explicitly via KillNode or
-// Config.LostNodes. Returns the ids killed this tick, in node order.
+// degraded state, and KillNode is the only way to stage total loss. Returns
+// the ids killed this tick, in node order.
 func (r *Router) ChaosTick(ctx context.Context) []int {
 	inj := r.opts.Faults
 	if !inj.Enabled() {
 		return nil
 	}
-	r.mu.RLock()
-	nodes := r.nodes
-	r.mu.RUnlock()
-
-	live := 0
-	for _, n := range nodes {
-		if n.alive.Load() {
-			live++
-		}
-	}
+	live := len(r.LiveNodes())
 	var killed []int
-	for _, n := range nodes {
+	for _, n := range r.nodes {
 		if ctx.Err() != nil {
 			break
 		}
 		if live <= 1 {
 			break
 		}
-		if !n.alive.Load() {
+		if n.srv.Load() == nil {
 			continue
 		}
 		if inj.LoseNode(n.id) {
@@ -190,11 +176,9 @@ func (r *Router) ChaosTick(ctx context.Context) []int {
 
 // LiveNodes returns the ids of nodes currently accepting routes.
 func (r *Router) LiveNodes() []int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	var out []int
 	for _, n := range r.nodes {
-		if n.alive.Load() {
+		if n.srv.Load() != nil {
 			out = append(out, n.id)
 		}
 	}
@@ -202,8 +186,6 @@ func (r *Router) LiveNodes() []int {
 }
 
 func (r *Router) nodeByID(id int) (*node, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if id < 0 || id >= len(r.nodes) {
 		return nil, fmt.Errorf("shard: node %d out of range [0,%d): %w", id, len(r.nodes), errs.ErrInvalidInput)
 	}

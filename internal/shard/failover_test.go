@@ -205,39 +205,62 @@ func TestKillAndRecoverIdempotent(t *testing.T) {
 	}
 }
 
-// TestKillMidReadSkipsTheNode: KillNode clears a node's liveness and then its
-// server without the router lock, so a reader that checks liveness and then
-// reads the server can see alive=true with no server. Register and Workers
-// must treat that node as dead, not dereference nil.
-func TestKillMidReadSkipsTheNode(t *testing.T) {
-	cols, _ := testRelation(3000)
-	r := newRouter(t, Options{Shards: 3, Replicas: 2})
-	n := r.nodes[1]
-	srv := n.server()
-	n.mu.Lock()
-	n.srv = nil // the interleaving: alive still true, server already gone
-	n.mu.Unlock()
-	t.Cleanup(func() { // before the router's Close, so the server is closed
-		n.mu.Lock()
-		n.srv = srv
-		n.mu.Unlock()
-	})
+// TestPublishKeepsTheFirstServer: a node has one server at a time. A server
+// published onto a node that already has one is stopped, and the node keeps
+// the first.
+func TestPublishKeepsTheFirstServer(t *testing.T) {
+	r := newRouter(t, Options{Shards: 2, Replicas: 2})
+	n := r.nodes[0]
+	first := n.srv.Load()
+	second, err := r.buildServer(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.publish(n, second); !errors.Is(err, errs.ErrClosed) {
+		t.Fatalf("publish onto a live node: %v, want ErrClosed", err)
+	}
+	if n.srv.Load() != first {
+		t.Fatal("publish replaced a live node's server")
+	}
+	if err := second.Kill(); !errors.Is(err, errs.ErrClosed) {
+		t.Fatalf("the unpublished server was left running (Kill: %v)", err)
+	}
+}
 
-	if got, want := r.Workers(), 2*4; got != want {
-		t.Fatalf("workers = %d, want %d (the half-killed node's left out)", got, want)
-	}
-	if err := r.Register("ev", cols); err != nil {
-		t.Fatal(err)
-	}
-	if holdsStripe(&node{srv: srv}, "ev@1") {
-		t.Fatal("the half-killed node's server was given a stripe")
-	}
-	if err := r.KillNode(1); err != nil {
-		t.Fatal(err)
-	}
-	req := straddleReq("ev")
-	if resp, err := r.Submit(context.Background(), req); err != nil || resp.Sum != oracleSum(cols, req.Query) {
-		t.Fatalf("scan: sum=%d err=%v, want %d", resp.Sum, err, oracleSum(cols, req.Query))
+// TestRecoverRacingCloseLeavesNoServer: a RecoverNode racing Router.Close
+// either publishes before Close stops every node's server or sees the router
+// closed and stops its own, so once both return no node's server runs. Odd
+// rounds start the recovery only after Close has returned, the order in
+// which a server installed without looking at Close is left running.
+func TestRecoverRacingCloseLeavesNoServer(t *testing.T) {
+	cols, _ := testRelation(3000)
+	for round := 0; round < 20; round++ {
+		r := newRouter(t, Options{Shards: 3, Replicas: 2, Stores: openStores(t, 3)})
+		if err := r.Register("ev", cols); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.KillNode(1); err != nil {
+			t.Fatal(err)
+		}
+		recovered := make(chan error, 1)
+		revive := func() { recovered <- r.RecoverNode(context.Background(), 1) }
+		if round%2 == 0 {
+			go revive()
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if round%2 == 1 {
+			go revive()
+		}
+		if err := <-recovered; err != nil && !errors.Is(err, errs.ErrClosed) {
+			t.Fatalf("round %d: recover: %v", round, err)
+		}
+		for _, n := range r.nodes {
+			if srv := n.srv.Load(); srv != nil && srv.Kill() == nil {
+				t.Fatalf("round %d: node %d's server was left running after Close", round, n.id)
+			}
+		}
 	}
 }
 
@@ -266,7 +289,7 @@ func TestRevivedNodeKeepsTenantCaps(t *testing.T) {
 	checkCaps := func(want int64) {
 		t.Helper()
 		for _, n := range r.nodes {
-			if got := n.server().Health().Memory.TenantCaps["acme"]; got != want {
+			if got := n.srv.Load().Health().Memory.TenantCaps["acme"]; got != want {
 				t.Errorf("node %d: tenant cap %d, want %d", n.id, got, want)
 			}
 		}
@@ -319,7 +342,7 @@ func TestKilledNodeNeverCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := r.nodes[1]
-	if _, err := n.server().Checkpoint(ctx); err != nil {
+	if _, err := n.srv.Load().Checkpoint(ctx); err != nil {
 		t.Fatal(err)
 	}
 	v := n.st.Version()
@@ -381,7 +404,7 @@ func TestRecoveryReplacesStaleReplayedStripes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range r.nodes {
-			if _, err := n.server().Checkpoint(context.Background()); err != nil {
+			if _, err := n.srv.Load().Checkpoint(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -436,7 +459,7 @@ func TestInvalidRequestTripsNoBreaker(t *testing.T) {
 		}
 	}
 	for _, n := range r.nodes {
-		invalid += n.server().Metrics().Counters()["serve.invalid"]
+		invalid += n.srv.Load().Metrics().Counters()["serve.invalid"]
 	}
 	if invalid != int64(len(reqs)) {
 		t.Fatalf("nodes counted %d invalid requests, want %d (one hop each)", invalid, len(reqs))

@@ -145,9 +145,6 @@ func (r *Router) run(ctx context.Context, f *fanout) {
 		return
 	}
 	start := time.Now()
-	r.mu.RLock()
-	nodes := r.nodes
-	r.mu.RUnlock()
 	rot := int(r.rotor.Add(1))
 	ntries := 0
 	for i := range f.subs {
@@ -157,7 +154,7 @@ func (r *Router) run(ctx context.Context, f *fanout) {
 	for i := range f.subs {
 		s := &f.subs[i]
 		s.first = len(f.tries)
-		f.tries = candidates(f.tries, nodes, s.replicas, rot+s.part, start)
+		f.tries = candidates(f.tries, r.nodes, s.replicas, rot+s.part, start)
 		s.end = len(f.tries)
 	}
 	if cap(f.done) < len(f.tries) {
@@ -290,7 +287,7 @@ func (f *fanout) launch(i int, hedged bool) {
 func (f *fanout) attempt(t int) {
 	a := &f.tries[t]
 	req := &f.subs[a.sub].req
-	if srv := a.node.server(); srv == nil || !a.node.alive.Load() {
+	if srv := a.node.srv.Load(); srv == nil {
 		a.err = fmt.Errorf("shard: node %d down: %w", a.node.id, errs.ErrDegraded)
 	} else {
 		a.resp, a.err = srv.Submit(f.ctx, *req)
@@ -329,7 +326,7 @@ func candidates(dst []try, nodes []*node, replicas []int, rot int, now time.Time
 	for i := range replicas {
 		n := nodes[replicas[(i+rot)%len(replicas)]]
 		switch {
-		case !n.alive.Load():
+		case n.srv.Load() == nil:
 		case n.brk.Allow(now):
 			region[front] = try{node: n}
 			front++

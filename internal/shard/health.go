@@ -65,10 +65,6 @@ type ClusterHealth struct {
 // ClusterHealth snapshots the shard tier. The routing counters are read
 // from the router's registry — the only place they are counted.
 func (r *Router) ClusterHealth() ClusterHealth {
-	r.mu.RLock()
-	nodes := r.nodes
-	r.mu.RUnlock()
-
 	c := r.reg.Counters()
 	ch := ClusterHealth{
 		Shards:         r.opts.Shards,
@@ -81,10 +77,11 @@ func (r *Router) ClusterHealth() ClusterHealth {
 		NodeLosses:     c["shard.node_losses"],
 		Rereplications: c["shard.rereplications"],
 	}
-	for _, n := range nodes {
-		nh := NodeHealth{ID: n.id, Alive: n.alive.Load()}
+	for _, n := range r.nodes {
+		srv := n.srv.Load()
+		nh := NodeHealth{ID: n.id, Alive: srv != nil}
 		_, nh.BreakerOpen, nh.BreakerTrips = n.brk.Snapshot()
-		if srv := n.server(); srv != nil && nh.Alive {
+		if nh.Alive {
 			nh.Serve = srv.Health()
 			ch.LiveNodes++
 		}
@@ -111,15 +108,11 @@ func (r *Router) ClusterHealth() ClusterHealth {
 //
 // Cluster-only detail (failovers, hedges, partials) lives in ClusterHealth.
 func (r *Router) Health() serve.Health {
-	r.mu.RLock()
-	nodes := r.nodes
-	r.mu.RUnlock()
-
 	sum := make(map[string]int64)
 	var live []serve.Health
-	for _, n := range nodes {
-		srv := n.server()
-		if srv == nil || !n.alive.Load() {
+	for _, n := range r.nodes {
+		srv := n.srv.Load()
+		if srv == nil {
 			continue
 		}
 		for k, v := range srv.Metrics().Counters() {
@@ -129,7 +122,7 @@ func (r *Router) Health() serve.Health {
 	}
 	out := serve.HealthFromCounters(sum)
 	out.State = "ok"
-	if len(live) < len(nodes) {
+	if len(live) < len(r.nodes) {
 		out.State = "degraded"
 	}
 	for _, h := range live {

@@ -56,7 +56,7 @@ func TestRouterHealthIsSumOfNodes(t *testing.T) {
 	}
 	traffic()
 	for _, n := range r.nodes {
-		if _, err := n.server().Checkpoint(ctx); err != nil {
+		if _, err := n.srv.Load().Checkpoint(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}

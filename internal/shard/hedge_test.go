@@ -282,7 +282,7 @@ func TestFailedAttemptsAreNotRecorded(t *testing.T) {
 	if err := r.Register("ev", cols); err != nil {
 		t.Fatal(err)
 	}
-	r.nodes[0].server().Close()
+	r.nodes[0].srv.Load().Close()
 	for i := 0; i < j; i++ {
 		resp, err := r.Submit(context.Background(), req)
 		if err != nil {

@@ -95,7 +95,7 @@ func TestHedgeLoserHoldsLease(t *testing.T) {
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		busy := 0
 		for _, nd := range r.nodes {
-			srv := nd.server()
+			srv := nd.srv.Load()
 			busy += srv.Workers() - int(srv.Metrics().Gauge("serve.cores_free").Value())
 		}
 		if busy == 0 {

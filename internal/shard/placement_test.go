@@ -18,7 +18,7 @@ import (
 func admittedPerNode(r *Router) []int64 {
 	out := make([]int64, len(r.nodes))
 	for i, n := range r.nodes {
-		out[i] = n.server().Health().Admitted
+		out[i] = n.srv.Load().Health().Admitted
 	}
 	return out
 }

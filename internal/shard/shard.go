@@ -13,6 +13,11 @@
 // N). Membership is fixed at New, so the rule needs no state, and each node
 // holds exactly R of a table's N stripes.
 //
+// A node is live exactly while it has a server: one atomic pointer, which
+// KillNode swaps to nil and RecoverNode publishes only once the new server
+// holds its stripes. The fixed node list and that pointer are read without a
+// lock.
+//
 // A scan visits only the stripes its range can hit. Each partition keeps a
 // zone per column — exact min, max and wrapping sum, folded at Register from
 // the stripe's block headers — and the router classifies a stripe by the
@@ -147,22 +152,14 @@ type Response struct {
 	Failovers int
 }
 
-// node is one shard: a serve.Server, its durable store, liveness, and the
-// router-side breaker guarding the route to it.
+// node is one shard: its durable store, the router-side breaker guarding the
+// route to it, and its serve.Server, which is also its liveness: srv is nil
+// exactly while the node is dead.
 type node struct {
-	id    int
-	st    *store.Store
-	brk   *breaker.Breaker
-	alive atomic.Bool
-
-	mu  sync.RWMutex
-	srv *serve.Server
-}
-
-func (n *node) server() *serve.Server {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.srv
+	id  int
+	st  *store.Store
+	brk *breaker.Breaker
+	srv atomic.Pointer[serve.Server]
 }
 
 // partition is one contiguous row stripe of a registered table, placed on
@@ -233,10 +230,15 @@ type Router struct {
 	clu     cluster.Cluster
 	reg     *metrics.Registry
 
+	// nodes is fixed at New and read without mu.
+	nodes []*node
+	// closed flips once, under mu, so publish, which reads it under mu's
+	// read lock, either publishes before Close sweeps the nodes or sees it.
+	closed atomic.Bool
+
+	// mu guards tables and caps.
 	mu     sync.RWMutex
-	nodes  []*node
 	tables map[string]*tableMeta
-	closed bool
 	// caps is every tenant's cluster-wide memory cap SetTenantMemCap was
 	// given, so a server built later (a revived node's) carries its share.
 	caps map[string]int64
@@ -285,13 +287,14 @@ func New(_ context.Context, m *hw.Machine, opts Options) (*Router, error) {
 		if opts.Stores != nil {
 			n.st = opts.Stores[i]
 		}
-		if _, err := r.buildServer(n); err != nil {
+		srv, err := r.buildServer(n)
+		if err != nil {
 			for _, prev := range r.nodes {
-				prev.server().Close()
+				prev.srv.Load().Close()
 			}
 			return nil, fmt.Errorf("shard: node %d: %w", i, err)
 		}
-		n.alive.Store(true)
+		n.srv.Store(srv)
 		r.nodes = append(r.nodes, n)
 	}
 	if err := r.dropStrays(); err != nil {
@@ -330,7 +333,7 @@ func (r *Router) dropStrays() error {
 			if slices.Contains(owners, n.id) || !slices.ContainsFunc(owners, func(o int) bool { return held[o][name] }) {
 				continue
 			}
-			if err := n.server().Drop(name); err != nil {
+			if err := n.srv.Load().Drop(name); err != nil {
 				return fmt.Errorf("shard: node %d: drop stray stripe %s: %w", n.id, name, err)
 			}
 		}
@@ -338,45 +341,49 @@ func (r *Router) dropStrays() error {
 	return nil
 }
 
-// buildServer constructs one shard's serve.Server from the template, with
-// its share of the cluster's memory budget, gives it its share of every
-// tenant memory cap the router holds and installs it as n's server. The caps
-// are read and the server installed under one read lock, so a
-// SetTenantMemCap racing a revival is either read here or finds the server.
+// buildServer constructs n's serve.Server from the template, over n's store
+// and with its share of the cluster's memory budget. It does not install it.
 func (r *Router) buildServer(n *node) (*serve.Server, error) {
 	so := r.opts.Shard
 	so.Store = n.st
 	so.Memory.BudgetBytes = r.share(so.Memory.BudgetBytes)
-	srv, err := serve.New(r.machine, so)
-	if err != nil {
-		return nil, err
-	}
+	return serve.New(r.machine, so)
+}
+
+// publish makes srv dead node n's server, after giving it its share of every
+// tenant memory cap the router holds, both under mu's read lock: a racing
+// SetTenantMemCap is read here or finds srv, and a racing Close finds srv in
+// its sweep or is seen here. If the router is closed or n already has a
+// server (another RecoverNode won), srv is killed, not flushed, since n's
+// store may be its rival's, and the error wraps errs.ErrClosed.
+func (r *Router) publish(n *node, srv *serve.Server) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for tenant, bytes := range r.caps {
-		srv.SetTenantMemCap(tenant, r.share(bytes))
+	if !r.closed.Load() {
+		for tenant, bytes := range r.caps {
+			srv.SetTenantMemCap(tenant, r.share(bytes))
+		}
+		if n.srv.CompareAndSwap(nil, srv) {
+			return nil
+		}
 	}
-	n.mu.Lock()
-	n.srv = srv
-	n.mu.Unlock()
-	return srv, nil
+	srv.Kill() // never published, so no request waits on it
+	return fmt.Errorf("already live or router closed: %w", errs.ErrClosed)
 }
 
 // Close drains every live shard and releases router state. Safe to call
 // once; requests submitted after Close shed with errs.ErrClosed.
 func (r *Router) Close() error {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
+	closing := !r.closed.Swap(true)
+	r.mu.Unlock()
+	if !closing {
 		return nil
 	}
-	r.closed = true
-	nodes := r.nodes
-	r.mu.Unlock()
 
 	var first error
-	for _, n := range nodes {
-		if srv := n.server(); srv != nil {
+	for _, n := range r.nodes {
+		if srv := n.srv.Load(); srv != nil {
 			if err := srv.Close(); err != nil && first == nil {
 				first = err
 			}
@@ -402,13 +409,9 @@ func (r *Router) Register(name string, cols [][]int64) error {
 		}
 	}
 
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
+	if r.closed.Load() {
 		return fmt.Errorf("shard: register %q: %w", name, errs.ErrClosed)
 	}
-	nodes := r.nodes
-	r.mu.Unlock()
 
 	nparts := r.opts.Shards
 	if nparts > rows {
@@ -436,11 +439,8 @@ func (r *Router) Register(name string, cols [][]int64) error {
 			return fmt.Errorf("shard: register %q partition %d: %w", name, p, err)
 		}
 		for _, nid := range part.replicas {
-			// Read the server once: KillNode clears it without r.mu, so a
-			// node seen alive may already have none.
-			n := nodes[nid]
-			srv := n.server()
-			if srv == nil || !n.alive.Load() {
+			srv := r.nodes[nid].srv.Load()
+			if srv == nil {
 				// A dead replica misses the stripe; re-replication
 				// restores it when the node revives.
 				continue
@@ -471,10 +471,7 @@ func (r *Router) Submit(ctx context.Context, req serve.Request) (serve.Response,
 // SubmitDist is Submit with the distributed execution detail (strategy,
 // fabric cost, hedging/failover story) preserved.
 func (r *Router) SubmitDist(ctx context.Context, req serve.Request) (Response, error) {
-	r.mu.RLock()
-	closed := r.closed
-	r.mu.RUnlock()
-	if closed {
+	if r.closed.Load() {
 		return Response{}, fmt.Errorf("shard: %w", errs.ErrClosed)
 	}
 
@@ -643,12 +640,9 @@ func (r *Router) Metrics() *metrics.Registry { return r.reg }
 // the live shards' registries into a new histogram. A dead node's samples
 // are gone with its server, so after a node loss the merge is a floor.
 func (r *Router) Histogram(name string) *metrics.Histogram {
-	r.mu.RLock()
-	nodes := r.nodes
-	r.mu.RUnlock()
 	h := metrics.NewHistogram()
-	for _, n := range nodes {
-		if srv := n.server(); srv != nil && n.alive.Load() {
+	for _, n := range r.nodes {
+		if srv := n.srv.Load(); srv != nil {
 			h.Merge(srv.Metrics().Histogram(name))
 		}
 	}
@@ -658,11 +652,9 @@ func (r *Router) Histogram(name string) *metrics.Histogram {
 // Workers returns the cluster-wide simulated-core budget: the sum of the
 // live shards' worker budgets.
 func (r *Router) Workers() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	total := 0
 	for _, n := range r.nodes {
-		if srv := n.server(); srv != nil && n.alive.Load() {
+		if srv := n.srv.Load(); srv != nil {
 			total += srv.Workers()
 		}
 	}
@@ -678,7 +670,7 @@ func (r *Router) SetTenantMemCap(tenant string, bytes int64) {
 	defer r.mu.Unlock()
 	r.caps[tenant] = bytes
 	for _, n := range r.nodes {
-		if srv := n.server(); srv != nil {
+		if srv := n.srv.Load(); srv != nil {
 			srv.SetTenantMemCap(tenant, r.share(bytes))
 		}
 	}

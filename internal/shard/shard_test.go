@@ -76,7 +76,7 @@ func oracleSum(cols [][]int64, q scan.Query) int64 {
 
 // holdsStripe reports whether the node's own server can serve the stripe.
 func holdsStripe(n *node, derived string) bool {
-	_, err := n.server().Submit(context.Background(), scanReq(derived, 0, 0))
+	_, err := n.srv.Load().Submit(context.Background(), scanReq(derived, 0, 0))
 	return err == nil
 }
 
