@@ -55,11 +55,10 @@ race:
 # where a data race would land first, so they get a fresh pass even when the
 # full race target is cache-warm. store joined when the checkpoint/recovery
 # paths went concurrent (PR 7/8); cluster, concurrent, and metrics are the
-# remaining shared-mutable-state tiers; breaker is the mutex behind the
-# router's per-node breakers; hashtab is the table pool every concurrent join and group-sum
+# remaining shared-mutable-state tiers; hashtab is the table pool every concurrent join and group-sum
 # draws from (serve's TestPooledTablesAreNotShared is its eight-client test).
 race-core:
-	$(GO) test -race -count=1 ./internal/serve ./internal/sched ./internal/mem ./internal/frontend ./internal/vecexec ./internal/compress ./internal/shard ./internal/store ./internal/cluster ./internal/concurrent ./internal/metrics ./internal/breaker ./internal/hashtab
+	$(GO) test -race -count=1 ./internal/serve ./internal/sched ./internal/mem ./internal/frontend ./internal/vecexec ./internal/compress ./internal/shard ./internal/store ./internal/cluster ./internal/concurrent ./internal/metrics ./internal/hashtab
 
 # race-repeat runs the tests that guard a recycling or ordering rule ten more
 # times under -race, because one run rarely hits what they guard. The
@@ -86,9 +85,12 @@ race-core:
 # The revival tests guard the router's one-server rule (a node's server is
 # published once, after it holds its stripes and tenant caps, and never past
 # Close), which needs a cap set, a second publish or a Close to land while a
-# recovery runs.
+# recovery runs. The kill tests guard its crash-stop rule (a node is dead only
+# once its server has stopped, so neither KillNode nor a racing Close returns
+# while it still runs, and a revived node copies its stripes from a live
+# replica), which needs a Close to land while a kill drains.
 race-repeat:
-	$(GO) test -race -count=10 -run 'TestSimCyclesGolden|TestHedgeLoserNeverSeesRecycledState|TestHedgeLoserHoldsLease|TestLeasedRequestsOverHedgedRouter|TestRevivedNodeKeepsTenantCaps|TestPublishKeepsTheFirstServer|TestRecoverRacingCloseLeavesNoServer' ./internal/shard
+	$(GO) test -race -count=10 -run 'TestSimCyclesGolden|TestHedgeLoserNeverSeesRecycledState|TestHedgeLoserHoldsLease|TestLeasedRequestsOverHedgedRouter|TestRevivedNodeKeepsTenantCaps|TestPublishKeepsTheFirstServer|TestRecoverRacingCloseLeavesNoServer|TestKillRacingCloseLeavesNoServer|TestKilledNodeNeverCommits|TestEmptyRecoveredNodeFailsOver' ./internal/shard
 	$(GO) test -race -count=10 -timeout 5m -run 'TestCancelledSubmitNeverSeesRecycledState|TestLeaseOutlivesCancelledSubmit|TestRetiredTableOutlivesHeldPass|TestLoadPinsLeasedTable|TestChurnAnswersMatchAVersion|TestGroupsLiveUntilLastRelease' ./internal/serve
 	$(GO) test -race -count=10 -run 'TestLeaseMapConcurrentTakes|TestLeaseMapClasses' ./internal/mem
 	$(GO) test -race -count=10 -run 'TestCheckpointHoldsReplacedTable|TestDropDuringCheckpointCommitsSnapshot' ./internal/store

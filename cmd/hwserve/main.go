@@ -60,8 +60,8 @@
 // failures, stragglers), and with it the scheduler's resilience: a transient
 // re-runs its morsel, a panicking worker retires and its morsels
 // re-dispatch, and a straggler's claimed morsels move to healthy cores. A
-// sharded run's router also routes around a failing node with its per-node
-// breaker. SIGINT/SIGTERM stops the clients and drains admitted work through
+// sharded run's router fails a lost node's requests over to its replicas.
+// SIGINT/SIGTERM stops the clients and drains admitted work through
 // Server.Close before the final report prints.
 package main
 
@@ -110,7 +110,7 @@ func (b *backend) closeStores() {
 
 type report struct {
 	completed, rejected, deadlined int64
-	shed, failed                   int64
+	lost, failed                   int64
 	partials                       int64
 	memShed, oomKilled             int64
 	elapsed                        time.Duration
@@ -248,7 +248,7 @@ func run(ctx context.Context, cfg Config) (*report, error) {
 
 	stopChaos := startChaos(ctx, cfg, b.router)
 
-	var completed, rejected, deadlined, shed, failed atomic.Int64
+	var completed, rejected, deadlined, lost, failed atomic.Int64
 	var partials, memShed, oomKilled atomic.Int64
 	cycles := make([]float64, cfg.Clients) // each client sums into its own slot
 	start := time.Now()
@@ -295,7 +295,9 @@ func run(ctx context.Context, cfg Config) (*report, error) {
 				case errors.Is(err, hwstar.ErrOverloaded):
 					rejected.Add(1)
 				case errors.Is(err, hwstar.ErrDegraded):
-					shed.Add(1)
+					// No live replica answered: a scan that covered no
+					// stripe, or a routed op with no live node.
+					lost.Add(1)
 				case errors.Is(err, hwstar.ErrOOMKilled):
 					oomKilled.Add(1)
 				case errors.Is(err, hwstar.ErrMemoryPressure):
@@ -316,7 +318,7 @@ func run(ctx context.Context, cfg Config) (*report, error) {
 	}
 	r := &report{
 		completed: completed.Load(), rejected: rejected.Load(), deadlined: deadlined.Load(),
-		shed: shed.Load(), failed: failed.Load(), partials: partials.Load(),
+		lost: lost.Load(), failed: failed.Load(), partials: partials.Load(),
 		memShed: memShed.Load(), oomKilled: oomKilled.Load(),
 		elapsed:  elapsed,
 		batches:  bs.Count(),
@@ -359,8 +361,8 @@ func (r *report) print(w io.Writer, cfg Config) {
 	if r.interrupted {
 		fmt.Fprintf(w, "  interrupted: clients stopped, admitted work drained\n")
 	}
-	fmt.Fprintf(w, "  completed %d / %d  (rejected %d, missed deadline %d, shed %d, failed %d)\n",
-		r.completed, total, r.rejected, r.deadlined, r.shed, r.failed)
+	fmt.Fprintf(w, "  completed %d / %d  (rejected %d, missed deadline %d, lost %d, failed %d)\n",
+		r.completed, total, r.rejected, r.deadlined, r.lost, r.failed)
 	if r.cluster != nil {
 		ch := r.cluster
 		fmt.Fprintf(w, "  cluster %d shards x %d replicas  (node losses %d, failovers %d, hedges %d/%d won, partial answers %d, re-replications %d)\n",

@@ -593,18 +593,18 @@ func GenJoin(seed int64, buildRows, probeRows int, zipfS float64) JoinData {
 }
 
 // Router is the sharded serving tier: N serve.Server shards behind a
-// router that places partition p on nodes p … p+R−1, replica failover with
-// per-node circuit breakers, hedged dispatch against stragglers,
+// router that places partition p on nodes p … p+R−1, replica failover as
+// its one response to a failing node, hedged dispatch against stragglers,
 // cost-model-chosen distributed join strategies, typed partial results on
-// total replica loss, and re-replication from surviving durable
-// stores on node recovery. See internal/shard.
+// total replica loss, and re-replication from a surviving replica on node
+// recovery. See internal/shard.
 type Router = shard.Router
 
 // RouterOptions configures a Router: shard and replica counts, the
 // per-shard ServerOptions, per-node durable stores and fault injector. The
 // template's memory budget is the cluster's: each shard governs an even
 // share, and the shards' governors are the only admission gates. Partition
-// count, fabric, hedging and breaker policy are fixed (see DESIGN.md).
+// count, fabric and hedging policy are fixed (see DESIGN.md).
 type RouterOptions = shard.Options
 
 // RouterResponse is a Router's distributed answer: the serve.Response plus

@@ -15,7 +15,7 @@ import (
 // two lock classes are each acquired while the other is held (on any pair
 // of code paths, even ones never yet executed together), a deadlock is
 // constructible, and no test is guaranteed to find it before production
-// does. The serving tiers stacked since PR 5 (the router's breaker locks,
+// does. The serving tiers stacked since PR 5 (the router's table lock,
 // serve's intake and core-pool locks, the mem governor's
 // reservation/governor pair, the store's checkpoint/state pair) each hold
 // such an order by hand today; this analyzer holds it by machine.
@@ -28,10 +28,10 @@ import (
 // acquire B while holding A draws the edge A -> B just as a direct nested
 // Lock does. Locks of the same class are never edged to themselves —
 // instance identity is beyond static scope, and same-class hierarchies
-// (two breakers, two shards) are ordered by the caller.
+// (two shards, two reservations) are ordered by the caller.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "the per-package lock-acquisition graph (serve/shard/mem/store/frontend/breaker) is cycle-free",
+	Doc:  "the per-package lock-acquisition graph (serve/shard/mem/store/frontend) is cycle-free",
 	Run:  runLockOrder,
 }
 
@@ -41,7 +41,6 @@ var lockOrderScope = []string{
 	"hwstar/internal/mem",
 	"hwstar/internal/store",
 	"hwstar/internal/frontend",
-	"hwstar/internal/breaker",
 }
 
 // lockEvent is one mutex operation or same-package call, in lexical order.

@@ -24,7 +24,7 @@ func init() {
 	register(Experiment{
 		ID:    "E26",
 		Title: "Sharded tier: node-loss failover, hedged-dispatch tails, typed partial results, distributed join strategies",
-		Claim: "a replicated serving tier (partition p on nodes p … p+R−1) survives seeded node-kill/failover cycles with zero lost committed answers on replicated ranges (recovery re-replicating from surviving durable stores); hedged dispatch bounds the straggler tail to within 2x the no-fault p99; total replica loss degrades to typed partial results that are exact over the covered fraction, never silently wrong totals; and the planner's cost model picks shuffle vs broadcast per the fabric price while distributed joins stay exact",
+		Claim: "a replicated serving tier (partition p on nodes p … p+R−1) survives seeded node-kill/failover cycles with zero lost committed answers on replicated ranges (recovery re-replicating from a surviving replica); hedged dispatch bounds the straggler tail to within 2x the no-fault p99; total replica loss degrades to typed partial results that are exact over the covered fraction, never silently wrong totals; and the planner's cost model picks shuffle vs broadcast per the fabric price while distributed joins stay exact",
 		Run:   runE26,
 	})
 }
@@ -128,7 +128,7 @@ func e26Stores(m *hw.Machine, n int) ([]*store.Store, func(), error) {
 // runE26Failover is the core robustness loop: `cycles` seeded node kills,
 // each followed by scans verified against the oracle (R=2 must absorb one
 // node loss exactly) and a recovery that re-replicates the revived node's
-// stripes from the surviving replicas' durable stores.
+// stripes from a surviving replica.
 func runE26Failover(m *hw.Machine, shards, cycles, rows int) (e26FailoverBench, error) {
 	ctx := context.Background()
 	b := e26FailoverBench{Cycles: cycles}
@@ -152,9 +152,9 @@ func runE26Failover(m *hw.Machine, shards, cycles, rows int) (e26FailoverBench, 
 
 	// The table arrives while node 0 is down, so its durable store never
 	// sees its stripes: the first recovery MUST re-replicate them from the
-	// surviving replicas' stores (the cycle loop then proves the copied
-	// data keeps answering). Later cycles re-replicate whatever a node's
-	// own graceful-flush replay can't restore.
+	// surviving replicas (the cycle loop then proves the copied data keeps
+	// answering). Later cycles re-replicate whatever a node's own replay
+	// can't restore.
 	cols, expect := e26Relation(rows)
 	if err := r.KillNode(0); err != nil {
 		return b, err

@@ -33,8 +33,8 @@
 // scheduler re-runs a morsel, the shard router fails over and hedges across
 // nodes, and a client resubmits on the wire's Retry-After. Health()
 // snapshots the morsel re-runs, re-dispatches and fault-log state. A server
-// has no circuit breaker of its own either: a server that keeps failing is
-// routed around by the shard tier's per-node breaker (internal/shard).
+// has no circuit breaker either: a node that fails is failed over by the
+// shard tier (internal/shard), which has no breaker of its own.
 //
 // With Options.Memory armed the server also governs memory (see
 // internal/mem): a join/aggregate request opens a reservation once it holds
@@ -690,6 +690,21 @@ func (s *Server) lookup(name string) (*vecTable, bool) {
 		vt.lease.Acquire()
 	}
 	return vt, ok
+}
+
+// Stripe returns the table registered under name when no lease owns its
+// blocks (RegisterEncoded's and the store's tables), so the caller may keep
+// and share them: the shard tier copies a live replica's stripe onto a
+// revived node this way. A table Register encoded is leased, and its blocks
+// go back to the pool once replaced, so Stripe reports false for it.
+func (s *Server) Stripe(name string) (*table.Table, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	vt, ok := s.tables[name]
+	if !ok || vt.lease != nil {
+		return nil, false
+	}
+	return vt.t, true
 }
 
 // validate rejects malformed requests before they consume queue space.

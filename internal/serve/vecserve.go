@@ -50,6 +50,7 @@ const (
 // FOR/RLE block stream whose headers carry the zone map and the block sum,
 // so a zone-map full match aggregates a block in O(1) without decoding it.
 type vecTable struct {
+	t    *table.Table
 	cols []*compress.Compressed
 	rows int
 	// lease owns the columns' payload when Register encoded them (nil for
@@ -62,7 +63,7 @@ type vecTable struct {
 // newVecTable views t as a scan relation. It reports false when t is not
 // scan-shaped: no columns, or a column that is not an int64 block stream.
 func newVecTable(t *table.Table) (*vecTable, bool) {
-	vt := &vecTable{cols: make([]*compress.Compressed, t.Schema().NumColumns()), rows: t.NumRows()}
+	vt := &vecTable{t: t, cols: make([]*compress.Compressed, t.Schema().NumColumns()), rows: t.NumRows()}
 	for i := range vt.cols {
 		c, ok := t.Column(i).(*compress.Compressed)
 		if !ok {

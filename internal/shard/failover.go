@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -10,43 +11,35 @@ import (
 	"hwstar/internal/table"
 )
 
-// KillNode simulates whole-node loss (fault.ClassNodeLoss made manual):
-// the node's serve.Server disappears from routing immediately and is
-// killed in the background (serve.Server.Kill: drained, never flushed).
-// In-flight requests against it either finish or fail over; new dispatches
-// skip it. The node's durable store — bytes on disk — survives, exactly
-// like a crashed machine's disks, and seeds recovery when the node revives:
-// the revived server shares the store, so the dead one must not commit to
-// it. Killing an already-dead node is a no-op.
+// KillNode simulates whole-node loss (fault.ClassNodeLoss made manual) as
+// a crash-stop: it stops the node's serve.Server with serve.Server.Kill
+// (intake closed, checkpointer stopped, queue drained, nothing flushed) and
+// only then marks the node dead. Requests queued on the node finish; those
+// that reach it while it stops are refused and fail over, and new dispatches
+// skip it once it is dead. The node's durable store — bytes on disk —
+// survives, exactly like a crashed machine's disks, and seeds recovery when
+// the node revives; since the dead server has stopped before KillNode
+// returns, it can commit nothing to the store its successor opens. Killing a
+// dead node, or one a racing KillNode or Close is already stopping, is a
+// no-op.
 func (r *Router) KillNode(id int) error {
 	n, err := r.nodeByID(id)
 	if err != nil {
 		return err
 	}
-	srv := n.srv.Swap(nil)
-	if srv == nil {
+	srv := n.srv.Load()
+	if srv == nil || errors.Is(srv.Kill(), errs.ErrClosed) {
 		return nil
 	}
+	n.srv.CompareAndSwap(srv, nil)
 	r.reg.Counter("shard.node_losses").Inc()
-
-	// Drain the abandoned server off the request path so 128-cycle chaos
-	// runs don't accumulate live dispatch goroutines.
-	r.reapWG.Add(1)
-	go func() {
-		defer r.reapWG.Done()
-		if c := r.opts.reapHold; c != nil {
-			c <- struct{}{}
-			<-c
-		}
-		srv.Kill()
-	}()
 	return nil
 }
 
 // RecoverNode revives a killed node: a fresh serve.Server is built from
 // the shard template (replaying the node's own durable store, when one is
 // armed), the node's partitions (replicasOf) are re-replicated onto it from a
-// surviving replica's durable store, and only then is it published, which
+// surviving replica (fetchStripe), and only then is it published, which
 // returns the node to routing. Recovering a live node is a no-op; a recovery
 // that loses a race with Close or another RecoverNode kills the server it
 // built and returns an error wrapping errs.ErrClosed.
@@ -67,7 +60,6 @@ func (r *Router) RecoverNode(ctx context.Context, id int) error {
 		srv.Kill()
 		return fmt.Errorf("shard: recover node %d: %w", id, err)
 	}
-	n.brk.Reset()
 	if err := r.publish(n, srv); err != nil {
 		return fmt.Errorf("shard: recover node %d: %w", id, err)
 	}
@@ -75,13 +67,13 @@ func (r *Router) RecoverNode(ctx context.Context, id int) error {
 }
 
 // rereplicate restores every partition assigned to n onto srv, n's server
-// not yet published, from a surviving replica's durable store. The revived
+// not yet published, from a surviving replica (fetchStripe). The revived
 // node's own replay is not trusted: it restores whatever the node's disk
 // held when it died, under the same derived name a later re-registration
 // used, so a stripe is always taken from another replica when one can supply
 // it. The node keeps its replayed copy only when nobody else holds the
-// stripe; stripes nobody holds durably stay lost (their table remains
-// partial until re-registered).
+// stripe; stripes nobody holds stay lost (their table remains partial until
+// re-registered).
 func (r *Router) rereplicate(ctx context.Context, n *node, srv *serve.Server) error {
 	r.mu.RLock()
 	tables := make([]*tableMeta, 0, len(r.tables))
@@ -108,29 +100,21 @@ func (r *Router) rereplicate(ctx context.Context, n *node, srv *serve.Server) er
 	return nil
 }
 
-// fetchStripe reads one partition's encoded stripe from a surviving
-// replica's durable store, preferring live replicas (their store reflects
-// the latest registration flush). Blocks move as stored; no row is decoded.
+// fetchStripe returns one partition's encoded stripe from another replica:
+// the stripe a live replica serves (its latest registration), else the one
+// a dead replica's durable store holds. Blocks move as they are; no row is
+// decoded.
 func (r *Router) fetchStripe(ctx context.Context, part *partition, excludeID int) (*table.Table, bool) {
-	ordered := make([]*node, 0, len(part.replicas))
 	for _, nid := range part.replicas {
-		if nid == excludeID {
-			continue
-		}
-		if src := r.nodes[nid]; src.srv.Load() != nil {
-			ordered = append(ordered, src)
+		if srv := r.nodes[nid].srv.Load(); nid != excludeID && srv != nil {
+			if t, ok := srv.Stripe(part.derived); ok {
+				return t, true
+			}
 		}
 	}
 	for _, nid := range part.replicas {
-		if nid == excludeID {
-			continue
-		}
-		if src := r.nodes[nid]; src.srv.Load() == nil {
-			ordered = append(ordered, src)
-		}
-	}
-	for _, src := range ordered {
-		if src.st == nil {
+		src := r.nodes[nid]
+		if nid == excludeID || src.st == nil || src.srv.Load() != nil {
 			continue
 		}
 		if t, err := src.st.Load(ctx, part.derived); err == nil {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"hwstar/internal/agg"
-	"hwstar/internal/breaker"
 	"hwstar/internal/errs"
 	"hwstar/internal/fault"
 	"hwstar/internal/hw"
@@ -320,66 +319,98 @@ func TestRevivedNodeKeepsTenantCaps(t *testing.T) {
 }
 
 // TestKilledNodeNeverCommits pins that a kill is a crash-stop: the revived
-// node shares the dead one's store, so the dead server, stopped in the
-// background after its successor has opened that store, must commit
-// nothing to it. The reaper is held until the successor has checkpointed,
-// then let go; the store must still be at the successor's version.
+// node shares the dead one's store, so the dead server must have stopped by
+// the time KillNode returns. It then answers Kill with ErrClosed, and the
+// successor's checkpoint stays the store's last version.
 func TestKilledNodeNeverCommits(t *testing.T) {
 	ctx := context.Background()
 	cols, _ := testRelation(9000)
-	hold := make(chan struct{})
-	r := newRouter(t, Options{Shards: 3, Replicas: 2, Stores: openStores(t, 3), reapHold: hold})
+	r := newRouter(t, Options{Shards: 3, Replicas: 2, Stores: openStores(t, 3)})
 	if err := r.Register("ev", cols); err != nil {
 		t.Fatal(err)
+	}
+	n := r.nodes[1]
+	dead := n.srv.Load()
+	if err := r.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := dead.Kill(); !errors.Is(err, errs.ErrClosed) {
+		t.Fatalf("the killed server was still running after KillNode returned (Kill: %v)", err)
+	}
+	if err := r.RecoverNode(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := n.srv.Load().Checkpoint(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := n.st.Version(); got != cp.Version {
+		t.Fatalf("store at manifest v%d, want the successor's checkpoint v%d", got, cp.Version)
+	}
+}
+
+// TestKillRacingCloseLeavesNoServer: a KillNode racing Router.Close stops
+// node 1's server whichever of them reaches it first, and neither returns
+// before it has stopped, so once both return the old server answers Kill
+// with ErrClosed.
+func TestKillRacingCloseLeavesNoServer(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		r := newRouter(t, Options{Shards: 3, Replicas: 2})
+		old := r.nodes[1].srv.Load()
+		killed := make(chan error, 1)
+		go func() { killed <- r.KillNode(1) }()
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-killed; err != nil {
+			t.Fatal(err)
+		}
+		if err := old.Kill(); !errors.Is(err, errs.ErrClosed) {
+			t.Fatalf("round %d: node 1's server was left running after KillNode and Close (Kill: %v)", round, err)
+		}
+	}
+}
+
+// TestCandidatesRotateOverLiveReplicas: a sub's candidates are its live
+// replicas in rotation order from rot, appended behind the candidates
+// already in dst. A dead node is left out, and the last live replica kept.
+func TestCandidatesRotateOverLiveReplicas(t *testing.T) {
+	r := newRouter(t, Options{Shards: 3, Replicas: 3})
+	replicas := []int{0, 1, 2}
+	ids := func(c []try) []int {
+		out := make([]int, len(c))
+		for i := range c {
+			out[i] = c[i].node.id
+		}
+		return out
+	}
+	for rot := 0; rot < 6; rot++ {
+		got := ids(candidates([]try{{node: r.nodes[2]}}, r.nodes, replicas, rot))
+		want := []int{2, rot % 3, (rot + 1) % 3, (rot + 2) % 3}
+		if !slices.Equal(got, want) {
+			t.Fatalf("rotation %d: candidates %v, want %v", rot, got, want)
+		}
 	}
 	if err := r.KillNode(1); err != nil {
 		t.Fatal(err)
 	}
-	<-hold // the reaper holds the dead server, not yet stopped
-	release := sync.OnceFunc(func() { hold <- struct{}{} })
-	t.Cleanup(release) // before the router's Close, which waits for the reaper
-	if err := r.RecoverNode(ctx, 1); err != nil {
-		t.Fatal(err)
-	}
-	n := r.nodes[1]
-	if _, err := n.srv.Load().Checkpoint(ctx); err != nil {
-		t.Fatal(err)
-	}
-	v := n.st.Version()
-	release()
-	r.reapWG.Wait()
-	if got := n.st.Version(); got != v {
-		t.Fatalf("the killed server committed manifest v%d over its successor's v%d", got, v)
-	}
-}
-
-// TestFailingNodeSortsAfterHealthyReplica pins the router's breaker policy
-// across cooldowns: a live node whose route tripped and whose half-open
-// probe has failed at every cooldown since stays ordered behind its healthy
-// replica (the failed probe re-arms the cooldown), yet is never dropped —
-// it is still the candidate when it is the last replica standing. The
-// failure times are explicit and the cooldown an hour, so no sleep decides
-// the outcome.
-func TestFailingNodeSortsAfterHealthyReplica(t *testing.T) {
-	r := newRouter(t, Options{Shards: 2, Replicas: 2})
-	bad := r.nodes[1]
-	bad.brk = breaker.New(1, time.Hour)
-	now := time.Now()
-	bad.brk.OnFailure(now.Add(-150 * time.Minute)) // trips
-	bad.brk.OnFailure(now.Add(-90 * time.Minute))  // probe after the first cooldown fails
-	bad.brk.OnFailure(now.Add(-30 * time.Minute))  // probe after the second fails
-	// Every rotation, appended behind another sub's candidate.
-	for rot := 0; rot < 4; rot++ {
-		c := candidates([]try{{node: r.nodes[0]}}, r.nodes, []int{0, 1}, rot, now)
-		if len(c) != 3 || c[1].node.id != 0 || c[2].node != bad {
-			t.Fatalf("rotation %d: node failing every probe not ordered last: %d candidates, then %v", rot, len(c), c[len(c)-1].node.id)
+	for rot := 0; rot < 3; rot++ {
+		got := ids(candidates(nil, r.nodes, replicas, rot))
+		want := []int{2, 0}
+		if rot == 0 {
+			want = []int{0, 2}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("rotation %d with node 1 dead: candidates %v, want %v", rot, got, want)
 		}
 	}
 	if err := r.KillNode(0); err != nil {
 		t.Fatal(err)
 	}
-	if c := candidates(nil, r.nodes, []int{0, 1}, 0, now); len(c) != 1 || c[0].node != bad {
-		t.Fatalf("last replica standing dropped from candidates: %d candidates", len(c))
+	for rot := 0; rot < 3; rot++ {
+		if got := ids(candidates(nil, r.nodes, replicas, rot)); !slices.Equal(got, []int{2}) {
+			t.Fatalf("rotation %d: last live replica dropped: candidates %v", rot, got)
+		}
 	}
 }
 
@@ -430,11 +461,10 @@ func TestRecoveryReplacesStaleReplayedStripes(t *testing.T) {
 	}
 }
 
-// TestInvalidRequestTripsNoBreaker: a request every node refuses as invalid
-// is the client's fault, not a node's. Its sub settles on the first answer —
-// no failover to a replica that would refuse it too, and no breaker failure,
-// so a burst of bad requests cannot open every breaker in the cluster.
-func TestInvalidRequestTripsNoBreaker(t *testing.T) {
+// TestInvalidRequestSettlesWithoutFailover: a request every node refuses as
+// invalid is the client's fault, not a node's. Its sub settles on the first
+// answer, with no failover to a replica that would refuse it too.
+func TestInvalidRequestSettlesWithoutFailover(t *testing.T) {
 	r := newRouter(t, Options{Shards: 3, Replicas: 2})
 	reqs := make([]serve.Request, 0, 6)
 	for i := 0; i < 5; i++ {
@@ -453,11 +483,6 @@ func TestInvalidRequestTripsNoBreaker(t *testing.T) {
 		t.Fatalf("%d failovers for invalid requests, want 0", ch.Failovers)
 	}
 	var invalid int64
-	for _, n := range ch.Nodes {
-		if n.BreakerOpen {
-			t.Fatalf("node %d breaker opened on invalid requests", n.ID)
-		}
-	}
 	for _, n := range r.nodes {
 		invalid += n.srv.Load().Metrics().Counters()["serve.invalid"]
 	}
@@ -466,13 +491,14 @@ func TestInvalidRequestTripsNoBreaker(t *testing.T) {
 	}
 }
 
-// TestEmptyRecoveredNodeFailsOver: a memory-only node recovers with no
-// stripes, since there is no durable copy to re-replicate from, and refuses
-// its stripes as unknown tables. That refusal is the node's state, not the
-// scan's fault, so each such stripe fails over to its live replica and every
-// scan still equals the oracle. Once that replica dies too, the stripe is
-// lost and the scan degrades to a typed partial.
+// TestEmptyRecoveredNodeFailsOver: a memory-only node has no durable copy
+// to recover, so it recovers its stripes from a live replica: both of node
+// 1's stripes are re-replicated, and no scan needs a failover. A node
+// recovered after both of a stripe's replicas died has no copy of that
+// stripe and refuses it as unknown; the refusal fails over to nobody, and
+// the scan degrades to a typed partial.
 func TestEmptyRecoveredNodeFailsOver(t *testing.T) {
+	ctx := context.Background()
 	cols, _ := testRelation(6000)
 	req := straddleReq("ev")
 	want := oracleSum(cols, req.Query)
@@ -483,36 +509,44 @@ func TestEmptyRecoveredNodeFailsOver(t *testing.T) {
 	if err := r.KillNode(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RecoverNode(context.Background(), 1); err != nil {
+	if err := r.RecoverNode(ctx, 1); err != nil {
 		t.Fatal(err)
+	}
+	if ch := r.ClusterHealth(); ch.Rereplications != 2 {
+		t.Fatalf("%d stripes re-replicated onto the recovered node, want its 2", ch.Rereplications)
 	}
 	for i := 0; i < 24; i++ {
-		resp, err := r.Submit(context.Background(), req)
+		resp, err := r.Submit(ctx, req)
 		if err != nil || resp.Sum != want {
-			t.Fatalf("scan %d after an empty recovery: sum=%d err=%v, want %d", i, resp.Sum, err, want)
+			t.Fatalf("scan %d after a recovery: sum=%d err=%v, want %d", i, resp.Sum, err, want)
 		}
 	}
-	if ch := r.ClusterHealth(); ch.Failovers == 0 {
-		t.Fatal("no failover away from the empty recovered node")
+	if ch := r.ClusterHealth(); ch.Failovers != 0 {
+		t.Fatalf("%d failovers after a recovery from a live replica, want 0", ch.Failovers)
 	}
-	// Partition 1 lives on nodes 1 and 2: with node 2 dead, only the empty
-	// node 1 is left for it.
-	if err := r.KillNode(2); err != nil {
+	// Partition 1 lives on nodes 1 and 2: with both dead, node 1 recovers
+	// with no copy of it.
+	for _, id := range []int{1, 2} {
+		if err := r.KillNode(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.RecoverNode(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := r.Submit(context.Background(), req)
+	resp, err := r.Submit(ctx, req)
 	if !errors.Is(err, errs.ErrPartialResult) || !resp.Partial {
 		t.Fatalf("scan with a stripe on no holder: partial=%v err=%v, want a partial", resp.Partial, err)
 	}
 }
 
-// TestShedTripsNoBreaker: a node that sheds for want of memory is refusing
-// work, not failing. Each node's share of the cluster budget (64 B) is below
-// what even the deepest spill fan-out of a 4,096-group table needs, so every
-// node answers every group-sum ErrMemoryPressure: each request fails over
-// across all three nodes and ends in ErrMemoryPressure, and no node's
-// breaker counts those sheds as failures.
-func TestShedTripsNoBreaker(t *testing.T) {
+// TestMemoryShedFailsOverToEveryNode: a node that sheds for want of memory
+// is refusing work another node may have room for. Each node's share of the
+// cluster budget (64 B) is below what even the deepest spill fan-out of a
+// 4,096-group table needs, so every node answers every group-sum
+// ErrMemoryPressure: each request fails over across all three nodes and ends
+// in ErrMemoryPressure.
+func TestMemoryShedFailsOverToEveryNode(t *testing.T) {
 	r := newRouter(t, Options{Shards: 3, Replicas: 2, hedgeDelay: time.Hour,
 		Shard: serve.Options{Memory: mem.Config{BudgetBytes: 3 * 64}}})
 	keys := make([]int64, 4096)
@@ -529,10 +563,5 @@ func TestShedTripsNoBreaker(t *testing.T) {
 	ch := r.ClusterHealth()
 	if ch.Failovers != 8 {
 		t.Errorf("failovers = %d, want 8 (each group-sum tried all 3 nodes)", ch.Failovers)
-	}
-	for _, nh := range ch.Nodes {
-		if nh.BreakerTrips > 0 || nh.BreakerOpen {
-			t.Errorf("node %d: breaker tripped %d times (open %v) on sheds alone", nh.ID, nh.BreakerTrips, nh.BreakerOpen)
-		}
 	}
 }

@@ -112,22 +112,19 @@ func (f *fanout) release() {
 
 // run dispatches every sub of f and returns once each is settled:
 //
-//   - a sub's candidates are its replicas ordered live-first and
-//     breaker-aware (candidates), rotated by the request's rotor draw plus
-//     the sub's partition, so load spreads across replicas and sub-joins
-//     across nodes;
+//   - a sub's candidates are its live replicas (candidates), rotated by
+//     the request's rotor draw plus the sub's partition, so load spreads
+//     across replicas and sub-joins across nodes;
 //   - every sub's primary starts at once; when the op class's hedge
 //     deadline (the p95 of its recent dispatches) passes, every sub still
 //     unanswered hedges to its next unused candidate, and whichever attempt
 //     answers first wins;
-//   - a failed attempt (node died, shed, errored) fails over to the sub's
-//     next unused candidate at once. A shed (overload, memory pressure) is
-//     a node refusing work it has no room for, not a node failing, so it
-//     leaves the node's breaker as it was: another node may have room;
+//   - a failed attempt (node died, shed for want of room, errored) fails
+//     over to the sub's next unused candidate at once;
 //   - an inline request (a group-sum, a sub-join) refused as invalid input
 //     settles its sub with that error: the request is at fault, so no
-//     failover and no breaker failure. A scan stripe refused so is a
-//     node without the stripe, and fails over as a lost replica;
+//     failover. A scan stripe refused so is a node without the stripe, and
+//     fails over as a lost replica;
 //   - a sub fails only when every candidate it launched has failed.
 //
 // A sub that succeeds records its time from the first launch to the
@@ -154,7 +151,7 @@ func (r *Router) run(ctx context.Context, f *fanout) {
 	for i := range f.subs {
 		s := &f.subs[i]
 		s.first = len(f.tries)
-		f.tries = candidates(f.tries, r.nodes, s.replicas, rot+s.part, start)
+		f.tries = candidates(f.tries, r.nodes, s.replicas, rot+s.part)
 		s.end = len(f.tries)
 	}
 	if cap(f.done) < len(f.tries) {
@@ -215,11 +212,9 @@ func (r *Router) run(ctx context.Context, f *fanout) {
 			if s.settled {
 				continue // a hedge loser: its sub already has its answer
 			}
-			now := time.Now()
 			switch {
 			case a.err == nil:
-				r.lat[opClass(s.req.Op)].record(now.Sub(start))
-				a.node.brk.OnSuccess()
+				r.lat[opClass(s.req.Op)].record(time.Since(start))
 				if a.hedged {
 					r.reg.Counter("shard.hedge_wins").Inc()
 				}
@@ -235,9 +230,6 @@ func (r *Router) run(ctx context.Context, f *fanout) {
 				waiting--
 				continue
 			default:
-				if !shed(a.err) {
-					a.node.brk.OnFailure(now)
-				}
 				s.err = a.err
 				if errors.Is(a.err, errs.ErrInvalidInput) {
 					// The router has checked the scan, so a node refusing
@@ -262,13 +254,6 @@ func (r *Router) run(ctx context.Context, f *fanout) {
 	}
 }
 
-// shed reports whether a node refused an attempt for want of room — its
-// intake lanes were full or its memory governor denied the bytes — rather
-// than failed it.
-func shed(err error) bool {
-	return errors.Is(err, errs.ErrOverloaded) || errors.Is(err, errs.ErrMemoryPressure)
-}
-
 // launch starts sub i's next unused candidate, with its own reference to the
 // request's lease: run may return before the attempt reaches Submit.
 func (f *fanout) launch(i int, hedged bool) {
@@ -282,15 +267,19 @@ func (f *fanout) launch(i int, hedged bool) {
 	go f.attempt(t)
 }
 
-// attempt sends try t's sub-request to its node and reports t on done. It
-// drops its lease reference before the send: after it, f may be recycled.
+// attempt sends try t's sub-request to its node and reports t on done. A
+// node found dead, or refusing with errs.ErrClosed while KillNode stops its
+// server, is reported down. attempt drops its lease reference before the
+// send: after it, f may be recycled.
 func (f *fanout) attempt(t int) {
 	a := &f.tries[t]
 	req := &f.subs[a.sub].req
-	if srv := a.node.srv.Load(); srv == nil {
-		a.err = fmt.Errorf("shard: node %d down: %w", a.node.id, errs.ErrDegraded)
-	} else {
+	srv := a.node.srv.Load()
+	if srv != nil {
 		a.resp, a.err = srv.Submit(f.ctx, *req)
+	}
+	if srv == nil || errors.Is(a.err, errs.ErrClosed) {
+		a.err = fmt.Errorf("shard: node %d down: %w", a.node.id, errs.ErrDegraded)
 	}
 	req.Lease.Release()
 	f.done <- t
@@ -312,31 +301,14 @@ func noReplicaErr(s *sub) error {
 	return fmt.Errorf("shard: no live replica for %q (replicas %v): %w", s.req.Table, s.replicas, errs.ErrDegraded)
 }
 
-// candidates appends to dst one try per live node of a replica set, rotated
-// by rot: nodes whose breaker allows a request first, then those with open
-// breakers, each group in rotation order. An open breaker sorts a node last
-// but never drops it: the last replica standing gets tried, breaker or not.
-// Dead nodes are left out. now is the dispatch's start, for the breaker
-// check. The open-breaker nodes are parked at the back of the grown region
-// and moved up behind the healthy ones, so no second slice is built.
-func candidates(dst []try, nodes []*node, replicas []int, rot int, now time.Time) []try {
-	base := len(dst)
-	region := slices.Grow(dst, len(replicas))[:base+len(replicas)]
-	front, back := base, len(region)
+// candidates appends to dst one try per live node of a replica set, in
+// rotation order from rot. Dead nodes are left out. run has grown dst to hold
+// every replica, so nothing is allocated.
+func candidates(dst []try, nodes []*node, replicas []int, rot int) []try {
 	for i := range replicas {
-		n := nodes[replicas[(i+rot)%len(replicas)]]
-		switch {
-		case n.srv.Load() == nil:
-		case n.brk.Allow(now):
-			region[front] = try{node: n}
-			front++
-		default:
-			back--
-			region[back] = try{node: n}
+		if n := nodes[replicas[(i+rot)%len(replicas)]]; n.srv.Load() != nil {
+			dst = append(dst, try{node: n})
 		}
 	}
-	slices.Reverse(region[back:])
-	end := front + copy(region[front:], region[back:])
-	clear(region[end:])
-	return region[:end]
+	return dst
 }

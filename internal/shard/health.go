@@ -37,10 +37,6 @@ func (r *Router) Partitions(name string) ([]PartitionInfo, error) {
 type NodeHealth struct {
 	ID    int
 	Alive bool
-	// BreakerOpen and BreakerTrips describe the router-side breaker
-	// guarding the route to this node.
-	BreakerOpen  bool
-	BreakerTrips int64
 	// Serve is the node's own health snapshot (zero when the node is
 	// dead — its server is gone).
 	Serve serve.Health
@@ -80,7 +76,6 @@ func (r *Router) ClusterHealth() ClusterHealth {
 	for _, n := range r.nodes {
 		srv := n.srv.Load()
 		nh := NodeHealth{ID: n.id, Alive: srv != nil}
-		_, nh.BreakerOpen, nh.BreakerTrips = n.brk.Snapshot()
 		if nh.Alive {
 			nh.Serve = srv.Health()
 			ch.LiveNodes++

@@ -14,9 +14,9 @@
 // holds exactly R of a table's N stripes.
 //
 // A node is live exactly while it has a server: one atomic pointer, which
-// KillNode swaps to nil and RecoverNode publishes only once the new server
-// holds its stripes. The fixed node list and that pointer are read without a
-// lock.
+// KillNode clears once the server has stopped and RecoverNode publishes only
+// once the new server holds its stripes. The fixed node list and that
+// pointer are read without a lock.
 //
 // A scan visits only the stripes its range can hit. Each partition keeps a
 // zone per column — exact min, max and wrapping sum, folded at Register from
@@ -36,17 +36,16 @@
 // Robustness mechanisms mirror the single-node ones, one level up:
 //
 //   - fault.ClassNodeLoss kills a whole shard the way core loss kills a
-//     worker; the router fails over to surviving replicas;
-//   - each node carries a router-side circuit breaker guarding the route
-//     to it (a server has no breaker of its own);
+//     worker, as a crash-stop; the router fails over to surviving replicas,
+//     which is its only response to a failing node;
 //   - hedged dispatch sends a late sub-request to its next replica and
 //     cancels the loser with the request, bounding the tail the way
 //     straggler retirement bounds a slow core;
 //   - when a key range loses every replica, scans degrade to typed
 //     partial results (errs.ErrPartialResult + CoveredFraction) instead
 //     of failing or — worse — silently returning a wrong total;
-//   - recovery re-replicates a revived node's partitions from a surviving
-//     replica's durable store.
+//   - recovery re-replicates a revived node's partitions from a live
+//     replica, or else from a dead replica's durable store.
 //
 // Admission has one gate per node and none above them: a node's intake
 // lanes and memory governor refuse what it cannot take, and the fan-out
@@ -66,7 +65,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hwstar/internal/breaker"
 	"hwstar/internal/cluster"
 	"hwstar/internal/compress"
 	"hwstar/internal/errs"
@@ -94,34 +92,21 @@ type Options struct {
 	Shard serve.Options
 
 	// Stores, when non-nil, must hold one durable store per shard
-	// (len == Shards). They make recovery real: a revived node
-	// re-replicates its partitions from a surviving replica's store.
-	// Without stores a revived node comes back empty and its ranges stay
-	// partial until re-registered.
+	// (len == Shards). A revived node copies each of its partitions from a
+	// live replica, and with stores also from a dead replica's store or,
+	// when nobody else holds it, its own replay. Without stores a partition
+	// none of whose replicas is live stays partial until re-registered.
 	Stores []*store.Store
 
 	// Faults drives router-level fault draws: ChaosTick asks it LoseNode
 	// per live node. Nil injects nothing.
 	Faults *fault.Injector
 
-	// hedgeDelay and reapHold are test seams. hedgeDelay, when positive,
-	// replaces the measured per-op-class hedge deadline with a fixed one, so
-	// tests force (time.Nanosecond) or forbid (time.Hour) hedging
-	// deterministically. reapHold, when non-nil, stops KillNode's reaper
-	// before it kills the dead server: it sends on the channel, then
-	// receives.
+	// hedgeDelay is a test seam: when positive, it replaces the measured
+	// per-op-class hedge deadline with a fixed one, so tests force
+	// (time.Nanosecond) or forbid (time.Hour) hedging deterministically.
 	hedgeDelay time.Duration
-	reapHold   chan struct{}
 }
-
-// A node's router-side breaker opens after routeBreakerThreshold
-// consecutive route failures; after routeBreakerCooldown one request probes
-// it half-open. The breaker only reorders candidates — an open-breaker node
-// is still tried when it is the last replica standing.
-const (
-	routeBreakerThreshold = 3
-	routeBreakerCooldown  = 10 * time.Millisecond
-)
 
 func (o *Options) setDefaults() {
 	if o.Shards <= 0 {
@@ -152,13 +137,11 @@ type Response struct {
 	Failovers int
 }
 
-// node is one shard: its durable store, the router-side breaker guarding the
-// route to it, and its serve.Server, which is also its liveness: srv is nil
-// exactly while the node is dead.
+// node is one shard: its durable store and its serve.Server, which is also
+// its liveness: srv is nil exactly while the node is dead.
 type node struct {
 	id  int
 	st  *store.Store
-	brk *breaker.Breaker
 	srv atomic.Pointer[serve.Server]
 }
 
@@ -243,9 +226,6 @@ type Router struct {
 	// given, so a server built later (a revived node's) carries its share.
 	caps map[string]int64
 
-	// reapWG tracks background teardown of killed nodes' servers.
-	reapWG sync.WaitGroup
-
 	// rotor spreads first attempts across replicas.
 	rotor atomic.Uint64
 
@@ -283,7 +263,7 @@ func New(_ context.Context, m *hw.Machine, opts Options) (*Router, error) {
 		caps:    make(map[string]int64),
 	}
 	for i := 0; i < opts.Shards; i++ {
-		n := &node{id: i, brk: breaker.New(routeBreakerThreshold, routeBreakerCooldown)}
+		n := &node{id: i}
 		if opts.Stores != nil {
 			n.st = opts.Stores[i]
 		}
@@ -371,8 +351,10 @@ func (r *Router) publish(n *node, srv *serve.Server) error {
 	return fmt.Errorf("already live or router closed: %w", errs.ErrClosed)
 }
 
-// Close drains every live shard and releases router state. Safe to call
-// once; requests submitted after Close shed with errs.ErrClosed.
+// Close drains every live shard and releases router state. A server that
+// answers errs.ErrClosed was already stopped by a racing KillNode, which
+// finishes stopping it before it returns. Safe to call once; requests
+// submitted after Close fail with errs.ErrClosed.
 func (r *Router) Close() error {
 	r.mu.Lock()
 	closing := !r.closed.Swap(true)
@@ -384,12 +366,11 @@ func (r *Router) Close() error {
 	var first error
 	for _, n := range r.nodes {
 		if srv := n.srv.Load(); srv != nil {
-			if err := srv.Close(); err != nil && first == nil {
+			if err := srv.Close(); err != nil && !errors.Is(err, errs.ErrClosed) && first == nil {
 				first = err
 			}
 		}
 	}
-	r.reapWG.Wait()
 	return first
 }
 
@@ -445,7 +426,9 @@ func (r *Router) Register(name string, cols [][]int64) error {
 				// restores it when the node revives.
 				continue
 			}
-			if err := srv.RegisterEncoded(enc); err != nil {
+			if err := srv.RegisterEncoded(enc); errors.Is(err, errs.ErrClosed) {
+				continue // a replica being killed: as good as dead
+			} else if err != nil {
 				return fmt.Errorf("shard: register %q partition %d on node %d: %w", name, p, nid, err)
 			}
 		}
@@ -559,7 +542,7 @@ func (r *Router) scatterScan(ctx context.Context, req serve.Request) (Response, 
 		out.Failovers += s.failovers
 		out.Hedged = out.Hedged || s.hedged
 		if s.err != nil {
-			if lostReplicas(s.err) {
+			if errors.Is(s.err, errs.ErrDegraded) { // its replicas are gone
 				lost = s.err
 			} else {
 				failed = s.err
@@ -607,12 +590,6 @@ func (r *Router) scatterScan(ctx context.Context, req serve.Request) (Response, 
 	}
 	out.CoveredFraction = 1
 	return out, nil
-}
-
-// lostReplicas reports whether a dispatched stripe failed because its
-// replicas are gone: none was live, or each was closed under the request.
-func lostReplicas(err error) bool {
-	return errors.Is(err, errs.ErrDegraded) || errors.Is(err, errs.ErrClosed)
 }
 
 // routeAny runs an inline-data request (group-sum, Q1, Q6, unregistered-

@@ -203,8 +203,7 @@ func (s *Span) SetAttr(key, value string) {
 	s.lt.mu.Unlock()
 }
 
-// Annotate appends a formatted event to the span (fault firings, retries,
-// breaker transitions).
+// Annotate appends a formatted event to the span (fault firings, retries).
 func (s *Span) Annotate(format string, args ...any) {
 	if s == nil {
 		return
